@@ -4,10 +4,13 @@ Each fading block draws a common transmitter-side state (the channel
 realization H[t], uniform over a small finite alphabet) and, independently,
 one state index per user (A_k[t], uniform over its J_k candidates). The
 transmitter points each user's beam into the null space of the first
-min(J_other, M-1) candidate vectors of the other user, sends at the rate
-decodable in every own-state, and gives up the part of the rate that the
-worst-case other-state could observe. Secrecy rates are accounted per
-block and averaged.
+min(J_other, M-1) candidate vectors of the other user. Per block, the
+transmission rate of stream k is log2(1 + SINR) averaged uniformly over
+user k's J_k states, where the other stream is noise in the states it is
+not nulled in. The leakage of stream k is log2(1 + p_k |gain|^2) averaged
+uniformly over the other user's J_other states, zero in the nulled ones.
+The secrecy rate [tx - leakage]+ is accounted per block and averaged over
+blocks; these state averages give the analytic (M-1)/J slope targets.
 """
 
 from dataclasses import dataclass, field
@@ -50,6 +53,18 @@ __all__ = [
 DIRECT_GAIN_MIN = 1e-9
 NULLED_GAIN_MAX = 1e-9
 
+# Blocks per vectorized sampling pass: bounds the pass's temporaries to a
+# few MB whatever the horizon.
+SAMPLE_CHUNK = 1 << 16
+
+# Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11).
+_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
+_PHILOX_M1 = np.uint64(0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
 
 class FadingProcess:
     """Finite-alphabet fading model shared by transmitter and receivers.
@@ -58,7 +73,8 @@ class FadingProcess:
     length-M vector per user state (J1 + J2 vectors), drawn i.i.d. CN(0,1)
     and verified to satisfy the generic rank condition; degenerate draws
     are resampled exactly as for compound channel sets. Immutable after
-    construction; per-state beamformers are cached lazily.
+    construction; per-state beamformers and the block sequence are cached
+    lazily.
     """
 
     def __init__(
@@ -122,6 +138,7 @@ class FadingProcess:
             2, np.uint64
         )
         self._zf_cache = {}
+        self._states_cache = np.empty((0, 3), dtype=np.int64)
 
     def _state_seed(self, s):
         ss = np.random.SeedSequence(self.seed, spawn_key=(0, s))
@@ -182,6 +199,10 @@ def sample_block(fp, t):
     or in parallel and always reproduce the same draw. Draw order within a
     block: common state, then A1, then A2; each marginal is uniform and the
     three are independent.
+
+    This is the reference definition of the block sequence: the vectorized
+    sampler used by simulate_blocks is tested bit for bit against it and
+    falls back to it for the rare draws that numpy's bounded draw rejects.
     """
     if not isinstance(t, int) or not (1 <= t <= fp.block_count):
         raise InvalidInputError(
@@ -197,6 +218,91 @@ def sample_block(fp, t):
         t=t, h_state=s, a1=a1, a2=a2,
         h1=ch.state(1, a1)[0], h2=ch.state(2, a2)[0],
     )
+
+
+def _mulhilo(a, b):
+    """High and low 64-bit words of the 128-bit product a * b, elementwise.
+
+    numpy has no 128-bit integers, so the high word is assembled from the
+    four 32-bit partial products; the low word is the wrapping uint64 product.
+    """
+    a0, a1 = a & _LOW32, a >> _SHIFT32
+    b0, b1 = b & _LOW32, b >> _SHIFT32
+    p01 = a0 * b1
+    p10 = a1 * b0
+    mid = ((a0 * b0) >> _SHIFT32) + (p01 & _LOW32) + (p10 & _LOW32)
+    hi = a1 * b1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, a * b
+
+
+def _philox_words(key, t):
+    """First two output words of Philox4x64-10 for each block index in t.
+
+    t is a uint64 array. numpy's Philox started at counter t << 192
+    increments the counter before its first output, so block t is the
+    single evaluation at counter (1, 0, 0, t) under key; the round keys are
+    bumped by the Weyl increments before every round but the first.
+    """
+    c0 = np.ones_like(t)
+    c1 = np.zeros_like(t)
+    c2 = np.zeros_like(t)
+    c3 = t
+    for r in range(_PHILOX_ROUNDS):
+        k0 = np.uint64((int(key[0]) + r * _PHILOX_W[0]) % 2**64)
+        k1 = np.uint64((int(key[1]) + r * _PHILOX_W[1]) % 2**64)
+        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return c0, c1
+
+
+def _states_from_words(fp, t, w0, w1):
+    """Block states from each block's first two Philox output words.
+
+    Replays numpy's Generator.integers(1, n + 1) for the common state, A1
+    and A2 in turn. The words are split into the uint32 stream that
+    next_uint32 hands out, low half first; each draw of a size-n alphabet
+    takes the next uint32 x and returns (x * n >> 32) + 1 (Lemire), and a
+    size-1 alphabet takes none. numpy redraws when the leftover
+    x * n mod 2^32 is below 2^32 mod n (about 2^-32 per draw, never for a
+    power-of-two n); such lanes are flagged and recomputed with sample_block.
+
+    Returns (states, rejected): states[i] is (h_state, a1, a2) of block t[i]
+    as int64, rejected[i] whether that lane took the scalar path.
+    """
+    stream = iter((w0 & _LOW32, w0 >> _SHIFT32, w1 & _LOW32))
+    states = np.ones((len(t), 3), dtype=np.int64)
+    rejected = np.zeros(len(t), dtype=bool)
+    for col, n in enumerate((fp.common_state_count, fp.J1, fp.J2)):
+        if n == 1:
+            continue
+        prod = next(stream) * np.uint64(n)
+        states[:, col] += (prod >> _SHIFT32).astype(np.int64)
+        rejected |= (prod & _LOW32) < np.uint64(2**32 % n)
+    for i in np.flatnonzero(rejected):
+        blk = sample_block(fp, int(t[i]))
+        states[i] = (blk.h_state, blk.a1, blk.a2)
+    return states, rejected
+
+
+def _block_states(fp, m):
+    """(h_state, a1, a2) of blocks 1..m as an (m, 3) int64 array.
+
+    Row t-1 equals sample_block(fp, t). The sequence is a pure function of
+    (seed, t), so it is sampled once per process, SAMPLE_CHUNK blocks per
+    vectorized pass, and cached; a longer horizon extends the cached prefix.
+    """
+    have = len(fp._states_cache)
+    if have < m:
+        states = np.empty((m, 3), dtype=np.int64)
+        states[:have] = fp._states_cache
+        for lo in range(have + 1, m + 1, SAMPLE_CHUNK):
+            t = np.arange(lo, min(lo + SAMPLE_CHUNK, m + 1), dtype=np.uint64)
+            words = _philox_words(fp._block_key, t)
+            states[lo - 1 : lo - 1 + len(t)] = _states_from_words(fp, t, *words)[0]
+        states.setflags(write=False)
+        fp._states_cache = states
+    return fp._states_cache[:m]
 
 
 def _state_zf(fp, s):
@@ -269,10 +375,12 @@ def block_gains(fp, t):
 
 
 def tx_rate(gains, k, powers):
-    """Rate decodable by user k in every own-state, averaged over them.
+    """Transmission rate of stream k, averaged uniformly over user k's states.
 
-    powers = (p1, p2). States where the other stream is nulled are clean;
-    the rest see it as noise.
+    powers = (p1, p2). With phi = gains.phi(k), the rate is the mean over
+    user k's J_k states j of log2(1 + p_k |phi[j, k]|^2 / (1 + I_j)), where
+    I_j = 0 in the nulled states j <= nulled(k) and p_other |phi[j, other]|^2
+    in the rest, which see the other stream as noise.
     """
     pk = powers[k - 1]
     po = powers[2 - k]
@@ -288,8 +396,11 @@ def tx_rate(gains, k, powers):
 def leakage(gains, k, powers):
     """Rate of stream k observable at the other user, averaged over its states.
 
-    Only the other user's non-nulled states contribute; identically zero
-    when they are all nulled (J_other <= M-1).
+    With phi = gains.phi(other), the leakage is the sum over the other
+    user's non-nulled states j of log2(1 + p_k |phi[j, k]|^2), divided by
+    all J_other of its states: a uniform average in which nulled states
+    contribute zero. Identically zero when every state is nulled
+    (J_other <= M-1).
     """
     pk = powers[k - 1]
     other = 3 - k
@@ -337,8 +448,10 @@ class PowerPolicy:
     def __post_init__(self):
         if self.kind not in ("full1", "full2", "equal", "split"):
             raise InvalidInputError(f"unknown power policy {self.kind!r}")
-        if self.total < 0:
-            raise InvalidInputError("total power must be nonnegative")
+        if not (0 <= self.total < np.inf):
+            raise InvalidInputError(
+                f"total power must be finite and nonnegative, got {self.total!r}"
+            )
         if self.kind == "split":
             if self.p1_frac is None or not (0.0 <= self.p1_frac <= 1.0):
                 raise InvalidInputError(
@@ -390,14 +503,20 @@ def simulate_blocks(fp, policy, m=None):
 
     The per-block rate depends on the realized common state only (the
     accounting already averages over each user's state uncertainty), so
-    per-state rates are computed once and looked up per block. Fixed
-    summation order makes reruns bit-identical.
+    per-state rates are computed once and looked up per block. The block
+    sequence is sampled once per process and cached on it (see
+    _block_states), so repeated calls on the same process, at any power,
+    reuse it. Fixed summation order makes reruns bit-identical.
     """
     if m is None:
         m = fp.block_count
-    if not (1 <= m <= fp.block_count):
+    if (
+        isinstance(m, bool)
+        or not isinstance(m, (int, np.integer))
+        or not (1 <= m <= fp.block_count)
+    ):
         raise InvalidInputError(
-            f"block horizon must be in 1..{fp.block_count}, got {m}"
+            f"block horizon must be an integer in 1..{fp.block_count}, got {m!r}"
         )
     recs = state_records(fp, policy)
     r1_by_state = np.array([r.secrecy[0] for r in recs])
@@ -405,9 +524,7 @@ def simulate_blocks(fp, policy, m=None):
     violated = np.array(
         [(r.leak[0] > r.tx[0]) or (r.leak[1] > r.tx[1]) for r in recs]
     )
-    idx = np.empty(m, dtype=np.intp)
-    for t in range(1, m + 1):
-        idx[t - 1] = sample_block(fp, t).h_state - 1
+    idx = _block_states(fp, int(m))[:, 0] - 1
     r1_blocks = r1_by_state[idx]
     r2_blocks = r2_by_state[idx]
     return ErgodicRunStats(
@@ -432,8 +549,9 @@ def averaged_secrecy_rates(fp, policy, m=None):
 def ergodic_slope_estimates(fp, policy_kind, snr_db_grid, m=None, p1_frac=None):
     """Simulated rates over the SNR grid and their slope fits.
 
-    Returns (stats_list, (est1, est2)). The same block sequence is reused
-    at every grid point, so the fit sees a smooth function of power.
+    Returns (stats_list, (est1, est2)). The block sequence is sampled once
+    and cached on fp; every grid point reuses it, so the fit sees a smooth
+    function of power.
     """
     grid = check_snr_grid(snr_db_grid)
     stats = [

@@ -198,6 +198,7 @@ def test_symmetric_point_rejected():
 
 def test_monte_carlo_matches_analytic():
     with verdict("monte-carlo-matches-analytic"):
+        start = time.perf_counter()
         m = 100_000
         policy = PowerPolicy.make("equal", 1e6)  # 60 dB
         for seed in range(10):
@@ -209,6 +210,8 @@ def test_monte_carlo_matches_analytic():
             ):
                 se = float(np.std(blocks)) / math.sqrt(m)
                 assert abs(mean - analytic) <= 3 * se + 1e-12, f"seed {seed}"
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"Monte Carlo check took {elapsed:.1f} s"
 
 
 def test_cli_byte_determinism(tmp_path):

@@ -2,10 +2,13 @@
 
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from compound_bcc import ergodic
 from compound_bcc.channel import CompoundChannelSet
 from compound_bcc.ergodic import (
     FadingProcess,
@@ -23,6 +26,8 @@ from compound_bcc.ergodic import (
     symmetric_point_margin,
     tx_rate,
     zf_beamformers,
+    _block_states,
+    _states_from_words,
 )
 from compound_bcc.errors import DegenerateBlockError, InvalidInputError
 
@@ -105,6 +110,59 @@ class TestSampleBlock:
         ch = fp_small.state_channel(blk.h_state)
         assert np.array_equal(blk.h1, ch.state(1, blk.a1)[0])
         assert np.array_equal(blk.h2, ch.state(2, blk.a2)[0])
+
+
+class TestVectorizedSampler:
+    CHUNK = 16  # small pass size so that short horizons cross pass boundaries
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        states=st.integers(1, 8),
+        j1=st.integers(1, 8),
+        j2=st.integers(1, 8),
+        m_first=st.integers(1, 3 * CHUNK),
+        m=st.integers(1, 3 * CHUNK),
+    )
+    def test_matches_sample_block(self, seed, states, j1, j2, m_first, m):
+        fp = FadingProcess(
+            2, j1, j2, common_state_count=states, block_count=3 * self.CHUNK, seed=seed
+        )
+        with mock.patch.object(ergodic, "SAMPLE_CHUNK", self.CHUNK):
+            _block_states(fp, m_first)  # the second call extends or slices the cache
+            got = _block_states(fp, m)
+        want = [
+            [b.h_state, b.a1, b.a2]
+            for b in (sample_block(fp, t) for t in range(1, m + 1))
+        ]
+        assert got.tolist() == want
+
+    def test_rejected_draw_takes_scalar_path(self):
+        # For n = 3 numpy's Lemire draw redraws when (x * 3) mod 2^32 < 2^32 mod 3 = 1,
+        # so x = 0 is rejected. Natural rejections are too rare to find by search.
+        fp = FadingProcess(2, 2, 1, common_state_count=3, block_count=10, seed=5)
+        t = np.array([3, 5], dtype=np.uint64)
+        w0 = np.array([0xC0000000_00000000, 0xC0000000_80000000], dtype=np.uint64)
+        w1 = np.zeros(2, dtype=np.uint64)
+        states, rejected = _states_from_words(fp, t, w0, w1)
+        assert rejected.tolist() == [True, False]
+        scalar = sample_block(fp, 3)
+        assert (scalar.h_state, scalar.a1, scalar.a2) != (1, 2, 1)  # what the words give
+        assert tuple(states[0]) == (scalar.h_state, scalar.a1, scalar.a2)
+        # accepted lane: 3 * 2^31 >> 32 = 1 and 2 * 3 * 2^30 >> 32 = 1, plus one
+        assert tuple(states[1]) == (2, 2, 1)
+
+    def test_sampled_once_per_process(self, monkeypatch):
+        calls = []
+        philox = ergodic._philox_words
+        monkeypatch.setattr(
+            ergodic, "_philox_words", lambda key, t: calls.append(len(t)) or philox(key, t)
+        )
+        for _ in range(2):  # a new process samples again: the cache is per instance
+            fp = FadingProcess(4, 2, 2, common_state_count=4, block_count=1000, seed=3)
+            ergodic_slope_estimates(fp, "equal", (60.0, 80.0, 100.0), m=1000)
+            simulate_blocks(fp, PowerPolicy.make("equal", 1.0), m=500)
+        assert calls == [1000, 1000]
 
 
 class TestZeroForcing:
@@ -232,6 +290,11 @@ class TestPowerPolicy:
         with pytest.raises(InvalidInputError):
             PowerPolicy.make("equal", -1.0)
 
+    @pytest.mark.parametrize("total", [math.nan, math.inf])
+    def test_non_finite_total(self, total):
+        with pytest.raises(InvalidInputError, match="finite"):
+            PowerPolicy.make("equal", total)
+
 
 class TestSimulation:
     def test_mc_tracks_analytic(self, fp_small):
@@ -268,6 +331,11 @@ class TestSimulation:
             simulate_blocks(fp_small, PowerPolicy.make("equal", 1.0), m=0)
         with pytest.raises(InvalidInputError):
             simulate_blocks(fp_small, PowerPolicy.make("equal", 1.0), m=fp_small.block_count + 1)
+
+    @pytest.mark.parametrize("m", [2.5, True, "3"])
+    def test_horizon_must_be_an_integer(self, fp_small, m):
+        with pytest.raises(InvalidInputError, match="integer"):
+            simulate_blocks(fp_small, PowerPolicy.make("equal", 1.0), m=m)
 
     def test_averaged_pair(self, fp_small):
         pol = PowerPolicy.make("equal", 50.0)
