@@ -19,17 +19,19 @@ library calls and serializes their results.
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
 
 from .channel import (
     ChannelGenSpec,
+    _generate,
     generate_compound,
     load_channel,
     verify_rank_condition,
 )
-from .errors import CompoundBccError, ConfigError
+from .errors import CompoundBccError, ConfigError, check_count
 from .ergodic import (
     FadingProcess,
     ergodic_sdof_region,
@@ -81,21 +83,12 @@ class ExperimentConfig:
     model: str = "gaussian"
 
     def validate(self):
-        for name in ("M", "N1", "N2", "J1", "J2", "common_state_count"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
-        for name in ("r1", "r2"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
-                raise ConfigError(f"{name} must be a nonnegative integer, got {v!r}")
-        for name in ("trials", "blocks"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ConfigError(f"{name} must be at least 1, got {v!r}")
-        if not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        grid = tuple(float(x) for x in self.snr_db_grid)
+        for name in ("M", "N1", "N2", "J1", "J2", "common_state_count",
+                     "trials", "blocks"):
+            check_count(getattr(self, name), name, ConfigError)
+        for name in ("r1", "r2", "seed"):
+            check_count(getattr(self, name), name, ConfigError, minimum=0)
+        grid = tuple(_real(x, "snr_db_grid entry") for x in self.snr_db_grid)
         if not grid:
             raise ConfigError("snr_db_grid must not be empty")
         if any(x < 0 for x in grid):
@@ -105,7 +98,7 @@ class ExperimentConfig:
         self.snr_db_grid = grid
         if self.power_policy not in ("full1", "full2", "equal", "split"):
             raise ConfigError(f"unknown power_policy {self.power_policy!r}")
-        if not (0.0 <= float(self.p1_frac) <= 1.0):
+        if not (0.0 <= _real(self.p1_frac, "p1_frac") <= 1.0):
             raise ConfigError(f"p1_frac must be in [0, 1], got {self.p1_frac!r}")
         if self.model not in ("gaussian", "ergodic"):
             raise ConfigError(f"model must be 'gaussian' or 'ergodic', got {self.model!r}")
@@ -115,6 +108,19 @@ class ExperimentConfig:
         d = dataclasses.asdict(self)
         d["snr_db_grid"] = list(self.snr_db_grid)
         return d
+
+
+def _real(v, name):
+    """``v`` as a float if it is a finite int or float; ConfigError naming ``name``."""
+    x = math.nan
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            x = float(v)
+        except OverflowError:
+            pass
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be a finite number, got {v!r}")
+    return x
 
 
 def load_config(path):
@@ -330,13 +336,14 @@ def run_verify_channel(cfg, out_dir, channel_path=None):
     """Generic rank condition check for a loaded or generated channel set."""
     if channel_path:
         ch = load_channel(channel_path)
+        report = verify_rank_condition(ch)
         source = {"channel_file": os.path.basename(channel_path)}
     else:
-        ch = generate_compound(
+        # generation verified the draw it returns; its report is the answer
+        ch, report = _generate(
             ChannelGenSpec(cfg.M, cfg.N1, cfg.N2, cfg.J1, cfg.J2, seed=cfg.seed)
         )
         source = {"generated": True, "seed": cfg.seed}
-    report = verify_rank_condition(ch)
     _write_summary(
         os.path.join(out_dir, "summary.json"),
         {

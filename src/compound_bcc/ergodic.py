@@ -22,6 +22,7 @@ from .errors import (
     ConstructionError,
     DegenerateBlockError,
     InvalidInputError,
+    check_count,
 )
 from .linalg import DEFAULT_TOL, null_space_basis
 from .regions import RateRegion, time_share
@@ -96,8 +97,7 @@ class FadingProcess:
             ("common_state_count", common_state_count),
             ("block_count", block_count),
         ):
-            if not isinstance(v, int) or v < 1:
-                raise InvalidInputError(f"{name} must be a positive integer, got {v!r}")
+            check_count(v, name)
         self.M = M
         self.J1 = J1
         self.J2 = J2
@@ -589,8 +589,7 @@ def symmetric_point_margin(M, J1, J2):
 
 def _check_counts(M, J1, J2):
     for name, v in (("M", M), ("J1", J1), ("J2", J2)):
-        if not isinstance(v, int) or v < 1:
-            raise InvalidInputError(f"{name} must be a positive integer, got {v!r}")
+        check_count(v, name)
 
 
 def ergodic_sdof_region(M, J1, J2):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer-field check.
 
 Every failure mode that callers are expected to distinguish gets its own
 class; plain ValueError is reserved for malformed arguments that indicate
@@ -67,3 +67,16 @@ class DimensionMismatchError(CompoundBccError, ValueError):
 
 class ConfigError(CompoundBccError, ValueError):
     """Raised when an experiment configuration is invalid."""
+
+
+def check_count(value, name, error=InvalidInputError, minimum=1):
+    """Return ``value`` if it is an int of at least ``minimum``.
+
+    bool is rejected although it subclasses int, and so is every non-int
+    (floats, strings, numpy scalars). A rejected value raises ``error``
+    with a message naming ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        kind = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
+        raise error(f"{name} must be {kind}, got {value!r}")
+    return value

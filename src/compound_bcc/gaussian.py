@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConstructionError, FeasibilityError, InvalidInputError
+from .errors import ConstructionError, FeasibilityError, InvalidInputError, check_count
 from .linalg import DEFAULT_TOL, logdet2_hpd, null_space_basis, numerical_rank
 from .regions import RateRegion, region_from_inequalities, time_share
 from .sdof import (
@@ -204,8 +204,10 @@ class PowerAllocation:
             if arr.ndim != 1 or (arr.size and arr.min() < 0):
                 raise InvalidInputError(f"{name} must be a 1-D nonnegative array")
             object.__setattr__(self, name, arr)
-        if self.total < 0:
-            raise InvalidInputError("total power must be nonnegative")
+        if not (0 <= self.total < np.inf):
+            raise InvalidInputError(
+                f"total power must be finite and nonnegative, got {self.total!r}"
+            )
         spent = self.p0.sum() + self.p1.sum() + self.p2.sum()
         if spent > self.total * (1 + 1e-12) + 1e-300:
             raise InvalidInputError(
@@ -370,8 +372,7 @@ def gaussian_sdof_region(M, N1, N2, J1, J2):
     survives, with d0 up to min(M, N1, N2).
     """
     for name, v in (("M", M), ("N1", N1), ("N2", N2), ("J1", J1), ("J2", J2)):
-        if not isinstance(v, int) or v < 1:
-            raise InvalidInputError(f"{name} must be a positive integer, got {v!r}")
+        check_count(v, name)
     zero = Fraction(0)
     one = Fraction(1)
     nonneg = [

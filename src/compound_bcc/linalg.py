@@ -66,15 +66,27 @@ def singular_values(m):
     return np.linalg.svd(a, compute_uv=False)
 
 
+def rank_from_singular_values(s, tol=DEFAULT_TOL):
+    """Ranks from singular values ``s[..., :]`` in non-increasing order.
+
+    The rank rule of the package: the number of singular values strictly
+    above ``tol.relative_threshold * sigma_max``. A zero matrix (all
+    singular values 0) therefore has rank 0, as has an empty one. ``s``
+    holds one matrix's values (1-D) or a stack of them (one row each).
+    """
+    if s.shape[-1] == 0:
+        return np.zeros(s.shape[:-1], dtype=int)
+    above = s > tol.relative_threshold * s[..., :1]
+    return np.count_nonzero(above) if s.ndim == 1 else above.sum(axis=-1)
+
+
 def numerical_rank(m, tol=DEFAULT_TOL):
     """Number of singular values above ``tol.relative_threshold * sigma_max``.
 
-    The zero matrix (and any empty matrix) has rank 0.
+    The zero matrix (and any empty matrix) has rank 0; see
+    rank_from_singular_values.
     """
-    s = singular_values(m)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.relative_threshold * s[0]))
+    return int(rank_from_singular_values(singular_values(m), tol))
 
 
 def _normalize_phases(b):
@@ -110,10 +122,7 @@ def null_space_basis(m, tol=DEFAULT_TOL):
     if rows == 0:
         return np.eye(cols, dtype=complex)
     u, s, vh = np.linalg.svd(a)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > tol.relative_threshold * s[0]))
+    rank = int(rank_from_singular_values(s, tol))
     basis = vh[rank:].conj().T
     return _normalize_phases(basis)
 

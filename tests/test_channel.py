@@ -4,12 +4,19 @@ import hashlib
 import itertools
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from compound_bcc import channel, cli
 from compound_bcc.channel import (
+    EXHAUSTIVE_ROW_LIMIT,
+    SAMPLE_SEED,
+    SAMPLED_SUBSET_COUNT,
     ChannelGenSpec,
+    RankConditionReport,
     CompoundChannelSet,
     attempt_seed,
     channel_to_dict,
@@ -33,6 +40,64 @@ GOLDEN_SHA256 = "c1974969f8e6f237e96d5dec89567140585a84083602a4931b96cd2decd137e
 
 def random_channel(seed, M=3, N1=2, N2=1, J1=2, J2=3):
     return generate_compound(ChannelGenSpec(M, N1, N2, J1, J2, seed=seed))
+
+
+def per_subset_report(ch, tol=RankTolerance()):
+    """Reference rank check: one numerical_rank call per row subset."""
+    rows = ch.stacked_rows()
+    total = rows.shape[0]
+    if total < ch.M:
+        return RankConditionReport(passed=True, checked=0, exhaustive=True)
+    exhaustive = total <= EXHAUSTIVE_ROW_LIMIT
+    if exhaustive:
+        subsets = list(itertools.combinations(range(total), ch.M))
+    else:
+        rng = np.random.default_rng(SAMPLE_SEED)
+        subsets = [
+            tuple(sorted(rng.choice(total, size=ch.M, replace=False)))
+            for _ in range(SAMPLED_SUBSET_COUNT)
+        ]
+    failures = tuple(s for s in subsets if numerical_rank(rows[list(s)], tol) != ch.M)
+    return RankConditionReport(
+        passed=not failures,
+        checked=len(subsets),
+        exhaustive=exhaustive,
+        failures=failures,
+        failure_labels=tuple(tuple(ch.row_label(i) for i in s) for s in failures),
+    )
+
+
+# Ways to make some stacked rows dependent, or nearly so: row ``dst`` becomes
+# ``scale * row src + eps * noise``, or zero. Rescaling a row keeps its rank.
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["copy", "zero", "rescale"]),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+        st.sampled_from([1.0, -1.0, 2.0, 1e-8, 1e8, 1j]),
+        st.sampled_from([0.0, 1e-13, 1e-11, 1e-9, 1e-6]),
+    ),
+    max_size=4,
+)
+TOLERANCES = st.sampled_from([1e-15, 1e-10, 1 - 1e-12])
+
+
+def edited_channel(M, N1, N2, J1, J2, seed, edits):
+    ch = random_channel(seed, M, N1, N2, J1, J2)
+    rows = ch.stacked_rows()
+    noise = np.random.default_rng(seed).standard_normal(rows.shape)
+    for kind, src, dst, scale, eps in edits:
+        src, dst = src % len(rows), dst % len(rows)
+        if kind == "copy":
+            rows[dst] = scale * rows[src] + eps * noise[dst]
+        elif kind == "zero":
+            rows[dst] = 0.0
+        else:
+            rows[dst] = scale * rows[dst]
+    n1 = J1 * N1
+    h1 = tuple(rows[j * N1:(j + 1) * N1] for j in range(J1))
+    h2 = tuple(rows[n1 + j * N2:n1 + (j + 1) * N2] for j in range(J2))
+    return CompoundChannelSet(M, N1, N2, J1, J2, h1, h2)
 
 
 class TestGeneration:
@@ -78,6 +143,14 @@ class TestGeneration:
             for attempt in range(5):
                 states.add(tuple(attempt_seed(seed, attempt).generate_state(4)))
         assert len(states) == 25
+
+    @pytest.mark.parametrize("field", ["M", "N1", "J2"])
+    def test_bool_dimension_rejected(self, field):
+        good = random_channel(3)
+        dims = dict(M=3, N1=2, N2=1, J1=2, J2=3, h1=good.h1, h2=good.h2)
+        dims[field] = True
+        with pytest.raises(InvalidInputError, match=field):
+            CompoundChannelSet(**dims)
 
     def test_shape_validation(self):
         good = random_channel(3)
@@ -131,6 +204,74 @@ class TestRankCondition:
         assert not r1.exhaustive
         assert r1.checked == 10_000
         assert r1.passed and r1.failures == r2.failures
+
+
+class TestBatchedRankCheck:
+    """The chunked, screened check reports exactly what the per-subset loop does."""
+
+    CHUNK = 7  # small chunk size so that runs cross chunk boundaries
+
+    def check(self, ch, rel):
+        tol = RankTolerance(rel)
+        with mock.patch.object(channel, "RANK_CHUNK", self.CHUNK):
+            got = verify_rank_condition(ch, tol)
+        assert got == per_subset_report(ch, tol)
+        return got
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        M=st.integers(1, 4),
+        dims=st.tuples(*(st.integers(1, n) for n in (3, 3, 4, 4))),
+        seed=st.integers(0, 2**32 - 1),
+        edits=EDITS,
+        rel=TOLERANCES,
+    )
+    def test_exhaustive_matches_per_subset(self, M, dims, seed, edits, rel):
+        N1, N2, J1, J2 = dims
+        self.check(edited_channel(M, N1, N2, J1, J2, seed, edits), rel)
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        M=st.integers(1, 3),
+        J2=st.integers(12, 16),  # 13 + J2 rows, above EXHAUSTIVE_ROW_LIMIT
+        seed=st.integers(0, 2**32 - 1),
+        edits=EDITS,
+        rel=TOLERANCES,
+    )
+    def test_sampled_matches_per_subset(self, M, J2, seed, edits, rel):
+        got = self.check(edited_channel(M, 1, 1, 13, J2, seed, edits), rel)
+        assert not got.exhaustive
+
+    def test_duplicated_rows_fail_in_order(self):
+        ch = edited_channel(3, 2, 1, 2, 3, 5, [("copy", 0, 6, 1.0, 0.0), ("zero", 0, 3, 1.0, 0.0)])
+        got = self.check(ch, 1e-10)
+        assert not got.passed and len(got.failures) > self.CHUNK
+
+    def test_generic_channel_passes_on_the_screen(self):
+        # well-conditioned subsets never reach the SVD
+        ch = random_channel(0, M=4, N1=1, N2=1, J1=6, J2=6)
+        with mock.patch.object(np.linalg, "svd", side_effect=AssertionError):
+            assert verify_rank_condition(ch).passed
+
+    def test_non_finite_rows_rejected(self):
+        ch = random_channel(1)
+        ch.h1[0][0, 0] = np.nan  # the arrays stay writable after construction
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            verify_rank_condition(ch)
+
+    def test_generated_verify_channel_checks_once(self, tmp_path):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return verify_rank_condition(*args, **kwargs)
+
+        with mock.patch.object(channel, "verify_rank_condition", counted), \
+                mock.patch.object(cli, "verify_rank_condition", counted):
+            code = cli.main(["verify-channel", "--M", "3", "--J1", "4", "--J2", "4",
+                             "--out", str(tmp_path)])
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestPersistence:
@@ -204,4 +345,21 @@ class TestPersistence:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(d))
         with pytest.raises(ChannelFormatError, match="H_2_1"):
+            load_channel(p)
+
+    def test_bool_dimension_named(self, tmp_path):
+        d = channel_to_dict(random_channel(6))
+        d["M"] = True
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(d))
+        with pytest.raises(ChannelFormatError, match="'M'"):
+            load_channel(p)
+
+    @pytest.mark.parametrize("entry", [[True, False], [0.5, 10**400]])
+    def test_bad_number_entries_rejected(self, tmp_path, entry):
+        d = channel_to_dict(random_channel(6))
+        d["matrices"]["H_1_2"][1] = entry
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(d))
+        with pytest.raises(ChannelFormatError, match="H_1_2: entry 1"):
             load_channel(p)

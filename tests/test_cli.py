@@ -230,6 +230,25 @@ class TestConfigHandling:
     def test_validation_catches_bad_m(self, tmp_path):
         assert run(["gaussian", "--out", tmp_path, "--M", 0]) == 1
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"M": true}', "M"),
+        ('{"trials": false}', "trials"),
+        ('{"r1": true}', "r1"),
+        ('{"seed": -1}', "seed"),
+        ('{"p1_frac": "x"}', "p1_frac"),
+        ('{"p1_frac": NaN}', "p1_frac"),
+        ('{"snr_db_grid": ["a"]}', "snr_db_grid"),
+        ('{"snr_db_grid": [60, 80, NaN]}', "snr_db_grid"),
+        ('{"snr_db_grid": [60, 80, Infinity]}', "snr_db_grid"),
+        ('{"snr_db_grid": [60, true]}', "snr_db_grid"),
+    ])
+    def test_bad_config_value_named(self, tmp_path, capsys, text, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert run(["gaussian", "--out", tmp_path, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+
     def test_out_dir_created(self, tmp_path):
         nested = tmp_path / "a" / "b"
         assert run(["region", "--out", nested, "--model", "gaussian"]) == 0

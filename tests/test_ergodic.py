@@ -418,6 +418,12 @@ class TestProcessValidation:
         with pytest.raises(InvalidInputError):
             FadingProcess(4, 2, 2, common_state_count=0)
 
+    def test_bool_dimensions_named(self):
+        with pytest.raises(InvalidInputError, match="block_count"):
+            FadingProcess(4, 2, 2, block_count=True)
+        with pytest.raises(InvalidInputError, match="J2"):
+            ergodic_sdof_region(4, 2, True)
+
     def test_state_count_mismatch(self, fp_small):
         with pytest.raises(InvalidInputError, match="expected 3"):
             FadingProcess(4, 2, 2, common_state_count=3, states=fp_small.states[:2])

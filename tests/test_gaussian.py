@@ -122,6 +122,11 @@ class TestPowerAllocation:
         with pytest.raises(InvalidInputError):
             PowerAllocation(total=1.0, p0=np.array([-0.1]), p1=np.array([]), p2=np.array([]))
 
+    @pytest.mark.parametrize("total", [np.nan, np.inf])
+    def test_non_finite_total(self, total):
+        with pytest.raises(InvalidInputError, match="finite"):
+            PowerAllocation(total=total, p0=np.array([]), p1=np.array([]), p2=np.array([]))
+
     def test_zero_streams_zero_share(self):
         pa = PowerAllocation(total=0.0, p0=np.array([]), p1=np.array([]), p2=np.array([]))
         assert pa.p0.size == 0
@@ -284,6 +289,11 @@ class TestSlopeLaw:
 
 
 class TestSdofRegion:
+    @pytest.mark.parametrize("args", [(True, 1, 1, 2, 2), (4, 1, 1, 2.0, 2), (4, 0, 1, 2, 2)])
+    def test_bad_dimensions_rejected(self, args):
+        with pytest.raises(InvalidInputError, match="positive integer"):
+            gaussian_sdof_region(*args)
+
     def test_room_for_both(self):
         r = gaussian_sdof_region(4, 1, 1, 2, 2)
         assert set(r.vertices) == {

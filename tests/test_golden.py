@@ -1,0 +1,85 @@
+"""Golden outputs: SHA-256 of every file one small run of each subcommand writes.
+
+The determinism tests compare two runs of the same code with each other;
+these digests also catch a change of output between versions. A digest may
+change only with an intended change of output, and then the new value is
+pinned here together with the reason. Pinned with numpy 2.4 on x86-64.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from compound_bcc.cli import main
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+DUP_ROW = os.path.join(DATA_DIR, "channel_dup_row.json")
+
+CASES = {
+    "gaussian": (["gaussian", "--trials", "2", "--seed", "4"], 0),
+    "ergodic": (
+        ["ergodic", "--M", "3", "--J1", "3", "--J2", "4", "--blocks", "1000",
+         "--seed", "2"],
+        0,
+    ),
+    "compare": (["compare", "--M", "7", "--J1", "8", "--J2", "8"], 0),
+    "region": (
+        ["region", "--model", "ergodic", "--M", "2", "--J1", "4", "--J2", "4"],
+        0,
+    ),
+    "verify-generated": (
+        ["verify-channel", "--M", "3", "--J1", "5", "--J2", "5", "--seed", "3"],
+        0,
+    ),
+    # 26 stacked rows: above EXHAUSTIVE_ROW_LIMIT, so the sampled path runs
+    "verify-sampled": (
+        ["verify-channel", "--M", "3", "--J1", "13", "--J2", "13", "--seed", "7"],
+        0,
+    ),
+    # H_2_3 repeats row 0 of H_1_1: pins the failures, their order and labels
+    "verify-dup-row": (["verify-channel", "--channel", DUP_ROW], 2),
+}
+
+GOLDEN = {
+    "compare": {
+        "summary.json": "d09d0c48a830f3faa31c1eba64e0ef72ac78f07c08d93ad2c85c5aa0682e6464",
+    },
+    "ergodic": {
+        "rates.csv": "728311716470d7c746f1e198c31475f05cd6d0fa276017f93b8f98f4d552fd0d",
+        "region.json": "3a20ac3a11fb494c2e0f1873557776c50d0ed240b6b02b8ca3f6e8fc247f4ce2",
+        "summary.json": "12263240567c2396054013d7ed11e3b30693ce40f573e6dc435e06f682ff098d",
+    },
+    "gaussian": {
+        "rates.csv": "65e1f909a8722c1d23267a12b0dc31fc5e5000d07b9b1692b0f3e9f1809978f3",
+        "region.json": "f0a3197bd72fc3c021f1f6ad01dd3784253ee26bfe4c0a831bf80bc39ea4cfa8",
+        "summary.json": "37fa5b8c772e7ef9f5f86d90a66cfb5e19b898de0a4951449c2adafaef0f7549",
+    },
+    "region": {
+        "region.json": "0d5b40ce42ef4f4ddda0bc8fca59a30358823463ea570d61f9d9e9b3ea5cb788",
+        "summary.json": "ae9bca05e8634b8da8c740f072be7a44dc2b508c89d65ee1d88f55c795659b19",
+    },
+    "verify-dup-row": {
+        "summary.json": "20aea03a51a50364172ddd7e00ccbfd98e34f16f0d36fc94ce3406dee5508a28",
+    },
+    "verify-generated": {
+        "summary.json": "37b68ac67ff25c16268856584412fc7ceaf587f3e3ffab9705e6baa338a94e30",
+    },
+    "verify-sampled": {
+        "summary.json": "8ee1d949f1c810f578043cc54fc5065ccf8a09a433d1aed8949fddb1488042f2",
+    },
+}
+
+
+def digests(out):
+    return {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in sorted(os.listdir(out))
+    }
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_pinned_digests(case, tmp_path):
+    argv, code = CASES[case]
+    assert main(argv + ["--out", str(tmp_path)]) == code
+    assert digests(tmp_path) == GOLDEN[case]

@@ -17,6 +17,7 @@ from compound_bcc.linalg import (
     logdet2_hpd,
     null_space_basis,
     numerical_rank,
+    rank_from_singular_values,
     singular_values,
 )
 
@@ -81,6 +82,18 @@ class TestNumericalRank:
         a = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 4))
         for scale in (1e-8, 1.0, 1e8):
             assert numerical_rank(scale * a) == 2
+
+    def test_stacked_ranks_match_per_matrix(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((3, 1)) @ rng.standard_normal((1, 3))
+        stack = np.array([np.zeros((3, 3)), a, 1e-300 * a, np.eye(3), np.diag([1, 1e-11, 0])])
+        s = np.linalg.svd(stack, compute_uv=False)
+        for rel in (1e-15, 1e-10, 1 - 1e-12):
+            tol = RankTolerance(rel)
+            want = [numerical_rank(m, tol) for m in stack]
+            assert rank_from_singular_values(s, tol).tolist() == want
+        assert rank_from_singular_values(s).tolist() == [0, 1, 1, 3, 1]
+        assert rank_from_singular_values(np.zeros((2, 0))).tolist() == [0, 0]
 
     def test_tolerance_validation(self):
         with pytest.raises(InvalidInputError):
