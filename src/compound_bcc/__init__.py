@@ -69,7 +69,6 @@ from .gaussian import (
     equal_power_slopes,
     gaussian_confidential_region,
     gaussian_sdof_region,
-    max_leakage,
     rate_common,
     rate_confidential,
     rate_leakage,

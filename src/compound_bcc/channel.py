@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChannelFormatError, GenerationError, InvalidInputError, check_count
+from .errors import (
+    ChannelFormatError,
+    GenerationError,
+    InvalidInputError,
+    check_count,
+    user_index,
+)
 from .linalg import DEFAULT_TOL, as_matrix, rank_from_singular_values
 
 __all__ = [
@@ -83,19 +89,11 @@ class CompoundChannelSet:
 
     def state(self, k, j):
         """State matrix H_k^j (k in {1,2}, j 1-based)."""
-        if k == 1:
-            return self.h1[j - 1]
-        if k == 2:
-            return self.h2[j - 1]
-        raise InvalidInputError(f"user index must be 1 or 2, got {k}")
+        return self.states(k)[j - 1]
 
     def states(self, k):
         """All states of user k, in order."""
-        if k == 1:
-            return self.h1
-        if k == 2:
-            return self.h2
-        raise InvalidInputError(f"user index must be 1 or 2, got {k}")
+        return (self.h1, self.h2)[user_index(k)]
 
     def stacked_rows(self):
         """All rows of all states stacked: (J1*N1 + J2*N2) x M."""
@@ -122,6 +120,9 @@ class ChannelGenSpec:
     J2: int
     seed: int
     max_resamples: int = 8
+
+    def __post_init__(self):
+        check_count(self.seed, "seed", minimum=0)
 
 
 @dataclass(frozen=True)

@@ -42,20 +42,20 @@ from .ergodic import (
 from .gaussian import (
     build_beamformers,
     common_slope_target,
-    equal_power,
+    equal_power_slopes,
     gaussian_confidential_region,
     gaussian_sdof_region,
-    max_leakage,
-    worst_case_rates,
 )
 from .regions import (
     contains,
     dominates,
+    frac_pair,
     nontrivial_vertices,
+    point_pairs,
     region_to_dict,
     save_region,
 )
-from .sdof import DEFAULT_SNR_GRID_DB, estimate_sdof_series, snr_db_to_power
+from .sdof import DEFAULT_SNR_GRID_DB
 
 __all__ = ["ExperimentConfig", "main"]
 
@@ -168,10 +168,6 @@ def _fmt(x):
     return f"{float(x):.12g}"
 
 
-def _frac_pair(f):
-    return [f.numerator, f.denominator]
-
-
 def _write_csv(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
@@ -186,33 +182,35 @@ def _write_summary(path, payload):
         fh.write("\n")
 
 
+def _region_fields(cfg, region, ergodic=False):
+    """Summary fields of an analytic region: its exact vertices and, for an
+    ergodic region with J1, J2 >= M, the symmetric-point margin."""
+    fields = {"region_vertices": point_pairs(region.vertices)}
+    if ergodic and cfg.J1 >= cfg.M and cfg.J2 >= cfg.M:
+        margin, advantage = symmetric_point_margin(cfg.M, cfg.J1, cfg.J2)
+        fields["symmetric_point"] = {
+            "margin": frac_pair(margin),
+            "improves_time_sharing": advantage,
+        }
+    return fields
+
+
 def run_gaussian(cfg, out_dir):
     """Constant-model run: per-channel rates, slope fits, analytic region."""
     grid = cfg.snr_db_grid
-    powers = snr_db_to_power(grid)
     rows = []
     slopes = []
-    leaks = []
     k_built = None
     for trial in range(cfg.trials):
         spec = ChannelGenSpec(cfg.M, cfg.N1, cfg.N2, cfg.J1, cfg.J2, seed=cfg.seed + trial)
         ch = generate_compound(spec)
         bf = build_beamformers(ch, cfg.r1, cfg.r2)
         k_built = bf.K
-        triples = []
-        for snr_db, p in zip(grid, powers):
-            pa = equal_power(bf, float(p))
-            rt = worst_case_rates(ch, bf, pa)
-            leak = max_leakage(ch, bf, pa)
-            leaks.append(leak)
-            triples.append(rt)
-            rows.append((snr_db, rt.r0, rt.r1, rt.r2, leak))
-        slopes.append(
-            tuple(
-                estimate_sdof_series(grid, [t.as_tuple()[i] for t in triples]).slope
-                for i in range(3)
-            )
+        triples, ests = equal_power_slopes(ch, bf, grid)
+        rows.extend(
+            (snr_db, *rt.as_tuple(), rt.leakage) for snr_db, rt in zip(grid, triples)
         )
+        slopes.append(tuple(e.slope for e in ests))
     mean_slopes = [sum(s[i] for s in slopes) / len(slopes) for i in range(3)]
     targets = (
         float(common_slope_target(cfg.N1, cfg.N2, cfg.r1, cfg.r2, k_built)),
@@ -239,10 +237,8 @@ def run_gaussian(cfg, out_dir):
                 "targets": list(targets),
                 "tolerance": SLOPE_TOL,
             },
-            "max_leakage": max(leaks),
-            "region_vertices": [
-                [_frac_pair(c) for c in v] for v in region.vertices
-            ],
+            "max_leakage": max(row[-1] for row in rows),
+            **_region_fields(cfg, region),
             "passed": passed,
         },
     )
@@ -287,15 +283,9 @@ def run_ergodic(cfg, out_dir):
             "tolerance": SLOPE_TOL,
         },
         "leak_violation_freq": [st.leak_violation_freq for st in stats],
-        "region_vertices": [[_frac_pair(c) for c in v] for v in region.vertices],
+        **_region_fields(cfg, region, ergodic=True),
         "passed": passed,
     }
-    if cfg.J1 >= cfg.M and cfg.J2 >= cfg.M:
-        margin, advantage = symmetric_point_margin(cfg.M, cfg.J1, cfg.J2)
-        summary["symmetric_point"] = {
-            "margin": _frac_pair(margin),
-            "improves_time_sharing": advantage,
-        }
     _write_csv(
         os.path.join(out_dir, "rates.csv"),
         ("snr_db", "policy", "R1m", "R2m", "leak_violation_freq"),
@@ -326,7 +316,7 @@ def run_compare(cfg, out_dir):
         "ergodic_covers_gaussian": erg_covers,
         "gaussian_covers_ergodic": gau_covers,
         "ergodic_strictly_larger": erg_covers and not gau_covers,
-        "witness_points": [[_frac_pair(c) for c in v] for v in witnesses],
+        "witness_points": point_pairs(witnesses),
     }
     _write_summary(os.path.join(out_dir, "summary.json"), summary)
     return True
@@ -371,14 +361,8 @@ def run_region(cfg, out_dir):
         "command": "region",
         "config": cfg.to_dict(),
         "model": cfg.model,
-        "region_vertices": [[_frac_pair(c) for c in v] for v in region.vertices],
+        **_region_fields(cfg, region, ergodic=cfg.model == "ergodic"),
     }
-    if cfg.model == "ergodic" and cfg.J1 >= cfg.M and cfg.J2 >= cfg.M:
-        margin, advantage = symmetric_point_margin(cfg.M, cfg.J1, cfg.J2)
-        summary["symmetric_point"] = {
-            "margin": _frac_pair(margin),
-            "improves_time_sharing": advantage,
-        }
     save_region(region, os.path.join(out_dir, "region.json"))
     _write_summary(os.path.join(out_dir, "summary.json"), summary)
     return True

@@ -23,6 +23,7 @@ from .errors import (
     DegenerateBlockError,
     InvalidInputError,
     check_count,
+    user_index,
 )
 from .linalg import DEFAULT_TOL, null_space_basis
 from .regions import RateRegion, time_share
@@ -98,6 +99,7 @@ class FadingProcess:
             ("block_count", block_count),
         ):
             check_count(v, name)
+        check_count(seed, "seed", minimum=0)
         self.M = M
         self.J1 = J1
         self.J2 = J2
@@ -177,18 +179,10 @@ class ZfBlockGains:
     nulled2: int
 
     def phi(self, k):
-        if k == 1:
-            return self.phi1
-        if k == 2:
-            return self.phi2
-        raise InvalidInputError(f"user index must be 1 or 2, got {k}")
+        return (self.phi1, self.phi2)[user_index(k)]
 
     def nulled(self, k):
-        if k == 1:
-            return self.nulled1
-        if k == 2:
-            return self.nulled2
-        raise InvalidInputError(f"user index must be 1 or 2, got {k}")
+        return (self.nulled1, self.nulled2)[user_index(k)]
 
 
 def sample_block(fp, t):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer-field check.
+"""Exception types shared across the package, and two argument checks.
 
 Every failure mode that callers are expected to distinguish gets its own
 class; plain ValueError is reserved for malformed arguments that indicate
@@ -80,3 +80,11 @@ def check_count(value, name, error=InvalidInputError, minimum=1):
         kind = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
         raise error(f"{name} must be {kind}, got {value!r}")
     return value
+
+
+def user_index(k):
+    """Position (0 or 1) of user ``k`` in a per-user pair; InvalidInputError
+    unless ``k`` equals 1 or 2."""
+    if k not in (1, 2):
+        raise InvalidInputError(f"user index must be 1 or 2, got {k}")
+    return int(k) - 1

@@ -12,7 +12,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConstructionError, FeasibilityError, InvalidInputError, check_count
+from .errors import (
+    ConstructionError,
+    FeasibilityError,
+    InvalidInputError,
+    check_count,
+    user_index,
+)
 from .linalg import DEFAULT_TOL, logdet2_hpd, null_space_basis, numerical_rank
 from .regions import RateRegion, region_from_inequalities, time_share
 from .sdof import (
@@ -34,7 +40,6 @@ __all__ = [
     "rate_common",
     "rate_confidential",
     "rate_leakage",
-    "max_leakage",
     "worst_case_rates",
     "equal_power_slopes",
     "common_slope_target",
@@ -72,11 +77,7 @@ class BeamformerSet:
         return self.v0.shape[1] if self.v0 is not None else 0
 
     def confidential(self, k):
-        if k == 1:
-            return self.v1
-        if k == 2:
-            return self.v2
-        raise InvalidInputError(f"user index must be 1 or 2, got {k}")
+        return (self.v1, self.v2)[user_index(k)]
 
 
 def confidential_stream_bounds(M, N1, N2, J1, J2):
@@ -215,11 +216,7 @@ class PowerAllocation:
             )
 
     def confidential(self, k):
-        if k == 1:
-            return self.p1
-        if k == 2:
-            return self.p2
-        raise InvalidInputError(f"user index must be 1 or 2, got {k}")
+        return (self.p1, self.p2)[user_index(k)]
 
 
 def equal_power(bf, total):
@@ -236,11 +233,13 @@ def equal_power(bf, total):
 
 @dataclass(frozen=True)
 class RateTriple:
-    """Worst-case rates in bits: common, user 1 confidential, user 2 confidential."""
+    """Worst-case rates in bits (common, user 1 and user 2 confidential) and
+    the largest leakage of a confidential stream at an unintended state."""
 
     r0: float
     r1: float
     r2: float
+    leakage: float
 
     def as_tuple(self):
         return (self.r0, self.r1, self.r2)
@@ -293,22 +292,14 @@ def rate_leakage(ch, bf, pa, k, l):
     return _logdet_i_plus(_received_gram(h, bf.confidential(k), pa.confidential(k)))
 
 
-def max_leakage(ch, bf, pa):
-    """Largest leakage over both streams and all unintended states."""
-    worst = 0.0
-    for k in (1, 2):
-        other = 3 - k
-        for l in range(1, len(ch.states(other)) + 1):
-            worst = max(worst, rate_leakage(ch, bf, pa, k, l))
-    return worst
-
-
 def worst_case_rates(ch, bf, pa):
     """Rates guaranteed over every state combination.
 
     The common rate is the minimum of rate_common over both users and all
     their states; each confidential rate is the worst intended-state rate
-    minus the worst-case leakage, clamped at zero.
+    minus the worst-case leakage, clamped at zero. The larger of the two
+    worst-case leakages (0.0 without confidential streams) is returned as
+    leakage.
     """
     if bf.K == 0 or pa.p0.sum() == 0.0:
         r0 = 0.0
@@ -319,6 +310,7 @@ def worst_case_rates(ch, bf, pa):
             for j in range(1, len(ch.states(k)) + 1)
         )
     conf = {}
+    worst_leak = 0.0
     for k in (1, 2):
         if bf.confidential(k).shape[1] == 0:
             conf[k] = 0.0
@@ -332,8 +324,9 @@ def worst_case_rates(ch, bf, pa):
             rate_leakage(ch, bf, pa, k, l)
             for l in range(1, len(ch.states(other)) + 1)
         )
+        worst_leak = max(worst_leak, leak)
         conf[k] = max(0.0, best - leak)
-    return RateTriple(r0=r0, r1=conf[1], r2=conf[2])
+    return RateTriple(r0=r0, r1=conf[1], r2=conf[2], leakage=worst_leak)
 
 
 def equal_power_slopes(ch, bf, snr_db_grid=DEFAULT_SNR_GRID_DB):

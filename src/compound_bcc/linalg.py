@@ -8,7 +8,6 @@ relative singular-value threshold so they are invariant under rescaling.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zpotrf
 
 from .errors import InvalidInputError, NotHermitianError, NotPositiveDefiniteError
 
@@ -131,9 +130,11 @@ def logdet2_hpd(m):
     """log2 det of a Hermitian positive definite matrix, via Cholesky.
 
     The input must be Hermitian up to a relative Frobenius residual of
-    1e-10 (NotHermitianError otherwise). A failed factorization raises
+    1e-10 (NotHermitianError otherwise). The lower triangle is factored
+    with numpy.linalg.cholesky and the log-det is twice the sum of log2 of
+    the factor's diagonal. A failed factorization raises
     NotPositiveDefiniteError carrying the 1-based index of the first
-    non-positive leading minor. The empty 0x0 matrix has log-det 0.
+    leading minor that fails to factor. The empty 0x0 matrix has log-det 0.
     """
     a = as_matrix(m)
     n, ncol = a.shape
@@ -148,10 +149,20 @@ def logdet2_hpd(m):
             f"matrix is not Hermitian: residual {resid:.3e} exceeds "
             f"{HERMITIAN_RTOL:.0e} * ||m||_F = {HERMITIAN_RTOL * norm:.3e}"
         )
-    c, info = zpotrf(a, lower=1)
-    if info > 0:
-        raise NotPositiveDefiniteError(info)
-    if info < 0:
-        raise InvalidInputError(f"illegal value in argument {-info} of zpotrf")
+    try:
+        c = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(_first_failing_minor(a)) from None
     d = np.diag(c).real
     return float(2.0 * np.sum(np.log2(d)))
+
+
+def _first_failing_minor(a):
+    """1-based order of the first leading minor of ``a`` that fails to factor;
+    len(a) when all smaller ones factor, as ``a`` itself failed."""
+    for i in range(1, len(a)):
+        try:
+            np.linalg.cholesky(a[:i, :i])
+        except np.linalg.LinAlgError:
+            return i
+    return len(a)

@@ -240,16 +240,22 @@ def nontrivial_vertices(region):
     return tuple(v for v in region.vertices if v != zero)
 
 
-def _frac_pair(f):
+def frac_pair(f):
+    """A Fraction as the JSON pair [numerator, denominator]."""
     return [f.numerator, f.denominator]
+
+
+def point_pairs(points):
+    """Points with Fraction coordinates as lists of frac_pair pairs."""
+    return [[frac_pair(c) for c in p] for p in points]
 
 
 def region_to_dict(region):
     return {
         "dimension": region.dimension,
-        "vertices": [[_frac_pair(c) for c in v] for v in region.vertices],
+        "vertices": point_pairs(region.vertices),
         "inequalities": [
-            {"normal": [_frac_pair(c) for c in n], "offset": _frac_pair(o)}
+            {"normal": [frac_pair(c) for c in n], "offset": frac_pair(o)}
             for n, o in region.inequalities
         ],
         "downward_closed": region.downward_closed,

@@ -152,6 +152,11 @@ class TestGeneration:
         with pytest.raises(InvalidInputError, match=field):
             CompoundChannelSet(**dims)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(InvalidInputError, match="seed"):
+            ChannelGenSpec(3, 1, 1, 2, 2, seed=seed)
+
     def test_shape_validation(self):
         good = random_channel(3)
         with pytest.raises(InvalidInputError):

@@ -424,6 +424,11 @@ class TestProcessValidation:
         with pytest.raises(InvalidInputError, match="J2"):
             ergodic_sdof_region(4, 2, True)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(InvalidInputError, match="seed"):
+            FadingProcess(3, 2, 2, seed=seed)
+
     def test_state_count_mismatch(self, fp_small):
         with pytest.raises(InvalidInputError, match="expected 3"):
             FadingProcess(4, 2, 2, common_state_count=3, states=fp_small.states[:2])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from compound_bcc.channel import ChannelGenSpec, CompoundChannelSet, generate_compound, swap_users
+from compound_bcc.ergodic import ZfBlockGains
 from compound_bcc.errors import ConstructionError, FeasibilityError, InvalidInputError
 from compound_bcc.gaussian import (
     BeamformerSet,
@@ -19,7 +20,6 @@ from compound_bcc.gaussian import (
     equal_power_slopes,
     gaussian_confidential_region,
     gaussian_sdof_region,
-    max_leakage,
     rate_common,
     rate_confidential,
     rate_leakage,
@@ -39,6 +39,24 @@ def axis_channel():
         h1=(np.array([[1.0 + 0j, 0.0]]),),
         h2=(np.array([[0.0, 1.0 + 0j]]),),
     )
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_user_index_outside_one_two_rejected(k):
+    ch = axis_channel()
+    bf = build_beamformers(ch, 1, 1)
+    gains = ZfBlockGains(phi1=np.ones((1, 2)), phi2=np.ones((1, 2)), nulled1=1, nulled2=1)
+    accessors = (
+        lambda: ch.state(k, 1),
+        lambda: ch.states(k),
+        lambda: bf.confidential(k),
+        lambda: equal_power(bf, 1.0).confidential(k),
+        lambda: gains.phi(k),
+        lambda: gains.nulled(k),
+    )
+    for get in accessors:
+        with pytest.raises(InvalidInputError, match="user index"):
+            get()
 
 
 class TestStreamBounds:
@@ -226,13 +244,30 @@ class TestLeakageContract:
             ch = make_channel(4, 1, 1, 2, 2, seed=seed)
             bf = build_beamformers(ch, 1, 1)
             for power in (1e4, 1e8, 1e10):
-                assert max_leakage(ch, bf, equal_power(bf, power)) <= 1e-8
+                assert worst_case_rates(ch, bf, equal_power(bf, power)).leakage <= 1e-8
 
     def test_multiantenna_leakage(self):
         for seed in range(10):
             ch = make_channel(5, 2, 2, 1, 1, seed=seed)
             bf = build_beamformers(ch, 2, 2)
-            assert max_leakage(ch, bf, equal_power(bf, 1e10)) <= 1e-8
+            assert worst_case_rates(ch, bf, equal_power(bf, 1e10)).leakage <= 1e-8
+
+
+    def test_leakage_is_worst_over_unintended_states(self):
+        # beams outside the null spaces leak; the triple reports the largest
+        # leakage and subtracts each stream's own worst from its rate; at
+        # seed 1 the clamp at zero holds for r2 only
+        ch = make_channel(4, 1, 1, 2, 2, seed=1)
+        q = np.linalg.qr(np.random.default_rng(1).standard_normal((4, 4)) + 0j)[0]
+        bf = BeamformerSet(v1=q[:, :1], v2=q[:, 1:2], v0=q[:, 2:])
+        pa = equal_power(bf, 100.0)
+        leaks = {k: max(rate_leakage(ch, bf, pa, k, l) for l in (1, 2)) for k in (1, 2)}
+        rt = worst_case_rates(ch, bf, pa)
+        assert rt.leakage == max(leaks.values()) > 1.0
+        assert rt.r1 > 0.0 == rt.r2
+        for k, r in ((1, rt.r1), (2, rt.r2)):
+            own = min(rate_confidential(ch, bf, pa, k, j) for j in (1, 2))
+            assert r == max(0.0, own - leaks[k])
 
 
 class TestSymmetryAndMonotonicity:

@@ -4,9 +4,14 @@ Expected values are frozen from independent constructions (explicit
 unitaries, closed-form identities), not from the code under test.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import compound_bcc
 from compound_bcc.errors import (
     InvalidInputError,
     NotHermitianError,
@@ -188,14 +193,37 @@ class TestLogdet2Hpd:
         with pytest.raises(NotHermitianError):
             logdet2_hpd(m)
 
-    def test_indefinite_names_failing_minor(self):
-        m = np.diag([4.0, 9.0, -1.0, 5.0]).astype(complex)
+    @pytest.mark.parametrize("minor", [1, 2, 3, 4])
+    def test_indefinite_names_failing_minor(self, minor):
+        # m = L D L^H with L unit lower triangular: its leading minor of
+        # order i is L_i D_i L_i^H, positive definite iff D_i is, so the
+        # first minor that fails is the first negative entry of D
+        rng = np.random.default_rng(minor)
+        low = np.tril(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)), -1)
+        low = np.eye(4) + 0.5 * low
+        d = np.array([4.0, 9.0, 2.0, 5.0])
+        d[minor - 1] = -1.0
+        m = (low * d) @ low.conj().T
         with pytest.raises(NotPositiveDefiniteError) as exc:
-            logdet2_hpd(m)
-        assert exc.value.minor == 3
-        assert "3" in str(exc.value)
+            logdet2_hpd((m + m.conj().T) / 2)
+        assert exc.value.minor == minor
+        assert str(minor) in str(exc.value)
 
     def test_first_minor_failure(self):
         with pytest.raises(NotPositiveDefiniteError) as exc:
             logdet2_hpd(np.diag([-2.0, 1.0]))
         assert exc.value.minor == 1
+
+
+def test_package_import_leaves_scipy_out():
+    # the package depends on numpy alone; scipy must not be imported
+    code = "import sys, compound_bcc; print('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(compound_bcc.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
