@@ -39,6 +39,21 @@ CASES = {
     ),
     # H_2_3 repeats row 0 of H_1_1: pins the failures, their order and labels
     "verify-dup-row": (["verify-channel", "--channel", DUP_ROW], 2),
+    # two-antenna receivers, K = 2 common beams
+    "gaussian-multiantenna": (
+        ["gaussian", "--M", "6", "--N1", "2", "--N2", "2", "--J1", "1", "--J2", "1",
+         "--r1", "2", "--r2", "2", "--trials", "3"],
+        0,
+    ),
+    # the confidential streams fill the space: K = 0
+    "gaussian-no-common": (["gaussian", "--M", "2", "--J1", "1", "--J2", "1", "--trials", "3"], 0),
+    "gaussian-no-confidential": (["gaussian", "--r1", "0", "--r2", "0", "--trials", "3"], 0),
+    # more trials than TRIAL_CHUNK (64), on a 9-point grid
+    "gaussian-chunked": (
+        ["gaussian", "--trials", "70", "--seed", "11",
+         "--snr_db_grid", "40,50,60,70,80,90,100,110,120"],
+        0,
+    ),
 }
 
 GOLDEN = {
@@ -54,6 +69,26 @@ GOLDEN = {
         "rates.csv": "65e1f909a8722c1d23267a12b0dc31fc5e5000d07b9b1692b0f3e9f1809978f3",
         "region.json": "f0a3197bd72fc3c021f1f6ad01dd3784253ee26bfe4c0a831bf80bc39ea4cfa8",
         "summary.json": "37fa5b8c772e7ef9f5f86d90a66cfb5e19b898de0a4951449c2adafaef0f7549",
+    },
+    "gaussian-chunked": {
+        "rates.csv": "47cff2a71b7b6d46aaa88eabbc8a073cba26b749fd79d6ef866e69e540c6d3f3",
+        "region.json": "f0a3197bd72fc3c021f1f6ad01dd3784253ee26bfe4c0a831bf80bc39ea4cfa8",
+        "summary.json": "b68e5c6b6658a14d36b9b63243a9b68bfa4c8094bdfe3d663dd162a8d368526c",
+    },
+    "gaussian-multiantenna": {
+        "rates.csv": "94cd5754aaf834805f46e33f45381e8d8832213d09f59cf76c446c9a695cba7f",
+        "region.json": "f84d497d39d78daa22bc18376195e577c157da8a7d5aa4c1edbba86de919977a",
+        "summary.json": "1a4c3536895da2d4145440d971797919f38e4e6c55924084b206b292127477aa",
+    },
+    "gaussian-no-common": {
+        "rates.csv": "4276054c2db5f1f6e8c9bd178b180ea0d7389663deaa5815d40c3c63782a404d",
+        "region.json": "f0a3197bd72fc3c021f1f6ad01dd3784253ee26bfe4c0a831bf80bc39ea4cfa8",
+        "summary.json": "410c01a1b65f891b6009a03ac8ba12ea8b8d595d3fabe0a5d4c644c8d016cf99",
+    },
+    "gaussian-no-confidential": {
+        "rates.csv": "2281266f88940ca9094a27ce16c648e143729c353b5ade6935e6c9f9f46f7631",
+        "region.json": "f0a3197bd72fc3c021f1f6ad01dd3784253ee26bfe4c0a831bf80bc39ea4cfa8",
+        "summary.json": "1a75f6087c317b02e74a74ce3c33a88fc849b0fdc7d7b3da167e229498712e99",
     },
     "region": {
         "region.json": "0d5b40ce42ef4f4ddda0bc8fca59a30358823463ea570d61f9d9e9b3ea5cb788",
