@@ -67,6 +67,7 @@ from .gaussian import (
     confidential_stream_bounds,
     equal_power,
     equal_power_slopes,
+    equal_power_slopes_batch,
     gaussian_confidential_region,
     gaussian_sdof_region,
     rate_common,

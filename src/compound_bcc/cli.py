@@ -40,9 +40,10 @@ from .ergodic import (
     symmetric_point_margin,
 )
 from .gaussian import (
+    TRIAL_CHUNK,
     build_beamformers,
     common_slope_target,
-    equal_power_slopes,
+    equal_power_slopes_batch,
     gaussian_confidential_region,
     gaussian_sdof_region,
 )
@@ -196,21 +197,32 @@ def _region_fields(cfg, region, ergodic=False):
 
 
 def run_gaussian(cfg, out_dir):
-    """Constant-model run: per-channel rates, slope fits, analytic region."""
+    """Constant-model run: per-channel rates, slope fits, analytic region.
+
+    Trials are generated and built one by one, in order, and evaluated
+    TRIAL_CHUNK at a time as stacked arrays.
+    """
     grid = cfg.snr_db_grid
     rows = []
     slopes = []
-    k_built = None
-    for trial in range(cfg.trials):
-        spec = ChannelGenSpec(cfg.M, cfg.N1, cfg.N2, cfg.J1, cfg.J2, seed=cfg.seed + trial)
-        ch = generate_compound(spec)
-        bf = build_beamformers(ch, cfg.r1, cfg.r2)
-        k_built = bf.K
-        triples, ests = equal_power_slopes(ch, bf, grid)
-        rows.extend(
-            (snr_db, *rt.as_tuple(), rt.leakage) for snr_db, rt in zip(grid, triples)
-        )
-        slopes.append(tuple(e.slope for e in ests))
+    for start in range(0, cfg.trials, TRIAL_CHUNK):
+        pairs = []
+        for trial in range(start, min(start + TRIAL_CHUNK, cfg.trials)):
+            spec = ChannelGenSpec(cfg.M, cfg.N1, cfg.N2, cfg.J1, cfg.J2, seed=cfg.seed + trial)
+            try:
+                ch = generate_compound(spec)
+                pairs.append((ch, build_beamformers(ch, cfg.r1, cfg.r2)))
+            except CompoundBccError:
+                if pairs:
+                    # an earlier trial's evaluation error comes first, as in trial order
+                    equal_power_slopes_batch(pairs, grid)
+                raise
+        for triples, ests in equal_power_slopes_batch(pairs, grid):
+            rows.extend(
+                (snr_db, *rt.as_tuple(), rt.leakage) for snr_db, rt in zip(grid, triples)
+            )
+            slopes.append(tuple(e.slope for e in ests))
+    k_built = pairs[-1][1].K
     mean_slopes = [sum(s[i] for s in slopes) / len(slopes) for i in range(3)]
     targets = (
         float(common_slope_target(cfg.N1, cfg.N2, cfg.r1, cfg.r2, k_built)),

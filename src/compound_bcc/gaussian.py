@@ -5,14 +5,23 @@ confidential stream per user. V1 lies in the common null space of every
 state of user 2 (and vice versa), so each confidential stream is received
 by its intended user only, whichever states are realized; V0 spans the
 orthogonal complement of [V1 V2]. Worst-case rates minimize over states.
+
+Rates are evaluated as stacked arrays over (trials, grid points, states):
+h v once per trial, state and beam, the grams of every grid point in one
+pass, and one logdet2_hpd call per log-det kind and receiving user. The
+CLI passes TRIAL_CHUNK trials at a time. rate_common, rate_confidential and
+rate_leakage evaluate one state and are the reference that the stacked
+path matches bit for bit.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import (
+    CompoundBccError,
     ConstructionError,
     FeasibilityError,
     InvalidInputError,
@@ -42,12 +51,21 @@ __all__ = [
     "rate_leakage",
     "worst_case_rates",
     "equal_power_slopes",
+    "equal_power_slopes_batch",
     "common_slope_target",
     "gaussian_sdof_region",
     "gaussian_confidential_region",
 ]
 
 CERT_RTOL = 1e-9
+
+# Trials per stacked evaluation in the CLI. A chunk's memory grows linearly
+# with it: its arrays hold TRIAL_CHUNK * G * J_k * N_k * max(N_k, c) complex
+# entries for G grid points and the widest beam's c streams, and about ten
+# are alive at the peak. Measured peaks (tracemalloc, 64 trials, 9 grid
+# points): 0.3 MB at M = 4, N = 1, J = 2; 3.1 MB at M = 12, N = 4, J = 2,
+# r = 4; 10.3 MB at M = 26, N = 4, J = 6, where K = 22.
+TRIAL_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -245,6 +263,12 @@ class RateTriple:
         return (self.r0, self.r1, self.r2)
 
 
+def _gram(w, p):
+    """w diag(p) w^H over the last two axes, explicitly Hermitian."""
+    g = (w * p) @ w.conj().swapaxes(-1, -2)
+    return (g + g.conj().swapaxes(-1, -2)) / 2.0
+
+
 def _received_gram(h, v, p):
     """(h v) diag(p) (h v)^H, explicitly Hermitian.
 
@@ -253,13 +277,11 @@ def _received_gram(h, v, p):
     covariance by a large power first would bury that cancellation under
     rounding proportional to the power.
     """
-    w = h @ v
-    g = (w * p) @ w.conj().T
-    return (g + g.conj().T) / 2.0
+    return _gram(h @ v, p)
 
 
 def _logdet_i_plus(gram):
-    return logdet2_hpd(np.eye(gram.shape[0]) + gram)
+    return logdet2_hpd(np.eye(gram.shape[-1]) + gram)
 
 
 def rate_common(ch, bf, pa, k, j):
@@ -292,6 +314,88 @@ def rate_leakage(ch, bf, pa, k, l):
     return _logdet_i_plus(_received_gram(h, bf.confidential(k), pa.confidential(k)))
 
 
+def _beam_products(pairs):
+    """h v for every receiving user, beam, trial and state.
+
+    ws[k][b] has shape (T, J, N, c) for receiving user k + 1 and beam b (0
+    common, 1 and 2 confidential). Each product takes the state and the
+    beamformer as stored, as _received_gram does: the bits of a product
+    depend on its operands' strides, through the kernel numpy picks.
+    """
+    beams = [
+        (np.zeros((ch.M, 0), complex) if bf.v0 is None else bf.v0, bf.v1, bf.v2)
+        for ch, bf in pairs
+    ]
+    return [
+        [
+            np.stack([[h @ vs[b] for h in ch.states(k)] for (ch, _), vs in zip(pairs, beams)])
+            for b in range(3)
+        ]
+        for k in (1, 2)
+    ]
+
+
+def _grams(w, p):
+    """_received_gram at every grid point: w (T, J, N, c) from
+    _beam_products, p (T, G, c) the stream powers; (T, G, J, N, N)."""
+    return _gram(w[:, None], p[:, :, None, None, :])
+
+
+def _clamp(x):
+    """max(0.0, x) elementwise."""
+    return np.where(x > 0.0, x, 0.0)
+
+
+def _stacked_rates(ws, ps):
+    """worst_case_rates of T trials at G power allocations each.
+
+    ws are the products of _beam_products and ps[b] (T, G, c) the powers
+    of beam b's streams. Returns a (T, G, 4) array of r0, r1, r2 and
+    leakage. Each log-det kind (common-rate numerator, intended-state
+    confidential, leakage) takes one logdet2_hpd call per receiving user;
+    the confidential log-det is also the common rate's denominator.
+    """
+    shape = ps[0].shape[:2]
+    own = [_grams(ws[k][k + 1], ps[k + 1]) for k in (0, 1)]
+    conf = [None, None]
+    r0 = np.zeros(shape)
+    if ws[0][0].shape[-1]:
+        worst = []
+        for k in (0, 1):
+            common = _grams(ws[k][0], ps[0]) + own[k]
+            # numerator then denominator for each state, as rate_common
+            num, conf[k] = np.moveaxis(_logdet_i_plus(np.stack([common, own[k]], -3)), -1, 0)
+            worst.append(_clamp(num - conf[k]).min(axis=-1))
+        r0 = np.where(ps[0].sum(axis=-1) == 0.0, 0.0, np.minimum(*worst))
+    rates = [np.zeros(shape), np.zeros(shape)]
+    leakage = np.zeros(shape)
+    for k in (0, 1):
+        if ws[k][k + 1].shape[-1] == 0:
+            continue
+        if conf[k] is None:
+            conf[k] = _logdet_i_plus(own[k])
+        leak = _logdet_i_plus(_grams(ws[1 - k][k + 1], ps[k + 1])).max(axis=-1)
+        leakage = np.where(leak > leakage, leak, leakage)
+        rates[k] = _clamp(conf[k].min(axis=-1) - leak)
+    return np.stack([r0, *rates, leakage], axis=-1)
+
+
+def _worst_case_stack(ws, ps):
+    """_stacked_rates; when it fails, each trial and grid point is evaluated
+    on its own, in order, so that the error raised is the one the first
+    failing point meets, in the order rate_common, rate_confidential and
+    rate_leakage take their matrices."""
+    try:
+        return _stacked_rates(ws, ps)
+    except CompoundBccError:
+        trials, points = ps[0].shape[:2]
+        for t, g in itertools.product(range(trials), range(points)):
+            _stacked_rates(
+                [[w[t:t + 1] for w in wk] for wk in ws], [p[t:t + 1, g:g + 1] for p in ps]
+            )
+        raise
+
+
 def worst_case_rates(ch, bf, pa):
     """Rates guaranteed over every state combination.
 
@@ -299,34 +403,40 @@ def worst_case_rates(ch, bf, pa):
     their states; each confidential rate is the worst intended-state rate
     minus the worst-case leakage, clamped at zero. The larger of the two
     worst-case leakages (0.0 without confidential streams) is returned as
-    leakage.
+    leakage. Evaluated as a stack of one trial and one point, bit for bit
+    equal to the rate_* functions.
     """
-    if bf.K == 0 or pa.p0.sum() == 0.0:
-        r0 = 0.0
-    else:
-        r0 = min(
-            rate_common(ch, bf, pa, k, j)
-            for k in (1, 2)
-            for j in range(1, len(ch.states(k)) + 1)
-        )
-    conf = {}
-    worst_leak = 0.0
-    for k in (1, 2):
-        if bf.confidential(k).shape[1] == 0:
-            conf[k] = 0.0
-            continue
-        best = min(
-            rate_confidential(ch, bf, pa, k, j)
-            for j in range(1, len(ch.states(k)) + 1)
-        )
-        other = 3 - k
-        leak = max(
-            rate_leakage(ch, bf, pa, k, l)
-            for l in range(1, len(ch.states(other)) + 1)
-        )
-        worst_leak = max(worst_leak, leak)
-        conf[k] = max(0.0, best - leak)
-    return RateTriple(r0=r0, r1=conf[1], r2=conf[2], leakage=worst_leak)
+    ps = [p[None, None] for p in (pa.p0, pa.p1, pa.p2)]
+    return RateTriple(*_worst_case_stack(_beam_products([(ch, bf)]), ps)[0, 0].tolist())
+
+
+def _dimensions(pair):
+    ch, bf = pair
+    return (ch.M, ch.N1, ch.N2, ch.J1, ch.J2, bf.K, bf.r1, bf.r2)
+
+
+def equal_power_slopes_batch(pairs, snr_db_grid=DEFAULT_SNR_GRID_DB):
+    """equal_power_slopes of every (channel, beamformer) pair, in order.
+
+    Consecutive pairs with the same dimensions (M, N_k, J_k, K and r_k)
+    are evaluated together as stacked arrays: h v once per trial, state and
+    beam, then every grid point's grams and a few batched log-dets. Each
+    trial keeps its own slope fits.
+    """
+    grid = check_snr_grid(snr_db_grid)
+    powers = snr_db_to_power(grid)
+    out = []
+    for _, group in itertools.groupby(pairs, key=_dimensions):
+        group = list(group)
+        bf = group[0][1]
+        n = bf.K + bf.r1 + bf.r2
+        share = powers / n if n else np.zeros_like(powers)
+        ps = [np.broadcast_to(share[:, None], (len(group), grid.size, c))
+              for c in (bf.K, bf.r1, bf.r2)]
+        for rates in _worst_case_stack(_beam_products(group), ps).tolist():
+            ests = tuple(estimate_sdof_series(grid, [r[i] for r in rates]) for i in range(3))
+            out.append(([RateTriple(*r) for r in rates], ests))
+    return out
 
 
 def equal_power_slopes(ch, bf, snr_db_grid=DEFAULT_SNR_GRID_DB):
@@ -335,16 +445,7 @@ def equal_power_slopes(ch, bf, snr_db_grid=DEFAULT_SNR_GRID_DB):
     Returns (triples, estimates): the RateTriple at each grid point and an
     SdofEstimate per message component.
     """
-    grid = check_snr_grid(snr_db_grid)
-    triples = [
-        worst_case_rates(ch, bf, equal_power(bf, float(p)))
-        for p in snr_db_to_power(grid)
-    ]
-    ests = tuple(
-        estimate_sdof_series(grid, [t.as_tuple()[i] for t in triples])
-        for i in range(3)
-    )
-    return triples, ests
+    return equal_power_slopes_batch([(ch, bf)], snr_db_grid)[0]
 
 
 def common_slope_target(N1, N2, r1, r2, K):

@@ -1,10 +1,12 @@
 """Complex linear-algebra kernel: ranks, null spaces, and HPD log-determinants.
 
-All routines operate on 2-D complex numpy arrays and are deterministic:
-identical input bits produce identical output bits. Rank decisions use a
+All routines operate on 2-D complex numpy arrays (logdet2_hpd also on
+stacks of them) and are deterministic: identical input bits produce
+identical output bits. Rank decisions use a
 relative singular-value threshold so they are invariant under rescaling.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,39 +129,69 @@ def null_space_basis(m, tol=DEFAULT_TOL):
 
 
 def logdet2_hpd(m):
-    """log2 det of a Hermitian positive definite matrix, via Cholesky.
+    """log2 det of Hermitian positive definite matrices, via Cholesky.
 
-    The input must be Hermitian up to a relative Frobenius residual of
-    1e-10 (NotHermitianError otherwise). The lower triangle is factored
-    with numpy.linalg.cholesky and the log-det is twice the sum of log2 of
-    the factor's diagonal. A failed factorization raises
-    NotPositiveDefiniteError carrying the 1-based index of the first
-    leading minor that fails to factor. The empty 0x0 matrix has log-det 0.
+    ``m`` is one n x n matrix, for which a float is returned, or a stack
+    (..., n, n), for which an array of the stack's shape is returned. Each
+    matrix must be Hermitian up to a relative Frobenius residual of 1e-10
+    (NotHermitianError otherwise); the rule is applied to every matrix that
+    differs from its conjugate transpose at all. One numpy.linalg.cholesky
+    call factors the lower triangles of the whole stack, and each log-det is
+    twice the sum of log2 of its factor's diagonal. A stack raises the error
+    of its first failing matrix in C order, the error the 2-D call on that
+    matrix raises: InvalidInputError for non-finite entries,
+    NotHermitianError, or NotPositiveDefiniteError carrying the 1-based
+    index of the first leading minor that fails to factor. The empty 0x0
+    matrix has log-det 0.
     """
-    a = as_matrix(m)
-    n, ncol = a.shape
-    if n != ncol:
-        raise InvalidInputError(f"logdet2_hpd requires a square matrix, got {a.shape}")
-    if n == 0:
-        return 0.0
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise InvalidInputError(
+            f"logdet2_hpd requires a square matrix or a stack of them, got shape {a.shape}"
+        )
+    n = a.shape[-1]
+    # a 2-D input keeps its own layout, so the residual rule sees the same bits
+    stack = a[None] if a.ndim == 2 else a.reshape(math.prod(a.shape[:-2]), n, n)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    good = finite & ~(stack != stack.conj().swapaxes(1, 2)).any(axis=(1, 2))
+    for i in np.flatnonzero(finite & ~good):
+        good[i] = _hermitian_error(stack[i]) is None
+    bad = len(stack) if good.all() else int(np.argmin(good))
+    try:
+        c = np.linalg.cholesky(stack[:bad])
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(_first_failing_minor(stack[:bad])) from None
+    if bad < len(stack):
+        if not finite[bad]:
+            raise InvalidInputError("matrix contains non-finite entries")
+        raise _hermitian_error(stack[bad])
+    d = np.diagonal(c, axis1=1, axis2=2).real
+    logdets = 2.0 * np.sum(np.log2(d), axis=-1)
+    return float(logdets[0]) if a.ndim == 2 else logdets.reshape(a.shape[:-2])
+
+
+def _hermitian_error(a):
+    """NotHermitianError for a finite square ``a`` whose residual ||a - a^H||_F
+    exceeds 1e-10 * ||a||_F, else None."""
     norm = np.linalg.norm(a)
     resid = np.linalg.norm(a - a.conj().T)
     if resid > HERMITIAN_RTOL * max(norm, 1e-300):
-        raise NotHermitianError(
+        return NotHermitianError(
             f"matrix is not Hermitian: residual {resid:.3e} exceeds "
             f"{HERMITIAN_RTOL:.0e} * ||m||_F = {HERMITIAN_RTOL * norm:.3e}"
         )
-    try:
-        c = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(_first_failing_minor(a)) from None
-    d = np.diag(c).real
-    return float(2.0 * np.sum(np.log2(d)))
+    return None
 
 
-def _first_failing_minor(a):
-    """1-based order of the first leading minor of ``a`` that fails to factor;
-    len(a) when all smaller ones factor, as ``a`` itself failed."""
+def _first_failing_minor(stack):
+    """1-based order of the first leading minor that fails to factor, in the
+    first matrix of ``stack`` (C order) whose factorization fails; the
+    matrix's own order when all smaller minors factor."""
+    for a in stack:
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            break
     for i in range(1, len(a)):
         try:
             np.linalg.cholesky(a[:i, :i])

@@ -24,6 +24,8 @@ DEFAULT_SNR_GRID_DB = (60.0, 80.0, 100.0)
 MIN_POINTS = 3
 MIN_SPAN_DB = 20.0
 MIN_SNR_DB = 40.0
+# 10 log10 of the largest float: the highest SNR whose power is finite
+MAX_SNR_DB = 10.0 * np.log10(np.finfo(float).max)
 
 
 def snr_db_to_power(snr_db):
@@ -45,7 +47,11 @@ class SdofEstimate:
 
 
 def check_snr_grid(snr_db_grid):
-    """Validate a slope-estimation grid; returns it as a float array."""
+    """Validate a slope-estimation grid; returns it as a float array.
+
+    Every point's power must be a finite float (InvalidGridError naming the
+    first point that overflows otherwise).
+    """
     grid = np.asarray(snr_db_grid, dtype=float)
     if grid.ndim != 1 or grid.size < MIN_POINTS:
         raise InvalidGridError(
@@ -62,6 +68,13 @@ def check_snr_grid(snr_db_grid):
     if grid[-1] - grid[0] < MIN_SPAN_DB:
         raise InvalidGridError(
             f"grid must span at least {MIN_SPAN_DB:.0f} dB, got {grid[-1] - grid[0]:g}"
+        )
+    with np.errstate(over="ignore"):
+        overflow = ~np.isfinite(snr_db_to_power(grid))
+    if overflow.any():
+        raise InvalidGridError(
+            f"snr_db_grid point {grid[np.argmax(overflow)]:g} dB gives a power that "
+            f"overflows a float (the limit is about {MAX_SNR_DB:.1f} dB)"
         )
     return grid
 

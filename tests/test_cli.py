@@ -1,14 +1,16 @@
 """End-to-end CLI runs: exit codes, file outputs, byte determinism."""
 
 import json
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from compound_bcc.channel import CompoundChannelSet, save_channel
+from compound_bcc import cli
+from compound_bcc.channel import CompoundChannelSet, generate_compound, save_channel
 from compound_bcc.cli import ExperimentConfig, main
-from compound_bcc.errors import ConfigError
+from compound_bcc.errors import ConfigError, GenerationError
 from compound_bcc.regions import load_region
 
 GOLDEN = "tests/data/channel_seed1.json"
@@ -61,6 +63,37 @@ class TestGaussianCommand:
         code = run(["gaussian", "--out", tmp_path, "--r1", 3])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4])
+    def test_trial_chunk_leaves_outputs_unchanged(self, tmp_path, monkeypatch, chunk):
+        args = ["gaussian", "--trials", 5, "--seed", 3]
+        assert run(args + ["--out", tmp_path / "whole"]) == 0
+        monkeypatch.setattr(cli, "TRIAL_CHUNK", chunk)
+        assert run(args + ["--out", tmp_path / "chunked"]) == 0
+        for name in ("rates.csv", "region.json", "summary.json"):
+            assert (tmp_path / "whole" / name).read_bytes() == (
+                tmp_path / "chunked" / name
+            ).read_bytes()
+
+    @pytest.mark.parametrize("chunk", [2, 64])
+    @pytest.mark.parametrize("failing_seed, grid, message", [
+        (3, "60,80,100", "draw 3 failed"),
+        # trial 0's evaluation rejects the grid before trial 3 is drawn
+        (3, "30,60,90", "at least 40 dB"),
+        (0, "30,60,90", "draw 0 failed"),
+    ])
+    def test_failing_trial_raises_in_trial_order(
+        self, tmp_path, monkeypatch, capsys, chunk, failing_seed, grid, message
+    ):
+        def generate(spec):
+            if spec.seed == failing_seed:
+                raise GenerationError(f"draw {spec.seed} failed")
+            return generate_compound(spec)
+
+        monkeypatch.setattr(cli, "TRIAL_CHUNK", chunk)
+        monkeypatch.setattr(cli, "generate_compound", generate)
+        assert run(["gaussian", "--out", tmp_path, "--trials", 5, "--snr_db_grid", grid]) == 1
+        assert message in capsys.readouterr().err
 
 
 class TestErgodicCommand:
@@ -220,6 +253,17 @@ class TestConfigHandling:
 
     def test_decreasing_grid_rejected(self, tmp_path):
         assert run(["gaussian", "--out", tmp_path, "--snr_db_grid", "100,80,60"]) == 1
+
+    @pytest.mark.parametrize("command", ["gaussian", "ergodic"])
+    def test_overflowing_grid_point_named(self, tmp_path, capsys, command):
+        # 10^(4000/10) overflows a float: a grid error, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([command, "--out", tmp_path, "--blocks", 100,
+                        "--snr_db_grid", "60,80,4000"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: snr_db_grid point 4000 dB")
 
     def test_unknown_flag(self, tmp_path):
         assert run(["gaussian", "--out", tmp_path, "--bogus", 1]) == 1

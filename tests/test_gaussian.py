@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from compound_bcc.channel import ChannelGenSpec, CompoundChannelSet, generate_compound, swap_users
 from compound_bcc.ergodic import ZfBlockGains
@@ -18,6 +19,7 @@ from compound_bcc.gaussian import (
     confidential_stream_bounds,
     equal_power,
     equal_power_slopes,
+    equal_power_slopes_batch,
     gaussian_confidential_region,
     gaussian_sdof_region,
     rate_common,
@@ -26,6 +28,7 @@ from compound_bcc.gaussian import (
     worst_case_rates,
 )
 from compound_bcc.regions import nontrivial_vertices
+from compound_bcc.sdof import estimate_sdof_series, snr_db_to_power
 
 
 def make_channel(M, N1, N2, J1, J2, seed=0):
@@ -291,6 +294,164 @@ class TestSymmetryAndMonotonicity:
             cur = worst_case_rates(ch, bf, equal_power(bf, 10 ** (db / 10))).as_tuple()
             assert all(c >= p - 1e-9 for c, p in zip(cur, prev))
             prev = cur
+
+
+def reference_rates(ch, bf, pa):
+    """worst_case_rates as a loop over the scalar rate functions, in their
+    order: (r0, r1, r2, leakage)."""
+    if bf.K == 0 or pa.p0.sum() == 0.0:
+        r0 = 0.0
+    else:
+        r0 = min(
+            rate_common(ch, bf, pa, k, j)
+            for k in (1, 2)
+            for j in range(1, len(ch.states(k)) + 1)
+        )
+    conf = {}
+    worst = 0.0
+    for k in (1, 2):
+        if bf.confidential(k).shape[1] == 0:
+            conf[k] = 0.0
+            continue
+        own = min(rate_confidential(ch, bf, pa, k, j) for j in range(1, len(ch.states(k)) + 1))
+        leak = max(rate_leakage(ch, bf, pa, k, l) for l in range(1, len(ch.states(3 - k)) + 1))
+        worst = max(worst, leak)
+        conf[k] = max(0.0, own - leak)
+    return (r0, conf[1], conf[2], worst)
+
+
+def unnulled(bf, seed):
+    """Random orthonormal beams of bf's widths, column slices of one unitary:
+    they leak, and their strides differ from a contiguous copy's."""
+    m = bf.v1.shape[0]
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)) + 0j)[0]
+    r1, r2 = bf.r1, bf.r2
+    return BeamformerSet(v1=q[:, :r1], v2=q[:, r1:r1 + r2], v0=q[:, r1 + r2:])
+
+
+@st.composite
+def scenarios(draw):
+    """Dimensions, feasible stream counts (K = 0 and r = 0 included), a seed
+    and whether the beams are the certified ones or leaky ones."""
+    M = draw(st.integers(1, 9))
+    N1, N2 = draw(st.integers(1, min(M, 3))), draw(st.integers(1, min(M, 3)))
+    J1, J2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    b1, b2 = confidential_stream_bounds(M, N1, N2, J1, J2)
+    r1, r2 = draw(st.integers(0, b1)), draw(st.integers(0, b2))
+    return (M, N1, N2, J1, J2, r1, r2), draw(st.integers(0, 2**16)), draw(st.booleans())
+
+
+def built(dims, seed, leaky):
+    M, N1, N2, J1, J2, r1, r2 = dims
+    ch = make_channel(M, N1, N2, J1, J2, seed=seed)
+    bf = build_beamformers(ch, r1, r2)
+    return ch, unnulled(bf, seed) if leaky else bf
+
+
+def raised(call):
+    with pytest.raises(Exception) as exc:
+        call()
+    return type(exc.value), str(exc.value)
+
+
+class TestStackedEvaluator:
+    """The stacked evaluation against the scalar rate functions, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        scenario=scenarios(),
+        powers=st.lists(st.floats(1e-2, 1e12), min_size=1, max_size=3),
+        split=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    )
+    @example(scenario=((2, 1, 1, 1, 1, 1, 1), 0, False), powers=[1e6], split=[1, 1, 1])  # K = 0
+    @example(scenario=((4, 1, 1, 2, 2, 0, 0), 0, False), powers=[1e6], split=[1, 1, 1])  # r = 0
+    @example(scenario=((6, 2, 2, 1, 1, 2, 2), 5, True), powers=[1e6], split=[0, 1, 1])  # p0 = 0
+    # h v with v a column slice: a contiguous copy of v changes its bits
+    @example(scenario=((8, 1, 1, 1, 1, 1, 1), 0, False), powers=[1e2], split=[0, 0, 0])
+    def test_worst_case_rates_match_reference(self, scenario, powers, split):
+        ch, bf = built(*scenario)
+        for total in powers:
+            allocations = [equal_power(bf, total)]
+            if sum(split):
+                w = [np.full(n, x / sum(split) / max(n, 1)) for n, x in zip((bf.K, bf.r1, bf.r2), split)]
+                allocations.append(PowerAllocation(total, *(total * 0.999 * x for x in w)))
+            for pa in allocations:
+                rt = worst_case_rates(ch, bf, pa)
+                assert (rt.r0, rt.r1, rt.r2, rt.leakage) == reference_rates(ch, bf, pa)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        scenario=scenarios(),
+        trials=st.integers(1, 4),
+        points=st.sets(st.integers(4, 14), min_size=3, max_size=5).filter(
+            lambda s: max(s) - min(s) >= 2
+        ),
+    )
+    def test_batch_matches_reference(self, scenario, trials, points):
+        dims, seed, leaky = scenario
+        pairs = [built(dims, seed + t, leaky) for t in range(trials)]
+        grid = [10.0 * x for x in sorted(points)]
+        got = equal_power_slopes_batch(pairs, grid)
+        assert len(got) == trials
+        for (ch, bf), (triples, ests) in zip(pairs, got):
+            want = [reference_rates(ch, bf, equal_power(bf, float(p))) for p in snr_db_to_power(grid)]
+            assert [(t.r0, t.r1, t.r2, t.leakage) for t in triples] == want
+            assert ests == tuple(estimate_sdof_series(grid, [w[i] for w in want]) for i in range(3))
+            assert equal_power_slopes(ch, bf, grid) == (triples, ests)
+
+    def test_batch_groups_pairs_of_equal_dimensions(self):
+        # mixed dimensions are evaluated group by group, in the given order
+        pairs = [
+            built((4, 1, 1, 2, 2, 1, 1), 0, False),
+            built((4, 1, 1, 2, 2, 1, 1), 1, False),
+            built((5, 2, 1, 1, 2, 2, 1), 2, False),
+            built((4, 1, 1, 2, 2, 1, 1), 3, True),
+        ]
+        got = equal_power_slopes_batch(pairs)
+        assert got == [equal_power_slopes(ch, bf) for ch, bf in pairs]
+        assert equal_power_slopes_batch([]) == []
+
+    @staticmethod
+    def check_reference_error(pairs, grid):
+        """The batch fails as the per-trial, per-point scalar evaluation does:
+        same error type and message, or both pass."""
+        def reference():
+            for ch, bf in pairs:
+                for p in snr_db_to_power(grid):
+                    reference_rates(ch, bf, equal_power(bf, float(p)))
+
+        with np.errstate(all="ignore"):
+            try:
+                reference()
+            except Exception:
+                assert raised(lambda: equal_power_slopes_batch(pairs, grid)) == raised(reference)
+            else:
+                equal_power_slopes_batch(pairs, grid)
+
+    @settings(max_examples=15, deadline=None)
+    @given(scenario=scenarios(), trials=st.integers(1, 3), top=st.floats(2900.0, 3082.0))
+    def test_failure_near_the_float_limit_is_the_reference_error(self, scenario, trials, top):
+        # near the float limit the grams overflow or lose definiteness
+        dims, seed, leaky = scenario
+        pairs = [built(dims, seed + t, leaky) for t in range(trials)]
+        self.check_reference_error(pairs, [60.0, top - 20.0, top])
+
+    @pytest.mark.parametrize("dims, leaky, top", [
+        # a later trial fails in an earlier log-det kind than the first
+        # failing trial does
+        ((4, 2, 2, 1, 1, 1, 1), True, 3082.0),
+        ((5, 3, 1, 1, 2, 1, 1), False, 3044.5),
+        ((7, 3, 3, 1, 1, 1, 1), True, 3052.0),
+        # a common-rate numerator overflows before its denominator, which
+        # is indefinite, is reached
+        ((5, 3, 1, 1, 2, 1, 1), False, 3082.0),
+        ((6, 3, 2, 1, 1, 1, 1), True, 3080.5),
+        # both
+        ((6, 2, 2, 1, 2, 1, 1), False, 3080.5),
+    ])
+    def test_failure_order_across_trials_and_kinds(self, dims, leaky, top):
+        pairs = [built(dims, seed, leaky) for seed in range(3)]
+        self.check_reference_error(pairs, [60.0, 80.0, top])
 
 
 # (M, N1, N2, J1, J2, r1, r2) across all region shapes with feasible streams

@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import compound_bcc
 from compound_bcc.errors import (
@@ -160,6 +161,34 @@ class TestNullSpaceBasis:
             assert abs(anchor.imag) < 1e-14
 
 
+class TestNullSpaceRescaling:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.integers(1, 5),
+        cols=st.integers(1, 7),
+        rank=st.integers(0, 5),
+        scale=st.floats(1e-8, 1e8),
+        phase=st.floats(0.0, 2 * np.pi),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_invariants_hold_under_rescaling(self, rows, cols, rank, scale, phase, seed):
+        # a product of random factors has exactly rank min(rank, rows, cols);
+        # rescaling by any nonzero complex factor keeps the null space
+        rng = np.random.default_rng(seed)
+        r = min(rank, rows, cols)
+        m = (rng.standard_normal((rows, r)) + 1j * rng.standard_normal((rows, r))) @ (
+            rng.standard_normal((r, cols)) + 1j * rng.standard_normal((r, cols))
+        )
+        base = null_space_basis(m)
+        b = null_space_basis(scale * np.exp(1j * phase) * m)
+        assert b.shape == base.shape == (cols, cols - r)
+        assert np.linalg.norm(b.conj().T @ b - np.eye(cols - r)) <= 1e-10
+        assert np.linalg.norm(m @ b) <= 1e-9 * max(np.linalg.norm(m), 1.0)
+        # the same subspace: equal orthogonal projectors
+        assert np.linalg.norm(b @ b.conj().T - base @ base.conj().T) <= 1e-9
+        assert numerical_rank(scale * m) == numerical_rank(m) == r
+
+
 class TestLogdet2Hpd:
     def test_identity_is_zero(self):
         assert logdet2_hpd(np.eye(4)) == 0.0
@@ -213,6 +242,109 @@ class TestLogdet2Hpd:
         with pytest.raises(NotPositiveDefiniteError) as exc:
             logdet2_hpd(np.diag([-2.0, 1.0]))
         assert exc.value.minor == 1
+
+
+def hpd_stack(rng, batch, n, scale):
+    """I + scale * A A^H / n for a stack of random A, explicitly Hermitian."""
+    a = rng.standard_normal((*batch, n, n)) + 1j * rng.standard_normal((*batch, n, n))
+    g = scale * (a @ a.conj().swapaxes(-1, -2)) / n
+    return np.eye(n) + (g + g.conj().swapaxes(-1, -2)) / 2
+
+
+def indefinite(rng, n, minor):
+    """L D L^H whose first leading minor to fail is ``minor`` (see above)."""
+    low = np.tril(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), -1)
+    low = np.eye(n) + 0.5 * low
+    d = rng.uniform(1.0, 9.0, n)
+    d[minor - 1] = -1.0
+    m = (low * d) @ low.conj().T
+    return (m + m.conj().T) / 2
+
+
+def raised(call):
+    with pytest.raises(Exception) as exc:
+        call()
+    return type(exc.value), str(exc.value), getattr(exc.value, "minor", None)
+
+
+BATCHES = st.sampled_from([(1,), (3,), (2, 3), (4, 1, 2), (0,)])
+
+
+class TestStackedLogdet:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        batch=BATCHES,
+        scale=st.floats(1e-3, 1e10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_matrix_calls(self, n, batch, scale, seed):
+        stack = hpd_stack(np.random.default_rng(seed), batch, n, scale)
+        got = logdet2_hpd(stack)
+        assert got.shape == batch
+        for idx in np.ndindex(*batch):
+            one = logdet2_hpd(stack[idx])
+            assert type(one) is float
+            assert got[idx] == one
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        batch=BATCHES.filter(lambda b: 0 not in b),
+        kind=st.sampled_from(["skew", "indefinite", "nan"]),
+        data=st.data(),
+    )
+    def test_bad_matrix_raises_its_own_error(self, n, batch, kind, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        stack = hpd_stack(rng, batch, n, 1e4)
+        idx = data.draw(st.sampled_from(list(np.ndindex(*batch))))
+        if kind == "skew":
+            stack[idx][0, -1] += 1.0 + 1.0j
+        elif kind == "indefinite":
+            stack[idx] = indefinite(rng, n, data.draw(st.integers(1, n)))
+        else:
+            stack[idx][-1, 0] = np.nan
+        assert raised(lambda: logdet2_hpd(stack)) == raised(lambda: logdet2_hpd(stack[idx]))
+
+    def test_first_failing_matrix_in_c_order_wins(self):
+        rng = np.random.default_rng(0)
+        stack = hpd_stack(rng, (2, 2), 4, 1.0)
+        stack[0, 1] = indefinite(rng, 4, 3)
+        stack[1, 0][1, 2] = np.inf
+        assert raised(lambda: logdet2_hpd(stack)) == (NotPositiveDefiniteError, str(NotPositiveDefiniteError(3)), 3)
+        stack[0, 0][0, 1] += 1.0
+        assert raised(lambda: logdet2_hpd(stack))[0] is NotHermitianError
+        stack[0, 0] = np.nan
+        assert raised(lambda: logdet2_hpd(stack))[:2] == (
+            InvalidInputError, "matrix contains non-finite entries"
+        )
+
+    def test_residual_rule_is_per_matrix(self):
+        # a residual just inside the tolerance of a large matrix passes next
+        # to a small matrix that would fail with the same residual
+        rng = np.random.default_rng(1)
+        big = hpd_stack(rng, (), 3, 1e6)
+        big[0, 1] += 1e-6
+        small = hpd_stack(rng, (), 3, 1.0)
+        assert logdet2_hpd(np.stack([big, small]))[0] == logdet2_hpd(big)
+        small[0, 1] += 1e-6
+        with pytest.raises(NotHermitianError):
+            logdet2_hpd(np.stack([big, small]))
+
+    def test_overflowing_norm_passes_as_in_two_d(self):
+        # at ~3000 dB the Frobenius norms overflow to inf and the residual
+        # test inf > 1e-10 * inf is false: the matrix is factored anyway
+        m = np.array([[1e300, 1e300], [0.0, 1e300]], dtype=complex)
+        with np.errstate(over="ignore"):
+            one = logdet2_hpd(m)
+            assert logdet2_hpd(np.stack([m, np.eye(2) * 1e300])).tolist()[0] == one
+        assert one == pytest.approx(2.0 * np.log2(1e300))
+
+    def test_shapes(self):
+        assert logdet2_hpd(np.zeros((2, 3, 0, 0))).tolist() == [[0.0] * 3] * 2
+        for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((4, 2, 3))):
+            with pytest.raises(InvalidInputError, match="square"):
+                logdet2_hpd(bad)
 
 
 def test_package_import_leaves_scipy_out():

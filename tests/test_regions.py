@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from compound_bcc.errors import DimensionMismatchError, InvalidInputError
 from compound_bcc.regions import (
@@ -199,3 +200,46 @@ class TestValidation:
     def test_vertex_dimension_checked(self):
         with pytest.raises(InvalidInputError):
             RateRegion(2, ((F(0), F(0), F(0)),), ())
+
+
+FRACTIONS = st.fractions(min_value=0, max_value=4, max_denominator=6)
+POINTS = st.lists(st.tuples(FRACTIONS, FRACTIONS), min_size=1, max_size=5)
+
+
+class TestRegionProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(points=POINTS)
+    def test_time_share_is_idempotent(self, points):
+        once = time_share(points)
+        twice = time_share(once.vertices)
+        assert twice == once
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=POINTS, b=POINTS, c=POINTS)
+    def test_dominates_is_a_partial_order(self, a, b, c):
+        ra, rb, rc = time_share(a), time_share(b), time_share(c)
+        assert dominates(ra, ra)
+        if dominates(ra, rb) and dominates(rb, ra):
+            assert set(ra.vertices) == set(rb.vertices)
+        # chains built by adding points: a+b+c >= a+b >= a
+        ab, abc = time_share(a + b), time_share(a + b + c)
+        assert dominates(ab, ra) and dominates(abc, ab) and dominates(abc, ra)
+        if dominates(ra, rb) and dominates(rb, rc):
+            assert dominates(ra, rc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        points=POINTS,
+        weights=st.lists(FRACTIONS, min_size=5, max_size=5),
+        shrink=st.tuples(*[st.fractions(0, 1, max_denominator=7)] * 2),
+    )
+    def test_contains_is_downward_closed(self, points, weights, shrink):
+        region = time_share(points)
+        # a convex combination of the points, then any point below it
+        w = [x + 1 for x in weights[: len(points)]]
+        top = tuple(sum(wi * p[i] for wi, p in zip(w, points)) / sum(w) for i in (0, 1))
+        assert contains(region, top)
+        below = tuple(s * t for s, t in zip(shrink, top))
+        assert contains(region, below)
+        for v in region.vertices:
+            assert contains(region, tuple(s * x for s, x in zip(shrink, v)))

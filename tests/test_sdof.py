@@ -1,6 +1,7 @@
 """Slope fits against closed-form rate curves."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,20 @@ class TestGridValidation:
             check_snr_grid((60.0, 60.0, 100.0))
         with pytest.raises(InvalidGridError):
             check_snr_grid((100.0, 80.0, 60.0))
+
+    @pytest.mark.parametrize("grid, first", [
+        ((60.0, 80.0, 4000.0), "4000"),
+        ((60.0, 3083.0, 5000.0), "3083"),
+    ])
+    def test_overflowing_power_names_first_point(self, grid, first):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidGridError, match=f"snr_db_grid point {first} dB"):
+                check_snr_grid(grid)
+
+    def test_power_just_below_the_float_limit_accepted(self):
+        grid = check_snr_grid((60.0, 80.0, 3082.0))
+        assert np.isfinite(snr_db_to_power(grid)).all()
 
     def test_default_grid_valid(self):
         check_snr_grid(DEFAULT_SNR_GRID_DB)
