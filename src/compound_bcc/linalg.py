@@ -2,8 +2,8 @@
 
 All routines operate on 2-D complex numpy arrays (logdet2_hpd also on
 stacks of them) and are deterministic: identical input bits produce
-identical output bits. Rank decisions use a
-relative singular-value threshold so they are invariant under rescaling.
+identical output bits. Rank decisions use a relative singular-value
+threshold so they are invariant under rescaling.
 """
 
 import math

@@ -5,6 +5,8 @@ log2(P). We estimate it by least squares over a grid of SNR points that is
 wide and high enough for the pre-log to dominate the fit.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +27,7 @@ MIN_POINTS = 3
 MIN_SPAN_DB = 20.0
 MIN_SNR_DB = 40.0
 # 10 log10 of the largest float: the highest SNR whose power is finite
-MAX_SNR_DB = 10.0 * np.log10(np.finfo(float).max)
+MAX_SNR_DB = 10.0 * math.log10(sys.float_info.max)
 
 
 def snr_db_to_power(snr_db):
