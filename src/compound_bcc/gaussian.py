@@ -359,7 +359,8 @@ def _stacked_rates(ws, ps):
     own = [_grams(ws[k][k + 1], ps[k + 1]) for k in (0, 1)]
     conf = [None, None]
     r0 = np.zeros(shape)
-    if ws[0][0].shape[-1]:
+    # as worst_case_rates, no common rate without common beams or power
+    if ws[0][0].shape[-1] and ps[0].any():
         worst = []
         for k in (0, 1):
             common = _grams(ws[k][0], ps[0]) + own[k]

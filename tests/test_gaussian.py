@@ -453,6 +453,26 @@ class TestStackedEvaluator:
         pairs = [built(dims, seed, leaky) for seed in range(3)]
         self.check_reference_error(pairs, [60.0, 80.0, top])
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_failure_without_common_power_is_the_reference_error(self, seed):
+        # with p0 = 0 the common rate is skipped, so the leakage of stream 1
+        # is met before user 2's confidential log-det
+        ch, bf = built((6, 1, 3, 1, 1, 1, 2), seed, True)
+        for db in (2000.0, 3000.0, 3080.0):
+            total = 10.0 ** (db / 10.0)
+            p = np.full(3, total / 3.0)
+            pa = PowerAllocation(total, np.zeros(bf.K), p[:1], p[1:])
+            with np.errstate(all="ignore"):
+                try:
+                    want = reference_rates(ch, bf, pa)
+                except Exception:
+                    assert raised(lambda: worst_case_rates(ch, bf, pa)) == raised(
+                        lambda: reference_rates(ch, bf, pa)
+                    )
+                else:
+                    rt = worst_case_rates(ch, bf, pa)
+                    assert (rt.r0, rt.r1, rt.r2, rt.leakage) == want
+
 
 # (M, N1, N2, J1, J2, r1, r2) across all region shapes with feasible streams
 SLOPE_CONFIGS = [
