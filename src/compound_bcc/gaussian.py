@@ -8,8 +8,8 @@ orthogonal complement of [V1 V2]. Worst-case rates minimize over states.
 
 Rates are evaluated as stacked arrays over (trials, grid points, states):
 h v once per trial, state and beam, the grams of every grid point in one
-pass, and one logdet2_hpd call per log-det kind and receiving user. The
-CLI passes TRIAL_CHUNK trials at a time. rate_common, rate_confidential and
+pass, and two logdet2_hpd calls per receiving user. The CLI passes
+TRIAL_CHUNK trials at a time. rate_common, rate_confidential and
 rate_leakage evaluate one state and are the reference that the stacked
 path matches bit for bit.
 """
@@ -351,9 +351,9 @@ def _stacked_rates(ws, ps):
 
     ws are the products of _beam_products and ps[b] (T, G, c) the powers
     of beam b's streams. Returns a (T, G, 4) array of r0, r1, r2 and
-    leakage. Each log-det kind (common-rate numerator, intended-state
-    confidential, leakage) takes one logdet2_hpd call per receiving user;
-    the confidential log-det is also the common rate's denominator.
+    leakage. Per receiving user, one logdet2_hpd call takes the common-rate
+    numerators with the intended-state confidential log-dets, which are
+    also the common rate's denominators, and one more the leakages.
     """
     shape = ps[0].shape[:2]
     own = [_grams(ws[k][k + 1], ps[k + 1]) for k in (0, 1)]
