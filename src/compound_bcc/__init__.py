@@ -97,7 +97,6 @@ from .sdof import (
     DEFAULT_SNR_GRID_DB,
     SdofEstimate,
     check_snr_grid,
-    estimate_sdof,
     estimate_sdof_series,
     snr_db_to_power,
 )

@@ -5,6 +5,12 @@ candidate channel matrices (states). User k has J_k states, each an N_k x M
 complex matrix; the transmitter knows the collection but not which state is
 realized. Noise variance is 1 by convention throughout the package, so
 transmit power doubles as SNR.
+
+Each generation attempt draws all entries as one standard_normal vector
+from its own seeded generator. generate_compound draws and checks one spec
+at a time; generate_batch takes many specs and decides the rank checks of
+all their draws together, resampling only the draws that fail, with the
+same channels as a result.
 """
 
 import itertools
@@ -20,7 +26,7 @@ from .errors import (
     check_count,
     user_index,
 )
-from .linalg import DEFAULT_TOL, as_matrix, rank_from_singular_values
+from .linalg import DEFAULT_TOL, as_matrix, rank_from_singular_values, rank_screen
 
 __all__ = [
     "CompoundChannelSet",
@@ -44,11 +50,6 @@ SAMPLE_SEED = 0
 # 6.2 GB, a chunk 1.2 MB. Larger chunks ran no faster at M = 4 and raised the
 # peak memory of a verify-channel process.
 RANK_CHUNK = 512
-# A subset passes on the screen when its bound on sigma_min / sigma_max
-# exceeds max(SCREEN_MARGIN * threshold, SCREEN_FLOOR); see
-# verify_rank_condition.
-SCREEN_MARGIN = 1e4
-SCREEN_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -162,25 +163,114 @@ def generate_compound(spec, tol=DEFAULT_TOL):
 def _generate(spec, tol=DEFAULT_TOL):
     """generate_compound, also returning the passing draw's rank report."""
     if spec.max_resamples < 1:
-        raise InvalidInputError("max_resamples must be at least 1")
+        raise _generation_error(spec)
     for attempt in range(spec.max_resamples):
-        rng = np.random.default_rng(attempt_seed(spec.seed, attempt))
-
-        def draw(n):
-            re = rng.standard_normal((n, spec.M))
-            im = rng.standard_normal((n, spec.M))
-            return (re + 1j * im) / np.sqrt(2.0)
-
-        h1 = tuple(draw(spec.N1) for _ in range(spec.J1))
-        h2 = tuple(draw(spec.N2) for _ in range(spec.J2))
-        ch = CompoundChannelSet(spec.M, spec.N1, spec.N2, spec.J1, spec.J2, h1, h2)
+        ch = _draw(spec, attempt)
         report = verify_rank_condition(ch, tol)
         if report.passed:
             return ch, report
-    raise GenerationError(
+    raise _generation_error(spec)
+
+
+def _generation_error(spec):
+    """The error of a spec none of whose draws passes the rank check."""
+    if spec.max_resamples < 1:
+        return InvalidInputError("max_resamples must be at least 1")
+    return GenerationError(
         f"rank condition still failing after {spec.max_resamples} attempts "
         f"(seed {spec.seed}); the requested dimensions are degenerate for this tolerance"
     )
+
+
+def _draw(spec, attempt):
+    """The channel set of resampling attempt ``attempt``.
+
+    One standard_normal vector from the attempt's generator holds every
+    entry: state by state, user 1's states first, the N_k x M real parts
+    then the N_k x M imaginary parts, each state scaled to CN(0, 1).
+    """
+    rng = np.random.default_rng(attempt_seed(spec.seed, attempt))
+    sizes = (spec.J1 * spec.N1 * spec.M, spec.J2 * spec.N2 * spec.M)
+    z = rng.standard_normal(2 * sum(sizes))
+    states = []
+    for part, J, N in (
+        (z[:2 * sizes[0]], spec.J1, spec.N1),
+        (z[2 * sizes[0]:], spec.J2, spec.N2),
+    ):
+        re_im = part.reshape(J, 2, N, spec.M)
+        states.append(tuple((re_im[:, 0] + 1j * re_im[:, 1]) / np.sqrt(2.0)))
+    return CompoundChannelSet(spec.M, spec.N1, spec.N2, spec.J1, spec.J2, *states)
+
+
+def generate_batch(specs, tol=DEFAULT_TOL):
+    """generate_compound of each spec, in order, rank checks decided together.
+
+    Returns (channels, error): the channels of the specs before the first
+    whose generation fails, and that spec's error (None when every spec
+    passes). Each spec draws its attempts as generate_compound does, so
+    each channel is the one generate_compound returns; the rank conditions
+    of all draws of one attempt are decided together (see
+    _rank_conditions_hold), and only the draws that fail are resampled.
+    """
+    chs = [None] * len(specs)
+    pending = list(range(len(specs)))
+    for attempt in itertools.count():
+        pending = [i for i in pending if attempt < specs[i].max_resamples]
+        if not pending:
+            break
+        draws = [_draw(specs[i], attempt) for i in pending]
+        held = _rank_conditions_hold(draws, tol)
+        for i, ch, ok in zip(pending, draws, held):
+            if ok:
+                chs[i] = ch
+        pending = [i for i, ok in zip(pending, held) if not ok]
+    n = chs.index(None) if None in chs else len(chs)
+    return chs[:n], (_generation_error(specs[n]) if n < len(chs) else None)
+
+
+def _rank_conditions_hold(chs, tol=DEFAULT_TOL):
+    """verify_rank_condition(ch, tol).passed for each channel, whose entries
+    must be finite (generated draws are; verify_rank_condition checks).
+
+    Channels with the same M and stacked row count share their subsets,
+    which are gathered RANK_CHUNK (channel, subset) pairs at a time and
+    decided by _full_rank; a channel stops being checked at its first
+    failing subset.
+    """
+    held = np.ones(len(chs), dtype=bool)
+    groups = {}
+    for i, ch in enumerate(chs):
+        groups.setdefault((ch.M, ch.J1 * ch.N1 + ch.J2 * ch.N2), []).append(i)
+    screen = rank_screen(tol)
+    for (m, total), idx in groups.items():
+        if total < m:
+            continue
+        rows = np.array([chs[i].stacked_rows() for i in idx])
+        subsets, _ = _subsets(total, m)
+        alive = np.ones(len(idx), dtype=bool)
+        per_chunk = max(1, RANK_CHUNK // len(idx))
+        while alive.any() and (chunk := list(itertools.islice(subsets, per_chunk))):
+            live = np.flatnonzero(alive)
+            stack = rows[live][:, np.array(chunk)].reshape(-1, m, m)
+            alive[live] = _full_rank(stack, m, tol, screen).reshape(len(live), -1).all(axis=1)
+        held[idx] = alive
+    return held
+
+
+def _subsets(total, m):
+    """The row subsets the rank check takes, and whether they are all of them.
+
+    All C(total, m) subsets in lexicographic order up to
+    EXHAUSTIVE_ROW_LIMIT rows, else SAMPLED_SUBSET_COUNT sorted subsets from
+    a generator seeded with SAMPLE_SEED.
+    """
+    if total <= EXHAUSTIVE_ROW_LIMIT:
+        return itertools.combinations(range(total), m), True
+    rng = np.random.default_rng(SAMPLE_SEED)
+    return (
+        tuple(sorted(rng.choice(total, size=m, replace=False)))
+        for _ in range(SAMPLED_SUBSET_COUNT)
+    ), False
 
 
 def verify_rank_condition(ch, tol=DEFAULT_TOL):
@@ -201,10 +291,10 @@ def verify_rank_condition(ch, tol=DEFAULT_TOL):
         sigma_min / sigma_max >= 1 / (||A||_F * ||A^-1||_F).
 
     A subset passes on the screen only when this bound is finite and exceeds
-    max(SCREEN_MARGIN * t, SCREEN_FLOOR). The margin absorbs the rounding of
-    the computed inverse and of the SVD: a subset that clears it has a true
-    ratio far above t and above machine precision, so its SVD decision
-    would be rank M as well. Every other subset, and the whole chunk when
+    linalg.rank_screen(tol) = max(1e4 * t, 1e-8). The margin absorbs the
+    rounding of the computed inverse and of the SVD: a subset that clears
+    it has a true ratio far above t and above machine precision, so its SVD
+    decision would be rank M as well. Every other subset, and the whole chunk when
     the inverse finds an exactly singular member, is decided by its batched
     singular values. The report is therefore the same as that of one
     numerical_rank call per subset, failures in enumeration order.
@@ -214,17 +304,8 @@ def verify_rank_condition(ch, tol=DEFAULT_TOL):
     if total < ch.M:
         return RankConditionReport(passed=True, checked=0, exhaustive=True)
     rows = as_matrix(rows, "stacked rows")
-    if total <= EXHAUSTIVE_ROW_LIMIT:
-        subsets = itertools.combinations(range(total), ch.M)
-        exhaustive = True
-    else:
-        rng = np.random.default_rng(SAMPLE_SEED)
-        subsets = (
-            tuple(sorted(rng.choice(total, size=ch.M, replace=False)))
-            for _ in range(SAMPLED_SUBSET_COUNT)
-        )
-        exhaustive = False
-    screen = max(SCREEN_MARGIN * tol.relative_threshold, SCREEN_FLOOR)
+    subsets, exhaustive = _subsets(total, ch.M)
+    screen = rank_screen(tol)
     failures = []
     checked = 0
     while chunk := list(itertools.islice(subsets, RANK_CHUNK)):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .channel import (
     ChannelGenSpec,
     _generate,
-    generate_compound,
+    generate_batch,
     load_channel,
     verify_rank_condition,
 )
@@ -41,7 +41,7 @@ from .ergodic import (
 )
 from .gaussian import (
     TRIAL_CHUNK,
-    build_beamformers,
+    build_beamformers_batch,
     common_slope_target,
     equal_power_slopes_batch,
     gaussian_confidential_region,
@@ -199,24 +199,29 @@ def _region_fields(cfg, region, ergodic=False):
 def run_gaussian(cfg, out_dir):
     """Constant-model run: per-channel rates, slope fits, analytic region.
 
-    Trials are generated and built one by one, in order, and evaluated
-    TRIAL_CHUNK at a time as stacked arrays.
+    Trials go through TRIAL_CHUNK at a time, in order: drawn with their
+    rank checks decided together, built and certified as stacks, then
+    evaluated and fitted as stacked arrays.
     """
     grid = cfg.snr_db_grid
     rows = []
     slopes = []
     for start in range(0, cfg.trials, TRIAL_CHUNK):
-        pairs = []
-        for trial in range(start, min(start + TRIAL_CHUNK, cfg.trials)):
-            spec = ChannelGenSpec(cfg.M, cfg.N1, cfg.N2, cfg.J1, cfg.J2, seed=cfg.seed + trial)
-            try:
-                ch = generate_compound(spec)
-                pairs.append((ch, build_beamformers(ch, cfg.r1, cfg.r2)))
-            except CompoundBccError:
-                if pairs:
-                    # an earlier trial's evaluation error comes first, as in trial order
-                    equal_power_slopes_batch(pairs, grid)
-                raise
+        specs = [
+            ChannelGenSpec(cfg.M, cfg.N1, cfg.N2, cfg.J1, cfg.J2, seed=cfg.seed + trial)
+            for trial in range(start, min(start + TRIAL_CHUNK, cfg.trials))
+        ]
+        chs, error = generate_batch(specs)
+        bfs, build_error = build_beamformers_batch(chs, cfg.r1, cfg.r2)
+        pairs = list(zip(chs, bfs))
+        if build_error is not None:
+            # it belongs to an earlier trial than any generation error
+            error = build_error
+        if error is not None:
+            if pairs:
+                # an earlier trial's evaluation error comes first, as in trial order
+                equal_power_slopes_batch(pairs, grid)
+            raise error
         for triples, ests in equal_power_slopes_batch(pairs, grid):
             rows.extend(
                 (snr_db, *rt.as_tuple(), rt.leakage) for snr_db, rt in zip(grid, triples)

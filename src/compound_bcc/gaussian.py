@@ -6,12 +6,20 @@ state of user 2 (and vice versa), so each confidential stream is received
 by its intended user only, whichever states are realized; V0 spans the
 orthogonal complement of [V1 V2]. Worst-case rates minimize over states.
 
-Rates are evaluated as stacked arrays over (trials, grid points, states):
-h v once per trial, state and beam, the grams of every grid point in one
-pass, and two logdet2_hpd calls per receiving user. The CLI passes
-TRIAL_CHUNK trials at a time. rate_common, rate_confidential and
-rate_leakage evaluate one state and are the reference that the stacked
-path matches bit for bit.
+The CLI takes TRIAL_CHUNK trials at a time through stacked paths, each bit
+for bit equal to a one-trial reference:
+
+* build_beamformers_batch builds a chunk's null spaces and common parts
+  with stacked SVDs and screens their certificates over the stack; a
+  channel that does not clear every screen is rebuilt by build_beamformers,
+  the reference, so each decision and error is the one-trial one.
+* Rates are evaluated as stacked arrays over (trials, grid points,
+  states): h v once per trial, state and beam, the grams of every grid
+  point in one pass, and two logdet2_hpd calls per receiving user.
+  rate_common, rate_confidential and rate_leakage evaluate one state and
+  are the reference.
+* The slopes of every trial and component are fitted in one
+  sdof.fit_sdof_stack call.
 """
 
 import itertools
@@ -28,12 +36,20 @@ from .errors import (
     check_count,
     user_index,
 )
-from .linalg import DEFAULT_TOL, logdet2_hpd, null_space_basis, numerical_rank
+from .linalg import (
+    DEFAULT_TOL,
+    generic_null_spaces,
+    logdet2_hpd,
+    null_space_basis,
+    numerical_rank,
+    rank_from_singular_values,
+    rank_screen,
+)
 from .regions import RateRegion, region_from_inequalities, time_share
 from .sdof import (
     DEFAULT_SNR_GRID_DB,
     check_snr_grid,
-    estimate_sdof_series,
+    fit_sdof_stack,
     snr_db_to_power,
 )
 
@@ -205,6 +221,88 @@ def build_beamformers(ch, r1, r2, tol=DEFAULT_TOL):
     return build_common_beamformer(build_confidential_beamformers(ch, r1, r2, tol), ch.M, tol)
 
 
+def build_beamformers_batch(chs, r1, r2, tol=DEFAULT_TOL):
+    """build_beamformers of each channel, built and certified as stacks.
+
+    Returns (bfs, error): the beamformer sets of the channels before the
+    first whose construction fails, in order, and that channel's error
+    (None when every channel passes). Each set equals build_beamformers'
+    bit for bit: stacked SVDs and stacked phase normalization see each
+    matrix's values as the one-trial calls do, and each beamformer is a
+    view with the strides of the one-trial result. The certificates are
+    screened over the stack; a channel is rebuilt by build_beamformers,
+    whose decisions and error messages are therefore the ones reported,
+    unless its entries are finite, every residual is below half its limit,
+    each H_k_j v_k has full rank with the margin of linalg.rank_screen, and
+    its null spaces and [v1 v2] have the generic rank.
+    """
+    bfs = []
+    for ch, bf in zip(chs, _stacked_beamformers(chs, r1, r2, tol)):
+        if bf is None:
+            try:
+                bf = build_beamformers(ch, r1, r2, tol)
+            except CompoundBccError as e:
+                return bfs, e
+        bfs.append(bf)
+    return bfs, None
+
+
+def _stacked_beamformers(chs, r1, r2, tol):
+    """The BeamformerSet of each channel whose certificates pass the screens
+    of build_beamformers_batch, None for every other channel."""
+    none = [None] * len(chs)
+    if not chs or len({_channel_dimensions(ch) for ch in chs}) > 1:
+        return none
+    M = chs[0].M
+    b1, b2 = confidential_stream_bounds(*_channel_dimensions(chs[0]))
+    if not (0 <= r1 <= b1 and 0 <= r2 <= b2):
+        return none
+    h = [np.array([ch.states(k) for ch in chs]) for k in (1, 2)]  # (T, J, N, M)
+    sure = np.isfinite(h[0]).all(axis=(1, 2, 3)) & np.isfinite(h[1]).all(axis=(1, 2, 3))
+    try:
+        null2, generic2 = generic_null_spaces(h[1].reshape(len(chs), -1, M), tol)
+        null1, generic1 = generic_null_spaces(h[0].reshape(len(chs), -1, M), tol)
+        v = [null2[..., :r1], null1[..., :r2]]
+        sure &= generic1 & generic2
+        screen = rank_screen(tol)
+        for k in (0, 1):
+            if v[k].shape[-1] == 0:
+                continue
+            sure &= _surely_orthonormal(v[k])
+            limit = CERT_RTOL * np.linalg.norm(h[1 - k], axis=(-2, -1))
+            resid = np.linalg.norm(h[1 - k] @ v[k][:, None], axis=(-2, -1))
+            sure &= (np.isfinite(limit) & (resid <= limit / 2)).all(axis=1)
+            s = np.linalg.svd(h[k] @ v[k][:, None], compute_uv=False)
+            sure &= (s[..., -1] > screen * s[..., 0]).all(axis=1)
+        stacked = np.concatenate(v, axis=-1)
+        if stacked.shape[-1]:
+            v0, generic0 = generic_null_spaces(stacked.conj().swapaxes(-1, -2), tol)
+            # the singular values of build_common_beamformer's numerical_rank
+            s = np.linalg.svd(stacked, compute_uv=False)
+            sure &= generic0 & (rank_from_singular_values(s, tol) == stacked.shape[-1])
+            if v0.shape[-1]:
+                resid = np.linalg.norm(v0.conj().swapaxes(-1, -2) @ stacked, axis=(-2, -1))
+                sure &= _surely_orthonormal(v0) & (resid <= CERT_RTOL / 2)
+        else:
+            v0 = np.repeat(np.eye(M, dtype=complex)[None], len(chs), axis=0)
+    except np.linalg.LinAlgError:
+        return none
+    return [
+        BeamformerSet(v1=v[0][t], v2=v[1][t], v0=v0[t]) if sure[t] else None
+        for t in range(len(chs))
+    ]
+
+
+def _surely_orthonormal(v):
+    """Whether each stacked v's orthonormality residual is below half of CERT_RTOL."""
+    gram = v.conj().swapaxes(-1, -2) @ v
+    return np.linalg.norm(gram - np.eye(v.shape[-1]), axis=(-2, -1)) <= CERT_RTOL / 2
+
+
+def _channel_dimensions(ch):
+    return (ch.M, ch.N1, ch.N2, ch.J1, ch.J2)
+
+
 @dataclass(frozen=True)
 class PowerAllocation:
     """Per-stream powers for (common, user 1, user 2) streams.
@@ -222,6 +320,10 @@ class PowerAllocation:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.ndim != 1 or (arr.size and arr.min() < 0):
                 raise InvalidInputError(f"{name} must be a 1-D nonnegative array")
+            if not np.isfinite(arr).all():
+                raise InvalidInputError(
+                    f"{name} must hold finite stream powers, got {arr.tolist()!r}"
+                )
             object.__setattr__(self, name, arr)
         if not (0 <= self.total < np.inf):
             raise InvalidInputError(
@@ -413,7 +515,7 @@ def worst_case_rates(ch, bf, pa):
 
 def _dimensions(pair):
     ch, bf = pair
-    return (ch.M, ch.N1, ch.N2, ch.J1, ch.J2, bf.K, bf.r1, bf.r2)
+    return (*_channel_dimensions(ch), bf.K, bf.r1, bf.r2)
 
 
 def equal_power_slopes_batch(pairs, snr_db_grid=DEFAULT_SNR_GRID_DB):
@@ -434,9 +536,11 @@ def equal_power_slopes_batch(pairs, snr_db_grid=DEFAULT_SNR_GRID_DB):
         share = powers / n if n else np.zeros_like(powers)
         ps = [np.broadcast_to(share[:, None], (len(group), grid.size, c))
               for c in (bf.K, bf.r1, bf.r2)]
-        for rates in _worst_case_stack(_beam_products(group), ps).tolist():
-            ests = tuple(estimate_sdof_series(grid, [r[i] for r in rates]) for i in range(3))
-            out.append(([RateTriple(*r) for r in rates], ests))
+        rates = _worst_case_stack(_beam_products(group), ps)
+        # one series per trial and component, trial-major
+        ests = fit_sdof_stack(grid, np.moveaxis(rates[..., :3], -1, -2))
+        for t, trial in enumerate(rates.tolist()):
+            out.append(([RateTriple(*r) for r in trial], tuple(ests[3 * t:3 * t + 3])))
     return out
 
 

@@ -23,6 +23,14 @@ __all__ = [
 ]
 
 HERMITIAN_RTOL = 1e-10
+# A fast path may take a matrix as full rank, without its exact singular
+# values, when a computed bound on sigma_min / sigma_max exceeds
+# rank_screen(tol) = max(SCREEN_MARGIN * threshold, SCREEN_FLOOR): so far
+# above the threshold and machine precision that the bound's rounding cannot
+# change the decision. See channel.verify_rank_condition and
+# gaussian.build_beamformers_batch.
+SCREEN_MARGIN = 1e4
+SCREEN_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -81,6 +89,11 @@ def rank_from_singular_values(s, tol=DEFAULT_TOL):
     return np.count_nonzero(above) if s.ndim == 1 else above.sum(axis=-1)
 
 
+def rank_screen(tol=DEFAULT_TOL):
+    """Ratio sigma_min / sigma_max above which a fast path may decide full rank."""
+    return max(SCREEN_MARGIN * tol.relative_threshold, SCREEN_FLOOR)
+
+
 def numerical_rank(m, tol=DEFAULT_TOL):
     """Number of singular values above ``tol.relative_threshold * sigma_max``.
 
@@ -93,18 +106,25 @@ def numerical_rank(m, tol=DEFAULT_TOL):
 def _normalize_phases(b):
     """Rotate each column so its first significantly nonzero entry is real positive.
 
-    Columns are assumed unit-norm; entries below 1e-12 in magnitude are
-    skipped when picking the anchor so the choice is stable under rounding.
+    ``b`` is one matrix or a stack (..., n, c); a C-ordered copy is
+    returned. Columns are assumed unit-norm; entries below 1e-12 in
+    magnitude are skipped when picking the anchor so the choice is stable
+    under rounding, and a column with no such entry is left as it is.
     """
-    b = b.copy()
-    for j in range(b.shape[1]):
-        col = b[:, j]
-        idx = np.flatnonzero(np.abs(col) > 1e-12)
-        if idx.size == 0:
-            continue
-        anchor = col[idx[0]]
-        b[:, j] = col * (abs(anchor) / anchor)
-    return b
+    big = np.abs(b) > 1e-12
+    found = big.any(axis=-2, keepdims=True)
+    anchor = np.take_along_axis(b, big.argmax(axis=-2)[..., None, :], axis=-2)
+    anchor = np.where(found, anchor, 1.0)
+    # hypot is the modulus of a complex scalar; np.abs of a complex array
+    # may round it differently
+    factor = np.hypot(anchor.real, anchor.imag) / anchor
+    return np.ascontiguousarray(np.where(found, b * factor, b))
+
+
+def _basis_from_vh(vh, rank):
+    """Phase-normalized null-space basis from SVD right factors ``vh`` (..., n, n)
+    of matrices of the given rank: the last n - rank rows, conjugate-transposed."""
+    return _normalize_phases(vh[..., rank:, :].conj().swapaxes(-1, -2))
 
 
 def null_space_basis(m, tol=DEFAULT_TOL):
@@ -123,9 +143,22 @@ def null_space_basis(m, tol=DEFAULT_TOL):
     if rows == 0:
         return np.eye(cols, dtype=complex)
     u, s, vh = np.linalg.svd(a)
-    rank = int(rank_from_singular_values(s, tol))
-    basis = vh[rank:].conj().T
-    return _normalize_phases(basis)
+    return _basis_from_vh(vh, int(rank_from_singular_values(s, tol)))
+
+
+def generic_null_spaces(a, tol=DEFAULT_TOL):
+    """null_space_basis of each matrix of a finite stack (T, rows, cols), rows >= 1.
+
+    One stacked SVD serves every matrix, and each basis is taken as if the
+    matrix had the generic rank min(rows, cols); the bases are bit for bit
+    those of null_space_basis for the matrices that have it. Returns
+    (bases, generic): bases (T, cols, cols - min(rows, cols)) and a boolean
+    per matrix saying whether it has that rank. The basis of a matrix that
+    does not is not its null space.
+    """
+    _, s, vh = np.linalg.svd(a)
+    rank = min(a.shape[-2:])
+    return _basis_from_vh(vh, rank), rank_from_singular_values(s, tol) == rank
 
 
 def logdet2_hpd(m):

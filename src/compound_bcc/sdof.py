@@ -2,7 +2,10 @@
 
 The degrees-of-freedom of a rate curve is its asymptotic slope against
 log2(P). We estimate it by least squares over a grid of SNR points that is
-wide and high enough for the pre-log to dominate the fit.
+wide and high enough for the pre-log to dominate the fit. fit_sdof_stack
+fits a whole stack of series on one checked grid in one LAPACK-backed call,
+bit for bit as np.polyfit fits each series; estimate_sdof_series is its
+one-series form.
 """
 
 import math
@@ -10,6 +13,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InvalidGridError
 
@@ -17,7 +21,6 @@ __all__ = [
     "SdofEstimate",
     "DEFAULT_SNR_GRID_DB",
     "snr_db_to_power",
-    "estimate_sdof",
     "estimate_sdof_series",
 ]
 
@@ -89,20 +92,42 @@ def estimate_sdof_series(snr_db_grid, rates):
         raise InvalidGridError(
             f"got {y.size} rates for a grid of {grid.size} points"
         )
-    x = np.log2(snr_db_to_power(grid))
-    coeffs = np.polyfit(x, y, 1)
-    fit = np.polyval(coeffs, x)
-    residual = float(np.sqrt(np.mean((y - fit) ** 2)))
-    return SdofEstimate(slope=float(coeffs[0]), intercept=float(coeffs[1]), residual=residual)
+    return fit_sdof_stack(grid, y[None])[0]
 
 
-def estimate_sdof(rate_evaluator, snr_db_grid=DEFAULT_SNR_GRID_DB):
-    """Fit rate(P) ~ slope * log2(P) + intercept over the grid.
+def _raise_lstsq_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
-    rate_evaluator maps a linear power P to a rate in bits. The grid must
-    have at least 3 strictly increasing points, span at least 20 dB, and
-    sit entirely at or above 40 dB; otherwise InvalidGridError is raised.
+
+def fit_sdof_stack(grid, rates):
+    """Slope fits of a stack of rate series on one checked grid.
+
+    ``grid`` is a grid returned by check_snr_grid and ``rates`` an array
+    (..., G) of series in grid order; one SdofEstimate is returned per
+    series, in C order. Each fit is bit for bit the one of
+    ``np.polyfit(x, y, 1)`` with x = log2(P), and its residual that of
+    ``np.polyval``: polyfit's column scaling is replayed, and one call to
+    the gufunc behind ``np.linalg.lstsq`` solves every series with the
+    signature and floating-point error handling that lstsq uses, one LAPACK
+    gelsd call per series.
     """
-    grid = check_snr_grid(snr_db_grid)
-    y = [float(rate_evaluator(p)) for p in snr_db_to_power(grid)]
-    return estimate_sdof_series(grid, y)
+    # C order, so that each residual's mean reduces its series as a 1-D mean
+    y = np.ascontiguousarray(rates, dtype=float)
+    x = np.log2(snr_db_to_power(grid))
+    lhs = np.vander(x, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    with np.errstate(call=_raise_lstsq_error, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        # polyfit's rcond, len(x) * eps
+        c = _umath_linalg.lstsq(lhs, y[..., None], len(x) * sys.float_info.epsilon,
+                                signature="ddd->ddid")[0][..., 0]
+    c = c / scale
+    fit = np.zeros_like(y)
+    for i in range(2):  # np.polyval's Horner steps
+        fit = fit * x + c[..., i:i + 1]
+    residual = np.sqrt(np.mean((y - fit) ** 2, axis=-1))
+    return [
+        SdofEstimate(slope=s, intercept=b, residual=r)
+        for (s, b), r in zip(c.reshape(-1, 2).tolist(), residual.reshape(-1).tolist())
+    ]

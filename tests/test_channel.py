@@ -20,6 +20,7 @@ from compound_bcc.channel import (
     CompoundChannelSet,
     attempt_seed,
     channel_to_dict,
+    generate_batch,
     generate_compound,
     load_channel,
     save_channel,
@@ -277,6 +278,114 @@ class TestBatchedRankCheck:
                              "--out", str(tmp_path)])
         assert code == 0
         assert len(calls) == 1
+
+
+def per_state_draw(spec, attempt):
+    """The draw of one attempt as two standard_normal calls per state."""
+    rng = np.random.default_rng(attempt_seed(spec.seed, attempt))
+
+    def draw(n):
+        re = rng.standard_normal((n, spec.M))
+        im = rng.standard_normal((n, spec.M))
+        return (re + 1j * im) / np.sqrt(2.0)
+
+    h1 = tuple(draw(spec.N1) for _ in range(spec.J1))
+    h2 = tuple(draw(spec.N2) for _ in range(spec.J2))
+    return h1 + h2
+
+
+def per_spec_generation(specs, tol):
+    """generate_compound spec by spec, stopping at the first error: the
+    channels generated and that error's (type, message)."""
+    chs = []
+    for spec in specs:
+        try:
+            chs.append(generate_compound(spec, tol))
+        except (GenerationError, InvalidInputError) as e:
+            return chs, (type(e), str(e))
+    return chs, None
+
+
+def same_channels(a, b):
+    return len(a) == len(b) and all(
+        x.stacked_rows().tobytes() == y.stacked_rows().tobytes() for x, y in zip(a, b)
+    )
+
+
+class TestBatchedGeneration:
+    """generate_batch against generate_compound, spec by spec."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(*(st.integers(1, n) for n in (6, 3, 3, 4, 4))),
+        attempt=st.integers(0, 3),
+    )
+    def test_single_draw_equals_per_state_draws(self, seed, dims, attempt):
+        spec = ChannelGenSpec(*dims, seed=seed)
+        ch = channel._draw(spec, attempt)
+        want = per_state_draw(spec, attempt)
+        got = ch.h1 + ch.h2
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.flags.c_contiguous and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 5, 512])
+    def test_resamples_land_on_the_same_attempts(self, chunk):
+        # at this tolerance seeds 3, 4 and 8 pass on attempt 1, seed 7 on
+        # attempt 2, and seed 9 fails all three
+        tol = RankTolerance(0.15)
+        specs = [ChannelGenSpec(2, 1, 1, 2, 2, seed=s, max_resamples=3) for s in range(1, 25)]
+        with mock.patch.object(channel, "RANK_CHUNK", chunk):
+            chs, error = generate_batch(specs, tol)
+        want, want_error = per_spec_generation(specs, tol)
+        assert same_channels(chs, want)
+        assert (type(error), str(error)) == want_error
+        assert len(chs) < len(specs)  # a spec exhausted its attempts
+        resampled = [
+            s for s, ch in zip(specs, chs)
+            if ch.stacked_rows().tobytes() != channel._draw(s, 0).stacked_rows().tobytes()
+        ]
+        assert resampled  # some spec before it passed on a later attempt
+
+    @pytest.mark.parametrize("dims", [
+        (3, 2, 1, 2, 3),
+        (4, 1, 1, 2, 2),  # one subset
+        (4, 1, 1, 1, 1),  # fewer rows than M: nothing to check
+        (2, 1, 1, 13, 13),  # 26 rows: sampled subsets
+    ])
+    def test_generic_specs_match(self, dims):
+        specs = [ChannelGenSpec(*dims, seed=s) for s in range(3)]
+        chs, error = generate_batch(specs)
+        assert error is None
+        assert same_channels(chs, per_spec_generation(specs, RankTolerance())[0])
+
+    def test_bad_resample_budget_is_the_per_spec_error(self):
+        # seed 0 has no attempt at all
+        specs = [ChannelGenSpec(3, 1, 1, 2, 2, seed=s, max_resamples=min(s, 1)) for s in range(3)]
+        assert generate_batch(specs)[0] == []
+        specs = specs[1:] + specs[:1]
+        chs, error = generate_batch(specs)
+        want, want_error = per_spec_generation(specs, RankTolerance())
+        assert same_channels(chs, want) and len(chs) == 2
+        assert (type(error), str(error)) == want_error
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        M=st.integers(1, 4),
+        dims=st.tuples(*(st.integers(1, n) for n in (3, 3, 3, 3))),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        edits=EDITS,
+        rel=TOLERANCES,
+    )
+    def test_chunk_wide_check_matches_verify(self, M, dims, seeds, edits, rel):
+        N1, N2, J1, J2 = dims
+        tol = RankTolerance(rel)
+        chs = [edited_channel(M, N1, N2, J1, J2, seed, edits) for seed in seeds]
+        chs.append(random_channel(seeds[0], M + 1, N1, N2, J1, J2))  # other dimensions
+        with mock.patch.object(channel, "RANK_CHUNK", 7):
+            held = channel._rank_conditions_hold(chs, tol)
+        assert held.tolist() == [verify_rank_condition(ch, tol).passed for ch in chs]
 
 
 class TestPersistence:

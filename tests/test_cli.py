@@ -8,9 +8,16 @@ import numpy as np
 import pytest
 
 from compound_bcc import cli
-from compound_bcc.channel import CompoundChannelSet, generate_compound, save_channel
+from compound_bcc.channel import (
+    ChannelGenSpec,
+    CompoundChannelSet,
+    generate_batch,
+    generate_compound,
+    save_channel,
+)
 from compound_bcc.cli import ExperimentConfig, main
-from compound_bcc.errors import ConfigError, GenerationError
+from compound_bcc.errors import ConfigError, ConstructionError, GenerationError
+from compound_bcc.gaussian import build_beamformers_batch
 from compound_bcc.regions import load_region
 
 GOLDEN = "tests/data/channel_seed1.json"
@@ -64,9 +71,9 @@ class TestGaussianCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("chunk", [1, 2, 4])
+    @pytest.mark.parametrize("chunk", [1, 2, 4, 7])
     def test_trial_chunk_leaves_outputs_unchanged(self, tmp_path, monkeypatch, chunk):
-        args = ["gaussian", "--trials", 5, "--seed", 3]
+        args = ["gaussian", "--trials", 9, "--seed", 3]
         assert run(args + ["--out", tmp_path / "whole"]) == 0
         monkeypatch.setattr(cli, "TRIAL_CHUNK", chunk)
         assert run(args + ["--out", tmp_path / "chunked"]) == 0
@@ -85,13 +92,49 @@ class TestGaussianCommand:
     def test_failing_trial_raises_in_trial_order(
         self, tmp_path, monkeypatch, capsys, chunk, failing_seed, grid, message
     ):
-        def generate(spec):
-            if spec.seed == failing_seed:
-                raise GenerationError(f"draw {spec.seed} failed")
-            return generate_compound(spec)
+        def generate(specs):
+            chs, error = generate_batch(specs)
+            for i, spec in enumerate(specs[:len(chs)]):
+                if spec.seed == failing_seed:
+                    return chs[:i], GenerationError(f"draw {spec.seed} failed")
+            return chs, error
 
         monkeypatch.setattr(cli, "TRIAL_CHUNK", chunk)
-        monkeypatch.setattr(cli, "generate_compound", generate)
+        monkeypatch.setattr(cli, "generate_batch", generate)
+        assert run(["gaussian", "--out", tmp_path, "--trials", 5, "--snr_db_grid", grid]) == 1
+        assert message in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("chunk", [2, 64])
+    @pytest.mark.parametrize("failing_trial, grid, message", [
+        (3, "60,80,100", "build 3 failed"),
+        # trial 0's evaluation rejects the grid before trial 3's error is raised
+        (3, "30,60,90", "at least 40 dB"),
+        (0, "30,60,90", "build 0 failed"),
+    ])
+    def test_failing_build_raises_in_trial_order(
+        self, tmp_path, monkeypatch, capsys, chunk, failing_trial, grid, message
+    ):
+        failing = generate_compound(ChannelGenSpec(4, 1, 1, 2, 2, seed=failing_trial))
+
+        def generate(specs):
+            # trial 4's draw fails as well, after the failing build
+            chs, error = generate_batch(specs)
+            for i, spec in enumerate(specs[:len(chs)]):
+                if spec.seed == 4:
+                    return chs[:i], GenerationError("draw 4 failed")
+            return chs, error
+
+        def build(chs, r1, r2):
+            bfs, error = build_beamformers_batch(chs, r1, r2)
+            for i, ch in enumerate(chs):
+                if ch.stacked_rows().tobytes() == failing.stacked_rows().tobytes():
+                    return bfs[:i], ConstructionError(f"build {failing_trial} failed")
+            return bfs, error
+
+        monkeypatch.setattr(cli, "TRIAL_CHUNK", chunk)
+        monkeypatch.setattr(cli, "generate_batch", generate)
+        monkeypatch.setattr(cli, "build_beamformers_batch", build)
         assert run(["gaussian", "--out", tmp_path, "--trials", 5, "--snr_db_grid", grid]) == 1
         assert message in capsys.readouterr().err
 

@@ -1,18 +1,26 @@
 """Beamformer certificates, closed-form rate oracles, and slope laws."""
 
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from compound_bcc import gaussian
 from compound_bcc.channel import ChannelGenSpec, CompoundChannelSet, generate_compound, swap_users
 from compound_bcc.ergodic import ZfBlockGains
-from compound_bcc.errors import ConstructionError, FeasibilityError, InvalidInputError
+from compound_bcc.errors import (
+    CompoundBccError,
+    ConstructionError,
+    FeasibilityError,
+    InvalidInputError,
+)
 from compound_bcc.gaussian import (
     BeamformerSet,
     PowerAllocation,
     build_beamformers,
+    build_beamformers_batch,
     build_common_beamformer,
     build_confidential_beamformers,
     common_slope_target,
@@ -147,6 +155,14 @@ class TestPowerAllocation:
     def test_non_finite_total(self, total):
         with pytest.raises(InvalidInputError, match="finite"):
             PowerAllocation(total=total, p0=np.array([]), p1=np.array([]), p2=np.array([]))
+
+    @pytest.mark.parametrize("name", ["p0", "p1", "p2"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_stream_power_named(self, name, bad):
+        powers = {"p0": np.array([0.1]), "p1": np.array([0.1]), "p2": np.array([0.1])}
+        powers[name] = np.array([0.1, bad])
+        with pytest.raises(InvalidInputError, match=f"^{name} must hold finite"):
+            PowerAllocation(total=1.0, **powers)
 
     def test_zero_streams_zero_share(self):
         pa = PowerAllocation(total=0.0, p0=np.array([]), p1=np.array([]), p2=np.array([]))
@@ -472,6 +488,122 @@ class TestStackedEvaluator:
                 else:
                     rt = worst_case_rates(ch, bf, pa)
                     assert (rt.r0, rt.r1, rt.r2, rt.leakage) == want
+
+
+def per_trial_builds(chs, r1, r2, tol=gaussian.DEFAULT_TOL):
+    """build_beamformers channel by channel, stopping at the first error:
+    the prefix of sets built and that error's (type, message)."""
+    bfs = []
+    for ch in chs:
+        try:
+            bfs.append(build_beamformers(ch, r1, r2, tol))
+        except CompoundBccError as e:
+            return bfs, (type(e), str(e))
+    return bfs, None
+
+
+def assert_same_builds(got, want):
+    """Beamformer lists equal bit for bit, with the one-trial strides."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for a, b in ((g.v0, w.v0), (g.v1, w.v1), (g.v2, w.v2)):
+            assert a.shape == b.shape and a.strides == b.strides
+            assert a.tobytes() == b.tobytes()
+
+
+def crafted_channel(kind, seed=0):
+    """M = 5, N1 = 2, N2 = 1, J = 2 channels whose construction is not generic."""
+    g = make_channel(5, 2, 1, 2, 2, seed=seed)
+    h1, h2 = list(g.h1), list(g.h2)
+    if kind == "rank":  # a row of H_1_1 lies in user 2's row space
+        h1[0] = h1[0].copy()
+        h1[0][0] = h2[0][0] + 2.0 * h2[1][0]
+    elif kind == "leak":  # H_2_2 is below the rank threshold of user 2's rows
+        h2[1] = 1e-12 * h2[1]
+    elif kind == "duplicate":  # user 2's rows have rank 1, and the build passes
+        h2[1] = h2[0].copy()
+    ch = CompoundChannelSet(5, 2, 1, 2, 2, tuple(h1), tuple(h2))
+    if kind == "nan":
+        ch.h2[0][0, 1] = np.nan  # the arrays stay writable after construction
+    return ch
+
+
+class TestChunkedBuild:
+    """build_beamformers_batch against per-trial build_beamformers."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenario=scenarios(), trials=st.integers(1, 5))
+    @example(scenario=((2, 1, 1, 1, 1, 1, 1), 0, False), trials=3)  # K = 0
+    @example(scenario=((4, 1, 1, 2, 2, 0, 0), 0, False), trials=3)  # r = 0
+    @example(scenario=((9, 3, 3, 2, 2, 3, 3), 0, False), trials=2)
+    @example(scenario=((8, 1, 1, 1, 1, 1, 1), 0, False), trials=2)
+    def test_generic_channels_match_per_trial_build(self, scenario, trials):
+        (M, N1, N2, J1, J2, r1, r2), seed, _ = scenario
+        chs = [make_channel(M, N1, N2, J1, J2, seed=seed + t) for t in range(trials)]
+        # generic channels pass every screen: no one-trial rebuild
+        with mock.patch.object(gaussian, "build_beamformers", side_effect=AssertionError):
+            bfs, error = build_beamformers_batch(chs, r1, r2)
+        assert error is None
+        assert_same_builds(bfs, per_trial_builds(chs, r1, r2)[0])
+
+    @pytest.mark.parametrize("kind, message", [
+        ("rank", "H_1_1 @ v1 has rank 1, expected 2"),
+        ("leak", "v1 leaks into H_2_2"),
+        ("nan", "non-finite"),
+        ("duplicate", None),
+    ])
+    @pytest.mark.parametrize("where", [0, 2])
+    def test_crafted_channel_is_the_per_trial_error(self, kind, message, where):
+        chs = [make_channel(5, 2, 1, 2, 2, seed=s) for s in range(4)]
+        chs.insert(where, crafted_channel(kind, seed=9))
+        bfs, error = build_beamformers_batch(chs, 2, 1)
+        want, want_error = per_trial_builds(chs, 2, 1)
+        assert_same_builds(bfs, want)
+        if message is None:
+            assert error is None and len(bfs) == 5
+        else:
+            assert len(bfs) == where and message in want_error[1]
+            assert (type(error), str(error)) == want_error
+
+    @pytest.mark.parametrize("call", [0, 1, 2])  # user 2's, user 1's, the common part's
+    @pytest.mark.parametrize("perturb", ["rotate", "scale"])
+    def test_each_certificate_screen_catches_a_bad_stacked_basis(self, call, perturb):
+        # one trial's stacked basis is replaced by a leaky orthonormal one or
+        # by a slightly non-orthonormal one; the screens must send that trial
+        # to build_beamformers, which builds it correctly
+        real = gaussian.generic_null_spaces
+        calls = []
+
+        def tampered(a, tol):
+            bases, generic = real(a, tol)
+            if len(calls) == call:
+                m, c = bases.shape[1:]
+                rng = np.random.default_rng(call)
+                q = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+                bases = bases.copy()
+                bases[1] = q[:, :c] if perturb == "rotate" else bases[1] * (1 + 1e-8)
+            calls.append(a)
+            return bases, generic
+
+        chs = [make_channel(5, 2, 1, 2, 2, seed=s) for s in range(3)]
+        with mock.patch.object(gaussian, "generic_null_spaces", tampered):
+            bfs, error = build_beamformers_batch(chs, 2, 1)
+        assert len(calls) == 3 and error is None
+        assert_same_builds(bfs, per_trial_builds(chs, 2, 1)[0])
+
+    @pytest.mark.parametrize("r1, r2", [(2, 1), (-1, 0)])
+    def test_infeasible_streams_fail_at_the_first_channel(self, r1, r2):
+        chs = [make_channel(4, 1, 1, 2, 2, seed=s) for s in range(3)]
+        bfs, error = build_beamformers_batch(chs, r1, r2)
+        assert bfs == [] and isinstance(error, FeasibilityError)
+        assert (type(error), str(error)) == per_trial_builds(chs, r1, r2)[1]
+
+    def test_mixed_dimensions_and_empty(self):
+        chs = [make_channel(4, 1, 1, 2, 2, seed=0), make_channel(5, 1, 1, 2, 2, seed=1)]
+        bfs, error = build_beamformers_batch(chs, 1, 1)
+        assert error is None
+        assert_same_builds(bfs, per_trial_builds(chs, 1, 1)[0])
+        assert build_beamformers_batch([], 1, 1) == ([], None)
 
 
 # (M, N1, N2, J1, J2, r1, r2) across all region shapes with feasible streams

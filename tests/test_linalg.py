@@ -20,6 +20,8 @@ from compound_bcc.errors import (
 )
 from compound_bcc.linalg import (
     RankTolerance,
+    _normalize_phases,
+    generic_null_spaces,
     logdet2_hpd,
     null_space_basis,
     numerical_rank,
@@ -187,6 +189,68 @@ class TestNullSpaceRescaling:
         # the same subspace: equal orthogonal projectors
         assert np.linalg.norm(b @ b.conj().T - base @ base.conj().T) <= 1e-9
         assert numerical_rank(scale * m) == numerical_rank(m) == r
+
+
+def per_column_phases(b):
+    """The phase normalization column by column: each column times
+    |anchor| / anchor, with the modulus of the complex scalar anchor."""
+    b = b.copy()
+    for j in range(b.shape[1]):
+        col = b[:, j]
+        idx = np.flatnonzero(np.abs(col) > 1e-12)
+        if idx.size == 0:
+            continue
+        anchor = col[idx[0]]
+        b[:, j] = col * (abs(anchor) / anchor)
+    return b
+
+
+class TestStackedNullSpaces:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.integers(1, 8),
+        cols=st.integers(1, 9),
+        batch=st.integers(1, 4),
+        scale=st.floats(1e-6, 1e6),
+        lead=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_phases_match_the_column_loop(self, rows, cols, batch, scale, lead, seed):
+        rng = np.random.default_rng(seed)
+        shape = (batch, rows, cols)
+        m = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        vh = np.linalg.svd(m)[2]
+        b = vh.conj().swapaxes(-1, -2)  # unit columns, not contiguous
+        b[:, :lead] = 0.0  # anchors further down; a zero column when lead >= cols
+        got = _normalize_phases(b)
+        assert got.flags.c_contiguous
+        for t in range(batch):
+            want = per_column_phases(b[t])
+            assert got[t].tobytes() == want.tobytes()
+            assert _normalize_phases(b[t]).tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 7),
+        batch=st.integers(1, 4),
+        deficient=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_generic_null_spaces_match_null_space_basis(self, rows, cols, batch, deficient, seed):
+        rng = np.random.default_rng(seed)
+        shape = (batch, rows, cols)
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if deficient and rows > 1:
+            m[0, -1] = m[0, 0]  # the first matrix loses its generic rank
+        bases, generic = generic_null_spaces(m)
+        assert bases.shape == (batch, cols, cols - min(rows, cols))
+        for t in range(batch):
+            want = null_space_basis(m[t])
+            assert generic[t] == (want.shape[1] == bases.shape[2])
+            if generic[t]:
+                assert bases[t].strides == want.strides
+                assert bases[t].tobytes() == want.tobytes()
 
 
 class TestLogdet2Hpd:

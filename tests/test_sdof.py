@@ -5,13 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from compound_bcc.errors import InvalidGridError
 from compound_bcc.sdof import (
     DEFAULT_SNR_GRID_DB,
+    SdofEstimate,
     check_snr_grid,
-    estimate_sdof,
     estimate_sdof_series,
+    fit_sdof_stack,
     snr_db_to_power,
 )
 
@@ -22,15 +24,22 @@ def test_power_conversion():
     assert snr_db_to_power(100.0) == pytest.approx(1e10)
 
 
+def rates_on(grid, rate):
+    """rate(P) at each grid point's power P."""
+    return [rate(p) for p in snr_db_to_power(grid)]
+
+
 def test_unit_slope_scalar_awgn():
     # log2(1 + P) has slope 1 in log2 P, up to the +1 which dies at high SNR
-    est = estimate_sdof(lambda p: math.log2(1.0 + p), DEFAULT_SNR_GRID_DB)
+    grid = DEFAULT_SNR_GRID_DB
+    est = estimate_sdof_series(grid, rates_on(grid, lambda p: math.log2(1.0 + p)))
     assert est.slope == pytest.approx(1.0, abs=1e-3)
     assert est.residual < 1e-6
 
 
 def test_constant_rate_zero_slope():
-    est = estimate_sdof(lambda p: 2.5, DEFAULT_SNR_GRID_DB)
+    grid = DEFAULT_SNR_GRID_DB
+    est = estimate_sdof_series(grid, rates_on(grid, lambda p: 2.5))
     assert est.slope == pytest.approx(0.0, abs=1e-12)
     assert est.intercept == pytest.approx(2.5)
 
@@ -52,7 +61,8 @@ def test_residual_reports_misfit():
 
 
 def test_multistream_slope():
-    est = estimate_sdof(lambda p: 3 * math.log2(1.0 + p / 3), DEFAULT_SNR_GRID_DB)
+    grid = DEFAULT_SNR_GRID_DB
+    est = estimate_sdof_series(grid, rates_on(grid, lambda p: 3 * math.log2(1.0 + p / 3)))
     assert est.slope == pytest.approx(3.0, abs=1e-3)
 
 
@@ -95,3 +105,72 @@ class TestGridValidation:
     def test_series_length_mismatch(self):
         with pytest.raises(InvalidGridError):
             estimate_sdof_series((60.0, 80.0, 100.0), [1.0, 2.0])
+
+
+def polyfit_estimate(grid, y):
+    """The per-series oracle: np.polyfit against log2(P), np.polyval residual."""
+    x = np.log2(snr_db_to_power(grid))
+    c = np.polyfit(x, y, 1)
+    residual = np.sqrt(np.mean((y - np.polyval(c, x)) ** 2))
+    return SdofEstimate(slope=float(c[0]), intercept=float(c[1]), residual=float(residual))
+
+
+def bits(est):
+    return np.array([est.slope, est.intercept, est.residual]).tobytes()
+
+
+@st.composite
+def grids(draw):
+    """Valid grids of 3 to 12 points: at least 40 dB, spanning at least 20 dB."""
+    size = draw(st.integers(3, 12))
+    start = draw(st.floats(40.0, 200.0))
+    steps = draw(st.lists(st.floats(10.0, 60.0), min_size=size - 1, max_size=size - 1))
+    return check_snr_grid(start + np.concatenate([[0.0], np.cumsum(steps)]))
+
+
+class TestStackedFit:
+    """fit_sdof_stack against per-series np.polyfit, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        grid=grids(),
+        scale=st.sampled_from([1e-9, 1e-6, 1e-3, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+        series=st.integers(1, 6),
+    )
+    @example(grid=check_snr_grid(DEFAULT_SNR_GRID_DB), scale=1.0, seed=0, series=1)
+    @example(grid=check_snr_grid(np.arange(40.0, 160.0, 10.0)), scale=1e3, seed=1, series=3)
+    def test_matches_polyfit(self, grid, scale, seed, series):
+        rng = np.random.default_rng(seed)
+        x = np.log2(snr_db_to_power(grid))
+        rates = np.concatenate([
+            scale * (rng.uniform(0, 4, (series, 1)) * x
+                     + rng.standard_normal((series, grid.size))),
+            np.full((1, grid.size), scale * 2.5),  # constant series
+            np.zeros((1, grid.size)),
+        ])
+        got = fit_sdof_stack(grid, rates)
+        assert len(got) == len(rates)
+        for y, est in zip(rates, got):
+            assert bits(est) == bits(polyfit_estimate(grid, y))
+
+    @pytest.mark.parametrize("points", [4, 9, 12])
+    def test_stack_shape_is_c_order(self, points):
+        grid = check_snr_grid(40.0 + 10.0 * np.arange(points))
+        rates = np.random.default_rng(3).standard_normal((2, 3, points))
+        got = fit_sdof_stack(grid, rates)
+        want = [polyfit_estimate(grid, y) for y in rates.reshape(-1, points)]
+        assert [bits(e) for e in got] == [bits(e) for e in want]
+        # series read from a strided view, as the evaluator passes them
+        # (from 8 points on, a mean over a strided axis may round differently)
+        rates = np.random.default_rng(4).standard_normal((2, points, 4))
+        strided = np.moveaxis(rates[..., :3], -1, -2)
+        got = fit_sdof_stack(grid, strided)
+        want = [polyfit_estimate(grid, y) for y in strided.reshape(-1, points)]
+        assert [bits(e) for e in got] == [bits(e) for e in want]
+
+    def test_series_fit_is_a_one_series_stack(self):
+        grid = (60.0, 80.0, 100.0)
+        y = [1.0, 8.0, 12.5]
+        assert estimate_sdof_series(grid, y) == fit_sdof_stack(check_snr_grid(grid), [y])[0]
+        assert bits(estimate_sdof_series(grid, y)) == bits(polyfit_estimate(grid, np.array(y)))
