@@ -8,9 +8,9 @@ transmit power doubles as SNR.
 
 Each generation attempt draws all entries as one standard_normal vector
 from its own seeded generator. generate_compound draws and checks one spec
-at a time; generate_batch takes many specs and decides the rank checks of
-all their draws together, resampling only the draws that fail, with the
-same channels as a result.
+at a time; generate_batch draws specs of equal dimensions into one array,
+decides their rank checks together and resamples only the failures, and
+returns the same channels as two state stacks (see stacked_sets).
 """
 
 import itertools
@@ -71,8 +71,7 @@ class CompoundChannelSet:
     h2: tuple
 
     def __post_init__(self):
-        for name in ("M", "N1", "N2", "J1", "J2"):
-            check_count(getattr(self, name), name)
+        _check_dimensions(self)
         if len(self.h1) != self.J1 or len(self.h2) != self.J2:
             raise InvalidInputError(
                 f"expected {self.J1}+{self.J2} states, got {len(self.h1)}+{len(self.h2)}"
@@ -108,6 +107,25 @@ class CompoundChannelSet:
         i -= self.J1 * self.N1
         j, r = divmod(i, self.N2)
         return f"H_2_{j + 1}[{r}]"
+
+
+def _check_dimensions(dims):
+    """InvalidInputError unless dims' M, N1, N2, J1 and J2 are positive ints."""
+    for name in ("M", "N1", "N2", "J1", "J2"):
+        check_count(getattr(dims, name), name)
+
+
+def stacked_sets(h):
+    """The CompoundChannelSet of each trial of state stacks h = (h1, h2),
+    (T, J1, N1, M) and (T, J2, N2, M), as generate_batch returns them: views
+    of the stacks, whose finite entries are not validated again."""
+    (_, J1, N1, M), (_, J2, N2, _) = h[0].shape, h[1].shape
+    sets = []
+    for a, b in zip(*h):
+        ch = object.__new__(CompoundChannelSet)
+        ch.__dict__.update(M=M, N1=N1, N2=N2, J1=J1, J2=J2, h1=tuple(a), h2=tuple(b))
+        sets.append(ch)
+    return sets
 
 
 @dataclass(frozen=True)
@@ -162,6 +180,7 @@ def generate_compound(spec, tol=DEFAULT_TOL):
 
 def _generate(spec, tol=DEFAULT_TOL):
     """generate_compound, also returning the passing draw's rank report."""
+    _check_dimensions(spec)
     if spec.max_resamples < 1:
         raise _generation_error(spec)
     for attempt in range(spec.max_resamples):
@@ -190,70 +209,82 @@ def _draw(spec, attempt):
     then the N_k x M imaginary parts, each state scaled to CN(0, 1).
     """
     rng = np.random.default_rng(attempt_seed(spec.seed, attempt))
-    sizes = (spec.J1 * spec.N1 * spec.M, spec.J2 * spec.N2 * spec.M)
-    z = rng.standard_normal(2 * sum(sizes))
-    states = []
-    for part, J, N in (
-        (z[:2 * sizes[0]], spec.J1, spec.N1),
-        (z[2 * sizes[0]:], spec.J2, spec.N2),
-    ):
-        re_im = part.reshape(J, 2, N, spec.M)
-        states.append(tuple((re_im[:, 0] + 1j * re_im[:, 1]) / np.sqrt(2.0)))
-    return CompoundChannelSet(spec.M, spec.N1, spec.N2, spec.J1, spec.J2, *states)
+    dims = (spec.M, spec.N1, spec.N2, spec.J1, spec.J2)
+    z = rng.standard_normal(2 * spec.M * (spec.J1 * spec.N1 + spec.J2 * spec.N2))
+    h1, h2 = _states(z, *dims)
+    return CompoundChannelSet(*dims, tuple(h1), tuple(h2))
+
+
+def _states(z, M, N1, N2, J1, J2):
+    """The state stacks (..., J_k, N_k, M) of both users from draws z
+    (..., entries) laid out as _draw takes them."""
+    split = 2 * J1 * N1 * M
+    parts = ((z[..., :split], J1, N1), (z[..., split:], J2, N2))
+    re_im = [part.reshape(*z.shape[:-1], J, 2, N, M) for part, J, N in parts]
+    return [(x[..., 0, :, :] + 1j * x[..., 1, :, :]) / np.sqrt(2.0) for x in re_im]
 
 
 def generate_batch(specs, tol=DEFAULT_TOL):
-    """generate_compound of each spec, in order, rank checks decided together.
+    """generate_compound of each spec, in order, drawn and checked as one chunk.
 
-    Returns (channels, error): the channels of the specs before the first
-    whose generation fails, and that spec's error (None when every spec
-    passes). Each spec draws its attempts as generate_compound does, so
-    each channel is the one generate_compound returns; the rank conditions
-    of all draws of one attempt are decided together (see
+    The specs must share their dimensions, which are checked once, as
+    CompoundChannelSet checks them. Returns (h, error): h = (h1, h2) holds
+    the states of the specs before the first whose generation fails, as
+    stacks (T, J1, N1, M) and (T, J2, N2, M) (see stacked_sets), and error
+    is that spec's error (None when every spec passes). Each attempt of
+    every pending spec is drawn from the spec's own generator into one row
+    of an array, so each channel is the one generate_compound returns; the
+    rank conditions of all draws of one attempt are decided together (see
     _rank_conditions_hold), and only the draws that fail are resampled.
     """
-    chs = [None] * len(specs)
-    pending = list(range(len(specs)))
+    shapes = {(s.M, s.N1, s.N2, s.J1, s.J2) for s in specs}
+    if len(shapes) != 1:
+        raise InvalidInputError(f"specs must share their dimensions, got {sorted(shapes)}")
+    _check_dimensions(specs[0])
+    dims = M, N1, N2, J1, J2 = shapes.pop()
+    rows = np.empty((len(specs), J1 * N1 + J2 * N2, M), dtype=complex)
+    z = np.empty((len(specs), 2 * rows[0].size))
+    passed = np.zeros(len(specs), dtype=bool)
+    pending = range(len(specs))
     for attempt in itertools.count():
-        pending = [i for i in pending if attempt < specs[i].max_resamples]
-        if not pending:
+        pending = np.array([i for i in pending if attempt < specs[i].max_resamples], dtype=int)
+        if not pending.size:
             break
-        draws = [_draw(specs[i], attempt) for i in pending]
-        held = _rank_conditions_hold(draws, tol)
-        for i, ch, ok in zip(pending, draws, held):
-            if ok:
-                chs[i] = ch
-        pending = [i for i, ok in zip(pending, held) if not ok]
-    n = chs.index(None) if None in chs else len(chs)
-    return chs[:n], (_generation_error(specs[n]) if n < len(chs) else None)
+        draws = z[:pending.size]
+        for row, i in zip(draws, pending):
+            np.random.default_rng(attempt_seed(specs[i].seed, attempt)).standard_normal(out=row)
+        if not np.isfinite(draws).all():
+            raise InvalidInputError("drawn channel entries must be finite")
+        drawn = np.concatenate([h.reshape(pending.size, -1, M) for h in _states(draws, *dims)], 1)
+        held = _rank_conditions_hold(drawn, tol)
+        rows[pending[held]] = drawn[held]
+        passed[pending[held]] = True
+        pending = pending[~held]
+    n = len(specs) if passed.all() else int(np.argmin(passed))
+    h = (rows[:n, :J1 * N1].reshape(n, J1, N1, M), rows[:n, J1 * N1:].reshape(n, J2, N2, M))
+    return h, (_generation_error(specs[n]) if n < len(specs) else None)
 
 
-def _rank_conditions_hold(chs, tol=DEFAULT_TOL):
-    """verify_rank_condition(ch, tol).passed for each channel, whose entries
-    must be finite (generated draws are; verify_rank_condition checks).
+def _rank_conditions_hold(rows, tol=DEFAULT_TOL):
+    """verify_rank_condition(ch, tol).passed for the channel of each stack of
+    stacked rows in ``rows`` (T, rows, M), T >= 1, whose entries must be
+    finite (generated draws are; verify_rank_condition checks).
 
-    Channels with the same M and stacked row count share their subsets,
-    which are gathered RANK_CHUNK (channel, subset) pairs at a time and
-    decided by _full_rank; a channel stops being checked at its first
-    failing subset.
+    The channels share their subsets, which are gathered RANK_CHUNK
+    (channel, subset) pairs at a time and decided by _full_rank; a channel
+    stops being checked at its first failing subset.
     """
-    held = np.ones(len(chs), dtype=bool)
-    groups = {}
-    for i, ch in enumerate(chs):
-        groups.setdefault((ch.M, ch.J1 * ch.N1 + ch.J2 * ch.N2), []).append(i)
+    held = np.ones(len(rows), dtype=bool)
+    total, m = rows.shape[1:]
+    if total < m:
+        return held
+    subsets, _ = _subsets(total, m)
     screen = rank_screen(tol)
-    for (m, total), idx in groups.items():
-        if total < m:
-            continue
-        rows = np.array([chs[i].stacked_rows() for i in idx])
-        subsets, _ = _subsets(total, m)
-        alive = np.ones(len(idx), dtype=bool)
-        per_chunk = max(1, RANK_CHUNK // len(idx))
-        while alive.any() and (chunk := list(itertools.islice(subsets, per_chunk))):
-            live = np.flatnonzero(alive)
-            stack = rows[live][:, np.array(chunk)].reshape(-1, m, m)
-            alive[live] = _full_rank(stack, m, tol, screen).reshape(len(live), -1).all(axis=1)
-        held[idx] = alive
+    per_chunk = max(1, RANK_CHUNK // len(rows))
+    while held.any() and (chunk := list(itertools.islice(subsets, per_chunk))):
+        live = np.flatnonzero(held)
+        stack = rows[live][:, np.array(chunk)].reshape(-1, m, m)
+        held[live] = _full_rank(stack, m, tol, screen).reshape(len(live), -1).all(axis=1)
     return held
 
 

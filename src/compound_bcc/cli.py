@@ -29,6 +29,7 @@ from .channel import (
     _generate,
     generate_batch,
     load_channel,
+    stacked_sets,
     verify_rank_condition,
 )
 from .errors import CompoundBccError, ConfigError, check_count
@@ -99,8 +100,10 @@ class ExperimentConfig:
         self.snr_db_grid = grid
         if self.power_policy not in ("full1", "full2", "equal", "split"):
             raise ConfigError(f"unknown power_policy {self.power_policy!r}")
-        if not (0.0 <= _real(self.p1_frac, "p1_frac") <= 1.0):
+        frac = _real(self.p1_frac, "p1_frac")
+        if not (0.0 <= frac <= 1.0):
             raise ConfigError(f"p1_frac must be in [0, 1], got {self.p1_frac!r}")
+        self.p1_frac = frac  # a float, as the flag gives it, so both write the same bytes
         if self.model not in ("gaussian", "ergodic"):
             raise ConfigError(f"model must be 'gaussian' or 'ergodic', got {self.model!r}")
         return self
@@ -199,9 +202,9 @@ def _region_fields(cfg, region, ergodic=False):
 def run_gaussian(cfg, out_dir):
     """Constant-model run: per-channel rates, slope fits, analytic region.
 
-    Trials go through TRIAL_CHUNK at a time, in order: drawn with their
-    rank checks decided together, built and certified as stacks, then
-    evaluated and fitted as stacked arrays.
+    Trials go through TRIAL_CHUNK at a time, in order, each chunk as one
+    channel stack: drawn with their rank checks decided together, built
+    and certified as stacks, then evaluated and fitted as stacked arrays.
     """
     grid = cfg.snr_db_grid
     rows = []
@@ -211,18 +214,18 @@ def run_gaussian(cfg, out_dir):
             ChannelGenSpec(cfg.M, cfg.N1, cfg.N2, cfg.J1, cfg.J2, seed=cfg.seed + trial)
             for trial in range(start, min(start + TRIAL_CHUNK, cfg.trials))
         ]
-        chs, error = generate_batch(specs)
-        bfs, build_error = build_beamformers_batch(chs, cfg.r1, cfg.r2)
-        pairs = list(zip(chs, bfs))
+        h, error = generate_batch(specs)
+        bfs, stack, build_error = build_beamformers_batch(h, cfg.r1, cfg.r2)
+        pairs = list(zip(stacked_sets(h), bfs))
         if build_error is not None:
             # it belongs to an earlier trial than any generation error
             error = build_error
         if error is not None:
             if pairs:
                 # an earlier trial's evaluation error comes first, as in trial order
-                equal_power_slopes_batch(pairs, grid)
+                equal_power_slopes_batch(pairs, grid, stack)
             raise error
-        for triples, ests in equal_power_slopes_batch(pairs, grid):
+        for triples, ests in equal_power_slopes_batch(pairs, grid, stack):
             rows.extend(
                 (snr_db, *rt.as_tuple(), rt.leakage) for snr_db, rt in zip(grid, triples)
             )
@@ -392,17 +395,20 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common_flags(sp):
-    sp.add_argument("--config", help="JSON file with ExperimentConfig fields")
-    sp.add_argument("--out", default=".", help="output directory (default: .)")
-    sp.add_argument("--seed", type=int)
+def _common_flags():
+    """A parent parser of the flags every subcommand takes."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON file with ExperimentConfig fields")
+    common.add_argument("--out", default=".", help="output directory (default: .)")
+    common.add_argument("--seed", type=int)
     for name in ("M", "N1", "N2", "J1", "J2", "r1", "r2",
                  "trials", "blocks", "common_state_count"):
-        sp.add_argument(f"--{name}", type=int)
-    sp.add_argument("--snr_db_grid", type=_parse_grid,
-                    help="comma-separated dB values, e.g. 60,80,100")
-    sp.add_argument("--power_policy", choices=("full1", "full2", "equal", "split"))
-    sp.add_argument("--p1_frac", type=float)
+        common.add_argument(f"--{name}", type=int)
+    common.add_argument("--snr_db_grid", type=_parse_grid,
+                        help="comma-separated dB values, e.g. 60,80,100")
+    common.add_argument("--power_policy", choices=("full1", "full2", "equal", "split"))
+    common.add_argument("--p1_frac", type=float)
+    return common
 
 
 def make_parser():
@@ -410,6 +416,7 @@ def make_parser():
         prog="compound-bcc",
         description="Secrecy-rate laboratory for compound broadcast channels",
     )
+    common = _common_flags()
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("gaussian", "constant-model superposition scheme"),
@@ -418,8 +425,7 @@ def make_parser():
         ("verify-channel", "check the generic rank condition"),
         ("region", "emit an analytic region without simulating"),
     ):
-        sp = sub.add_parser(name, help=help_text)
-        _add_common_flags(sp)
+        sp = sub.add_parser(name, help=help_text, parents=[common])
         if name == "verify-channel":
             sp.add_argument("--channel", help="channel JSON file to verify")
         if name == "region":

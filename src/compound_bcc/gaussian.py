@@ -6,18 +6,18 @@ state of user 2 (and vice versa), so each confidential stream is received
 by its intended user only, whichever states are realized; V0 spans the
 orthogonal complement of [V1 V2]. Worst-case rates minimize over states.
 
-The CLI takes TRIAL_CHUNK trials at a time through stacked paths, each bit
-for bit equal to a one-trial reference:
+The CLI carries TRIAL_CHUNK trials at a time as one channel stack through
+stacked paths, each bit for bit equal to a one-trial reference:
 
 * build_beamformers_batch builds a chunk's null spaces and common parts
   with stacked SVDs and screens their certificates over the stack; a
   channel that does not clear every screen is rebuilt by build_beamformers,
   the reference, so each decision and error is the one-trial one.
 * Rates are evaluated as stacked arrays over (trials, grid points,
-  states): h v once per trial, state and beam, the grams of every grid
-  point in one pass, and two logdet2_hpd calls per receiving user.
-  rate_common, rate_confidential and rate_leakage evaluate one state and
-  are the reference.
+  states): h v as one matmul per user and beam (per trial for rebuilt
+  channels), the grams of every grid point in one pass, and two
+  logdet2_hpd calls per receiving user. rate_common, rate_confidential
+  and rate_leakage evaluate one state and are the reference.
 * The slopes of every trial and component are fitted in one
   sdof.fit_sdof_stack call.
 """
@@ -28,6 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .channel import stacked_sets
 from .errors import (
     CompoundBccError,
     ConstructionError,
@@ -221,47 +222,48 @@ def build_beamformers(ch, r1, r2, tol=DEFAULT_TOL):
     return build_common_beamformer(build_confidential_beamformers(ch, r1, r2, tol), ch.M, tol)
 
 
-def build_beamformers_batch(chs, r1, r2, tol=DEFAULT_TOL):
-    """build_beamformers of each channel, built and certified as stacks.
+def build_beamformers_batch(h, r1, r2, tol=DEFAULT_TOL):
+    """build_beamformers of each channel of a chunk, built and certified as stacks.
 
-    Returns (bfs, error): the beamformer sets of the channels before the
-    first whose construction fails, in order, and that channel's error
-    (None when every channel passes). Each set equals build_beamformers'
-    bit for bit: stacked SVDs and stacked phase normalization see each
-    matrix's values as the one-trial calls do, and each beamformer is a
-    view with the strides of the one-trial result. The certificates are
-    screened over the stack; a channel is rebuilt by build_beamformers,
-    whose decisions and error messages are therefore the ones reported,
-    unless its entries are finite, every residual is below half its limit,
-    each H_k_j v_k has full rank with the margin of linalg.rank_screen, and
-    its null spaces and [v1 v2] have the generic rank.
+    h = (h1, h2) holds the chunk's states, (T, J1, N1, M) and
+    (T, J2, N2, M), as channel.generate_batch returns them. Returns
+    (bfs, stack, error): the beamformer sets of the channels before the
+    first whose construction fails, in order, the chunk's stacks for
+    equal_power_slopes_batch, and that channel's error (None when every
+    channel passes). Each set equals build_beamformers' bit for bit:
+    stacked SVDs and stacked phase normalization see each matrix's values
+    as the one-trial calls do, and each beamformer is a view with the
+    strides of the one-trial result. The certificates are screened over
+    the stack; a channel is rebuilt by build_beamformers, whose decisions
+    and error messages are therefore the ones reported, unless its entries
+    are finite, every residual is below half its limit, each H_k_j v_k has
+    full rank with the margin of linalg.rank_screen, and its null spaces
+    and [v1 v2] have the generic rank.
     """
-    bfs = []
-    for ch, bf in zip(chs, _stacked_beamformers(chs, r1, r2, tol)):
+    bfs, stack = _stacked_beamformers(h, r1, r2, tol)
+    for t, bf in enumerate(bfs):
         if bf is None:
             try:
-                bf = build_beamformers(ch, r1, r2, tol)
+                bfs[t] = build_beamformers(stacked_sets([x[t:t + 1] for x in h])[0], r1, r2, tol)
             except CompoundBccError as e:
-                return bfs, e
-        bfs.append(bf)
-    return bfs, None
+                return bfs[:t], stack, e
+    return bfs, stack, None
 
 
-def _stacked_beamformers(chs, r1, r2, tol):
-    """The BeamformerSet of each channel whose certificates pass the screens
-    of build_beamformers_batch, None for every other channel."""
-    none = [None] * len(chs)
-    if not chs or len({_channel_dimensions(ch) for ch in chs}) > 1:
-        return none
-    M = chs[0].M
-    b1, b2 = confidential_stream_bounds(*_channel_dimensions(chs[0]))
-    if not (0 <= r1 <= b1 and 0 <= r2 <= b2):
-        return none
-    h = [np.array([ch.states(k) for ch in chs]) for k in (1, 2)]  # (T, J, N, M)
+def _stacked_beamformers(h, r1, r2, tol):
+    """(bfs, stack): the BeamformerSet of each channel that passes the screens
+    of build_beamformers_batch (None for the others), and (h, v, built): the
+    beam stacks v = (v0, v1, v2), (T, M, c) each, and which sets hold their
+    views. stack is None when no set does."""
+    T = len(h[0])
+    (J1, N1, M), (J2, N2) = h[0].shape[1:], h[1].shape[1:3]
+    b1, b2 = confidential_stream_bounds(M, N1, N2, J1, J2)
+    if not T or not (0 <= r1 <= b1 and 0 <= r2 <= b2):
+        return [None] * T, None
     sure = np.isfinite(h[0]).all(axis=(1, 2, 3)) & np.isfinite(h[1]).all(axis=(1, 2, 3))
     try:
-        null2, generic2 = generic_null_spaces(h[1].reshape(len(chs), -1, M), tol)
-        null1, generic1 = generic_null_spaces(h[0].reshape(len(chs), -1, M), tol)
+        null2, generic2 = generic_null_spaces(h[1].reshape(T, -1, M), tol)
+        null1, generic1 = generic_null_spaces(h[0].reshape(T, -1, M), tol)
         v = [null2[..., :r1], null1[..., :r2]]
         sure &= generic1 & generic2
         screen = rank_screen(tol)
@@ -284,23 +286,17 @@ def _stacked_beamformers(chs, r1, r2, tol):
                 resid = np.linalg.norm(v0.conj().swapaxes(-1, -2) @ stacked, axis=(-2, -1))
                 sure &= _surely_orthonormal(v0) & (resid <= CERT_RTOL / 2)
         else:
-            v0 = np.repeat(np.eye(M, dtype=complex)[None], len(chs), axis=0)
+            v0 = np.repeat(np.eye(M, dtype=complex)[None], T, axis=0)
     except np.linalg.LinAlgError:
-        return none
-    return [
-        BeamformerSet(v1=v[0][t], v2=v[1][t], v0=v0[t]) if sure[t] else None
-        for t in range(len(chs))
-    ]
+        return [None] * T, None
+    bfs = [BeamformerSet(v1=v[0][t], v2=v[1][t], v0=v0[t]) if sure[t] else None for t in range(T)]
+    return bfs, ((h, (v0, *v), sure) if sure.any() else None)
 
 
 def _surely_orthonormal(v):
     """Whether each stacked v's orthonormality residual is below half of CERT_RTOL."""
     gram = v.conj().swapaxes(-1, -2) @ v
     return np.linalg.norm(gram - np.eye(v.shape[-1]), axis=(-2, -1)) <= CERT_RTOL / 2
-
-
-def _channel_dimensions(ch):
-    return (ch.M, ch.N1, ch.N2, ch.J1, ch.J2)
 
 
 @dataclass(frozen=True)
@@ -416,25 +412,35 @@ def rate_leakage(ch, bf, pa, k, l):
     return _logdet_i_plus(_received_gram(h, bf.confidential(k), pa.confidential(k)))
 
 
-def _beam_products(pairs):
+def _beam_products(pairs, stack=None, window=slice(None)):
     """h v for every receiving user, beam, trial and state.
 
     ws[k][b] has shape (T, J, N, c) for receiving user k + 1 and beam b (0
     common, 1 and 2 confidential). Each product takes the state and the
     beamformer as stored, as _received_gram does: the bits of a product
-    depend on its operands' strides, through the kernel numpy picks.
+    depend on its operands' strides, through the kernel numpy picks. When
+    the pairs are the trials ``window`` of a chunk's stack (see
+    build_beamformers_batch), h[k] v[b] is one stacked matmul of views with
+    the one-trial strides, so that each product is the 2-D one; only the
+    trials not built from the stack take their own products.
     """
     beams = [
         (np.zeros((ch.M, 0), complex) if bf.v0 is None else bf.v0, bf.v1, bf.v2)
         for ch, bf in pairs
     ]
-    return [
-        [
-            np.stack([[h @ vs[b] for h in ch.states(k)] for (ch, _), vs in zip(pairs, beams)])
-            for b in range(3)
-        ]
-        for k in (1, 2)
-    ]
+    built = np.zeros(len(pairs), dtype=bool) if stack is None else stack[2][window]
+    ws = [[None] * 3, [None] * 3]
+    for k, b in itertools.product((0, 1), range(3)):
+        own = [[x @ beams[t][b] for x in pairs[t][0].states(k + 1)]
+               for t in np.flatnonzero(~built)]
+        if not built.any():
+            ws[k][b] = np.array(own)
+            continue
+        with np.errstate(all="ignore"):  # the trials not built are overwritten
+            ws[k][b] = stack[0][k][window] @ stack[1][b][window][:, None]
+        if own:
+            ws[k][b][~built] = own
+    return ws
 
 
 def _grams(w, p):
@@ -515,16 +521,18 @@ def worst_case_rates(ch, bf, pa):
 
 def _dimensions(pair):
     ch, bf = pair
-    return (*_channel_dimensions(ch), bf.K, bf.r1, bf.r2)
+    return (ch.M, ch.N1, ch.N2, ch.J1, ch.J2, bf.K, bf.r1, bf.r2)
 
 
-def equal_power_slopes_batch(pairs, snr_db_grid=DEFAULT_SNR_GRID_DB):
+def equal_power_slopes_batch(pairs, snr_db_grid=DEFAULT_SNR_GRID_DB, stack=None):
     """equal_power_slopes of every (channel, beamformer) pair, in order.
 
     Consecutive pairs with the same dimensions (M, N_k, J_k, K and r_k)
     are evaluated together as stacked arrays: h v once per trial, state and
-    beam, then every grid point's grams and a few batched log-dets. Each
-    trial keeps its own slope fits.
+    beam, then every grid point's grams and a few batched log-dets. The
+    pairs of a chunk from build_beamformers_batch may come with its stack,
+    so that h v is one matmul per receiving user and beam. Each trial
+    keeps its own slope fits.
     """
     grid = check_snr_grid(snr_db_grid)
     powers = snr_db_to_power(grid)
@@ -536,7 +544,8 @@ def equal_power_slopes_batch(pairs, snr_db_grid=DEFAULT_SNR_GRID_DB):
         share = powers / n if n else np.zeros_like(powers)
         ps = [np.broadcast_to(share[:, None], (len(group), grid.size, c))
               for c in (bf.K, bf.r1, bf.r2)]
-        rates = _worst_case_stack(_beam_products(group), ps)
+        window = slice(len(out), len(out) + len(group))
+        rates = _worst_case_stack(_beam_products(group, stack, window), ps)
         # one series per trial and component, trial-major
         ests = fit_sdof_stack(grid, np.moveaxis(rates[..., :3], -1, -2))
         for t, trial in enumerate(rates.tolist()):

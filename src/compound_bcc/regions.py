@@ -7,10 +7,11 @@ in as floats are converted exactly (floats are dyadic rationals), so
 serialization is lossless for both analytic and simulation-derived regions.
 """
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DimensionMismatchError, InvalidInputError
 
@@ -153,22 +154,35 @@ def time_share(points):
     return RateRegion(2, tuple(hull), tuple(ineqs))
 
 
-def _solve_square(rows, rhs):
-    """Exact solve of a small square Fraction system; None if singular."""
-    n = len(rows)
-    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+def _integer_row(normal, offset):
+    """The inequality normal . x <= offset times the lcm of its denominators,
+    as integers (n_1, ..., n_d, o): the same half-space."""
+    scale = lcm(*(f.denominator for f in (*normal, offset)))
+    return tuple(f.numerator * (scale // f.denominator) for f in (*normal, offset))
+
+
+def _solve_integer(rows):
+    """Solve the square system of integer rows (a_1, ..., a_n, b) exactly.
+
+    Bareiss's fraction-free elimination, whose divisions are all exact,
+    leaves the determinant D (up to sign) as the last pivot; back
+    substitution then finds the integers D x_i. Returns (D x, D) with
+    D > 0, or None if the system is singular.
+    """
+    a = [list(r) for r in rows]
+    n, prev = len(a), 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
         if pivot is None:
             return None
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [v / pv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return tuple(a[r][n] for r in range(n))
+        a[k], a[pivot] = a[pivot], a[k]
+        for i in range(k + 1, n):
+            a[i] = [(x * a[k][k] - a[i][k] * y) // prev for x, y in zip(a[i], a[k])]
+        prev = a[k][k]
+    x = [0] * n
+    for i in reversed(range(n)):
+        x[i] = (prev * a[i][n] - sum(a[i][j] * x[j] for j in range(i + 1, n))) // a[i][i]
+    return (x, prev) if prev > 0 else ([-xc for xc in x], -prev)
 
 
 def region_from_inequalities(inequalities, dimension):
@@ -179,22 +193,22 @@ def region_from_inequalities(inequalities, dimension):
     basic feasible solution, i.e. exactly a vertex. Intended for the small
     analytic regions (a handful of inequalities). Nonnegativity constraints
     must be included by the caller if wanted; the polytope must be bounded
-    for the vertex list to generate it.
+    for the vertex list to generate it. The inequalities are scaled to
+    integers: solving and the feasibility test are integer arithmetic.
     """
-    import itertools
-
     ineqs = [
         (tuple(_frac(c) for c in n), _frac(o)) for n, o in inequalities
     ]
+    rows = [_integer_row(n, o) for n, o in ineqs]
     verts = set()
-    for combo in itertools.combinations(ineqs, dimension):
-        rows = [c[0] for c in combo]
-        rhs = [c[1] for c in combo]
-        x = _solve_square(rows, rhs)
-        if x is None:
+    for combo in itertools.combinations(rows, dimension):
+        solved = _solve_integer(combo)
+        if solved is None:
             continue
-        if all(sum(nc * xc for nc, xc in zip(n, x)) <= o for n, o in ineqs):
-            verts.add(x)
+        x, d = solved
+        # n . (x / d) <= o with d > 0
+        if all(sum(a * xc for a, xc in zip(r, x)) <= r[-1] * d for r in rows):
+            verts.add(tuple(Fraction(xc, d) for xc in x))
     return RateRegion(dimension, tuple(sorted(verts)), tuple(ineqs))
 
 

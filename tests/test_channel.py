@@ -24,6 +24,7 @@ from compound_bcc.channel import (
     generate_compound,
     load_channel,
     save_channel,
+    stacked_sets,
     swap_users,
     verify_rank_condition,
 )
@@ -307,9 +308,18 @@ def per_spec_generation(specs, tol):
 
 
 def same_channels(a, b):
+    """Equal channel lists, state by state in bits, each state C-ordered."""
     return len(a) == len(b) and all(
-        x.stacked_rows().tobytes() == y.stacked_rows().tobytes() for x, y in zip(a, b)
+        all(s.flags.c_contiguous for s in x.h1 + x.h2)
+        and x.stacked_rows().tobytes() == y.stacked_rows().tobytes()
+        for x, y in zip(a, b)
     )
+
+
+def batch_generation(specs, tol=RankTolerance()):
+    """generate_batch as (channel sets, (error type, message) or None)."""
+    h, error = generate_batch(specs, tol)
+    return stacked_sets(h), (None if error is None else (type(error), str(error)))
 
 
 class TestBatchedGeneration:
@@ -337,10 +347,10 @@ class TestBatchedGeneration:
         tol = RankTolerance(0.15)
         specs = [ChannelGenSpec(2, 1, 1, 2, 2, seed=s, max_resamples=3) for s in range(1, 25)]
         with mock.patch.object(channel, "RANK_CHUNK", chunk):
-            chs, error = generate_batch(specs, tol)
+            chs, error = batch_generation(specs, tol)
         want, want_error = per_spec_generation(specs, tol)
         assert same_channels(chs, want)
-        assert (type(error), str(error)) == want_error
+        assert error == want_error
         assert len(chs) < len(specs)  # a spec exhausted its attempts
         resampled = [
             s for s, ch in zip(specs, chs)
@@ -356,19 +366,19 @@ class TestBatchedGeneration:
     ])
     def test_generic_specs_match(self, dims):
         specs = [ChannelGenSpec(*dims, seed=s) for s in range(3)]
-        chs, error = generate_batch(specs)
+        chs, error = batch_generation(specs)
         assert error is None
         assert same_channels(chs, per_spec_generation(specs, RankTolerance())[0])
 
     def test_bad_resample_budget_is_the_per_spec_error(self):
         # seed 0 has no attempt at all
         specs = [ChannelGenSpec(3, 1, 1, 2, 2, seed=s, max_resamples=min(s, 1)) for s in range(3)]
-        assert generate_batch(specs)[0] == []
+        assert batch_generation(specs)[0] == []
         specs = specs[1:] + specs[:1]
-        chs, error = generate_batch(specs)
+        chs, error = batch_generation(specs)
         want, want_error = per_spec_generation(specs, RankTolerance())
         assert same_channels(chs, want) and len(chs) == 2
-        assert (type(error), str(error)) == want_error
+        assert error == want_error
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -382,10 +392,48 @@ class TestBatchedGeneration:
         N1, N2, J1, J2 = dims
         tol = RankTolerance(rel)
         chs = [edited_channel(M, N1, N2, J1, J2, seed, edits) for seed in seeds]
-        chs.append(random_channel(seeds[0], M + 1, N1, N2, J1, J2))  # other dimensions
+        rows = np.array([ch.stacked_rows() for ch in chs])
         with mock.patch.object(channel, "RANK_CHUNK", 7):
-            held = channel._rank_conditions_hold(chs, tol)
+            held = channel._rank_conditions_hold(rows, tol)
         assert held.tolist() == [verify_rank_condition(ch, tol).passed for ch in chs]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.tuples(*(st.integers(1, n) for n in (5, 3, 3, 3, 3))),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+        budgets=st.lists(st.integers(0, 4), min_size=6, max_size=6),
+        rel=st.sampled_from([1e-10, 0.05, 0.2, 0.5]),
+    )
+    def test_stacked_draws_equal_per_spec_draws(self, dims, seeds, budgets, rel):
+        # large tolerances fail many draws, so later attempts are drawn for
+        # a changing subset of the specs; a budget of 0 fails at once
+        specs = [ChannelGenSpec(*dims, seed=s, max_resamples=b) for s, b in zip(seeds, budgets)]
+        tol = RankTolerance(rel)
+        chs, error = batch_generation(specs, tol)
+        want, want_error = per_spec_generation(specs, tol)
+        assert same_channels(chs, want)
+        assert error == want_error
+
+    @pytest.mark.parametrize("field, value", [("M", 0), ("N1", True), ("J2", -1)])
+    def test_bad_dimension_is_the_per_spec_error(self, field, value):
+        # the message CompoundChannelSet gives; a negative dimension used to
+        # reach numpy's draw and raise its ValueError
+        dims = dict(M=3, N1=1, N2=1, J1=2, J2=2)
+        dims[field] = value
+        specs = [ChannelGenSpec(**dims, seed=s) for s in range(3)]
+        for generate in (generate_batch, lambda specs: generate_compound(specs[0])):
+            with pytest.raises(InvalidInputError) as exc:
+                generate(specs)
+            assert str(exc.value) == f"{field} must be a positive integer, got {value!r}"
+        with pytest.raises(InvalidInputError, match=f"{field} must be a positive integer"):
+            CompoundChannelSet(**dims, h1=(), h2=())
+
+    def test_specs_must_share_dimensions(self):
+        specs = [ChannelGenSpec(3, 1, 1, 2, 2, seed=0), ChannelGenSpec(4, 1, 1, 2, 2, seed=1)]
+        with pytest.raises(InvalidInputError, match=r"share their dimensions, got \[\(3, 1, 1, 2, 2\), \(4, 1, 1, 2, 2\)\]"):
+            generate_batch(specs)
+        with pytest.raises(InvalidInputError, match=r"got \[\]"):
+            generate_batch([])
 
 
 class TestPersistence:

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: exit codes, file outputs, byte determinism."""
 
 import json
+import os
 import warnings
 from fractions import Fraction as F
 
@@ -14,13 +15,20 @@ from compound_bcc.channel import (
     generate_batch,
     generate_compound,
     save_channel,
+    stacked_sets,
 )
 from compound_bcc.cli import ExperimentConfig, main
 from compound_bcc.errors import ConfigError, ConstructionError, GenerationError
+from compound_bcc import gaussian
 from compound_bcc.gaussian import build_beamformers_batch
 from compound_bcc.regions import load_region
 
 GOLDEN = "tests/data/channel_seed1.json"
+# --help of the program and of each subcommand at 80 columns, and the
+# messages of some usage errors, as the parser printed them before its
+# common flags moved to a shared parent parser
+with open(os.path.join(os.path.dirname(__file__), "data", "cli_help.json")) as fh:
+    PINNED_PARSER = json.load(fh)
 
 
 def run(args):
@@ -82,6 +90,35 @@ class TestGaussianCommand:
                 tmp_path / "chunked" / name
             ).read_bytes()
 
+    def test_rebuilt_trials_in_a_chunk_leave_outputs_unchanged(self, tmp_path, monkeypatch):
+        # every other trial of a chunk is dropped from its stack, so that it
+        # is rebuilt by build_beamformers and keeps its per-trial products
+        args = ["gaussian", "--trials", 9, "--seed", 5, "--M", 5, "--N1", 2, "--r1", 2]
+        monkeypatch.setattr(cli, "TRIAL_CHUNK", 1)
+        assert run(args + ["--out", tmp_path / "one"]) == 0
+        real = gaussian._stacked_beamformers
+
+        def dropping(h, r1, r2, tol):
+            bfs, stack = real(h, r1, r2, tol)
+            for t in range(1, len(bfs), 2):
+                bfs[t] = None
+                stack[2][t] = False
+            return bfs, stack
+
+        rebuilt = []
+        monkeypatch.setattr(cli, "TRIAL_CHUNK", 64)
+        monkeypatch.setattr(gaussian, "_stacked_beamformers", dropping)
+        monkeypatch.setattr(
+            gaussian, "build_beamformers",
+            lambda *a, real=gaussian.build_beamformers: rebuilt.append(a) or real(*a),
+        )
+        assert run(args + ["--out", tmp_path / "mixed"]) == 0
+        assert len(rebuilt) == 4
+        for name in ("rates.csv", "region.json", "summary.json"):
+            assert (tmp_path / "one" / name).read_bytes() == (
+                tmp_path / "mixed" / name
+            ).read_bytes()
+
     @pytest.mark.parametrize("chunk", [2, 64])
     @pytest.mark.parametrize("failing_seed, grid, message", [
         (3, "60,80,100", "draw 3 failed"),
@@ -93,11 +130,11 @@ class TestGaussianCommand:
         self, tmp_path, monkeypatch, capsys, chunk, failing_seed, grid, message
     ):
         def generate(specs):
-            chs, error = generate_batch(specs)
-            for i, spec in enumerate(specs[:len(chs)]):
+            h, error = generate_batch(specs)
+            for i, spec in enumerate(specs[:len(h[0])]):
                 if spec.seed == failing_seed:
-                    return chs[:i], GenerationError(f"draw {spec.seed} failed")
-            return chs, error
+                    return tuple(x[:i] for x in h), GenerationError(f"draw {spec.seed} failed")
+            return h, error
 
         monkeypatch.setattr(cli, "TRIAL_CHUNK", chunk)
         monkeypatch.setattr(cli, "generate_batch", generate)
@@ -119,18 +156,18 @@ class TestGaussianCommand:
 
         def generate(specs):
             # trial 4's draw fails as well, after the failing build
-            chs, error = generate_batch(specs)
-            for i, spec in enumerate(specs[:len(chs)]):
+            h, error = generate_batch(specs)
+            for i, spec in enumerate(specs[:len(h[0])]):
                 if spec.seed == 4:
-                    return chs[:i], GenerationError("draw 4 failed")
-            return chs, error
+                    return tuple(x[:i] for x in h), GenerationError("draw 4 failed")
+            return h, error
 
-        def build(chs, r1, r2):
-            bfs, error = build_beamformers_batch(chs, r1, r2)
-            for i, ch in enumerate(chs):
+        def build(h, r1, r2):
+            bfs, stack, error = build_beamformers_batch(h, r1, r2)
+            for i, ch in enumerate(stacked_sets(h)):
                 if ch.stacked_rows().tobytes() == failing.stacked_rows().tobytes():
-                    return bfs[:i], ConstructionError(f"build {failing_trial} failed")
-            return bfs, error
+                    return bfs[:i], stack, ConstructionError(f"build {failing_trial} failed")
+            return bfs, stack, error
 
         monkeypatch.setattr(cli, "TRIAL_CHUNK", chunk)
         monkeypatch.setattr(cli, "generate_batch", generate)
@@ -260,6 +297,22 @@ class TestRegionCommand:
 
 
 class TestConfigHandling:
+    @pytest.mark.parametrize("command, extra", [
+        ("ergodic", ["--blocks", 300]),
+        ("region", ["--model", "ergodic"]),
+    ])
+    def test_integer_p1_frac_from_file_writes_the_flag_bytes(self, tmp_path, command, extra):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"p1_frac": 1, "power_policy": "split"}')
+        assert run([command, "--out", tmp_path / "file", "--config", cfg] + extra) == 0
+        assert run([command, "--out", tmp_path / "flag", "--p1_frac", 1,
+                    "--power_policy", "split"] + extra) == 0
+        names = sorted(p.name for p in (tmp_path / "flag").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "file").iterdir())
+        for name in names:
+            assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+        assert read_json(tmp_path / "file" / "summary.json")["config"]["p1_frac"] == 1.0
+
     def test_config_file_overrides_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 5, "J2": 3, "M": 5}))
@@ -369,3 +422,19 @@ class TestDeterminism:
         assert run(["gaussian", "--out", a, "--seed", 0]) == 0
         assert run(["gaussian", "--out", b, "--seed", 1]) == 0
         assert (a / "rates.csv").read_bytes() != (b / "rates.csv").read_bytes()
+
+
+class TestParserText:
+    @pytest.mark.parametrize("command", sorted(PINNED_PARSER["help"]))
+    def test_help_text_is_pinned(self, monkeypatch, capsys, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [] if command == "compound-bcc" else [command]
+        with pytest.raises(SystemExit) as exc:
+            cli.make_parser().parse_args(argv + ["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == PINNED_PARSER["help"][command]
+
+    @pytest.mark.parametrize("argv", sorted(PINNED_PARSER["errors"]))
+    def test_usage_error_is_pinned(self, capsys, argv):
+        assert main(argv.split()) == 1
+        assert capsys.readouterr().err == f"error: {PINNED_PARSER['errors'][argv]}\n"

@@ -1,5 +1,6 @@
 """Beamformer certificates, closed-form rate oracles, and slope laws."""
 
+import itertools
 from fractions import Fraction as F
 from unittest import mock
 
@@ -8,7 +9,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from compound_bcc import gaussian
-from compound_bcc.channel import ChannelGenSpec, CompoundChannelSet, generate_compound, swap_users
+from compound_bcc.channel import (
+    ChannelGenSpec,
+    CompoundChannelSet,
+    generate_batch,
+    generate_compound,
+    stacked_sets,
+    swap_users,
+)
 from compound_bcc.ergodic import ZfBlockGains
 from compound_bcc.errors import (
     CompoundBccError,
@@ -502,6 +510,17 @@ def per_trial_builds(chs, r1, r2, tol=gaussian.DEFAULT_TOL):
     return bfs, None
 
 
+def stack_of(chs):
+    """The state stacks (h1, h2) of channels of equal dimensions, C-ordered."""
+    return tuple(np.array([ch.states(k) for ch in chs]) for k in (1, 2))
+
+
+def batch_builds(chs, r1, r2):
+    """build_beamformers_batch of the chunk of chs: (bfs, error)."""
+    bfs, _, error = build_beamformers_batch(stack_of(chs), r1, r2)
+    return bfs, error
+
+
 def assert_same_builds(got, want):
     """Beamformer lists equal bit for bit, with the one-trial strides."""
     assert len(got) == len(want)
@@ -542,7 +561,7 @@ class TestChunkedBuild:
         chs = [make_channel(M, N1, N2, J1, J2, seed=seed + t) for t in range(trials)]
         # generic channels pass every screen: no one-trial rebuild
         with mock.patch.object(gaussian, "build_beamformers", side_effect=AssertionError):
-            bfs, error = build_beamformers_batch(chs, r1, r2)
+            bfs, error = batch_builds(chs, r1, r2)
         assert error is None
         assert_same_builds(bfs, per_trial_builds(chs, r1, r2)[0])
 
@@ -556,7 +575,7 @@ class TestChunkedBuild:
     def test_crafted_channel_is_the_per_trial_error(self, kind, message, where):
         chs = [make_channel(5, 2, 1, 2, 2, seed=s) for s in range(4)]
         chs.insert(where, crafted_channel(kind, seed=9))
-        bfs, error = build_beamformers_batch(chs, 2, 1)
+        bfs, error = batch_builds(chs, 2, 1)
         want, want_error = per_trial_builds(chs, 2, 1)
         assert_same_builds(bfs, want)
         if message is None:
@@ -587,23 +606,75 @@ class TestChunkedBuild:
 
         chs = [make_channel(5, 2, 1, 2, 2, seed=s) for s in range(3)]
         with mock.patch.object(gaussian, "generic_null_spaces", tampered):
-            bfs, error = build_beamformers_batch(chs, 2, 1)
+            bfs, error = batch_builds(chs, 2, 1)
         assert len(calls) == 3 and error is None
         assert_same_builds(bfs, per_trial_builds(chs, 2, 1)[0])
 
     @pytest.mark.parametrize("r1, r2", [(2, 1), (-1, 0)])
     def test_infeasible_streams_fail_at_the_first_channel(self, r1, r2):
         chs = [make_channel(4, 1, 1, 2, 2, seed=s) for s in range(3)]
-        bfs, error = build_beamformers_batch(chs, r1, r2)
+        bfs, error = batch_builds(chs, r1, r2)
         assert bfs == [] and isinstance(error, FeasibilityError)
         assert (type(error), str(error)) == per_trial_builds(chs, r1, r2)[1]
 
-    def test_mixed_dimensions_and_empty(self):
-        chs = [make_channel(4, 1, 1, 2, 2, seed=0), make_channel(5, 1, 1, 2, 2, seed=1)]
-        bfs, error = build_beamformers_batch(chs, 1, 1)
-        assert error is None
-        assert_same_builds(bfs, per_trial_builds(chs, 1, 1)[0])
-        assert build_beamformers_batch([], 1, 1) == ([], None)
+    def test_empty_chunk(self):
+        # a chunk holds channels of one set of dimensions (generate_batch
+        # rejects mixed specs); mixed pairs are grouped by the evaluator
+        empty = np.zeros((0, 2, 1, 4), complex)
+        assert build_beamformers_batch((empty, empty), 1, 1) == ([], None, None)
+
+
+class TestStackedProducts:
+    """h v of a chunk's stacks against the per-trial products, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenario=scenarios(), trials=st.integers(1, 4))
+    @example(scenario=((2, 1, 1, 1, 1, 1, 1), 0, False), trials=2)  # K = 0
+    @example(scenario=((4, 1, 1, 2, 2, 0, 0), 0, False), trials=2)  # r = 0
+    @example(scenario=((9, 3, 3, 2, 2, 3, 3), 0, False), trials=3)
+    @example(scenario=((8, 1, 1, 1, 1, 1, 1), 0, False), trials=2)  # v a column slice
+    def test_stacked_products_equal_per_trial_products(self, scenario, trials):
+        (M, N1, N2, J1, J2, r1, r2), seed, _ = scenario
+        specs = [ChannelGenSpec(M, N1, N2, J1, J2, seed=seed + t) for t in range(trials)]
+        h, _ = generate_batch(specs)
+        bfs, stack, error = build_beamformers_batch(h, r1, r2)
+        assert error is None and stack[2].all()
+        pairs = list(zip(stacked_sets(h), bfs))
+        got = gaussian._beam_products(pairs, stack)
+        want = gaussian._beam_products(pairs)
+        for g, w in zip(sum(got, []), sum(want, [])):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        for t, (ch, bf) in enumerate(pairs):  # the 2-D products themselves
+            for k, b in itertools.product((1, 2), range(3)):
+                v = (bf.v0, bf.v1, bf.v2)[b]
+                for j, hj in enumerate(ch.states(k)):
+                    assert got[k - 1][b][t, j].tobytes() == (hj @ v).tobytes()
+
+    @pytest.mark.parametrize("where", [[1], [0, 3], [0, 1, 2, 3]])
+    def test_chunk_mixing_stacked_and_rebuilt_trials(self, where):
+        # the "duplicate" channel is rebuilt by build_beamformers; the others
+        # are dropped from the stack by hand, so their one-trial rebuild and
+        # per-trial products stand in
+        chs = [make_channel(5, 2, 1, 2, 2, seed=s) for s in range(4)]
+        chs[where[0]] = crafted_channel("duplicate", seed=9)
+        h = stack_of(chs)
+        real = gaussian._stacked_beamformers
+
+        def dropping(h, r1, r2, tol):
+            bfs, stack = real(h, r1, r2, tol)
+            for t in where:
+                bfs[t] = None
+                stack[2][t] = False
+            return bfs, stack
+
+        with mock.patch.object(gaussian, "_stacked_beamformers", dropping):
+            bfs, stack, error = build_beamformers_batch(h, 2, 1)
+        assert error is None and stack[2].tolist() == [t not in where for t in range(4)]
+        pairs = list(zip(stacked_sets(h), bfs))
+        assert_same_builds(bfs, per_trial_builds(chs, 2, 1)[0])
+        got = equal_power_slopes_batch(pairs, (60.0, 80.0, 100.0), stack)
+        assert got == equal_power_slopes_batch(pairs, (60.0, 80.0, 100.0))
+        assert got == [equal_power_slopes(ch, bf, (60.0, 80.0, 100.0)) for ch, bf in pairs]
 
 
 # (M, N1, N2, J1, J2, r1, r2) across all region shapes with feasible streams

@@ -1,10 +1,12 @@
 """Exact polytope machinery: time sharing, containment, dominance, JSON."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from compound_bcc import regions
 from compound_bcc.errors import DimensionMismatchError, InvalidInputError
 from compound_bcc.regions import (
     RateRegion,
@@ -243,3 +245,77 @@ class TestRegionProperties:
         assert contains(region, below)
         for v in region.vertices:
             assert contains(region, tuple(s * x for s, x in zip(shrink, v)))
+
+
+def fraction_solve(rows, rhs):
+    """Reference solve of a small square Fraction system by Gauss-Jordan
+    elimination; None if singular."""
+    n = len(rows)
+    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        pv = a[col][col]
+        a[col] = [v / pv for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return tuple(a[r][n] for r in range(n))
+
+
+def reference_region(inequalities, dimension):
+    """region_from_inequalities in Fraction arithmetic throughout."""
+    verts = set()
+    for combo in itertools.combinations(inequalities, dimension):
+        x = fraction_solve([n for n, _ in combo], [o for _, o in combo])
+        if x is not None and all(
+            sum(nc * xc for nc, xc in zip(n, x)) <= o for n, o in inequalities
+        ):
+            verts.add(x)
+    return RateRegion(dimension, tuple(sorted(verts)), tuple(inequalities))
+
+
+# small rationals, zero and repeated values frequent so that singular
+# systems and degenerate vertices come up
+SMALL = st.one_of(
+    st.sampled_from([F(0), F(1), F(-1), F(2)]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+
+
+class TestIntegerVertexEnumeration:
+    """The integer solver and enumeration against Fraction Gauss-Jordan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4))
+    def test_integer_solve_matches_fraction_solve(self, data, n):
+        rows = data.draw(st.lists(st.lists(SMALL, min_size=n, max_size=n), min_size=n, max_size=n))
+        if n > 1 and data.draw(st.booleans()):  # a dependent last row: singular
+            k, m = data.draw(SMALL), data.draw(SMALL)
+            rows[-1] = [k * a + m * b for a, b in zip(rows[0], rows[min(1, n - 2)])]
+        rhs = data.draw(st.lists(SMALL, min_size=n, max_size=n))
+        want = fraction_solve(rows, rhs)
+        got = regions._solve_integer([regions._integer_row(r, b) for r, b in zip(rows, rhs)])
+        if want is None:
+            assert got is None
+        else:
+            x, d = got
+            assert d > 0 and tuple(F(xc, d) for xc in x) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(dimension=st.sampled_from([2, 3]), data=st.data())
+    def test_enumeration_matches_fraction_enumeration(self, dimension, data):
+        box = [
+            (tuple(F(-1 if i == j else 0) for j in range(dimension)), F(0))
+            for i in range(dimension)
+        ]
+        extra = data.draw(st.lists(
+            st.tuples(st.tuples(*[SMALL] * dimension), SMALL.map(abs)), min_size=1, max_size=5,
+        ))
+        ineqs = box + extra
+        got = region_from_inequalities(ineqs, dimension)
+        assert got == reference_region(ineqs, dimension)
+        assert all(isinstance(c, F) for v in got.vertices for c in v)
