@@ -14,7 +14,6 @@ from compound_bcc import (
     ChannelGenSpec,
     FeasibilityError,
     build_beamformers,
-    build_confidential_beamformers,
     confidential_stream_bounds,
     generate_compound,
     verify_rank_condition,
@@ -51,7 +50,7 @@ def main():
 
     print("\nasking for one stream too many:")
     try:
-        build_confidential_beamformers(ch, b1 + 1, b2)
+        build_beamformers(ch, b1 + 1, b2)
     except FeasibilityError as e:
         print(f"  FeasibilityError: {e}")
 

@@ -24,13 +24,10 @@ from .channel import (
 )
 from .ergodic import (
     BlockRateRecord,
-    BlockState,
     ErgodicRunStats,
     FadingProcess,
     PowerPolicy,
     ZfBlockGains,
-    averaged_secrecy_rates,
-    block_gains,
     block_secrecy_rates,
     ergodic_sdof_region,
     ergodic_slope_estimates,
@@ -40,7 +37,7 @@ from .ergodic import (
     simulate_blocks,
     symmetric_point_margin,
     tx_rate,
-    zf_beamformers,
+    zero_forcing,
 )
 from .errors import (
     ChannelFormatError,
@@ -61,8 +58,6 @@ from .gaussian import (
     PowerAllocation,
     RateTriple,
     build_beamformers,
-    build_common_beamformer,
-    build_confidential_beamformers,
     common_slope_target,
     confidential_stream_bounds,
     equal_power,

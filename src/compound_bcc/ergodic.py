@@ -11,9 +11,15 @@ not nulled in. The leakage of stream k is log2(1 + p_k |gain|^2) averaged
 uniformly over the other user's J_other states, zero in the nulled ones.
 The secrecy rate [tx - leakage]+ is accounted per block and averaged over
 blocks; these state averages give the analytic (M-1)/J slope targets.
+
+Beams and gains depend on the common state only: zero_forcing computes
+them from one state's channel set, and a FadingProcess caches them per
+state. sample_block draws the state indices of one block and is the
+reference for the vectorized sampler of simulate_blocks.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -26,25 +32,20 @@ from .errors import (
     user_index,
 )
 from .linalg import DEFAULT_TOL, null_space_basis
-from .regions import RateRegion, time_share
+from .regions import time_share
 from .sdof import check_snr_grid, estimate_sdof_series, snr_db_to_power
-
-from fractions import Fraction
 
 __all__ = [
     "FadingProcess",
-    "BlockState",
     "ZfBlockGains",
     "BlockRateRecord",
     "PowerPolicy",
     "ErgodicRunStats",
     "sample_block",
-    "zf_beamformers",
-    "block_gains",
+    "zero_forcing",
     "tx_rate",
     "leakage",
     "block_secrecy_rates",
-    "averaged_secrecy_rates",
     "simulate_blocks",
     "ergodic_slope_estimates",
     "policy_slope_targets",
@@ -74,8 +75,9 @@ class FadingProcess:
     For each of ``common_state_count`` common states the process holds one
     length-M vector per user state (J1 + J2 vectors), drawn i.i.d. CN(0,1)
     and verified to satisfy the generic rank condition; degenerate draws
-    are resampled exactly as for compound channel sets. Immutable after
-    construction; per-state beamformers and the block sequence are cached
+    are resampled exactly as for compound channel sets. ``states[s - 1]``
+    is the single-antenna channel set of common state s. Immutable after
+    construction; per-state zero forcing and the block sequence are cached
     lazily.
     """
 
@@ -88,8 +90,6 @@ class FadingProcess:
         block_count=10_000,
         seed=0,
         tol=DEFAULT_TOL,
-        states=None,
-        verify=True,
     ):
         for name, v in (
             ("M", M),
@@ -107,35 +107,12 @@ class FadingProcess:
         self.block_count = block_count
         self.seed = seed
         self.tol = tol
-        if states is None:
-            states = tuple(
-                generate_compound(
-                    ChannelGenSpec(M, 1, 1, J1, J2, seed=self._state_seed(s)), tol
-                )
-                for s in range(1, common_state_count + 1)
+        self.states = tuple(
+            generate_compound(
+                ChannelGenSpec(M, 1, 1, J1, J2, seed=self._state_seed(s)), tol
             )
-        else:
-            states = tuple(states)
-            if len(states) != common_state_count:
-                raise InvalidInputError(
-                    f"got {len(states)} state channel sets, expected {common_state_count}"
-                )
-            for st in states:
-                if (st.M, st.N1, st.N2, st.J1, st.J2) != (M, 1, 1, J1, J2):
-                    raise InvalidInputError(
-                        "state channel sets must have N1 = N2 = 1 and matching M, J1, J2"
-                    )
-            if verify:
-                from .channel import verify_rank_condition
-
-                for s, st in enumerate(states, start=1):
-                    report = verify_rank_condition(st, tol)
-                    if not report.passed:
-                        raise InvalidInputError(
-                            f"common state {s} violates the rank condition: "
-                            f"{report.failure_labels[0]}"
-                        )
-        self.states = states
+            for s in range(1, common_state_count + 1)
+        )
         self._block_key = np.random.SeedSequence(seed, spawn_key=(1,)).generate_state(
             2, np.uint64
         )
@@ -146,37 +123,24 @@ class FadingProcess:
         ss = np.random.SeedSequence(self.seed, spawn_key=(0, s))
         return int(ss.generate_state(1, np.uint64)[0])
 
-    def state_channel(self, s):
-        """Channel set of common state s (1-based)."""
-        return self.states[s - 1]
-
-
-@dataclass(frozen=True)
-class BlockState:
-    """Realized state of one fading block (all indices 1-based)."""
-
-    t: int
-    h_state: int
-    a1: int
-    a2: int
-    h1: np.ndarray
-    h2: np.ndarray
-
 
 @dataclass(frozen=True)
 class ZfBlockGains:
-    """Scalar gains of both streams at both users for one common state.
+    """Zero-forcing beams of one common state and the scalar gains they give.
 
-    phi1[j-1, i-1] is the gain of stream i at user 1's state j (and phi2
-    likewise at user 2). nulled1 = min(J1, M-1) is the number of user 1's
-    leading states in which the other stream is forced to zero; states
-    beyond it see it as interference (and, swapped, as leakage).
+    v1 and v2 are the unit-norm beams of streams 1 and 2. phi1[j-1, i-1] is
+    the gain of stream i at user 1's state j (and phi2 likewise at user 2).
+    nulled1 = min(J1, M-1) is the number of user 1's leading states in which
+    the other stream is forced to zero; states beyond it see it as
+    interference (and, swapped, as leakage).
     """
 
     phi1: np.ndarray
     phi2: np.ndarray
     nulled1: int
     nulled2: int
+    v1: np.ndarray
+    v2: np.ndarray
 
     def phi(self, k):
         return (self.phi1, self.phi2)[user_index(k)]
@@ -186,7 +150,8 @@ class ZfBlockGains:
 
 
 def sample_block(fp, t):
-    """State of block t: a pure function of (process seed, t).
+    """State (h_state, a1, a2) of block t, all 1-based: a pure function of
+    (process seed, t).
 
     Uses a counter-based generator keyed by the process seed with the block
     index in the counter's high word, so blocks can be sampled in any order
@@ -198,7 +163,7 @@ def sample_block(fp, t):
     sampler used by simulate_blocks is tested bit for bit against it and
     falls back to it for the rare draws that numpy's bounded draw rejects.
     """
-    if not isinstance(t, int) or not (1 <= t <= fp.block_count):
+    if isinstance(t, bool) or not isinstance(t, int) or not (1 <= t <= fp.block_count):
         raise InvalidInputError(
             f"block index must be in 1..{fp.block_count}, got {t!r}"
         )
@@ -207,11 +172,7 @@ def sample_block(fp, t):
     s = int(rng.integers(1, fp.common_state_count + 1))
     a1 = int(rng.integers(1, fp.J1 + 1))
     a2 = int(rng.integers(1, fp.J2 + 1))
-    ch = fp.state_channel(s)
-    return BlockState(
-        t=t, h_state=s, a1=a1, a2=a2,
-        h1=ch.state(1, a1)[0], h2=ch.state(2, a2)[0],
-    )
+    return s, a1, a2
 
 
 def _mulhilo(a, b):
@@ -274,15 +235,14 @@ def _states_from_words(fp, t, w0, w1):
         states[:, col] += (prod >> _SHIFT32).astype(np.int64)
         rejected |= (prod & _LOW32) < np.uint64(2**32 % n)
     for i in np.flatnonzero(rejected):
-        blk = sample_block(fp, int(t[i]))
-        states[i] = (blk.h_state, blk.a1, blk.a2)
+        states[i] = sample_block(fp, int(t[i]))
     return states, rejected
 
 
 def _block_states(fp, m):
     """(h_state, a1, a2) of blocks 1..m as an (m, 3) int64 array.
 
-    Row t-1 equals sample_block(fp, t). The sequence is a pure function of
+    Row t-1 is sample_block(fp, t). The sequence is a pure function of
     (seed, t), so it is sampled once per process, SAMPLE_CHUNK blocks per
     vectorized pass, and cached; a longer horizon extends the cached prefix.
     """
@@ -299,22 +259,27 @@ def _block_states(fp, m):
     return fp._states_cache[:m]
 
 
-def _state_zf(fp, s):
-    """Beamformers and gains for common state s, cached on the process."""
-    cached = fp._zf_cache.get(s)
-    if cached is not None:
-        return cached
-    ch = fp.state_channel(s)
-    tol = fp.tol
-    n1 = min(fp.J1, fp.M - 1)
-    n2 = min(fp.J2, fp.M - 1)
+def zero_forcing(ch, tol=DEFAULT_TOL):
+    """ZfBlockGains of a single-antenna channel set (N1 = N2 = 1).
 
-    def pick_beam(nulled_rows, own_states):
-        basis = null_space_basis(nulled_rows, tol)
-        if basis.shape[1] == 0:
-            raise DegenerateBlockError(
-                f"common state {s}: nulled rows span the whole space"
-            )
+    Stream k's beam lies in the null space of the other user's first
+    min(J_other, M-1) states: the first column of the deterministic basis,
+    or, when one of its direct gains at user k's states is at most
+    DIRECT_GAIN_MIN, the normalized sum of the basis columns. A direct gain
+    that stays that small raises DegenerateBlockError, and a nulled gain
+    above NULLED_GAIN_MAX raises ConstructionError.
+    """
+    if (ch.N1, ch.N2) != (1, 1):
+        raise InvalidInputError(
+            f"zero forcing needs single-antenna users, got N1={ch.N1}, N2={ch.N2}"
+        )
+    n1 = min(ch.J1, ch.M - 1)
+    n2 = min(ch.J2, ch.M - 1)
+
+    def pick_beam(nulled, own_states):
+        rows = np.vstack(nulled) if nulled else np.zeros((0, ch.M), dtype=complex)
+        # at most M-1 nulled rows, so the basis has at least one column
+        basis = null_space_basis(rows, tol)
         candidates = [basis[:, 0]]
         if basis.shape[1] >= 2:
             mixed = basis.sum(axis=1)
@@ -324,48 +289,35 @@ def _state_zf(fp, s):
             if np.all(np.abs(gains) > DIRECT_GAIN_MIN):
                 return v
         raise DegenerateBlockError(
-            f"common state {s}: a direct gain stays below {DIRECT_GAIN_MIN:g} "
+            f"a direct gain stays below {DIRECT_GAIN_MIN:g} "
             "after the deterministic null-space rotation"
         )
 
-    v1 = pick_beam(
-        np.vstack([ch.state(2, j) for j in range(1, n2 + 1)])
-        if n2
-        else np.zeros((0, fp.M), dtype=complex),
-        ch.states(1),
-    )
-    v2 = pick_beam(
-        np.vstack([ch.state(1, j) for j in range(1, n1 + 1)])
-        if n1
-        else np.zeros((0, fp.M), dtype=complex),
-        ch.states(2),
-    )
+    v1 = pick_beam(ch.h2[:n2], ch.h1)
+    v2 = pick_beam(ch.h1[:n1], ch.h2)
     vs = np.column_stack([v1, v2])
-    phi1 = np.array([h[0] @ vs for h in ch.states(1)])
-    phi2 = np.array([h[0] @ vs for h in ch.states(2)])
+    phi1 = np.array([h[0] @ vs for h in ch.h1])
+    phi2 = np.array([h[0] @ vs for h in ch.h2])
     for phi, nulled, k, i in ((phi1, n1, 1, 2), (phi2, n2, 2, 1)):
         bad = np.abs(phi[:nulled, i - 1])
         if bad.size and bad.max() > NULLED_GAIN_MAX:
             raise ConstructionError(
-                f"common state {s}: stream {i} not nulled at user {k} "
-                f"(gain {bad.max():.3e})"
+                f"stream {i} not nulled at user {k} (gain {bad.max():.3e})"
             )
-    gains = ZfBlockGains(phi1=phi1, phi2=phi2, nulled1=n1, nulled2=n2)
-    fp._zf_cache[s] = (v1, v2, gains)
-    return fp._zf_cache[s]
+    return ZfBlockGains(phi1=phi1, phi2=phi2, nulled1=n1, nulled2=n2, v1=v1, v2=v2)
 
 
-def zf_beamformers(fp, t):
-    """Unit-norm beam vectors (v1, v2) for the common state of block t."""
-    s = sample_block(fp, t).h_state
-    v1, v2, _ = _state_zf(fp, s)
-    return v1, v2
-
-
-def block_gains(fp, t):
-    """ZfBlockGains for the common state realized in block t."""
-    s = sample_block(fp, t).h_state
-    return _state_zf(fp, s)[2]
+def _state_gains(fp, s):
+    """zero_forcing of common state s, cached on the process; its errors
+    name the state."""
+    gains = fp._zf_cache.get(s)
+    if gains is None:
+        try:
+            gains = zero_forcing(fp.states[s - 1], fp.tol)
+        except (ConstructionError, DegenerateBlockError) as e:
+            raise type(e)(f"common state {s}: {e}") from None
+        fp._zf_cache[s] = gains
+    return gains
 
 
 def tx_rate(gains, k, powers):
@@ -411,19 +363,18 @@ def leakage(gains, k, powers):
 class BlockRateRecord:
     """Rates of one block: transmission, leakage, and clamped secrecy, per user."""
 
-    t: int
     tx: tuple
     leak: tuple
     secrecy: tuple
 
 
-def block_secrecy_rates(gains, p1, p2, t=0):
+def block_secrecy_rates(gains, p1, p2):
     """Per-block secrecy rates [tx - leakage]+ for both users."""
     powers = (p1, p2)
     tx = tuple(tx_rate(gains, k, powers) for k in (1, 2))
     lk = tuple(leakage(gains, k, powers) for k in (1, 2))
     sec = tuple(max(0.0, a - b) for a, b in zip(tx, lk))
-    return BlockRateRecord(t=t, tx=tx, leak=lk, secrecy=sec)
+    return BlockRateRecord(tx=tx, leak=lk, secrecy=sec)
 
 
 @dataclass(frozen=True)
@@ -451,10 +402,6 @@ class PowerPolicy:
                 raise InvalidInputError(
                     f"split policy needs p1_frac in [0, 1], got {self.p1_frac!r}"
                 )
-
-    @classmethod
-    def make(cls, kind, total, p1_frac=None):
-        return cls(kind=kind, total=float(total), p1_frac=p1_frac)
 
     def powers(self):
         frac = self._FRACS.get(self.kind, self.p1_frac)
@@ -485,11 +432,10 @@ class ErgodicRunStats:
 def state_records(fp, policy):
     """BlockRateRecord per common state under a fixed power split."""
     p1, p2 = policy.powers()
-    out = []
-    for s in range(1, fp.common_state_count + 1):
-        _, _, gains = _state_zf(fp, s)
-        out.append(block_secrecy_rates(gains, p1, p2, t=0))
-    return tuple(out)
+    return tuple(
+        block_secrecy_rates(_state_gains(fp, s), p1, p2)
+        for s in range(1, fp.common_state_count + 1)
+    )
 
 
 def simulate_blocks(fp, policy, m=None):
@@ -534,12 +480,6 @@ def simulate_blocks(fp, policy, m=None):
     )
 
 
-def averaged_secrecy_rates(fp, policy, m=None):
-    """Block-averaged secrecy rate pair (R1, R2) in bits."""
-    stats = simulate_blocks(fp, policy, m)
-    return stats.r1_mean, stats.r2_mean
-
-
 def ergodic_slope_estimates(fp, policy_kind, snr_db_grid, m=None, p1_frac=None):
     """Simulated rates over the SNR grid and their slope fits.
 
@@ -549,7 +489,7 @@ def ergodic_slope_estimates(fp, policy_kind, snr_db_grid, m=None, p1_frac=None):
     """
     grid = check_snr_grid(snr_db_grid)
     stats = [
-        simulate_blocks(fp, PowerPolicy.make(policy_kind, float(p), p1_frac), m)
+        simulate_blocks(fp, PowerPolicy(policy_kind, float(p), p1_frac), m)
         for p in snr_db_to_power(grid)
     ]
     est1 = estimate_sdof_series(grid, [st.r1_mean for st in stats])

@@ -33,6 +33,7 @@ from .errors import (
     CompoundBccError,
     ConstructionError,
     FeasibilityError,
+    InvalidGridError,
     InvalidInputError,
     check_count,
     user_index,
@@ -46,7 +47,7 @@ from .linalg import (
     rank_from_singular_values,
     rank_screen,
 )
-from .regions import RateRegion, region_from_inequalities, time_share
+from .regions import region_from_inequalities, time_share
 from .sdof import (
     DEFAULT_SNR_GRID_DB,
     check_snr_grid,
@@ -59,8 +60,6 @@ __all__ = [
     "PowerAllocation",
     "RateTriple",
     "confidential_stream_bounds",
-    "build_confidential_beamformers",
-    "build_common_beamformer",
     "build_beamformers",
     "equal_power",
     "rate_common",
@@ -89,15 +88,14 @@ TRIAL_CHUNK = 64
 class BeamformerSet:
     """Beamformers for the superposition scheme.
 
-    v1 (M x r1) and v2 (M x r2) carry the confidential streams; v0 (M x K)
-    carries the common stream and is None until build_common_beamformer has
-    run. All blocks have orthonormal columns and v0 is orthogonal to
-    [v1 v2].
+    v1 (M x r1) and v2 (M x r2) carry the confidential streams and v0
+    (M x K) the common stream. All blocks have orthonormal columns and v0
+    is orthogonal to [v1 v2].
     """
 
     v1: np.ndarray
     v2: np.ndarray
-    v0: np.ndarray | None = None
+    v0: np.ndarray
 
     @property
     def r1(self):
@@ -109,7 +107,7 @@ class BeamformerSet:
 
     @property
     def K(self):
-        return self.v0.shape[1] if self.v0 is not None else 0
+        return self.v0.shape[1]
 
     def confidential(self, k):
         return (self.v1, self.v2)[user_index(k)]
@@ -136,14 +134,18 @@ def _check_orthonormal(v, what):
         raise ConstructionError(f"{what} is not orthonormal (residual {resid:.3e})")
 
 
-def build_confidential_beamformers(ch, r1, r2, tol=DEFAULT_TOL):
-    """Confidential beamformers from the cross-user null spaces.
+def build_beamformers(ch, r1, r2, tol=DEFAULT_TOL):
+    """Certified confidential and common beamformers.
 
     v_k is the first r_k columns of the deterministic null-space basis of
-    the other user's stacked states. Infeasible stream counts raise
-    FeasibilityError quoting the violated bound; the returned beamformers
-    are certified (exact nulling at the unintended user, full rank at the
-    intended one) and a certificate failure raises ConstructionError.
+    the other user's stacked states, and v0 the deterministic orthonormal
+    basis of the orthogonal complement of [v1 v2], so K = M minus the rank
+    of [v1 v2]; with no confidential streams v0 is the M x M identity
+    basis. Infeasible stream counts raise FeasibilityError quoting the
+    violated bound. The confidential beamformers are certified first
+    (certify_confidential), then v0: orthonormal, orthogonal to [v1 v2]
+    and of the expected dimension. A certificate failure raises
+    ConstructionError.
     """
     b1, b2 = confidential_stream_bounds(ch.M, ch.N1, ch.N2, ch.J1, ch.J2)
     for name, r, b, nk, js in (
@@ -157,12 +159,21 @@ def build_confidential_beamformers(ch, r1, r2, tol=DEFAULT_TOL):
                 f"{name} = {r} violates {name} <= min(N_k, M - sum of the other "
                 f"user's stacked rows) = min({nk}, {ch.M} - {js}) = {b}"
             )
-    null2 = null_space_basis(np.vstack(ch.h2), tol)
-    null1 = null_space_basis(np.vstack(ch.h1), tol)
-    v1 = null2[:, :r1]
-    v2 = null1[:, :r2]
-    bf = BeamformerSet(v1=v1, v2=v2)
+    v1 = null_space_basis(np.vstack(ch.h2), tol)[:, :r1]
+    v2 = null_space_basis(np.vstack(ch.h1), tol)[:, :r2]
+    stacked = np.hstack([v1, v2])
+    bf = BeamformerSet(v1=v1, v2=v2, v0=null_space_basis(stacked.conj().T, tol))
     certify_confidential(ch, bf, tol)
+    _check_orthonormal(bf.v0, "v0")
+    if bf.K:
+        resid = np.linalg.norm(bf.v0.conj().T @ stacked)
+        if resid > CERT_RTOL:
+            raise ConstructionError(
+                f"v0 is not orthogonal to [v1 v2] (residual {resid:.3e})"
+            )
+    expected_k = ch.M - numerical_rank(stacked, tol)
+    if bf.K != expected_k:
+        raise ConstructionError(f"common subspace has {bf.K} columns, expected {expected_k}")
     return bf
 
 
@@ -188,38 +199,6 @@ def certify_confidential(ch, bf, tol=DEFAULT_TOL):
                 raise ConstructionError(
                     f"H_{k}_{j} @ v{k} has rank {got}, expected {r}"
                 )
-
-
-def build_common_beamformer(bf, M, tol=DEFAULT_TOL):
-    """Complete a beamformer set with the common part.
-
-    v0 is the deterministic orthonormal basis of the orthogonal complement
-    of [v1 v2]; K = M minus the rank of [v1 v2]. With no confidential
-    streams v0 is the M x M identity basis.
-    """
-    stacked = np.hstack([bf.v1, bf.v2])
-    if stacked.shape[0] != M:
-        raise InvalidInputError(
-            f"beamformers have {stacked.shape[0]} rows, expected M = {M}"
-        )
-    v0 = null_space_basis(stacked.conj().T, tol)
-    out = BeamformerSet(v1=bf.v1, v2=bf.v2, v0=v0)
-    _check_orthonormal(v0, "v0")
-    if v0.shape[1]:
-        resid = np.linalg.norm(v0.conj().T @ stacked)
-        if resid > CERT_RTOL:
-            raise ConstructionError(
-                f"v0 is not orthogonal to [v1 v2] (residual {resid:.3e})"
-            )
-    expected_k = M - numerical_rank(stacked, tol)
-    if out.K != expected_k:
-        raise ConstructionError(f"common subspace has {out.K} columns, expected {expected_k}")
-    return out
-
-
-def build_beamformers(ch, r1, r2, tol=DEFAULT_TOL):
-    """Confidential and common beamformers in one call."""
-    return build_common_beamformer(build_confidential_beamformers(ch, r1, r2, tol), ch.M, tol)
 
 
 def build_beamformers_batch(h, r1, r2, tol=DEFAULT_TOL):
@@ -279,7 +258,7 @@ def _stacked_beamformers(h, r1, r2, tol):
         stacked = np.concatenate(v, axis=-1)
         if stacked.shape[-1]:
             v0, generic0 = generic_null_spaces(stacked.conj().swapaxes(-1, -2), tol)
-            # the singular values of build_common_beamformer's numerical_rank
+            # the singular values of build_beamformers' numerical_rank
             s = np.linalg.svd(stacked, compute_uv=False)
             sure &= generic0 & (rank_from_singular_values(s, tol) == stacked.shape[-1])
             if v0.shape[-1]:
@@ -387,8 +366,6 @@ def rate_common(ch, bf, pa, k, j):
 
     Zero when there is no common subspace or no common power.
     """
-    if bf.v0 is None:
-        raise InvalidInputError("beamformer set has no common part; run build_common_beamformer")
     h = ch.state(k, j)
     g0 = _received_gram(h, bf.v0, pa.p0)
     gk = _received_gram(h, bf.confidential(k), pa.confidential(k))
@@ -424,10 +401,7 @@ def _beam_products(pairs, stack=None, window=slice(None)):
     the one-trial strides, so that each product is the 2-D one; only the
     trials not built from the stack take their own products.
     """
-    beams = [
-        (np.zeros((ch.M, 0), complex) if bf.v0 is None else bf.v0, bf.v1, bf.v2)
-        for ch, bf in pairs
-    ]
+    beams = [(bf.v0, bf.v1, bf.v2) for _, bf in pairs]
     built = np.zeros(len(pairs), dtype=bool) if stack is None else stack[2][window]
     ws = [[None] * 3, [None] * 3]
     for k, b in itertools.product((0, 1), range(3)):
@@ -489,20 +463,32 @@ def _stacked_rates(ws, ps):
     return np.stack([r0, *rates, leakage], axis=-1)
 
 
-def _worst_case_stack(ws, ps):
+def _worst_case_stack(ws, ps, grid=None):
     """_stacked_rates; when it fails, each trial and grid point is evaluated
     on its own, in order, so that the error raised is the one the first
     failing point meets, in the order rate_common, rate_confidential and
-    rate_leakage take their matrices."""
-    try:
-        return _stacked_rates(ws, ps)
-    except CompoundBccError:
-        trials, points = ps[0].shape[:2]
-        for t, g in itertools.product(range(trials), range(points)):
-            _stacked_rates(
-                [[w[t:t + 1] for w in wk] for wk in ws], [p[t:t + 1, g:g + 1] for p in ps]
-            )
-        raise
+    rate_leakage take their matrices. Channels, beams and powers are
+    finite, so a non-finite received covariance is an overflow: given the
+    grid (dB) of the points, it raises InvalidGridError naming the point."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return _stacked_rates(ws, ps)
+        except CompoundBccError:
+            trials, points = ps[0].shape[:2]
+            for t, g in itertools.product(range(trials), range(points)):
+                try:
+                    _stacked_rates(
+                        [[w[t:t + 1] for w in wk] for wk in ws],
+                        [p[t:t + 1, g:g + 1] for p in ps],
+                    )
+                except InvalidInputError:
+                    if grid is None:
+                        raise
+                    raise InvalidGridError(
+                        f"snr_db_grid point {grid[g]:g} dB: the received "
+                        "covariances overflow a float"
+                    ) from None
+            raise
 
 
 def worst_case_rates(ch, bf, pa):
@@ -532,7 +518,8 @@ def equal_power_slopes_batch(pairs, snr_db_grid=DEFAULT_SNR_GRID_DB, stack=None)
     beam, then every grid point's grams and a few batched log-dets. The
     pairs of a chunk from build_beamformers_batch may come with its stack,
     so that h v is one matmul per receiving user and beam. Each trial
-    keeps its own slope fits.
+    keeps its own slope fits. A grid point at which a received covariance
+    overflows raises InvalidGridError naming the point.
     """
     grid = check_snr_grid(snr_db_grid)
     powers = snr_db_to_power(grid)
@@ -545,7 +532,7 @@ def equal_power_slopes_batch(pairs, snr_db_grid=DEFAULT_SNR_GRID_DB, stack=None)
         ps = [np.broadcast_to(share[:, None], (len(group), grid.size, c))
               for c in (bf.K, bf.r1, bf.r2)]
         window = slice(len(out), len(out) + len(group))
-        rates = _worst_case_stack(_beam_products(group, stack, window), ps)
+        rates = _worst_case_stack(_beam_products(group, stack, window), ps, grid)
         # one series per trial and component, trial-major
         ests = fit_sdof_stack(grid, np.moveaxis(rates[..., :3], -1, -2))
         for t, trial in enumerate(rates.tolist()):

@@ -15,7 +15,6 @@ from .errors import InvalidInputError, NotHermitianError, NotPositiveDefiniteErr
 
 __all__ = [
     "RankTolerance",
-    "as_matrix",
     "singular_values",
     "numerical_rank",
     "null_space_basis",

@@ -21,6 +21,7 @@ __all__ = [
     "SdofEstimate",
     "DEFAULT_SNR_GRID_DB",
     "snr_db_to_power",
+    "check_snr_grid",
     "estimate_sdof_series",
 ]
 

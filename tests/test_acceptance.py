@@ -27,7 +27,6 @@ from compound_bcc.ergodic import (
 from compound_bcc.errors import FeasibilityError
 from compound_bcc.gaussian import (
     build_beamformers,
-    build_confidential_beamformers,
     equal_power_slopes,
     gaussian_sdof_region,
 )
@@ -118,9 +117,9 @@ def test_degenerate_region_common_only():
         assert equivalent(region, expected)
         ch = generate_compound(ChannelGenSpec(7, 1, 1, 8, 8, seed=0))
         with pytest.raises(FeasibilityError):
-            build_confidential_beamformers(ch, 1, 0)
+            build_beamformers(ch, 1, 0)
         with pytest.raises(FeasibilityError):
-            build_confidential_beamformers(ch, 0, 1)
+            build_beamformers(ch, 0, 1)
 
 
 def test_leakage_free_fading_slopes():
@@ -200,7 +199,7 @@ def test_monte_carlo_matches_analytic():
     with verdict("monte-carlo-matches-analytic"):
         start = time.perf_counter()
         m = 100_000
-        policy = PowerPolicy.make("equal", 1e6)  # 60 dB
+        policy = PowerPolicy("equal", 1e6)  # 60 dB
         for seed in range(10):
             fp = FadingProcess(3, 2, 4, block_count=m, seed=seed)
             stats = simulate_blocks(fp, policy)

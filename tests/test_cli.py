@@ -361,6 +361,15 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: snr_db_grid point 4000 dB")
 
+    def test_overflowing_covariances_name_the_grid_point(self, tmp_path, capsys):
+        # 10^308 is a finite power, but the equal-power grams overflow there
+        code = run(["gaussian", "--out", tmp_path, "--M", 4, "--J1", 2, "--J2", 2,
+                    "--trials", 150, "--snr_db_grid", "600,1200,3080"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: snr_db_grid point 3080 dB: the received covariances overflow a float\n"
+        )
+
     def test_unknown_flag(self, tmp_path):
         assert run(["gaussian", "--out", tmp_path, "--bogus", 1]) == 1
 

@@ -22,6 +22,7 @@ from compound_bcc.errors import (
     CompoundBccError,
     ConstructionError,
     FeasibilityError,
+    InvalidGridError,
     InvalidInputError,
 )
 from compound_bcc.gaussian import (
@@ -29,8 +30,7 @@ from compound_bcc.gaussian import (
     PowerAllocation,
     build_beamformers,
     build_beamformers_batch,
-    build_common_beamformer,
-    build_confidential_beamformers,
+    certify_confidential,
     common_slope_target,
     confidential_stream_bounds,
     equal_power,
@@ -64,7 +64,10 @@ def axis_channel():
 def test_user_index_outside_one_two_rejected(k):
     ch = axis_channel()
     bf = build_beamformers(ch, 1, 1)
-    gains = ZfBlockGains(phi1=np.ones((1, 2)), phi2=np.ones((1, 2)), nulled1=1, nulled2=1)
+    gains = ZfBlockGains(
+        phi1=np.ones((1, 2)), phi2=np.ones((1, 2)), nulled1=1, nulled2=1,
+        v1=np.ones(2), v2=np.ones(2),
+    )
     accessors = (
         lambda: ch.state(k, 1),
         lambda: ch.states(k),
@@ -96,12 +99,12 @@ class TestBeamformerConstruction:
     def test_infeasible_quotes_bound(self):
         ch = make_channel(4, 1, 1, 2, 2)
         with pytest.raises(FeasibilityError, match=r"r1 = 2 violates.*min\(1, 4 - 2\) = 1"):
-            build_confidential_beamformers(ch, 2, 1)
+            build_beamformers(ch, 2, 1)
 
     def test_negative_stream_count(self):
         ch = make_channel(4, 1, 1, 2, 2)
         with pytest.raises(FeasibilityError, match="nonnegative"):
-            build_confidential_beamformers(ch, -1, 0)
+            build_beamformers(ch, -1, 0)
 
     def test_certificates_over_seeds(self):
         # nulling and rank certificates must hold for every generic draw
@@ -134,11 +137,9 @@ class TestBeamformerConstruction:
 
     def test_tampered_beamformer_fails_certification(self):
         ch = make_channel(4, 1, 1, 2, 2)
-        bf = build_confidential_beamformers(ch, 1, 1)
-        bad = BeamformerSet(v1=bf.v2, v2=bf.v2)  # v1 now lies in user 2's space
+        bf = build_beamformers(ch, 1, 1)
+        bad = BeamformerSet(v1=bf.v2, v2=bf.v2, v0=bf.v0)  # v1 now lies in user 2's space
         with pytest.raises(ConstructionError):
-            from compound_bcc.gaussian import certify_confidential
-
             certify_confidential(ch, bad)
 
 
@@ -201,13 +202,6 @@ class TestClosedFormRates:
         assert triple.r0 == 0.0
         assert triple.r1 == pytest.approx(np.log2(6.0), abs=1e-12)
         assert triple.r2 == pytest.approx(np.log2(6.0), abs=1e-12)
-
-    def test_rate_common_requires_v0(self):
-        ch = axis_channel()
-        bf = build_confidential_beamformers(ch, 1, 1)
-        pa = PowerAllocation(total=1.0, p0=np.array([]), p1=np.array([0.5]), p2=np.array([0.5]))
-        with pytest.raises(InvalidInputError, match="common part"):
-            rate_common(ch, bf, pa, 1, 1)
 
 
 def naive_rate(h, blocks):
@@ -438,11 +432,18 @@ class TestStackedEvaluator:
     @staticmethod
     def check_reference_error(pairs, grid):
         """The batch fails as the per-trial, per-point scalar evaluation does:
-        same error type and message, or both pass."""
+        same error type and message, or both pass. A non-finite covariance
+        at a grid point is reported as that point's overflow."""
         def reference():
             for ch, bf in pairs:
-                for p in snr_db_to_power(grid):
-                    reference_rates(ch, bf, equal_power(bf, float(p)))
+                for db, p in zip(grid, snr_db_to_power(grid)):
+                    try:
+                        reference_rates(ch, bf, equal_power(bf, float(p)))
+                    except InvalidInputError as e:
+                        assert str(e) == "matrix contains non-finite entries"
+                        raise InvalidGridError(
+                            f"snr_db_grid point {db:g} dB: the received covariances overflow a float"
+                        ) from None
 
         with np.errstate(all="ignore"):
             try:
