@@ -15,6 +15,7 @@ returns the same channels as two state stacks (see stacked_sets).
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -278,30 +279,37 @@ def _rank_conditions_hold(rows, tol=DEFAULT_TOL):
     total, m = rows.shape[1:]
     if total < m:
         return held
-    subsets, _ = _subsets(total, m)
-    screen = rank_screen(tol)
-    per_chunk = max(1, RANK_CHUNK // len(rows))
-    while held.any() and (chunk := list(itertools.islice(subsets, per_chunk))):
+    norms2 = _squared_row_norms(rows)
+    for idx in _subset_chunks(total, m, max(1, RANK_CHUNK // len(rows))):
         live = np.flatnonzero(held)
-        stack = rows[live][:, np.array(chunk)].reshape(-1, m, m)
-        held[live] = _full_rank(stack, m, tol, screen).reshape(len(live), -1).all(axis=1)
+        stack = rows[live][:, idx].reshape(-1, m, m)
+        fro2 = norms2[live][:, idx].sum(axis=-1).reshape(-1)
+        held[live] = _full_rank(stack, fro2, tol).reshape(len(live), -1).all(axis=1)
+        if not held.any():
+            break
     return held
 
 
-def _subsets(total, m):
-    """The row subsets the rank check takes, and whether they are all of them.
+def _subset_chunks(total, m, size):
+    """The row subsets the rank check takes, as (k, m) intp arrays of at
+    most ``size`` subsets each, one row per subset in ascending order.
 
     All C(total, m) subsets in lexicographic order up to
-    EXHAUSTIVE_ROW_LIMIT rows, else SAMPLED_SUBSET_COUNT sorted subsets from
-    a generator seeded with SAMPLE_SEED.
+    EXHAUSTIVE_ROW_LIMIT rows, else SAMPLED_SUBSET_COUNT subsets, each one
+    rng.choice(total, m, replace=False) of a generator seeded with
+    SAMPLE_SEED, sorted.
     """
     if total <= EXHAUSTIVE_ROW_LIMIT:
-        return itertools.combinations(range(total), m), True
-    rng = np.random.default_rng(SAMPLE_SEED)
-    return (
-        tuple(sorted(rng.choice(total, size=m, replace=False)))
-        for _ in range(SAMPLED_SUBSET_COUNT)
-    ), False
+        subsets = itertools.combinations(range(total), m)
+    else:
+        rng = np.random.default_rng(SAMPLE_SEED)
+        subsets = (
+            np.sort(rng.choice(total, size=m, replace=False))
+            for _ in range(SAMPLED_SUBSET_COUNT)
+        )
+    flat = itertools.chain.from_iterable(subsets)
+    while (chunk := np.fromiter(itertools.islice(flat, size * m), np.intp)).size:
+        yield chunk.reshape(-1, m)
 
 
 def verify_rank_condition(ch, tol=DEFAULT_TOL):
@@ -316,60 +324,77 @@ def verify_rank_condition(ch, tol=DEFAULT_TOL):
     A subset A (M x M) has rank M iff sigma_min(A) > t * sigma_max(A), with
     t = tol.relative_threshold (the rule of linalg.rank_from_singular_values).
     Subsets are taken RANK_CHUNK at a time, and each chunk is first screened
-    with a batched inverse: since ||A||_F >= sigma_max and ||A^-1||_F >=
-    1 / sigma_min,
+    by its determinants. With sigma_1 >= ... >= sigma_M the singular values
+    of A, |det A| = sigma_1 ... sigma_M and sigma_1 <= ||A||_F; by the
+    AM-GM inequality, sigma_1 ... sigma_{M-1} <= (||A||_F^2 / (M-1))^((M-1)/2).
+    Hence
 
-        sigma_min / sigma_max >= 1 / (||A||_F * ||A^-1||_F).
+        sigma_min / sigma_max >= |det A| / (||A||_F * (||A||_F^2 / (M-1))^((M-1)/2)),
 
-    A subset passes on the screen only when this bound is finite and exceeds
-    linalg.rank_screen(tol) = max(1e4 * t, 1e-8). The margin absorbs the
-    rounding of the computed inverse and of the SVD: a subset that clears
-    it has a true ratio far above t and above machine precision, so its SVD
-    decision would be rank M as well. Every other subset, and the whole chunk when
-    the inverse finds an exactly singular member, is decided by its batched
-    singular values. The report is therefore the same as that of one
-    numerical_rank call per subset, failures in enumeration order.
+    the right side read as 1 at M = 1. The bound is evaluated in logs, from
+    one batched slogdet per chunk and ||A||_F^2 summed from the squared row
+    norms, which are computed once per channel. A subset passes on the
+    screen only when the bound is finite and exceeds linalg.rank_screen(tol)
+    = max(1e4 * t, 1e-8). The margin absorbs the rounding of the computed
+    determinant and of the SVD: a subset that clears it has a true ratio far
+    above t and above machine precision, so its SVD decision would be rank
+    M as well. Every other subset (a singular or badly scaled one, or one
+    whose squared row norms overflow) is decided by its batched singular
+    values. The report is therefore the same as that of one numerical_rank
+    call per subset, failures in enumeration order.
     """
     rows = ch.stacked_rows()
     total = rows.shape[0]
     if total < ch.M:
         return RankConditionReport(passed=True, checked=0, exhaustive=True)
     rows = as_matrix(rows, "stacked rows")
-    subsets, exhaustive = _subsets(total, ch.M)
-    screen = rank_screen(tol)
+    norms2 = _squared_row_norms(rows)
     failures = []
     checked = 0
-    while chunk := list(itertools.islice(subsets, RANK_CHUNK)):
-        checked += len(chunk)
-        full = _full_rank(rows[np.array(chunk)], ch.M, tol, screen)
-        failures.extend(chunk[i] for i in np.flatnonzero(~full))
+    for idx in _subset_chunks(total, ch.M, RANK_CHUNK):
+        checked += len(idx)
+        full = _full_rank(rows[idx], norms2[idx].sum(axis=1), tol)
+        failures.extend(tuple(s) for s in idx[~full].tolist())
     labels = tuple(tuple(ch.row_label(i) for i in s) for s in failures)
     return RankConditionReport(
         passed=not failures,
         checked=checked,
-        exhaustive=exhaustive,
+        exhaustive=total <= EXHAUSTIVE_ROW_LIMIT,
         failures=tuple(failures),
         failure_labels=labels,
     )
 
 
-def _full_rank(stack, m, tol, screen):
-    """Whether each m x m matrix of ``stack`` has numerical rank m."""
-    full = np.zeros(len(stack), dtype=bool)
-    try:
-        with np.errstate(all="ignore"):
-            inv = np.linalg.inv(stack)
-            bound = 1.0 / (
-                np.linalg.norm(stack, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
-            )
-        full = np.isfinite(bound) & (bound > screen)
-    except np.linalg.LinAlgError:
-        pass
+def _squared_row_norms(rows):
+    """Squared norm of each row of ``rows`` (..., M), inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return np.sum(rows.real**2 + rows.imag**2, axis=-1)
+
+
+def _full_rank(stack, fro2, tol):
+    """Whether each m x m matrix of ``stack`` has numerical rank m, given
+    its squared Frobenius norm in ``fro2``: the determinant screen of
+    verify_rank_condition, and batched singular values for the rest."""
+    full = _passes_det_screen(stack, fro2, tol)
     rest = np.flatnonzero(~full)
     if rest.size:
         s = np.linalg.svd(stack[rest], compute_uv=False)
-        full[rest] = rank_from_singular_values(s, tol) == m
+        full[rest] = rank_from_singular_values(s, tol) == stack.shape[-1]
     return full
+
+
+def _passes_det_screen(stack, fro2, tol):
+    """Whether the bound |det A| / (||A||_F * (||A||_F^2 / (m-1))^((m-1)/2))
+    on sigma_min / sigma_max of each m x m matrix A of ``stack`` is finite
+    and above rank_screen(tol); ``fro2`` holds each ||A||_F^2."""
+    m = stack.shape[-1]
+    with np.errstate(all="ignore"):
+        log_bound = (
+            np.linalg.slogdet(stack)[1]
+            - 0.5 * m * np.log(fro2)
+            + 0.5 * (m - 1) * math.log(max(m - 1, 1))
+        )
+    return np.isfinite(log_bound) & (log_bound > math.log(rank_screen(tol)))
 
 
 def _matrix_to_pairs(m):

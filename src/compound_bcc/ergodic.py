@@ -27,6 +27,7 @@ from .channel import ChannelGenSpec, generate_compound
 from .errors import (
     ConstructionError,
     DegenerateBlockError,
+    InvalidGridError,
     InvalidInputError,
     check_count,
     user_index,
@@ -485,13 +486,21 @@ def ergodic_slope_estimates(fp, policy_kind, snr_db_grid, m=None, p1_frac=None):
 
     Returns (stats_list, (est1, est2)). The block sequence is sampled once
     and cached on fp; every grid point reuses it, so the fit sees a smooth
-    function of power.
+    function of power. Powers are finite (check_snr_grid), but near the
+    float limit p |phi|^2 may not be: a grid point at which a per-state
+    transmission or leakage rate overflows raises InvalidGridError naming
+    the point.
     """
     grid = check_snr_grid(snr_db_grid)
-    stats = [
-        simulate_blocks(fp, PowerPolicy(policy_kind, float(p), p1_frac), m)
-        for p in snr_db_to_power(grid)
-    ]
+    stats = []
+    for snr_db, p in zip(grid, snr_db_to_power(grid)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            st = simulate_blocks(fp, PowerPolicy(policy_kind, float(p), p1_frac), m)
+        if not np.isfinite([r.tx + r.leak for r in st.state_records]).all():
+            raise InvalidGridError(
+                f"snr_db_grid point {snr_db:g} dB: the block rates overflow a float"
+            )
+        stats.append(st)
     est1 = estimate_sdof_series(grid, [st.r1_mean for st in stats])
     est2 = estimate_sdof_series(grid, [st.r2_mean for st in stats])
     return stats, (est1, est2)

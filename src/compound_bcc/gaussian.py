@@ -35,6 +35,7 @@ from .errors import (
     FeasibilityError,
     InvalidGridError,
     InvalidInputError,
+    NotPositiveDefiniteError,
     check_count,
     user_index,
 )
@@ -468,8 +469,11 @@ def _worst_case_stack(ws, ps, grid=None):
     on its own, in order, so that the error raised is the one the first
     failing point meets, in the order rate_common, rate_confidential and
     rate_leakage take their matrices. Channels, beams and powers are
-    finite, so a non-finite received covariance is an overflow: given the
-    grid (dB) of the points, it raises InvalidGridError naming the point."""
+    finite, and every received covariance I + sum p G is positive definite
+    in exact arithmetic, so a non-finite covariance is an overflow and one
+    that fails to factor has lost its identity part to rounding at a huge
+    power: given the grid (dB) of the points, either raises InvalidGridError
+    naming the point."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             return _stacked_rates(ws, ps)
@@ -481,12 +485,17 @@ def _worst_case_stack(ws, ps, grid=None):
                         [[w[t:t + 1] for w in wk] for wk in ws],
                         [p[t:t + 1, g:g + 1] for p in ps],
                     )
-                except InvalidInputError:
+                except (InvalidInputError, NotPositiveDefiniteError) as e:
                     if grid is None:
                         raise
+                    failure = (
+                        "overflow a float" if isinstance(e, InvalidInputError)
+                        else "lose positive definiteness to rounding "
+                        f"(leading minor of order {e.minor})"
+                    )
                     raise InvalidGridError(
                         f"snr_db_grid point {grid[g]:g} dB: the received "
-                        "covariances overflow a float"
+                        f"covariances {failure}"
                     ) from None
             raise
 

@@ -26,8 +26,12 @@ HERMITIAN_RTOL = 1e-10
 # values, when a computed bound on sigma_min / sigma_max exceeds
 # rank_screen(tol) = max(SCREEN_MARGIN * threshold, SCREEN_FLOOR): so far
 # above the threshold and machine precision that the bound's rounding cannot
-# change the decision. See channel.verify_rank_condition and
-# gaussian.build_beamformers_batch.
+# change the decision. The rank check of channel.verify_rank_condition
+# bounds an m x m matrix A by its determinant: |det A| is the product of the
+# singular values, sigma_max <= ||A||_F, and by the AM-GM inequality the m-1
+# largest have a product of at most (||A||_F^2 / (m-1))^((m-1)/2), so
+#   sigma_min / sigma_max >= |det A| / (||A||_F (||A||_F^2 / (m-1))^((m-1)/2)).
+# See also gaussian.build_beamformers_batch.
 SCREEN_MARGIN = 1e4
 SCREEN_FLOOR = 1e-8
 

@@ -281,6 +281,89 @@ class TestBatchedRankCheck:
         assert len(calls) == 1
 
 
+def near_singular_stack(m, seed, combos, scales):
+    """Random m x m complex matrices, some made nearly rank-deficient.
+
+    ``combos`` lists (row, eps): in the next matrix, that row becomes a
+    random combination of the others plus a perturbation of relative size
+    eps. ``scales`` lists (row, exponent): that row of each matrix is then
+    scaled by 10^exponent (the last exponent listed for a row).
+    """
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((len(combos) + 1, m, m, 2)) @ np.array([1.0, 1j])
+    for a, (row, eps) in zip(stack, combos):
+        row %= m
+        others = np.delete(a, row, axis=0)
+        combo = rng.standard_normal(m - 1) @ others
+        noise = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        size = max(np.linalg.norm(combo), 1.0)
+        a[row] = combo + eps * size * noise / np.linalg.norm(noise)
+    exponents = np.zeros(m)
+    for row, exponent in scales:
+        exponents[row % m] = exponent
+    return stack * 10.0 ** exponents[:, None]
+
+
+class TestDeterminantScreen:
+    """The screen only passes subsets the SVD rule gives full rank, and the
+    chunks hold the subsets of the per-subset reference, in its order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        combos=st.lists(
+            st.tuples(st.integers(0, 5), st.sampled_from([1e-12, 1e-10, 1e-8, 1e-6, 1e-4])),
+            max_size=4,
+        ),
+        scales=st.lists(
+            st.tuples(st.integers(0, 5), st.sampled_from([-150, 150])), max_size=3
+        ),
+        rel=st.sampled_from([1e-15, 1e-12, 1e-10, 1e-6]),
+    )
+    def test_screen_passes_only_full_rank(self, m, seed, combos, scales, rel):
+        tol = RankTolerance(rel)
+        stack = near_singular_stack(m, seed, combos, scales)
+        fro2 = channel._squared_row_norms(stack).sum(axis=-1)
+        passed = channel._passes_det_screen(stack, fro2, tol)
+        for a in stack[passed]:
+            assert numerical_rank(a, tol) == m
+
+    def test_screen_decides_well_conditioned_and_refers_dependent(self):
+        tol = RankTolerance()
+        stack = near_singular_stack(4, 3, [(1, 1e-12), (2, 1e-8)], [])
+        fro2 = channel._squared_row_norms(stack).sum(axis=-1)
+        assert channel._passes_det_screen(stack, fro2, tol).tolist() == [False, False, True]
+        # an overflowing norm makes the bound infinite: the SVD decides
+        huge = stack * 1e160
+        fro2 = channel._squared_row_norms(huge).sum(axis=-1)
+        assert np.isinf(fro2).all()
+        assert not channel._passes_det_screen(huge, fro2, tol).any()
+        assert channel._full_rank(huge, fro2, tol).tolist() == [False, True, True]
+
+    @pytest.mark.parametrize("total, m", [(1, 1), (5, 5), (7, 3), (9, 4), (24, 2)])
+    @pytest.mark.parametrize("size", [1, 7, 512])
+    def test_exhaustive_chunks_follow_combinations(self, total, m, size):
+        chunks = list(channel._subset_chunks(total, m, size))
+        assert all(c.dtype == np.intp and c.shape[1:] == (m,) for c in chunks)
+        assert all(len(c) == size for c in chunks[:-1]) and 1 <= len(chunks[-1]) <= size
+        got = [tuple(s) for c in chunks for s in c.tolist()]
+        assert got == list(itertools.combinations(range(total), m))
+
+    @pytest.mark.parametrize("total, m", [(25, 3), (30, 1), (26, 12)])
+    @pytest.mark.parametrize("size", [7, 512])
+    def test_sampled_chunks_follow_the_choice_stream(self, total, m, size):
+        rng = np.random.default_rng(SAMPLE_SEED)
+        want = [
+            tuple(sorted(rng.choice(total, size=m, replace=False)))
+            for _ in range(SAMPLED_SUBSET_COUNT)
+        ]
+        chunks = list(channel._subset_chunks(total, m, size))
+        assert all(c.dtype == np.intp and c.shape[1:] == (m,) for c in chunks)
+        assert all(len(c) == size for c in chunks[:-1])
+        assert [tuple(s) for c in chunks for s in c.tolist()] == want
+
+
 def per_state_draw(spec, attempt):
     """The draw of one attempt as two standard_normal calls per state."""
     rng = np.random.default_rng(attempt_seed(spec.seed, attempt))

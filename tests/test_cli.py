@@ -370,6 +370,33 @@ class TestConfigHandling:
             "error: snr_db_grid point 3080 dB: the received covariances overflow a float\n"
         )
 
+    @pytest.mark.parametrize("argv, message", [
+        # 10^308 is a finite power, but p |phi|^2 overflows in the block rates
+        (["ergodic", "--M", 7, "--J1", 8, "--J2", 8, "--blocks", 100,
+          "--snr_db_grid", "60,3000,3082"],
+         "snr_db_grid point 3082 dB: the block rates overflow a float"),
+        # the grams lose definiteness to rounding before they overflow; the
+        # first trial meets it at 3000 dB
+        (["gaussian", "--M", 5, "--N1", 3, "--N2", 1, "--J1", 1, "--J2", 2,
+          "--r1", 1, "--r2", 1, "--trials", 3, "--snr_db_grid", "60,3000,3082"],
+         "snr_db_grid point 3000 dB: the received covariances lose positive "
+         "definiteness to rounding (leading minor of order 2)"),
+        (["gaussian", "--M", 6, "--N1", 3, "--N2", 2, "--J1", 1, "--J2", 1,
+          "--r1", 1, "--r2", 1, "--trials", 3, "--snr_db_grid", "60,3000,3080.5"],
+         "snr_db_grid point 3000 dB: the received covariances lose positive "
+         "definiteness to rounding (leading minor of order 3)"),
+    ])
+    def test_rates_failing_near_the_float_limit_name_the_grid_point(
+        self, tmp_path, capsys, argv, message
+    ):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([*argv, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(out) == []
+
     def test_unknown_flag(self, tmp_path):
         assert run(["gaussian", "--out", tmp_path, "--bogus", 1]) == 1
 

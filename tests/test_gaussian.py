@@ -24,6 +24,7 @@ from compound_bcc.errors import (
     FeasibilityError,
     InvalidGridError,
     InvalidInputError,
+    NotPositiveDefiniteError,
 )
 from compound_bcc.gaussian import (
     BeamformerSet,
@@ -433,7 +434,8 @@ class TestStackedEvaluator:
     def check_reference_error(pairs, grid):
         """The batch fails as the per-trial, per-point scalar evaluation does:
         same error type and message, or both pass. A non-finite covariance
-        at a grid point is reported as that point's overflow."""
+        at a grid point is reported as that point's overflow, and one that
+        fails to factor as its loss of definiteness."""
         def reference():
             for ch, bf in pairs:
                 for db, p in zip(grid, snr_db_to_power(grid)):
@@ -443,6 +445,12 @@ class TestStackedEvaluator:
                         assert str(e) == "matrix contains non-finite entries"
                         raise InvalidGridError(
                             f"snr_db_grid point {db:g} dB: the received covariances overflow a float"
+                        ) from None
+                    except NotPositiveDefiniteError as e:
+                        raise InvalidGridError(
+                            f"snr_db_grid point {db:g} dB: the received covariances "
+                            f"lose positive definiteness to rounding (leading minor "
+                            f"of order {e.minor})"
                         ) from None
 
         with np.errstate(all="ignore"):

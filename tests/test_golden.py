@@ -7,6 +7,8 @@ pinned here together with the reason. Pinned with numpy 2.4 on x86-64.
 """
 
 import hashlib
+import importlib.util
+import json
 import os
 
 import pytest
@@ -15,6 +17,7 @@ from compound_bcc.cli import main
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 DUP_ROW = os.path.join(DATA_DIR, "channel_dup_row.json")
+BENCH_RUN = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "run.py")
 
 CASES = {
     "gaussian": (["gaussian", "--trials", "2", "--seed", "4"], 0),
@@ -118,3 +121,23 @@ def test_outputs_match_pinned_digests(case, tmp_path):
     argv, code = CASES[case]
     assert main(argv + ["--out", str(tmp_path)]) == code
     assert digests(tmp_path) == GOLDEN[case]
+
+
+def load_bench():
+    """bench/run.py as a module: its workloads and pinned digests."""
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH_RUN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH = load_bench()
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH.WORKLOADS))
+def test_benchmark_outputs_match_bench_golden(workload, tmp_path):
+    # the benchmark's own argv at seed 0, checked against bench/golden.json
+    with open(BENCH.GOLDEN) as fh:
+        pinned = json.load(fh)[workload]["0"]
+    assert main(BENCH.WORKLOADS[workload].cli_args(0, tmp_path)) == 0
+    assert digests(tmp_path) == pinned
