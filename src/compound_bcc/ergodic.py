@@ -14,8 +14,8 @@ blocks; these state averages give the analytic (M-1)/J slope targets.
 
 Beams and gains depend on the common state only: zero_forcing computes
 them from one state's channel set, and a FadingProcess caches them per
-state. sample_block draws the state indices of one block and is the
-reference for the vectorized sampler of simulate_blocks.
+state. sample_block draws the state indices of one block; simulate_blocks
+reads only the common state, one byte per block for at most 255 states.
 """
 
 from dataclasses import dataclass
@@ -78,8 +78,8 @@ class FadingProcess:
     and verified to satisfy the generic rank condition; degenerate draws
     are resampled exactly as for compound channel sets. ``states[s - 1]``
     is the single-antenna channel set of common state s. Immutable after
-    construction; per-state zero forcing and the block sequence are cached
-    lazily.
+    construction; per-state zero forcing and the common state of each block
+    (one byte per block for at most 255 common states) are cached lazily.
     """
 
     def __init__(
@@ -118,7 +118,7 @@ class FadingProcess:
             2, np.uint64
         )
         self._zf_cache = {}
-        self._states_cache = np.empty((0, 3), dtype=np.int64)
+        self._states_cache = np.empty(0, dtype=np.min_scalar_type(common_state_count))
 
     def _state_seed(self, s):
         ss = np.random.SeedSequence(self.seed, spawn_key=(0, s))
@@ -161,8 +161,8 @@ def sample_block(fp, t):
     three are independent.
 
     This is the reference definition of the block sequence: the vectorized
-    sampler used by simulate_blocks is tested bit for bit against it and
-    falls back to it for the rare draws that numpy's bounded draw rejects.
+    common-state sampler of simulate_blocks is tested bit for bit against it
+    and falls back to it for the rare draws that numpy's bounded draw rejects.
     """
     if isinstance(t, bool) or not isinstance(t, int) or not (1 <= t <= fp.block_count):
         raise InvalidInputError(
@@ -192,7 +192,7 @@ def _mulhilo(a, b):
 
 
 def _philox_words(key, t):
-    """First two output words of Philox4x64-10 for each block index in t.
+    """First output word of Philox4x64-10 for each block index in t.
 
     t is a uint64 array. numpy's Philox started at counter t << 192
     increments the counter before its first output, so block t is the
@@ -209,52 +209,53 @@ def _philox_words(key, t):
         hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
         hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return c0, c1
+    return c0
 
 
-def _states_from_words(fp, t, w0, w1):
-    """Block states from each block's first two Philox output words.
+def _states_from_words(fp, t, w0):
+    """Common states of blocks t from each block's first Philox output word.
 
-    Replays numpy's Generator.integers(1, n + 1) for the common state, A1
-    and A2 in turn. The words are split into the uint32 stream that
-    next_uint32 hands out, low half first; each draw of a size-n alphabet
-    takes the next uint32 x and returns (x * n >> 32) + 1 (Lemire), and a
-    size-1 alphabet takes none. numpy redraws when the leftover
-    x * n mod 2^32 is below 2^32 mod n (about 2^-32 per draw, never for a
-    power-of-two n); such lanes are flagged and recomputed with sample_block.
+    Replays numpy's Generator.integers(1, n + 1), the block's first draw
+    (A1 and A2 come after it and cannot change it): it takes the word's low
+    uint32 x and returns (x * n >> 32) + 1 (Lemire). numpy redraws when the
+    leftover x * n mod 2^32 is below 2^32 mod n (about 2^-32 per draw, never
+    for a power-of-two n); such lanes are flagged and recomputed with
+    sample_block.
 
-    Returns (states, rejected): states[i] is (h_state, a1, a2) of block t[i]
-    as int64, rejected[i] whether that lane took the scalar path.
+    Returns (states, rejected): states[i] is the common state of block t[i]
+    as uint64, rejected[i] whether that lane took the scalar path.
     """
-    stream = iter((w0 & _LOW32, w0 >> _SHIFT32, w1 & _LOW32))
-    states = np.ones((len(t), 3), dtype=np.int64)
-    rejected = np.zeros(len(t), dtype=bool)
-    for col, n in enumerate((fp.common_state_count, fp.J1, fp.J2)):
-        if n == 1:
-            continue
-        prod = next(stream) * np.uint64(n)
-        states[:, col] += (prod >> _SHIFT32).astype(np.int64)
-        rejected |= (prod & _LOW32) < np.uint64(2**32 % n)
+    prod = (w0 & _LOW32) * np.uint64(fp.common_state_count)
+    states = (prod >> _SHIFT32) + np.uint64(1)
+    rejected = (prod & _LOW32) < np.uint64(2**32 % fp.common_state_count)
     for i in np.flatnonzero(rejected):
-        states[i] = sample_block(fp, int(t[i]))
+        states[i] = sample_block(fp, int(t[i]))[0]
     return states, rejected
 
 
 def _block_states(fp, m):
-    """(h_state, a1, a2) of blocks 1..m as an (m, 3) int64 array.
+    """Common states of blocks 1..m, one byte each for at most 255 states.
 
-    Row t-1 is sample_block(fp, t). The sequence is a pure function of
-    (seed, t), so it is sampled once per process, SAMPLE_CHUNK blocks per
-    vectorized pass, and cached; a longer horizon extends the cached prefix.
+    Entry t-1 is sample_block(fp, t)[0], in the smallest unsigned dtype that
+    holds common_state_count. The sequence is a pure function of (seed, t),
+    so it is sampled once per process, SAMPLE_CHUNK blocks per vectorized
+    pass, and cached; a longer horizon extends the cached prefix. A horizon
+    whose states cannot be allocated raises InvalidInputError.
     """
     have = len(fp._states_cache)
     if have < m:
-        states = np.empty((m, 3), dtype=np.int64)
+        try:
+            states = np.empty(m, dtype=fp._states_cache.dtype)
+        except (MemoryError, ValueError):
+            nbytes = m * fp._states_cache.itemsize
+            raise InvalidInputError(
+                f"block horizon {m}: cannot allocate {nbytes} bytes of block states"
+            ) from None
         states[:have] = fp._states_cache
         for lo in range(have + 1, m + 1, SAMPLE_CHUNK):
             t = np.arange(lo, min(lo + SAMPLE_CHUNK, m + 1), dtype=np.uint64)
             words = _philox_words(fp._block_key, t)
-            states[lo - 1 : lo - 1 + len(t)] = _states_from_words(fp, t, *words)[0]
+            states[lo - 1 : lo - 1 + len(t)] = _states_from_words(fp, t, words)[0]
         states.setflags(write=False)
         fp._states_cache = states
     return fp._states_cache[:m]
@@ -411,8 +412,9 @@ class PowerPolicy:
 
 @dataclass(frozen=True)
 class ErgodicRunStats:
-    """Averaged secrecy rates plus the per-block and per-state detail.
+    """Averaged secrecy rates plus the per-state detail.
 
+    A block's rates are those of its common state s, state_records[s - 1].
     leak_violation_freq is the fraction of blocks where pre-clamp leakage
     exceeded the transmission rate for at least one user; it is reported,
     never asserted away. analytic_r1/r2 are the exact uniform averages over
@@ -423,8 +425,6 @@ class ErgodicRunStats:
     r1_mean: float
     r2_mean: float
     leak_violation_freq: float
-    r1_blocks: np.ndarray
-    r2_blocks: np.ndarray
     state_records: tuple
     analytic_r1: float
     analytic_r2: float
@@ -465,16 +465,12 @@ def simulate_blocks(fp, policy, m=None):
     violated = np.array(
         [(r.leak[0] > r.tx[0]) or (r.leak[1] > r.tx[1]) for r in recs]
     )
-    idx = _block_states(fp, int(m))[:, 0] - 1
-    r1_blocks = r1_by_state[idx]
-    r2_blocks = r2_by_state[idx]
+    idx = _block_states(fp, int(m)) - 1
     return ErgodicRunStats(
         m=m,
-        r1_mean=float(np.mean(r1_blocks)),
-        r2_mean=float(np.mean(r2_blocks)),
+        r1_mean=float(np.mean(r1_by_state[idx])),
+        r2_mean=float(np.mean(r2_by_state[idx])),
         leak_violation_freq=float(np.mean(violated[idx])),
-        r1_blocks=r1_blocks,
-        r2_blocks=r2_blocks,
         state_records=recs,
         analytic_r1=float(np.mean(r1_by_state)),
         analytic_r2=float(np.mean(r2_by_state)),

@@ -33,28 +33,16 @@ FLOAT_TOL = 1e-12
 def _frac(x):
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, (int, float)):
         return Fraction(x)
     raise InvalidInputError(f"coordinates must be int, float, or Fraction, got {type(x)!r}")
 
 
 def _normalize_ineq(normal, offset):
     """Scale an inequality to a primitive integer normal, keeping direction."""
-    denoms = [f.denominator for f in normal] + [offset.denominator]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // gcd(scale, d)
-    ints = [int(f * scale) for f in normal]
-    off = offset * scale
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-        off = off / g
-    return tuple(Fraction(v) for v in ints), Fraction(off)
+    *ints, off = _integer_row(normal, offset)
+    g = gcd(*ints) or 1  # an all-zero normal stays as it is
+    return tuple(Fraction(v // g) for v in ints), Fraction(off, g)
 
 
 @dataclass(frozen=True)
@@ -277,18 +265,27 @@ def region_to_dict(region):
 
 
 def region_from_dict(data):
-    def unpair(p):
-        return Fraction(p[0], p[1])
+    """Inverse of region_to_dict; InvalidInputError names a malformed field."""
 
-    return RateRegion(
-        dimension=data["dimension"],
-        vertices=tuple(tuple(unpair(c) for c in v) for v in data["vertices"]),
-        inequalities=tuple(
-            (tuple(unpair(c) for c in q["normal"]), unpair(q["offset"]))
-            for q in data["inequalities"]
-        ),
-        downward_closed=data["downward_closed"],
-    )
+    def unpair(p):
+        num, den = p
+        return Fraction(num, den)
+
+    item_parsers = {
+        "dimension": None,
+        "vertices": lambda v: tuple(map(unpair, v)),
+        "inequalities": lambda q: (tuple(map(unpair, q["normal"])), unpair(q["offset"])),
+        "downward_closed": None,
+    }
+    fields = {}
+    for name, parse in item_parsers.items():
+        try:
+            fields[name] = tuple(map(parse, data[name])) if parse else data[name]
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+            raise InvalidInputError(
+                f"region field {name!r} is missing or malformed ({type(e).__name__}: {e})"
+            ) from None
+    return RateRegion(**fields)
 
 
 def save_region(region, path):
@@ -298,5 +295,10 @@ def save_region(region, path):
 
 
 def load_region(path):
-    with open(path) as fh:
-        return region_from_dict(json.load(fh))
+    """Read a region written by save_region; InvalidInputError if malformed."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except json.JSONDecodeError as e:
+        raise InvalidInputError(f"region file is not valid JSON: {e}") from None
+    return region_from_dict(data)

@@ -23,6 +23,7 @@ from compound_bcc.ergodic import (
     ergodic_slope_estimates,
     simulate_blocks,
     symmetric_point_margin,
+    _block_states,
 )
 from compound_bcc.errors import FeasibilityError
 from compound_bcc.gaussian import (
@@ -203,9 +204,11 @@ def test_monte_carlo_matches_analytic():
         for seed in range(10):
             fp = FadingProcess(3, 2, 4, block_count=m, seed=seed)
             stats = simulate_blocks(fp, policy)
+            idx = _block_states(fp, m) - 1  # a block's rates are its common state's
+            secrecy = np.array([r.secrecy for r in stats.state_records])
             for mean, analytic, blocks in (
-                (stats.r1_mean, stats.analytic_r1, stats.r1_blocks),
-                (stats.r2_mean, stats.analytic_r2, stats.r2_blocks),
+                (stats.r1_mean, stats.analytic_r1, secrecy[idx, 0]),
+                (stats.r2_mean, stats.analytic_r2, secrecy[idx, 1]),
             ):
                 se = float(np.std(blocks)) / math.sqrt(m)
                 assert abs(mean - analytic) <= 3 * se + 1e-12, f"seed {seed}"

@@ -397,6 +397,19 @@ class TestConfigHandling:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert os.listdir(out) == []
 
+    def test_unallocatable_horizon_is_a_typed_error(self, tmp_path, capsys):
+        # 2^60 one-byte block states: the exabyte request fails at once
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["ergodic", "--blocks", 1152921504606846976, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: block horizon 1152921504606846976: cannot allocate "
+            "1152921504606846976 bytes of block states\n"
+        )
+        assert os.listdir(out) == []
+
     def test_unknown_flag(self, tmp_path):
         assert run(["gaussian", "--out", tmp_path, "--bogus", 1]) == 1
 

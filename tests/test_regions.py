@@ -193,6 +193,36 @@ class TestSerialization:
         r = simplex()
         assert region_from_dict(region_to_dict(r)).vertices == r.vertices
 
+    VALID = (
+        '"dimension": 2, "vertices": [[[0, 1], [0, 1]]], "downward_closed": true, '
+        '"inequalities": [{"normal": [[1, 1], [0, 1]], "offset": [1, 1]}]'
+    )
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"dimension": 2, "vertices": [',
+         "region file is not valid JSON: Expecting value: line 1 column 31 (char 30)"),
+        ("{" + VALID.replace('"dimension": 2, ', "") + "}",
+         "region field 'dimension' is missing or malformed (KeyError: 'dimension')"),
+        ("{" + VALID.replace("[[[0, 1], [0, 1]]]", "5") + "}",
+         "region field 'vertices' is missing or malformed "
+         "(TypeError: 'int' object is not iterable)"),
+        ("{" + VALID.replace("[[[0, 1], [0, 1]]]", "[[[1, 0], [0, 1]]]") + "}",
+         "region field 'vertices' is missing or malformed "
+         "(ZeroDivisionError: Fraction(1, 0))"),
+        ("{" + VALID.replace(', "offset": [1, 1]', "") + "}",
+         "region field 'inequalities' is missing or malformed (KeyError: 'offset')"),
+        # a pair holds exactly a numerator and a denominator
+        ("{" + VALID.replace('"offset": [1, 1]', '"offset": [1, 2, 3]') + "}",
+         "region field 'inequalities' is missing or malformed "
+         "(ValueError: too many values to unpack (expected 2))"),
+    ])
+    def test_malformed_file_names_the_field(self, tmp_path, text, message):
+        p = tmp_path / "region.json"
+        p.write_text(text)
+        with pytest.raises(InvalidInputError) as excinfo:
+            load_region(p)
+        assert str(excinfo.value) == message
+
 
 class TestValidation:
     def test_bad_dimension(self):
