@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from compound_bcc.errors import InvalidGridError
 from compound_bcc.sdof import (
     DEFAULT_SNR_GRID_DB,
+    MIN_SPAN_DB,
     SdofEstimate,
     check_snr_grid,
     estimate_sdof_series,
@@ -125,7 +126,12 @@ def grids(draw):
     size = draw(st.integers(3, 12))
     start = draw(st.floats(40.0, 200.0))
     steps = draw(st.lists(st.floats(10.0, 60.0), min_size=size - 1, max_size=size - 1))
-    return check_snr_grid(start + np.concatenate([[0.0], np.cumsum(steps)]))
+    grid = start + np.concatenate([[0.0], np.cumsum(steps)])
+    # two 10 dB steps span 20 dB only up to rounding (108.32... + 10 + 10
+    # lands a hair short); nudge the last point until the span really holds
+    while grid[-1] - grid[0] < MIN_SPAN_DB:
+        grid[-1] = np.nextafter(grid[-1], np.inf)
+    return check_snr_grid(grid)
 
 
 class TestStackedFit:
