@@ -10,90 +10,47 @@ Two transmission models are implemented end to end:
 
 Both come with exact rational degrees-of-freedom regions and slope-based
 numerical verification.
+
+``import compound_bcc`` loads only the shared base: ``errors`` and
+``linalg`` (and so numpy). Every other public name loads on first access
+(PEP 562): the lazy modules are imported in the order of ``_LAZY``, each
+after the modules it imports, up to the one whose ``__all__`` holds the
+name. Each module's ``__all__`` is the one list of its exports.
 """
 
-from .channel import (
-    ChannelGenSpec,
-    CompoundChannelSet,
-    RankConditionReport,
-    generate_compound,
-    load_channel,
-    save_channel,
-    swap_users,
-    verify_rank_condition,
-)
-from .ergodic import (
-    BlockRateRecord,
-    ErgodicRunStats,
-    FadingProcess,
-    PowerPolicy,
-    ZfBlockGains,
-    block_secrecy_rates,
-    ergodic_sdof_region,
-    ergodic_slope_estimates,
-    leakage,
-    policy_slope_targets,
-    sample_block,
-    simulate_blocks,
-    symmetric_point_margin,
-    tx_rate,
-    zero_forcing,
-)
-from .errors import (
-    ChannelFormatError,
-    CompoundBccError,
-    ConfigError,
-    ConstructionError,
-    DegenerateBlockError,
-    DimensionMismatchError,
-    FeasibilityError,
-    GenerationError,
-    InvalidGridError,
-    InvalidInputError,
-    NotHermitianError,
-    NotPositiveDefiniteError,
-)
-from .gaussian import (
-    BeamformerSet,
-    PowerAllocation,
-    RateTriple,
-    build_beamformers,
-    common_slope_target,
-    confidential_stream_bounds,
-    equal_power,
-    equal_power_slopes,
-    equal_power_slopes_batch,
-    gaussian_confidential_region,
-    gaussian_sdof_region,
-    rate_common,
-    rate_confidential,
-    rate_leakage,
-    worst_case_rates,
-)
-from .linalg import (
-    RankTolerance,
-    logdet2_hpd,
-    null_space_basis,
-    numerical_rank,
-    singular_values,
-)
-from .regions import (
-    RateRegion,
-    contains,
-    dominates,
-    equivalent,
-    load_region,
-    nontrivial_vertices,
-    region_from_inequalities,
-    save_region,
-    time_share,
-)
-from .sdof import (
-    DEFAULT_SNR_GRID_DB,
-    SdofEstimate,
-    check_snr_grid,
-    estimate_sdof_series,
-    snr_db_to_power,
-)
+import importlib
+
+from .errors import *
+from .linalg import *
 
 __version__ = "0.1.0"
+
+_EAGER = ("errors", "linalg")
+_LAZY = ("sdof", "regions", "channel", "gaussian", "ergodic")
+
+
+def _exports():
+    """Every exported name, in module order; imports every lazy module."""
+    return [
+        name
+        for module in _EAGER + _LAZY
+        for name in importlib.import_module(f"{__name__}.{module}").__all__
+    ]
+
+
+def __getattr__(name):
+    if name == "__all__":  # for ``from compound_bcc import *``
+        return _exports()
+    if name in _LAZY or name == "cli":  # ``from compound_bcc import cli`` asks first
+        return importlib.import_module(f"{__name__}.{name}")
+    if not name.startswith("_"):
+        for module in _LAZY:
+            mod = importlib.import_module(f"{__name__}.{module}")
+            if name in mod.__all__:
+                value = globals()[name] = getattr(mod, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*_exports(), "__version__"])

@@ -13,7 +13,8 @@ region          emit an analytic region without simulating
 All outputs are deterministic: rerunning with the same configuration and
 seed reproduces every file byte for byte. Exit code 0 means pass, 2 means
 a tolerance check failed, 1 means an error. The CLI only orchestrates
-library calls and serializes their results.
+library calls and serializes their results. Each subcommand imports the
+modules it calls when it runs, so a process loads only those.
 """
 
 import argparse
@@ -24,39 +25,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .channel import (
-    ChannelGenSpec,
-    _generate,
-    generate_batch,
-    load_channel,
-    stacked_sets,
-    verify_rank_condition,
-)
 from .errors import CompoundBccError, ConfigError, check_count
-from .ergodic import (
-    FadingProcess,
-    ergodic_sdof_region,
-    ergodic_slope_estimates,
-    policy_slope_targets,
-    symmetric_point_margin,
-)
-from .gaussian import (
-    TRIAL_CHUNK,
-    build_beamformers_batch,
-    common_slope_target,
-    equal_power_slopes_batch,
-    gaussian_confidential_region,
-    gaussian_sdof_region,
-)
-from .regions import (
-    contains,
-    dominates,
-    frac_pair,
-    nontrivial_vertices,
-    point_pairs,
-    region_to_dict,
-    save_region,
-)
 from .sdof import DEFAULT_SNR_GRID_DB
 
 __all__ = ["ExperimentConfig", "main"]
@@ -189,8 +158,12 @@ def _write_summary(path, payload):
 def _region_fields(cfg, region, ergodic=False):
     """Summary fields of an analytic region: its exact vertices and, for an
     ergodic region with J1, J2 >= M, the symmetric-point margin."""
+    from .regions import frac_pair, point_pairs
+
     fields = {"region_vertices": point_pairs(region.vertices)}
     if ergodic and cfg.J1 >= cfg.M and cfg.J2 >= cfg.M:
+        from .ergodic import symmetric_point_margin
+
         margin, advantage = symmetric_point_margin(cfg.M, cfg.J1, cfg.J2)
         fields["symmetric_point"] = {
             "margin": frac_pair(margin),
@@ -206,6 +179,16 @@ def run_gaussian(cfg, out_dir):
     channel stack: drawn with their rank checks decided together, built
     and certified as stacks, then evaluated and fitted as stacked arrays.
     """
+    from .channel import ChannelGenSpec, generate_batch, stacked_sets
+    from .gaussian import (
+        TRIAL_CHUNK,
+        build_beamformers_batch,
+        common_slope_target,
+        equal_power_slopes_batch,
+        gaussian_sdof_region,
+    )
+    from .regions import save_region
+
     grid = cfg.snr_db_grid
     rows = []
     slopes = []
@@ -267,6 +250,14 @@ def run_gaussian(cfg, out_dir):
 
 def run_ergodic(cfg, out_dir):
     """Block-fading run: simulated averages, slope fits, analytic region."""
+    from .ergodic import (
+        FadingProcess,
+        ergodic_sdof_region,
+        ergodic_slope_estimates,
+        policy_slope_targets,
+    )
+    from .regions import save_region
+
     fp = FadingProcess(
         cfg.M,
         cfg.J1,
@@ -318,6 +309,16 @@ def run_ergodic(cfg, out_dir):
 
 def run_compare(cfg, out_dir):
     """Dominance report between the two models' analytic (d1, d2) regions."""
+    from .ergodic import ergodic_sdof_region
+    from .gaussian import gaussian_confidential_region
+    from .regions import (
+        contains,
+        dominates,
+        nontrivial_vertices,
+        point_pairs,
+        region_to_dict,
+    )
+
     if cfg.N1 != 1 or cfg.N2 != 1:
         raise ConfigError(
             "compare requires single-antenna receivers (N1 = N2 = 1); got "
@@ -344,6 +345,8 @@ def run_compare(cfg, out_dir):
 
 def run_verify_channel(cfg, out_dir, channel_path=None):
     """Generic rank condition check for a loaded or generated channel set."""
+    from .channel import ChannelGenSpec, _generate, load_channel, verify_rank_condition
+
     if channel_path:
         ch = load_channel(channel_path)
         report = verify_rank_condition(ch)
@@ -373,9 +376,15 @@ def run_verify_channel(cfg, out_dir, channel_path=None):
 
 def run_region(cfg, out_dir):
     """Emit the analytic region for the configured model, no simulation."""
+    from .regions import save_region
+
     if cfg.model == "gaussian":
+        from .gaussian import gaussian_sdof_region
+
         region = gaussian_sdof_region(cfg.M, cfg.N1, cfg.N2, cfg.J1, cfg.J2)
     else:
+        from .ergodic import ergodic_sdof_region
+
         region = ergodic_sdof_region(cfg.M, cfg.J1, cfg.J2)
     summary = {
         "command": "region",

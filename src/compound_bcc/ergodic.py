@@ -447,7 +447,9 @@ def simulate_blocks(fp, policy, m=None):
     per-state rates are computed once and looked up per block. The block
     sequence is sampled once per process and cached on it (see
     _block_states), so repeated calls on the same process, at any power,
-    reuse it. Fixed summation order makes reruns bit-identical.
+    reuse it. Fixed summation order makes reruns bit-identical. Each mean
+    gathers the m blocks' rates, 8 bytes per block; a horizon whose gather
+    cannot be allocated raises InvalidInputError.
     """
     if m is None:
         m = fp.block_count
@@ -465,12 +467,22 @@ def simulate_blocks(fp, policy, m=None):
     violated = np.array(
         [(r.leak[0] > r.tx[0]) or (r.leak[1] > r.tx[1]) for r in recs]
     )
-    idx = _block_states(fp, int(m)) - 1
+    states = _block_states(fp, int(m))
+    try:
+        idx = states - 1
+        r1_mean = float(np.mean(r1_by_state[idx]))
+        r2_mean = float(np.mean(r2_by_state[idx]))
+        leak_violation_freq = float(np.mean(violated[idx]))
+    except MemoryError:
+        nbytes = m * r1_by_state.itemsize
+        raise InvalidInputError(
+            f"block horizon {m}: cannot allocate {nbytes} bytes of block rates"
+        ) from None
     return ErgodicRunStats(
         m=m,
-        r1_mean=float(np.mean(r1_by_state[idx])),
-        r2_mean=float(np.mean(r2_by_state[idx])),
-        leak_violation_freq=float(np.mean(violated[idx])),
+        r1_mean=r1_mean,
+        r2_mean=r2_mean,
+        leak_violation_freq=leak_violation_freq,
         state_records=recs,
         analytic_r1=float(np.mean(r1_by_state)),
         analytic_r2=float(np.mean(r2_by_state)),

@@ -5,6 +5,21 @@ class; plain ValueError is reserved for malformed arguments that indicate
 a programming error at the call site.
 """
 
+__all__ = [
+    "CompoundBccError",
+    "InvalidInputError",
+    "NotHermitianError",
+    "NotPositiveDefiniteError",
+    "FeasibilityError",
+    "ConstructionError",
+    "GenerationError",
+    "ChannelFormatError",
+    "InvalidGridError",
+    "DegenerateBlockError",
+    "DimensionMismatchError",
+    "ConfigError",
+]
+
 
 class CompoundBccError(Exception):
     """Base class for all package-specific errors."""

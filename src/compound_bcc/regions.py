@@ -60,8 +60,13 @@ class RateRegion:
     downward_closed: bool = True
 
     def __post_init__(self):
-        if self.dimension not in (2, 3):
-            raise InvalidInputError(f"dimension must be 2 or 3, got {self.dimension}")
+        dim = self.dimension
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim not in (2, 3):
+            raise InvalidInputError(f"dimension must be the int 2 or 3, got {dim!r}")
+        if not isinstance(self.downward_closed, bool):
+            raise InvalidInputError(
+                f"downward_closed must be a bool, got {self.downward_closed!r}"
+            )
         verts = tuple(
             tuple(_frac(c) for c in v) for v in self.vertices
         )

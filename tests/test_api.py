@@ -1,29 +1,92 @@
-"""The package namespace re-exports exactly each module's public names."""
+"""The package namespace: lazy re-exports of each module's ``__all__``, and
+which modules an import or a CLI run loads."""
 
-import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import compound_bcc
 
+MODULES = ("errors", "linalg", "sdof", "regions", "channel", "gaussian", "ergodic")
 
-def package_imports():
-    """{module: names} of the package's ``from .module import ...`` lines."""
-    with open(compound_bcc.__file__) as fh:
-        tree = ast.parse(fh.read())
-    return {
-        node.module: [alias.name for alias in node.names]
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
+
+@pytest.mark.parametrize("module", MODULES)
+def test_package_resolves_module_all(module):
+    mod = importlib.import_module(f"compound_bcc.{module}")
+    assert len(mod.__all__) == len(set(mod.__all__))
+    for name in mod.__all__:
+        assert getattr(compound_bcc, name) is getattr(mod, name)
+
+
+def test_dir_lists_exports_and_version():
+    names = [
+        name
+        for module in MODULES
+        for name in importlib.import_module(f"compound_bcc.{module}").__all__
+    ]
+    assert len(names) == len(set(names))  # no name is exported by two modules
+    assert dir(compound_bcc) == sorted([*names, "__version__"])
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from compound_bcc import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(n for n in dir(compound_bcc) if n != "__version__")
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_private", "__wrapped__", "check_count"])
+def test_unknown_name_raises_attribute_error(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(compound_bcc, name)
+
+
+def loaded_modules(code):
+    """Package modules in sys.modules after ``code`` runs in a fresh interpreter."""
+    script = (
+        f"import sys\n{code}\n"
+        "import json\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('compound_bcc'))))"
+    )
+    src = os.path.dirname(os.path.dirname(compound_bcc.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def cli_run(argv, tmp_path):
+    args = [*argv, "--out", str(tmp_path)]
+    return f"from compound_bcc.cli import main\nassert main({args!r}) == 0"
+
+
+def test_import_loads_only_the_shared_base():
+    assert loaded_modules("import compound_bcc") == {
+        "compound_bcc", "compound_bcc.errors", "compound_bcc.linalg",
     }
 
 
-IMPORTS = package_imports()
+@pytest.mark.parametrize("argv, present, absent", [
+    (["verify-channel", "--M", "3", "--J1", "4", "--J2", "4"],
+     "channel", {"ergodic", "gaussian", "regions"}),
+    (["gaussian", "--trials", "2"], "gaussian", {"ergodic"}),
+    (["ergodic", "--blocks", "200"], "ergodic", {"gaussian"}),
+])
+def test_cli_run_loads_only_its_pipeline(argv, present, absent, tmp_path):
+    loaded = loaded_modules(cli_run(argv, tmp_path))
+    assert f"compound_bcc.{present}" in loaded
+    assert not loaded & {f"compound_bcc.{m}" for m in absent}
 
 
-@pytest.mark.parametrize("module", sorted(set(IMPORTS) - {"errors"}))  # errors has no __all__
-def test_package_exports_equal_module_all(module):
-    names = IMPORTS[module]
-    assert len(names) == len(set(names))
-    assert set(names) == set(importlib.import_module(f"compound_bcc.{module}").__all__)
+def test_lazy_name_loads_its_module():
+    loaded = loaded_modules("from compound_bcc import generate_compound")
+    assert "compound_bcc.channel" in loaded
+    assert not loaded & {"compound_bcc.gaussian", "compound_bcc.ergodic"}

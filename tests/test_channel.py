@@ -273,8 +273,7 @@ class TestBatchedRankCheck:
             calls.append(args)
             return verify_rank_condition(*args, **kwargs)
 
-        with mock.patch.object(channel, "verify_rank_condition", counted), \
-                mock.patch.object(cli, "verify_rank_condition", counted):
+        with mock.patch.object(channel, "verify_rank_condition", counted):
             code = cli.main(["verify-channel", "--M", "3", "--J1", "4", "--J2", "4",
                              "--out", str(tmp_path)])
         assert code == 0

@@ -2,13 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from compound_bcc import cli
+from compound_bcc import channel, cli, gaussian
 from compound_bcc.channel import (
     ChannelGenSpec,
     CompoundChannelSet,
@@ -19,7 +21,6 @@ from compound_bcc.channel import (
 )
 from compound_bcc.cli import ExperimentConfig, main
 from compound_bcc.errors import ConfigError, ConstructionError, GenerationError
-from compound_bcc import gaussian
 from compound_bcc.gaussian import build_beamformers_batch
 from compound_bcc.regions import load_region
 
@@ -83,7 +84,7 @@ class TestGaussianCommand:
     def test_trial_chunk_leaves_outputs_unchanged(self, tmp_path, monkeypatch, chunk):
         args = ["gaussian", "--trials", 9, "--seed", 3]
         assert run(args + ["--out", tmp_path / "whole"]) == 0
-        monkeypatch.setattr(cli, "TRIAL_CHUNK", chunk)
+        monkeypatch.setattr(gaussian, "TRIAL_CHUNK", chunk)
         assert run(args + ["--out", tmp_path / "chunked"]) == 0
         for name in ("rates.csv", "region.json", "summary.json"):
             assert (tmp_path / "whole" / name).read_bytes() == (
@@ -94,7 +95,7 @@ class TestGaussianCommand:
         # every other trial of a chunk is dropped from its stack, so that it
         # is rebuilt by build_beamformers and keeps its per-trial products
         args = ["gaussian", "--trials", 9, "--seed", 5, "--M", 5, "--N1", 2, "--r1", 2]
-        monkeypatch.setattr(cli, "TRIAL_CHUNK", 1)
+        monkeypatch.setattr(gaussian, "TRIAL_CHUNK", 1)
         assert run(args + ["--out", tmp_path / "one"]) == 0
         real = gaussian._stacked_beamformers
 
@@ -106,7 +107,7 @@ class TestGaussianCommand:
             return bfs, stack
 
         rebuilt = []
-        monkeypatch.setattr(cli, "TRIAL_CHUNK", 64)
+        monkeypatch.setattr(gaussian, "TRIAL_CHUNK", 64)
         monkeypatch.setattr(gaussian, "_stacked_beamformers", dropping)
         monkeypatch.setattr(
             gaussian, "build_beamformers",
@@ -136,8 +137,8 @@ class TestGaussianCommand:
                     return tuple(x[:i] for x in h), GenerationError(f"draw {spec.seed} failed")
             return h, error
 
-        monkeypatch.setattr(cli, "TRIAL_CHUNK", chunk)
-        monkeypatch.setattr(cli, "generate_batch", generate)
+        monkeypatch.setattr(gaussian, "TRIAL_CHUNK", chunk)
+        monkeypatch.setattr(channel, "generate_batch", generate)
         assert run(["gaussian", "--out", tmp_path, "--trials", 5, "--snr_db_grid", grid]) == 1
         assert message in capsys.readouterr().err
 
@@ -169,9 +170,9 @@ class TestGaussianCommand:
                     return bfs[:i], stack, ConstructionError(f"build {failing_trial} failed")
             return bfs, stack, error
 
-        monkeypatch.setattr(cli, "TRIAL_CHUNK", chunk)
-        monkeypatch.setattr(cli, "generate_batch", generate)
-        monkeypatch.setattr(cli, "build_beamformers_batch", build)
+        monkeypatch.setattr(gaussian, "TRIAL_CHUNK", chunk)
+        monkeypatch.setattr(channel, "generate_batch", generate)
+        monkeypatch.setattr(gaussian, "build_beamformers_batch", build)
         assert run(["gaussian", "--out", tmp_path, "--trials", 5, "--snr_db_grid", grid]) == 1
         assert message in capsys.readouterr().err
 
@@ -409,6 +410,36 @@ class TestConfigHandling:
             "1152921504606846976 bytes of block states\n"
         )
         assert os.listdir(out) == []
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads VmSize from /proc"
+    )
+    def test_unallocatable_block_gather_is_a_typed_error(self, tmp_path):
+        # The child warms up with a small run, then caps its own address space
+        # 24 MB above its size: 4M blocks keep their 4 MB of states, but each
+        # mean's 32 MB gather of block rates cannot be allocated.
+        script = f"""
+import resource, sys
+from compound_bcc.cli import main
+assert main(["ergodic", "--blocks", "200", "--out", {str(tmp_path / "warm")!r}]) == 0
+with open("/proc/self/status") as fh:
+    size = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (size * 1024 + (24 << 20), hard))
+sys.exit(main(["ergodic", "--blocks", "4000000", "--out", {str(tmp_path / "out")!r}]))
+"""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: block horizon 4000000: cannot allocate 32000000 bytes of block rates\n"
+        )
+        assert os.listdir(tmp_path / "out") == []
 
     def test_unknown_flag(self, tmp_path):
         assert run(["gaussian", "--out", tmp_path, "--bogus", 1]) == 1

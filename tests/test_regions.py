@@ -215,6 +215,10 @@ class TestSerialization:
         ("{" + VALID.replace('"offset": [1, 1]', '"offset": [1, 2, 3]') + "}",
          "region field 'inequalities' is missing or malformed "
          "(ValueError: too many values to unpack (expected 2))"),
+        ("{" + VALID.replace('"dimension": 2', '"dimension": 2.0') + "}",
+         "dimension must be the int 2 or 3, got 2.0"),
+        ("{" + VALID.replace("true", '"no"') + "}",
+         "downward_closed must be a bool, got 'no'"),
     ])
     def test_malformed_file_names_the_field(self, tmp_path, text, message):
         p = tmp_path / "region.json"
@@ -228,6 +232,18 @@ class TestValidation:
     def test_bad_dimension(self):
         with pytest.raises(InvalidInputError):
             RateRegion(4, (), ())
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"dimension": 2.0}, "dimension must be the int 2 or 3, got 2.0"),
+        ({"dimension": True}, "dimension must be the int 2 or 3, got True"),
+        ({"dimension": "2"}, "dimension must be the int 2 or 3, got '2'"),
+        ({"downward_closed": "no"}, "downward_closed must be a bool, got 'no'"),
+        ({"downward_closed": 1}, "downward_closed must be a bool, got 1"),
+    ])
+    def test_field_types_checked(self, fields, message):
+        with pytest.raises(InvalidInputError) as excinfo:
+            RateRegion(**{"dimension": 2, "vertices": (), "inequalities": (), **fields})
+        assert str(excinfo.value) == message
 
     def test_vertex_dimension_checked(self):
         with pytest.raises(InvalidInputError):
