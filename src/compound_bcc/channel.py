@@ -7,10 +7,10 @@ realized. Noise variance is 1 by convention throughout the package, so
 transmit power doubles as SNR.
 
 Each generation attempt draws all entries as one standard_normal vector
-from its own seeded generator. generate_compound draws and checks one spec
-at a time; generate_batch draws specs of equal dimensions into one array,
-decides their rank checks together and resamples only the failures, and
-returns the same channels as two state stacks (see stacked_sets).
+from its own seeded generator. generate_batch is the one generator: it
+draws specs of equal dimensions into one array, decides their rank checks
+together, resamples only the failures, and returns the channels as two
+state stacks (see stacked_sets). generate_compound is its one-spec call.
 """
 
 import itertools
@@ -37,7 +37,6 @@ __all__ = [
     "verify_rank_condition",
     "save_channel",
     "load_channel",
-    "swap_users",
 ]
 
 # Above this many stacked rows, rank verification samples subsets instead of
@@ -131,7 +130,8 @@ def stacked_sets(h):
 
 @dataclass(frozen=True)
 class ChannelGenSpec:
-    """Parameters for seeded channel generation."""
+    """Parameters for seeded channel generation. seed and max_resamples are
+    checked here, the dimensions by the generator."""
 
     M: int
     N1: int
@@ -143,6 +143,7 @@ class ChannelGenSpec:
 
     def __post_init__(self):
         check_count(self.seed, "seed", minimum=0)
+        check_count(self.max_resamples, "max_resamples")
 
 
 @dataclass(frozen=True)
@@ -174,51 +175,26 @@ def generate_compound(spec, tol=DEFAULT_TOL):
     M) is verified on each draw; failing draws are resampled with a fresh
     sub-seed derived from (seed, attempt). After max_resamples failed
     attempts a GenerationError is raised. Identical specs produce
-    bit-identical channel sets.
+    bit-identical channel sets. This is generate_batch of the one spec.
     """
-    return _generate(spec, tol)[0]
-
-
-def _generate(spec, tol=DEFAULT_TOL):
-    """generate_compound, also returning the passing draw's rank report."""
-    _check_dimensions(spec)
-    if spec.max_resamples < 1:
-        raise _generation_error(spec)
-    for attempt in range(spec.max_resamples):
-        ch = _draw(spec, attempt)
-        report = verify_rank_condition(ch, tol)
-        if report.passed:
-            return ch, report
-    raise _generation_error(spec)
+    h, error = generate_batch([spec], tol)
+    if error is not None:
+        raise error
+    return stacked_sets(h)[0]
 
 
 def _generation_error(spec):
     """The error of a spec none of whose draws passes the rank check."""
-    if spec.max_resamples < 1:
-        return InvalidInputError("max_resamples must be at least 1")
     return GenerationError(
         f"rank condition still failing after {spec.max_resamples} attempts "
         f"(seed {spec.seed}); the requested dimensions are degenerate for this tolerance"
     )
 
 
-def _draw(spec, attempt):
-    """The channel set of resampling attempt ``attempt``.
-
-    One standard_normal vector from the attempt's generator holds every
-    entry: state by state, user 1's states first, the N_k x M real parts
-    then the N_k x M imaginary parts, each state scaled to CN(0, 1).
-    """
-    rng = np.random.default_rng(attempt_seed(spec.seed, attempt))
-    dims = (spec.M, spec.N1, spec.N2, spec.J1, spec.J2)
-    z = rng.standard_normal(2 * spec.M * (spec.J1 * spec.N1 + spec.J2 * spec.N2))
-    h1, h2 = _states(z, *dims)
-    return CompoundChannelSet(*dims, tuple(h1), tuple(h2))
-
-
 def _states(z, M, N1, N2, J1, J2):
     """The state stacks (..., J_k, N_k, M) of both users from draws z
-    (..., entries) laid out as _draw takes them."""
+    (..., entries): state by state, user 1's states first, the N_k x M real
+    parts then the N_k x M imaginary parts, each state scaled to CN(0, 1)."""
     split = 2 * J1 * N1 * M
     parts = ((z[..., :split], J1, N1), (z[..., split:], J2, N2))
     re_im = [part.reshape(*z.shape[:-1], J, 2, N, M) for part, J, N in parts]
@@ -226,17 +202,18 @@ def _states(z, M, N1, N2, J1, J2):
 
 
 def generate_batch(specs, tol=DEFAULT_TOL):
-    """generate_compound of each spec, in order, drawn and checked as one chunk.
+    """The channel set of each spec, in order, drawn and checked as one chunk.
 
     The specs must share their dimensions, which are checked once, as
     CompoundChannelSet checks them. Returns (h, error): h = (h1, h2) holds
     the states of the specs before the first whose generation fails, as
     stacks (T, J1, N1, M) and (T, J2, N2, M) (see stacked_sets), and error
-    is that spec's error (None when every spec passes). Each attempt of
-    every pending spec is drawn from the spec's own generator into one row
-    of an array, so each channel is the one generate_compound returns; the
-    rank conditions of all draws of one attempt are decided together (see
-    _rank_conditions_hold), and only the draws that fail are resampled.
+    is that spec's GenerationError (None when every spec passes). Each
+    attempt of every pending spec is one row of an array, drawn from the
+    generator of attempt_seed(seed, attempt) and laid out as _states reads
+    it; the rank conditions of all draws of one attempt are decided
+    together (see _rank_conditions_hold), and only the draws that fail are
+    resampled, up to max_resamples attempts per spec.
     """
     shapes = {(s.M, s.N1, s.N2, s.J1, s.J2) for s in specs}
     if len(shapes) != 1:
@@ -346,22 +323,38 @@ def verify_rank_condition(ch, tol=DEFAULT_TOL):
     rows = ch.stacked_rows()
     total = rows.shape[0]
     if total < ch.M:
-        return RankConditionReport(passed=True, checked=0, exhaustive=True)
+        return rank_report(ch)
     rows = as_matrix(rows, "stacked rows")
     norms2 = _squared_row_norms(rows)
     failures = []
-    checked = 0
     for idx in _subset_chunks(total, ch.M, RANK_CHUNK):
-        checked += len(idx)
         full = _full_rank(rows[idx], norms2[idx].sum(axis=1), tol)
         failures.extend(tuple(s) for s in idx[~full].tolist())
-    labels = tuple(tuple(ch.row_label(i) for i in s) for s in failures)
+    return rank_report(ch, tuple(failures))
+
+
+def rank_report(ch, failures=()):
+    """The RankConditionReport of channel ``ch`` whose rank check found the
+    failing row subsets ``failures``, in check order; with none, the report
+    of a channel that passes, such as every generated one.
+
+    checked and exhaustive follow from the stacked row count: C(rows, M)
+    subsets up to EXHAUSTIVE_ROW_LIMIT rows, else SAMPLED_SUBSET_COUNT
+    sampled ones, and 0 (exhaustively) with fewer rows than M.
+    """
+    total = ch.J1 * ch.N1 + ch.J2 * ch.N2
+    if total < ch.M:
+        checked = 0
+    elif total <= EXHAUSTIVE_ROW_LIMIT:
+        checked = math.comb(total, ch.M)
+    else:
+        checked = SAMPLED_SUBSET_COUNT
     return RankConditionReport(
         passed=not failures,
         checked=checked,
-        exhaustive=total <= EXHAUSTIVE_ROW_LIMIT,
-        failures=tuple(failures),
-        failure_labels=labels,
+        exhaustive=total < ch.M or total <= EXHAUSTIVE_ROW_LIMIT,
+        failures=failures,
+        failure_labels=tuple(tuple(ch.row_label(i) for i in s) for s in failures),
     )
 
 
@@ -489,7 +482,3 @@ def load_channel(path):
         ) from e
     return channel_from_dict(data)
 
-
-def swap_users(ch):
-    """The same channel set with the two users' roles exchanged."""
-    return CompoundChannelSet(ch.M, ch.N2, ch.N1, ch.J2, ch.J1, ch.h2, ch.h1)

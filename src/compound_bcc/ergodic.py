@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import ChannelGenSpec, generate_compound
+from .channel import ChannelGenSpec, generate_batch, stacked_sets
 from .errors import (
     ConstructionError,
     DegenerateBlockError,
@@ -75,8 +75,10 @@ class FadingProcess:
 
     For each of ``common_state_count`` common states the process holds one
     length-M vector per user state (J1 + J2 vectors), drawn i.i.d. CN(0,1)
-    and verified to satisfy the generic rank condition; degenerate draws
-    are resampled exactly as for compound channel sets. ``states[s - 1]``
+    and verified to satisfy the generic rank condition: the states are one
+    channel.generate_batch call over the per-state specs, so degenerate
+    draws are resampled exactly as for compound channel sets, and a state
+    that exhausts its attempts raises its GenerationError. ``states[s - 1]``
     is the single-antenna channel set of common state s. Immutable after
     construction; per-state zero forcing and the common state of each block
     (one byte per block for at most 255 common states) are cached lazily.
@@ -108,12 +110,14 @@ class FadingProcess:
         self.block_count = block_count
         self.seed = seed
         self.tol = tol
-        self.states = tuple(
-            generate_compound(
-                ChannelGenSpec(M, 1, 1, J1, J2, seed=self._state_seed(s)), tol
-            )
+        specs = [
+            ChannelGenSpec(M, 1, 1, J1, J2, seed=self._state_seed(s))
             for s in range(1, common_state_count + 1)
-        )
+        ]
+        h, error = generate_batch(specs, tol)
+        if error is not None:
+            raise error
+        self.states = tuple(stacked_sets(h))
         self._block_key = np.random.SeedSequence(seed, spawn_key=(1,)).generate_state(
             2, np.uint64
         )
@@ -240,7 +244,8 @@ def _block_states(fp, m):
     holds common_state_count. The sequence is a pure function of (seed, t),
     so it is sampled once per process, SAMPLE_CHUNK blocks per vectorized
     pass, and cached; a longer horizon extends the cached prefix. A horizon
-    whose states cannot be allocated raises InvalidInputError.
+    whose states, or whose sampling passes' temporaries, cannot be allocated
+    raises InvalidInputError, and the cache keeps its prefix.
     """
     have = len(fp._states_cache)
     if have < m:
@@ -252,10 +257,16 @@ def _block_states(fp, m):
                 f"block horizon {m}: cannot allocate {nbytes} bytes of block states"
             ) from None
         states[:have] = fp._states_cache
-        for lo in range(have + 1, m + 1, SAMPLE_CHUNK):
-            t = np.arange(lo, min(lo + SAMPLE_CHUNK, m + 1), dtype=np.uint64)
-            words = _philox_words(fp._block_key, t)
-            states[lo - 1 : lo - 1 + len(t)] = _states_from_words(fp, t, words)[0]
+        try:
+            for lo in range(have + 1, m + 1, SAMPLE_CHUNK):
+                t = np.arange(lo, min(lo + SAMPLE_CHUNK, m + 1), dtype=np.uint64)
+                words = _philox_words(fp._block_key, t)
+                states[lo - 1 : lo - 1 + len(t)] = _states_from_words(fp, t, words)[0]
+        except MemoryError:
+            raise InvalidInputError(
+                f"block horizon {m}: cannot allocate a sampling pass of "
+                f"{SAMPLE_CHUNK} blocks"
+            ) from None
         states.setflags(write=False)
         fp._states_cache = states
     return fp._states_cache[:m]

@@ -16,8 +16,10 @@ stacked paths, each bit for bit equal to a one-trial reference:
 * Rates are evaluated as stacked arrays over (trials, grid points,
   states): h v as one matmul per user and beam (per trial for rebuilt
   channels), the grams of every grid point in one pass, and two
-  logdet2_hpd calls per receiving user. rate_common, rate_confidential
-  and rate_leakage evaluate one state and are the reference.
+  logdet2_hpd calls per receiving user. For each state the matrices are
+  taken in one order: the common rate's numerator then its denominator,
+  then the confidential rate, then the leakage. The one-state reference
+  evaluation is in tests/reference.py.
 * The slopes of every trial and component are fitted in one
   sdof.fit_sdof_stack call.
 """
@@ -63,9 +65,6 @@ __all__ = [
     "confidential_stream_bounds",
     "build_beamformers",
     "equal_power",
-    "rate_common",
-    "rate_confidential",
-    "rate_leakage",
     "worst_case_rates",
     "equal_power_slopes",
     "equal_power_slopes_batch",
@@ -347,57 +346,21 @@ def _gram(w, p):
     return (g + g.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _received_gram(h, v, p):
-    """(h v) diag(p) (h v)^H, explicitly Hermitian.
-
-    The channel is applied before the powers so that a beamformer lying in
-    the null space of h keeps its ~1e-16 projection residual; scaling a
-    covariance by a large power first would bury that cancellation under
-    rounding proportional to the power.
-    """
-    return _gram(h @ v, p)
-
-
 def _logdet_i_plus(gram):
     return logdet2_hpd(np.eye(gram.shape[-1]) + gram)
-
-
-def rate_common(ch, bf, pa, k, j):
-    """Common-stream rate at user k, state j, decoding u_k first as noise.
-
-    Zero when there is no common subspace or no common power.
-    """
-    h = ch.state(k, j)
-    g0 = _received_gram(h, bf.v0, pa.p0)
-    gk = _received_gram(h, bf.confidential(k), pa.confidential(k))
-    num = _logdet_i_plus(g0 + gk)
-    den = _logdet_i_plus(gk)
-    return max(0.0, num - den)
-
-
-def rate_confidential(ch, bf, pa, k, j):
-    """Confidential-stream rate at the intended user k in state j."""
-    h = ch.state(k, j)
-    return _logdet_i_plus(_received_gram(h, bf.confidential(k), pa.confidential(k)))
-
-
-def rate_leakage(ch, bf, pa, k, l):
-    """Rate of user k's stream observed at the other user's state l.
-
-    Vanishes (below 1e-8 at any sane power) for certified beamformers.
-    """
-    h = ch.state(3 - k, l)
-    return _logdet_i_plus(_received_gram(h, bf.confidential(k), pa.confidential(k)))
 
 
 def _beam_products(pairs, stack=None, window=slice(None)):
     """h v for every receiving user, beam, trial and state.
 
     ws[k][b] has shape (T, J, N, c) for receiving user k + 1 and beam b (0
-    common, 1 and 2 confidential). Each product takes the state and the
-    beamformer as stored, as _received_gram does: the bits of a product
-    depend on its operands' strides, through the kernel numpy picks. When
-    the pairs are the trials ``window`` of a chunk's stack (see
+    common, 1 and 2 confidential). The channel is applied before the
+    powers, so that a beam lying in the null space of h keeps its ~1e-16
+    projection residual; scaling a covariance by a large power first would
+    bury that cancellation under rounding proportional to the power. Each
+    product takes the state and the beamformer as stored: the bits of a
+    product depend on its operands' strides, through the kernel numpy
+    picks. When the pairs are the trials ``window`` of a chunk's stack (see
     build_beamformers_batch), h[k] v[b] is one stacked matmul of views with
     the one-trial strides, so that each product is the 2-D one; only the
     trials not built from the stack take their own products.
@@ -419,8 +382,9 @@ def _beam_products(pairs, stack=None, window=slice(None)):
 
 
 def _grams(w, p):
-    """_received_gram at every grid point: w (T, J, N, c) from
-    _beam_products, p (T, G, c) the stream powers; (T, G, J, N, N)."""
+    """(h v) diag(p) (h v)^H at every grid point, explicitly Hermitian: w
+    (T, J, N, c) the products h v of _beam_products, p (T, G, c) the stream
+    powers; (T, G, J, N, N)."""
     return _gram(w[:, None], p[:, :, None, None, :])
 
 
@@ -447,7 +411,7 @@ def _stacked_rates(ws, ps):
         worst = []
         for k in (0, 1):
             common = _grams(ws[k][0], ps[0]) + own[k]
-            # numerator then denominator for each state, as rate_common
+            # numerator then denominator for each state
             num, conf[k] = np.moveaxis(_logdet_i_plus(np.stack([common, own[k]], -3)), -1, 0)
             worst.append(_clamp(num - conf[k]).min(axis=-1))
         r0 = np.where(ps[0].sum(axis=-1) == 0.0, 0.0, np.minimum(*worst))
@@ -467,9 +431,10 @@ def _stacked_rates(ws, ps):
 def _worst_case_stack(ws, ps, grid=None):
     """_stacked_rates; when it fails, each trial and grid point is evaluated
     on its own, in order, so that the error raised is the one the first
-    failing point meets, in the order rate_common, rate_confidential and
-    rate_leakage take their matrices. Channels, beams and powers are
-    finite, and every received covariance I + sum p G is positive definite
+    failing point meets when each state's matrices are taken in order: the
+    common rate's numerator then denominator, then the confidential rate,
+    then the leakage. Channels, beams and powers are finite, and every
+    received covariance I + sum p G is positive definite
     in exact arithmetic, so a non-finite covariance is an overflow and one
     that fails to factor has lost its identity part to rounding at a huge
     power: given the grid (dB) of the points, either raises InvalidGridError
@@ -503,12 +468,16 @@ def _worst_case_stack(ws, ps, grid=None):
 def worst_case_rates(ch, bf, pa):
     """Rates guaranteed over every state combination.
 
-    The common rate is the minimum of rate_common over both users and all
-    their states; each confidential rate is the worst intended-state rate
-    minus the worst-case leakage, clamped at zero. The larger of the two
+    With G_b = (h v_b) diag(p_b) (h v_b)^H for a state's matrix h, the
+    common rate at user k's state is [log2 det(I + G_0 + G_k) -
+    log2 det(I + G_k)]+ (u_k decoded as noise; 0 without common beams or
+    power), stream k's rate at its own state is log2 det(I + G_k), and its
+    leakage at the other user's state is that expression with that state's
+    h. The common rate is the minimum over both users and all their
+    states; each confidential rate is the worst intended-state rate minus
+    the worst-case leakage, clamped at zero. The larger of the two
     worst-case leakages (0.0 without confidential streams) is returned as
-    leakage. Evaluated as a stack of one trial and one point, bit for bit
-    equal to the rate_* functions.
+    leakage. Evaluated as a stack of one trial and one point.
     """
     ps = [p[None, None] for p in (pa.p0, pa.p1, pa.p2)]
     return RateTriple(*_worst_case_stack(_beam_products([(ch, bf)]), ps)[0, 0].tolist())

@@ -1,0 +1,90 @@
+"""One-trial references that the tests hold the package's stacked paths to.
+
+The package computes each quantity one way, over stacks; these are the
+plain evaluations, one attempt or one state at a time, that its results
+must equal bit for bit:
+
+* per_state_draw and generate_per_attempt: channel generation, attempt by
+  attempt, against channel.generate_batch;
+* rate_common, rate_confidential and rate_leakage: the rates of one state,
+  against gaussian.worst_case_rates and equal_power_slopes_batch;
+* swap_users: the same channel with the users' roles exchanged.
+"""
+
+import numpy as np
+
+from compound_bcc.channel import CompoundChannelSet, attempt_seed, verify_rank_condition
+from compound_bcc.errors import GenerationError, check_count
+from compound_bcc.gaussian import _gram, _logdet_i_plus
+from compound_bcc.linalg import DEFAULT_TOL
+
+
+def per_state_draw(spec, attempt):
+    """The states h1 + h2 of one attempt, as two standard_normal calls per state."""
+    rng = np.random.default_rng(attempt_seed(spec.seed, attempt))
+
+    def draw(n):
+        re = rng.standard_normal((n, spec.M))
+        im = rng.standard_normal((n, spec.M))
+        return (re + 1j * im) / np.sqrt(2.0)
+
+    h1 = tuple(draw(spec.N1) for _ in range(spec.J1))
+    h2 = tuple(draw(spec.N2) for _ in range(spec.J2))
+    return h1 + h2
+
+
+def generate_per_attempt(spec, tol=DEFAULT_TOL):
+    """The channel set of ``spec``: the draw of the first attempt whose
+    CompoundChannelSet passes verify_rank_condition, or a GenerationError
+    after max_resamples failed attempts."""
+    for name in ("M", "N1", "N2", "J1", "J2"):
+        check_count(getattr(spec, name), name)
+    dims = (spec.M, spec.N1, spec.N2, spec.J1, spec.J2)
+    for attempt in range(spec.max_resamples):
+        states = per_state_draw(spec, attempt)
+        ch = CompoundChannelSet(*dims, states[:spec.J1], states[spec.J1:])
+        if verify_rank_condition(ch, tol).passed:
+            return ch
+    raise GenerationError(
+        f"rank condition still failing after {spec.max_resamples} attempts "
+        f"(seed {spec.seed}); the requested dimensions are degenerate for this tolerance"
+    )
+
+
+def swap_users(ch):
+    """The same channel set with the two users' roles exchanged."""
+    return CompoundChannelSet(ch.M, ch.N2, ch.N1, ch.J2, ch.J1, ch.h2, ch.h1)
+
+
+def _received_gram(h, v, p):
+    """(h v) diag(p) (h v)^H, explicitly Hermitian, the channel applied
+    before the powers."""
+    return _gram(h @ v, p)
+
+
+def rate_common(ch, bf, pa, k, j):
+    """Common-stream rate at user k, state j, decoding u_k first as noise.
+
+    Zero when there is no common subspace or no common power.
+    """
+    h = ch.state(k, j)
+    g0 = _received_gram(h, bf.v0, pa.p0)
+    gk = _received_gram(h, bf.confidential(k), pa.confidential(k))
+    num = _logdet_i_plus(g0 + gk)
+    den = _logdet_i_plus(gk)
+    return max(0.0, num - den)
+
+
+def rate_confidential(ch, bf, pa, k, j):
+    """Confidential-stream rate at the intended user k in state j."""
+    h = ch.state(k, j)
+    return _logdet_i_plus(_received_gram(h, bf.confidential(k), pa.confidential(k)))
+
+
+def rate_leakage(ch, bf, pa, k, l):
+    """Rate of user k's stream observed at the other user's state l.
+
+    Vanishes (below 1e-8 at any sane power) for certified beamformers.
+    """
+    h = ch.state(3 - k, l)
+    return _logdet_i_plus(_received_gram(h, bf.confidential(k), pa.confidential(k)))

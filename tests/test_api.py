@@ -39,7 +39,11 @@ def test_star_import_binds_every_export():
     assert sorted(namespace) == sorted(n for n in dir(compound_bcc) if n != "__version__")
 
 
-@pytest.mark.parametrize("name", ["no_such_name", "_private", "__wrapped__", "check_count"])
+@pytest.mark.parametrize("name", [
+    "no_such_name", "_private", "__wrapped__", "check_count",
+    # test references in tests/reference.py, not exports
+    "rate_common", "rate_confidential", "rate_leakage", "swap_users",
+])
 def test_unknown_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=name):
         getattr(compound_bcc, name)

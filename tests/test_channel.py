@@ -23,9 +23,9 @@ from compound_bcc.channel import (
     generate_batch,
     generate_compound,
     load_channel,
+    rank_report,
     save_channel,
     stacked_sets,
-    swap_users,
     verify_rank_condition,
 )
 from compound_bcc.errors import (
@@ -34,6 +34,7 @@ from compound_bcc.errors import (
     InvalidInputError,
 )
 from compound_bcc.linalg import RankTolerance, numerical_rank
+from reference import generate_per_attempt, per_state_draw, swap_users
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_PATH = os.path.join(DATA_DIR, "channel_seed1.json")
@@ -267,17 +268,48 @@ class TestBatchedRankCheck:
             verify_rank_condition(ch)
 
     def test_generated_verify_channel_checks_once(self, tmp_path):
+        # generation decides the rank condition of each attempt's draw once,
+        # and the report of the draw it returns is derived, not checked again
         calls = []
+        hold = channel._rank_conditions_hold
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return verify_rank_condition(*args, **kwargs)
+            return hold(*args, **kwargs)
 
-        with mock.patch.object(channel, "verify_rank_condition", counted):
+        with (
+            mock.patch.object(channel, "_rank_conditions_hold", counted),
+            mock.patch.object(channel, "verify_rank_condition", side_effect=AssertionError),
+        ):
             code = cli.main(["verify-channel", "--M", "3", "--J1", "4", "--J2", "4",
                              "--out", str(tmp_path)])
         assert code == 0
-        assert len(calls) == 1
+        assert len(calls) == 1  # seed 0 passes on its first attempt
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dims", [
+        (4, 1, 1, 12, 12),  # 24 rows: every subset
+        (3, 2, 1, 2, 3),
+        (2, 1, 1, 13, 13),  # 26 rows: sampled subsets
+        (3, 1, 1, 13, 13),
+        (4, 1, 1, 1, 1),  # fewer rows than M: nothing to check
+        (30, 1, 1, 13, 13),  # and so above EXHAUSTIVE_ROW_LIMIT rows
+    ])
+    def test_generated_report_is_the_verified_one(self, dims, seed, tmp_path):
+        code = cli.main(["verify-channel", *(f"--{n}={v}" for n, v in
+                                             zip(("M", "N1", "N2", "J1", "J2"), dims)),
+                         "--seed", str(seed), "--out", str(tmp_path)])
+        assert code == 0
+        with open(tmp_path / "summary.json") as fh:
+            summary = json.load(fh)
+        ch = generate_compound(ChannelGenSpec(*dims, seed=seed))
+        want = verify_rank_condition(ch)
+        # both build their report with rank_report; the per-subset loop does not
+        assert rank_report(ch) == want == per_subset_report(ch)
+        assert (summary["passed"], summary["subsets_checked"], summary["exhaustive"]) == (
+            want.passed, want.checked, want.exhaustive
+        )
+        assert summary["failures"] == []
 
 
 def near_singular_stack(m, seed, combos, scales):
@@ -363,27 +395,13 @@ class TestDeterminantScreen:
         assert [tuple(s) for c in chunks for s in c.tolist()] == want
 
 
-def per_state_draw(spec, attempt):
-    """The draw of one attempt as two standard_normal calls per state."""
-    rng = np.random.default_rng(attempt_seed(spec.seed, attempt))
-
-    def draw(n):
-        re = rng.standard_normal((n, spec.M))
-        im = rng.standard_normal((n, spec.M))
-        return (re + 1j * im) / np.sqrt(2.0)
-
-    h1 = tuple(draw(spec.N1) for _ in range(spec.J1))
-    h2 = tuple(draw(spec.N2) for _ in range(spec.J2))
-    return h1 + h2
-
-
 def per_spec_generation(specs, tol):
-    """generate_compound spec by spec, stopping at the first error: the
-    channels generated and that error's (type, message)."""
+    """The per-attempt reference spec by spec, stopping at the first error:
+    the channels generated and that error's (type, message)."""
     chs = []
     for spec in specs:
         try:
-            chs.append(generate_compound(spec, tol))
+            chs.append(generate_per_attempt(spec, tol))
         except (GenerationError, InvalidInputError) as e:
             return chs, (type(e), str(e))
     return chs, None
@@ -405,7 +423,7 @@ def batch_generation(specs, tol=RankTolerance()):
 
 
 class TestBatchedGeneration:
-    """generate_batch against generate_compound, spec by spec."""
+    """generate_batch against the per-attempt reference, spec by spec."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -414,8 +432,16 @@ class TestBatchedGeneration:
         attempt=st.integers(0, 3),
     )
     def test_single_draw_equals_per_state_draws(self, seed, dims, attempt):
+        # a rank check that fails the first ``attempt`` draws makes generation
+        # return the draw of attempt ``attempt``
         spec = ChannelGenSpec(*dims, seed=seed)
-        ch = channel._draw(spec, attempt)
+        verdicts = iter([False] * attempt + [True])
+
+        def hold(rows, tol):
+            return np.full(len(rows), next(verdicts))
+
+        with mock.patch.object(channel, "_rank_conditions_hold", hold):
+            ch = generate_compound(spec)
         want = per_state_draw(spec, attempt)
         got = ch.h1 + ch.h2
         assert len(got) == len(want)
@@ -436,7 +462,7 @@ class TestBatchedGeneration:
         assert len(chs) < len(specs)  # a spec exhausted its attempts
         resampled = [
             s for s, ch in zip(specs, chs)
-            if ch.stacked_rows().tobytes() != channel._draw(s, 0).stacked_rows().tobytes()
+            if ch.stacked_rows().tobytes() != np.vstack(per_state_draw(s, 0)).tobytes()
         ]
         assert resampled  # some spec before it passed on a later attempt
 
@@ -452,15 +478,12 @@ class TestBatchedGeneration:
         assert error is None
         assert same_channels(chs, per_spec_generation(specs, RankTolerance())[0])
 
-    def test_bad_resample_budget_is_the_per_spec_error(self):
-        # seed 0 has no attempt at all
-        specs = [ChannelGenSpec(3, 1, 1, 2, 2, seed=s, max_resamples=min(s, 1)) for s in range(3)]
-        assert batch_generation(specs)[0] == []
-        specs = specs[1:] + specs[:1]
-        chs, error = batch_generation(specs)
-        want, want_error = per_spec_generation(specs, RankTolerance())
-        assert same_channels(chs, want) and len(chs) == 2
-        assert error == want_error
+    @pytest.mark.parametrize("budget", [0, -1, 2.5, True, "3", None])
+    def test_bad_resample_budget_is_a_construction_error(self, budget):
+        # no spec reaches generation without at least one attempt
+        with pytest.raises(InvalidInputError) as exc:
+            ChannelGenSpec(3, 1, 1, 2, 2, seed=0, max_resamples=budget)
+        assert str(exc.value) == f"max_resamples must be a positive integer, got {budget!r}"
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -483,12 +506,12 @@ class TestBatchedGeneration:
     @given(
         dims=st.tuples(*(st.integers(1, n) for n in (5, 3, 3, 3, 3))),
         seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
-        budgets=st.lists(st.integers(0, 4), min_size=6, max_size=6),
+        budgets=st.lists(st.integers(1, 4), min_size=6, max_size=6),
         rel=st.sampled_from([1e-10, 0.05, 0.2, 0.5]),
     )
     def test_stacked_draws_equal_per_spec_draws(self, dims, seeds, budgets, rel):
         # large tolerances fail many draws, so later attempts are drawn for
-        # a changing subset of the specs; a budget of 0 fails at once
+        # a changing subset of the specs
         specs = [ChannelGenSpec(*dims, seed=s, max_resamples=b) for s, b in zip(seeds, budgets)]
         tol = RankTolerance(rel)
         chs, error = batch_generation(specs, tol)
@@ -503,7 +526,7 @@ class TestBatchedGeneration:
         dims = dict(M=3, N1=1, N2=1, J1=2, J2=2)
         dims[field] = value
         specs = [ChannelGenSpec(**dims, seed=s) for s in range(3)]
-        for generate in (generate_batch, lambda specs: generate_compound(specs[0])):
+        for generate in (generate_batch, lambda specs: generate_per_attempt(specs[0])):
             with pytest.raises(InvalidInputError) as exc:
                 generate(specs)
             assert str(exc.value) == f"{field} must be a positive integer, got {value!r}"

@@ -414,10 +414,16 @@ class TestConfigHandling:
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/status"), reason="reads VmSize from /proc"
     )
-    def test_unallocatable_block_gather_is_a_typed_error(self, tmp_path):
+    @pytest.mark.parametrize("cap_mb, message", [
+        # 4M blocks keep their 4 MB of states, but each mean's 32 MB gather
+        # of block rates cannot be allocated
+        (24, "cannot allocate 32000000 bytes of block rates"),
+        # the states fit, but not the few MB of a vectorized sampling pass
+        (7, "cannot allocate a sampling pass of 65536 blocks"),
+    ])
+    def test_unallocatable_block_gather_is_a_typed_error(self, tmp_path, cap_mb, message):
         # The child warms up with a small run, then caps its own address space
-        # 24 MB above its size: 4M blocks keep their 4 MB of states, but each
-        # mean's 32 MB gather of block rates cannot be allocated.
+        # cap_mb above its size.
         script = f"""
 import resource, sys
 from compound_bcc.cli import main
@@ -425,7 +431,7 @@ assert main(["ergodic", "--blocks", "200", "--out", {str(tmp_path / "warm")!r}])
 with open("/proc/self/status") as fh:
     size = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
 hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-resource.setrlimit(resource.RLIMIT_AS, (size * 1024 + (24 << 20), hard))
+resource.setrlimit(resource.RLIMIT_AS, (size * 1024 + ({cap_mb} << 20), hard))
 sys.exit(main(["ergodic", "--blocks", "4000000", "--out", {str(tmp_path / "out")!r}]))
 """
         src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -436,9 +442,7 @@ sys.exit(main(["ergodic", "--blocks", "4000000", "--out", {str(tmp_path / "out")
             text=True,
         )
         assert proc.returncode == 1
-        assert proc.stderr == (
-            "error: block horizon 4000000: cannot allocate 32000000 bytes of block rates\n"
-        )
+        assert proc.stderr == f"error: block horizon 4000000: {message}\n"
         assert os.listdir(tmp_path / "out") == []
 
     def test_unknown_flag(self, tmp_path):

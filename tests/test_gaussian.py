@@ -15,7 +15,6 @@ from compound_bcc.channel import (
     generate_batch,
     generate_compound,
     stacked_sets,
-    swap_users,
 )
 from compound_bcc.ergodic import ZfBlockGains
 from compound_bcc.errors import (
@@ -39,13 +38,11 @@ from compound_bcc.gaussian import (
     equal_power_slopes_batch,
     gaussian_confidential_region,
     gaussian_sdof_region,
-    rate_common,
-    rate_confidential,
-    rate_leakage,
     worst_case_rates,
 )
 from compound_bcc.regions import nontrivial_vertices
 from compound_bcc.sdof import estimate_sdof_series, snr_db_to_power
+from reference import rate_common, rate_confidential, rate_leakage, swap_users
 
 
 def make_channel(M, N1, N2, J1, J2, seed=0):
