@@ -27,7 +27,8 @@ from .errors import (
     check_count,
     user_index,
 )
-from .linalg import DEFAULT_TOL, as_matrix, rank_from_singular_values, rank_screen
+from .linalg import DEFAULT_TOL, as_matrix
+from .rankcheck import EXHAUSTIVE_ROW_LIMIT, SAMPLED_SUBSET_COUNT, rank_chunks
 
 __all__ = [
     "CompoundChannelSet",
@@ -38,19 +39,6 @@ __all__ = [
     "save_channel",
     "load_channel",
 ]
-
-# Above this many stacked rows, rank verification samples subsets instead of
-# enumerating them all.
-EXHAUSTIVE_ROW_LIMIT = 24
-SAMPLED_SUBSET_COUNT = 10_000
-# Fixed seed for the sampled verification path, so reports are reproducible.
-SAMPLE_SEED = 0
-# Subsets are checked in chunks of this many, which bounds the memory of the
-# stacked M x M submatrices: all C(24, 12) subsets at M = 12 would take
-# 6.2 GB, a chunk 1.2 MB. Larger chunks ran no faster at M = 4 and raised the
-# peak memory of a verify-channel process.
-RANK_CHUNK = 512
-
 
 @dataclass(frozen=True)
 class CompoundChannelSet:
@@ -248,45 +236,19 @@ def _rank_conditions_hold(rows, tol=DEFAULT_TOL):
     stacked rows in ``rows`` (T, rows, M), T >= 1, whose entries must be
     finite (generated draws are; verify_rank_condition checks).
 
-    The channels share their subsets, which are gathered RANK_CHUNK
-    (channel, subset) pairs at a time and decided by _full_rank; a channel
-    stops being checked at its first failing subset.
+    The channels share their subsets, which rank_chunks decides for every
+    channel still held; a channel stops being checked at the first chunk
+    holding one of its failing subsets.
     """
     held = np.ones(len(rows), dtype=bool)
     total, m = rows.shape[1:]
     if total < m:
         return held
-    norms2 = _squared_row_norms(rows)
-    for idx in _subset_chunks(total, m, max(1, RANK_CHUNK // len(rows))):
-        live = np.flatnonzero(held)
-        stack = rows[live][:, idx].reshape(-1, m, m)
-        fro2 = norms2[live][:, idx].sum(axis=-1).reshape(-1)
-        held[live] = _full_rank(stack, fro2, tol).reshape(len(live), -1).all(axis=1)
+    for _, full in rank_chunks(rows, held, tol):
+        held[held] = full.all(axis=1)
         if not held.any():
             break
     return held
-
-
-def _subset_chunks(total, m, size):
-    """The row subsets the rank check takes, as (k, m) intp arrays of at
-    most ``size`` subsets each, one row per subset in ascending order.
-
-    All C(total, m) subsets in lexicographic order up to
-    EXHAUSTIVE_ROW_LIMIT rows, else SAMPLED_SUBSET_COUNT subsets, each one
-    rng.choice(total, m, replace=False) of a generator seeded with
-    SAMPLE_SEED, sorted.
-    """
-    if total <= EXHAUSTIVE_ROW_LIMIT:
-        subsets = itertools.combinations(range(total), m)
-    else:
-        rng = np.random.default_rng(SAMPLE_SEED)
-        subsets = (
-            np.sort(rng.choice(total, size=m, replace=False))
-            for _ in range(SAMPLED_SUBSET_COUNT)
-        )
-    flat = itertools.chain.from_iterable(subsets)
-    while (chunk := np.fromiter(itertools.islice(flat, size * m), np.intp)).size:
-        yield chunk.reshape(-1, m)
 
 
 def verify_rank_condition(ch, tol=DEFAULT_TOL):
@@ -294,42 +256,60 @@ def verify_rank_condition(ch, tol=DEFAULT_TOL):
 
     With at most EXHAUSTIVE_ROW_LIMIT stacked rows all C(rows, M) subsets
     are enumerated; otherwise a deterministic sample of SAMPLED_SUBSET_COUNT
-    subsets is drawn with a fixed-seed generator (seed SAMPLE_SEED), so the
-    report is reproducible. Fewer than M stacked rows means there is
-    nothing to check and the condition holds vacuously.
+    subsets is drawn with a fixed-seed generator (seed
+    rankcheck.SAMPLE_SEED), so the report is reproducible. Fewer than M
+    stacked rows means there is nothing to check and the condition holds
+    vacuously.
 
     A subset A (M x M) has rank M iff sigma_min(A) > t * sigma_max(A), with
     t = tol.relative_threshold (the rule of linalg.rank_from_singular_values).
-    Subsets are taken RANK_CHUNK at a time, and each chunk is first screened
-    by its determinants. With sigma_1 >= ... >= sigma_M the singular values
-    of A, |det A| = sigma_1 ... sigma_M and sigma_1 <= ||A||_F; by the
-    AM-GM inequality, sigma_1 ... sigma_{M-1} <= (||A||_F^2 / (M-1))^((M-1)/2).
-    Hence
+    Each subset is first screened by its determinant. With sigma_1 >= ... >=
+    sigma_M the singular values of A, |det A| = sigma_1 ... sigma_M and
+    sigma_1 <= ||A||_F; by the AM-GM inequality, sigma_1 ... sigma_{M-1} <=
+    (||A||_F^2 / (M-1))^((M-1)/2). Hence
 
         sigma_min / sigma_max >= |det A| / (||A||_F * (||A||_F^2 / (M-1))^((M-1)/2)),
 
-    the right side read as 1 at M = 1. The bound is evaluated in logs, from
-    one batched slogdet per chunk and ||A||_F^2 summed from the squared row
-    norms, which are computed once per channel. A subset passes on the
-    screen only when the bound is finite and exceeds linalg.rank_screen(tol)
-    = max(1e4 * t, 1e-8). The margin absorbs the rounding of the computed
-    determinant and of the SVD: a subset that clears it has a true ratio far
-    above t and above machine precision, so its SVD decision would be rank
-    M as well. Every other subset (a singular or badly scaled one, or one
-    whose squared row norms overflow) is decided by its batched singular
-    values. The report is therefore the same as that of one numerical_rank
-    call per subset, failures in enumeration order.
+    the right side read as 1 at M = 1. The bound is evaluated in logs, with
+    ||A||_F^2 summed from the squared row norms, which are computed once per
+    channel. On the exhaustive path, log |det A| is shared over prefixes:
+    write A = [P; R], P its first M - d rows and R its last d, d =
+    min(M, rankcheck.SCREEN_TAIL) = min(M, 3), and let P^H = Q [S; 0] be a
+    complete QR factorization, N = Q_2 the last d columns of Q (a basis of
+    P's null space). Then A Q = [[S^H, 0], [R Q_1, R N]] is block lower
+    triangular, so
+
+        |det A| = vol(P) |det(R N)|,   vol(P) = prod |diag S|.
+
+    The QR factorization is built one Householder reflection per row of P,
+    and a prefix reuses the reflections of the prefix one row shorter (see
+    rankcheck._reflect), so each reflection is computed once for all the
+    subsets whose prefixes start with the rows it reflects. It gives vol(P)
+    and G = rows N, and a closed-form d x d determinant of the rows of G
+    that R selects completes each subset. The rows are scaled to unit norm
+    first, their log norms added back, so no step overflows. The sampled
+    path takes one batched slogdet per chunk instead, as its subsets share
+    no prefixes, and so does a channel of at most
+    rankcheck.PREFIX_SCREEN_MIN subsets, too few for the sharing to pay.
+
+    A subset passes on the screen only when the bound is finite and exceeds
+    linalg.rank_screen(tol) = max(1e4 * t, 1e-8). The margin absorbs the
+    rounding of the computed determinant and of the SVD: a subset that
+    clears it has a true ratio far above t and above machine precision, so
+    its SVD decision would be rank M as well. Every other subset (a singular
+    or badly scaled one, one with a rank-deficient or ill-conditioned
+    prefix, or one whose squared row norms overflow or underflow) is
+    decided by its batched singular values. The report is therefore the same as that of one
+    numerical_rank call per subset, failures in enumeration order.
     """
     rows = ch.stacked_rows()
     total = rows.shape[0]
     if total < ch.M:
         return rank_report(ch)
     rows = as_matrix(rows, "stacked rows")
-    norms2 = _squared_row_norms(rows)
     failures = []
-    for idx in _subset_chunks(total, ch.M, RANK_CHUNK):
-        full = _full_rank(rows[idx], norms2[idx].sum(axis=1), tol)
-        failures.extend(tuple(s) for s in idx[~full].tolist())
+    for subsets, full in rank_chunks(rows[None], np.ones(1, dtype=bool), tol):
+        failures.extend(tuple(s) for s in subsets(np.flatnonzero(~full[0])).tolist())
     return rank_report(ch, tuple(failures))
 
 
@@ -356,38 +336,6 @@ def rank_report(ch, failures=()):
         failures=failures,
         failure_labels=tuple(tuple(ch.row_label(i) for i in s) for s in failures),
     )
-
-
-def _squared_row_norms(rows):
-    """Squared norm of each row of ``rows`` (..., M), inf where it overflows."""
-    with np.errstate(over="ignore"):
-        return np.sum(rows.real**2 + rows.imag**2, axis=-1)
-
-
-def _full_rank(stack, fro2, tol):
-    """Whether each m x m matrix of ``stack`` has numerical rank m, given
-    its squared Frobenius norm in ``fro2``: the determinant screen of
-    verify_rank_condition, and batched singular values for the rest."""
-    full = _passes_det_screen(stack, fro2, tol)
-    rest = np.flatnonzero(~full)
-    if rest.size:
-        s = np.linalg.svd(stack[rest], compute_uv=False)
-        full[rest] = rank_from_singular_values(s, tol) == stack.shape[-1]
-    return full
-
-
-def _passes_det_screen(stack, fro2, tol):
-    """Whether the bound |det A| / (||A||_F * (||A||_F^2 / (m-1))^((m-1)/2))
-    on sigma_min / sigma_max of each m x m matrix A of ``stack`` is finite
-    and above rank_screen(tol); ``fro2`` holds each ||A||_F^2."""
-    m = stack.shape[-1]
-    with np.errstate(all="ignore"):
-        log_bound = (
-            np.linalg.slogdet(stack)[1]
-            - 0.5 * m * np.log(fro2)
-            + 0.5 * (m - 1) * math.log(max(m - 1, 1))
-        )
-    return np.isfinite(log_bound) & (log_bound > math.log(rank_screen(tol)))
 
 
 def _matrix_to_pairs(m):

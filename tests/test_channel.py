@@ -3,18 +3,17 @@
 import hashlib
 import itertools
 import json
+import math
 import os
+import tempfile
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compound_bcc import channel, cli
+from compound_bcc import channel, cli, rankcheck
 from compound_bcc.channel import (
-    EXHAUSTIVE_ROW_LIMIT,
-    SAMPLE_SEED,
-    SAMPLED_SUBSET_COUNT,
     ChannelGenSpec,
     RankConditionReport,
     CompoundChannelSet,
@@ -34,6 +33,7 @@ from compound_bcc.errors import (
     InvalidInputError,
 )
 from compound_bcc.linalg import RankTolerance, numerical_rank
+from compound_bcc.rankcheck import EXHAUSTIVE_ROW_LIMIT, SAMPLE_SEED, SAMPLED_SUBSET_COUNT
 from reference import generate_per_attempt, per_state_draw, swap_users
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -217,13 +217,20 @@ class TestRankCondition:
 class TestBatchedRankCheck:
     """The chunked, screened check reports exactly what the per-subset loop does."""
 
-    CHUNK = 7  # small chunk size so that runs cross chunk boundaries
+    # RANK_CHUNK entries: pieces of 64 // 9 = 7 subsets of three-row tails,
+    # which split the tails of a prefix, and chunks of one prefix at M >= 4
+    CHUNK = 64
 
     def check(self, ch, rel):
+        # up to 24 rows, a minimum of 0 subsets takes every channel through
+        # the prefix-shared screen, and the default takes small ones through
+        # the slogdet screen
         tol = RankTolerance(rel)
-        with mock.patch.object(channel, "RANK_CHUNK", self.CHUNK):
-            got = verify_rank_condition(ch, tol)
-        assert got == per_subset_report(ch, tol)
+        want = per_subset_report(ch, tol)
+        for least in (0, rankcheck.PREFIX_SCREEN_MIN):
+            with mock.patch.multiple(rankcheck, RANK_CHUNK=self.CHUNK, PREFIX_SCREEN_MIN=least):
+                got = verify_rank_condition(ch, tol)
+            assert got == want
         return got
 
     @settings(max_examples=60, deadline=None)
@@ -253,7 +260,23 @@ class TestBatchedRankCheck:
     def test_duplicated_rows_fail_in_order(self):
         ch = edited_channel(3, 2, 1, 2, 3, 5, [("copy", 0, 6, 1.0, 0.0), ("zero", 0, 3, 1.0, 0.0)])
         got = self.check(ch, 1e-10)
-        assert not got.passed and len(got.failures) > self.CHUNK
+        assert not got.passed and len(got.failures) > self.CHUNK // 9
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        M=st.integers(4, 6),  # prefixes of one to three rows
+        dims=st.tuples(*(st.integers(1, n) for n in (2, 2, 4, 4))),
+        seed=st.integers(0, 2**32 - 1),
+        edits=EDITS,
+        rel=TOLERANCES,
+    )
+    def test_loaded_channel_failures_in_order(self, M, dims, seed, edits, rel):
+        # a saved channel with injected dependent rows, read back: failures,
+        # their order and the count are the per-subset loop's
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "channel.json")
+            save_channel(edited_channel(M, *dims, seed, edits), path)
+            self.check(load_channel(path), rel)
 
     def test_generic_channel_passes_on_the_screen(self):
         # well-conditioned subsets never reach the SVD
@@ -335,8 +358,56 @@ def near_singular_stack(m, seed, combos, scales):
     return stack * 10.0 ** exponents[:, None]
 
 
+def near_dependent_rows(m, n, seed, links, scales):
+    """n random complex rows of length m, some made nearly dependent.
+
+    ``links`` lists (dst, src1, src2, eps): row dst becomes a random
+    combination of rows src1 and src2 (of one row when they coincide) plus
+    a perturbation of relative size eps; indices are taken mod n, and a
+    link onto one of its sources is skipped. ``scales`` lists (row,
+    exponent), applied as near_singular_stack applies them.
+    """
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, m, 2)) @ np.array([1.0, 1j])
+    for dst, src1, src2, eps in links:
+        dst, src = dst % n, sorted({src1 % n, src2 % n})
+        if dst in src:
+            continue
+        combo = (rng.standard_normal((len(src), 2)) @ np.array([1.0, 1j])) @ rows[src]
+        noise = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        size = max(np.linalg.norm(combo), 1.0)
+        rows[dst] = combo + eps * size * noise / np.linalg.norm(noise)
+    exponents = np.zeros(n)
+    for row, exponent in scales:
+        exponents[row % n] = exponent
+    return rows * 10.0 ** exponents[:, None]
+
+
+def slogdet_screen(stack, tol):
+    """The slogdet screen, of the sampled path and of channels of few
+    subsets, of each m x m matrix of ``stack``."""
+    fro2 = rankcheck._squared_row_norms(stack).sum(axis=-1)
+    with np.errstate(all="ignore"):
+        logdet = np.linalg.slogdet(stack)[1]
+    return rankcheck._screen_passes(logdet, fro2, stack.shape[-1], tol)
+
+
+def exhaustive_decisions(rows, tol, screen=rankcheck._exhaustive_screen):
+    """{subset: verdict} over every m-subset of ``rows`` (total, m), in
+    check order: the prefix-shared screen's pass, or with
+    screen=rankcheck.rank_chunks the rank decision."""
+    got = {}
+    for subsets, verdict in screen(rows[None], np.ones(1, dtype=bool), tol):
+        got.update(zip(map(tuple, subsets(np.arange(verdict.shape[1])).tolist()), verdict[0]))
+    return got
+
+
+def no_state(state, owner, row):
+    """The enumeration alone: prefixes carry no state."""
+
+
 class TestDeterminantScreen:
-    """The screen only passes subsets the SVD rule gives full rank, and the
+    """The screens only pass subsets the SVD rule gives full rank, and the
     chunks hold the subsets of the per-subset reference, in its order."""
 
     @settings(max_examples=150, deadline=None)
@@ -347,39 +418,91 @@ class TestDeterminantScreen:
             st.tuples(st.integers(0, 5), st.sampled_from([1e-12, 1e-10, 1e-8, 1e-6, 1e-4])),
             max_size=4,
         ),
+        links=st.lists(
+            st.tuples(*(st.integers(0, 8),) * 3, st.sampled_from([0.0, 1e-12, 1e-8, 1e-4])),
+            max_size=3,
+        ),
         scales=st.lists(
-            st.tuples(st.integers(0, 5), st.sampled_from([-150, 150])), max_size=3
+            st.tuples(st.integers(0, 8), st.sampled_from([-150, 150])), max_size=3
         ),
         rel=st.sampled_from([1e-15, 1e-12, 1e-10, 1e-6]),
     )
-    def test_screen_passes_only_full_rank(self, m, seed, combos, scales, rel):
+    def test_screen_passes_only_full_rank(self, m, seed, combos, links, scales, rel):
         tol = RankTolerance(rel)
+        # the slogdet screen, on m x m matrices
         stack = near_singular_stack(m, seed, combos, scales)
-        fro2 = channel._squared_row_norms(stack).sum(axis=-1)
-        passed = channel._passes_det_screen(stack, fro2, tol)
-        for a in stack[passed]:
+        for a in stack[slogdet_screen(stack, tol)]:
             assert numerical_rank(a, tol) == m
+        # the exhaustive path's prefix-shared screen, on every m-subset of
+        # m + 3 rows: a link may fall in one subset's prefix (m >= 5 has
+        # prefixes of two rows or more), across its boundary with the tail,
+        # or in its tail, and a scaled row's squared norm may overflow
+        rows = near_dependent_rows(m, m + 3, seed, links, scales)
+        for subset, passed in exhaustive_decisions(rows, tol).items():
+            if passed:
+                assert numerical_rank(rows[list(subset)], tol) == m
+
+    def test_prefix_screen_refers_dependent_prefixes_and_tails(self):
+        # at m = 6 a prefix holds three rows. Row 1 is a multiple of row 0,
+        # so a subset with both has a rank-deficient prefix; row 8 is a
+        # multiple of row 2, and a subset with both holds 2 in its prefix and
+        # 8 in its tail. The screen passes every other subset.
+        rows = near_dependent_rows(6, 9, 3, [(1, 0, 0, 0.0), (8, 2, 2, 0.0)], [])
+        got = exhaustive_decisions(rows, RankTolerance())
+        assert list(got) == list(itertools.combinations(range(9), 6))
+        assert [s for s, passed in got.items() if not passed] == [
+            s for s in got if {0, 1} <= set(s) or {2, 8} <= set(s)
+        ]
 
     def test_screen_decides_well_conditioned_and_refers_dependent(self):
         tol = RankTolerance()
         stack = near_singular_stack(4, 3, [(1, 1e-12), (2, 1e-8)], [])
-        fro2 = channel._squared_row_norms(stack).sum(axis=-1)
-        assert channel._passes_det_screen(stack, fro2, tol).tolist() == [False, False, True]
+        assert slogdet_screen(stack, tol).tolist() == [False, False, True]
         # an overflowing norm makes the bound infinite: the SVD decides
         huge = stack * 1e160
-        fro2 = channel._squared_row_norms(huge).sum(axis=-1)
-        assert np.isinf(fro2).all()
-        assert not channel._passes_det_screen(huge, fro2, tol).any()
-        assert channel._full_rank(huge, fro2, tol).tolist() == [False, True, True]
+        assert np.isinf(rankcheck._squared_row_norms(huge)).all()
+        assert not slogdet_screen(huge, tol).any()
+        rows = huge.reshape(-1, 4)  # the three matrices are subsets of these rows
+        assert not any(exhaustive_decisions(rows, tol).values())
+        full = exhaustive_decisions(rows, tol, rankcheck.rank_chunks)
+        assert [full[s] for s in [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)]] == [False, True, True]
 
-    @pytest.mark.parametrize("total, m", [(1, 1), (5, 5), (7, 3), (9, 4), (24, 2)])
+    @pytest.mark.parametrize("total, m", [
+        (1, 1), (5, 5), (7, 3), (9, 4), (24, 2),
+        (10, 6), (12, 8),  # prefixes of three and five rows
+    ])
     @pytest.mark.parametrize("size", [1, 7, 512])
     def test_exhaustive_chunks_follow_combinations(self, total, m, size):
-        chunks = list(channel._subset_chunks(total, m, size))
-        assert all(c.dtype == np.intp and c.shape[1:] == (m,) for c in chunks)
-        assert all(len(c) == size for c in chunks[:-1]) and 1 <= len(chunks[-1]) <= size
-        got = [tuple(s) for c in chunks for s in c.tolist()]
-        assert got == list(itertools.combinations(range(total), m))
+        want = list(itertools.combinations(range(total), m))
+        # blocks of one prefix, and of as many as ``size`` entries allow
+        for block in (1, size * total * m):
+            tails, blocks = rankcheck._exhaustive_chunks(total, m, block, size, no_state, None)
+            pieces = [(prefixes, *piece) for prefixes, _, chunk in blocks for piece in chunk]
+            assert all(p.dtype == o.dtype == t.dtype == np.intp for p, o, t in pieces)
+            assert all(1 <= len(o) == len(t) <= size for _, o, t in pieces)
+            got = [np.column_stack([p[o], tails[t]]) for p, o, t in pieces]
+            assert [tuple(s) for c in got for s in c.tolist()] == want
+        # the table the slogdet screen takes at most PREFIX_SCREEN_MIN subsets from
+        table = rankcheck._subsets(total, m)
+        assert table.dtype == np.intp and not table.flags.writeable
+        assert [tuple(s) for s in table.reshape(-1, m).tolist()] == want
+
+    def test_exhaustive_chunks_count_and_order_at_c_24_12(self):
+        # all C(24, 12) subsets, in order: each is ascending, and its
+        # lexicographic rank C(n, k) - 1 - sum_i C(n - 1 - c_i, k - i) is its
+        # position in the enumeration
+        n, k = 24, 12
+        table = np.array([[math.comb(x, j) for j in range(k + 1)] for x in range(n)])
+        tails, blocks = rankcheck._exhaustive_chunks(n, k, 2**14, 2**14, no_state, None)
+        count = 0
+        for prefixes, _, pieces in blocks:
+            for owner, tail in pieces:
+                c = np.column_stack([prefixes[owner], tails[tail]])
+                assert (np.diff(c, axis=1) > 0).all()
+                rank = math.comb(n, k) - 1 - table[n - 1 - c, np.arange(k, 0, -1)].sum(axis=1)
+                assert np.array_equal(rank, np.arange(count, count + len(c)))
+                count += len(c)
+        assert count == math.comb(n, k)
 
     @pytest.mark.parametrize("total, m", [(25, 3), (30, 1), (26, 12)])
     @pytest.mark.parametrize("size", [7, 512])
@@ -389,7 +512,7 @@ class TestDeterminantScreen:
             tuple(sorted(rng.choice(total, size=m, replace=False)))
             for _ in range(SAMPLED_SUBSET_COUNT)
         ]
-        chunks = list(channel._subset_chunks(total, m, size))
+        chunks = list(rankcheck._sampled_chunks(total, m, size))
         assert all(c.dtype == np.intp and c.shape[1:] == (m,) for c in chunks)
         assert all(len(c) == size for c in chunks[:-1])
         assert [tuple(s) for c in chunks for s in c.tolist()] == want
@@ -454,7 +577,7 @@ class TestBatchedGeneration:
         # attempt 2, and seed 9 fails all three
         tol = RankTolerance(0.15)
         specs = [ChannelGenSpec(2, 1, 1, 2, 2, seed=s, max_resamples=3) for s in range(1, 25)]
-        with mock.patch.object(channel, "RANK_CHUNK", chunk):
+        with mock.patch.object(rankcheck, "RANK_CHUNK", chunk):
             chs, error = batch_generation(specs, tol)
         want, want_error = per_spec_generation(specs, tol)
         assert same_channels(chs, want)
@@ -498,9 +621,27 @@ class TestBatchedGeneration:
         tol = RankTolerance(rel)
         chs = [edited_channel(M, N1, N2, J1, J2, seed, edits) for seed in seeds]
         rows = np.array([ch.stacked_rows() for ch in chs])
-        with mock.patch.object(channel, "RANK_CHUNK", 7):
-            held = channel._rank_conditions_hold(rows, tol)
-        assert held.tolist() == [verify_rank_condition(ch, tol).passed for ch in chs]
+        want = [verify_rank_condition(ch, tol).passed for ch in chs]
+        for least in (0, rankcheck.PREFIX_SCREEN_MIN):
+            with mock.patch.multiple(rankcheck, RANK_CHUNK=64, PREFIX_SCREEN_MIN=least):
+                assert channel._rank_conditions_hold(rows, tol).tolist() == want
+
+    @pytest.mark.parametrize("least", [0, rankcheck.PREFIX_SCREEN_MIN])
+    @pytest.mark.parametrize("chunk", [64, 4096])
+    def test_chunk_wide_check_holds_failing_and_passing_draws(self, chunk, least):
+        # one call over five draws of 10 rows at M = 5 (prefixes of two
+        # rows), of which the first, third and last fail at different
+        # subsets; the rest pass
+        edits = [
+            [("copy", 0, 1, 2.0, 0.0)], [], [("copy", 4, 9, 1j, 0.0)], [],
+            [("zero", 0, 7, 1.0, 0.0)],
+        ]
+        chs = [edited_channel(5, 1, 1, 5, 5, seed, e) for seed, e in enumerate(edits)]
+        rows = np.array([ch.stacked_rows() for ch in chs])
+        with mock.patch.multiple(rankcheck, RANK_CHUNK=chunk, PREFIX_SCREEN_MIN=least):
+            held = channel._rank_conditions_hold(rows, RankTolerance())
+        assert held.tolist() == [False, True, False, True, False]
+        assert held.tolist() == [verify_rank_condition(ch).passed for ch in chs]
 
     @settings(max_examples=60, deadline=None)
     @given(
