@@ -19,13 +19,13 @@ modules it calls when it runs, so a process loads only those.
 
 import argparse
 import dataclasses
+import functools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
 
-from .errors import CompoundBccError, ConfigError, check_count
+from .errors import CompoundBccError, ConfigError, check_count, check_real
 from .sdof import DEFAULT_SNR_GRID_DB
 
 __all__ = ["ExperimentConfig", "main"]
@@ -59,7 +59,7 @@ class ExperimentConfig:
             check_count(getattr(self, name), name, ConfigError)
         for name in ("r1", "r2", "seed"):
             check_count(getattr(self, name), name, ConfigError, minimum=0)
-        grid = tuple(_real(x, "snr_db_grid entry") for x in self.snr_db_grid)
+        grid = tuple(check_real(x, "snr_db_grid entry", ConfigError) for x in self.snr_db_grid)
         if not grid:
             raise ConfigError("snr_db_grid must not be empty")
         if any(x < 0 for x in grid):
@@ -69,7 +69,7 @@ class ExperimentConfig:
         self.snr_db_grid = grid
         if self.power_policy not in ("full1", "full2", "equal", "split"):
             raise ConfigError(f"unknown power_policy {self.power_policy!r}")
-        frac = _real(self.p1_frac, "p1_frac")
+        frac = check_real(self.p1_frac, "p1_frac", ConfigError)
         if not (0.0 <= frac <= 1.0):
             raise ConfigError(f"p1_frac must be in [0, 1], got {self.p1_frac!r}")
         self.p1_frac = frac  # a float, as the flag gives it, so both write the same bytes
@@ -81,19 +81,6 @@ class ExperimentConfig:
         d = dataclasses.asdict(self)
         d["snr_db_grid"] = list(self.snr_db_grid)
         return d
-
-
-def _real(v, name):
-    """``v`` as a float if it is a finite int or float; ConfigError naming ``name``."""
-    x = math.nan
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        try:
-            x = float(v)
-        except OverflowError:
-            pass
-    if not math.isfinite(x):
-        raise ConfigError(f"{name} must be a finite number, got {v!r}")
-    return x
 
 
 def load_config(path):
@@ -427,7 +414,9 @@ def _common_flags():
     return common
 
 
+@functools.cache
 def make_parser():
+    """The CLI's parser, built once per process: parse_args leaves it as it is."""
     parser = _Parser(
         prog="compound-bcc",
         description="Secrecy-rate laboratory for compound broadcast channels",

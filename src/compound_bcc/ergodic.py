@@ -12,10 +12,13 @@ uniformly over the other user's J_other states, zero in the nulled ones.
 The secrecy rate [tx - leakage]+ is accounted per block and averaged over
 blocks; these state averages give the analytic (M-1)/J slope targets.
 
-Beams and gains depend on the common state only: zero_forcing computes
-them from one state's channel set, and a FadingProcess caches them per
-state. sample_block draws the state indices of one block; simulate_blocks
-reads only the common state, one byte per block for at most 255 states.
+Beams and gains depend on the common state only. A FadingProcess keeps
+its states as stacks and zero-forces all of them at once
+(_zero_forcing_stack), redoing one by one the states that miss a screen;
+zero_forcing is the one-state call. The rates of every (SNR point, state)
+pair are one stacked evaluation too (_block_rates). sample_block draws the
+state indices of one block; simulate_blocks reads only the common state,
+one byte per block for at most 255 states.
 """
 
 from dataclasses import dataclass
@@ -30,11 +33,12 @@ from .errors import (
     InvalidGridError,
     InvalidInputError,
     check_count,
+    check_real,
     user_index,
 )
-from .linalg import DEFAULT_TOL, null_space_basis
+from .linalg import DEFAULT_TOL, generic_null_spaces, null_space_basis
 from .regions import time_share
-from .sdof import check_snr_grid, estimate_sdof_series, snr_db_to_power
+from .sdof import check_snr_grid, fit_sdof_stack, snr_db_to_power
 
 __all__ = [
     "FadingProcess",
@@ -44,8 +48,6 @@ __all__ = [
     "ErgodicRunStats",
     "sample_block",
     "zero_forcing",
-    "tx_rate",
-    "leakage",
     "block_secrecy_rates",
     "simulate_blocks",
     "ergodic_slope_estimates",
@@ -79,28 +81,17 @@ class FadingProcess:
     channel.generate_batch call over the per-state specs, so degenerate
     draws are resampled exactly as for compound channel sets, and a state
     that exhausts its attempts raises its GenerationError. ``states[s - 1]``
-    is the single-antenna channel set of common state s. Immutable after
-    construction; per-state zero forcing and the common state of each block
-    (one byte per block for at most 255 common states) are cached lazily.
+    is the single-antenna channel set of common state s, a view of the
+    stacks (S, J_k, 1, M) that generate_batch returns and the process keeps.
+    Immutable after construction; the zero forcing of all common states and
+    the common state of each block (one byte per block for at most 255
+    common states) are cached lazily.
     """
 
-    def __init__(
-        self,
-        M,
-        J1,
-        J2,
-        common_state_count=4,
-        block_count=10_000,
-        seed=0,
-        tol=DEFAULT_TOL,
-    ):
-        for name, v in (
-            ("M", M),
-            ("J1", J1),
-            ("J2", J2),
-            ("common_state_count", common_state_count),
-            ("block_count", block_count),
-        ):
+    def __init__(self, M, J1, J2, common_state_count=4, block_count=10_000, seed=0,
+                 tol=DEFAULT_TOL):
+        for name, v in (("M", M), ("J1", J1), ("J2", J2),
+                        ("common_state_count", common_state_count), ("block_count", block_count)):
             check_count(v, name)
         check_count(seed, "seed", minimum=0)
         self.M = M
@@ -117,11 +108,10 @@ class FadingProcess:
         h, error = generate_batch(specs, tol)
         if error is not None:
             raise error
+        self._h = h
         self.states = tuple(stacked_sets(h))
-        self._block_key = np.random.SeedSequence(seed, spawn_key=(1,)).generate_state(
-            2, np.uint64
-        )
-        self._zf_cache = {}
+        self._block_key = np.random.SeedSequence(seed, spawn_key=(1,)).generate_state(2, np.uint64)
+        self._gains = None
         self._states_cache = np.empty(0, dtype=np.min_scalar_type(common_state_count))
 
     def _state_seed(self, s):
@@ -280,19 +270,64 @@ def zero_forcing(ch, tol=DEFAULT_TOL):
     or, when one of its direct gains at user k's states is at most
     DIRECT_GAIN_MIN, the normalized sum of the basis columns. A direct gain
     that stays that small raises DegenerateBlockError, and a nulled gain
-    above NULLED_GAIN_MAX raises ConstructionError.
+    above NULLED_GAIN_MAX raises ConstructionError. The one-state call of
+    _zero_forcing_stack.
     """
     if (ch.N1, ch.N2) != (1, 1):
         raise InvalidInputError(
             f"zero forcing needs single-antenna users, got N1={ch.N1}, N2={ch.N2}"
         )
-    n1 = min(ch.J1, ch.M - 1)
-    n2 = min(ch.J2, ch.M - 1)
+    vs, phi1, phi2 = _zero_forcing_stack(np.stack(ch.h1)[None], np.stack(ch.h2)[None], tol)
+    return ZfBlockGains(
+        phi1=phi1[0], phi2=phi2[0], nulled1=min(ch.J1, ch.M - 1),
+        nulled2=min(ch.J2, ch.M - 1), v1=vs[0, :, 0], v2=vs[0, :, 1],
+    )
+
+
+def _zero_forcing_stack(h1, h2, tol, name_states=False):
+    """zero_forcing of S channel sets, given as state stacks h1 (S, J1, 1, M)
+    and h2 (S, J2, 1, M): beams vs (S, M, 2) and gains phi1 (S, J1, 2) and
+    phi2 (S, J2, 2), each state's bit for bit those of _zero_forcing_state.
+
+    One generic_null_spaces call per user gives every state's first basis
+    column, and one matmul per user its gains, one 1 x M by M x 2 product
+    per state as in _zero_forcing_state. A state whose nulled rows lack the
+    generic rank, whose direct gains are not all above 2 DIRECT_GAIN_MIN or
+    whose nulled gains are not all at most NULLED_GAIN_MAX / 2 is redone by
+    _zero_forcing_state, in state order: the first state whose zero forcing
+    fails raises its error, prefixed "common state s: " if name_states.
+    """
+    S, J1, _, M = h1.shape
+    n1, n2 = min(J1, M - 1), min(h2.shape[1], M - 1)
+    vs = np.zeros((S, M, 2), dtype=complex)
+    sure = np.ones(S, dtype=bool)
+    if M > 1:  # with M = 1 no row is nulled, every gain is 0 and every state redone
+        for i, (rows, n) in enumerate(((h2, n2), (h1, n1))):
+            basis, generic = generic_null_spaces(rows[:, :n, 0], tol)
+            vs[..., i] = basis[..., 0]
+            sure &= generic
+    phi1, phi2 = ((h @ vs[:, None])[:, :, 0] for h in (h1, h2))
+    for i, (phi, n) in enumerate(((phi1, n1), (phi2, n2))):
+        sure &= (np.abs(phi[..., i]) > 2 * DIRECT_GAIN_MIN).all(axis=1)
+        sure &= (np.abs(phi[:, :n, 1 - i]) <= NULLED_GAIN_MAX / 2).all(axis=1)
+    for s in np.flatnonzero(~sure):
+        try:
+            vs[s], phi1[s], phi2[s] = _zero_forcing_state(h1[s], h2[s], n1, n2, tol)
+        except (ConstructionError, DegenerateBlockError) as e:
+            if name_states:
+                raise type(e)(f"common state {s + 1}: {e}") from None
+            raise
+    return vs, phi1, phi2
+
+
+def _zero_forcing_state(h1, h2, n1, n2, tol):
+    """Beams (M, 2) and gains (J1, 2), (J2, 2) of one channel set, given as
+    state stacks h1 (J1, 1, M) and h2 (J2, 1, M) of which the first n1 and n2
+    are nulled, as zero_forcing states them."""
 
     def pick_beam(nulled, own_states):
-        rows = np.vstack(nulled) if nulled else np.zeros((0, ch.M), dtype=complex)
         # at most M-1 nulled rows, so the basis has at least one column
-        basis = null_space_basis(rows, tol)
+        basis = null_space_basis(nulled[:, 0], tol)
         candidates = [basis[:, 0]]
         if basis.shape[1] >= 2:
             mixed = basis.sum(axis=1)
@@ -306,70 +341,15 @@ def zero_forcing(ch, tol=DEFAULT_TOL):
             "after the deterministic null-space rotation"
         )
 
-    v1 = pick_beam(ch.h2[:n2], ch.h1)
-    v2 = pick_beam(ch.h1[:n1], ch.h2)
-    vs = np.column_stack([v1, v2])
-    phi1 = np.array([h[0] @ vs for h in ch.h1])
-    phi2 = np.array([h[0] @ vs for h in ch.h2])
+    vs = np.column_stack([pick_beam(h2[:n2], h1), pick_beam(h1[:n1], h2)])
+    phi1, phi2 = ((h @ vs)[:, 0] for h in (h1, h2))
     for phi, nulled, k, i in ((phi1, n1, 1, 2), (phi2, n2, 2, 1)):
         bad = np.abs(phi[:nulled, i - 1])
         if bad.size and bad.max() > NULLED_GAIN_MAX:
             raise ConstructionError(
                 f"stream {i} not nulled at user {k} (gain {bad.max():.3e})"
             )
-    return ZfBlockGains(phi1=phi1, phi2=phi2, nulled1=n1, nulled2=n2, v1=v1, v2=v2)
-
-
-def _state_gains(fp, s):
-    """zero_forcing of common state s, cached on the process; its errors
-    name the state."""
-    gains = fp._zf_cache.get(s)
-    if gains is None:
-        try:
-            gains = zero_forcing(fp.states[s - 1], fp.tol)
-        except (ConstructionError, DegenerateBlockError) as e:
-            raise type(e)(f"common state {s}: {e}") from None
-        fp._zf_cache[s] = gains
-    return gains
-
-
-def tx_rate(gains, k, powers):
-    """Transmission rate of stream k, averaged uniformly over user k's states.
-
-    powers = (p1, p2). With phi = gains.phi(k), the rate is the mean over
-    user k's J_k states j of log2(1 + p_k |phi[j, k]|^2 / (1 + I_j)), where
-    I_j = 0 in the nulled states j <= nulled(k) and p_other |phi[j, other]|^2
-    in the rest, which see the other stream as noise.
-    """
-    pk = powers[k - 1]
-    po = powers[2 - k]
-    phi = gains.phi(k)
-    own = np.abs(phi[:, k - 1]) ** 2
-    cross = np.abs(phi[:, 2 - k]) ** 2
-    denom = np.ones(phi.shape[0])
-    nulled = gains.nulled(k)
-    denom[nulled:] += po * cross[nulled:]
-    return float(np.mean(np.log2(1.0 + pk * own / denom)))
-
-
-def leakage(gains, k, powers):
-    """Rate of stream k observable at the other user, averaged over its states.
-
-    With phi = gains.phi(other), the leakage is the sum over the other
-    user's non-nulled states j of log2(1 + p_k |phi[j, k]|^2), divided by
-    all J_other of its states: a uniform average in which nulled states
-    contribute zero. Identically zero when every state is nulled
-    (J_other <= M-1).
-    """
-    pk = powers[k - 1]
-    other = 3 - k
-    phi = gains.phi(other)
-    nulled = gains.nulled(other)
-    total = phi.shape[0]
-    if nulled >= total:
-        return 0.0
-    cross = np.abs(phi[nulled:, k - 1]) ** 2
-    return float(np.sum(np.log2(1.0 + pk * cross)) / total)
+    return vs, phi1, phi2
 
 
 @dataclass(frozen=True)
@@ -381,13 +361,48 @@ class BlockRateRecord:
     secrecy: tuple
 
 
+def _block_rates(phi1, phi2, n1, n2, powers):
+    """Rates of S common states' gain stacks phi1 (S, J1, 2) and phi2
+    (S, J2, 2), of which the first n1 and n2 states are nulled, at G power
+    pairs powers (G, 2), each (p1, p2).
+
+    Returns tx, leak and secrecy, each (G, 2, S), with row [g, k - 1] for
+    stream k. With phi = phi_k and n = n_k, stream k's transmission rate is
+    the mean over user k's J_k states j of
+    log2(1 + p_k |phi[j, k]|^2 / (1 + I_j)), where I_j = 0 in the nulled
+    states j <= n and p_o |phi[j, o]|^2 in the rest, which see the other
+    stream o as noise. Stream o leaks in those: its leakage is the sum over
+    them of log2(1 + p_o |phi[j, o]|^2) divided by all J_k states, so zero
+    when every state is nulled. The secrecy rate is [tx - leak]+.
+    """
+    p = np.asarray(powers, dtype=float)[:, None, None, :]
+    tx = np.empty((len(p), 2, len(phi1)))
+    leak = np.empty_like(tx)
+    for k, (phi, n) in enumerate(((phi1, n1), (phi2, n2))):
+        gain = np.abs(phi) ** 2
+        own, cross = gain[..., k], gain[..., 1 - k]
+        pk, po = p[..., k], p[..., 1 - k]
+        noise = np.where(np.arange(phi.shape[1]) < n, 1.0, 1.0 + po * cross)
+        tx[:, k] = np.mean(np.log2(1.0 + pk * own / noise), axis=-1)
+        leak[:, 1 - k] = np.sum(np.log2(1.0 + po * cross[..., n:]), axis=-1) / phi.shape[1]
+    d = tx - leak
+    # np.maximum(d, 0.0) would keep a difference of -0.0
+    return tx, leak, np.where(d > 0, d, 0.0)
+
+
+def _records(tx, leak, secrecy):
+    """The BlockRateRecords of _block_rates' rates, as records[g][s]."""
+    return [tuple(BlockRateRecord(*map(tuple, r)) for r in zip(*(x.T.tolist() for x in point)))
+            for point in zip(tx, leak, secrecy)]
+
+
 def block_secrecy_rates(gains, p1, p2):
-    """Per-block secrecy rates [tx - leakage]+ for both users."""
-    powers = (p1, p2)
-    tx = tuple(tx_rate(gains, k, powers) for k in (1, 2))
-    lk = tuple(leakage(gains, k, powers) for k in (1, 2))
-    sec = tuple(max(0.0, a - b) for a, b in zip(tx, lk))
-    return BlockRateRecord(tx=tx, leak=lk, secrecy=sec)
+    """Per-block secrecy rates [tx - leakage]+ for both users: the one-state,
+    one-power call of _block_rates."""
+    rates = _block_rates(
+        gains.phi1[None], gains.phi2[None], gains.nulled1, gains.nulled2, [(p1, p2)]
+    )
+    return _records(*rates)[0][0]
 
 
 @dataclass(frozen=True)
@@ -395,6 +410,7 @@ class PowerPolicy:
     """Constant per-block power split; p1 + p2 equals the total budget.
 
     kind is one of 'full1', 'full2', 'equal', 'split'; split uses p1_frac.
+    total and p1_frac are ints or floats, not bools (see check_real).
     """
 
     kind: str
@@ -404,17 +420,13 @@ class PowerPolicy:
     _FRACS = {"full1": 1.0, "full2": 0.0, "equal": 0.5}
 
     def __post_init__(self):
-        if self.kind not in ("full1", "full2", "equal", "split"):
-            raise InvalidInputError(f"unknown power policy {self.kind!r}")
-        if not (0 <= self.total < np.inf):
-            raise InvalidInputError(
-                f"total power must be finite and nonnegative, got {self.total!r}"
-            )
-        if self.kind == "split":
-            if self.p1_frac is None or not (0.0 <= self.p1_frac <= 1.0):
-                raise InvalidInputError(
-                    f"split policy needs p1_frac in [0, 1], got {self.p1_frac!r}"
-                )
+        if not isinstance(self.kind, str) or self.kind not in ("full1", "full2", "equal", "split"):
+            raise InvalidInputError(f"unknown power policy kind {self.kind!r}")
+        if check_real(self.total, "total power") < 0:
+            raise InvalidInputError(f"total power must be nonnegative, got {self.total!r}")
+        if self.kind == "split" or self.p1_frac is not None:
+            if not 0.0 <= check_real(self.p1_frac, "p1_frac") <= 1.0:
+                raise InvalidInputError(f"p1_frac must be in [0, 1], got {self.p1_frac!r}")
 
     def powers(self):
         frac = self._FRACS.get(self.kind, self.p1_frac)
@@ -441,88 +453,76 @@ class ErgodicRunStats:
     analytic_r2: float
 
 
-def state_records(fp, policy):
-    """BlockRateRecord per common state under a fixed power split."""
-    p1, p2 = policy.powers()
-    return tuple(
-        block_secrecy_rates(_state_gains(fp, s), p1, p2)
-        for s in range(1, fp.common_state_count + 1)
-    )
-
-
 def simulate_blocks(fp, policy, m=None):
-    """Sample m blocks in index order and average their secrecy rates.
+    """Sample m blocks in index order and average their secrecy rates: the
+    one-power call of _simulate.
 
-    The per-block rate depends on the realized common state only (the
-    accounting already averages over each user's state uncertainty), so
-    per-state rates are computed once and looked up per block. The block
-    sequence is sampled once per process and cached on it (see
-    _block_states), so repeated calls on the same process, at any power,
-    reuse it. Fixed summation order makes reruns bit-identical. Each mean
-    gathers the m blocks' rates, 8 bytes per block; a horizon whose gather
-    cannot be allocated raises InvalidInputError.
+    A block's rates depend on its common state only (the accounting already
+    averages over each user's state uncertainty), so they are computed per
+    state and looked up per block, in the block sequence that is sampled
+    once per process (_block_states). Fixed summation order makes reruns
+    bit-identical.
     """
-    if m is None:
-        m = fp.block_count
-    if (
-        isinstance(m, bool)
-        or not isinstance(m, (int, np.integer))
-        or not (1 <= m <= fp.block_count)
-    ):
+    if not isinstance(policy, PowerPolicy):
+        raise InvalidInputError(f"policy must be a PowerPolicy, got {policy!r}")
+    return _simulate(fp, [policy.powers()], m)[0]
+
+
+def _simulate(fp, powers, m):
+    """ErgodicRunStats of blocks 1..m (all if m is None) at each power pair
+    (p1, p2) of powers.
+
+    The common states are zero-forced once per process, errors naming the
+    state, and their rates at all pairs are one _block_rates call. Each mean
+    gathers one pair's rates of the m blocks, 8 bytes per block; a horizon
+    whose gather cannot be allocated raises InvalidInputError.
+    """
+    m = fp.block_count if m is None else m
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 1 <= m <= fp.block_count:
         raise InvalidInputError(
             f"block horizon must be an integer in 1..{fp.block_count}, got {m!r}"
         )
-    recs = state_records(fp, policy)
-    r1_by_state = np.array([r.secrecy[0] for r in recs])
-    r2_by_state = np.array([r.secrecy[1] for r in recs])
-    violated = np.array(
-        [(r.leak[0] > r.tx[0]) or (r.leak[1] > r.tx[1]) for r in recs]
-    )
+    if fp._gains is None:
+        fp._gains = _zero_forcing_stack(*fp._h, fp.tol, name_states=True)[1:]
+    n1, n2 = min(fp.J1, fp.M - 1), min(fp.J2, fp.M - 1)
+    tx, leak, secrecy = _block_rates(*fp._gains, n1, n2, powers)
+    violated = (leak > tx).any(axis=1)
     states = _block_states(fp, int(m))
+    stats = []
     try:
         idx = states - 1
-        r1_mean = float(np.mean(r1_by_state[idx]))
-        r2_mean = float(np.mean(r2_by_state[idx]))
-        leak_violation_freq = float(np.mean(violated[idx]))
+        for (r1, r2), v, recs in zip(secrecy, violated, _records(tx, leak, secrecy)):
+            means = [float(np.mean(r[idx])) for r in (r1, r2, v)]
+            stats.append(ErgodicRunStats(m, *means, recs, float(np.mean(r1)), float(np.mean(r2))))
     except MemoryError:
-        nbytes = m * r1_by_state.itemsize
         raise InvalidInputError(
-            f"block horizon {m}: cannot allocate {nbytes} bytes of block rates"
+            f"block horizon {m}: cannot allocate {8 * m} bytes of block rates"
         ) from None
-    return ErgodicRunStats(
-        m=m,
-        r1_mean=r1_mean,
-        r2_mean=r2_mean,
-        leak_violation_freq=leak_violation_freq,
-        state_records=recs,
-        analytic_r1=float(np.mean(r1_by_state)),
-        analytic_r2=float(np.mean(r2_by_state)),
-    )
+    return stats
 
 
 def ergodic_slope_estimates(fp, policy_kind, snr_db_grid, m=None, p1_frac=None):
     """Simulated rates over the SNR grid and their slope fits.
 
-    Returns (stats_list, (est1, est2)). The block sequence is sampled once
-    and cached on fp; every grid point reuses it, so the fit sees a smooth
-    function of power. Powers are finite (check_snr_grid), but near the
-    float limit p |phi|^2 may not be: a grid point at which a per-state
-    transmission or leakage rate overflows raises InvalidGridError naming
-    the point.
+    Returns (stats_list, (est1, est2)). All grid points are evaluated by one
+    _simulate call over the block sequence, which is sampled once and cached
+    on fp, so the fit sees a smooth function of power; one fit_sdof_stack
+    call fits both users' series. Powers are finite (check_snr_grid), but
+    near the float limit p |phi|^2 may not be: a grid point at which a
+    per-state transmission or leakage rate overflows raises InvalidGridError
+    naming the point.
     """
     grid = check_snr_grid(snr_db_grid)
-    stats = []
-    for snr_db, p in zip(grid, snr_db_to_power(grid)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            st = simulate_blocks(fp, PowerPolicy(policy_kind, float(p), p1_frac), m)
+    powers = [PowerPolicy(policy_kind, float(p), p1_frac).powers() for p in snr_db_to_power(grid)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = _simulate(fp, powers, m)
+    for snr_db, st in zip(grid, stats):
         if not np.isfinite([r.tx + r.leak for r in st.state_records]).all():
             raise InvalidGridError(
                 f"snr_db_grid point {snr_db:g} dB: the block rates overflow a float"
             )
-        stats.append(st)
-    est1 = estimate_sdof_series(grid, [st.r1_mean for st in stats])
-    est2 = estimate_sdof_series(grid, [st.r2_mean for st in stats])
-    return stats, (est1, est2)
+    rates = [[st.r1_mean for st in stats], [st.r2_mean for st in stats]]
+    return stats, tuple(fit_sdof_stack(grid, rates))
 
 
 def symmetric_point_margin(M, J1, J2):

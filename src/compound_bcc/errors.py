@@ -1,9 +1,11 @@
-"""Exception types shared across the package, and two argument checks.
+"""Exception types shared across the package, and three argument checks.
 
 Every failure mode that callers are expected to distinguish gets its own
 class; plain ValueError is reserved for malformed arguments that indicate
 a programming error at the call site.
 """
+
+import math
 
 __all__ = [
     "CompoundBccError",
@@ -95,6 +97,20 @@ def check_count(value, name, error=InvalidInputError, minimum=1):
         kind = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
         raise error(f"{name} must be {kind}, got {value!r}")
     return value
+
+
+def check_real(value, name, error=InvalidInputError):
+    """``value`` as a float if it is a finite int or float (bool is not); a
+    rejected value raises ``error`` with a message naming ``name``."""
+    x = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            pass
+    if not math.isfinite(x):
+        raise error(f"{name} must be a finite number, got {value!r}")
+    return x
 
 
 def user_index(k):

@@ -8,7 +8,10 @@ must equal bit for bit:
   attempt, against channel.generate_batch;
 * rate_common, rate_confidential and rate_leakage: the rates of one state,
   against gaussian.worst_case_rates and equal_power_slopes_batch;
-* swap_users: the same channel with the users' roles exchanged.
+* swap_users: the same channel with the users' roles exchanged;
+* tx_rate and leakage: the ergodic rates of one common state at one power
+  pair, against ergodic.block_secrecy_rates and the stacked evaluation of
+  ergodic.simulate_blocks and ergodic_slope_estimates.
 """
 
 import numpy as np
@@ -88,3 +91,42 @@ def rate_leakage(ch, bf, pa, k, l):
     """
     h = ch.state(3 - k, l)
     return _logdet_i_plus(_received_gram(h, bf.confidential(k), pa.confidential(k)))
+
+
+def tx_rate(gains, k, powers):
+    """Transmission rate of stream k, averaged uniformly over user k's states.
+
+    powers = (p1, p2). With phi = gains.phi(k), the rate is the mean over
+    user k's J_k states j of log2(1 + p_k |phi[j, k]|^2 / (1 + I_j)), where
+    I_j = 0 in the nulled states j <= nulled(k) and p_other |phi[j, other]|^2
+    in the rest, which see the other stream as noise.
+    """
+    pk = powers[k - 1]
+    po = powers[2 - k]
+    phi = gains.phi(k)
+    own = np.abs(phi[:, k - 1]) ** 2
+    cross = np.abs(phi[:, 2 - k]) ** 2
+    denom = np.ones(phi.shape[0])
+    nulled = gains.nulled(k)
+    denom[nulled:] += po * cross[nulled:]
+    return float(np.mean(np.log2(1.0 + pk * own / denom)))
+
+
+def leakage(gains, k, powers):
+    """Rate of stream k observable at the other user, averaged over its states.
+
+    With phi = gains.phi(other), the leakage is the sum over the other
+    user's non-nulled states j of log2(1 + p_k |phi[j, k]|^2), divided by
+    all J_other of its states: a uniform average in which nulled states
+    contribute zero. Identically zero when every state is nulled
+    (J_other <= M-1).
+    """
+    pk = powers[k - 1]
+    other = 3 - k
+    phi = gains.phi(other)
+    nulled = gains.nulled(other)
+    total = phi.shape[0]
+    if nulled >= total:
+        return 0.0
+    cross = np.abs(phi[nulled:, k - 1]) ** 2
+    return float(np.sum(np.log2(1.0 + pk * cross)) / total)

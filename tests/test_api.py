@@ -43,6 +43,7 @@ def test_star_import_binds_every_export():
     "no_such_name", "_private", "__wrapped__", "check_count",
     # test references in tests/reference.py, not exports
     "rate_common", "rate_confidential", "rate_leakage", "swap_users",
+    "tx_rate", "leakage",
 ])
 def test_unknown_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=name):

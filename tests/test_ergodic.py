@@ -1,12 +1,13 @@
 """Block sampling, zero-forcing certificates, rate accounting, regions."""
 
 import math
+import sys
 from fractions import Fraction as F
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from compound_bcc import ergodic
 from compound_bcc.channel import ChannelGenSpec, CompoundChannelSet, generate_compound
@@ -17,17 +18,21 @@ from compound_bcc.ergodic import (
     block_secrecy_rates,
     ergodic_sdof_region,
     ergodic_slope_estimates,
-    leakage,
     policy_slope_targets,
     sample_block,
     simulate_blocks,
     symmetric_point_margin,
-    tx_rate,
     zero_forcing,
+    _block_rates,
     _block_states,
     _states_from_words,
+    _zero_forcing_stack,
+    _zero_forcing_state,
 )
 from compound_bcc.errors import ConstructionError, DegenerateBlockError, InvalidInputError
+from compound_bcc.linalg import DEFAULT_TOL, null_space_basis
+from compound_bcc.sdof import estimate_sdof_series, snr_db_to_power
+from reference import leakage, tx_rate
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +66,59 @@ def crafted_gains(phi1, phi2, nulled1, nulled2):
         phi1=np.asarray(phi1, dtype=complex), phi2=np.asarray(phi2, dtype=complex),
         nulled1=nulled1, nulled2=nulled2, v1=beam, v2=beam,
     )
+
+
+def bits(x):
+    """x with every float as its hex string (NaN as 'nan') and every array as
+    its dtype, shape and bytes: equal iff x's numbers are equal bit for bit,
+    up to NaN payloads."""
+    if isinstance(x, (float, np.floating)):
+        return "nan" if math.isnan(x) else float(x).hex()
+    if isinstance(x, np.ndarray):
+        return (x.dtype.str, x.shape, x.tobytes())
+    if isinstance(x, ergodic.BlockRateRecord):
+        return bits((x.tx, x.leak, x.secrecy))
+    return tuple(bits(v) for v in x)
+
+
+def state_stacks(rng, S, j1, j2, M, scales=(1.0,)):
+    """Random single-antenna state stacks (S, J1, 1, M) and (S, J2, 1, M); each
+    state's rows are scaled by one of ``scales``, drawn per state."""
+    def draw(j):
+        z = rng.standard_normal((S, j, 1, M)) + 1j * rng.standard_normal((S, j, 1, M))
+        return z * rng.choice(scales, size=(S, 1, 1, 1)) / math.sqrt(2)
+
+    return draw(j1), draw(j2)
+
+
+def one_state_zero_forcing(h1, h2, name_states=False):
+    """The oracle of _zero_forcing_stack: _zero_forcing_state per state, in
+    order, with the first failure's error and message."""
+    M = h1.shape[-1]
+    n1, n2 = min(h1.shape[1], M - 1), min(h2.shape[1], M - 1)
+    out = []
+    for s in range(len(h1)):
+        try:
+            out.append(_zero_forcing_state(h1[s], h2[s], n1, n2, DEFAULT_TOL))
+        except (ConstructionError, DegenerateBlockError) as e:
+            prefix = f"common state {s + 1}: " if name_states else ""
+            return type(e), f"{prefix}{e}"
+    return out
+
+
+def assert_stack_matches_oracle(h1, h2, name_states=False):
+    """_zero_forcing_stack's beams and gains, after checking them (or the
+    error it raises, then returning None) against the one-state oracle."""
+    want = one_state_zero_forcing(h1, h2, name_states)
+    if isinstance(want, tuple):
+        with pytest.raises(want[0]) as info:
+            _zero_forcing_stack(h1, h2, DEFAULT_TOL, name_states)
+        assert str(info.value) == want[1]
+        return None
+    vs, phi1, phi2 = _zero_forcing_stack(h1, h2, DEFAULT_TOL, name_states)
+    for s, state in enumerate(want):
+        assert bits((vs[s], phi1[s], phi2[s])) == bits(state)
+    return vs, phi1, phi2
 
 
 class TestSampleBlock:
@@ -187,24 +245,36 @@ class TestZeroForcing:
             want = [[h[0] @ g.v1, h[0] @ g.v2] for h in ch.states(k)]
             assert np.allclose(phi, want, rtol=0, atol=1e-14)
 
-    def test_cache_returns_same_object(self, monkeypatch):
-        # zero forcing runs once per common state and process
+    def test_zero_forced_once_per_process(self, monkeypatch):
+        # one stacked zero forcing covers every common state, once per process
         calls = []
-        real = ergodic.zero_forcing
-        monkeypatch.setattr(ergodic, "zero_forcing", lambda ch, tol: calls.append(ch) or real(ch, tol))
+        real = ergodic._zero_forcing_stack
+        monkeypatch.setattr(
+            ergodic, "_zero_forcing_stack", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+        )
         fp = FadingProcess(4, 2, 2, common_state_count=3, block_count=500, seed=2)
         for total in (1.0, 1e6):
             stats = simulate_blocks(fp, PowerPolicy("equal", total))
-        assert [id(ch) for ch in calls] == [id(ch) for ch in fp.states]
-        assert ergodic._state_gains(fp, 2) is ergodic._state_gains(fp, 2)
-        # the cached gains are the pure function's, bit for bit
-        for ch, rec in zip(fp.states, stats.state_records):
-            assert rec == block_secrecy_rates(real(ch, fp.tol), 5e5, 5e5)
+        ergodic_slope_estimates(fp, "equal", (60.0, 80.0, 100.0))
+        assert len(calls) == 1
+        assert calls[0][0] is fp._h[0] and calls[0][1] is fp._h[1]
+        # the cached gains are zero_forcing's of each state, bit for bit
+        for s, (ch, rec) in enumerate(zip(fp.states, stats.state_records)):
+            g = zero_forcing(ch, fp.tol)
+            assert bits(fp._gains[0][s]) == bits(g.phi1)
+            assert bits(fp._gains[1][s]) == bits(g.phi2)
+            assert bits(rec) == bits(block_secrecy_rates(g, 5e5, 5e5))
 
     def test_process_errors_name_the_common_state(self, monkeypatch):
         fp = FadingProcess(3, 2, 2, common_state_count=2, block_count=10, seed=0)
-        # a "basis" that nulls nothing: the nulling certificate catches it
-        monkeypatch.setattr(ergodic, "null_space_basis", lambda rows, tol: np.eye(3, 1, dtype=complex))
+        # a "basis" that nulls nothing: the nulled-gain screen refers every
+        # state to the one-state path, whose nulling certificate catches it
+        nothing = np.eye(3, 1, dtype=complex)
+        monkeypatch.setattr(ergodic, "null_space_basis", lambda rows, tol: nothing)
+        monkeypatch.setattr(
+            ergodic, "generic_null_spaces",
+            lambda rows, tol: (np.repeat(nothing[None], len(rows), 0), np.ones(len(rows), bool)),
+        )
         with pytest.raises(ConstructionError, match="^stream 2 not nulled at user 1 "):
             zero_forcing(fp.states[0])
         with pytest.raises(ConstructionError, match="^common state 1: stream 2 not nulled at user 1 "):
@@ -233,6 +303,143 @@ class TestZeroForcing:
         g = zero_forcing(manual_channel([[1.0]], [[1.0]], M=1))
         assert g.nulled1 == 0 and g.nulled2 == 0
         assert leakage(g, 1, (10.0, 10.0)) > 0.0
+
+
+POWER = st.floats(0.0, sys.float_info.max)
+
+
+class TestStackedBitExact:
+    """The stacked zero forcing and rates, bit for bit the one-state oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        M=st.integers(1, 6),
+        j1=st.integers(1, 8),
+        j2=st.integers(1, 8),
+        S=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        # rows of norm 1e7 and more put nulled gains near the screen's margin
+        scales=st.lists(st.sampled_from([1e-3, 1.0, 1e7, 1e8]), min_size=1, max_size=3),
+    )
+    def test_zero_forcing_matches_one_state_oracle(self, M, j1, j2, S, seed, scales):
+        h1, h2 = state_stacks(np.random.default_rng(seed), S, j1, j2, M, scales)
+        assert_stack_matches_oracle(h1, h2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        j1=st.integers(1, 8),
+        j2=st.integers(1, 8),
+        S=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        nulled=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        scales=st.lists(st.sampled_from([0.0, 1e-9, 1.0, 1e100]), min_size=1, max_size=3),
+        powers=st.lists(st.tuples(POWER, POWER), min_size=1, max_size=4),
+    )
+    @example(j1=8, j2=3, S=4, seed=0, nulled=(0.25, 1.0), scales=[1.0, 1e100],
+             powers=[(sys.float_info.max, sys.float_info.max), (1e300, 0.0)])
+    def test_rates_match_one_state_oracles(self, j1, j2, S, seed, nulled, scales, powers):
+        # any gains: the rates read neither the beams nor how the gains arose
+        stacks = state_stacks(np.random.default_rng(seed), S, j1, j2, 2, scales)
+        phi1, phi2 = (h[:, :, 0, :] for h in stacks)
+        n1, n2 = round(nulled[0] * j1), round(nulled[1] * j2)
+        with np.errstate(all="ignore"):  # powers up to the float limit overflow
+            tx, leak, secrecy = _block_rates(phi1, phi2, n1, n2, powers)
+            for g, p in enumerate(powers):
+                for s in range(S):
+                    gains = crafted_gains(phi1[s], phi2[s], n1, n2)
+                    for k in (1, 2):
+                        t, lk = tx_rate(gains, k, p), leakage(gains, k, p)
+                        got = (tx[g, k - 1, s], leak[g, k - 1, s], secrecy[g, k - 1, s])
+                        assert bits(got) == bits((t, lk, max(0.0, t - lk)))
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        M=st.integers(2, 5),
+        j1=st.integers(1, 6),
+        j2=st.integers(1, 6),
+        # 255 and 256 states sit on either side of the uint8 / uint16 cache
+        S=st.one_of(st.integers(1, 6), st.sampled_from([255, 256])),
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 200),
+        kind=st.sampled_from(["full1", "full2", "equal", "split"]),
+        frac=st.floats(0.0, 1.0),
+        grid=st.sampled_from([(60.0, 80.0, 100.0), (40.0, 70.0, 100.0, 130.0), (40.0, 1500.0, 3000.0)]),
+    )
+    @example(M=3, j1=2, j2=4, S=255, seed=1, m=200, kind="equal", frac=0.5, grid=(60.0, 80.0, 100.0))
+    @example(M=4, j1=5, j2=3, S=256, seed=2, m=200, kind="split", frac=0.3, grid=(60.0, 80.0, 100.0))
+    def test_process_rates_match_oracles(self, M, j1, j2, S, seed, m, kind, frac, grid):
+        fp = FadingProcess(M, j1, j2, common_state_count=S, block_count=200, seed=seed)
+        frac = frac if kind == "split" else None
+        stats, ests = ergodic_slope_estimates(fp, kind, grid, m=m, p1_frac=frac)
+        gains = [zero_forcing(ch) for ch in fp.states]
+        blocks = [sample_block(fp, t)[0] - 1 for t in range(1, m + 1)]
+        for snr_db, st_ in zip(grid, stats):
+            policy = PowerPolicy(kind, float(snr_db_to_power(snr_db)), frac)
+            p = policy.powers()
+            recs = [block_secrecy_rates(g, *p) for g in gains]
+            for g, rec in zip(gains, recs):
+                t = [tx_rate(g, k, p) for k in (1, 2)]
+                lk = [leakage(g, k, p) for k in (1, 2)]
+                want = (t, lk, [max(0.0, a - b) for a, b in zip(t, lk)])
+                assert bits(rec) == bits(want)
+            sec = np.array([r.secrecy for r in recs])
+            bad = np.array([r.leak[0] > r.tx[0] or r.leak[1] > r.tx[1] for r in recs])
+            want = (
+                [float(np.mean(np.array([sec[s, k] for s in blocks]))) for k in (0, 1)],
+                float(np.mean(np.array([bad[s] for s in blocks]))),
+                [float(np.mean(sec[:, k].copy())) for k in (0, 1)],
+                recs,
+            )
+            got = (
+                [st_.r1_mean, st_.r2_mean], st_.leak_violation_freq,
+                [st_.analytic_r1, st_.analytic_r2], st_.state_records,
+            )
+            assert bits(got) == bits(want)
+            # the stacked run's grid point is the one-power call's
+            one = simulate_blocks(fp, policy, m)
+            assert one.m == st_.m and bits((
+                [one.r1_mean, one.r2_mean], one.leak_violation_freq,
+                [one.analytic_r1, one.analytic_r2], one.state_records,
+            )) == bits(got)
+        series = ([st_.r1_mean for st_ in stats], [st_.r2_mean for st_ in stats])
+        for est, rates in zip(ests, series):
+            assert est == estimate_sdof_series(grid, rates)
+
+    def test_mixed_beam_state_in_a_stack(self, monkeypatch):
+        # state 2 takes the normalized column sum, as in test_rotation_retry_recovers:
+        # with b = the basis that nulls user 2, user 1's state is b1^* + 1e-12 b0^*,
+        # so stream 1's first candidate b0 has a direct gain of 1e-12, nonzero
+        # but too small, and its stream 2 beam passes the screen
+        h1, h2 = state_stacks(np.random.default_rng(5), 4, 1, 1, 3)
+        h2[1, 0, 0] = [0.3, -0.5, 0.8]
+        b = null_space_basis(h2[1, 0])
+        h1[1, 0, 0] = b[:, 1].conj() + 1e-12 * b[:, 0].conj()
+        calls = []
+        real = ergodic._zero_forcing_state
+        monkeypatch.setattr(
+            ergodic, "_zero_forcing_state", lambda *a: calls.append(a[0]) or real(*a)
+        )
+        _, phi1, _ = assert_stack_matches_oracle(h1, h2)
+        assert len(calls) == 1 and np.array_equal(calls[0], h1[1])  # only state 2 is redone
+        assert abs(phi1[1, 0, 0]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+
+    def test_degenerate_state_named(self):
+        h1, h2 = state_stacks(np.random.default_rng(6), 4, 1, 1, 3)
+        h1[2, 0, 0] = h2[2, 0, 0] = [0.0, 0.0, 1.0]
+        for named in (False, True):
+            assert assert_stack_matches_oracle(h1, h2, named) is None
+        with pytest.raises(DegenerateBlockError, match="^common state 3: a direct gain"):
+            _zero_forcing_stack(h1, h2, DEFAULT_TOL, name_states=True)
+
+    def test_unnulled_state_named(self):
+        # user 2's nulled rows are dependent below the rank threshold, so the
+        # basis keeps a column that does not null the second row
+        h1, h2 = state_stacks(np.random.default_rng(7), 3, 2, 2, 3)
+        h2[1, :, 0] = [[1e4, 0.0, 0.0], [1e4, 1e-7, 0.0]]
+        for named in (False, True):
+            assert assert_stack_matches_oracle(h1, h2, named) is None
+        with pytest.raises(ConstructionError, match="^common state 2: stream 1 not nulled at user 2"):
+            _zero_forcing_stack(h1, h2, DEFAULT_TOL, name_states=True)
 
 
 class TestRateAccounting:
@@ -306,6 +513,26 @@ class TestPowerPolicy:
     def test_non_finite_total(self, total):
         with pytest.raises(InvalidInputError, match="finite"):
             PowerPolicy("equal", total)
+
+    @pytest.mark.parametrize("args, field", [
+        (("split", 1.0, "0.5"), "p1_frac"),
+        (("split", 1.0, True), "p1_frac"),
+        (("equal", 1.0, "0.5"), "p1_frac"),
+        (("equal", "1"), "total"),
+        (("equal", True), "total"),
+        ((["equal"], 1.0), "kind"),
+    ])
+    def test_malformed_fields_named(self, args, field):
+        with pytest.raises(InvalidInputError, match=field):
+            PowerPolicy(*args)
+
+    def test_numpy_and_int_numbers_accepted(self):
+        assert PowerPolicy("equal", np.float64(2.0)).powers() == (1.0, 1.0)
+        assert PowerPolicy("split", 4, np.float64(0.25)).powers() == (1.0, 3.0)
+
+    def test_simulation_needs_a_policy(self, fp_small):
+        with pytest.raises(InvalidInputError, match="policy must be a PowerPolicy, got 'equal'"):
+            simulate_blocks(fp_small, "equal")
 
 
 class TestSimulation:

@@ -19,11 +19,17 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 DUP_ROW = os.path.join(DATA_DIR, "channel_dup_row.json")
 BENCH_RUN = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "run.py")
 
+ERGODIC = ["ergodic", "--M", "3", "--J1", "3", "--J2", "4", "--blocks", "1000", "--seed", "2"]
 CASES = {
     "gaussian": (["gaussian", "--trials", "2", "--seed", "4"], 0),
-    "ergodic": (
-        ["ergodic", "--M", "3", "--J1", "3", "--J2", "4", "--blocks", "1000",
-         "--seed", "2"],
+    "ergodic": (ERGODIC, 0),
+    # the other power policies on the same process, and nine common states
+    "ergodic-full1": (ERGODIC + ["--power_policy", "full1"], 0),
+    "ergodic-full2": (ERGODIC + ["--power_policy", "full2"], 0),
+    "ergodic-split": (ERGODIC + ["--power_policy", "split", "--p1_frac", "0.3"], 0),
+    "ergodic-nine-states": (
+        ["ergodic", "--M", "4", "--J1", "5", "--J2", "3", "--blocks", "3000",
+         "--common_state_count", "9", "--seed", "5"],
         0,
     ),
     "compare": (["compare", "--M", "7", "--J1", "8", "--J2", "8"], 0),
@@ -67,6 +73,26 @@ GOLDEN = {
         "rates.csv": "728311716470d7c746f1e198c31475f05cd6d0fa276017f93b8f98f4d552fd0d",
         "region.json": "3a20ac3a11fb494c2e0f1873557776c50d0ed240b6b02b8ca3f6e8fc247f4ce2",
         "summary.json": "12263240567c2396054013d7ed11e3b30693ce40f573e6dc435e06f682ff098d",
+    },
+    "ergodic-full1": {
+        "rates.csv": "f44ac38b6cdc10771b076c5d08034aae4faef313f62d516c362a995298a28048",
+        "region.json": "3a20ac3a11fb494c2e0f1873557776c50d0ed240b6b02b8ca3f6e8fc247f4ce2",
+        "summary.json": "0a66231316b3ab86b2107eb4f265d66b576a783258478b0014e60ab28e66303a",
+    },
+    "ergodic-full2": {
+        "rates.csv": "3c5ae3b58f5d6da8582006446efe00393d398e06f7ab718d0a96c2dbbb1a06d0",
+        "region.json": "3a20ac3a11fb494c2e0f1873557776c50d0ed240b6b02b8ca3f6e8fc247f4ce2",
+        "summary.json": "5206407846312d26ef57cb3e2204653c5db35e0cb86f3d36b5bda0f84caaa35e",
+    },
+    "ergodic-nine-states": {
+        "rates.csv": "ae9ea7089d3c2a9916428b43f10e26ba086556c6656b96cc4a0103aad8dd484d",
+        "region.json": "8051cf04f44f506c69593139f07715a4715981642308359c9a9b18bc8d36afa9",
+        "summary.json": "aaea2a67c4c861478ad867d68c1f3f30c9b0d90330557586a65400f45585e554",
+    },
+    "ergodic-split": {
+        "rates.csv": "4c03a4f8bae3ba309b1b545e2306f3dffc44d664ce1c4eabe0654a86ab78be2e",
+        "region.json": "3a20ac3a11fb494c2e0f1873557776c50d0ed240b6b02b8ca3f6e8fc247f4ce2",
+        "summary.json": "1483c78e1b3b277aec356540b8a840f1a6de71c0b78230b7c25cd95754fce2ea",
     },
     "gaussian": {
         "rates.csv": "65e1f909a8722c1d23267a12b0dc31fc5e5000d07b9b1692b0f3e9f1809978f3",
