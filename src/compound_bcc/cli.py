@@ -124,22 +124,18 @@ def _parse_grid(text):
         )
 
 
-def _fmt(x):
-    return f"{float(x):.12g}"
-
-
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+    """The header, then a line per row tuple, formatted by the first row's types."""
+    rows = iter(rows)
+    first = next(rows)
+    fmt = ",".join("%.12g" if isinstance(v, float) else "%s" for v in first) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join([",".join(header) + "\n", fmt % first, *(fmt % row for row in rows)]))
 
 
 def _write_summary(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _region_fields(cfg, region, ergodic=False):
@@ -162,27 +158,28 @@ def _region_fields(cfg, region, ergodic=False):
 def run_gaussian(cfg, out_dir):
     """Constant-model run: per-channel rates, slope fits, analytic region.
 
-    Trials go through TRIAL_CHUNK at a time, in order, each chunk as one
-    channel stack: drawn with their rank checks decided together, built
-    and certified as stacks, then evaluated and fitted as stacked arrays.
+    Trials go through in order, gaussian._trials_per_chunk at a time, each
+    chunk as one channel stack: drawn with their rank checks decided
+    together, built and certified as stacks, then evaluated and fitted as
+    stacked arrays, whose rows and slopes are read off as lists.
     """
     from .channel import ChannelGenSpec, generate_batch, stacked_sets
     from .gaussian import (
-        TRIAL_CHUNK,
+        _equal_power_stack,
+        _trials_per_chunk,
         build_beamformers_batch,
         common_slope_target,
-        equal_power_slopes_batch,
         gaussian_sdof_region,
     )
     from .regions import save_region
 
     grid = cfg.snr_db_grid
-    rows = []
-    slopes = []
-    for start in range(0, cfg.trials, TRIAL_CHUNK):
+    blocks, slopes = [], []  # each chunk's rates (T, G, 4), each trial's slopes
+    chunk = _trials_per_chunk(cfg.M, cfg.N1, cfg.N2, cfg.J1, cfg.J2, cfg.r1, cfg.r2, len(grid))
+    for start in range(0, cfg.trials, chunk):
         specs = [
             ChannelGenSpec(cfg.M, cfg.N1, cfg.N2, cfg.J1, cfg.J2, seed=cfg.seed + trial)
-            for trial in range(start, min(start + TRIAL_CHUNK, cfg.trials))
+            for trial in range(start, min(start + chunk, cfg.trials))
         ]
         h, error = generate_batch(specs)
         bfs, stack, build_error = build_beamformers_batch(h, cfg.r1, cfg.r2)
@@ -193,13 +190,11 @@ def run_gaussian(cfg, out_dir):
         if error is not None:
             if pairs:
                 # an earlier trial's evaluation error comes first, as in trial order
-                equal_power_slopes_batch(pairs, grid, stack)
+                _equal_power_stack(pairs, grid, stack)
             raise error
-        for triples, ests in equal_power_slopes_batch(pairs, grid, stack):
-            rows.extend(
-                (snr_db, *rt.as_tuple(), rt.leakage) for snr_db, rt in zip(grid, triples)
-            )
-            slopes.append(tuple(e.slope for e in ests))
+        rates, fits = _equal_power_stack(pairs, grid, stack)
+        blocks.append(rates)
+        slopes.extend(fits[..., 0].tolist())
     k_built = pairs[-1][1].K
     mean_slopes = [sum(s[i] for s in slopes) / len(slopes) for i in range(3)]
     targets = (
@@ -212,7 +207,7 @@ def run_gaussian(cfg, out_dir):
     _write_csv(
         os.path.join(out_dir, "rates.csv"),
         ("snr_db", "R0", "R1", "R2", "leakage_max"),
-        rows,
+        ((snr_db, *r) for rates in blocks for trial in rates.tolist() for snr_db, r in zip(grid, trial)),
     )
     save_region(region, os.path.join(out_dir, "region.json"))
     _write_summary(
@@ -223,11 +218,11 @@ def run_gaussian(cfg, out_dir):
             "common_subspace_dimension": k_built,
             "slopes": {
                 "estimated_mean": mean_slopes,
-                "per_trial": [list(s) for s in slopes],
+                "per_trial": slopes,
                 "targets": list(targets),
                 "tolerance": SLOPE_TOL,
             },
-            "max_leakage": max(row[-1] for row in rows),
+            "max_leakage": max(x for rates in blocks for x in rates[..., 3].ravel().tolist()),
             **_region_fields(cfg, region),
             "passed": passed,
         },

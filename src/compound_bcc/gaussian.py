@@ -6,13 +6,14 @@ state of user 2 (and vice versa), so each confidential stream is received
 by its intended user only, whichever states are realized; V0 spans the
 orthogonal complement of [V1 V2]. Worst-case rates minimize over states.
 
-The CLI carries TRIAL_CHUNK trials at a time as one channel stack through
-stacked paths, each bit for bit equal to a one-trial reference:
+The CLI carries _trials_per_chunk trials at a time as one channel stack
+through stacked paths, each bit for bit equal to a one-trial reference:
 
 * build_beamformers_batch builds a chunk's null spaces and common parts
-  with stacked SVDs and screens their certificates over the stack; a
-  channel that does not clear every screen is rebuilt by build_beamformers,
-  the reference, so each decision and error is the one-trial one.
+  with three stacked SVDs and screens their certificates over the stack,
+  the ranks by the determinant bound of linalg in its Gram form; a channel
+  that does not clear every screen is rebuilt by build_beamformers, the
+  reference, so each decision and error is the one-trial one.
 * Rates are evaluated as stacked arrays over (trials, grid points,
   states): h v as one matmul per user and beam (per trial for rebuilt
   channels), the grams of every grid point in one pass, and two
@@ -21,10 +22,12 @@ stacked paths, each bit for bit equal to a one-trial reference:
   then the confidential rate, then the leakage. The one-state reference
   evaluation is in tests/reference.py.
 * The slopes of every trial and component are fitted in one
-  sdof.fit_sdof_stack call.
+  sdof._fit_stack call, and the CLI reads rates and slopes off the
+  arrays of _equal_power_stack.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,20 +46,15 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    _screen_passes,
     generic_null_spaces,
     logdet2_hpd,
     null_space_basis,
     numerical_rank,
-    rank_from_singular_values,
     rank_screen,
 )
 from .regions import region_from_inequalities, time_share
-from .sdof import (
-    DEFAULT_SNR_GRID_DB,
-    check_snr_grid,
-    fit_sdof_stack,
-    snr_db_to_power,
-)
+from .sdof import DEFAULT_SNR_GRID_DB, SdofEstimate, _fit_stack, check_snr_grid, snr_db_to_power
 
 __all__ = [
     "BeamformerSet",
@@ -75,13 +73,26 @@ __all__ = [
 
 CERT_RTOL = 1e-9
 
-# Trials per stacked evaluation in the CLI. A chunk's memory grows linearly
-# with it: its arrays hold TRIAL_CHUNK * G * J_k * N_k * max(N_k, c) complex
-# entries for G grid points and the widest beam's c streams, and about ten
-# are alive at the peak. Measured peaks (tracemalloc, 64 trials, 9 grid
-# points): 0.3 MB at M = 4, N = 1, J = 2; 3.1 MB at M = 12, N = 4, J = 2,
-# r = 4; 10.3 MB at M = 26, N = 4, J = 6, where K = 22.
-TRIAL_CHUNK = 64
+# A constant-model chunk takes as many trials as hold CHUNK_ENTRIES complex
+# entries, at least CHUNK_MIN_TRIALS. A trial holds points * J_k * N_k *
+# max(N_k, c) evaluation entries per user (c the widest beam's streams) and
+# C(rows, M) M x M rank-check subsets: 150 trials of M = 4, N = 1, J = 2 at
+# 3 points (40 entries each) are one chunk. Heavy trials stay at 64: fewer
+# let a chunk's fixed costs show (2-vCPU Xeon: --M 4 --J1 12 --J2 12 --r1 0
+# --r2 0 --trials 300 took 1.43 s at 1 per chunk, 0.97 s at 64), more raise
+# memory (--M 26 --N1 4 --N2 4 --J1 2 --J2 2 --r1 4 --r2 4 --trials 1024
+# peaked at 46 MB RSS at 64 per chunk, 69 MB at 303).
+CHUNK_ENTRIES = 1 << 13
+CHUNK_MIN_TRIALS = 64
+
+
+def _trials_per_chunk(M, N1, N2, J1, J2, r1, r2, points):
+    """Trials per chunk of a constant-model run with these dimensions, stream
+    counts and grid points (see CHUNK_ENTRIES)."""
+    c = max(M - r1 - r2, r1, r2)
+    held = sum(points * J * N * max(N, c) for J, N in ((J1, N1), (J2, N2)))
+    held += math.comb(J1 * N1 + J2 * N2, M) * M * M
+    return max(CHUNK_MIN_TRIALS, CHUNK_ENTRIES // held)
 
 
 @dataclass(frozen=True)
@@ -215,9 +226,9 @@ def build_beamformers_batch(h, r1, r2, tol=DEFAULT_TOL):
     strides of the one-trial result. The certificates are screened over
     the stack; a channel is rebuilt by build_beamformers, whose decisions
     and error messages are therefore the ones reported, unless its entries
-    are finite, every residual is below half its limit, each H_k_j v_k has
-    full rank with the margin of linalg.rank_screen, and its null spaces
-    and [v1 v2] have the generic rank.
+    are finite, every residual is below half its limit, its null spaces
+    have the generic rank, and each H_k_j v_k and [v1 v2] pass the
+    determinant screen of full column rank in its Gram form (see linalg).
     """
     bfs, stack = _stacked_beamformers(h, r1, r2, tol)
     for t, bf in enumerate(bfs):
@@ -245,7 +256,6 @@ def _stacked_beamformers(h, r1, r2, tol):
         null1, generic1 = generic_null_spaces(h[0].reshape(T, -1, M), tol)
         v = [null2[..., :r1], null1[..., :r2]]
         sure &= generic1 & generic2
-        screen = rank_screen(tol)
         for k in (0, 1):
             if v[k].shape[-1] == 0:
                 continue
@@ -253,14 +263,11 @@ def _stacked_beamformers(h, r1, r2, tol):
             limit = CERT_RTOL * np.linalg.norm(h[1 - k], axis=(-2, -1))
             resid = np.linalg.norm(h[1 - k] @ v[k][:, None], axis=(-2, -1))
             sure &= (np.isfinite(limit) & (resid <= limit / 2)).all(axis=1)
-            s = np.linalg.svd(h[k] @ v[k][:, None], compute_uv=False)
-            sure &= (s[..., -1] > screen * s[..., 0]).all(axis=1)
+            sure &= _surely_full_rank(h[k] @ v[k][:, None], tol).all(axis=1)
         stacked = np.concatenate(v, axis=-1)
         if stacked.shape[-1]:
             v0, generic0 = generic_null_spaces(stacked.conj().swapaxes(-1, -2), tol)
-            # the singular values of build_beamformers' numerical_rank
-            s = np.linalg.svd(stacked, compute_uv=False)
-            sure &= generic0 & (rank_from_singular_values(s, tol) == stacked.shape[-1])
+            sure &= generic0 & _surely_full_rank(stacked, tol)
             if v0.shape[-1]:
                 resid = np.linalg.norm(v0.conj().swapaxes(-1, -2) @ stacked, axis=(-2, -1))
                 sure &= _surely_orthonormal(v0) & (resid <= CERT_RTOL / 2)
@@ -270,6 +277,16 @@ def _stacked_beamformers(h, r1, r2, tol):
         return [None] * T, None
     bfs = [BeamformerSet(v1=v[0][t], v2=v[1][t], v0=v0[t]) if sure[t] else None for t in range(T)]
     return bfs, ((h, (v0, *v), sure) if sure.any() else None)
+
+
+def _surely_full_rank(a, tol):
+    """Whether each stacked a (..., n, m) passes the determinant screen of
+    rank m in its Gram form (see linalg), at tol or the default tolerance."""
+    with np.errstate(all="ignore"):
+        g = a.conj().swapaxes(-1, -2) @ a
+        logdet = np.linalg.slogdet(g)[1]
+    fro2 = np.trace(g, axis1=-2, axis2=-1).real
+    return _screen_passes(0.5 * logdet, fro2, a.shape[-1], max(tol, DEFAULT_TOL, key=rank_screen))
 
 
 def _surely_orthonormal(v):
@@ -497,11 +514,21 @@ def equal_power_slopes_batch(pairs, snr_db_grid=DEFAULT_SNR_GRID_DB, stack=None)
     pairs of a chunk from build_beamformers_batch may come with its stack,
     so that h v is one matmul per receiving user and beam. Each trial
     keeps its own slope fits. A grid point at which a received covariance
-    overflows raises InvalidGridError naming the point.
+    overflows raises InvalidGridError naming the point. The objects are
+    built from the arrays of _equal_power_stack.
     """
+    rates, fits = _equal_power_stack(pairs, snr_db_grid, stack)
+    return [([RateTriple(*r) for r in trial], tuple(SdofEstimate(*f) for f in fit))
+            for trial, fit in zip(rates.tolist(), fits.tolist())]
+
+
+def _equal_power_stack(pairs, snr_db_grid, stack=None):
+    """(rates, fits) of equal_power_slopes_batch as arrays: rates (T, G, 4)
+    of r0, r1, r2 and leakage per trial and grid point, fits (T, 3, 3) of
+    slope, intercept and residual per trial and component."""
     grid = check_snr_grid(snr_db_grid)
     powers = snr_db_to_power(grid)
-    out = []
+    rates, start = [np.zeros((0, grid.size, 4))], 0
     for _, group in itertools.groupby(pairs, key=_dimensions):
         group = list(group)
         bf = group[0][1]
@@ -509,13 +536,11 @@ def equal_power_slopes_batch(pairs, snr_db_grid=DEFAULT_SNR_GRID_DB, stack=None)
         share = powers / n if n else np.zeros_like(powers)
         ps = [np.broadcast_to(share[:, None], (len(group), grid.size, c))
               for c in (bf.K, bf.r1, bf.r2)]
-        window = slice(len(out), len(out) + len(group))
-        rates = _worst_case_stack(_beam_products(group, stack, window), ps, grid)
-        # one series per trial and component, trial-major
-        ests = fit_sdof_stack(grid, np.moveaxis(rates[..., :3], -1, -2))
-        for t, trial in enumerate(rates.tolist()):
-            out.append(([RateTriple(*r) for r in trial], tuple(ests[3 * t:3 * t + 3])))
-    return out
+        window = slice(start, start := start + len(group))
+        rates.append(_worst_case_stack(_beam_products(group, stack, window), ps, grid))
+    rates = np.concatenate(rates)
+    # one series per trial and component
+    return rates, _fit_stack(grid, np.moveaxis(rates[..., :3], -1, -2))
 
 
 def equal_power_slopes(ch, bf, snr_db_grid=DEFAULT_SNR_GRID_DB):
@@ -546,44 +571,19 @@ def gaussian_sdof_region(M, N1, N2, J1, J2):
     """
     for name, v in (("M", M), ("N1", N1), ("N2", N2), ("J1", J1), ("J2", J2)):
         check_count(v, name)
-    zero = Fraction(0)
-    one = Fraction(1)
-    nonneg = [
-        ((-one, zero, zero), zero),
-        ((zero, -one, zero), zero),
-        ((zero, zero, -one), zero),
-    ]
+    nonneg = [((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0)]
     b1, b2 = confidential_stream_bounds(M, N1, N2, J1, J2)
     room1 = J1 * N1 < M
     room2 = J2 * N2 < M
     if room1 and room2:
-        ineqs = [
-            ((zero, one, zero), Fraction(b1)),
-            ((zero, zero, one), Fraction(b2)),
-            ((one, one, zero), Fraction(N1)),
-            ((one, zero, one), Fraction(N2)),
-        ]
+        ineqs = [((0, 1, 0), b1), ((0, 0, 1), b2), ((1, 1, 0), N1), ((1, 0, 1), N2)]
     elif room1:
         # user 2's states exhaust the space: no stream for user 1
-        ineqs = [
-            ((zero, one, zero), zero),
-            ((zero, zero, one), Fraction(b2)),
-            ((one, zero, zero), Fraction(N1)),
-            ((one, zero, one), Fraction(N2)),
-        ]
+        ineqs = [((0, 1, 0), 0), ((0, 0, 1), b2), ((1, 0, 0), N1), ((1, 0, 1), N2)]
     elif room2:
-        ineqs = [
-            ((zero, zero, one), zero),
-            ((zero, one, zero), Fraction(b1)),
-            ((one, zero, zero), Fraction(N2)),
-            ((one, one, zero), Fraction(N1)),
-        ]
+        ineqs = [((0, 0, 1), 0), ((0, 1, 0), b1), ((1, 0, 0), N2), ((1, 1, 0), N1)]
     else:
-        ineqs = [
-            ((zero, one, zero), zero),
-            ((zero, zero, one), zero),
-            ((one, zero, zero), Fraction(min(M, N1, N2))),
-        ]
+        ineqs = [((0, 1, 0), 0), ((0, 0, 1), 0), ((1, 0, 0), min(M, N1, N2))]
     return region_from_inequalities(nonneg + ineqs, 3)
 
 

@@ -26,12 +26,16 @@ HERMITIAN_RTOL = 1e-10
 # values, when a computed bound on sigma_min / sigma_max exceeds
 # rank_screen(tol) = max(SCREEN_MARGIN * threshold, SCREEN_FLOOR): so far
 # above the threshold and machine precision that the bound's rounding cannot
-# change the decision. The rank check of channel.verify_rank_condition
-# bounds an m x m matrix A by its determinant: |det A| is the product of the
-# singular values, sigma_max <= ||A||_F, and by the AM-GM inequality the m-1
-# largest have a product of at most (||A||_F^2 / (m-1))^((m-1)/2), so
-#   sigma_min / sigma_max >= |det A| / (||A||_F (||A||_F^2 / (m-1))^((m-1)/2)).
-# See also gaussian.build_beamformers_batch.
+# change the decision. _screen_passes bounds A of m columns: sigma_max <=
+# ||A||_F, and by the AM-GM inequality the m-1 largest singular values have
+# a product of at most (||A||_F^2 / (m-1))^((m-1)/2), so
+#   sigma_min / sigma_max >= prod sigma / (||A||_F (||A||_F^2 / (m-1))^((m-1)/2)).
+# The rank check takes prod sigma = |det A| of square A, the beamformer
+# screens (gaussian) the Gram form: with G = A^H A, prod sigma = sqrt(det G)
+# and ||A||_F^2 = tr G (at m = 1, A passes iff tr G is finite and positive).
+# Rounding G, ~n eps ||A||_F^2 for n rows, moves det G by ~1e-4 relative
+# where the bound is 1e-6 or more but may reach it below: that form screens
+# at 1e-6 at least.
 SCREEN_MARGIN = 1e4
 SCREEN_FLOOR = 1e-8
 
@@ -95,6 +99,16 @@ def rank_from_singular_values(s, tol=DEFAULT_TOL):
 def rank_screen(tol=DEFAULT_TOL):
     """Ratio sigma_min / sigma_max above which a fast path may decide full rank."""
     return max(SCREEN_MARGIN * tol.relative_threshold, SCREEN_FLOOR)
+
+
+def _screen_passes(logdet, fro2, m, tol):
+    """Whether the bound prod sigma / (||A||_F * (||A||_F^2 / (m-1))^((m-1)/2))
+    on sigma_min / sigma_max of matrices A of m columns, from log prod sigma
+    in ``logdet`` and ||A||_F^2 in ``fro2``, is finite and above
+    rank_screen(tol)."""
+    with np.errstate(all="ignore"):
+        log_bound = logdet - 0.5 * m * np.log(fro2) + 0.5 * (m - 1) * math.log(max(m - 1, 1))
+    return np.isfinite(log_bound) & (log_bound > math.log(rank_screen(tol)))
 
 
 def numerical_rank(m, tol=DEFAULT_TOL):

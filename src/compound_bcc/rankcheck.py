@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .linalg import rank_from_singular_values, rank_screen
+from .linalg import _screen_passes, rank_from_singular_values, rank_screen
 
 # Above this many stacked rows, rank verification samples subsets instead of
 # enumerating them all.
@@ -288,12 +288,3 @@ def _squared_row_norms(rows):
     with np.errstate(over="ignore"):
         return np.sum(rows.real**2 + rows.imag**2, axis=-1)
 
-
-def _screen_passes(logdet, fro2, m, tol):
-    """Whether the bound |det A| / (||A||_F * (||A||_F^2 / (m-1))^((m-1)/2))
-    on sigma_min / sigma_max of m x m matrices A, from log |det A| in
-    ``logdet`` and ||A||_F^2 in ``fro2``, is finite and above
-    rank_screen(tol)."""
-    with np.errstate(all="ignore"):
-        log_bound = logdet - 0.5 * m * np.log(fro2) + 0.5 * (m - 1) * math.log(max(m - 1, 1))
-    return np.isfinite(log_bound) & (log_bound > math.log(rank_screen(tol)))

@@ -295,8 +295,7 @@ def region_from_dict(data):
 
 def save_region(region, path):
     with open(path, "w") as fh:
-        json.dump(region_to_dict(region), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(region_to_dict(region), indent=1, sort_keys=True) + "\n")
 
 
 def load_region(path):

@@ -101,11 +101,15 @@ def _raise_lstsq_error(err, flag):
 
 
 def fit_sdof_stack(grid, rates):
-    """Slope fits of a stack of rate series on one checked grid.
+    """Slope fits of a stack of rate series on one checked grid: the
+    SdofEstimate of each series of _fit_stack, in C order."""
+    return [SdofEstimate(*fit) for fit in _fit_stack(grid, rates).reshape(-1, 3).tolist()]
 
-    ``grid`` is a grid returned by check_snr_grid and ``rates`` an array
-    (..., G) of series in grid order; one SdofEstimate is returned per
-    series, in C order. Each fit is bit for bit the one of
+
+def _fit_stack(grid, rates):
+    """Slope fits of ``rates`` (..., G), series in the order of ``grid``, a
+    grid returned by check_snr_grid: an array (..., 3) of slope, intercept
+    and residual per series. Each fit is bit for bit the one of
     ``np.polyfit(x, y, 1)`` with x = log2(P), and its residual that of
     ``np.polyval``: polyfit's column scaling is replayed, and one call to
     the gufunc behind ``np.linalg.lstsq`` solves every series with the
@@ -128,7 +132,4 @@ def fit_sdof_stack(grid, rates):
     for i in range(2):  # np.polyval's Horner steps
         fit = fit * x + c[..., i:i + 1]
     residual = np.sqrt(np.mean((y - fit) ** 2, axis=-1))
-    return [
-        SdofEstimate(slope=s, intercept=b, residual=r)
-        for (s, b), r in zip(c.reshape(-1, 2).tolist(), residual.reshape(-1).tolist())
-    ]
+    return np.concatenate([c, residual[..., None]], axis=-1)

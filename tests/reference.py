@@ -11,7 +11,9 @@ must equal bit for bit:
 * swap_users: the same channel with the users' roles exchanged;
 * tx_rate and leakage: the ergodic rates of one common state at one power
   pair, against ergodic.block_secrecy_rates and the stacked evaluation of
-  ergodic.simulate_blocks and ergodic_slope_estimates.
+  ergodic.simulate_blocks and ergodic_slope_estimates;
+* svd_rank_screen: the singular-value rank screen that the Gram-form
+  screens of gaussian.build_beamformers_batch replaced.
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ import numpy as np
 from compound_bcc.channel import CompoundChannelSet, attempt_seed, verify_rank_condition
 from compound_bcc.errors import GenerationError, check_count
 from compound_bcc.gaussian import _gram, _logdet_i_plus
-from compound_bcc.linalg import DEFAULT_TOL
+from compound_bcc.linalg import DEFAULT_TOL, rank_screen
 
 
 def per_state_draw(spec, attempt):
@@ -130,3 +132,10 @@ def leakage(gains, k, powers):
         return 0.0
     cross = np.abs(phi[nulled:, k - 1]) ** 2
     return float(np.sum(np.log2(1.0 + pk * cross)) / total)
+
+
+def svd_rank_screen(a, tol=DEFAULT_TOL):
+    """Whether each stacked a (..., n, m) has sigma_min above rank_screen(tol)
+    * sigma_max, from its singular values."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return s[..., -1] > rank_screen(tol) * s[..., 0]

@@ -41,6 +41,11 @@ def read_json(path):
         return json.load(fh)
 
 
+def set_chunk(monkeypatch, trials):
+    """Make gaussian runs take ``trials`` trials per chunk, whatever the rule."""
+    monkeypatch.setattr(gaussian, "_trials_per_chunk", lambda *dims: trials)
+
+
 class TestGaussianCommand:
     def test_default_run_passes(self, tmp_path):
         assert run(["gaussian", "--out", tmp_path, "--trials", 2]) == 0
@@ -84,18 +89,28 @@ class TestGaussianCommand:
     def test_trial_chunk_leaves_outputs_unchanged(self, tmp_path, monkeypatch, chunk):
         args = ["gaussian", "--trials", 9, "--seed", 3]
         assert run(args + ["--out", tmp_path / "whole"]) == 0
-        monkeypatch.setattr(gaussian, "TRIAL_CHUNK", chunk)
+        set_chunk(monkeypatch, chunk)
         assert run(args + ["--out", tmp_path / "chunked"]) == 0
         for name in ("rates.csv", "region.json", "summary.json"):
             assert (tmp_path / "whole" / name).read_bytes() == (
                 tmp_path / "chunked" / name
             ).read_bytes()
 
+    def test_constant_trials_run_as_one_chunk(self, tmp_path, monkeypatch):
+        # the benchmark's constant-trials workload: 150 trials of M = 4,
+        # N = 1, J = 2 at 3 grid points, drawn by one generate_batch call
+        calls = []
+        monkeypatch.setattr(
+            channel, "generate_batch", lambda specs: calls.append(len(specs)) or generate_batch(specs)
+        )
+        assert run(["gaussian", "--out", tmp_path, "--trials", 150]) == 0
+        assert calls == [150]
+
     def test_rebuilt_trials_in_a_chunk_leave_outputs_unchanged(self, tmp_path, monkeypatch):
         # every other trial of a chunk is dropped from its stack, so that it
         # is rebuilt by build_beamformers and keeps its per-trial products
         args = ["gaussian", "--trials", 9, "--seed", 5, "--M", 5, "--N1", 2, "--r1", 2]
-        monkeypatch.setattr(gaussian, "TRIAL_CHUNK", 1)
+        set_chunk(monkeypatch, 1)
         assert run(args + ["--out", tmp_path / "one"]) == 0
         real = gaussian._stacked_beamformers
 
@@ -107,7 +122,7 @@ class TestGaussianCommand:
             return bfs, stack
 
         rebuilt = []
-        monkeypatch.setattr(gaussian, "TRIAL_CHUNK", 64)
+        set_chunk(monkeypatch, 64)
         monkeypatch.setattr(gaussian, "_stacked_beamformers", dropping)
         monkeypatch.setattr(
             gaussian, "build_beamformers",
@@ -137,7 +152,7 @@ class TestGaussianCommand:
                     return tuple(x[:i] for x in h), GenerationError(f"draw {spec.seed} failed")
             return h, error
 
-        monkeypatch.setattr(gaussian, "TRIAL_CHUNK", chunk)
+        set_chunk(monkeypatch, chunk)
         monkeypatch.setattr(channel, "generate_batch", generate)
         assert run(["gaussian", "--out", tmp_path, "--trials", 5, "--snr_db_grid", grid]) == 1
         assert message in capsys.readouterr().err
@@ -170,7 +185,7 @@ class TestGaussianCommand:
                     return bfs[:i], stack, ConstructionError(f"build {failing_trial} failed")
             return bfs, stack, error
 
-        monkeypatch.setattr(gaussian, "TRIAL_CHUNK", chunk)
+        set_chunk(monkeypatch, chunk)
         monkeypatch.setattr(channel, "generate_batch", generate)
         monkeypatch.setattr(gaussian, "build_beamformers_batch", build)
         assert run(["gaussian", "--out", tmp_path, "--trials", 5, "--snr_db_grid", grid]) == 1
@@ -418,8 +433,9 @@ class TestConfigHandling:
         # 4M blocks keep their 4 MB of states, but each mean's 32 MB gather
         # of block rates cannot be allocated
         (24, "cannot allocate 32000000 bytes of block rates"),
-        # the states fit, but not the few MB of a vectorized sampling pass
-        (7, "cannot allocate a sampling pass of 65536 blocks"),
+        # the states fit, but not the few hundred kB of a vectorized
+        # sampling pass of 8192 blocks
+        (4, "cannot allocate a sampling pass of 8192 blocks"),
     ])
     def test_unallocatable_block_gather_is_a_typed_error(self, tmp_path, cap_mb, message):
         # The child warms up with a small run, then caps its own address space

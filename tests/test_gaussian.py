@@ -40,9 +40,10 @@ from compound_bcc.gaussian import (
     gaussian_sdof_region,
     worst_case_rates,
 )
+from compound_bcc.linalg import DEFAULT_TOL, RankTolerance, numerical_rank
 from compound_bcc.regions import nontrivial_vertices
 from compound_bcc.sdof import estimate_sdof_series, snr_db_to_power
-from reference import rate_common, rate_confidential, rate_leakage, swap_users
+from reference import rate_common, rate_confidential, rate_leakage, svd_rank_screen, swap_users
 
 
 def make_channel(M, N1, N2, J1, J2, seed=0):
@@ -628,6 +629,119 @@ class TestChunkedBuild:
         # rejects mixed specs); mixed pairs are grouped by the evaluator
         empty = np.zeros((0, 2, 1, 4), complex)
         assert build_beamformers_batch((empty, empty), 1, 1) == ([], None, None)
+
+
+@st.composite
+def degenerate_stacks(draw):
+    """Stacks (T, n, m), n >= m, of random complex matrices, some columns
+    made degenerate: scaled (to zero, by 1e-12 to 1e-4, or by 1e+-160 so
+    that their Gram entries overflow or underflow), set near a multiple of
+    the next column, or given a non-finite entry; and a tolerance."""
+    m = draw(st.integers(1, 4))
+    n, T = draw(st.integers(m, 6)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((T, n, m, 2)) @ np.array([1.0, 1j])
+    edits = st.tuples(
+        st.integers(0, 3), st.integers(0, 3), st.sampled_from(["scale", "parallel", "nan", "inf"]),
+        st.sampled_from([0.0, 1e-160, 1e-12, 1e-8, 1e-4, 1e160]),
+    )
+    for t, col, kind, eps in draw(st.lists(edits, max_size=4)):
+        t, col = t % T, col % m
+        noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        with np.errstate(all="ignore"):  # an earlier edit may have left inf
+            if kind == "scale":
+                a[t, :, col] *= eps
+            elif kind == "parallel":
+                a[t, :, col] = (0.5 - 2j) * a[t, :, (col + 1) % m] + eps * noise
+            else:
+                a[t, col % n, col] = np.nan if kind == "nan" else np.inf
+    return a, RankTolerance(draw(st.sampled_from([1e-15, 1e-12, 1e-10, 1e-6])))
+
+
+@st.composite
+def degenerate_chunks(draw):
+    """A chunk of generated channels (h1, h2) with stream counts, some
+    channels made degenerate: a row of H_1_1 near the span of user 2's rows
+    (H_1_1 v1 near zero), user 1's states near user 2's (v1 and v2 near
+    parallel), a state or an antenna's column scaled, a non-finite entry."""
+    M = draw(st.integers(2, 6))
+    N1, N2 = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    J1, J2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    b1, b2 = confidential_stream_bounds(M, N1, N2, J1, J2)
+    r1, r2 = draw(st.integers(0, b1)), draw(st.integers(0, b2))
+    seed, T = draw(st.integers(0, 2**16)), draw(st.integers(1, 4))
+    h1, h2 = (x.copy() for x in stack_of(
+        [make_channel(M, N1, N2, J1, J2, seed=seed + t) for t in range(T)]
+    ))
+    rng = np.random.default_rng(seed)
+    edits = st.tuples(
+        st.integers(0, 3), st.sampled_from(["span", "twin", "state", "column", "nan"]),
+        st.sampled_from([0.0, 1e-12, 1e-8, 1e-4]),
+    )
+    for t, kind, eps in draw(st.lists(edits, max_size=3)):
+        t = t % T
+        noise = rng.standard_normal((N1, M)) + 1j * rng.standard_normal((N1, M))
+        if kind == "span":
+            coef = rng.standard_normal(J2 * N2) + 1j * rng.standard_normal(J2 * N2)
+            h1[t, 0, 0] = coef @ h2[t].reshape(-1, M) + eps * noise[0]
+        elif kind == "twin" and (J1, N1) == (J2, N2):
+            h1[t] = h2[t] + eps * noise
+        elif kind == "state":
+            h2[t, 0] *= eps
+        elif kind == "column":
+            h1[t, ..., t % M] *= eps
+        elif kind == "nan":
+            h2[t, -1, 0, -1] = np.nan
+    return (h1, h2), r1, r2
+
+
+class TestGramScreens:
+    """The Gram-form rank screens of build_beamformers_batch against the
+    singular values, and the builds they decide against build_beamformers."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stack=degenerate_stacks())
+    def test_screen_passes_only_full_rank(self, stack):
+        a, tol = stack
+        for x, passed in zip(a, gaussian._surely_full_rank(a, tol)):
+            if passed:
+                assert np.isfinite(x).all() and numerical_rank(x, tol) == x.shape[-1]
+                # never looser than the singular-value screen it replaced
+                assert svd_rank_screen(x, RankTolerance(tol.relative_threshold / 2))
+
+    def test_screen_at_one_column_is_a_finite_positive_norm(self):
+        a = np.array([[[3.0 + 4j]], [[0.0]], [[1e-170]], [[1e170]], [[np.nan]]])
+        assert gaussian._surely_full_rank(a, DEFAULT_TOL).tolist() == [True] + [False] * 4
+
+    @settings(max_examples=120, deadline=None)
+    @given(chunk=degenerate_chunks())
+    def test_builds_are_the_per_trial_builds(self, chunk):
+        h, r1, r2 = chunk
+        bfs, _, error = build_beamformers_batch(h, r1, r2)
+        want, want_error = per_trial_builds(stacked_sets(h), r1, r2)
+        assert_same_builds(bfs, want)
+        assert (error and (type(error), str(error))) == want_error
+
+
+class TestChunkRule:
+    """Trials per chunk of a constant-model run."""
+
+    def test_constant_trials_is_one_chunk(self):
+        # the benchmark's 150 trials of M = 4, N = 1, J = 2 at 3 points
+        assert gaussian._trials_per_chunk(4, 1, 1, 2, 2, 1, 1, 3) >= 150
+
+    @pytest.mark.parametrize("dims", [
+        (4, 1, 1, 12, 12, 0, 0),  # C(24, 4) subsets
+        (26, 4, 4, 6, 6, 2, 2),  # sampled subsets, K = 22
+        (12, 4, 4, 2, 2, 4, 4),
+        (26, 4, 4, 2, 2, 4, 4),  # no rank check, wide arrays
+    ])
+    def test_rank_heavy_and_wide_keep_the_old_chunk(self, dims):
+        assert gaussian._trials_per_chunk(*dims, 3) == 64
+
+    def test_chunks_shrink_with_what_a_trial_holds(self):
+        sizes = [gaussian._trials_per_chunk(4, 1, 1, 2, 2, 1, 1, g) for g in (3, 9, 30, 300)]
+        assert sizes == sorted(sizes, reverse=True) and sizes[-1] == 64
 
 
 class TestStackedProducts:

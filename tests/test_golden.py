@@ -57,7 +57,7 @@ CASES = {
     # the confidential streams fill the space: K = 0
     "gaussian-no-common": (["gaussian", "--M", "2", "--J1", "1", "--J2", "1", "--trials", "3"], 0),
     "gaussian-no-confidential": (["gaussian", "--r1", "0", "--r2", "0", "--trials", "3"], 0),
-    # more trials than TRIAL_CHUNK (64), on a 9-point grid
+    # 70 trials, two chunks at the old fixed 64 per chunk, on a 9-point grid
     "gaussian-chunked": (
         ["gaussian", "--trials", "70", "--seed", "11",
          "--snr_db_grid", "40,50,60,70,80,90,100,110,120"],
