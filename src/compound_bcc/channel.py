@@ -208,8 +208,15 @@ def generate_batch(specs, tol=DEFAULT_TOL):
         raise InvalidInputError(f"specs must share their dimensions, got {sorted(shapes)}")
     _check_dimensions(specs[0])
     dims = M, N1, N2, J1, J2 = shapes.pop()
-    rows = np.empty((len(specs), J1 * N1 + J2 * N2, M), dtype=complex)
-    z = np.empty((len(specs), 2 * rows[0].size))
+    try:
+        rows = np.empty((len(specs), J1 * N1 + J2 * N2, M), dtype=complex)
+        z = np.empty((len(specs), 2 * rows[0].size))
+    except (MemoryError, ValueError):
+        nbytes = 32 * len(specs) * (J1 * N1 + J2 * N2) * M
+        raise InvalidInputError(
+            f"channel dimensions M={M}, N1={N1}, N2={N2}, J1={J1}, J2={J2}: cannot "
+            f"allocate {nbytes} bytes to draw {len(specs)} channel sets"
+        ) from None
     passed = np.zeros(len(specs), dtype=bool)
     pending = range(len(specs))
     for attempt in itertools.count():

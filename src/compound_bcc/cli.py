@@ -159,11 +159,11 @@ def run_gaussian(cfg, out_dir):
     """Constant-model run: per-channel rates, slope fits, analytic region.
 
     Trials go through in order, gaussian._trials_per_chunk at a time, each
-    chunk as one channel stack: drawn with their rank checks decided
+    chunk as state and beam stacks: drawn with their rank checks decided
     together, built and certified as stacks, then evaluated and fitted as
     stacked arrays, whose rows and slopes are read off as lists.
     """
-    from .channel import ChannelGenSpec, generate_batch, stacked_sets
+    from .channel import ChannelGenSpec, generate_batch
     from .gaussian import (
         _equal_power_stack,
         _trials_per_chunk,
@@ -182,20 +182,20 @@ def run_gaussian(cfg, out_dir):
             for trial in range(start, min(start + chunk, cfg.trials))
         ]
         h, error = generate_batch(specs)
-        bfs, stack, build_error = build_beamformers_batch(h, cfg.r1, cfg.r2)
-        pairs = list(zip(stacked_sets(h), bfs))
+        v, rebuilt, build_error = build_beamformers_batch(h, cfg.r1, cfg.r2)
         if build_error is not None:
             # it belongs to an earlier trial than any generation error
             error = build_error
         if error is not None:
-            if pairs:
+            if len(v[0]):
                 # an earlier trial's evaluation error comes first, as in trial order
-                _equal_power_stack(pairs, grid, stack)
+                _equal_power_stack(h, v, rebuilt, grid)
             raise error
-        rates, fits = _equal_power_stack(pairs, grid, stack)
+        rates, fits = _equal_power_stack(h, v, rebuilt, grid)
         blocks.append(rates)
         slopes.extend(fits[..., 0].tolist())
-    k_built = pairs[-1][1].K
+    last = len(rates) - 1
+    k_built = rebuilt[last].K if last in rebuilt else v[0].shape[-1]
     mean_slopes = [sum(s[i] for s in slopes) / len(slopes) for i in range(3)]
     targets = (
         float(common_slope_target(cfg.N1, cfg.N2, cfg.r1, cfg.r2, k_built)),

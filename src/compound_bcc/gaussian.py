@@ -6,16 +6,18 @@ state of user 2 (and vice versa), so each confidential stream is received
 by its intended user only, whichever states are realized; V0 spans the
 orthogonal complement of [V1 V2]. Worst-case rates minimize over states.
 
-The CLI carries _trials_per_chunk trials at a time as one channel stack
-through stacked paths, each bit for bit equal to a one-trial reference:
+The CLI carries _trials_per_chunk trials at a time as stacks alone, the
+states h = (h1, h2) and the beams v = (v0, v1, v2), through stacked
+paths, each bit for bit equal to a one-trial reference:
 
 * build_beamformers_batch builds a chunk's null spaces and common parts
   with three stacked SVDs and screens their certificates over the stack,
   the ranks by the determinant bound of linalg in its Gram form; a channel
   that does not clear every screen is rebuilt by build_beamformers, the
-  reference, so each decision and error is the one-trial one.
+  reference, so each decision and error is the one-trial one. Only a
+  rebuilt channel becomes a CompoundChannelSet and a BeamformerSet.
 * Rates are evaluated as stacked arrays over (trials, grid points,
-  states): h v as one matmul per user and beam (per trial for rebuilt
+  states): h v as one matmul per user and beam (2-D products for rebuilt
   channels), the grams of every grid point in one pass, and two
   logdet2_hpd calls per receiving user. For each state the matrices are
   taken in one order: the common rate's numerator then its denominator,
@@ -23,7 +25,8 @@ through stacked paths, each bit for bit equal to a one-trial reference:
   evaluation is in tests/reference.py.
 * The slopes of every trial and component are fitted in one
   sdof._fit_stack call, and the CLI reads rates and slopes off the
-  arrays of _equal_power_stack.
+  arrays of _equal_power_stack. The one-trial calls worst_case_rates and
+  equal_power_slopes feed their own 2-D products to the same core.
 """
 
 import itertools
@@ -65,7 +68,6 @@ __all__ = [
     "equal_power",
     "worst_case_rates",
     "equal_power_slopes",
-    "equal_power_slopes_batch",
     "common_slope_target",
     "gaussian_sdof_region",
     "gaussian_confidential_region",
@@ -217,39 +219,43 @@ def build_beamformers_batch(h, r1, r2, tol=DEFAULT_TOL):
 
     h = (h1, h2) holds the chunk's states, (T, J1, N1, M) and
     (T, J2, N2, M), as channel.generate_batch returns them. Returns
-    (bfs, stack, error): the beamformer sets of the channels before the
-    first whose construction fails, in order, the chunk's stacks for
-    equal_power_slopes_batch, and that channel's error (None when every
-    channel passes). Each set equals build_beamformers' bit for bit:
-    stacked SVDs and stacked phase normalization see each matrix's values
-    as the one-trial calls do, and each beamformer is a view with the
-    strides of the one-trial result. The certificates are screened over
-    the stack; a channel is rebuilt by build_beamformers, whose decisions
-    and error messages are therefore the ones reported, unless its entries
-    are finite, every residual is below half its limit, its null spaces
-    have the generic rank, and each H_k_j v_k and [v1 v2] pass the
-    determinant screen of full column rank in its Gram form (see linalg).
+    (v, rebuilt, error): the beam stacks v = (v0, v1, v2), (n, M, c) each
+    of the generic widths (M - r1 - r2, r1, r2), of the n channels before
+    the first whose construction fails; {t: BeamformerSet} of those that
+    were rebuilt, whose K may differ; and that channel's error (None, n =
+    T, when every channel passes). The other channels' beams are views of
+    the stacks equal to build_beamformers' bit for bit: stacked SVDs and
+    stacked phase normalization see each matrix's values as the one-trial
+    calls do, and each view has the one-trial strides. The certificates
+    are screened over the stack; a channel is rebuilt by build_beamformers,
+    whose decisions and error messages are therefore the ones reported,
+    unless its entries are finite, every residual is below half its limit,
+    its null spaces have the generic rank, and each H_k_j v_k and [v1 v2]
+    pass the determinant screen of full column rank in its Gram form (see
+    linalg).
     """
-    bfs, stack = _stacked_beamformers(h, r1, r2, tol)
-    for t, bf in enumerate(bfs):
-        if bf is None:
-            try:
-                bfs[t] = build_beamformers(stacked_sets([x[t:t + 1] for x in h])[0], r1, r2, tol)
-            except CompoundBccError as e:
-                return bfs[:t], stack, e
-    return bfs, stack, None
+    v, sure = _stacked_beamformers(h, r1, r2, tol)
+    rebuilt = {}
+    for t in np.flatnonzero(~sure).tolist():
+        try:
+            rebuilt[t] = build_beamformers(stacked_sets([x[t:t + 1] for x in h])[0], r1, r2, tol)
+        except CompoundBccError as e:
+            return tuple(x[:t] for x in v), rebuilt, e
+    return v, rebuilt, None
 
 
 def _stacked_beamformers(h, r1, r2, tol):
-    """(bfs, stack): the BeamformerSet of each channel that passes the screens
-    of build_beamformers_batch (None for the others), and (h, v, built): the
-    beam stacks v = (v0, v1, v2), (T, M, c) each, and which sets hold their
-    views. stack is None when no set does."""
+    """(v, sure): the beam stacks v = (v0, v1, v2), (T, M, c) each, and
+    whether each channel passes the screens of build_beamformers_batch.
+    With infeasible stream counts, or when a stacked SVD fails, no channel
+    passes and v holds zeros."""
     T = len(h[0])
     (J1, N1, M), (J2, N2) = h[0].shape[1:], h[1].shape[1:3]
     b1, b2 = confidential_stream_bounds(M, N1, N2, J1, J2)
-    if not T or not (0 <= r1 <= b1 and 0 <= r2 <= b2):
-        return [None] * T, None
+    widths = (M - r1 - r2, r1, r2)
+    unbuilt = tuple(np.zeros((T, M, max(c, 0)), complex) for c in widths), np.zeros(T, bool)
+    if not (T and 0 <= r1 <= b1 and 0 <= r2 <= b2):
+        return unbuilt
     sure = np.isfinite(h[0]).all(axis=(1, 2, 3)) & np.isfinite(h[1]).all(axis=(1, 2, 3))
     try:
         null2, generic2 = generic_null_spaces(h[1].reshape(T, -1, M), tol)
@@ -274,9 +280,8 @@ def _stacked_beamformers(h, r1, r2, tol):
         else:
             v0 = np.repeat(np.eye(M, dtype=complex)[None], T, axis=0)
     except np.linalg.LinAlgError:
-        return [None] * T, None
-    bfs = [BeamformerSet(v1=v[0][t], v2=v[1][t], v0=v0[t]) if sure[t] else None for t in range(T)]
-    return bfs, ((h, (v0, *v), sure) if sure.any() else None)
+        return unbuilt
+    return (v0, *v), sure
 
 
 def _surely_full_rank(a, tol):
@@ -367,35 +372,29 @@ def _logdet_i_plus(gram):
     return logdet2_hpd(np.eye(gram.shape[-1]) + gram)
 
 
-def _beam_products(pairs, stack=None, window=slice(None)):
+def _own_products(states, bf):
+    """h v of one trial as 2-D products, one per state and beam, in the
+    layout of _beam_products with one trial: states[k] holds the states of
+    receiving user k + 1."""
+    return [[np.array([[x @ v for x in hk]]) for v in (bf.v0, bf.v1, bf.v2)] for hk in states]
+
+
+def _beam_products(h, v):
     """h v for every receiving user, beam, trial and state.
 
     ws[k][b] has shape (T, J, N, c) for receiving user k + 1 and beam b (0
-    common, 1 and 2 confidential). The channel is applied before the
-    powers, so that a beam lying in the null space of h keeps its ~1e-16
-    projection residual; scaling a covariance by a large power first would
-    bury that cancellation under rounding proportional to the power. Each
-    product takes the state and the beamformer as stored: the bits of a
-    product depend on its operands' strides, through the kernel numpy
-    picks. When the pairs are the trials ``window`` of a chunk's stack (see
-    build_beamformers_batch), h[k] v[b] is one stacked matmul of views with
-    the one-trial strides, so that each product is the 2-D one; only the
-    trials not built from the stack take their own products.
+    common, 1 and 2 confidential), T the trials of the beam stacks v. The
+    channel is applied before the powers, so that a beam lying in the null
+    space of h keeps its ~1e-16 projection residual; scaling a covariance
+    by a large power first would bury that cancellation under rounding
+    proportional to the power. Each product takes the state and the
+    beamformer as stored: the bits of a product depend on its operands'
+    strides, through the kernel numpy picks. h[k] v[b] is one stacked
+    matmul of views with the one-trial strides (see
+    build_beamformers_batch), so that each product is the 2-D one.
     """
-    beams = [(bf.v0, bf.v1, bf.v2) for _, bf in pairs]
-    built = np.zeros(len(pairs), dtype=bool) if stack is None else stack[2][window]
-    ws = [[None] * 3, [None] * 3]
-    for k, b in itertools.product((0, 1), range(3)):
-        own = [[x @ beams[t][b] for x in pairs[t][0].states(k + 1)]
-               for t in np.flatnonzero(~built)]
-        if not built.any():
-            ws[k][b] = np.array(own)
-            continue
-        with np.errstate(all="ignore"):  # the trials not built are overwritten
-            ws[k][b] = stack[0][k][window] @ stack[1][b][window][:, None]
-        if own:
-            ws[k][b][~built] = own
-    return ws
+    T = len(v[0])
+    return [[h[k][:T] @ b[:, None] for b in v] for k in (0, 1)]
 
 
 def _grams(w, p):
@@ -413,7 +412,7 @@ def _clamp(x):
 def _stacked_rates(ws, ps):
     """worst_case_rates of T trials at G power allocations each.
 
-    ws are the products of _beam_products and ps[b] (T, G, c) the powers
+    ws are the products h v of _beam_products and ps[b] (T, G, c) the powers
     of beam b's streams. Returns a (T, G, 4) array of r0, r1, r2 and
     leakage. Per receiving user, one logdet2_hpd call takes the common-rate
     numerators with the intended-state confidential log-dets, which are
@@ -497,59 +496,54 @@ def worst_case_rates(ch, bf, pa):
     leakage. Evaluated as a stack of one trial and one point.
     """
     ps = [p[None, None] for p in (pa.p0, pa.p1, pa.p2)]
-    return RateTriple(*_worst_case_stack(_beam_products([(ch, bf)]), ps)[0, 0].tolist())
+    return RateTriple(*_worst_case_stack(_own_products((ch.h1, ch.h2), bf), ps)[0, 0].tolist())
 
 
-def _dimensions(pair):
-    ch, bf = pair
-    return (ch.M, ch.N1, ch.N2, ch.J1, ch.J2, bf.K, bf.r1, bf.r2)
-
-
-def equal_power_slopes_batch(pairs, snr_db_grid=DEFAULT_SNR_GRID_DB, stack=None):
-    """equal_power_slopes of every (channel, beamformer) pair, in order.
-
-    Consecutive pairs with the same dimensions (M, N_k, J_k, K and r_k)
-    are evaluated together as stacked arrays: h v once per trial, state and
-    beam, then every grid point's grams and a few batched log-dets. The
-    pairs of a chunk from build_beamformers_batch may come with its stack,
-    so that h v is one matmul per receiving user and beam. Each trial
-    keeps its own slope fits. A grid point at which a received covariance
-    overflows raises InvalidGridError naming the point. The objects are
-    built from the arrays of _equal_power_stack.
-    """
-    rates, fits = _equal_power_stack(pairs, snr_db_grid, stack)
-    return [([RateTriple(*r) for r in trial], tuple(SdofEstimate(*f) for f in fit))
-            for trial, fit in zip(rates.tolist(), fits.tolist())]
-
-
-def _equal_power_stack(pairs, snr_db_grid, stack=None):
-    """(rates, fits) of equal_power_slopes_batch as arrays: rates (T, G, 4)
-    of r0, r1, r2 and leakage per trial and grid point, fits (T, 3, 3) of
-    slope, intercept and residual per trial and component."""
-    grid = check_snr_grid(snr_db_grid)
+def _equal_power(ws, grid):
+    """Rates and slope fits of products ws under equal power at each point
+    of the checked grid (dB): rates (T, G, 4) of r0, r1, r2 and leakage
+    per trial and grid point, fits (T, 3, 3) of slope, intercept and
+    residual per trial and component."""
+    widths = [w.shape[-1] for w in ws[0]]
     powers = snr_db_to_power(grid)
-    rates, start = [np.zeros((0, grid.size, 4))], 0
-    for _, group in itertools.groupby(pairs, key=_dimensions):
-        group = list(group)
-        bf = group[0][1]
-        n = bf.K + bf.r1 + bf.r2
-        share = powers / n if n else np.zeros_like(powers)
-        ps = [np.broadcast_to(share[:, None], (len(group), grid.size, c))
-              for c in (bf.K, bf.r1, bf.r2)]
-        window = slice(start, start := start + len(group))
-        rates.append(_worst_case_stack(_beam_products(group, stack, window), ps, grid))
-    rates = np.concatenate(rates)
+    share = powers / sum(widths) if sum(widths) else np.zeros_like(powers)
+    ps = [np.broadcast_to(share[:, None], (len(ws[0][0]), grid.size, c)) for c in widths]
+    rates = _worst_case_stack(ws, ps, grid)
     # one series per trial and component
     return rates, _fit_stack(grid, np.moveaxis(rates[..., :3], -1, -2))
+
+
+def _equal_power_stack(h, v, rebuilt, snr_db_grid):
+    """_equal_power of a chunk: the first T channels of the state stacks h
+    with the beam stacks v (T trials) and the rebuilt sets of
+    build_beamformers_batch. A rebuilt trial, whose K may differ, is
+    evaluated from its own 2-D products as a stack of its own, between
+    the runs of the stack before and after it, so that the error raised
+    is the first that trial order meets. A grid point at which a received
+    covariance overflows raises InvalidGridError naming it."""
+    grid = check_snr_grid(snr_db_grid)
+    T = len(v[0])
+    with np.errstate(all="ignore"):  # the rebuilt trials' rows are not read
+        ws = _beam_products(h, v)
+    parts, start = [], 0
+    for t in sorted(rebuilt) + [T]:
+        parts.append(_equal_power([[w[start:t] for w in wk] for wk in ws], grid))
+        if t < T:
+            parts.append(_equal_power(_own_products((h[0][t], h[1][t]), rebuilt[t]), grid))
+        start = t + 1
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def equal_power_slopes(ch, bf, snr_db_grid=DEFAULT_SNR_GRID_DB):
     """Slope estimates of the three worst-case rates under equal power.
 
     Returns (triples, estimates): the RateTriple at each grid point and an
-    SdofEstimate per message component.
+    SdofEstimate per message component. A grid point at which a received
+    covariance overflows raises InvalidGridError naming it.
     """
-    return equal_power_slopes_batch([(ch, bf)], snr_db_grid)[0]
+    rates, fits = _equal_power(_own_products((ch.h1, ch.h2), bf), check_snr_grid(snr_db_grid))
+    triples = [RateTriple(*r) for r in rates[0].tolist()]
+    return triples, tuple(SdofEstimate(*f) for f in fits[0].tolist())
 
 
 def common_slope_target(N1, N2, r1, r2, K):

@@ -7,7 +7,8 @@ must equal bit for bit:
 * per_state_draw and generate_per_attempt: channel generation, attempt by
   attempt, against channel.generate_batch;
 * rate_common, rate_confidential and rate_leakage: the rates of one state,
-  against gaussian.worst_case_rates and equal_power_slopes_batch;
+  against gaussian.worst_case_rates and the stacked evaluation of a chunk
+  (gaussian._equal_power_stack);
 * swap_users: the same channel with the users' roles exchanged;
 * tx_rate and leakage: the ergodic rates of one common state at one power
   pair, against ergodic.block_secrecy_rates and the stacked evaluation of

@@ -46,6 +46,24 @@ def set_chunk(monkeypatch, trials):
     monkeypatch.setattr(gaussian, "_trials_per_chunk", lambda *dims: trials)
 
 
+def count_objects(monkeypatch):
+    """The class names of the CompoundChannelSet and BeamformerSet objects
+    made from now on, by their constructors or by channel.stacked_sets."""
+    made = []
+    for cls in (CompoundChannelSet, gaussian.BeamformerSet):
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, real=cls.__init__, **k: (
+            made.append(type(self).__name__) or real(self, *a, **k)
+        ))
+
+    def sets(h, real=channel.stacked_sets):
+        made.extend(["CompoundChannelSet"] * len(h[0]))
+        return real(h)
+
+    monkeypatch.setattr(channel, "stacked_sets", sets)
+    monkeypatch.setattr(gaussian, "stacked_sets", sets)
+    return made
+
+
 class TestGaussianCommand:
     def test_default_run_passes(self, tmp_path):
         assert run(["gaussian", "--out", tmp_path, "--trials", 2]) == 0
@@ -106,6 +124,13 @@ class TestGaussianCommand:
         assert run(["gaussian", "--out", tmp_path, "--trials", 150]) == 0
         assert calls == [150]
 
+    def test_screened_trials_construct_no_objects(self, tmp_path, monkeypatch):
+        # every trial of constant-trials passes the screens: the run holds
+        # its chunk as stacks alone
+        made = count_objects(monkeypatch)
+        assert run(["gaussian", "--out", tmp_path, "--trials", 150]) == 0
+        assert made == []
+
     def test_rebuilt_trials_in_a_chunk_leave_outputs_unchanged(self, tmp_path, monkeypatch):
         # every other trial of a chunk is dropped from its stack, so that it
         # is rebuilt by build_beamformers and keeps its per-trial products
@@ -115,11 +140,9 @@ class TestGaussianCommand:
         real = gaussian._stacked_beamformers
 
         def dropping(h, r1, r2, tol):
-            bfs, stack = real(h, r1, r2, tol)
-            for t in range(1, len(bfs), 2):
-                bfs[t] = None
-                stack[2][t] = False
-            return bfs, stack
+            v, sure = real(h, r1, r2, tol)
+            sure[1::2] = False
+            return v, sure
 
         rebuilt = []
         set_chunk(monkeypatch, 64)
@@ -128,8 +151,11 @@ class TestGaussianCommand:
             gaussian, "build_beamformers",
             lambda *a, real=gaussian.build_beamformers: rebuilt.append(a) or real(*a),
         )
+        made = count_objects(monkeypatch)
         assert run(args + ["--out", tmp_path / "mixed"]) == 0
         assert len(rebuilt) == 4
+        # only the rebuilt trials construct a channel set and a beamformer set
+        assert sorted(made) == ["BeamformerSet"] * 4 + ["CompoundChannelSet"] * 4
         for name in ("rates.csv", "region.json", "summary.json"):
             assert (tmp_path / "one" / name).read_bytes() == (
                 tmp_path / "mixed" / name
@@ -179,11 +205,12 @@ class TestGaussianCommand:
             return h, error
 
         def build(h, r1, r2):
-            bfs, stack, error = build_beamformers_batch(h, r1, r2)
+            v, rebuilt, error = build_beamformers_batch(h, r1, r2)
             for i, ch in enumerate(stacked_sets(h)):
                 if ch.stacked_rows().tobytes() == failing.stacked_rows().tobytes():
-                    return bfs[:i], stack, ConstructionError(f"build {failing_trial} failed")
-            return bfs, stack, error
+                    error = ConstructionError(f"build {failing_trial} failed")
+                    return tuple(x[:i] for x in v), rebuilt, error
+            return v, rebuilt, error
 
         set_chunk(monkeypatch, chunk)
         monkeypatch.setattr(channel, "generate_batch", generate)
@@ -424,6 +451,24 @@ class TestConfigHandling:
             "error: block horizon 1152921504606846976: cannot allocate "
             "1152921504606846976 bytes of block states\n"
         )
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("command, field", [
+        (command, field)
+        for command in ("gaussian", "ergodic", "verify-channel")
+        # ergodic receivers have one antenna whatever N1 and N2 say
+        for field in ("M", "J1", "J2") + (("N1", "N2") if command != "ergodic" else ())
+    ])
+    def test_oversized_dimension_is_a_typed_error(self, tmp_path, capsys, command, field):
+        # no array has a dimension of 10^30: the draws' allocation fails at once
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([command, f"--{field}", 10**30, "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: channel dimensions M=") and f"{field}={10**30}" in err
+        assert "cannot allocate" in err and "Traceback" not in err
         assert os.listdir(out) == []
 
     @pytest.mark.skipif(

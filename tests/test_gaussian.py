@@ -28,6 +28,7 @@ from compound_bcc.errors import (
 from compound_bcc.gaussian import (
     BeamformerSet,
     PowerAllocation,
+    RateTriple,
     build_beamformers,
     build_beamformers_batch,
     certify_confidential,
@@ -35,14 +36,13 @@ from compound_bcc.gaussian import (
     confidential_stream_bounds,
     equal_power,
     equal_power_slopes,
-    equal_power_slopes_batch,
     gaussian_confidential_region,
     gaussian_sdof_region,
     worst_case_rates,
 )
 from compound_bcc.linalg import DEFAULT_TOL, RankTolerance, numerical_rank
 from compound_bcc.regions import nontrivial_vertices
-from compound_bcc.sdof import estimate_sdof_series, snr_db_to_power
+from compound_bcc.sdof import SdofEstimate, estimate_sdof_series, snr_db_to_power
 from reference import rate_common, rate_confidential, rate_leakage, svd_rank_screen, swap_users
 
 
@@ -371,6 +371,28 @@ def raised(call):
     return type(exc.value), str(exc.value)
 
 
+def as_objects(rates, fits):
+    """The (triples, estimates) of each trial, as equal_power_slopes gives them,
+    from the arrays of _equal_power_stack."""
+    return [([RateTriple(*r) for r in trial], tuple(SdofEstimate(*f) for f in fit))
+            for trial, fit in zip(rates.tolist(), fits.tolist())]
+
+
+def evaluate_chunk(pairs, grid):
+    """_equal_power_stack of the chunk of (channel, beams) pairs, as objects:
+    the beams that build_beamformers_batch builds from the chunk's stacks
+    come from the stacks, any others (leaky ones) as rebuilt sets."""
+    h = stack_of([ch for ch, _ in pairs])
+    bf = pairs[0][1]
+    v, rebuilt, error = build_beamformers_batch(h, bf.r1, bf.r2)
+    assert error is None
+    for t, (_, bf) in enumerate(pairs):
+        beams = (bf.v0, bf.v1, bf.v2)
+        if t in rebuilt or any(a.tobytes() != b[t].tobytes() for a, b in zip(beams, v)):
+            rebuilt[t] = bf
+    return as_objects(*gaussian._equal_power_stack(h, v, rebuilt, grid))
+
+
 class TestStackedEvaluator:
     """The stacked evaluation against the scalar rate functions, bit for bit."""
 
@@ -408,25 +430,13 @@ class TestStackedEvaluator:
         dims, seed, leaky = scenario
         pairs = [built(dims, seed + t, leaky) for t in range(trials)]
         grid = [10.0 * x for x in sorted(points)]
-        got = equal_power_slopes_batch(pairs, grid)
+        got = evaluate_chunk(pairs, grid)
         assert len(got) == trials
         for (ch, bf), (triples, ests) in zip(pairs, got):
             want = [reference_rates(ch, bf, equal_power(bf, float(p))) for p in snr_db_to_power(grid)]
             assert [(t.r0, t.r1, t.r2, t.leakage) for t in triples] == want
             assert ests == tuple(estimate_sdof_series(grid, [w[i] for w in want]) for i in range(3))
             assert equal_power_slopes(ch, bf, grid) == (triples, ests)
-
-    def test_batch_groups_pairs_of_equal_dimensions(self):
-        # mixed dimensions are evaluated group by group, in the given order
-        pairs = [
-            built((4, 1, 1, 2, 2, 1, 1), 0, False),
-            built((4, 1, 1, 2, 2, 1, 1), 1, False),
-            built((5, 2, 1, 1, 2, 2, 1), 2, False),
-            built((4, 1, 1, 2, 2, 1, 1), 3, True),
-        ]
-        got = equal_power_slopes_batch(pairs)
-        assert got == [equal_power_slopes(ch, bf) for ch, bf in pairs]
-        assert equal_power_slopes_batch([]) == []
 
     @staticmethod
     def check_reference_error(pairs, grid):
@@ -455,9 +465,9 @@ class TestStackedEvaluator:
             try:
                 reference()
             except Exception:
-                assert raised(lambda: equal_power_slopes_batch(pairs, grid)) == raised(reference)
+                assert raised(lambda: evaluate_chunk(pairs, grid)) == raised(reference)
             else:
-                equal_power_slopes_batch(pairs, grid)
+                evaluate_chunk(pairs, grid)
 
     @settings(max_examples=15, deadline=None)
     @given(scenario=scenarios(), trials=st.integers(1, 3), top=st.floats(2900.0, 3082.0))
@@ -522,10 +532,17 @@ def stack_of(chs):
     return tuple(np.array([ch.states(k) for ch in chs]) for k in (1, 2))
 
 
+def sets_of(v, rebuilt):
+    """The beamformer set of each trial of build_beamformers_batch's result:
+    its rebuilt set, or views of the beam stacks v."""
+    return [rebuilt[t] if t in rebuilt else BeamformerSet(v1=v[1][t], v2=v[2][t], v0=v[0][t])
+            for t in range(len(v[0]))]
+
+
 def batch_builds(chs, r1, r2):
     """build_beamformers_batch of the chunk of chs: (bfs, error)."""
-    bfs, _, error = build_beamformers_batch(stack_of(chs), r1, r2)
-    return bfs, error
+    v, rebuilt, error = build_beamformers_batch(stack_of(chs), r1, r2)
+    return sets_of(v, rebuilt), error
 
 
 def assert_same_builds(got, want):
@@ -552,6 +569,18 @@ def crafted_channel(kind, seed=0):
     if kind == "nan":
         ch.h2[0][0, 1] = np.nan  # the arrays stay writable after construction
     return ch
+
+
+def dropping(where):
+    """_stacked_beamformers with the trials ``where`` failing its screens."""
+    real = gaussian._stacked_beamformers
+
+    def stacked(h, r1, r2, tol):
+        v, sure = real(h, r1, r2, tol)
+        sure[where] = False
+        return v, sure
+
+    return stacked
 
 
 class TestChunkedBuild:
@@ -626,9 +655,13 @@ class TestChunkedBuild:
 
     def test_empty_chunk(self):
         # a chunk holds channels of one set of dimensions (generate_batch
-        # rejects mixed specs); mixed pairs are grouped by the evaluator
-        empty = np.zeros((0, 2, 1, 4), complex)
-        assert build_beamformers_batch((empty, empty), 1, 1) == ([], None, None)
+        # rejects mixed specs)
+        h = (np.zeros((0, 2, 1, 4), complex),) * 2
+        v, rebuilt, error = build_beamformers_batch(h, 1, 1)
+        assert [x.shape for x in v] == [(0, 4, 2), (0, 4, 1), (0, 4, 1)]
+        assert rebuilt == {} and error is None
+        rates, fits = gaussian._equal_power_stack(h, v, rebuilt, (60.0, 80.0, 100.0))
+        assert rates.shape == (0, 3, 4) and fits.shape == (0, 3, 3)
 
 
 @st.composite
@@ -717,9 +750,9 @@ class TestGramScreens:
     @given(chunk=degenerate_chunks())
     def test_builds_are_the_per_trial_builds(self, chunk):
         h, r1, r2 = chunk
-        bfs, _, error = build_beamformers_batch(h, r1, r2)
+        v, rebuilt, error = build_beamformers_batch(h, r1, r2)
         want, want_error = per_trial_builds(stacked_sets(h), r1, r2)
-        assert_same_builds(bfs, want)
+        assert_same_builds(sets_of(v, rebuilt), want)
         assert (error and (type(error), str(error))) == want_error
 
 
@@ -745,7 +778,8 @@ class TestChunkRule:
 
 
 class TestStackedProducts:
-    """h v of a chunk's stacks against the per-trial products, bit for bit."""
+    """h v of a chunk's stacks against the per-trial products, bit for bit,
+    and chunks whose rebuilt trials take their own."""
 
     @settings(max_examples=60, deadline=None)
     @given(scenario=scenarios(), trials=st.integers(1, 4))
@@ -757,18 +791,18 @@ class TestStackedProducts:
         (M, N1, N2, J1, J2, r1, r2), seed, _ = scenario
         specs = [ChannelGenSpec(M, N1, N2, J1, J2, seed=seed + t) for t in range(trials)]
         h, _ = generate_batch(specs)
-        bfs, stack, error = build_beamformers_batch(h, r1, r2)
-        assert error is None and stack[2].all()
-        pairs = list(zip(stacked_sets(h), bfs))
-        got = gaussian._beam_products(pairs, stack)
-        want = gaussian._beam_products(pairs)
-        for g, w in zip(sum(got, []), sum(want, [])):
-            assert g.shape == w.shape and g.tobytes() == w.tobytes()
-        for t, (ch, bf) in enumerate(pairs):  # the 2-D products themselves
-            for k, b in itertools.product((1, 2), range(3)):
-                v = (bf.v0, bf.v1, bf.v2)[b]
+        v, rebuilt, error = build_beamformers_batch(h, r1, r2)
+        assert error is None and rebuilt == {}
+        got = gaussian._beam_products(h, v)
+        pairs = list(zip(stacked_sets(h), sets_of(v, rebuilt)))
+        for t, (ch, bf) in enumerate(pairs):
+            own = gaussian._own_products((ch.h1, ch.h2), bf)
+            for g, w in zip(sum(got, []), sum(own, [])):
+                assert g[t].shape == w[0].shape and g[t].tobytes() == w[0].tobytes()
+            for k, b in itertools.product((1, 2), range(3)):  # the 2-D products themselves
+                v_b = (bf.v0, bf.v1, bf.v2)[b]
                 for j, hj in enumerate(ch.states(k)):
-                    assert got[k - 1][b][t, j].tobytes() == (hj @ v).tobytes()
+                    assert got[k - 1][b][t, j].tobytes() == (hj @ v_b).tobytes()
 
     @pytest.mark.parametrize("where", [[1], [0, 3], [0, 1, 2, 3]])
     def test_chunk_mixing_stacked_and_rebuilt_trials(self, where):
@@ -778,23 +812,49 @@ class TestStackedProducts:
         chs = [make_channel(5, 2, 1, 2, 2, seed=s) for s in range(4)]
         chs[where[0]] = crafted_channel("duplicate", seed=9)
         h = stack_of(chs)
-        real = gaussian._stacked_beamformers
+        with mock.patch.object(gaussian, "_stacked_beamformers", dropping(where)):
+            v, rebuilt, error = build_beamformers_batch(h, 2, 1)
+        assert error is None and sorted(rebuilt) == where
+        bfs = per_trial_builds(chs, 2, 1)[0]
+        assert_same_builds(sets_of(v, rebuilt), bfs)
+        got = as_objects(*gaussian._equal_power_stack(h, v, rebuilt, (60.0, 80.0, 100.0)))
+        assert got == [equal_power_slopes(ch, bf, (60.0, 80.0, 100.0)) for ch, bf in zip(chs, bfs)]
 
-        def dropping(h, r1, r2, tol):
-            bfs, stack = real(h, r1, r2, tol)
-            for t in where:
-                bfs[t] = None
-                stack[2][t] = False
-            return bfs, stack
+    @pytest.mark.parametrize("odd, top", [
+        (2, 100.0),
+        (0, 100.0),
+        (3, 100.0),
+        # trial 0 fails at 2982 dB, before the narrow trial 3 at 3002 dB
+        (3, 3002.0),
+        # the narrow trial 0 fails at 3026 dB, before trial 1 at 3006 dB
+        (0, 3026.0),
+    ])
+    def test_rebuilt_trial_with_another_k_is_evaluated_alone(self, odd, top):
+        # a forced rebuild of trial ``odd`` returns an orthonormal v0 with one
+        # column fewer: that trial gets exactly its one-trial rates and fits,
+        # the others their unforced ones, and the error raised is the first
+        # that trial order meets
+        chs = [make_channel(5, 2, 1, 2, 2, seed=s) for s in range(4)]
+        bfs = [build_beamformers(ch, 2, 1) for ch in chs]
+        bfs[odd] = BeamformerSet(v1=bfs[odd].v1, v2=bfs[odd].v2, v0=bfs[odd].v0[:, :-1])
+        h = stack_of(chs)
+        with mock.patch.object(gaussian, "_stacked_beamformers", dropping([odd])), \
+                mock.patch.object(gaussian, "build_beamformers", lambda *a: bfs[odd]):
+            v, rebuilt, error = build_beamformers_batch(h, 2, 1)
+        assert error is None and rebuilt == {odd: bfs[odd]} and v[0].shape[-1] == 2
+        grid = (60.0, top - 20.0, top)
 
-        with mock.patch.object(gaussian, "_stacked_beamformers", dropping):
-            bfs, stack, error = build_beamformers_batch(h, 2, 1)
-        assert error is None and stack[2].tolist() == [t not in where for t in range(4)]
-        pairs = list(zip(stacked_sets(h), bfs))
-        assert_same_builds(bfs, per_trial_builds(chs, 2, 1)[0])
-        got = equal_power_slopes_batch(pairs, (60.0, 80.0, 100.0), stack)
-        assert got == equal_power_slopes_batch(pairs, (60.0, 80.0, 100.0))
-        assert got == [equal_power_slopes(ch, bf, (60.0, 80.0, 100.0)) for ch, bf in pairs]
+        def per_trial():
+            return [equal_power_slopes(ch, bf, grid) for ch, bf in zip(chs, bfs)]
+
+        with np.errstate(all="ignore"):
+            try:
+                want = per_trial()
+            except InvalidGridError:
+                got = raised(lambda: gaussian._equal_power_stack(h, v, rebuilt, grid))
+                assert got == raised(per_trial)
+            else:
+                assert as_objects(*gaussian._equal_power_stack(h, v, rebuilt, grid)) == want
 
 
 # (M, N1, N2, J1, J2, r1, r2) across all region shapes with feasible streams
