@@ -281,7 +281,7 @@ def verify_rank_condition(ch, tol=DEFAULT_TOL):
     ||A||_F^2 summed from the squared row norms, which are computed once per
     channel. On the exhaustive path, log |det A| is shared over prefixes:
     write A = [P; R], P its first M - d rows and R its last d, d =
-    min(M, rankcheck.SCREEN_TAIL) = min(M, 3), and let P^H = Q [S; 0] be a
+    min(M, rankcheck.SCREEN_TAIL) = min(M, 4), and let P^H = Q [S; 0] be a
     complete QR factorization, N = Q_2 the last d columns of Q (a basis of
     P's null space). Then A Q = [[S^H, 0], [R Q_1, R N]] is block lower
     triangular, so
@@ -290,20 +290,28 @@ def verify_rank_condition(ch, tol=DEFAULT_TOL):
 
     The QR factorization is built one Householder reflection per row of P,
     and a prefix reuses the reflections of the prefix one row shorter (see
-    rankcheck._reflect), so each reflection is computed once for all the
-    subsets whose prefixes start with the rows it reflects. It gives vol(P)
-    and G = rows N, and a closed-form d x d determinant of the rows of G
-    that R selects completes each subset. The rows are scaled to unit norm
-    first, their log norms added back, so no step overflows. The sampled
-    path takes one batched slogdet per chunk instead, as its subsets share
-    no prefixes, and so does a channel of at most
-    rankcheck.PREFIX_SCREEN_MIN subsets, too few for the sharing to pay.
+    rankcheck._reflect). It gives vol(P) and G = rows N. det(R N) is
+    expanded along the first two of its rows r_1..r_d of G (the generalized
+    Laplace expansion): det = sum over the column pairs S of sign(S)
+    minor(r_1 r_2; S) minor(r_3 r_4; S^c), the second minor a single entry
+    at d = 3 and 1 at d = 2. The pair minors of the rows of G after a
+    prefix are computed once, and every tail determinant of every prefix
+    ending at the same row is an entry of one matrix product of them. The
+    rows are scaled to unit norm first, their log norms added back, so no
+    step overflows; rows of G then have norm at most 1, every minor and,
+    by Cauchy-Schwarz, the sum of the terms' moduli are at most 1, and the
+    computed det(R N) is off by tens of ulps absolute. The sampled path
+    takes one batched slogdet per chunk instead, as its subsets share no
+    prefixes, and so does a channel of at most rankcheck.PREFIX_SCREEN_MIN
+    subsets, too few for the sharing to pay.
 
     A subset passes on the screen only when the bound is finite and exceeds
     linalg.rank_screen(tol) = max(1e4 * t, 1e-8). The margin absorbs the
-    rounding of the computed determinant and of the SVD: a subset that
-    clears it has a true ratio far above t and above machine precision, so
-    its SVD decision would be rank M as well. Every other subset (a singular
+    rounding of the computed determinant and of the SVD: on unit rows a
+    pass needs |det(R N)| >= |det A| > rank_screen(tol) >= 1e-8, so those
+    tens of ulps move it by 1e-6 relative at most, and a subset that clears the
+    margin has a true ratio far above t and above machine precision; its
+    SVD decision would be rank M as well. Every other subset (a singular
     or badly scaled one, one with a rank-deficient or ill-conditioned
     prefix, or one whose squared row norms overflow or underflow) is
     decided by its batched singular values. The report is therefore the same as that of one
@@ -316,7 +324,8 @@ def verify_rank_condition(ch, tol=DEFAULT_TOL):
     rows = as_matrix(rows, "stacked rows")
     failures = []
     for subsets, full in rank_chunks(rows[None], np.ones(1, dtype=bool), tol):
-        failures.extend(tuple(s) for s in subsets(np.flatnonzero(~full[0])).tolist())
+        if not full.all():
+            failures.extend(tuple(s) for s in subsets(np.flatnonzero(~full[0])).tolist())
     return rank_report(ch, tuple(failures))
 
 

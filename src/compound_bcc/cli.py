@@ -230,6 +230,16 @@ def run_gaussian(cfg, out_dir):
     return passed
 
 
+def _single_antenna(cfg, command):
+    """ConfigError unless both receivers have one antenna, as ``command``
+    (whose fading model or region has no N1 or N2) requires."""
+    if cfg.N1 != 1 or cfg.N2 != 1:
+        raise ConfigError(
+            f"{command} requires single-antenna receivers (N1 = N2 = 1); got "
+            f"N1={cfg.N1}, N2={cfg.N2}"
+        )
+
+
 def run_ergodic(cfg, out_dir):
     """Block-fading run: simulated averages, slope fits, analytic region."""
     from .ergodic import (
@@ -240,6 +250,7 @@ def run_ergodic(cfg, out_dir):
     )
     from .regions import save_region
 
+    _single_antenna(cfg, "ergodic")
     fp = FadingProcess(
         cfg.M,
         cfg.J1,
@@ -301,11 +312,7 @@ def run_compare(cfg, out_dir):
         region_to_dict,
     )
 
-    if cfg.N1 != 1 or cfg.N2 != 1:
-        raise ConfigError(
-            "compare requires single-antenna receivers (N1 = N2 = 1); got "
-            f"N1={cfg.N1}, N2={cfg.N2}"
-        )
+    _single_antenna(cfg, "compare")
     erg = ergodic_sdof_region(cfg.M, cfg.J1, cfg.J2)
     gau = gaussian_confidential_region(cfg.M, cfg.N1, cfg.N2, cfg.J1, cfg.J2)
     erg_covers = dominates(erg, gau)
@@ -374,6 +381,7 @@ def run_region(cfg, out_dir):
     else:
         from .ergodic import ergodic_sdof_region
 
+        _single_antenna(cfg, "region --model ergodic")
         region = ergodic_sdof_region(cfg.M, cfg.J1, cfg.J2)
     summary = {
         "command": "region",

@@ -56,6 +56,7 @@ from .linalg import (
     numerical_rank,
     rank_screen,
 )
+from .rankcheck import EXHAUSTIVE_ROW_LIMIT, SAMPLED_SUBSET_COUNT
 from .regions import region_from_inequalities, time_share
 from .sdof import DEFAULT_SNR_GRID_DB, SdofEstimate, _fit_stack, check_snr_grid, snr_db_to_power
 
@@ -78,7 +79,9 @@ CERT_RTOL = 1e-9
 # A constant-model chunk takes as many trials as hold CHUNK_ENTRIES complex
 # entries, at least CHUNK_MIN_TRIALS. A trial holds points * J_k * N_k *
 # max(N_k, c) evaluation entries per user (c the widest beam's streams) and
-# C(rows, M) M x M rank-check subsets: 150 trials of M = 4, N = 1, J = 2 at
+# the M x M subsets its rank check takes: C(rows, M) up to
+# EXHAUSTIVE_ROW_LIMIT rows, SAMPLED_SUBSET_COUNT above, so no binomial of
+# a huge row count is computed. 150 trials of M = 4, N = 1, J = 2 at
 # 3 points (40 entries each) are one chunk. Heavy trials stay at 64: fewer
 # let a chunk's fixed costs show (2-vCPU Xeon: --M 4 --J1 12 --J2 12 --r1 0
 # --r2 0 --trials 300 took 1.43 s at 1 per chunk, 0.97 s at 64), more raise
@@ -93,7 +96,8 @@ def _trials_per_chunk(M, N1, N2, J1, J2, r1, r2, points):
     counts and grid points (see CHUNK_ENTRIES)."""
     c = max(M - r1 - r2, r1, r2)
     held = sum(points * J * N * max(N, c) for J, N in ((J1, N1), (J2, N2)))
-    held += math.comb(J1 * N1 + J2 * N2, M) * M * M
+    rows = J1 * N1 + J2 * N2
+    held += (math.comb(rows, M) if rows <= EXHAUSTIVE_ROW_LIMIT else SAMPLED_SUBSET_COUNT) * M * M
     return max(CHUNK_MIN_TRIALS, CHUNK_ENTRIES // held)
 
 

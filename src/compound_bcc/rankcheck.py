@@ -3,9 +3,11 @@
 channel.verify_rank_condition states the rule and the determinant screen;
 rank_chunks decides the subsets chunk by chunk, for one channel or for a
 stack of channels that share their subsets. Up to EXHAUSTIVE_ROW_LIMIT
-stacked rows every subset is checked, in lexicographic order, and each
-determinant factors over the subset's prefix, whose QR factorization it
-shares with every subset that starts with it; above that limit a
+stacked rows every subset is checked, in lexicographic order. A subset's
+determinant factors over its prefix, whose QR factorization it shares with
+every subset that starts with it, and its last four rows (its tail): the
+tail determinants of the prefixes that end at the same row are entries of
+one product of 2 x 2 minors (the Laplace expansion). Above that limit a
 fixed-seed sample is checked, each subset by its own slogdet, as are the
 subsets of a channel that has too few of them for the sharing to pay.
 """
@@ -24,25 +26,29 @@ EXHAUSTIVE_ROW_LIMIT = 24
 SAMPLED_SUBSET_COUNT = 10_000
 # Fixed seed for the sampled verification path, so reports are reproducible.
 SAMPLE_SEED = 0
-# The rank check holds about this many complex entries of stacked matrices
-# at a time, divided among the channels checked together: the m x m subsets
-# of a slogdet chunk, the G arrays of a chunk of prefixes, and the d x d
-# matrices of a piece of the prefix-shared screen; the subsets that a chunk
-# or piece refers go to one SVD. Measured in-process on a 2-vCPU Xeon:
-# verify-channel --M 4 --J1 12 --J2 12 took 7.2 ms (5.9 ms at 16384 or
-# 65536, whose pieces of 1820 or 7281 subsets raised peak RSS by 0.5 and
-# 1.9 MB), and --M 12 2.8 s (2.2 s at 8192, at 1.4 MB more peak RSS).
-RANK_CHUNK = 4096
+# The rank check holds about this many complex entries at a time, divided
+# among the channels checked together: the m x m subsets of a slogdet chunk
+# or of an SVD of referred subsets, the G arrays of a chunk of prefixes, and
+# a span's products of pair minors with its tails' work arrays. A span's
+# product then stays below 65,536 complex multiply-adds (54,810 at most for
+# 24 rows), above which OpenBLAS splits a zgemm over threads; on a 2-vCPU
+# Xeon such a split call stalled for up to 16 ms. Against 8192, measured there as the median
+# ratio of alternating in-process checks of one channel of 24 rows: 0.63x
+# the time at M = 4, 0.5x at M = 8 and M = 10, and 0.93x for 64 channels
+# at M = 4; a verify-channel process peaked at the same RSS at M = 4 and
+# 2.3 MB higher at M = 8. 65536 raised the M = 4 peak by 0.6 MB more.
+RANK_CHUNK = 32768
 # The exhaustive rank check factors the determinant of each subset over its
-# prefix, all but its last SCREEN_TAIL rows (see channel.verify_rank_condition).
-SCREEN_TAIL = 3
+# prefix, all but its last SCREEN_TAIL rows, whose determinants it expands
+# along their first two (see channel.verify_rank_condition).
+SCREEN_TAIL = 4
 # A channel of at most this many subsets is screened subset by subset, by
-# slogdet: there the prefix-shared screen's fixed cost per call (its
-# reflections, tail sums and enumeration) outweighs what it saves per
-# subset. Measured on a 2-vCPU Xeon, one channel: 215 against 194 us for
-# C(10, 4) = 210 subsets, 489 against 536 us for C(12, 4) = 495; 64
-# channels of C(4, 4) = 1 subset, as a constant-model chunk holds: 406
-# against 169 us.
+# slogdet: there the prefix-shared screen's fixed cost per call (tables,
+# minors and spans) outweighs what it saves per subset. Measured on a
+# 2-vCPU Xeon, one channel: 234 against 341 us for C(10, 4) = 210 subsets,
+# 508 against 374 us for C(12, 4) = 495; 150 channels of C(4, 4) = 1
+# subset, as constant-trials' chunk holds: 205 against 627 us; 4 of C(6, 3)
+# = 20, as fading-blocks checks: 111 against 338 us.
 PREFIX_SCREEN_MIN = 256
 
 
@@ -58,7 +64,8 @@ def rank_chunks(rows, live, tol):
     A determinant screen passes the subsets it proves full rank: the
     prefix-shared _exhaustive_screen for more than PREFIX_SCREEN_MIN
     subsets up to EXHAUSTIVE_ROW_LIMIT rows, else _slogdet_screen over all
-    subsets or the sample. One batched SVD per chunk decides the rest.
+    subsets or the sample. Batched SVDs of at most RANK_CHUNK // (T M^2)
+    subsets each decide the rest.
     """
     T, total, m = rows.shape
     size = max(1, RANK_CHUNK // (T * m * m))
@@ -72,9 +79,10 @@ def rank_chunks(rows, live, tol):
         screen = _exhaustive_screen(rows, live, tol)
     for subsets, full in screen:
         ch, pos = np.nonzero(~full)
-        if ch.size:
-            stack = rows[np.flatnonzero(live)[ch][:, None], subsets(pos)]
-            full[ch, pos] = rank_from_singular_values(np.linalg.svd(stack, compute_uv=False), tol) == m
+        for a in range(0, ch.size, size):
+            c, p = ch[a:a + size], pos[a:a + size]
+            stack = rows[np.flatnonzero(live)[c][:, None], subsets(p)]
+            full[c, p] = rank_from_singular_values(np.linalg.svd(stack, compute_uv=False), tol) == m
         yield subsets, full
 
 
@@ -93,20 +101,20 @@ def _slogdet_screen(rows, live, tol, chunks):
 
 
 def _exhaustive_screen(rows, live, tol):
-    """(subsets, passed) per chunk of all row subsets of the channels of
-    ``rows`` (T, rows, M), for those ``live`` marks, in the order of
-    _exhaustive_chunks and as rank_chunks takes them: each subset's
-    determinant bound with log |det A| = log vol(P) + log |det(R N)| (see
-    verify_rank_condition).
+    """(subsets, passed) per block of all row subsets of the channels of
+    ``rows`` (T, rows, M), for those ``live`` marks, in lexicographic order
+    and as rank_chunks takes them: each subset's determinant bound with
+    log |det A| = log vol(P) + log |det(R N)| (see verify_rank_condition).
 
     The rows are scaled to unit norm, their log norms added back. The state
     of a prefix is (channels, G, log vol(P)): the root's G is the rows
     themselves, and each row a prefix gains is one Householder reflection
-    (see _reflect). A piece gathers the d x d matrices R N from G, stored
-    column by column, each entry as one array over the piece (the
-    transposes, which have the same determinants). A zero row, or one whose
-    squared norm overflows or is subnormal, has log norm -inf, so its
-    subsets' bounds are not finite.
+    (see _reflect). A batch of _exhaustive_chunks takes the rows of G after
+    its prefixes' last row, and each span of heads reads its tails'
+    determinants det(R N) off one product of _tail_factors. The verdicts
+    of a block are placed at the tails' lexicographic positions. A zero
+    row, or one whose squared norm overflows or is subnormal, has log norm
+    -inf, so its subsets' bounds are not finite.
     """
     T, total, m = rows.shape
     d = min(m, SCREEN_TAIL)
@@ -125,30 +133,39 @@ def _exhaustive_screen(rows, live, tol):
 
     sel = np.flatnonzero(live)
     root = (sel, unit[sel][:, None], np.zeros((len(sel), 1)))
-    tails, blocks = _exhaustive_chunks(
-        total, m, RANK_CHUNK // T, max(1, RANK_CHUNK // (T * d * d)), extend, root
-    )
-    tail_lognorm = lognorm[:, tails].sum(axis=-1)
-    tail_norms2 = norms2[:, tails].sum(axis=-1)
-    tails = np.ascontiguousarray(tails.T)
-    for prefixes, (sel, g, logvol), pieces in blocks:
+    # the log norm and the squared norm of every head and every rest of all
+    # rows, (T, 2, subsets) in lexicographic order: those of the rows after
+    # row l are the last
+    h = min(d, 2)
+    sums = [np.concatenate([lognorm[:, None, t], norms2[:, None, t]], axis=1).sum(axis=-1)
+            for t in (_subsets(total, h), _subsets(total, d - h))]
+    done = 0
+    blocks = _exhaustive_chunks(total, m, max(1, RANK_CHUNK // T), extend, root)
+    for prefixes, (sel, g, logvol), count, batches in blocks:
         logvol = logvol + lognorm[sel][:, prefixes].sum(axis=-1)
         fro2 = norms2[sel][:, prefixes].sum(axis=-1)
-        g = np.moveaxis(g, -1, 0).reshape(d, -1)
-        channel_offset = np.arange(len(sel))[:, None] * (len(prefixes) * total)
-        sel_lognorm, sel_norms2 = tail_lognorm[sel], tail_norms2[sel]
-        for owner, tail in pieces:
-            tail_rows = tails.take(tail, axis=1)
-            entries = g.take(tail_rows[:, None] + (channel_offset + owner * total), axis=1)
-            with np.errstate(divide="ignore"):
-                logdet = (
-                    logvol.take(owner, axis=1)
-                    + sel_lognorm.take(tail, axis=1)
-                    + np.log(np.abs(_det(entries)))
-                )
-            f = fro2.take(owner, axis=1) + sel_norms2.take(tail, axis=1)
-            passed = _screen_passes(logdet, f, m, tol)
-            yield _subset_rows(prefixes, owner, tail_rows), passed[live[sel]]
+        head_sums, rest_sums = (x[sel] for x in sums)
+        passed = np.empty((len(sel), count), dtype=bool)
+        for ks, n, at, spans in batches:
+            tables = order, rests, start, shift, _ = _tail_tables(n, d)
+            head_minors, rest_minors = _tail_factors(g[:, ks, total - n:], order, d)
+            batch_heads = head_sums[..., -len(order):].take(order, axis=-1)
+            batch_rests = rest_sums[..., -len(rests):]
+            batch_logvol, batch_fro2 = logvol[:, ks, None], fro2[:, ks, None]
+            for a, b in spans:
+                o, r, pos = _span_tails(tables, a, b)
+                first = start[a] + shift[a]
+                products = head_minors[:, :, a:b] @ rest_minors[..., first:]
+                entry = (o - a) * (len(rests) - first) + r - first
+                det = products.reshape(*products.shape[:2], -1).take(entry, axis=-1)
+                tail = batch_heads.take(o, axis=-1) + batch_rests.take(r, axis=-1)
+                with np.errstate(divide="ignore"):
+                    logdet = np.log(np.abs(det))
+                logdet += batch_logvol + tail[:, None, 0]
+                passes = _screen_passes(logdet, batch_fro2 + tail[:, None, 1], m, tol)
+                passed[:, at[:, None] + pos] = passes
+        yield functools.partial(_subset_rows, total, m, done), passed[live[sel]]
+        done += count
 
 
 def _reflect(g, logvol, row, log_screen):
@@ -180,35 +197,102 @@ def _reflect(g, logvol, row, log_screen):
     return g, logvol
 
 
-def _subset_rows(prefixes, owner, tail_rows):
-    """The rows of the subsets at positions i of a piece, prefixes[owner[i]]
-    followed by tail_rows[:, i], as a function of i."""
-    return lambda i: np.concatenate([prefixes[owner[i]], tail_rows[:, i].T], axis=1)
+def _tail_factors(window, order, d):
+    """(H, K), with H @ K (..., C(n, h), C(n, d - h)) holding the
+    determinant of every d-row tail of ``window`` (..., n, d), d <= 4, that
+    is a head of h = min(d, 2) rows, in the order ``order`` of the
+    _subsets(n, h), followed by a rest, one of the _subsets(n, d - h), by
+    the generalized Laplace expansion along its first h rows:
+
+        det = sum over h-column sets S of sign(S) minor(head; S) minor(rest; S^c),
+
+    sign(S) = (-1)^(h (h - 1) / 2 + sum S) over 0-based columns. H holds the
+    h x h minors of the heads, and K the signed minors of the rests on the
+    complements (at d = 4 the heads' minors again); the complement of the
+    k-th h-column set in lexicographic order is the k-th last of the
+    (d - h)-column sets. Entry (p, q) of the product is the determinant of
+    head p followed by rest q: a tail when rest q lies after head p, as
+    _tail_tables reads them. On rows of norm at most 1 every minor and
+    every term is at most 1 in modulus.
+    """
+    n, h = window.shape[-2], min(d, 2)
+    columns = _subsets(d, h)
+    sign = [(-1.0) ** (sum(c) + h * (h - 1) // 2) for c in columns.tolist()]
+    head = _minors(window, _subsets(n, h), columns)
+    rest = head if 2 * h == d else _minors(window, _subsets(n, d - h), _subsets(d, d - h))
+    rest = np.ascontiguousarray((rest[..., ::-1] * sign).swapaxes(-1, -2))
+    return head.take(order, axis=-2), rest
 
 
-def _det(g):
-    """Determinant of the d x d matrices with entries g[r, c] (d <= 3), each
-    an array over the matrices, in closed form."""
-    if len(g) == 1:
-        return g[0, 0]
-    if len(g) == 2:
-        return g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = g
-    return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+def _minors(g, rows, columns):
+    """The q x q minors of g (..., n, d) on the row subsets ``rows`` (P, q)
+    and the column subsets ``columns`` (S, q), q <= 2, as (..., P, S); the
+    one minor of order 0 is 1."""
+    if rows.shape[1] == 0:
+        return np.ones(g.shape[:-2] + (1, 1))
+    x = g[..., rows[:, 0], :]
+    if rows.shape[1] == 1:
+        return x[..., columns[:, 0]]
+    y, a, b = g[..., rows[:, 1], :], columns[:, 0], columns[:, 1]
+    return x[..., a] * y[..., b] - x[..., b] * y[..., a]
 
 
-def _exhaustive_chunks(total, m, block, size, extend, root):
+@functools.lru_cache(maxsize=None)
+def _tail_tables(n, d):
+    """The d-subsets of range(n), d <= 4, as the entries of the products of
+    _tail_factors that hold their determinants: (order, rests, start,
+    shift, place).
+
+    A tail is a head, its first h = min(d, 2) rows, followed by a rest, its
+    other rows. rests are the (d - h)-subsets in lexicographic order, and
+    the heads _subsets(n, h)[order] in colexicographic order, by last row
+    and then by first. The tails of a head ending at row y are its rows
+    followed by each rest after y, the last C(n - 1 - y, d - h) rests, so
+    a head's first rest comes no earlier than that of any head before it.
+    Taken head by head, the tails of head p are tails start[p]:start[p + 1]
+    (start has one entry more than there are heads). Tail t of head p is
+    rest t + shift[p], and it is tail t + place[p] in lexicographic order,
+    in which the tails of a head are consecutive too. Read-only intp arrays.
+    """
+    h = min(d, 2)
+    lex = list(itertools.combinations(range(n), h))
+    order = np.array(sorted(range(len(lex)), key=lambda p: lex[p][::-1]), dtype=np.intp)
+    counts = np.array([math.comb(n - 1 - c[-1], d - h) for c in lex], dtype=np.intp)
+    start = np.concatenate([[0], np.cumsum(counts[order])])
+    shift = math.comb(n, d - h) - counts[order] - start[:-1]
+    place = (np.cumsum(counts) - counts)[order] - start[:-1]
+    for table in (order, start, shift, place):
+        table.flags.writeable = False
+    return order, _subsets(n, d - h), start, shift, place
+
+
+def _span_tails(tables, a, b):
+    """(o, r, pos): the head, the rest and the lexicographic position of
+    each tail of the heads a:b of the _tail_tables ``tables``, in order."""
+    _, _, start, shift, place = tables
+    t = np.arange(start[a], start[b])
+    o = start.searchsorted(t, side="right") - 1
+    return o, t + shift.take(o), t + place.take(o)
+
+
+def _exhaustive_chunks(total, m, block, extend, root):
     """All C(total, m) m-subsets of range(total) in lexicographic order,
     the order of itertools.combinations, as blocks of prefixes each followed
     by the tails that complete them.
 
     A subset is its prefix, its first m - d rows, followed by its tail, its
-    last d rows, d = min(m, SCREEN_TAIL). Returns (tails, blocks): tails
-    holds all d-subsets of range(total) in lexicographic order, and blocks
-    yields (prefixes, state, pieces) per block of consecutive prefixes, a
-    (K, m - d) intp array. pieces yields (owner, tail) per at most ``size``
-    consecutive subsets of the block, subset i being prefixes[owner[i]]
-    followed by tails[tail[i]].
+    last d rows, d = min(m, SCREEN_TAIL). Yields (prefixes, state, count,
+    batches) per block of consecutive prefixes, a (K, m - d) intp array
+    whose ``count`` subsets are each prefix followed by each of its tails,
+    the d-subsets of the n rows after its last row. batches yields (ks, n,
+    at, spans) per batch of the block's prefixes ks with the same n: the
+    tails of prefix ks[i] are at positions at[i] + place of the block, for
+    the place of each tail in _tail_tables(n, d) (see _span_tails). spans
+    cuts the heads with tails into ranges a:b, in order, one product each:
+    a span's products (heads x rests from the first rest of head a, see
+    _tail_factors), with about ten entries of work arrays per tail, fill
+    at most ``block`` entries, or it is one head. A batch holds as many
+    prefixes as one span of all their heads allows, and one otherwise.
 
     Prefixes grow from the empty one, one row at a time and depth first: a
     prefix of j rows ending at row l gains each row of l + 1, ...,
@@ -218,42 +302,70 @@ def _exhaustive_chunks(total, m, block, size, extend, root):
     1))) of them: ``block`` entries of their G arrays (see
     _exhaustive_screen). The state of the empty prefix is ``root``, and
     extend(state, owner, row) is the state of the chunk's prefixes, the
-    parents' prefixes[owner] each followed by its ``row``. The tails of a
-    prefix ending at row l are the d-subsets of range(l + 1, total): the
-    last C(total - 1 - l, d) rows of tails.
+    parents' prefixes[owner] each followed by its ``row``.
     """
     d = min(m, SCREEN_TAIL)
-    tails = _subsets(total, d)
-    # the tail count of a prefix ending at row l, at index l + 1
-    tail_counts = np.array([math.comb(total - 1 - l, d) for l in range(-1, total)])
+    counts = np.array([math.comb(x, d) for x in range(total + 1)])
+
+    @functools.cache  # for this enumeration only
+    def spans(n):
+        _, rests, start, shift, _ = _tail_tables(n, d)
+        end = int(start.searchsorted(start[-1]))  # the heads with tails
+        cuts, a = [], 0
+        while a < end:
+            cost = np.arange(len(start)) * (len(rests) - start[a] - shift[a]) + 10 * start
+            b = int(cost.searchsorted(cost[a] + block, side="right")) - 1
+            cuts.append((a, min(end, max(a + 1, b))))
+            a = cuts[-1][1]
+        return cuts, (max(1, block // (cost[end] - cost[0])) if len(cuts) == 1 else 1)
+
+    def batches(after, offset):
+        for n in set(after.tolist()):
+            ks = np.flatnonzero(after == n)
+            cuts, per = spans(n)
+            for i in range(0, len(ks), per):
+                yield ks[i:i + per], n, offset[ks[i:i + per]], cuts
 
     def grow(prefixes, state):
         j = prefixes.shape[1]
         last = prefixes[:, -1] if j else np.full(1, -1)
         if j == m - d:
-            counts = tail_counts[last + 1]
-            pieces = _children(counts, size)
-            yield prefixes, state, ((o, len(tails) - counts[o] + k) for o, k in pieces)
+            after = total - 1 - last
+            offset = np.cumsum(counts[after]) - counts[after]
+            yield prefixes, state, int(counts[after].sum()), batches(after, offset)
             return
         chunk = max(1, block // (total * (m - j - 1)))
         for owner, k in _children(total - m + j - last, chunk):
             row = last[owner] + 1 + k
             yield from grow(np.column_stack([prefixes[owner], row]), extend(state, owner, row))
 
-    return tails, grow(np.zeros((1, 0), dtype=np.intp), root)
+    return grow(np.zeros((1, 0), dtype=np.intp), root)
+
+
+def _subset_rows(total, m, first, i):
+    """The m-subsets of range(total) at lexicographic ranks first + i, one
+    per row (len(i), m). The rank of c_1 < ... < c_m is C(total, m) - 1 -
+    sum_j C(total - 1 - c_j, m + 1 - j), so each x_j = total - 1 - c_j is
+    the largest x with C(x, m + 1 - j) at most what is left of that sum
+    (the combinatorial number system)."""
+    binomials = np.array([[math.comb(x, j) for x in range(total + 1)] for j in range(m + 1)])
+    left = math.comb(total, m) - 1 - first - np.asarray(i, dtype=np.int64)
+    out = np.empty((len(left), m), dtype=np.intp)
+    for j in range(m):
+        x = np.searchsorted(binomials[m - j], left, side="right") - 1
+        left = left - binomials[m - j].take(x)
+        out[:, j] = total - 1 - x
+    return out
 
 
 @functools.lru_cache(maxsize=None)
 def _subsets(total, k):
     """All k-subsets of range(total) in lexicographic order, one per row,
-    as a read-only (C(total, k), k) intp array. Built column by column,
-    each subset followed by the rows that can extend it; the rank check
-    asks for k <= SCREEN_TAIL or for at most PREFIX_SCREEN_MIN rows."""
-    table = np.zeros((1, 0), dtype=np.intp)
-    for j in range(k):
-        last = table[:, -1] if j else np.full(1, -1)
-        owner, child = next(_children(total - k + j - last, math.comb(total, k)))
-        table = np.column_stack([table[owner], last[owner] + 1 + child])
+    as a read-only (C(total, k), k) intp array. The rank check asks for
+    k <= 2, for column subsets of at most SCREEN_TAIL columns, and for at
+    most PREFIX_SCREEN_MIN rows."""
+    table = np.array(list(itertools.combinations(range(total), k)), dtype=np.intp)
+    table = table.reshape(math.comb(total, k), k)
     table.flags.writeable = False
     return table
 

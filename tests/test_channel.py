@@ -217,8 +217,9 @@ class TestRankCondition:
 class TestBatchedRankCheck:
     """The chunked, screened check reports exactly what the per-subset loop does."""
 
-    # RANK_CHUNK entries: pieces of 64 // 9 = 7 subsets of three-row tails,
-    # which split the tails of a prefix, and chunks of one prefix at M >= 4
+    # RANK_CHUNK entries: blocks of one prefix, spans of one or a few heads,
+    # whose products and tails fit in 64 entries, which split the tails of
+    # a prefix, and SVDs of 64 // M^2 referred subsets
     CHUNK = 64
 
     def check(self, ch, rel):
@@ -260,11 +261,11 @@ class TestBatchedRankCheck:
     def test_duplicated_rows_fail_in_order(self):
         ch = edited_channel(3, 2, 1, 2, 3, 5, [("copy", 0, 6, 1.0, 0.0), ("zero", 0, 3, 1.0, 0.0)])
         got = self.check(ch, 1e-10)
-        assert not got.passed and len(got.failures) > self.CHUNK // 9
+        assert not got.passed and len(got.failures) > self.CHUNK // 9  # more than one SVD holds
 
     @settings(max_examples=20, deadline=None)
     @given(
-        M=st.integers(4, 6),  # prefixes of one to three rows
+        M=st.integers(4, 8),  # four-row tails after prefixes of up to four rows
         dims=st.tuples(*(st.integers(1, n) for n in (2, 2, 4, 4))),
         seed=st.integers(0, 2**32 - 1),
         edits=EDITS,
@@ -278,11 +279,14 @@ class TestBatchedRankCheck:
             save_channel(edited_channel(M, *dims, seed, edits), path)
             self.check(load_channel(path), rel)
 
-    def test_generic_channel_passes_on_the_screen(self):
-        # well-conditioned subsets never reach the SVD
-        ch = random_channel(0, M=4, N1=1, N2=1, J1=6, J2=6)
+    @pytest.mark.parametrize("M, J", [(4, 6), (4, 12), (5, 12)])
+    def test_generic_channel_passes_on_the_screen(self, M, J):
+        # well-conditioned subsets never reach the SVD: all C(2J, M) subsets,
+        # with no prefix at M = 4 and one-row prefixes at M = 5
+        ch = random_channel(0, M=M, N1=1, N2=1, J1=J, J2=J)
         with mock.patch.object(np.linalg, "svd", side_effect=AssertionError):
-            assert verify_rank_condition(ch).passed
+            report = verify_rank_condition(ch)
+        assert report.passed and report.checked == math.comb(2 * J, M)
 
     def test_non_finite_rows_rejected(self):
         ch = random_channel(1)
@@ -406,13 +410,42 @@ def no_state(state, owner, row):
     """The enumeration alone: prefixes carry no state."""
 
 
+def enumerated(total, m, block):
+    """The m-subsets of range(total) in the order _exhaustive_chunks places
+    them, each block's prefixes followed by the tails of its spans at their
+    positions, checking that every position is filled once and that a span
+    of more than one head keeps its products within ``block`` entries."""
+    d = min(m, rankcheck.SCREEN_TAIL)
+    got = []
+    for prefixes, _, count, batches in rankcheck._exhaustive_chunks(total, m, block, no_state, None):
+        assert prefixes.dtype == np.intp and prefixes.shape[1] == m - d
+        subsets = np.full((count, m), -1)
+        for ks, n, at, spans in batches:
+            tables = order, rests, start, shift, _ = rankcheck._tail_tables(n, d)
+            heads = rankcheck._subsets(n, min(d, 2))[order]
+            assert [a for a, _ in spans] == [0] + [b for _, b in spans[:-1]]
+            assert start[spans[-1][1]] == start[-1] == math.comb(n, d)
+            for a, b in spans:
+                width = len(rests) - start[a] - shift[a]
+                assert b - a == 1 or len(ks) * (b - a) * width <= block
+                o, r, place = rankcheck._span_tails(tables, a, b)
+                tails = np.concatenate([heads[o], rests[r]], axis=1) + total - n
+                pos = at[:, None] + place
+                assert (subsets[pos] == -1).all()
+                subsets[pos, :m - d] = prefixes[ks][:, None]
+                subsets[pos, m - d:] = tails
+        assert (subsets >= 0).all()
+        got.extend(map(tuple, subsets.tolist()))
+    return got
+
+
 class TestDeterminantScreen:
     """The screens only pass subsets the SVD rule gives full rank, and the
     chunks hold the subsets of the per-subset reference, in its order."""
 
     @settings(max_examples=150, deadline=None)
     @given(
-        m=st.integers(1, 6),
+        m=st.integers(1, 9),
         seed=st.integers(0, 2**32 - 1),
         combos=st.lists(
             st.tuples(st.integers(0, 5), st.sampled_from([1e-12, 1e-10, 1e-8, 1e-6, 1e-4])),
@@ -434,25 +467,51 @@ class TestDeterminantScreen:
         for a in stack[slogdet_screen(stack, tol)]:
             assert numerical_rank(a, tol) == m
         # the exhaustive path's prefix-shared screen, on every m-subset of
-        # m + 3 rows: a link may fall in one subset's prefix (m >= 5 has
-        # prefixes of two rows or more), across its boundary with the tail,
-        # or in its tail, and a scaled row's squared norm may overflow
+        # m + 3 rows: a link may fall in one subset's prefix (m >= 6 has
+        # prefixes of two rows or more, m = 9 of five), across its boundary
+        # with the tail, or in its tail, and a scaled row's squared norm may
+        # overflow
         rows = near_dependent_rows(m, m + 3, seed, links, scales)
         for subset, passed in exhaustive_decisions(rows, tol).items():
             if passed:
                 assert numerical_rank(rows[list(subset)], tol) == m
 
     def test_prefix_screen_refers_dependent_prefixes_and_tails(self):
-        # at m = 6 a prefix holds three rows. Row 1 is a multiple of row 0,
-        # so a subset with both has a rank-deficient prefix; row 8 is a
+        # at m = 7 a prefix holds three rows. Row 1 is a multiple of row 0,
+        # so a subset with both has a rank-deficient prefix; row 9 is a
         # multiple of row 2, and a subset with both holds 2 in its prefix and
-        # 8 in its tail. The screen passes every other subset.
-        rows = near_dependent_rows(6, 9, 3, [(1, 0, 0, 0.0), (8, 2, 2, 0.0)], [])
+        # 9 in its tail. The screen passes every other subset.
+        rows = near_dependent_rows(7, 10, 3, [(1, 0, 0, 0.0), (9, 2, 2, 0.0)], [])
         got = exhaustive_decisions(rows, RankTolerance())
-        assert list(got) == list(itertools.combinations(range(9), 6))
+        assert list(got) == list(itertools.combinations(range(10), 7))
         assert [s for s, passed in got.items() if not passed] == [
-            s for s in got if {0, 1} <= set(s) or {2, 8} <= set(s)
+            s for s in got if {0, 1} <= set(s) or {2, 9} <= set(s)
         ]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_laplace_products_equal_determinants(self, d, seed):
+        # each tail's entry of the pair-minor product is det(R N) to within
+        # 32 ulps absolute, on unit rows with zero, repeated and
+        # near-parallel rows; np.linalg.det is the reference
+        rng = np.random.default_rng(seed)
+        n = d + 5
+        w = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        w[1] = 0.0
+        w[3] = w[2] * np.exp(0.7j)
+        w[5] = w[4] + 1e-9 * w[0]
+        w /= np.maximum(np.linalg.norm(w, axis=1), 1e-300)[:, None]
+        tables = order, rests, _, _, _ = rankcheck._tail_tables(n, d)
+        heads = rankcheck._subsets(n, min(d, 2))[order]
+        head_minors, rest_minors = rankcheck._tail_factors(w, order, d)
+        o, r, place = rankcheck._span_tails(tables, 0, len(heads))
+        tails = np.concatenate([heads[o], rests[r]], axis=1)
+        assert sorted(place.tolist()) == list(range(math.comb(n, d)))
+        assert [tuple(t) for t in tails[np.argsort(place)].tolist()] == list(
+            itertools.combinations(range(n), d)
+        )
+        got = (head_minors @ rest_minors)[o, r]
+        assert np.abs(got - np.linalg.det(w[tails])).max() <= 32 * np.finfo(float).eps
 
     def test_screen_decides_well_conditioned_and_refers_dependent(self):
         tol = RankTolerance()
@@ -469,39 +528,41 @@ class TestDeterminantScreen:
 
     @pytest.mark.parametrize("total, m", [
         (1, 1), (5, 5), (7, 3), (9, 4), (24, 2),
-        (10, 6), (12, 8),  # prefixes of three and five rows
+        (24, 4),  # four-row tails and no prefix: the rank-census
+        (10, 6), (12, 8),  # prefixes of two and four rows
     ])
     @pytest.mark.parametrize("size", [1, 7, 512])
     def test_exhaustive_chunks_follow_combinations(self, total, m, size):
         want = list(itertools.combinations(range(total), m))
-        # blocks of one prefix, and of as many as ``size`` entries allow
+        # blocks of one prefix with spans of one head, and blocks and spans
+        # of as many as ``size`` entries allow
         for block in (1, size * total * m):
-            tails, blocks = rankcheck._exhaustive_chunks(total, m, block, size, no_state, None)
-            pieces = [(prefixes, *piece) for prefixes, _, chunk in blocks for piece in chunk]
-            assert all(p.dtype == o.dtype == t.dtype == np.intp for p, o, t in pieces)
-            assert all(1 <= len(o) == len(t) <= size for _, o, t in pieces)
-            got = [np.column_stack([p[o], tails[t]]) for p, o, t in pieces]
-            assert [tuple(s) for c in got for s in c.tolist()] == want
+            assert enumerated(total, m, block) == want
         # the table the slogdet screen takes at most PREFIX_SCREEN_MIN subsets from
         table = rankcheck._subsets(total, m)
         assert table.dtype == np.intp and not table.flags.writeable
         assert [tuple(s) for s in table.reshape(-1, m).tolist()] == want
 
     def test_exhaustive_chunks_count_and_order_at_c_24_12(self):
-        # all C(24, 12) subsets, in order: each is ascending, and its
-        # lexicographic rank C(n, k) - 1 - sum_i C(n - 1 - c_i, k - i) is its
-        # position in the enumeration
+        # all C(24, 12) subsets: the blocks count them, each block's tails
+        # fill its positions once, and the rows read back for the positions
+        # of a block are ascending, with lexicographic rank C(n, k) - 1 -
+        # sum_i C(n - 1 - c_i, k - i) equal to their place in the enumeration
         n, k = 24, 12
         table = np.array([[math.comb(x, j) for j in range(k + 1)] for x in range(n)])
-        tails, blocks = rankcheck._exhaustive_chunks(n, k, 2**14, 2**14, no_state, None)
         count = 0
-        for prefixes, _, pieces in blocks:
-            for owner, tail in pieces:
-                c = np.column_stack([prefixes[owner], tails[tail]])
-                assert (np.diff(c, axis=1) > 0).all()
-                rank = math.comb(n, k) - 1 - table[n - 1 - c, np.arange(k, 0, -1)].sum(axis=1)
-                assert np.array_equal(rank, np.arange(count, count + len(c)))
-                count += len(c)
+        for _, _, size, batches in rankcheck._exhaustive_chunks(n, k, 2**14, no_state, None):
+            seen = np.zeros(size, dtype=int)
+            for _, m, at, spans in batches:
+                tables = rankcheck._tail_tables(m, 4)
+                for a, b in spans:
+                    np.add.at(seen, at[:, None] + rankcheck._span_tails(tables, a, b)[2], 1)
+            assert (seen == 1).all()
+            c = rankcheck._subset_rows(n, k, count, np.arange(size))
+            assert (np.diff(c, axis=1) > 0).all()
+            rank = math.comb(n, k) - 1 - table[n - 1 - c, np.arange(k, 0, -1)].sum(axis=1)
+            assert np.array_equal(rank, np.arange(count, count + size))
+            count += size
         assert count == math.comb(n, k)
 
     @pytest.mark.parametrize("total, m", [(25, 3), (30, 1), (26, 12)])

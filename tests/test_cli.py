@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction as F
 
@@ -283,6 +284,22 @@ class TestCompareCommand:
     def test_requires_single_antenna(self, tmp_path):
         assert run(["compare", "--out", tmp_path, "--N1", 2]) == 1
 
+    @pytest.mark.parametrize("command", [
+        ["compare"], ["ergodic"], ["region", "--model", "ergodic"],
+    ])
+    @pytest.mark.parametrize("field", ["N1", "N2"])
+    def test_fading_commands_reject_antenna_counts(self, tmp_path, capsys, command, field):
+        # the block-fading model and region have single-antenna receivers:
+        # any other N1 or N2 is an error naming it, with no output written
+        out = tmp_path / "out"
+        assert run([*command, f"--{field}", 2, "--out", out]) == 1
+        got = {"N1": 1, "N2": 1, field: 2}
+        assert capsys.readouterr().err == (
+            f"error: {' '.join(command)} requires single-antenna receivers "
+            f"(N1 = N2 = 1); got N1={got['N1']}, N2={got['N2']}\n"
+        )
+        assert os.listdir(out) == []
+
 
 class TestVerifyChannelCommand:
     def test_generated_channel_passes(self, tmp_path):
@@ -456,20 +473,58 @@ class TestConfigHandling:
     @pytest.mark.parametrize("command, field", [
         (command, field)
         for command in ("gaussian", "ergodic", "verify-channel")
-        # ergodic receivers have one antenna whatever N1 and N2 say
-        for field in ("M", "J1", "J2") + (("N1", "N2") if command != "ergodic" else ())
+        for field in ("M", "J1", "J2", "N1", "N2")
     ])
     def test_oversized_dimension_is_a_typed_error(self, tmp_path, capsys, command, field):
-        # no array has a dimension of 10^30: the draws' allocation fails at once
+        # no array has a dimension of 10^30: the draws' allocation fails at
+        # once, or, for an ergodic antenna count, the receivers' check
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run([command, f"--{field}", 10**30, "--out", out])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: channel dimensions M=") and f"{field}={10**30}" in err
-        assert "cannot allocate" in err and "Traceback" not in err
+        if command == "ergodic" and field in ("N1", "N2"):
+            assert err.startswith("error: ergodic requires single-antenna receivers")
+        else:
+            assert err.startswith("error: channel dimensions M=") and "cannot allocate" in err
+        assert f"{field}={10**30}" in err and "Traceback" not in err
         assert os.listdir(out) == []
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads VmSize from /proc"
+    )
+    def test_huge_constant_model_is_a_typed_error_at_once(self, tmp_path):
+        # 2 * 10^8 stacked rows: the chunk rule takes the sampled check's
+        # subset count instead of C(rows, M), so the draws' allocation check
+        # is reached at once, in a child that caps its address space 512 MB
+        # above its size
+        script = f"""
+import resource, sys
+from compound_bcc.cli import main
+with open("/proc/self/status") as fh:
+    size = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (size * 1024 + (512 << 20), hard))
+sys.exit(main(["gaussian", "--M", "100000000", "--J1", "100000000", "--J2", "100000000",
+               "--r1", "0", "--r2", "0", "--out", {str(tmp_path / "out")!r}]))
+"""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(
+            "error: channel dimensions M=100000000, N1=1, N2=1, J1=100000000, "
+            "J2=100000000: cannot allocate"
+        )
+        assert os.listdir(tmp_path / "out") == []
 
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/status"), reason="reads VmSize from /proc"
