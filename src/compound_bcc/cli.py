@@ -20,6 +20,7 @@ modules it calls when it runs, so a process loads only those.
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import sys
@@ -125,12 +126,11 @@ def _parse_grid(text):
 
 
 def _write_csv(path, header, rows):
-    """The header, then a line per row tuple, formatted by the first row's types."""
-    rows = iter(rows)
-    first = next(rows)
-    fmt = ",".join("%.12g" if isinstance(v, float) else "%s" for v in first) + "\n"
+    """The header, then a line per row of the non-empty list ``rows``, all
+    formatted in one pass by the first row's types."""
+    fmt = ",".join("%.12g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
     with open(path, "w") as fh:
-        fh.write("".join([",".join(header) + "\n", fmt % first, *(fmt % row for row in rows)]))
+        fh.write(",".join(header) + "\n" + fmt * len(rows) % tuple(itertools.chain.from_iterable(rows)))
 
 
 def _write_summary(path, payload):
@@ -159,11 +159,14 @@ def run_gaussian(cfg, out_dir):
     """Constant-model run: per-channel rates, slope fits, analytic region.
 
     Trials go through in order, gaussian._trials_per_chunk at a time, each
-    chunk as state and beam stacks: drawn with their rank checks decided
-    together, built and certified as stacks, then evaluated and fitted as
-    stacked arrays, whose rows and slopes are read off as lists.
+    chunk as state and beam stacks: drawn from its seeds with their rank
+    checks decided together, built and certified as stacks, then evaluated
+    and fitted as stacked arrays. The rates are written and their largest
+    leakage taken from the arrays, the slopes read off as lists.
     """
-    from .channel import ChannelGenSpec, generate_batch
+    import numpy as np
+
+    from .channel import generate_batch
     from .gaussian import (
         _equal_power_stack,
         _trials_per_chunk,
@@ -174,14 +177,12 @@ def run_gaussian(cfg, out_dir):
     from .regions import save_region
 
     grid = cfg.snr_db_grid
+    dims = cfg.M, cfg.N1, cfg.N2, cfg.J1, cfg.J2
     blocks, slopes = [], []  # each chunk's rates (T, G, 4), each trial's slopes
-    chunk = _trials_per_chunk(cfg.M, cfg.N1, cfg.N2, cfg.J1, cfg.J2, cfg.r1, cfg.r2, len(grid))
-    for start in range(0, cfg.trials, chunk):
-        specs = [
-            ChannelGenSpec(cfg.M, cfg.N1, cfg.N2, cfg.J1, cfg.J2, seed=cfg.seed + trial)
-            for trial in range(start, min(start + chunk, cfg.trials))
-        ]
-        h, error = generate_batch(specs)
+    chunk = _trials_per_chunk(*dims, cfg.r1, cfg.r2, len(grid))
+    end = cfg.seed + cfg.trials
+    for start in range(cfg.seed, end, chunk):
+        h, error = generate_batch(dims, range(start, min(start + chunk, end)))
         v, rebuilt, build_error = build_beamformers_batch(h, cfg.r1, cfg.r2)
         if build_error is not None:
             # it belongs to an earlier trial than any generation error
@@ -203,11 +204,13 @@ def run_gaussian(cfg, out_dir):
         float(cfg.r2),
     )
     passed = all(abs(m - t) <= SLOPE_TOL for m, t in zip(mean_slopes, targets))
-    region = gaussian_sdof_region(cfg.M, cfg.N1, cfg.N2, cfg.J1, cfg.J2)
+    region = gaussian_sdof_region(*dims)
+    all_rates = np.concatenate(blocks)
+    snr_db = np.broadcast_to(np.array(grid)[:, None], (*all_rates.shape[:2], 1))
     _write_csv(
         os.path.join(out_dir, "rates.csv"),
         ("snr_db", "R0", "R1", "R2", "leakage_max"),
-        ((snr_db, *r) for rates in blocks for trial in rates.tolist() for snr_db, r in zip(grid, trial)),
+        np.concatenate([snr_db, all_rates], axis=2).reshape(-1, 5).tolist(),
     )
     save_region(region, os.path.join(out_dir, "region.json"))
     _write_summary(
@@ -222,7 +225,10 @@ def run_gaussian(cfg, out_dir):
                 "targets": list(targets),
                 "tolerance": SLOPE_TOL,
             },
-            "max_leakage": max(x for rates in blocks for x in rates[..., 3].ravel().tolist()),
+            # gaussian._stacked_rates starts each leakage at 0.0 and raises
+            # it only to a larger value, so none is NaN or -0.0 and the
+            # array's maximum is Python's max
+            "max_leakage": float(all_rates[..., 3].max()),
             **_region_fields(cfg, region),
             "passed": passed,
         },

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import ChannelGenSpec, generate_batch, stacked_sets
+from .channel import generate_batch, stacked_sets
 from .errors import (
     ConstructionError,
     DegenerateBlockError,
@@ -78,7 +78,7 @@ class FadingProcess:
     For each of ``common_state_count`` common states the process holds one
     length-M vector per user state (J1 + J2 vectors), drawn i.i.d. CN(0,1)
     and verified to satisfy the generic rank condition: the states are one
-    channel.generate_batch call over the per-state specs, so degenerate
+    channel.generate_batch call over the per-state seeds, so degenerate
     draws are resampled exactly as for compound channel sets, and a state
     that exhausts its attempts raises its GenerationError. ``states[s - 1]``
     is the single-antenna channel set of common state s, a view of the
@@ -101,11 +101,8 @@ class FadingProcess:
         self.block_count = block_count
         self.seed = seed
         self.tol = tol
-        specs = [
-            ChannelGenSpec(M, 1, 1, J1, J2, seed=self._state_seed(s))
-            for s in range(1, common_state_count + 1)
-        ]
-        h, error = generate_batch(specs, tol)
+        seeds = [self._state_seed(s) for s in range(1, common_state_count + 1)]
+        h, error = generate_batch((M, 1, 1, J1, J2), seeds, tol)
         if error is not None:
             raise error
         self._h = h

@@ -256,10 +256,8 @@ def _stacked_beamformers(h, r1, r2, tol):
     T = len(h[0])
     (J1, N1, M), (J2, N2) = h[0].shape[1:], h[1].shape[1:3]
     b1, b2 = confidential_stream_bounds(M, N1, N2, J1, J2)
-    widths = (M - r1 - r2, r1, r2)
-    unbuilt = tuple(np.zeros((T, M, max(c, 0)), complex) for c in widths), np.zeros(T, bool)
     if not (T and 0 <= r1 <= b1 and 0 <= r2 <= b2):
-        return unbuilt
+        return _unbuilt(T, M, r1, r2)
     sure = np.isfinite(h[0]).all(axis=(1, 2, 3)) & np.isfinite(h[1]).all(axis=(1, 2, 3))
     try:
         null2, generic2 = generic_null_spaces(h[1].reshape(T, -1, M), tol)
@@ -284,8 +282,14 @@ def _stacked_beamformers(h, r1, r2, tol):
         else:
             v0 = np.repeat(np.eye(M, dtype=complex)[None], T, axis=0)
     except np.linalg.LinAlgError:
-        return unbuilt
+        return _unbuilt(T, M, r1, r2)
     return (v0, *v), sure
+
+
+def _unbuilt(T, M, r1, r2):
+    """(v, sure) of T channels none of which passes: zero beam stacks of the
+    generic widths (M - r1 - r2, r1, r2), made only when they are returned."""
+    return tuple(np.zeros((T, M, max(c, 0)), complex) for c in (M - r1 - r2, r1, r2)), np.zeros(T, bool)
 
 
 def _surely_full_rank(a, tol):

@@ -151,7 +151,8 @@ def null_space_basis(m, tol=DEFAULT_TOL):
     The basis is a deterministic function of the input bits: it is taken
     from the SVD right factor and phase-normalized so the first nonzero
     entry of each column is real positive. A full-column-rank input yields
-    a cols x 0 array; an input with no rows yields the identity.
+    a cols x 0 array; an input with no rows yields the identity. An SVD
+    too large to allocate raises InvalidInputError naming cols as M.
     """
     a = as_matrix(m)
     rows, cols = a.shape
@@ -159,8 +160,11 @@ def null_space_basis(m, tol=DEFAULT_TOL):
         raise InvalidInputError("null_space_basis requires at least one column")
     if rows == 0:
         return np.eye(cols, dtype=complex)
-    u, s, vh = np.linalg.svd(a)
-    return _basis_from_vh(vh, int(rank_from_singular_values(s, tol)))
+    try:
+        u, s, vh = np.linalg.svd(a)
+        return _basis_from_vh(vh, int(rank_from_singular_values(s, tol)))
+    except MemoryError:
+        raise _unallocatable_null_spaces(a) from None
 
 
 def generic_null_spaces(a, tol=DEFAULT_TOL):
@@ -171,11 +175,26 @@ def generic_null_spaces(a, tol=DEFAULT_TOL):
     those of null_space_basis for the matrices that have it. Returns
     (bases, generic): bases (T, cols, cols - min(rows, cols)) and a boolean
     per matrix saying whether it has that rank. The basis of a matrix that
-    does not is not its null space.
+    does not is not its null space. An SVD too large to allocate raises
+    InvalidInputError naming cols as M.
     """
-    _, s, vh = np.linalg.svd(a)
     rank = min(a.shape[-2:])
-    return _basis_from_vh(vh, rank), rank_from_singular_values(s, tol) == rank
+    try:
+        _, s, vh = np.linalg.svd(a)
+        return _basis_from_vh(vh, rank), rank_from_singular_values(s, tol) == rank
+    except MemoryError:
+        raise _unallocatable_null_spaces(a) from None
+
+
+def _unallocatable_null_spaces(a):
+    """The InvalidInputError of null spaces of ``a`` (..., rows, M) whose
+    full SVD cannot be allocated: its right factors alone hold M^2 complex
+    entries per matrix."""
+    count, M = math.prod(a.shape[:-2]), a.shape[-1]
+    return InvalidInputError(
+        f"null space of M={M} columns: cannot allocate {16 * count * M * M} "
+        f"bytes of SVD right factors ({count} x {M} x {M})"
+    )
 
 
 def logdet2_hpd(m):

@@ -80,10 +80,12 @@ def test_import_loads_only_the_shared_base():
 
 
 @pytest.mark.parametrize("argv, present, absent", [
+    # fewer draws per attempt than REPLAY_MIN: each from its own generator
     (["verify-channel", "--M", "3", "--J1", "4", "--J2", "4"],
-     "channel", {"ergodic", "gaussian", "regions"}),
-    (["gaussian", "--trials", "2"], "gaussian", {"ergodic"}),
-    (["ergodic", "--blocks", "200"], "ergodic", {"gaussian"}),
+     "channel", {"ergodic", "gaussian", "regions", "seeding"}),
+    (["gaussian", "--trials", "2"], "gaussian", {"ergodic", "seeding"}),
+    (["gaussian", "--trials", "12"], "seeding", {"ergodic"}),
+    (["ergodic", "--blocks", "200"], "ergodic", {"gaussian", "seeding"}),
 ])
 def test_cli_run_loads_only_its_pipeline(argv, present, absent, tmp_path):
     loaded = loaded_modules(cli_run(argv, tmp_path))

@@ -1,5 +1,6 @@
 """Channel generation, rank-condition verification, and persistence."""
 
+import collections
 import hashlib
 import itertools
 import json
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compound_bcc import channel, cli, rankcheck
+from compound_bcc import channel, cli, rankcheck, seeding
 from compound_bcc.channel import (
     ChannelGenSpec,
     RankConditionReport,
@@ -34,6 +35,7 @@ from compound_bcc.errors import (
 )
 from compound_bcc.linalg import RankTolerance, numerical_rank
 from compound_bcc.rankcheck import EXHAUSTIVE_ROW_LIMIT, SAMPLE_SEED, SAMPLED_SUBSET_COUNT
+import reference
 from reference import generate_per_attempt, per_state_draw, swap_users
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -601,8 +603,11 @@ def same_channels(a, b):
 
 
 def batch_generation(specs, tol=RankTolerance()):
-    """generate_batch as (channel sets, (error type, message) or None)."""
-    h, error = generate_batch(specs, tol)
+    """generate_batch of the seeds of specs that share their dimensions and
+    budget, as (channel sets, (error type, message) or None)."""
+    s = specs[0]
+    dims = s.M, s.N1, s.N2, s.J1, s.J2
+    h, error = generate_batch(dims, [x.seed for x in specs], tol, s.max_resamples)
     return stacked_sets(h), (None if error is None else (type(error), str(error)))
 
 
@@ -708,13 +713,13 @@ class TestBatchedGeneration:
     @given(
         dims=st.tuples(*(st.integers(1, n) for n in (5, 3, 3, 3, 3))),
         seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
-        budgets=st.lists(st.integers(1, 4), min_size=6, max_size=6),
+        budget=st.integers(1, 4),
         rel=st.sampled_from([1e-10, 0.05, 0.2, 0.5]),
     )
-    def test_stacked_draws_equal_per_spec_draws(self, dims, seeds, budgets, rel):
+    def test_stacked_draws_equal_per_spec_draws(self, dims, seeds, budget, rel):
         # large tolerances fail many draws, so later attempts are drawn for
         # a changing subset of the specs
-        specs = [ChannelGenSpec(*dims, seed=s, max_resamples=b) for s, b in zip(seeds, budgets)]
+        specs = [ChannelGenSpec(*dims, seed=s, max_resamples=budget) for s in seeds]
         tol = RankTolerance(rel)
         chs, error = batch_generation(specs, tol)
         want, want_error = per_spec_generation(specs, tol)
@@ -728,19 +733,99 @@ class TestBatchedGeneration:
         dims = dict(M=3, N1=1, N2=1, J1=2, J2=2)
         dims[field] = value
         specs = [ChannelGenSpec(**dims, seed=s) for s in range(3)]
-        for generate in (generate_batch, lambda specs: generate_per_attempt(specs[0])):
+        for generate in (batch_generation, lambda specs: generate_per_attempt(specs[0])):
             with pytest.raises(InvalidInputError) as exc:
                 generate(specs)
             assert str(exc.value) == f"{field} must be a positive integer, got {value!r}"
         with pytest.raises(InvalidInputError, match=f"{field} must be a positive integer"):
             CompoundChannelSet(**dims, h1=(), h2=())
 
-    def test_specs_must_share_dimensions(self):
-        specs = [ChannelGenSpec(3, 1, 1, 2, 2, seed=0), ChannelGenSpec(4, 1, 1, 2, 2, seed=1)]
-        with pytest.raises(InvalidInputError, match=r"share their dimensions, got \[\(3, 1, 1, 2, 2\), \(4, 1, 1, 2, 2\)\]"):
-            generate_batch(specs)
-        with pytest.raises(InvalidInputError, match=r"got \[\]"):
-            generate_batch([])
+    def test_empty_chunk_draws_nothing(self):
+        h, error = generate_batch((3, 1, 2, 2, 4), [])
+        assert error is None
+        assert [x.shape for x in h] == [(0, 2, 1, 3), (0, 4, 2, 3)]
+
+
+# seeds at the edges of one, two, three and four uint32 words
+WORD_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**128 - 1]
+
+
+def straddling_seeds(n):
+    """n distinct seeds in runs across 2^32, 2^64 and 2^128."""
+    run = -(-n // 3)
+    return [edge - run // 2 + i for edge in (2**32, 2**64, 2**128) for i in range(run)][:n]
+
+
+class TestReplayedSeeding:
+    """The one-pass seeding of an attempt against numpy's own, bit for bit."""
+
+    @pytest.mark.parametrize("attempt", [0, 1, 7, 2**32 - 1])
+    def test_states_equal_seed_sequence(self, attempt):
+        want = [attempt_seed(s, attempt).generate_state(4, np.uint64) for s in WORD_EDGES]
+        got = seeding.seed_states(WORD_EDGES, attempt)
+        assert got.dtype == np.uint64 and got.tolist() == np.array(want).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=20),
+        attempt=st.integers(0, 2**32 - 1),
+    )
+    def test_any_states_equal_seed_sequence(self, seeds, attempt):
+        want = [attempt_seed(s, attempt).generate_state(4, np.uint64).tolist() for s in seeds]
+        assert seeding.seed_states(seeds, attempt).tolist() == want
+
+    @pytest.mark.parametrize("attempt", [0, 5, 2**32 - 1])
+    def test_replayed_rows_equal_own_generators(self, attempt):
+        # the seeds of 2^128 and above keep the rows they held
+        seeds = WORD_EDGES + [2**128, 2**200]
+        z = np.full((len(seeds), 19), np.pi)
+        seeding.replay_draws(z, seeds, attempt)
+        for row, s in zip(z, seeds):
+            if s < 2**128:
+                want = np.random.default_rng(attempt_seed(s, attempt)).standard_normal(19)
+                assert row.tobytes() == want.tobytes()
+            else:
+                assert (row == np.pi).all()
+
+    @pytest.mark.parametrize("n", [channel.REPLAY_MIN - 1, channel.REPLAY_MIN, 150])
+    def test_generation_equals_per_attempt_reference(self, n, monkeypatch):
+        # the rank check passes the draws of seed s from attempt s % 9 on,
+        # so seeds whose s % 9 is 8 exhaust their 8 attempts, and every
+        # attempt of 150 seeds keeps at least REPLAY_MIN of them pending
+        specs = [ChannelGenSpec(4, 1, 1, 2, 2, seed=s) for s in straddling_seeds(n)]
+        attempts = {
+            np.vstack(per_state_draw(spec, a)).tobytes(): (spec.seed, a)
+            for spec in specs for a in range(spec.max_resamples)
+        }
+
+        def passes(rows):
+            seed, a = attempts[rows.tobytes()]
+            return a >= seed % 9
+
+        drawn, own = [], []
+        monkeypatch.setattr(channel, "_rank_conditions_hold", lambda rows, tol: np.array([
+            drawn.append(attempts[r.tobytes()]) or passes(r) for r in rows
+        ]))
+        monkeypatch.setattr(reference, "verify_rank_condition", lambda ch, tol: mock.Mock(
+            passed=passes(ch.stacked_rows())
+        ))
+        monkeypatch.setattr(channel, "attempt_seed", lambda s, a, real=attempt_seed: (
+            own.append((s, a)) or real(s, a)
+        ))
+        chs, error = batch_generation(specs)
+        want, want_error = per_spec_generation(specs, RankTolerance())
+        assert same_channels(chs, want)
+        assert error == want_error
+        assert any(s % 9 == 8 for s in straddling_seeds(n)) == (error is not None)
+        # every attempt of every seed was drawn, and only the attempts of
+        # fewer than REPLAY_MIN pending seeds and the seeds of 2^128 and
+        # above took their own generators
+        assert sorted(drawn) == sorted((s.seed, a) for s in specs for a in range(s.seed % 9 + 1) if a < 8)
+        pending = collections.Counter(a for _, a in drawn)
+        assert sorted(own) == sorted(
+            (s, a) for s, a in drawn if pending[a] < channel.REPLAY_MIN or s >= 2**128
+        )
+        assert n < 150 or all(pending[a] >= channel.REPLAY_MIN for a in range(8))
 
 
 class TestPersistence:

@@ -1,15 +1,18 @@
 """End-to-end CLI runs: exit codes, file outputs, byte determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from compound_bcc import channel, cli, gaussian
 from compound_bcc.channel import (
@@ -24,6 +27,7 @@ from compound_bcc.cli import ExperimentConfig, main
 from compound_bcc.errors import ConfigError, ConstructionError, GenerationError
 from compound_bcc.gaussian import build_beamformers_batch
 from compound_bcc.regions import load_region
+from compound_bcc.sdof import DEFAULT_SNR_GRID_DB
 
 GOLDEN = "tests/data/channel_seed1.json"
 # --help of the program and of each subcommand at 80 columns, and the
@@ -119,18 +123,61 @@ class TestGaussianCommand:
         # the benchmark's constant-trials workload: 150 trials of M = 4,
         # N = 1, J = 2 at 3 grid points, drawn by one generate_batch call
         calls = []
-        monkeypatch.setattr(
-            channel, "generate_batch", lambda specs: calls.append(len(specs)) or generate_batch(specs)
-        )
+        monkeypatch.setattr(channel, "generate_batch", lambda dims, seeds: (
+            calls.append(len(seeds)) or generate_batch(dims, seeds)
+        ))
         assert run(["gaussian", "--out", tmp_path, "--trials", 150]) == 0
         assert calls == [150]
 
     def test_screened_trials_construct_no_objects(self, tmp_path, monkeypatch):
         # every trial of constant-trials passes the screens: the run holds
-        # its chunk as stacks alone
+        # its chunk as stacks alone, and draws it from its seeds, whose
+        # seeding is replayed without a SeedSequence per trial
         made = count_objects(monkeypatch)
+        monkeypatch.setattr(ChannelGenSpec, "__post_init__", lambda self, real=ChannelGenSpec.__post_init__: (
+            made.append("ChannelGenSpec") or real(self)
+        ))
+        seeded = []
+        monkeypatch.setattr(np.random, "SeedSequence", lambda *a, real=np.random.SeedSequence, **k: (
+            seeded.append(a) or real(*a, **k)
+        ))
         assert run(["gaussian", "--out", tmp_path, "--trials", 150]) == 0
         assert made == []
+        assert len(seeded) <= 2
+
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_rates_and_max_leakage_from_the_arrays(self, tmp_path, monkeypatch, zero):
+        # chunks of 4 trials evaluate to crafted rates of every magnitude:
+        # rates.csv holds each row's floats as formatted one by one, and
+        # max_leakage is Python's max over the leakages, 0.0 when all are
+        real = gaussian._equal_power_stack
+        rng = np.random.default_rng(3)
+        made = []
+
+        def crafted(h, v, rebuilt, grid):
+            rates, fits = real(h, v, rebuilt, grid)
+            rates = rng.standard_normal(rates.shape) * 10.0 ** rng.integers(-300, 300, rates.shape)
+            rates[..., 3] = 0.0 if zero else np.abs(rates[..., 3])
+            made.append(rates)
+            return rates, fits
+
+        set_chunk(monkeypatch, 4)
+        monkeypatch.setattr(gaussian, "_equal_power_stack", crafted)
+        assert run(["gaussian", "--out", tmp_path, "--trials", 10]) == 0
+        assert [len(r) for r in made] == [4, 4, 2]
+        rows = [(snr, *r) for rates in made for trial in rates.tolist() for snr, r in zip(DEFAULT_SNR_GRID_DB, trial)]
+        assert (tmp_path / "rates.csv").read_text() == "snr_db,R0,R1,R2,leakage_max\n" + "".join(
+            "%.12g,%.12g,%.12g,%.12g,%.12g\n" % row for row in rows
+        )
+        leakage = read_json(tmp_path / "summary.json")["max_leakage"]
+        assert leakage == max(row[4] for row in rows)
+        assert math.copysign(1.0, leakage) == 1.0 and (leakage == 0.0) == zero
+
+    def test_no_confidential_streams_leak_nothing(self, tmp_path):
+        assert run(["gaussian", "--out", tmp_path, "--trials", 3, "--r1", 0, "--r2", 0]) == 0
+        assert '"max_leakage": 0.0,' in (tmp_path / "summary.json").read_text()
+        lines = (tmp_path / "rates.csv").read_text().splitlines()[1:]
+        assert len(lines) == 9 and all(line.endswith(",0") for line in lines)
 
     def test_rebuilt_trials_in_a_chunk_leave_outputs_unchanged(self, tmp_path, monkeypatch):
         # every other trial of a chunk is dropped from its stack, so that it
@@ -172,11 +219,11 @@ class TestGaussianCommand:
     def test_failing_trial_raises_in_trial_order(
         self, tmp_path, monkeypatch, capsys, chunk, failing_seed, grid, message
     ):
-        def generate(specs):
-            h, error = generate_batch(specs)
-            for i, spec in enumerate(specs[:len(h[0])]):
-                if spec.seed == failing_seed:
-                    return tuple(x[:i] for x in h), GenerationError(f"draw {spec.seed} failed")
+        def generate(dims, seeds):
+            h, error = generate_batch(dims, seeds)
+            for i, seed in enumerate(seeds[:len(h[0])]):
+                if seed == failing_seed:
+                    return tuple(x[:i] for x in h), GenerationError(f"draw {seed} failed")
             return h, error
 
         set_chunk(monkeypatch, chunk)
@@ -197,11 +244,11 @@ class TestGaussianCommand:
     ):
         failing = generate_compound(ChannelGenSpec(4, 1, 1, 2, 2, seed=failing_trial))
 
-        def generate(specs):
+        def generate(dims, seeds):
             # trial 4's draw fails as well, after the failing build
-            h, error = generate_batch(specs)
-            for i, spec in enumerate(specs[:len(h[0])]):
-                if spec.seed == 4:
+            h, error = generate_batch(dims, seeds)
+            for i, seed in enumerate(seeds[:len(h[0])]):
+                if seed == 4:
                     return tuple(x[:i] for x in h), GenerationError("draw 4 failed")
             return h, error
 
@@ -218,6 +265,25 @@ class TestGaussianCommand:
         monkeypatch.setattr(gaussian, "build_beamformers_batch", build)
         assert run(["gaussian", "--out", tmp_path, "--trials", 5, "--snr_db_grid", grid]) == 1
         assert message in capsys.readouterr().err
+
+
+FLOATS = st.floats() | st.sampled_from([0.0, -0.0, 1e-300, 0.1 + 0.2, 2.0**53 + 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.one_of(
+    # ergodic rows, with their policy column, and gaussian rows
+    st.lists(st.tuples(FLOATS, st.sampled_from(["full1", "split"]), FLOATS, FLOATS, FLOATS), min_size=1, max_size=6),
+    st.lists(st.tuples(*[FLOATS] * 5), min_size=1, max_size=6),
+))
+def test_csv_rows_format_as_one_by_one(rows):
+    # one format pass over every row writes what one format per row did
+    fmt = ",".join("%.12g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "rates.csv")
+        cli._write_csv(path, ("a", "b", "c", "d", "e"), rows)
+        with open(path) as fh:
+            assert fh.read() == "a,b,c,d,e\n" + "".join(fmt % row for row in rows)
 
 
 class TestErgodicCommand:
@@ -559,6 +625,46 @@ sys.exit(main(["ergodic", "--blocks", "4000000", "--out", {str(tmp_path / "out")
         )
         assert proc.returncode == 1
         assert proc.stderr == f"error: block horizon 4000000: {message}\n"
+        assert os.listdir(tmp_path / "out") == []
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads VmSize from /proc"
+    )
+    @pytest.mark.parametrize("args, factors", [
+        # one null space of 2 x 10^4: 5.96 GiB
+        (["gaussian", "--M", "20000", "--J1", "1", "--J2", "1", "--trials", "1"], (1, 20000)),
+        # 14.6 TiB
+        (["gaussian", "--M", "1000000", "--trials", "1"], (1, 1000000)),
+        # one per common state: 596 GiB
+        (["ergodic", "--M", "100000", "--J1", "1", "--J2", "1", "--blocks", "10"], (4, 100000)),
+    ])
+    def test_unallocatable_null_spaces_are_a_typed_error(self, tmp_path, args, factors):
+        # the full SVD behind each null space holds M^2 complex entries per
+        # matrix, which a child that caps its address space 1 GiB above its
+        # size cannot allocate
+        script = f"""
+import resource, sys
+from compound_bcc.cli import main
+with open("/proc/self/status") as fh:
+    size = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (size * 1024 + (1 << 30), hard))
+sys.exit(main({args + ["--out", str(tmp_path / "out")]!r}))
+"""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        count, M = factors
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: null space of M={M} columns: cannot allocate {16 * count * M * M} "
+            f"bytes of SVD right factors ({count} x {M} x {M})\n"
+        )
         assert os.listdir(tmp_path / "out") == []
 
     def test_unknown_flag(self, tmp_path):

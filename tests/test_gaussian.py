@@ -789,8 +789,7 @@ class TestStackedProducts:
     @example(scenario=((8, 1, 1, 1, 1, 1, 1), 0, False), trials=2)  # v a column slice
     def test_stacked_products_equal_per_trial_products(self, scenario, trials):
         (M, N1, N2, J1, J2, r1, r2), seed, _ = scenario
-        specs = [ChannelGenSpec(M, N1, N2, J1, J2, seed=seed + t) for t in range(trials)]
-        h, _ = generate_batch(specs)
+        h, _ = generate_batch((M, N1, N2, J1, J2), range(seed, seed + trials))
         v, rebuilt, error = build_beamformers_batch(h, r1, r2)
         assert error is None and rebuilt == {}
         got = gaussian._beam_products(h, v)

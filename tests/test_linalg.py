@@ -206,6 +206,22 @@ def per_column_phases(b):
 
 
 class TestStackedNullSpaces:
+    def test_unallocatable_svd_is_a_typed_error(self, monkeypatch):
+        # as numpy fails to allocate a huge SVD; the message counts the
+        # bytes of the right factors, one M x M block per matrix
+        def svd(a):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        for call, a, count in ((null_space_basis, np.ones((2, 3)), 1),
+                               (generic_null_spaces, np.ones((5, 1, 3)), 5)):
+            with pytest.raises(InvalidInputError) as exc:
+                call(a)
+            assert str(exc.value) == (
+                f"null space of M=3 columns: cannot allocate {144 * count} bytes "
+                f"of SVD right factors ({count} x 3 x 3)"
+            )
+
     @settings(max_examples=80, deadline=None)
     @given(
         rows=st.integers(1, 8),
