@@ -17,8 +17,11 @@ its states as stacks and zero-forces all of them at once
 (_zero_forcing_stack), redoing one by one the states that miss a screen;
 zero_forcing is the one-state call. The rates of every (SNR point, state)
 pair are one stacked evaluation too (_block_rates). sample_block draws the
-state indices of one block; simulate_blocks reads only the common state,
-one byte per block for at most 255 states.
+state indices of one block. simulate_blocks reads only the common state:
+a run samples its blocks SAMPLE_CHUNK at a time with a vectorized Philox
+kernel (_philox_words), gathers each pass's rates and folds them into the
+block means at once, bit for bit numpy's pairwise sum (_PairwiseSums). No
+block is kept, so a run's memory does not grow with its horizon.
 """
 
 from dataclasses import dataclass
@@ -59,17 +62,20 @@ __all__ = [
 DIRECT_GAIN_MIN = 1e-9
 NULLED_GAIN_MAX = 1e-9
 
-# Blocks per vectorized sampling pass: bounds the pass's temporaries to a
-# few hundred kB whatever the horizon (4M blocks: 1.4 s, 1.8 s at 2^16).
+# Blocks per sampling pass: a run holds one pass's states and gathered rates,
+# a few hundred kB, whatever its horizon.
 SAMPLE_CHUNK = 1 << 13
 
 # Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11).
-_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
-_PHILOX_M1 = np.uint64(0xCA5A826395121157)
+_PHILOX_M0 = 0xD2E7470EE14C6C93
+_PHILOX_M1 = 0xCA5A826395121157
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+
+# Longest row numpy's pairwise summation adds without splitting it.
+_PAIRWISE_LEAF = 128
 
 
 class FadingProcess:
@@ -83,9 +89,11 @@ class FadingProcess:
     that exhausts its attempts raises its GenerationError. ``states[s - 1]``
     is the single-antenna channel set of common state s, a view of the
     stacks (S, J_k, 1, M) that generate_batch returns and the process keeps.
-    Immutable after construction; the zero forcing of all common states and
-    the common state of each block (one byte per block for at most 255
-    common states) are cached lazily.
+    Immutable after construction; the zero forcing of all common states is
+    cached lazily. Blocks are not kept: each run samples its own, pass by
+    pass (see _simulate). block_count must be below 2^64, as a block's index
+    fills one 64-bit word of the Philox counter, and state stacks that
+    cannot be allocated raise InvalidInputError before any state is drawn.
     """
 
     def __init__(self, M, J1, J2, common_state_count=4, block_count=10_000, seed=0,
@@ -94,6 +102,19 @@ class FadingProcess:
                         ("common_state_count", common_state_count), ("block_count", block_count)):
             check_count(v, name)
         check_count(seed, "seed", minimum=0)
+        if block_count >= 2**64:
+            raise InvalidInputError(
+                f"blocks must be below 2^64, the range of the counter word that holds a "
+                f"block's index; got block_count={block_count}"
+            )
+        try:  # before the per-state seeds are listed: a list of 10^30 never ends
+            np.empty((common_state_count, J1 + J2, M), dtype=complex)
+        except (MemoryError, ValueError):
+            raise InvalidInputError(
+                f"channel dimensions M={M}, J1={J1}, J2={J2}: cannot allocate "
+                f"{16 * common_state_count * (J1 + J2) * M} bytes of state stacks for "
+                f"common_state_count={common_state_count}"
+            ) from None
         self.M = M
         self.J1 = J1
         self.J2 = J2
@@ -109,7 +130,6 @@ class FadingProcess:
         self.states = tuple(stacked_sets(h))
         self._block_key = np.random.SeedSequence(seed, spawn_key=(1,)).generate_state(2, np.uint64)
         self._gains = None
-        self._states_cache = np.empty(0, dtype=np.min_scalar_type(common_state_count))
 
     def _state_seed(self, s):
         ss = np.random.SeedSequence(self.seed, spawn_key=(0, s))
@@ -167,19 +187,35 @@ def sample_block(fp, t):
     return s, a1, a2
 
 
-def _mulhilo(a, b):
-    """High and low 64-bit words of the 128-bit product a * b, elementwise.
+def _mulhi(a, x, lo=None):
+    """High 64-bit words of the 128-bit products a * x, for a Python int a
+    below 2^64 and a uint64 array x; with lo, the low words a * x mod 2^64
+    are written into lo, which may be x itself.
 
-    numpy has no 128-bit integers, so the high word is assembled from the
-    four 32-bit partial products; the low word is the wrapping uint64 product.
+    numpy has no 128-bit integers. With a = a1 2^32 + a0 and x = x1 2^32 + x0
+    in 32-bit halves, the high word is a1 x1 + hi(a0 x1) + hi(w), where
+    w = a1 x0 + hi(a0 x0) + lo(a0 x1) and hi, lo are the upper and lower 32
+    bits. w cannot overflow: a1 x0 <= (2^32 - 1)^2 = 2^64 - 2^33 + 1, and the
+    two terms added to it are below 2^32 each.
     """
-    a0, a1 = a & _LOW32, a >> _SHIFT32
-    b0, b1 = b & _LOW32, b >> _SHIFT32
-    p01 = a0 * b1
-    p10 = a1 * b0
-    mid = ((a0 * b0) >> _SHIFT32) + (p01 & _LOW32) + (p10 & _LOW32)
-    hi = a1 * b1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
-    return hi, a * b
+    a0, a1 = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
+    x0 = x & _LOW32
+    x1 = x >> _SHIFT32
+    w = x0 * a1
+    x0 *= a0
+    x0 >>= _SHIFT32
+    w += x0
+    hi = x1 * a1
+    x1 *= a0
+    np.bitwise_and(x1, _LOW32, out=x0)
+    w += x0
+    x1 >>= _SHIFT32
+    hi += x1
+    w >>= _SHIFT32
+    hi += w
+    if lo is not None:
+        np.multiply(x, np.uint64(a), out=lo)
+    return hi
 
 
 def _philox_words(key, t):
@@ -187,19 +223,41 @@ def _philox_words(key, t):
 
     t is a uint64 array. numpy's Philox started at counter t << 192
     increments the counter before its first output, so block t is the
-    single evaluation at counter (1, 0, 0, t) under key; the round keys are
-    bumped by the Weyl increments before every round but the first.
+    single evaluation at counter (1, 0, 0, t) under key = (k0, k1); the
+    round keys are bumped by the Weyl increments before every round but the
+    first. A round maps (c0, c1, c2, c3) to
+    (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)).
+
+    Only c3 = t varies at first, so the words that do not depend on t are
+    Python ints: round 1 multiplies constants only, giving
+    (k0, 0, t ^ k1, M0); rounds 2 and 3 have one array product each, rounds
+    4-9 two, and round 10 computes c0 alone, from one high word.
     """
-    c0 = np.ones_like(t)
-    c1 = np.zeros_like(t)
-    c2 = np.zeros_like(t)
-    c3 = t
-    for r in range(_PHILOX_ROUNDS):
-        k0 = np.uint64((int(key[0]) + r * _PHILOX_W[0]) % 2**64)
-        k1 = np.uint64((int(key[1]) + r * _PHILOX_W[1]) % 2**64)
-        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    keys = [((int(key[0]) + r * _PHILOX_W[0]) % 2**64, (int(key[1]) + r * _PHILOX_W[1]) % 2**64)
+            for r in range(_PHILOX_ROUNDS)]
+    # round 2, on (k0, 0, t ^ k1, M0)
+    c1 = t ^ keys[0][1]
+    c0 = _mulhi(_PHILOX_M1, c1, lo=c1)
+    c0 ^= keys[1][0]
+    hi0, c3 = divmod(_PHILOX_M0 * keys[0][0], 2**64)
+    c2 = hi0 ^ _PHILOX_M0 ^ keys[1][1]
+    # round 3, on arrays c0, c1 and ints c2, c3
+    hi1, lo1 = divmod(_PHILOX_M1 * c2, 2**64)
+    c2 = _mulhi(_PHILOX_M0, c0, lo=c0)
+    c2 ^= c3 ^ keys[2][1]
+    c1 ^= hi1 ^ keys[2][0]
+    c0, c1, c3 = c1, lo1, c0
+    for k0, k1 in keys[3:-1]:
+        hi0 = _mulhi(_PHILOX_M0, c0, lo=c0)
+        hi1 = _mulhi(_PHILOX_M1, c2, lo=c2)
+        hi1 ^= c1
+        hi1 ^= k0
+        hi0 ^= c3
+        hi0 ^= k1
+        c0, c1, c2, c3 = hi1, c2, hi0, c0
+    c0 = _mulhi(_PHILOX_M1, c2)
+    c0 ^= c1
+    c0 ^= keys[-1][0]
     return c0
 
 
@@ -213,50 +271,62 @@ def _states_from_words(fp, t, w0):
     for a power-of-two n); such lanes are flagged and recomputed with
     sample_block.
 
-    Returns (states, rejected): states[i] is the common state of block t[i]
-    as uint64, rejected[i] whether that lane took the scalar path.
+    Returns (idx, rejected): idx[i] = s - 1 for the common state s of block
+    t[i], as intp, and rejected[i] whether that lane took the scalar path.
     """
     prod = (w0 & _LOW32) * np.uint64(fp.common_state_count)
-    states = (prod >> _SHIFT32) + np.uint64(1)
+    idx = (prod >> _SHIFT32).view(np.intp)
     rejected = (prod & _LOW32) < np.uint64(2**32 % fp.common_state_count)
     for i in np.flatnonzero(rejected):
-        states[i] = sample_block(fp, int(t[i]))[0]
-    return states, rejected
+        idx[i] = sample_block(fp, int(t[i]))[0] - 1
+    return idx, rejected
 
 
-def _block_states(fp, m):
-    """Common states of blocks 1..m, one byte each for at most 255 states.
+def _rate_passes(fp, m, table, counts):
+    """The columns of table (rows, S) for blocks 1..m, in passes of
+    SAMPLE_CHUNK blocks: each pass samples its blocks' common states, adds
+    how often each state occurs to counts (S,), and yields table gathered by
+    those states, (rows, pass length)."""
+    for lo in range(1, m + 1, SAMPLE_CHUNK):
+        t = np.arange(lo, min(lo + SAMPLE_CHUNK, m + 1), dtype=np.uint64)
+        idx = _states_from_words(fp, t, _philox_words(fp._block_key, t))[0]
+        counts += np.bincount(idx, minlength=len(counts))
+        yield table.take(idx, axis=1)
 
-    Entry t-1 is sample_block(fp, t)[0], in the smallest unsigned dtype that
-    holds common_state_count. The sequence is a pure function of (seed, t),
-    so it is sampled once per process, SAMPLE_CHUNK blocks per vectorized
-    pass, and cached; a longer horizon extends the cached prefix. A horizon
-    whose states, or whose sampling passes' temporaries, cannot be allocated
-    raises InvalidInputError, and the cache keeps its prefix.
+
+class _PairwiseSums:
+    """Row sums of a matrix whose columns arrive in passes, bit for bit those
+    of np.add.reduce over each whole row.
+
+    np.add.reduce of a contiguous float64 row is a recursion on its length n
+    alone: below 8 in order; up to _PAIRWISE_LEAF = 128 in eight interleaved
+    accumulators, combined ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+    tail; above that, the sum of the halves split at n/2 rounded down to a
+    multiple of 8 (Higham, "The accuracy of floating point summation", 1993).
+    So each node of the recursion whose columns are held is one
+    np.add.reduce of those columns. sum walks the tree left to right: a node
+    that runs past the held columns is split if it is longer than a leaf;
+    otherwise the next pass is loaded behind the columns not yet summed, so
+    at most one partial leaf is carried from a pass to the next.
     """
-    have = len(fp._states_cache)
-    if have < m:
-        try:
-            states = np.empty(m, dtype=fp._states_cache.dtype)
-        except (MemoryError, ValueError):
-            nbytes = m * fp._states_cache.itemsize
-            raise InvalidInputError(
-                f"block horizon {m}: cannot allocate {nbytes} bytes of block states"
-            ) from None
-        states[:have] = fp._states_cache
-        try:
-            for lo in range(have + 1, m + 1, SAMPLE_CHUNK):
-                t = np.arange(lo, min(lo + SAMPLE_CHUNK, m + 1), dtype=np.uint64)
-                words = _philox_words(fp._block_key, t)
-                states[lo - 1 : lo - 1 + len(t)] = _states_from_words(fp, t, words)[0]
-        except MemoryError:
-            raise InvalidInputError(
-                f"block horizon {m}: cannot allocate a sampling pass of "
-                f"{SAMPLE_CHUNK} blocks"
-            ) from None
-        states.setflags(write=False)
-        fp._states_cache = states
-    return fp._states_cache[:m]
+
+    def __init__(self, passes):
+        self._passes = passes
+        self._window = next(passes)
+        self._start = 0  # the column of the whole matrix at self._window[:, 0]
+
+    def sum(self, a, n):
+        """Row sums of columns a..a + n - 1, a node of the recursion whose
+        left neighbours have been summed."""
+        while a + n - self._start > self._window.shape[1]:
+            if n > _PAIRWISE_LEAF:
+                half = n // 2 - n // 2 % 8
+                return self.sum(a, half) + self.sum(a + half, n - half)
+            self._window = np.concatenate(
+                (self._window[:, a - self._start:], next(self._passes)), axis=1
+            )
+            self._start = a
+        return np.add.reduce(self._window[:, a - self._start : a + n - self._start], axis=-1)
 
 
 def zero_forcing(ch, tol=DEFAULT_TOL):
@@ -435,10 +505,12 @@ class ErgodicRunStats:
     """Averaged secrecy rates plus the per-state detail.
 
     A block's rates are those of its common state s, state_records[s - 1].
-    leak_violation_freq is the fraction of blocks where pre-clamp leakage
-    exceeded the transmission rate for at least one user; it is reported,
-    never asserted away. analytic_r1/r2 are the exact uniform averages over
-    the finite common-state alphabet under the same powers.
+    r1_mean and r2_mean are np.mean of blocks 1..m's rates, sampled and
+    summed pass by pass by the run, which keeps no block. leak_violation_freq
+    is the fraction of blocks where pre-clamp leakage exceeded the
+    transmission rate for at least one user, an exact count over m; it is
+    reported, never asserted away. analytic_r1/r2 are the exact uniform
+    averages over the finite common-state alphabet under the same powers.
     """
 
     m: int
@@ -456,9 +528,9 @@ def simulate_blocks(fp, policy, m=None):
 
     A block's rates depend on its common state only (the accounting already
     averages over each user's state uncertainty), so they are computed per
-    state and looked up per block, in the block sequence that is sampled
-    once per process (_block_states). Fixed summation order makes reruns
-    bit-identical.
+    state and looked up per block. Each call samples its blocks again, pass
+    by pass; nothing of the block sequence is kept. Fixed summation order
+    makes reruns bit-identical.
     """
     if not isinstance(policy, PowerPolicy):
         raise InvalidInputError(f"policy must be a PowerPolicy, got {policy!r}")
@@ -470,40 +542,41 @@ def _simulate(fp, powers, m):
     (p1, p2) of powers.
 
     The common states are zero-forced once per process, errors naming the
-    state, and their rates at all pairs are one _block_rates call. Each mean
-    gathers one pair's rates of the m blocks, 8 bytes per block; a horizon
-    whose gather cannot be allocated raises InvalidInputError.
+    state, and their rates at all pairs are one _block_rates call. The
+    blocks are sampled once per call, SAMPLE_CHUNK at a time (_rate_passes):
+    each pass gathers every (pair, user) secrecy rate of its blocks at once,
+    and is folded into the block sums (_PairwiseSums) before the next is
+    sampled, so each mean is np.mean of that row of m block rates, bit for
+    bit, from memory that does not grow with m. The violation frequency is
+    an exact count over m: how often each common state occurs, dotted with
+    the states whose leakage exceeds a transmission rate.
     """
     m = fp.block_count if m is None else m
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 1 <= m <= fp.block_count:
         raise InvalidInputError(
             f"block horizon must be an integer in 1..{fp.block_count}, got {m!r}"
         )
+    m = int(m)
     if fp._gains is None:
         fp._gains = _zero_forcing_stack(*fp._h, fp.tol, name_states=True)[1:]
     n1, n2 = min(fp.J1, fp.M - 1), min(fp.J2, fp.M - 1)
     tx, leak, secrecy = _block_rates(*fp._gains, n1, n2, powers)
-    violated = (leak > tx).any(axis=1)
-    states = _block_states(fp, int(m))
-    stats = []
-    try:
-        idx = states - 1
-        for (r1, r2), v, recs in zip(secrecy, violated, _records(tx, leak, secrecy)):
-            means = [float(np.mean(r[idx])) for r in (r1, r2, v)]
-            stats.append(ErgodicRunStats(m, *means, recs, float(np.mean(r1)), float(np.mean(r2))))
-    except MemoryError:
-        raise InvalidInputError(
-            f"block horizon {m}: cannot allocate {8 * m} bytes of block rates"
-        ) from None
-    return stats
+    counts = np.zeros(fp.common_state_count, dtype=np.intp)
+    passes = _rate_passes(fp, m, secrecy.reshape(-1, fp.common_state_count), counts)
+    means = (_PairwiseSums(passes).sum(0, m) / m).reshape(-1, 2).tolist()
+    violations = ((leak > tx).any(axis=1) @ counts / m).tolist()
+    return [
+        ErgodicRunStats(m, r1, r2, v, recs, float(np.mean(s[0])), float(np.mean(s[1])))
+        for (r1, r2), v, recs, s in zip(means, violations, _records(tx, leak, secrecy), secrecy)
+    ]
 
 
 def ergodic_slope_estimates(fp, policy_kind, snr_db_grid, m=None, p1_frac=None):
     """Simulated rates over the SNR grid and their slope fits.
 
     Returns (stats_list, (est1, est2)). All grid points are evaluated by one
-    _simulate call over the block sequence, which is sampled once and cached
-    on fp, so the fit sees a smooth function of power; one fit_sdof_stack
+    _simulate call, which samples the block sequence once for all of them,
+    so the fit sees a smooth function of power; one fit_sdof_stack
     call fits both users' series. Powers are finite (check_snr_grid), but
     near the float limit p |phi|^2 may not be: a grid point at which a
     per-state transmission or leakage rate overflows raises InvalidGridError

@@ -288,8 +288,11 @@ def _stacked_beamformers(h, r1, r2, tol):
 
 def _unbuilt(T, M, r1, r2):
     """(v, sure) of T channels none of which passes: zero beam stacks of the
-    generic widths (M - r1 - r2, r1, r2), made only when they are returned."""
-    return tuple(np.zeros((T, M, max(c, 0)), complex) for c in (M - r1 - r2, r1, r2)), np.zeros(T, bool)
+    generic widths (M - r1 - r2, r1, r2), each capped to 0..M, so that
+    infeasible stream counts reach build_beamformers' FeasibilityError; made
+    only when they are returned."""
+    widths = (min(max(c, 0), M) for c in (M - r1 - r2, r1, r2))
+    return tuple(np.zeros((T, M, c), complex) for c in widths), np.zeros(T, bool)
 
 
 def _surely_full_rank(a, tol):

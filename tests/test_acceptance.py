@@ -23,7 +23,8 @@ from compound_bcc.ergodic import (
     ergodic_slope_estimates,
     simulate_blocks,
     symmetric_point_margin,
-    _block_states,
+    _philox_words,
+    _states_from_words,
 )
 from compound_bcc.errors import FeasibilityError
 from compound_bcc.gaussian import (
@@ -204,7 +205,9 @@ def test_monte_carlo_matches_analytic():
         for seed in range(10):
             fp = FadingProcess(3, 2, 4, block_count=m, seed=seed)
             stats = simulate_blocks(fp, policy)
-            idx = _block_states(fp, m) - 1  # a block's rates are its common state's
+            # a block's rates are its common state's
+            t = np.arange(1, m + 1, dtype=np.uint64)
+            idx = _states_from_words(fp, t, _philox_words(fp._block_key, t))[0]
             secrecy = np.array([r.secrecy for r in stats.state_records])
             for mean, analytic, blocks in (
                 (stats.r1_mean, stats.analytic_r1, secrecy[idx, 0]),

@@ -523,17 +523,33 @@ class TestConfigHandling:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert os.listdir(out) == []
 
-    def test_unallocatable_horizon_is_a_typed_error(self, tmp_path, capsys):
-        # 2^60 one-byte block states: the exabyte request fails at once
+    @pytest.mark.parametrize("blocks", [2**64, 2**64 + 1, 10**30])
+    def test_horizon_beyond_the_counter_word_is_a_typed_error(self, tmp_path, capsys, blocks):
+        # a block's index fills one 64-bit word of the Philox counter
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = run(["ergodic", "--blocks", 1152921504606846976, "--out", out])
+            code = run(["ergodic", "--blocks", blocks, "--out", out])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: block horizon 1152921504606846976: cannot allocate "
-            "1152921504606846976 bytes of block states\n"
+            "error: blocks must be below 2^64, the range of the counter word that "
+            f"holds a block's index; got block_count={blocks}\n"
         )
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("field", ["r1", "r2"])
+    @pytest.mark.parametrize("value", [10**30, 2**63])
+    def test_oversized_stream_count_is_a_typed_error(self, tmp_path, capsys, field, value):
+        # no beam stack is as wide as the stream count: the per-trial rebuild
+        # reaches the feasibility check
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["gaussian", f"--{field}", value, "--trials", 3, "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} = {value} violates {field} <= min(N_k, M - ")
+        assert "Traceback" not in err
         assert os.listdir(out) == []
 
     @pytest.mark.parametrize("command, field", [
@@ -595,17 +611,11 @@ sys.exit(main(["gaussian", "--M", "100000000", "--J1", "100000000", "--J2", "100
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/status"), reason="reads VmSize from /proc"
     )
-    @pytest.mark.parametrize("cap_mb, message", [
-        # 4M blocks keep their 4 MB of states, but each mean's 32 MB gather
-        # of block rates cannot be allocated
-        (24, "cannot allocate 32000000 bytes of block rates"),
-        # the states fit, but not the few hundred kB of a vectorized
-        # sampling pass of 8192 blocks
-        (4, "cannot allocate a sampling pass of 8192 blocks"),
-    ])
-    def test_unallocatable_block_gather_is_a_typed_error(self, tmp_path, cap_mb, message):
-        # The child warms up with a small run, then caps its own address space
-        # cap_mb above its size.
+    def test_long_horizon_runs_in_a_few_megabytes(self, tmp_path):
+        # A run holds one sampling pass at a time, whatever its horizon: after
+        # a warm-up run, 4M blocks complete in a child that caps its own
+        # address space 4 MB above its size. Each gather of 4M block rates
+        # would need 32 MB.
         script = f"""
 import resource, sys
 from compound_bcc.cli import main
@@ -613,7 +623,7 @@ assert main(["ergodic", "--blocks", "200", "--out", {str(tmp_path / "warm")!r}])
 with open("/proc/self/status") as fh:
     size = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
 hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-resource.setrlimit(resource.RLIMIT_AS, (size * 1024 + ({cap_mb} << 20), hard))
+resource.setrlimit(resource.RLIMIT_AS, (size * 1024 + (4 << 20), hard))
 sys.exit(main(["ergodic", "--blocks", "4000000", "--out", {str(tmp_path / "out")!r}]))
 """
         src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -622,9 +632,43 @@ sys.exit(main(["ergodic", "--blocks", "4000000", "--out", {str(tmp_path / "out")
             env=dict(os.environ, PYTHONPATH=src),
             capture_output=True,
             text=True,
+            timeout=120,
         )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert sorted(os.listdir(tmp_path / "out")) == ["rates.csv", "region.json", "summary.json"]
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads VmSize from /proc"
+    )
+    @pytest.mark.parametrize("count", [10**30, 2**63, 10**11])
+    def test_unallocatable_common_states_are_a_typed_error_at_once(self, tmp_path, count):
+        # the state stacks are checked before the per-state seeds are listed,
+        # in a child that caps its address space 512 MB above its size
+        script = f"""
+import resource, sys
+from compound_bcc.cli import main
+with open("/proc/self/status") as fh:
+    size = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (size * 1024 + (512 << 20), hard))
+sys.exit(main(["ergodic", "--common_state_count", "{count}",
+               "--out", {str(tmp_path / "out")!r}]))
+"""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert time.perf_counter() - start < 10
         assert proc.returncode == 1
-        assert proc.stderr == f"error: block horizon 4000000: {message}\n"
+        assert proc.stderr == (
+            f"error: channel dimensions M=4, J1=2, J2=2: cannot allocate {16 * count * 4 * 4} "
+            f"bytes of state stacks for common_state_count={count}\n"
+        )
         assert os.listdir(tmp_path / "out") == []
 
     @pytest.mark.skipif(

@@ -1,5 +1,6 @@
 """Block sampling, zero-forcing certificates, rate accounting, regions."""
 
+import gc
 import math
 import sys
 from fractions import Fraction as F
@@ -23,8 +24,9 @@ from compound_bcc.ergodic import (
     simulate_blocks,
     symmetric_point_margin,
     zero_forcing,
+    _PairwiseSums,
     _block_rates,
-    _block_states,
+    _philox_words,
     _states_from_words,
     _zero_forcing_stack,
     _zero_forcing_state,
@@ -165,30 +167,86 @@ class TestSampleBlock:
         assert abs(joint - 0.125) < 4 * sigma
 
 
+def philox_word(key, t):
+    """First output word of Philox4x64-10 (Salmon et al., SC'11) at counter
+    (1, 0, 0, t) under key: ten rounds of full 128-bit products in Python
+    ints, the round keys bumped by the Weyl increments before every round
+    but the first."""
+    c0, c1, c2, c3 = 1, 0, 0, t
+    k0, k1 = key
+    for r in range(10):
+        if r:
+            k0, k1 = (k0 + 0x9E3779B97F4A7C15) % 2**64, (k1 + 0xBB67AE8584CAA73B) % 2**64
+        hi0, lo0 = divmod(0xD2E7470EE14C6C93 * c0, 2**64)
+        hi1, lo1 = divmod(0xCA5A826395121157 * c2, 2**64)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return c0
+
+
+def row_passes(a, width):
+    """The columns of a in consecutive passes of ``width``, each a copy."""
+    for lo in range(0, a.shape[1], width):
+        yield a[:, lo:lo + width].copy()
+
+
+class TestPhiloxKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        key=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+        t=st.lists(st.integers(1, 2**64 - 1), min_size=1, max_size=8),
+    )
+    @example(key=(0, 0), t=[1, 2**32, 2**63, 2**64 - 1])
+    @example(key=(2**64 - 1, 2**63 + 5), t=[1, 2**32, 2**63, 2**64 - 1])
+    def test_matches_full_products(self, key, t):
+        got = _philox_words(np.array(key, dtype=np.uint64), np.array(t, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [philox_word(key, x) for x in t]
+
+    @pytest.mark.parametrize("key", [(0, 0), (2**64 - 1, 2**63 + 5), (12345, 2**40 + 3)])
+    def test_matches_numpy_philox(self, key):
+        # numpy's own Philox started at counter t << 192: its first raw word
+        t = [*range(1, 200), 2**32, 2**63, 2**64 - 1]
+        got = _philox_words(np.array(key, dtype=np.uint64), np.array(t, dtype=np.uint64))
+        want = [
+            int(np.random.Philox(counter=x << 192, key=np.array(key, dtype=np.uint64)).random_raw())
+            for x in t
+        ]
+        assert got.tolist() == want
+
+
 class TestVectorizedSampler:
     CHUNK = 16  # small pass size so that short horizons cross pass boundaries
 
     @settings(max_examples=50, deadline=None)
     @given(
         seed=st.integers(0, 2**63 - 1),
-        # 255 and 256 states sit on either side of the uint8 / uint16 cache
         states=st.one_of(st.integers(1, 8), st.sampled_from([255, 256])),
         j1=st.integers(1, 8),
         j2=st.integers(1, 8),
-        m_first=st.integers(1, 3 * CHUNK),
         m=st.integers(1, 3 * CHUNK),
     )
-    def test_matches_sample_block(self, seed, states, j1, j2, m_first, m):
+    def test_run_samples_each_block_once(self, seed, states, j1, j2, m):
+        # one run samples blocks 1..m once, in ceil(m / SAMPLE_CHUNK) passes,
+        # and each pass's states are sample_block's
         fp = FadingProcess(
             2, j1, j2, common_state_count=states, block_count=3 * self.CHUNK, seed=seed
         )
-        with mock.patch.object(ergodic, "SAMPLE_CHUNK", self.CHUNK):
-            _block_states(fp, m_first)  # the second call extends or slices the cache
-            got = _block_states(fp, m)
-        want = [sample_block(fp, t)[0] for t in range(1, m + 1)]
-        assert got.tolist() == want
-        cached = max(m_first, m)
-        assert fp._states_cache.nbytes == (cached if states <= 255 else 2 * cached)
+        passes = []
+        real = ergodic._states_from_words
+
+        def spy(fp, t, w0):
+            idx, rejected = real(fp, t, w0)
+            passes.append((t.tolist(), idx.tolist()))
+            return idx, rejected
+
+        with mock.patch.object(ergodic, "SAMPLE_CHUNK", self.CHUNK), \
+                mock.patch.object(ergodic, "_states_from_words", spy):
+            simulate_blocks(fp, PowerPolicy("equal", 1.0), m=m)
+        assert len(passes) == -(-m // self.CHUNK)
+        assert [x for t, _ in passes for x in t] == list(range(1, m + 1))
+        assert [s + 1 for _, idx in passes for s in idx] == [
+            sample_block(fp, t)[0] for t in range(1, m + 1)
+        ]
 
     def test_rejected_draw_takes_scalar_path(self):
         # For n = 3 numpy's Lemire draw redraws when (x * 3) mod 2^32 < 2^32 mod 3 = 1,
@@ -196,25 +254,79 @@ class TestVectorizedSampler:
         fp = FadingProcess(2, 2, 1, common_state_count=3, block_count=10, seed=5)
         t = np.array([3, 5], dtype=np.uint64)
         w0 = np.array([0xC0000000_00000000, 0xC0000000_80000000], dtype=np.uint64)
-        states, rejected = _states_from_words(fp, t, w0)
+        idx, rejected = _states_from_words(fp, t, w0)
         assert rejected.tolist() == [True, False]
         scalar = sample_block(fp, 3)[0]
         assert scalar != 1  # what the word gives
-        assert states[0] == scalar
-        # accepted lane: 3 * 2^31 >> 32 = 1, plus one
-        assert states[1] == 2
+        assert idx[0] == scalar - 1
+        # accepted lane: 3 * 2^31 >> 32 = 1, state 2
+        assert idx[1] == 1
 
-    def test_sampled_once_per_process(self, monkeypatch):
+    def test_each_run_samples_again(self, monkeypatch):
+        # nothing of the block sequence is kept: every run samples its blocks
         calls = []
         philox = ergodic._philox_words
         monkeypatch.setattr(
             ergodic, "_philox_words", lambda key, t: calls.append(len(t)) or philox(key, t)
         )
-        for _ in range(2):  # a new process samples again: the cache is per instance
-            fp = FadingProcess(4, 2, 2, common_state_count=4, block_count=1000, seed=3)
-            ergodic_slope_estimates(fp, "equal", (60.0, 80.0, 100.0), m=1000)
-            simulate_blocks(fp, PowerPolicy("equal", 1.0), m=500)
-        assert calls == [1000, 1000]
+        fp = FadingProcess(4, 2, 2, common_state_count=4, block_count=10_000, seed=3)
+        ergodic_slope_estimates(fp, "equal", (60.0, 80.0, 100.0), m=10_000)
+        simulate_blocks(fp, PowerPolicy("equal", 1.0), m=500)
+        assert calls == [8192, 1808, 500]
+
+    def test_no_cycle_holds_a_pass(self, fp_large, monkeypatch):
+        monkeypatch.setattr(ergodic, "SAMPLE_CHUNK", 64)
+        policy = PowerPolicy("equal", 100.0)
+        simulate_blocks(fp_large, policy, m=1000)  # zero-forces the states
+        gc.collect()
+        gc.disable()
+        try:
+            simulate_blocks(fp_large, policy, m=1000)
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
+
+
+class TestPairwiseSums:
+    LENGTHS = [
+        *range(1, 2049),
+        *(2**k + d for k in range(11, 15) for d in (-9, -8, -1, 0, 1, 8, 9)),
+        4999, 5000, 20001,
+    ]
+
+    @pytest.mark.parametrize("width", [7, 64, 129, 1000, 8192])
+    def test_equals_numpy_sums(self, width):
+        # magnitudes over 16 decades, so that any other order of additions
+        # would show in the last bits
+        rng = np.random.default_rng(width)
+        for n in self.LENGTHS:
+            a = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-8, 8, size=(2, n))
+            got = _PairwiseSums(row_passes(a, width)).sum(0, n)
+            assert bits(got) == bits(np.add.reduce(a, axis=-1)), n
+            assert bits((got / n).tolist()) == bits([np.mean(r) for r in a]), n
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        states=st.integers(1, 9),
+        chunk=st.sampled_from([8, 13, 64, 200]),
+        m=st.integers(1, 1500),
+    )
+    def test_means_equal_np_mean_of_block_rates(self, seed, states, chunk, m):
+        # each mean is np.mean of the m block rates and the violation
+        # frequency that of the m bools, across passes of SAMPLE_CHUNK blocks
+        fp = FadingProcess(3, 4, 3, common_state_count=states, block_count=1500, seed=seed)
+        with mock.patch.object(ergodic, "SAMPLE_CHUNK", chunk):
+            stats = ergodic._simulate(fp, [(10.0, 30.0), (1e4, 2e3)], m)
+        t = np.arange(1, m + 1, dtype=np.uint64)
+        idx = _states_from_words(fp, t, _philox_words(fp._block_key, t))[0]
+        for st_ in stats:
+            recs = st_.state_records
+            secrecy = np.array([r.secrecy for r in recs])
+            violated = np.array([r.leak[0] > r.tx[0] or r.leak[1] > r.tx[1] for r in recs])
+            want = [np.mean(secrecy[idx, 0]), np.mean(secrecy[idx, 1]), np.mean(violated[idx])]
+            assert bits([st_.r1_mean, st_.r2_mean, st_.leak_violation_freq]) == bits(want)
 
 
 class TestZeroForcing:
