@@ -8,8 +8,8 @@ Two transmission models are implemented end to end:
 * a block-fading ergodic model with finite state alphabets, per-block
   zero-forcing, and variable-rate secrecy accounting.
 
-Both come with exact rational degrees-of-freedom regions and slope-based
-numerical verification.
+Both come with exact rational degrees-of-freedom regions (``theory``) and
+slope-based numerical verification.
 
 ``import compound_bcc`` loads only the shared base: ``errors`` and
 ``linalg`` (and so numpy). Every other public name loads on first access
@@ -26,7 +26,7 @@ from .linalg import *
 __version__ = "0.1.0"
 
 _EAGER = ("errors", "linalg")
-_LAZY = ("sdof", "regions", "channel", "gaussian", "ergodic")
+_LAZY = ("sdof", "regions", "theory", "channel", "gaussian", "ergodic")
 
 
 def _exports():

@@ -19,7 +19,6 @@ numpy would seed from it, so every draw is the same bit for bit.
 """
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,7 @@ from .errors import (
     user_index,
 )
 from .linalg import DEFAULT_TOL, as_matrix
-from .rankcheck import EXHAUSTIVE_ROW_LIMIT, SAMPLED_SUBSET_COUNT, rank_chunks
+from .rankcheck import rank_chunks, subset_count
 
 __all__ = [
     "CompoundChannelSet",
@@ -362,21 +361,14 @@ def rank_report(ch, failures=()):
     failing row subsets ``failures``, in check order; with none, the report
     of a channel that passes, such as every generated one.
 
-    checked and exhaustive follow from the stacked row count: C(rows, M)
-    subsets up to EXHAUSTIVE_ROW_LIMIT rows, else SAMPLED_SUBSET_COUNT
-    sampled ones, and 0 (exhaustively) with fewer rows than M.
+    checked and exhaustive follow from the stacked row count
+    (rankcheck.subset_count).
     """
-    total = ch.J1 * ch.N1 + ch.J2 * ch.N2
-    if total < ch.M:
-        checked = 0
-    elif total <= EXHAUSTIVE_ROW_LIMIT:
-        checked = math.comb(total, ch.M)
-    else:
-        checked = SAMPLED_SUBSET_COUNT
+    checked, exhaustive = subset_count(ch.J1 * ch.N1 + ch.J2 * ch.N2, ch.M)
     return RankConditionReport(
         passed=not failures,
         checked=checked,
-        exhaustive=total < ch.M or total <= EXHAUSTIVE_ROW_LIMIT,
+        exhaustive=exhaustive,
         failures=failures,
         failure_labels=tuple(tuple(ch.row_label(i) for i in s) for s in failures),
     )

@@ -145,7 +145,7 @@ def _region_fields(cfg, region, ergodic=False):
 
     fields = {"region_vertices": point_pairs(region.vertices)}
     if ergodic and cfg.J1 >= cfg.M and cfg.J2 >= cfg.M:
-        from .ergodic import symmetric_point_margin
+        from .theory import symmetric_point_margin
 
         margin, advantage = symmetric_point_margin(cfg.M, cfg.J1, cfg.J2)
         fields["symmetric_point"] = {
@@ -167,14 +167,9 @@ def run_gaussian(cfg, out_dir):
     import numpy as np
 
     from .channel import generate_batch
-    from .gaussian import (
-        _equal_power_stack,
-        _trials_per_chunk,
-        build_beamformers_batch,
-        common_slope_target,
-        gaussian_sdof_region,
-    )
+    from .gaussian import _equal_power_stack, _trials_per_chunk, build_beamformers_batch
     from .regions import save_region
+    from .theory import common_slope_target, gaussian_sdof_region
 
     grid = cfg.snr_db_grid
     dims = cfg.M, cfg.N1, cfg.N2, cfg.J1, cfg.J2
@@ -248,13 +243,9 @@ def _single_antenna(cfg, command):
 
 def run_ergodic(cfg, out_dir):
     """Block-fading run: simulated averages, slope fits, analytic region."""
-    from .ergodic import (
-        FadingProcess,
-        ergodic_sdof_region,
-        ergodic_slope_estimates,
-        policy_slope_targets,
-    )
+    from .ergodic import FadingProcess, ergodic_slope_estimates
     from .regions import save_region
+    from .theory import ergodic_sdof_region, policy_slope_targets
 
     _single_antenna(cfg, "ergodic")
     fp = FadingProcess(
@@ -308,8 +299,6 @@ def run_ergodic(cfg, out_dir):
 
 def run_compare(cfg, out_dir):
     """Dominance report between the two models' analytic (d1, d2) regions."""
-    from .ergodic import ergodic_sdof_region
-    from .gaussian import gaussian_confidential_region
     from .regions import (
         contains,
         dominates,
@@ -317,6 +306,7 @@ def run_compare(cfg, out_dir):
         point_pairs,
         region_to_dict,
     )
+    from .theory import ergodic_sdof_region, gaussian_confidential_region
 
     _single_antenna(cfg, "compare")
     erg = ergodic_sdof_region(cfg.M, cfg.J1, cfg.J2)
@@ -379,14 +369,11 @@ def run_verify_channel(cfg, out_dir, channel_path=None):
 def run_region(cfg, out_dir):
     """Emit the analytic region for the configured model, no simulation."""
     from .regions import save_region
+    from .theory import ergodic_sdof_region, gaussian_sdof_region
 
     if cfg.model == "gaussian":
-        from .gaussian import gaussian_sdof_region
-
         region = gaussian_sdof_region(cfg.M, cfg.N1, cfg.N2, cfg.J1, cfg.J2)
     else:
-        from .ergodic import ergodic_sdof_region
-
         _single_antenna(cfg, "region --model ergodic")
         region = ergodic_sdof_region(cfg.M, cfg.J1, cfg.J2)
     summary = {
@@ -467,8 +454,8 @@ def main(argv=None):
     except CompoundBccError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (OSError, MemoryError) as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
     if not passed:
         print("tolerance check failed; see summary.json", file=sys.stderr)

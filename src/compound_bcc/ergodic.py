@@ -25,7 +25,6 @@ block is kept, so a run's memory does not grow with its horizon.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .errors import (
     user_index,
 )
 from .linalg import DEFAULT_TOL, generic_null_spaces, null_space_basis
-from .regions import time_share
 from .sdof import check_snr_grid, fit_sdof_stack, snr_db_to_power
 
 __all__ = [
@@ -54,9 +52,6 @@ __all__ = [
     "block_secrecy_rates",
     "simulate_blocks",
     "ergodic_slope_estimates",
-    "policy_slope_targets",
-    "symmetric_point_margin",
-    "ergodic_sdof_region",
 ]
 
 DIRECT_GAIN_MIN = 1e-9
@@ -593,84 +588,3 @@ def ergodic_slope_estimates(fp, policy_kind, snr_db_grid, m=None, p1_frac=None):
             )
     rates = [[st.r1_mean for st in stats], [st.r2_mean for st in stats]]
     return stats, tuple(fit_sdof_stack(grid, rates))
-
-
-def symmetric_point_margin(M, J1, J2):
-    """Margin of the symmetric equal-power point over the time-sharing line.
-
-    Exact rational. Requires both state counts to be at least M (below
-    that the equal-power point saturates the unit square instead). The
-    returned flag says whether the symmetric point (r_s, r_s) with
-    r_s = (M-1)/J1 + (M-1)/J2 - 1 lies strictly outside the segment
-    between the two single-user corners, which happens iff the margin is
-    positive.
-    """
-    _check_counts(M, J1, J2)
-    if J1 < M or J2 < M:
-        raise InvalidInputError(
-            f"symmetric point margin needs J1, J2 >= M, got J1={J1}, J2={J2}, M={M}"
-        )
-    f = (
-        Fraction(M - 1, J1)
-        + Fraction(M - 1, J2)
-        - 1
-        - Fraction(M - 1, J1 + J2)
-    )
-    return f, f > 0
-
-
-def _check_counts(M, J1, J2):
-    for name, v in (("M", M), ("J1", J1), ("J2", J2)):
-        check_count(v, name)
-
-
-def ergodic_sdof_region(M, J1, J2):
-    """Achievable (d1, d2) region of the block-fading scheme, exact.
-
-    Built by time sharing between the power policies' high-SNR operating
-    points. With both state counts below M the scheme is interference- and
-    leakage-free and fills the unit square; with one large state count the
-    constrained user pays the leakage price (M-1)/J; with both large, the
-    symmetric equal-power point joins the two corners iff its margin is
-    positive.
-    """
-    _check_counts(M, J1, J2)
-    one = Fraction(1)
-    zero = Fraction(0)
-    if J1 < M and J2 < M:
-        points = [(one, one)]
-    elif J1 < M <= J2:
-        a = Fraction(M - 1, J2)
-        points = [(zero, one), (a, a), (a, zero)]
-    elif J2 < M <= J1:
-        b = Fraction(M - 1, J1)
-        points = [(one, zero), (b, b), (zero, b)]
-    else:
-        corner1 = Fraction(M - 1, J2)
-        corner2 = Fraction(M - 1, J1)
-        points = [(corner1, zero), (zero, corner2)]
-        f, advantage = symmetric_point_margin(M, J1, J2)
-        rs = Fraction(M - 1, J1) + Fraction(M - 1, J2) - 1
-        if advantage:
-            points.append((rs, rs))
-    return time_share(points)
-
-
-def policy_slope_targets(M, J1, J2, policy_kind):
-    """Analytic high-SNR slope pair for a named policy; None for 'split'."""
-    _check_counts(M, J1, J2)
-    if policy_kind == "split":
-        return None
-    if policy_kind not in ("full1", "full2", "equal"):
-        raise InvalidInputError(f"unknown power policy {policy_kind!r}")
-    leak1 = Fraction(max(J2 - (M - 1), 0), J2)  # slope lost by user 1 to leakage
-    leak2 = Fraction(max(J1 - (M - 1), 0), J1)
-    interf1 = Fraction(max(J1 - (M - 1), 0), J1)  # user 1's interfered states
-    interf2 = Fraction(max(J2 - (M - 1), 0), J2)
-    if policy_kind == "full1":
-        return (max(Fraction(0), 1 - leak1), Fraction(0))
-    if policy_kind == "full2":
-        return (Fraction(0), max(Fraction(0), 1 - leak2))
-    t1 = max(Fraction(0), (1 - interf1) - leak1)
-    t2 = max(Fraction(0), (1 - interf2) - leak2)
-    return (t1, t2)

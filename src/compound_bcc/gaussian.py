@@ -30,9 +30,7 @@ paths, each bit for bit equal to a one-trial reference:
 """
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -44,7 +42,6 @@ from .errors import (
     InvalidGridError,
     InvalidInputError,
     NotPositiveDefiniteError,
-    check_count,
     user_index,
 )
 from .linalg import (
@@ -56,22 +53,18 @@ from .linalg import (
     numerical_rank,
     rank_screen,
 )
-from .rankcheck import EXHAUSTIVE_ROW_LIMIT, SAMPLED_SUBSET_COUNT
-from .regions import region_from_inequalities, time_share
+from .rankcheck import subset_count
 from .sdof import DEFAULT_SNR_GRID_DB, SdofEstimate, _fit_stack, check_snr_grid, snr_db_to_power
+from .theory import confidential_stream_bounds
 
 __all__ = [
     "BeamformerSet",
     "PowerAllocation",
     "RateTriple",
-    "confidential_stream_bounds",
     "build_beamformers",
     "equal_power",
     "worst_case_rates",
     "equal_power_slopes",
-    "common_slope_target",
-    "gaussian_sdof_region",
-    "gaussian_confidential_region",
 ]
 
 CERT_RTOL = 1e-9
@@ -79,14 +72,13 @@ CERT_RTOL = 1e-9
 # A constant-model chunk takes as many trials as hold CHUNK_ENTRIES complex
 # entries, at least CHUNK_MIN_TRIALS. A trial holds points * J_k * N_k *
 # max(N_k, c) evaluation entries per user (c the widest beam's streams) and
-# the M x M subsets its rank check takes: C(rows, M) up to
-# EXHAUSTIVE_ROW_LIMIT rows, SAMPLED_SUBSET_COUNT above, so no binomial of
-# a huge row count is computed. 150 trials of M = 4, N = 1, J = 2 at
-# 3 points (40 entries each) are one chunk. Heavy trials stay at 64: fewer
-# let a chunk's fixed costs show (2-vCPU Xeon: --M 4 --J1 12 --J2 12 --r1 0
-# --r2 0 --trials 300 took 1.43 s at 1 per chunk, 0.97 s at 64), more raise
-# memory (--M 26 --N1 4 --N2 4 --J1 2 --J2 2 --r1 4 --r2 4 --trials 1024
-# peaked at 46 MB RSS at 64 per chunk, 69 MB at 303).
+# the M x M subsets its rank check takes (rankcheck.subset_count, which
+# computes no binomial of a huge row count). 150 trials of M = 4, N = 1,
+# J = 2 at 3 points (40 entries each) are one chunk. Heavy trials stay at
+# 64: fewer let a chunk's fixed costs show (2-vCPU Xeon: --M 4 --J1 12
+# --J2 12 --r1 0 --r2 0 --trials 300 took 1.43 s at 1 per chunk, 0.97 s at
+# 64), more raise memory (--M 26 --N1 4 --N2 4 --J1 2 --J2 2 --r1 4 --r2 4
+# --trials 1024 peaked at 46 MB RSS at 64 per chunk, 69 MB at 303).
 CHUNK_ENTRIES = 1 << 13
 CHUNK_MIN_TRIALS = 64
 
@@ -96,8 +88,7 @@ def _trials_per_chunk(M, N1, N2, J1, J2, r1, r2, points):
     counts and grid points (see CHUNK_ENTRIES)."""
     c = max(M - r1 - r2, r1, r2)
     held = sum(points * J * N * max(N, c) for J, N in ((J1, N1), (J2, N2)))
-    rows = J1 * N1 + J2 * N2
-    held += (math.comb(rows, M) if rows <= EXHAUSTIVE_ROW_LIMIT else SAMPLED_SUBSET_COUNT) * M * M
+    held += subset_count(J1 * N1 + J2 * N2, M)[0] * M * M
     return max(CHUNK_MIN_TRIALS, CHUNK_ENTRIES // held)
 
 
@@ -128,18 +119,6 @@ class BeamformerSet:
 
     def confidential(self, k):
         return (self.v1, self.v2)[user_index(k)]
-
-
-def confidential_stream_bounds(M, N1, N2, J1, J2):
-    """Largest feasible confidential stream counts (r1_max, r2_max).
-
-    Stream k must fit in both the intended receiver (N_k) and the common
-    null space of the other user's stacked states (M - J_k' * N_k'); a
-    non-positive null-space dimension forces zero streams.
-    """
-    b1 = max(0, min(N1, M - J2 * N2))
-    b2 = max(0, min(N2, M - J1 * N1))
-    return b1, b2
 
 
 def _check_orthonormal(v, what):
@@ -555,44 +534,3 @@ def equal_power_slopes(ch, bf, snr_db_grid=DEFAULT_SNR_GRID_DB):
     rates, fits = _equal_power(_own_products((ch.h1, ch.h2), bf), check_snr_grid(snr_db_grid))
     triples = [RateTriple(*r) for r in rates[0].tolist()]
     return triples, tuple(SdofEstimate(*f) for f in fits[0].tolist())
-
-
-def common_slope_target(N1, N2, r1, r2, K):
-    """Expected high-SNR slope of the worst-case common rate.
-
-    At user k the common stream rides on K + r_k generic beam directions of
-    which r_k are spent on the confidential stream, so its rate grows like
-    min(N_k, K + r_k) - r_k; the worst case takes the smaller user.
-    """
-    return min(min(N1, K + r1) - r1, min(N2, K + r2) - r2)
-
-
-def gaussian_sdof_region(M, N1, N2, J1, J2):
-    """Achievable (d0, d1, d2) degrees-of-freedom region, exact.
-
-    The shape depends on whether each user's stacked states still leave a
-    null space (J_k * N_k < M). When neither does, only the common message
-    survives, with d0 up to min(M, N1, N2).
-    """
-    for name, v in (("M", M), ("N1", N1), ("N2", N2), ("J1", J1), ("J2", J2)):
-        check_count(v, name)
-    nonneg = [((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0)]
-    b1, b2 = confidential_stream_bounds(M, N1, N2, J1, J2)
-    room1 = J1 * N1 < M
-    room2 = J2 * N2 < M
-    if room1 and room2:
-        ineqs = [((0, 1, 0), b1), ((0, 0, 1), b2), ((1, 1, 0), N1), ((1, 0, 1), N2)]
-    elif room1:
-        # user 2's states exhaust the space: no stream for user 1
-        ineqs = [((0, 1, 0), 0), ((0, 0, 1), b2), ((1, 0, 0), N1), ((1, 0, 1), N2)]
-    elif room2:
-        ineqs = [((0, 0, 1), 0), ((0, 1, 0), b1), ((1, 0, 0), N2), ((1, 1, 0), N1)]
-    else:
-        ineqs = [((0, 1, 0), 0), ((0, 0, 1), 0), ((1, 0, 0), min(M, N1, N2))]
-    return region_from_inequalities(nonneg + ineqs, 3)
-
-
-def gaussian_confidential_region(M, N1, N2, J1, J2):
-    """The (d1, d2) slice of the region with no common message, exact 2-D."""
-    b1, b2 = confidential_stream_bounds(M, N1, N2, J1, J2)
-    return time_share([(Fraction(b1), Fraction(b2))])

@@ -52,6 +52,19 @@ SCREEN_TAIL = 4
 PREFIX_SCREEN_MIN = 256
 
 
+def subset_count(rows, m):
+    """(count, exhaustive): how many m x m subsets the rank check of
+    ``rows`` stacked rows takes, and whether they are all of them. None
+    below m rows (the condition holds vacuously), all C(rows, m) up to
+    EXHAUSTIVE_ROW_LIMIT rows, SAMPLED_SUBSET_COUNT sampled ones above, so
+    no binomial of a huge row count is computed."""
+    if rows < m:
+        return 0, True
+    if rows <= EXHAUSTIVE_ROW_LIMIT:
+        return math.comb(rows, m), True
+    return SAMPLED_SUBSET_COUNT, False
+
+
 def rank_chunks(rows, live, tol):
     """The rank decisions of the row subsets of the channels of ``rows``
     (T, rows, M), rows >= M, chunk by chunk: (subsets, full) per chunk, in
@@ -69,9 +82,10 @@ def rank_chunks(rows, live, tol):
     """
     T, total, m = rows.shape
     size = max(1, RANK_CHUNK // (T * m * m))
-    if total > EXHAUSTIVE_ROW_LIMIT:
+    count, exhaustive = subset_count(total, m)
+    if not exhaustive:
         screen = _slogdet_screen(rows, live, tol, _sampled_chunks(total, m, size))
-    elif math.comb(total, m) <= PREFIX_SCREEN_MIN:
+    elif count <= PREFIX_SCREEN_MIN:
         table = _subsets(total, m)
         chunks = (table[a:a + size] for a in range(0, len(table), size))
         screen = _slogdet_screen(rows, live, tol, chunks)

@@ -14,8 +14,13 @@ must equal bit for bit:
   pair, against ergodic.block_secrecy_rates and the stacked evaluation of
   ergodic.simulate_blocks and ergodic_slope_estimates;
 * svd_rank_screen: the singular-value rank screen that the Gram-form
-  screens of gaussian.build_beamformers_batch replaced.
+  screens of gaussian.build_beamformers_batch replaced;
+* ergodic_sdof_region and policy_slope_targets: the region branch by
+  branch on J vs M and each policy's own slope pair, against theory's
+  time-share of the policies' pairs.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,6 +28,8 @@ from compound_bcc.channel import CompoundChannelSet, attempt_seed, verify_rank_c
 from compound_bcc.errors import GenerationError, check_count
 from compound_bcc.gaussian import _gram, _logdet_i_plus
 from compound_bcc.linalg import DEFAULT_TOL, rank_screen
+from compound_bcc.regions import time_share
+from compound_bcc.theory import symmetric_point_margin
 
 
 def per_state_draw(spec, attempt):
@@ -140,3 +147,54 @@ def svd_rank_screen(a, tol=DEFAULT_TOL):
     * sigma_max, from its singular values."""
     s = np.linalg.svd(a, compute_uv=False)
     return s[..., -1] > rank_screen(tol) * s[..., 0]
+
+
+def _check_counts(M, J1, J2):
+    for name, v in (("M", M), ("J1", J1), ("J2", J2)):
+        check_count(v, name)
+
+
+def ergodic_sdof_region(M, J1, J2):
+    """The (d1, d2) region of the block-fading scheme, case by case: the
+    unit square with both state counts below M, the constrained user's
+    leakage price (M-1)/J with one large, and with both large the corners
+    joined through the symmetric point iff its margin is positive."""
+    _check_counts(M, J1, J2)
+    one = Fraction(1)
+    zero = Fraction(0)
+    if J1 < M and J2 < M:
+        points = [(one, one)]
+    elif J1 < M <= J2:
+        a = Fraction(M - 1, J2)
+        points = [(zero, one), (a, a), (a, zero)]
+    elif J2 < M <= J1:
+        b = Fraction(M - 1, J1)
+        points = [(one, zero), (b, b), (zero, b)]
+    else:
+        corner1 = Fraction(M - 1, J2)
+        corner2 = Fraction(M - 1, J1)
+        points = [(corner1, zero), (zero, corner2)]
+        f, advantage = symmetric_point_margin(M, J1, J2)
+        rs = Fraction(M - 1, J1) + Fraction(M - 1, J2) - 1
+        if advantage:
+            points.append((rs, rs))
+    return time_share(points)
+
+
+def policy_slope_targets(M, J1, J2, policy_kind):
+    """A named policy's slope pair from each user's leakage and interfered
+    states; None for 'split'."""
+    _check_counts(M, J1, J2)
+    if policy_kind == "split":
+        return None
+    leak1 = Fraction(max(J2 - (M - 1), 0), J2)  # slope lost by user 1 to leakage
+    leak2 = Fraction(max(J1 - (M - 1), 0), J1)
+    interf1 = Fraction(max(J1 - (M - 1), 0), J1)  # user 1's interfered states
+    interf2 = Fraction(max(J2 - (M - 1), 0), J2)
+    if policy_kind == "full1":
+        return (max(Fraction(0), 1 - leak1), Fraction(0))
+    if policy_kind == "full2":
+        return (Fraction(0), max(Fraction(0), 1 - leak2))
+    t1 = max(Fraction(0), (1 - interf1) - leak1)
+    t2 = max(Fraction(0), (1 - interf2) - leak2)
+    return (t1, t2)

@@ -19,24 +19,19 @@ from compound_bcc.cli import main
 from compound_bcc.ergodic import (
     FadingProcess,
     PowerPolicy,
-    ergodic_sdof_region,
     ergodic_slope_estimates,
     simulate_blocks,
-    symmetric_point_margin,
     _philox_words,
     _states_from_words,
 )
 from compound_bcc.errors import FeasibilityError
-from compound_bcc.gaussian import (
-    build_beamformers,
-    equal_power_slopes,
-    gaussian_sdof_region,
-)
+from compound_bcc.gaussian import build_beamformers, equal_power_slopes
 from compound_bcc.regions import (
     equivalent,
     nontrivial_vertices,
     region_from_inequalities,
 )
+from compound_bcc.theory import ergodic_sdof_region, gaussian_sdof_region, symmetric_point_margin
 
 SLOPE_TOL = 0.05
 

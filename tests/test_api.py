@@ -1,6 +1,7 @@
 """The package namespace: lazy re-exports of each module's ``__all__``, and
 which modules an import or a CLI run loads."""
 
+import ast
 import importlib
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import compound_bcc
 
-MODULES = ("errors", "linalg", "sdof", "regions", "channel", "gaussian", "ergodic")
+MODULES = ("errors", "linalg", "sdof", "regions", "theory", "channel", "gaussian", "ergodic")
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -91,6 +92,40 @@ def test_cli_run_loads_only_its_pipeline(argv, present, absent, tmp_path):
     loaded = loaded_modules(cli_run(argv, tmp_path))
     assert f"compound_bcc.{present}" in loaded
     assert not loaded & {f"compound_bcc.{m}" for m in absent}
+
+
+BASE = ("errors", "linalg", "cli", "sdof")
+
+
+@pytest.mark.parametrize("argv, modules", [
+    # the analytic commands load no simulation module
+    (["compare", "--M", "7", "--J1", "8", "--J2", "8"], ("regions", "theory")),
+    (["region"], ("regions", "theory")),
+    (["region", "--model", "ergodic"], ("regions", "theory")),
+    (["verify-channel", "--M", "3", "--J1", "4", "--J2", "4"], ("channel", "rankcheck")),
+])
+def test_cli_run_loads_exactly(argv, modules, tmp_path):
+    loaded = loaded_modules(cli_run(argv, tmp_path))
+    assert loaded == {"compound_bcc", *(f"compound_bcc.{m}" for m in BASE + modules)}
+
+
+NUMPY_FREE = ("theory", "regions", "errors")
+
+
+@pytest.mark.parametrize("module", NUMPY_FREE)
+def test_exact_modules_import_no_numpy(module):
+    # at module level: no numpy, and of the package only these modules
+    path = os.path.join(os.path.dirname(compound_bcc.__file__), f"{module}.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert not {name for name in imported if name.split(".")[0] == "numpy"}
+    assert {name[1:] for name in imported if name.startswith(".")} <= set(NUMPY_FREE)
 
 
 def test_lazy_name_loads_its_module():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compound_bcc import channel, cli, gaussian
+from compound_bcc import channel, cli, ergodic, gaussian
 from compound_bcc.channel import (
     ChannelGenSpec,
     CompoundChannelSet,
@@ -328,6 +328,22 @@ class TestErgodicCommand:
         summary = read_json(tmp_path / "summary.json")
         assert summary["slopes"]["targets"] is None
         assert summary["passed"] is True
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 386. KiB for an array with shape (6, 8240) and data type float64",
+         "Unable to allocate 386. KiB for an array with shape (6, 8240) and data type float64"),
+        ("", "out of memory"),
+    ])
+    def test_unallocatable_pass_is_an_error_line(self, tmp_path, monkeypatch, capsys, message, line):
+        # a sampling pass whose block sums cannot be allocated ends the run
+        # with exit 1 and one error line, as under a tight RLIMIT_AS
+        def unallocatable(self, *args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(ergodic._PairwiseSums, "sum", unallocatable)
+        assert run(["ergodic", "--out", tmp_path, "--blocks", 500]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {line}\n" and "Traceback" not in err
 
 
 class TestCompareCommand:

@@ -17,12 +17,9 @@ from compound_bcc.ergodic import (
     PowerPolicy,
     ZfBlockGains,
     block_secrecy_rates,
-    ergodic_sdof_region,
     ergodic_slope_estimates,
-    policy_slope_targets,
     sample_block,
     simulate_blocks,
-    symmetric_point_margin,
     zero_forcing,
     _PairwiseSums,
     _block_rates,
@@ -34,6 +31,7 @@ from compound_bcc.ergodic import (
 from compound_bcc.errors import ConstructionError, DegenerateBlockError, InvalidInputError
 from compound_bcc.linalg import DEFAULT_TOL, null_space_basis
 from compound_bcc.sdof import estimate_sdof_series, snr_db_to_power
+from compound_bcc.theory import ergodic_sdof_region, policy_slope_targets, symmetric_point_margin
 from reference import leakage, tx_rate
 
 

@@ -32,17 +32,19 @@ from compound_bcc.gaussian import (
     build_beamformers,
     build_beamformers_batch,
     certify_confidential,
-    common_slope_target,
-    confidential_stream_bounds,
     equal_power,
     equal_power_slopes,
-    gaussian_confidential_region,
-    gaussian_sdof_region,
     worst_case_rates,
 )
 from compound_bcc.linalg import DEFAULT_TOL, RankTolerance, numerical_rank
 from compound_bcc.regions import nontrivial_vertices
 from compound_bcc.sdof import SdofEstimate, estimate_sdof_series, snr_db_to_power
+from compound_bcc.theory import (
+    common_slope_target,
+    confidential_stream_bounds,
+    gaussian_confidential_region,
+    gaussian_sdof_region,
+)
 from reference import rate_common, rate_confidential, rate_leakage, svd_rank_screen, swap_users
 
 
