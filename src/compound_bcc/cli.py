@@ -156,51 +156,23 @@ def _region_fields(cfg, region, ergodic=False):
 
 
 def run_gaussian(cfg, out_dir):
-    """Constant-model run: per-channel rates, slope fits, analytic region.
-
-    Trials go through in order, gaussian._trials_per_chunk at a time, each
-    chunk as state and beam stacks: drawn from its seeds with their rank
-    checks decided together, built and certified as stacks, then evaluated
-    and fitted as stacked arrays. The rates are written and their largest
-    leakage taken from the arrays, the slopes read off as lists.
-    """
+    """Constant-model run: the per-channel rates and slope fits of
+    gaussian.run_trials over seeds seed, seed + 1, ..., analytic region."""
     import numpy as np
 
-    from .channel import generate_batch
-    from .gaussian import _equal_power_stack, _trials_per_chunk, build_beamformers_batch
+    from .gaussian import run_trials
     from .regions import save_region
     from .theory import common_slope_target, gaussian_sdof_region
 
     grid = cfg.snr_db_grid
     dims = cfg.M, cfg.N1, cfg.N2, cfg.J1, cfg.J2
-    blocks, slopes = [], []  # each chunk's rates (T, G, 4), each trial's slopes
-    chunk = _trials_per_chunk(*dims, cfg.r1, cfg.r2, len(grid))
-    end = cfg.seed + cfg.trials
-    for start in range(cfg.seed, end, chunk):
-        h, error = generate_batch(dims, range(start, min(start + chunk, end)))
-        v, rebuilt, build_error = build_beamformers_batch(h, cfg.r1, cfg.r2)
-        if build_error is not None:
-            # it belongs to an earlier trial than any generation error
-            error = build_error
-        if error is not None:
-            if len(v[0]):
-                # an earlier trial's evaluation error comes first, as in trial order
-                _equal_power_stack(h, v, rebuilt, grid)
-            raise error
-        rates, fits = _equal_power_stack(h, v, rebuilt, grid)
-        blocks.append(rates)
-        slopes.extend(fits[..., 0].tolist())
-    last = len(rates) - 1
-    k_built = rebuilt[last].K if last in rebuilt else v[0].shape[-1]
+    seeds = range(cfg.seed, cfg.seed + cfg.trials)
+    all_rates, slopes, k_built = run_trials(dims, cfg.r1, cfg.r2, grid, seeds)
     mean_slopes = [sum(s[i] for s in slopes) / len(slopes) for i in range(3)]
-    targets = (
-        float(common_slope_target(cfg.N1, cfg.N2, cfg.r1, cfg.r2, k_built)),
-        float(cfg.r1),
-        float(cfg.r2),
-    )
+    k_target = common_slope_target(cfg.N1, cfg.N2, cfg.r1, cfg.r2, k_built)
+    targets = (float(k_target), float(cfg.r1), float(cfg.r2))
     passed = all(abs(m - t) <= SLOPE_TOL for m, t in zip(mean_slopes, targets))
     region = gaussian_sdof_region(*dims)
-    all_rates = np.concatenate(blocks)
     snr_db = np.broadcast_to(np.array(grid)[:, None], (*all_rates.shape[:2], 1))
     _write_csv(
         os.path.join(out_dir, "rates.csv"),

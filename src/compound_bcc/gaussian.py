@@ -6,27 +6,8 @@ state of user 2 (and vice versa), so each confidential stream is received
 by its intended user only, whichever states are realized; V0 spans the
 orthogonal complement of [V1 V2]. Worst-case rates minimize over states.
 
-The CLI carries _trials_per_chunk trials at a time as stacks alone, the
-states h = (h1, h2) and the beams v = (v0, v1, v2), through stacked
-paths, each bit for bit equal to a one-trial reference:
-
-* build_beamformers_batch builds a chunk's null spaces and common parts
-  with three stacked SVDs and screens their certificates over the stack,
-  the ranks by the determinant bound of linalg in its Gram form; a channel
-  that does not clear every screen is rebuilt by build_beamformers, the
-  reference, so each decision and error is the one-trial one. Only a
-  rebuilt channel becomes a CompoundChannelSet and a BeamformerSet.
-* Rates are evaluated as stacked arrays over (trials, grid points,
-  states): h v as one matmul per user and beam (2-D products for rebuilt
-  channels), the grams of every grid point in one pass, and two
-  logdet2_hpd calls per receiving user. For each state the matrices are
-  taken in one order: the common rate's numerator then its denominator,
-  then the confidential rate, then the leakage. The one-state reference
-  evaluation is in tests/reference.py.
-* The slopes of every trial and component are fitted in one
-  sdof._fit_stack call, and the CLI reads rates and slopes off the
-  arrays of _equal_power_stack. The one-trial calls worst_case_rates and
-  equal_power_slopes feed their own 2-D products to the same core.
+run_trials is the pipeline of a constant-model run; worst_case_rates and
+equal_power_slopes evaluate one trial as a stack of one.
 """
 
 import itertools
@@ -34,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import stacked_sets
+from .channel import _check_dimensions, generate_batch, stacked_sets
 from .errors import (
     CompoundBccError,
     ConstructionError,
@@ -65,6 +46,7 @@ __all__ = [
     "equal_power",
     "worst_case_rates",
     "equal_power_slopes",
+    "run_trials",
 ]
 
 CERT_RTOL = 1e-9
@@ -78,7 +60,10 @@ CERT_RTOL = 1e-9
 # 64: fewer let a chunk's fixed costs show (2-vCPU Xeon: --M 4 --J1 12
 # --J2 12 --r1 0 --r2 0 --trials 300 took 1.43 s at 1 per chunk, 0.97 s at
 # 64), more raise memory (--M 26 --N1 4 --N2 4 --J1 2 --J2 2 --r1 4 --r2 4
-# --trials 1024 peaked at 46 MB RSS at 64 per chunk, 69 MB at 303).
+# --trials 1024 peaked at 46 MB RSS at 64 per chunk, 69 MB at 303). But a
+# chunk's null-space SVDs, three M x M right factors per trial, hold at most
+# CHUNK_MIN_TRIALS * CHUNK_ENTRIES entries, or one trial's (--M 300 --J1 1
+# --J2 1 --trials 64 peaked at 572 MB RSS in one chunk, 55 MB at one trial).
 CHUNK_ENTRIES = 1 << 13
 CHUNK_MIN_TRIALS = 64
 
@@ -89,7 +74,8 @@ def _trials_per_chunk(M, N1, N2, J1, J2, r1, r2, points):
     c = max(M - r1 - r2, r1, r2)
     held = sum(points * J * N * max(N, c) for J, N in ((J1, N1), (J2, N2)))
     held += subset_count(J1 * N1 + J2 * N2, M)[0] * M * M
-    return max(CHUNK_MIN_TRIALS, CHUNK_ENTRIES // held)
+    cap = max(1, CHUNK_MIN_TRIALS * CHUNK_ENTRIES // (3 * M * M))
+    return min(max(CHUNK_MIN_TRIALS, CHUNK_ENTRIES // held), cap)
 
 
 @dataclass(frozen=True)
@@ -362,13 +348,6 @@ def _logdet_i_plus(gram):
     return logdet2_hpd(np.eye(gram.shape[-1]) + gram)
 
 
-def _own_products(states, bf):
-    """h v of one trial as 2-D products, one per state and beam, in the
-    layout of _beam_products with one trial: states[k] holds the states of
-    receiving user k + 1."""
-    return [[np.array([[x @ v for x in hk]]) for v in (bf.v0, bf.v1, bf.v2)] for hk in states]
-
-
 def _beam_products(h, v):
     """h v for every receiving user, beam, trial and state.
 
@@ -485,8 +464,10 @@ def worst_case_rates(ch, bf, pa):
     worst-case leakages (0.0 without confidential streams) is returned as
     leakage. Evaluated as a stack of one trial and one point.
     """
+    h = [np.stack(ch.h1)[None], np.stack(ch.h2)[None]]
+    ws = _beam_products(h, [bf.v0[None], bf.v1[None], bf.v2[None]])
     ps = [p[None, None] for p in (pa.p0, pa.p1, pa.p2)]
-    return RateTriple(*_worst_case_stack(_own_products((ch.h1, ch.h2), bf), ps)[0, 0].tolist())
+    return RateTriple(*_worst_case_stack(ws, ps)[0, 0].tolist())
 
 
 def _equal_power(ws, grid):
@@ -497,21 +478,21 @@ def _equal_power(ws, grid):
     widths = [w.shape[-1] for w in ws[0]]
     powers = snr_db_to_power(grid)
     share = powers / sum(widths) if sum(widths) else np.zeros_like(powers)
-    ps = [np.broadcast_to(share[:, None], (len(ws[0][0]), grid.size, c)) for c in widths]
+    ps = [np.broadcast_to(share[:, None], (len(ws[0][0]), len(grid), c)) for c in widths]
     rates = _worst_case_stack(ws, ps, grid)
     # one series per trial and component
     return rates, _fit_stack(grid, np.moveaxis(rates[..., :3], -1, -2))
 
 
-def _equal_power_stack(h, v, rebuilt, snr_db_grid):
-    """_equal_power of a chunk: the first T channels of the state stacks h
+def _equal_power_stack(h, v, rebuilt, grid):
+    """_equal_power of a chunk at the points of a grid (dB) that
+    check_snr_grid accepts: the first T channels of the state stacks h
     with the beam stacks v (T trials) and the rebuilt sets of
     build_beamformers_batch. A rebuilt trial, whose K may differ, is
-    evaluated from its own 2-D products as a stack of its own, between
-    the runs of the stack before and after it, so that the error raised
-    is the first that trial order meets. A grid point at which a received
-    covariance overflows raises InvalidGridError naming it."""
-    grid = check_snr_grid(snr_db_grid)
+    evaluated as a one-trial stack of its own, between the runs of the
+    stack before and after it, so that the error raised is the first that
+    trial order meets. A grid point at which a received covariance
+    overflows raises InvalidGridError naming it."""
     T = len(v[0])
     with np.errstate(all="ignore"):  # the rebuilt trials' rows are not read
         ws = _beam_products(h, v)
@@ -519,7 +500,9 @@ def _equal_power_stack(h, v, rebuilt, snr_db_grid):
     for t in sorted(rebuilt) + [T]:
         parts.append(_equal_power([[w[start:t] for w in wk] for wk in ws], grid))
         if t < T:
-            parts.append(_equal_power(_own_products((h[0][t], h[1][t]), rebuilt[t]), grid))
+            bf = rebuilt[t]
+            one = _beam_products([x[t:t + 1] for x in h], [bf.v0[None], bf.v1[None], bf.v2[None]])
+            parts.append(_equal_power(one, grid))
         start = t + 1
     return tuple(np.concatenate(x) for x in zip(*parts))
 
@@ -531,6 +514,51 @@ def equal_power_slopes(ch, bf, snr_db_grid=DEFAULT_SNR_GRID_DB):
     SdofEstimate per message component. A grid point at which a received
     covariance overflows raises InvalidGridError naming it.
     """
-    rates, fits = _equal_power(_own_products((ch.h1, ch.h2), bf), check_snr_grid(snr_db_grid))
+    h = [np.stack(ch.h1)[None], np.stack(ch.h2)[None]]
+    ws = _beam_products(h, [bf.v0[None], bf.v1[None], bf.v2[None]])
+    rates, fits = _equal_power(ws, check_snr_grid(snr_db_grid))
     triples = [RateTriple(*r) for r in rates[0].tolist()]
     return triples, tuple(SdofEstimate(*f) for f in fits[0].tolist())
+
+
+def run_trials(dims, r1, r2, snr_db_grid, seeds):
+    """Equal-power rates and slopes of the channel drawn from each seed.
+
+    dims = (M, N1, N2, J1, J2), r1 and r2 the confidential streams, the
+    grid in dB. Returns (rates, slopes, K): rates (trials, points, 4) of
+    r0, r1, r2 and leakage, each trial's three slopes, and the last
+    trial's K. The trials go in order, _trials_per_chunk at a time, each
+    chunk as stacks alone, the states h = (h1, h2) and the beams v = (v0,
+    v1, v2), through stacked paths, each bit for bit equal to a one-trial
+    reference:
+
+    * generate_batch draws the chunk, its rank checks decided together;
+    * build_beamformers_batch builds and certifies it as stacks, and
+      rebuilds by build_beamformers, as the only CompoundChannelSet and
+      BeamformerSet objects, each channel that misses a screen;
+    * _equal_power_stack evaluates the rates over (trials, grid points,
+      states), a rebuilt channel as a one-trial stack, and fits every
+      slope in one sdof._fit_stack call.
+
+    The error raised is the first that trial order meets: the trials
+    before a failing one are evaluated first, and the grid is checked
+    once, by the first trial evaluated.
+    """
+    _check_dimensions(dims)
+    if not len(seeds):
+        raise InvalidInputError("run_trials needs at least one seed")
+    grid, blocks, slopes = None, [], []
+    chunk = _trials_per_chunk(*dims, r1, r2, np.size(snr_db_grid))
+    for start in range(0, len(seeds), chunk):
+        h, error = generate_batch(dims, seeds[start:start + chunk])
+        v, rebuilt, build_error = build_beamformers_batch(h, r1, r2)
+        if len(v[0]):
+            grid = check_snr_grid(snr_db_grid) if grid is None else grid
+            rates, fits = _equal_power_stack(h, v, rebuilt, grid)
+            blocks.append(rates)
+            slopes.extend(fits[..., 0].tolist())
+        # a construction error belongs to an earlier trial than any generation error
+        if build_error or error:
+            raise build_error or error
+    last = len(v[0]) - 1
+    return np.concatenate(blocks), slopes, rebuilt[last].K if last in rebuilt else v[0].shape[-1]

@@ -132,3 +132,19 @@ def test_lazy_name_loads_its_module():
     loaded = loaded_modules("from compound_bcc import generate_compound")
     assert "compound_bcc.channel" in loaded
     assert not loaded & {"compound_bcc.gaussian", "compound_bcc.ergodic"}
+
+
+def test_cli_imports_no_private_package_name():
+    # the CLI reaches the library through public names only
+    path = os.path.join(os.path.dirname(compound_bcc.__file__), "cli.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "compound_bcc")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -123,7 +123,7 @@ class TestGaussianCommand:
         # the benchmark's constant-trials workload: 150 trials of M = 4,
         # N = 1, J = 2 at 3 grid points, drawn by one generate_batch call
         calls = []
-        monkeypatch.setattr(channel, "generate_batch", lambda dims, seeds: (
+        monkeypatch.setattr(gaussian, "generate_batch", lambda dims, seeds: (
             calls.append(len(seeds)) or generate_batch(dims, seeds)
         ))
         assert run(["gaussian", "--out", tmp_path, "--trials", 150]) == 0
@@ -227,7 +227,7 @@ class TestGaussianCommand:
             return h, error
 
         set_chunk(monkeypatch, chunk)
-        monkeypatch.setattr(channel, "generate_batch", generate)
+        monkeypatch.setattr(gaussian, "generate_batch", generate)
         assert run(["gaussian", "--out", tmp_path, "--trials", 5, "--snr_db_grid", grid]) == 1
         assert message in capsys.readouterr().err
 
@@ -261,7 +261,7 @@ class TestGaussianCommand:
             return v, rebuilt, error
 
         set_chunk(monkeypatch, chunk)
-        monkeypatch.setattr(channel, "generate_batch", generate)
+        monkeypatch.setattr(gaussian, "generate_batch", generate)
         monkeypatch.setattr(gaussian, "build_beamformers_batch", build)
         assert run(["gaussian", "--out", tmp_path, "--trials", 5, "--snr_db_grid", grid]) == 1
         assert message in capsys.readouterr().err

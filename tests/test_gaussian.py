@@ -34,6 +34,7 @@ from compound_bcc.gaussian import (
     certify_confidential,
     equal_power,
     equal_power_slopes,
+    run_trials,
     worst_case_rates,
 )
 from compound_bcc.linalg import DEFAULT_TOL, RankTolerance, numerical_rank
@@ -778,6 +779,12 @@ class TestChunkRule:
         sizes = [gaussian._trials_per_chunk(4, 1, 1, 2, 2, 1, 1, g) for g in (3, 9, 30, 300)]
         assert sizes == sorted(sizes, reverse=True) and sizes[-1] == 64
 
+    @pytest.mark.parametrize("M, trials", [(100, 17), (300, 1), (2000, 1)])
+    def test_null_spaces_cap_wide_chunks(self, M, trials):
+        # three M x M SVD right factors per trial: at most 64 * 8192 of
+        # their entries per chunk, or one trial's
+        assert gaussian._trials_per_chunk(M, 1, 1, 1, 1, 1, 1, 3) == trials
+
 
 class TestStackedProducts:
     """h v of a chunk's stacks against the per-trial products, bit for bit,
@@ -797,9 +804,6 @@ class TestStackedProducts:
         got = gaussian._beam_products(h, v)
         pairs = list(zip(stacked_sets(h), sets_of(v, rebuilt)))
         for t, (ch, bf) in enumerate(pairs):
-            own = gaussian._own_products((ch.h1, ch.h2), bf)
-            for g, w in zip(sum(got, []), sum(own, [])):
-                assert g[t].shape == w[0].shape and g[t].tobytes() == w[0].tobytes()
             for k, b in itertools.product((1, 2), range(3)):  # the 2-D products themselves
                 v_b = (bf.v0, bf.v1, bf.v2)[b]
                 for j, hj in enumerate(ch.states(k)):
@@ -856,6 +860,64 @@ class TestStackedProducts:
                 assert got == raised(per_trial)
             else:
                 assert as_objects(*gaussian._equal_power_stack(h, v, rebuilt, grid)) == want
+
+
+class TestRunTrials:
+    """run_trials against per-seed generation, construction and evaluation."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, None])
+    @pytest.mark.parametrize("dims, r1, r2, seeds", [
+        ((4, 1, 1, 2, 2), 1, 1, range(3, 8)),
+        ((5, 2, 1, 2, 2), 2, 1, range(11, 14)),
+        ((4, 1, 1, 2, 2), 0, 0, [40, 7, 9]),  # K = M
+        ((2, 1, 1, 1, 1), 1, 1, range(1, 4)),  # K = 0
+    ])
+    def test_run_is_the_per_seed_calls(self, dims, r1, r2, seeds, chunk):
+        grid = (60.0, 80.0, 100.0)
+        with mock.patch.object(gaussian, "_trials_per_chunk", lambda *a, real=gaussian._trials_per_chunk: (
+            chunk or real(*a)
+        )):
+            rates, slopes, K = run_trials(dims, r1, r2, grid, seeds)
+        assert rates.shape == (len(seeds), 3, 4) and len(slopes) == len(seeds)
+        for t, seed in enumerate(seeds):
+            ch = generate_compound(ChannelGenSpec(*dims, seed=seed))
+            bf = build_beamformers(ch, r1, r2)
+            triples, estimates = equal_power_slopes(ch, bf, grid)
+            want = [[r.r0, r.r1, r.r2, r.leakage] for r in triples]
+            assert rates[t].tobytes() == np.array(want).tobytes()
+            assert slopes[t] == [e.slope for e in estimates]
+        assert K == bf.K
+
+    def test_rebuilt_last_trial_gives_its_k(self):
+        # the last trial is rebuilt with one common beam fewer
+        dims, seeds = (5, 2, 1, 2, 2), range(2, 5)
+        chs = [generate_compound(ChannelGenSpec(*dims, seed=s)) for s in seeds]
+        bf = build_beamformers(chs[-1], 2, 1)
+        narrow = BeamformerSet(v1=bf.v1, v2=bf.v2, v0=bf.v0[:, :-1])
+        with mock.patch.object(gaussian, "_stacked_beamformers", dropping([2])), \
+                mock.patch.object(gaussian, "build_beamformers", lambda *a: narrow):
+            rates, slopes, K = run_trials(dims, 2, 1, (60.0, 80.0, 100.0), seeds)
+        assert K == 1 and bf.K == 2
+        triples, estimates = equal_power_slopes(chs[-1], narrow, (60.0, 80.0, 100.0))
+        assert rates[-1].tolist() == [[r.r0, r.r1, r.r2, r.leakage] for r in triples]
+
+    def test_grid_is_checked_once(self):
+        calls = []
+        with mock.patch.object(gaussian, "_trials_per_chunk", lambda *a: 1), \
+                mock.patch.object(gaussian, "check_snr_grid", lambda g, real=gaussian.check_snr_grid: (
+                    calls.append(g) or real(g)
+                )):
+            run_trials((4, 1, 1, 2, 2), 1, 1, (60.0, 80.0, 100.0), range(5))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("dims, seeds, message", [
+        ((4, 1, 1, 2, 2), [], "at least one seed"),
+        ((0, 1, 1, 2, 2), range(3), "M must be a positive integer"),
+        ((4.0, 1, 1, 2, 2), range(3), "M must be a positive integer"),
+    ])
+    def test_bad_input_rejected_before_the_chunk_rule(self, dims, seeds, message):
+        with pytest.raises(InvalidInputError, match=message):
+            run_trials(dims, 1, 1, (60.0, 80.0, 100.0), seeds)
 
 
 # (M, N1, N2, J1, J2, r1, r2) across all region shapes with feasible streams
