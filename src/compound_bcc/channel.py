@@ -28,6 +28,8 @@ from .errors import (
     GenerationError,
     InvalidInputError,
     check_count,
+    check_counts,
+    read_json,
     user_index,
 )
 from .linalg import DEFAULT_TOL, as_matrix
@@ -62,7 +64,7 @@ class CompoundChannelSet:
     h2: tuple
 
     def __post_init__(self):
-        _check_dimensions((self.M, self.N1, self.N2, self.J1, self.J2))
+        check_counts(M=self.M, N1=self.N1, N2=self.N2, J1=self.J1, J2=self.J2)
         if len(self.h1) != self.J1 or len(self.h2) != self.J2:
             raise InvalidInputError(
                 f"expected {self.J1}+{self.J2} states, got {len(self.h1)}+{len(self.h2)}"
@@ -98,12 +100,6 @@ class CompoundChannelSet:
         i -= self.J1 * self.N1
         j, r = divmod(i, self.N2)
         return f"H_2_{j + 1}[{r}]"
-
-
-def _check_dimensions(dims):
-    """InvalidInputError unless dims = (M, N1, N2, J1, J2) are positive ints."""
-    for name, value in zip(("M", "N1", "N2", "J1", "J2"), dims):
-        check_count(value, name)
 
 
 def stacked_sets(h):
@@ -231,8 +227,8 @@ def generate_batch(dims, seeds, tol=DEFAULT_TOL, max_resamples=8):
     are decided together (see _rank_conditions_hold), and only the draws
     that fail are resampled, up to max_resamples attempts per seed.
     """
-    _check_dimensions(dims)
     M, N1, N2, J1, J2 = dims
+    check_counts(M=M, N1=N1, N2=N2, J1=J1, J2=J2)
     total = J1 * N1 + J2 * N2
     try:
         rows = np.empty((len(seeds), total, M), dtype=complex)
@@ -424,9 +420,8 @@ def _pairs_to_matrix(pairs, n, m, name):
 
 
 def channel_from_dict(data):
-    """Inverse of channel_to_dict, with field-level diagnostics."""
-    if not isinstance(data, dict):
-        raise ChannelFormatError("channel file must contain a JSON object")
+    """Inverse of channel_to_dict for a dict ``data``, with field-level
+    diagnostics."""
     dims = {}
     for name in ("M", "N1", "N2", "J1", "J2"):
         if name not in data:
@@ -435,18 +430,14 @@ def channel_from_dict(data):
     matrices = data.get("matrices")
     if not isinstance(matrices, dict):
         raise ChannelFormatError("missing or malformed field 'matrices'")
-    expected = [
-        (k, j, dims[f"N{k}"])
-        for k in (1, 2)
-        for j in range(1, dims[f"J{k}"] + 1)
-    ]
     states = {1: [], 2: []}
-    for k, j, n in expected:
-        key = f"H_{k}_{j}"
-        if key not in matrices:
-            raise ChannelFormatError(f"missing matrix {key!r}")
-        states[k].append(_pairs_to_matrix(matrices[key], n, dims["M"], key))
-    extra = set(matrices) - {f"H_{k}_{j}" for k, j, _ in expected}
+    for k in (1, 2):  # key by key: a J_k of 10^12 ends at the first missing matrix
+        for j in range(1, dims[f"J{k}"] + 1):
+            key = f"H_{k}_{j}"
+            if key not in matrices:
+                raise ChannelFormatError(f"missing matrix {key!r}")
+            states[k].append(_pairs_to_matrix(matrices[key], dims[f"N{k}"], dims["M"], key))
+    extra = set(matrices) - {f"H_{k}_{j}" for k in (1, 2) for j in range(1, dims[f"J{k}"] + 1)}
     if extra:
         raise ChannelFormatError(f"unexpected matrix keys: {sorted(extra)}")
     return CompoundChannelSet(
@@ -456,13 +447,6 @@ def channel_from_dict(data):
 
 
 def load_channel(path):
-    """Read a channel set written by save_channel."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ChannelFormatError(
-            f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
-        ) from e
-    return channel_from_dict(data)
+    """Read a channel set written by save_channel; ChannelFormatError if malformed."""
+    return channel_from_dict(read_json(path, ChannelFormatError, "channel file"))
 

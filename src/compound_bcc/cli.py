@@ -26,7 +26,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .errors import CompoundBccError, ConfigError, check_count, check_real
+from .errors import CompoundBccError, ConfigError, check_counts, check_real, read_json
 from .sdof import DEFAULT_SNR_GRID_DB
 
 __all__ = ["ExperimentConfig", "main"]
@@ -55,11 +55,10 @@ class ExperimentConfig:
     model: str = "gaussian"
 
     def validate(self):
-        for name in ("M", "N1", "N2", "J1", "J2", "common_state_count",
-                     "trials", "blocks"):
-            check_count(getattr(self, name), name, ConfigError)
-        for name in ("r1", "r2", "seed"):
-            check_count(getattr(self, name), name, ConfigError, minimum=0)
+        check_counts(ConfigError, M=self.M, N1=self.N1, N2=self.N2, J1=self.J1, J2=self.J2,
+                     common_state_count=self.common_state_count, trials=self.trials,
+                     blocks=self.blocks)
+        check_counts(ConfigError, 0, r1=self.r1, r2=self.r2, seed=self.seed)
         grid = tuple(check_real(x, "snr_db_grid entry", ConfigError) for x in self.snr_db_grid)
         if not grid:
             raise ConfigError("snr_db_grid must not be empty")
@@ -85,13 +84,7 @@ class ExperimentConfig:
 
 
 def load_config(path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON (line {e.lineno}): {e.msg}") from e
-    if not isinstance(data, dict):
-        raise ConfigError("config file must contain a JSON object")
+    data = read_json(path, ConfigError, "config file")
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(data) - known
     if unknown:
@@ -220,14 +213,7 @@ def run_ergodic(cfg, out_dir):
     from .theory import ergodic_sdof_region, policy_slope_targets
 
     _single_antenna(cfg, "ergodic")
-    fp = FadingProcess(
-        cfg.M,
-        cfg.J1,
-        cfg.J2,
-        common_state_count=cfg.common_state_count,
-        block_count=cfg.blocks,
-        seed=cfg.seed,
-    )
+    fp = FadingProcess(cfg.M, cfg.J1, cfg.J2, cfg.common_state_count, cfg.blocks, cfg.seed)
     frac = cfg.p1_frac if cfg.power_policy == "split" else None
     stats, (est1, est2) = ergodic_slope_estimates(
         fp, cfg.power_policy, cfg.snr_db_grid, m=cfg.blocks, p1_frac=frac
@@ -237,15 +223,10 @@ def run_ergodic(cfg, out_dir):
         for snr_db, st in zip(cfg.snr_db_grid, stats)
     ]
     targets = policy_slope_targets(cfg.M, cfg.J1, cfg.J2, cfg.power_policy)
-    if targets is None:
-        passed = True
-        target_list = None
-    else:
-        target_list = [float(t) for t in targets]
-        passed = (
-            abs(est1.slope - target_list[0]) <= SLOPE_TOL
-            and abs(est2.slope - target_list[1]) <= SLOPE_TOL
-        )
+    target_list = None if targets is None else [float(t) for t in targets]
+    passed = target_list is None or all(
+        abs(est.slope - t) <= SLOPE_TOL for est, t in zip((est1, est2), target_list)
+    )
     region = ergodic_sdof_region(cfg.M, cfg.J1, cfg.J2)
     summary = {
         "command": "ergodic",

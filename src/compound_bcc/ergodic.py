@@ -35,6 +35,7 @@ from .errors import (
     InvalidGridError,
     InvalidInputError,
     check_count,
+    check_counts,
     check_real,
     user_index,
 )
@@ -93,9 +94,8 @@ class FadingProcess:
 
     def __init__(self, M, J1, J2, common_state_count=4, block_count=10_000, seed=0,
                  tol=DEFAULT_TOL):
-        for name, v in (("M", M), ("J1", J1), ("J2", J2),
-                        ("common_state_count", common_state_count), ("block_count", block_count)):
-            check_count(v, name)
+        check_counts(M=M, J1=J1, J2=J2, common_state_count=common_state_count,
+                     block_count=block_count)
         check_count(seed, "seed", minimum=0)
         if block_count >= 2**64:
             raise InvalidInputError(

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and three argument checks.
+"""Exception types shared across the package, the checks of outside input,
+and the one reader of input files.
 
 Every failure mode that callers are expected to distinguish gets its own
 class; plain ValueError is reserved for malformed arguments that indicate
@@ -6,6 +7,7 @@ a programming error at the call site.
 """
 
 import math
+import sys
 
 __all__ = [
     "CompoundBccError",
@@ -99,6 +101,12 @@ def check_count(value, name, error=InvalidInputError, minimum=1):
     return value
 
 
+def check_counts(error=InvalidInputError, minimum=1, **values):
+    """check_count of each of ``values``, in order, under its keyword name."""
+    for name, value in values.items():
+        check_count(value, name, error, minimum)
+
+
 def check_real(value, name, error=InvalidInputError):
     """``value`` as a float if it is a finite int or float (bool is not); a
     rejected value raises ``error`` with a message naming ``name``."""
@@ -119,3 +127,29 @@ def user_index(k):
     if k not in (1, 2):
         raise InvalidInputError(f"user index must be 1 or 2, got {k}")
     return int(k) - 1
+
+
+def read_json(path, error, what):
+    """The JSON object in the UTF-8 file at ``path``. Every way of not getting
+    one raises ``error`` with a message led by ``what`` (say, "config file"):
+    a syntax error, with its line and column; bytes that are not UTF-8; an
+    integer of more digits than int() converts; nesting past the recursion
+    limit; a document that is not an object. OSError passes through."""
+    import json  # here, so that importing the package loads no json
+
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as e:
+            problem = f"is not valid JSON (line {e.lineno}, column {e.colno}): {e.msg}"
+        except UnicodeDecodeError:
+            problem = "is not UTF-8 text"
+        except ValueError:  # the only other one: int() refuses a long digit string
+            problem = f"holds an integer of more than {sys.get_int_max_str_digits()} digits"
+        except RecursionError:
+            problem = "nests arrays or objects past the recursion limit"
+        else:
+            problem = None if isinstance(data, dict) else "must contain a JSON object"
+    if problem:
+        raise error(f"{what} {problem}")
+    return data

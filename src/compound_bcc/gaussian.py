@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _check_dimensions, generate_batch, stacked_sets
+from .channel import generate_batch, stacked_sets
 from .errors import (
     CompoundBccError,
     ConstructionError,
@@ -23,6 +23,7 @@ from .errors import (
     InvalidGridError,
     InvalidInputError,
     NotPositiveDefiniteError,
+    check_counts,
     user_index,
 )
 from .linalg import (
@@ -544,7 +545,7 @@ def run_trials(dims, r1, r2, snr_db_grid, seeds):
     before a failing one are evaluated first, and the grid is checked
     once, by the first trial evaluated.
     """
-    _check_dimensions(dims)
+    check_counts(**dict(zip(("M", "N1", "N2", "J1", "J2"), dims)))
     if not len(seeds):
         raise InvalidInputError("run_trials needs at least one seed")
     grid, blocks, slopes = None, [], []

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DimensionMismatchError, InvalidInputError
+from .errors import DimensionMismatchError, InvalidInputError, read_json
 
 __all__ = [
     "RateRegion",
@@ -300,9 +300,4 @@ def save_region(region, path):
 
 def load_region(path):
     """Read a region written by save_region; InvalidInputError if malformed."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise InvalidInputError(f"region file is not valid JSON: {e}") from None
-    return region_from_dict(data)
+    return region_from_dict(read_json(path, InvalidInputError, "region file"))

@@ -35,7 +35,7 @@ with M = 1, the origin.
 
 from fractions import Fraction
 
-from .errors import InvalidInputError, check_count
+from .errors import InvalidInputError, check_counts
 from .regions import region_from_inequalities, time_share
 
 __all__ = [
@@ -47,12 +47,6 @@ __all__ = [
     "symmetric_point_margin",
     "ergodic_sdof_region",
 ]
-
-
-def _check_counts(**counts):
-    """InvalidInputError naming the first of ``counts`` that is not a positive int."""
-    for name, v in counts.items():
-        check_count(v, name)
 
 
 def confidential_stream_bounds(M, N1, N2, J1, J2):
@@ -84,7 +78,7 @@ def gaussian_sdof_region(M, N1, N2, J1, J2):
     null space (J_k * N_k < M). When neither does, only the common message
     survives, with d0 up to min(M, N1, N2).
     """
-    _check_counts(M=M, N1=N1, N2=N2, J1=J1, J2=J2)
+    check_counts(M=M, N1=N1, N2=N2, J1=J1, J2=J2)
     nonneg = [((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0)]
     b1, b2 = confidential_stream_bounds(M, N1, N2, J1, J2)
     room1 = J1 * N1 < M
@@ -118,7 +112,7 @@ def _policy_targets(M, J1, J2):
 
 def policy_slope_targets(M, J1, J2, policy_kind):
     """Analytic high-SNR slope pair for a named policy; None for 'split'."""
-    _check_counts(M=M, J1=J1, J2=J2)
+    check_counts(M=M, J1=J1, J2=J2)
     if policy_kind == "split":
         return None
     targets = _policy_targets(M, J1, J2)
@@ -137,7 +131,7 @@ def symmetric_point_margin(M, J1, J2):
     between the two single-user corners, which happens iff the margin is
     positive.
     """
-    _check_counts(M=M, J1=J1, J2=J2)
+    check_counts(M=M, J1=J1, J2=J2)
     if J1 < M or J2 < M:
         raise InvalidInputError(
             f"symmetric point margin needs J1, J2 >= M, got J1={J1}, J2={J2}, M={M}"
@@ -149,5 +143,5 @@ def symmetric_point_margin(M, J1, J2):
 def ergodic_sdof_region(M, J1, J2):
     """Achievable (d1, d2) region of the block-fading scheme, exact: the
     time-share of the slope pairs of the policies full1, full2 and equal."""
-    _check_counts(M=M, J1=J1, J2=J2)
+    check_counts(M=M, J1=J1, J2=J2)
     return time_share(list(_policy_targets(M, J1, J2).values()))

@@ -200,7 +200,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("text, message", [
         ('{"dimension": 2, "vertices": [',
-         "region file is not valid JSON: Expecting value: line 1 column 31 (char 30)"),
+         "region file is not valid JSON (line 1, column 31): Expecting value"),
         ("{" + VALID.replace('"dimension": 2, ', "") + "}",
          "region field 'dimension' is missing or malformed (KeyError: 'dimension')"),
         ("{" + VALID.replace("[[[0, 1], [0, 1]]]", "5") + "}",
