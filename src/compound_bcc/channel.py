@@ -29,6 +29,7 @@ from .errors import (
     InvalidInputError,
     check_count,
     check_counts,
+    check_index,
     read_json,
     user_index,
 )
@@ -81,8 +82,9 @@ class CompoundChannelSet:
         object.__setattr__(self, "h2", h2)
 
     def state(self, k, j):
-        """State matrix H_k^j (k in {1,2}, j 1-based)."""
-        return self.states(k)[j - 1]
+        """State matrix H_k^j (k in {1,2}, j in 1..J_k)."""
+        states = self.states(k)
+        return states[check_index(j, "state index j", len(states)) - 1]
 
     def states(self, k):
         """All states of user k, in order."""
@@ -93,7 +95,9 @@ class CompoundChannelSet:
         return np.vstack([*self.h1, *self.h2])
 
     def row_label(self, i):
-        """Human-readable label of stacked row i: matrix name plus local row."""
+        """Human-readable label of stacked row i (0-based): matrix name plus local row."""
+        rows = self.J1 * self.N1 + self.J2 * self.N2
+        i = check_index(i, "stacked row index i", rows - 1, start=0)
         if i < self.J1 * self.N1:
             j, r = divmod(i, self.N1)
             return f"H_1_{j + 1}[{r}]"

@@ -13,9 +13,9 @@ The secrecy rate [tx - leakage]+ is accounted per block and averaged over
 blocks; these state averages give the analytic (M-1)/J slope targets.
 
 Beams and gains depend on the common state only. A FadingProcess keeps
-its states as stacks and zero-forces all of them at once
-(_zero_forcing_stack), redoing one by one the states that miss a screen;
-zero_forcing is the one-state call. The rates of every (SNR point, state)
+its states as stacks and zero-forces all of them at once, every decision
+taken exactly over the stack (_zero_forcing_stack); zero_forcing is its
+one-state call. The rates of every (SNR point, state)
 pair are one stacked evaluation too (_block_rates). sample_block draws the
 state indices of one block. simulate_blocks reads only the common state:
 a run samples its blocks SAMPLE_CHUNK at a time with a vectorized Philox
@@ -36,10 +36,11 @@ from .errors import (
     InvalidInputError,
     check_count,
     check_counts,
+    check_index,
     check_real,
     user_index,
 )
-from .linalg import DEFAULT_TOL, generic_null_spaces, null_space_basis
+from .linalg import DEFAULT_TOL, frobenius_norms, null_spaces
 from .sdof import check_snr_grid, fit_sdof_stack, snr_db_to_power
 
 __all__ = [
@@ -170,11 +171,8 @@ def sample_block(fp, t):
     common-state sampler of simulate_blocks is tested bit for bit against it
     and falls back to it for the rare draws that numpy's bounded draw rejects.
     """
-    if isinstance(t, bool) or not isinstance(t, int) or not (1 <= t <= fp.block_count):
-        raise InvalidInputError(
-            f"block index must be in 1..{fp.block_count}, got {t!r}"
-        )
-    bitgen = np.random.Philox(counter=int(t) << 192, key=fp._block_key)
+    t = check_index(t, "block index", fp.block_count)
+    bitgen = np.random.Philox(counter=t << 192, key=fp._block_key)
     rng = np.random.Generator(bitgen)
     s = int(rng.integers(1, fp.common_state_count + 1))
     a1 = int(rng.integers(1, fp.J1 + 1))
@@ -349,68 +347,64 @@ def zero_forcing(ch, tol=DEFAULT_TOL):
 def _zero_forcing_stack(h1, h2, tol, name_states=False):
     """zero_forcing of S channel sets, given as state stacks h1 (S, J1, 1, M)
     and h2 (S, J2, 1, M): beams vs (S, M, 2) and gains phi1 (S, J1, 2) and
-    phi2 (S, J2, 2), each state's bit for bit those of _zero_forcing_state.
+    phi2 (S, J2, 2).
 
-    One generic_null_spaces call per user gives every state's first basis
-    column, and one matmul per user its gains, one 1 x M by M x 2 product
-    per state as in _zero_forcing_state. A state whose nulled rows lack the
-    generic rank, whose direct gains are not all above 2 DIRECT_GAIN_MIN or
-    whose nulled gains are not all at most NULLED_GAIN_MAX / 2 is redone by
-    _zero_forcing_state, in state order: the first state whose zero forcing
-    fails raises its error, prefixed "common state s: " if name_states.
+    One linalg.null_spaces call per user gives the bases of every state's
+    nulled rows, taken at the stack's highest rank; a state whose nulled
+    rows have another rank is zero-forced alone, by this function as a
+    one-state stack. The gains are h [v1 v2], one 1 x M by M x 2 product
+    per state, and the direct-gain decisions are taken on them (not on
+    each candidate's own dot products, whose last bits may differ): stream
+    k keeps the first basis column where all of user k's gains
+    |phi_k[j, k]| exceed DIRECT_GAIN_MIN, and takes the normalized column
+    sum elsewhere. The first state that fails raises its error, prefixed
+    "common state s: " if name_states: DegenerateBlockError where a direct
+    gain stays that small, else ConstructionError where a nulled gain,
+    stream 2's at user 1 before stream 1's at user 2, exceeds
+    NULLED_GAIN_MAX.
     """
     S, J1, _, M = h1.shape
     n1, n2 = min(J1, M - 1), min(h2.shape[1], M - 1)
-    vs = np.zeros((S, M, 2), dtype=complex)
-    sure = np.ones(S, dtype=bool)
-    if M > 1:  # with M = 1 no row is nulled, every gain is 0 and every state redone
-        for i, (rows, n) in enumerate(((h2, n2), (h1, n1))):
-            basis, generic = generic_null_spaces(rows[:, :n, 0], tol)
-            vs[..., i] = basis[..., 0]
-            sure &= generic
-    phi1, phi2 = ((h @ vs[:, None])[:, :, 0] for h in (h1, h2))
-    for i, (phi, n) in enumerate(((phi1, n1), (phi2, n2))):
-        sure &= (np.abs(phi[..., i]) > 2 * DIRECT_GAIN_MIN).all(axis=1)
-        sure &= (np.abs(phi[:, :n, 1 - i]) <= NULLED_GAIN_MAX / 2).all(axis=1)
-    for s in np.flatnonzero(~sure):
+    vs = np.empty((S, M, 2), dtype=complex)
+    alone = np.zeros(S, dtype=bool)
+    retry = []  # each stream's second candidate: the column sum, or the only column again
+    for i, nulled in enumerate((h2[:, :n2, 0], h1[:, :n1, 0])):
+        basis, at_rank = null_spaces(nulled, tol)
+        alone |= ~at_rank
+        vs[..., i] = basis[..., 0]
+        total = basis.sum(axis=-1)
+        retry.append(total / frobenius_norms(total[:, None])[:, None] if basis.shape[-1] > 1
+                     else basis[..., 0])
+    for second in (False, True):  # the first columns, then the second candidates of weak ones
+        phi1, phi2 = ((h @ vs[:, None])[:, :, 0] for h in (h1, h2))
+        weak = np.stack([~(np.abs(phi1[..., 0]) > DIRECT_GAIN_MIN).all(axis=1),
+                         ~(np.abs(phi2[..., 1]) > DIRECT_GAIN_MIN).all(axis=1)], axis=1)
+        if second or not weak.any():
+            break
+        for i in (0, 1):
+            vs[weak[:, i], :, i] = retry[i][weak[:, i]]
+    unnulled = np.stack([np.abs(phi1[:, :n1, 1]).max(axis=1, initial=0.0),
+                         np.abs(phi2[:, :n2, 0]).max(axis=1, initial=0.0)], 1)
+    failing = alone | weak.any(axis=1) | (unnulled > NULLED_GAIN_MAX).any(axis=1)
+    for s in np.flatnonzero(failing).tolist():
         try:
-            vs[s], phi1[s], phi2[s] = _zero_forcing_state(h1[s], h2[s], n1, n2, tol)
+            if alone[s]:
+                one = _zero_forcing_stack(h1[s:s + 1], h2[s:s + 1], tol)
+                vs[s], phi1[s], phi2[s] = (x[0] for x in one)
+            elif weak[s].any():
+                raise DegenerateBlockError(
+                    f"a direct gain stays below {DIRECT_GAIN_MIN:g} "
+                    "after the deterministic null-space rotation"
+                )
+            else:
+                i = int(np.argmax(unnulled[s] > NULLED_GAIN_MAX))
+                raise ConstructionError(
+                    f"stream {2 - i} not nulled at user {i + 1} (gain {unnulled[s, i]:.3e})"
+                )
         except (ConstructionError, DegenerateBlockError) as e:
             if name_states:
                 raise type(e)(f"common state {s + 1}: {e}") from None
             raise
-    return vs, phi1, phi2
-
-
-def _zero_forcing_state(h1, h2, n1, n2, tol):
-    """Beams (M, 2) and gains (J1, 2), (J2, 2) of one channel set, given as
-    state stacks h1 (J1, 1, M) and h2 (J2, 1, M) of which the first n1 and n2
-    are nulled, as zero_forcing states them."""
-
-    def pick_beam(nulled, own_states):
-        # at most M-1 nulled rows, so the basis has at least one column
-        basis = null_space_basis(nulled[:, 0], tol)
-        candidates = [basis[:, 0]]
-        if basis.shape[1] >= 2:
-            mixed = basis.sum(axis=1)
-            candidates.append(mixed / np.linalg.norm(mixed))
-        for v in candidates:
-            gains = np.array([h[0] @ v for h in own_states])
-            if np.all(np.abs(gains) > DIRECT_GAIN_MIN):
-                return v
-        raise DegenerateBlockError(
-            f"a direct gain stays below {DIRECT_GAIN_MIN:g} "
-            "after the deterministic null-space rotation"
-        )
-
-    vs = np.column_stack([pick_beam(h2[:n2], h1), pick_beam(h1[:n1], h2)])
-    phi1, phi2 = ((h @ vs)[:, 0] for h in (h1, h2))
-    for phi, nulled, k, i in ((phi1, n1, 1, 2), (phi2, n2, 2, 1)):
-        bad = np.abs(phi[:nulled, i - 1])
-        if bad.size and bad.max() > NULLED_GAIN_MAX:
-            raise ConstructionError(
-                f"stream {i} not nulled at user {k} (gain {bad.max():.3e})"
-            )
     return vs, phi1, phi2
 
 
@@ -546,12 +540,7 @@ def _simulate(fp, powers, m):
     an exact count over m: how often each common state occurs, dotted with
     the states whose leakage exceeds a transmission rate.
     """
-    m = fp.block_count if m is None else m
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 1 <= m <= fp.block_count:
-        raise InvalidInputError(
-            f"block horizon must be an integer in 1..{fp.block_count}, got {m!r}"
-        )
-    m = int(m)
+    m = check_index(fp.block_count if m is None else m, "block horizon", fp.block_count)
     if fp._gains is None:
         fp._gains = _zero_forcing_stack(*fp._h, fp.tol, name_states=True)[1:]
     n1, n2 = min(fp.J1, fp.M - 1), min(fp.J2, fp.M - 1)

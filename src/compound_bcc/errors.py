@@ -7,6 +7,7 @@ a programming error at the call site.
 """
 
 import math
+import numbers
 import sys
 
 __all__ = [
@@ -121,12 +122,20 @@ def check_real(value, name, error=InvalidInputError):
     return x
 
 
+def check_index(value, name, stop, start=1):
+    """``value`` as an int if it is an integer in start..stop: an int or a
+    numpy integer, not a bool; else InvalidInputError naming ``name`` and
+    the range."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integer and start <= value <= stop):
+        raise InvalidInputError(f"{name} must be an integer in {start}..{stop}, got {value!r}")
+    return int(value)
+
+
 def user_index(k):
     """Position (0 or 1) of user ``k`` in a per-user pair; InvalidInputError
-    unless ``k`` equals 1 or 2."""
-    if k not in (1, 2):
-        raise InvalidInputError(f"user index must be 1 or 2, got {k}")
-    return int(k) - 1
+    unless ``k`` is the integer 1 or 2 (see check_index)."""
+    return check_index(k, "user index", 2) - 1
 
 
 def read_json(path, error, what):

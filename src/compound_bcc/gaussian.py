@@ -6,8 +6,10 @@ state of user 2 (and vice versa), so each confidential stream is received
 by its intended user only, whichever states are realized; V0 spans the
 orthogonal complement of [V1 V2]. Worst-case rates minimize over states.
 
-run_trials is the pipeline of a constant-model run; worst_case_rates and
-equal_power_slopes evaluate one trial as a stack of one.
+run_trials is the pipeline of a constant-model run. Each of its steps is
+one construction over stacks of trials, exact at every certificate and
+rate: build_beamformers, worst_case_rates and equal_power_slopes are their
+one-trial calls.
 """
 
 import itertools
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import generate_batch, stacked_sets
+from .channel import generate_batch
 from .errors import (
     CompoundBccError,
     ConstructionError,
@@ -28,12 +30,10 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    _screen_passes,
-    generic_null_spaces,
+    frobenius_norms,
     logdet2_hpd,
-    null_space_basis,
-    numerical_rank,
-    rank_screen,
+    null_spaces,
+    rank_from_singular_values,
 )
 from .rankcheck import subset_count
 from .sdof import DEFAULT_SNR_GRID_DB, SdofEstimate, _fit_stack, check_snr_grid, snr_db_to_power
@@ -108,80 +108,28 @@ class BeamformerSet:
         return (self.v1, self.v2)[user_index(k)]
 
 
-def _check_orthonormal(v, what):
-    if v.shape[1] == 0:
-        return
-    gram = v.conj().T @ v
-    resid = np.linalg.norm(gram - np.eye(v.shape[1]))
-    if resid > CERT_RTOL:
-        raise ConstructionError(f"{what} is not orthonormal (residual {resid:.3e})")
-
-
 def build_beamformers(ch, r1, r2, tol=DEFAULT_TOL):
-    """Certified confidential and common beamformers.
+    """Certified confidential and common beamformers: the one-trial call of
+    build_beamformers_batch.
 
     v_k is the first r_k columns of the deterministic null-space basis of
     the other user's stacked states, and v0 the deterministic orthonormal
     basis of the orthogonal complement of [v1 v2], so K = M minus the rank
     of [v1 v2]; with no confidential streams v0 is the M x M identity
     basis. Infeasible stream counts raise FeasibilityError quoting the
-    violated bound. The confidential beamformers are certified first
-    (certify_confidential), then v0: orthonormal, orthogonal to [v1 v2]
-    and of the expected dimension. A certificate failure raises
-    ConstructionError.
+    violated bound, and non-finite entries InvalidInputError. Then the
+    certificates, in order, each a ConstructionError when it fails: v1 and
+    v2 are orthonormal, ||v^H v - I||_F <= CERT_RTOL; for k = 1 then 2,
+    v_k leaks into no state h of the other user, ||h v_k||_F <= CERT_RTOL
+    ||h||_F, and h v_k has rank r_k at each of user k's states; v0 is
+    orthonormal and orthogonal to [v1 v2], ||v0^H [v1 v2]||_F <=
+    CERT_RTOL; and K is M minus the numerical rank of [v1 v2].
     """
-    b1, b2 = confidential_stream_bounds(ch.M, ch.N1, ch.N2, ch.J1, ch.J2)
-    for name, r, b, nk, js in (
-        ("r1", r1, b1, ch.N1, ch.J2 * ch.N2),
-        ("r2", r2, b2, ch.N2, ch.J1 * ch.N1),
-    ):
-        if r < 0:
-            raise FeasibilityError(f"{name} must be nonnegative, got {r}")
-        if r > b:
-            raise FeasibilityError(
-                f"{name} = {r} violates {name} <= min(N_k, M - sum of the other "
-                f"user's stacked rows) = min({nk}, {ch.M} - {js}) = {b}"
-            )
-    v1 = null_space_basis(np.vstack(ch.h2), tol)[:, :r1]
-    v2 = null_space_basis(np.vstack(ch.h1), tol)[:, :r2]
-    stacked = np.hstack([v1, v2])
-    bf = BeamformerSet(v1=v1, v2=v2, v0=null_space_basis(stacked.conj().T, tol))
-    certify_confidential(ch, bf, tol)
-    _check_orthonormal(bf.v0, "v0")
-    if bf.K:
-        resid = np.linalg.norm(bf.v0.conj().T @ stacked)
-        if resid > CERT_RTOL:
-            raise ConstructionError(
-                f"v0 is not orthogonal to [v1 v2] (residual {resid:.3e})"
-            )
-    expected_k = ch.M - numerical_rank(stacked, tol)
-    if bf.K != expected_k:
-        raise ConstructionError(f"common subspace has {bf.K} columns, expected {expected_k}")
-    return bf
-
-
-def certify_confidential(ch, bf, tol=DEFAULT_TOL):
-    """Numerical certificates for the confidential beamformers."""
-    _check_orthonormal(bf.v1, "v1")
-    _check_orthonormal(bf.v2, "v2")
-    for k, v, r in ((1, bf.v1, bf.r1), (2, bf.v2, bf.r2)):
-        if r == 0:
-            continue
-        other = 3 - k
-        for j, h in enumerate(ch.states(other), start=1):
-            resid = np.linalg.norm(h @ v)
-            limit = CERT_RTOL * np.linalg.norm(h)
-            if resid > limit:
-                raise ConstructionError(
-                    f"v{k} leaks into H_{other}_{j}: residual {resid:.3e} "
-                    f"exceeds {limit:.3e}"
-                )
-        for j, h in enumerate(ch.states(k), start=1):
-            got = numerical_rank(h @ v, tol)
-            if got != r:
-                raise ConstructionError(
-                    f"H_{k}_{j} @ v{k} has rank {got}, expected {r}"
-                )
+    h = (np.stack(ch.h1)[None], np.stack(ch.h2)[None])
+    v, _, error = build_beamformers_batch(h, r1, r2, tol)
+    if error:
+        raise error
+    return BeamformerSet(v1=v[1][0], v2=v[2][0], v0=v[0][0])
 
 
 def build_beamformers_batch(h, r1, r2, tol=DEFAULT_TOL):
@@ -189,92 +137,135 @@ def build_beamformers_batch(h, r1, r2, tol=DEFAULT_TOL):
 
     h = (h1, h2) holds the chunk's states, (T, J1, N1, M) and
     (T, J2, N2, M), as channel.generate_batch returns them. Returns
-    (v, rebuilt, error): the beam stacks v = (v0, v1, v2), (n, M, c) each
-    of the generic widths (M - r1 - r2, r1, r2), of the n channels before
-    the first whose construction fails; {t: BeamformerSet} of those that
-    were rebuilt, whose K may differ; and that channel's error (None, n =
-    T, when every channel passes). The other channels' beams are views of
-    the stacks equal to build_beamformers' bit for bit: stacked SVDs and
-    stacked phase normalization see each matrix's values as the one-trial
-    calls do, and each view has the one-trial strides. The certificates
-    are screened over the stack; a channel is rebuilt by build_beamformers,
-    whose decisions and error messages are therefore the ones reported,
-    unless its entries are finite, every residual is below half its limit,
-    its null spaces have the generic rank, and each H_k_j v_k and [v1 v2]
-    pass the determinant screen of full column rank in its Gram form (see
-    linalg).
+    (v, alone, error): the beam stacks v = (v0, v1, v2), (n, M, c) each,
+    of the n channels before the first whose construction fails; the
+    one-trial stacks (v0, v1, v2) of the channels t built alone, whose K
+    may differ; and that channel's error (None, n = T, when all pass).
+
+    The null spaces are taken at the stack's highest ranks
+    (linalg.null_spaces); a channel whose null spaces of h1, h2 or
+    [v1 v2]^H have other ranks is built alone, by this function as a
+    one-trial stack, as is each channel of a stack whose SVD fails to
+    converge. Every certificate is decided exactly: stacked SVDs, and
+    matmuls of views with the one-trial strides, give each matrix the bits
+    of its one-trial call, and the norms are the 2-D ones
+    (linalg.frobenius_norms). The error is the first failing channel's
+    first failing check, in build_beamformers' order.
     """
-    v, sure = _stacked_beamformers(h, r1, r2, tol)
-    rebuilt = {}
-    for t in np.flatnonzero(~sure).tolist():
-        try:
-            rebuilt[t] = build_beamformers(stacked_sets([x[t:t + 1] for x in h])[0], r1, r2, tol)
-        except CompoundBccError as e:
-            return tuple(x[:t] for x in v), rebuilt, e
-    return v, rebuilt, None
+    T = len(h[0])
+    try:
+        v, checks = _stacked_beamformers(h, r1, r2, tol)
+    except np.linalg.LinAlgError:  # every channel alone
+        if T == 1:
+            raise
+        v, checks = (np.zeros((T, h[0].shape[-1], 0), complex),) * 3, [(np.ones(T, bool), None)]
+    failing = np.logical_or.reduce([bad.any(axis=tuple(range(1, bad.ndim))) for bad, _ in checks])
+    alone = {}
+    for t in np.flatnonzero(failing).tolist():
+        bad, make_error = next(check for check in checks if check[0][t].any())
+        if make_error:
+            return tuple(x[:t] for x in v), alone, make_error(t, int(np.argmax(bad[t])))
+        one, _, error = build_beamformers_batch(tuple(x[t:t + 1] for x in h), r1, r2, tol)
+        if error:
+            return tuple(x[:t] for x in v), alone, error
+        alone[t] = one
+    return v, alone, None
+
+
+def _feasibility_error(M, N1, N2, J1, J2, r1, r2):
+    """The FeasibilityError of stream counts that violate their bounds, or None."""
+    b1, b2 = confidential_stream_bounds(M, N1, N2, J1, J2)
+    for name, r, b, nk, js in (("r1", r1, b1, N1, J2 * N2), ("r2", r2, b2, N2, J1 * N1)):
+        if r < 0:
+            return FeasibilityError(f"{name} must be nonnegative, got {r}")
+        if r > b:
+            return FeasibilityError(
+                f"{name} = {r} violates {name} <= min(N_k, M - sum of the other "
+                f"user's stacked rows) = min({nk}, {M} - {js}) = {b}"
+            )
+    return None
 
 
 def _stacked_beamformers(h, r1, r2, tol):
-    """(v, sure): the beam stacks v = (v0, v1, v2), (T, M, c) each, and
-    whether each channel passes the screens of build_beamformers_batch.
-    With infeasible stream counts, or when a stacked SVD fails, no channel
-    passes and v holds zeros."""
-    T = len(h[0])
-    (J1, N1, M), (J2, N2) = h[0].shape[1:], h[1].shape[1:3]
-    b1, b2 = confidential_stream_bounds(M, N1, N2, J1, J2)
-    if not (T and 0 <= r1 <= b1 and 0 <= r2 <= b2):
-        return _unbuilt(T, M, r1, r2)
-    sure = np.isfinite(h[0]).all(axis=(1, 2, 3)) & np.isfinite(h[1]).all(axis=(1, 2, 3))
-    try:
-        null2, generic2 = generic_null_spaces(h[1].reshape(T, -1, M), tol)
-        null1, generic1 = generic_null_spaces(h[0].reshape(T, -1, M), tol)
-        v = [null2[..., :r1], null1[..., :r2]]
-        sure &= generic1 & generic2
-        for k in (0, 1):
-            if v[k].shape[-1] == 0:
-                continue
-            sure &= _surely_orthonormal(v[k])
-            limit = CERT_RTOL * np.linalg.norm(h[1 - k], axis=(-2, -1))
-            resid = np.linalg.norm(h[1 - k] @ v[k][:, None], axis=(-2, -1))
-            sure &= (np.isfinite(limit) & (resid <= limit / 2)).all(axis=1)
-            sure &= _surely_full_rank(h[k] @ v[k][:, None], tol).all(axis=1)
-        stacked = np.concatenate(v, axis=-1)
-        if stacked.shape[-1]:
-            v0, generic0 = generic_null_spaces(stacked.conj().swapaxes(-1, -2), tol)
-            sure &= generic0 & _surely_full_rank(stacked, tol)
-            if v0.shape[-1]:
-                resid = np.linalg.norm(v0.conj().swapaxes(-1, -2) @ stacked, axis=(-2, -1))
-                sure &= _surely_orthonormal(v0) & (resid <= CERT_RTOL / 2)
-        else:
-            v0 = np.repeat(np.eye(M, dtype=complex)[None], T, axis=0)
-    except np.linalg.LinAlgError:
-        return _unbuilt(T, M, r1, r2)
-    return (v0, *v), sure
+    """(v, checks) of a chunk of channels: the beam stacks v = (v0, v1, v2),
+    (T, M, c) each, and the checks of build_beamformers in its order, each
+    (bad, make_error): bad, (T,) or (T, J) per state j, marks the failures,
+    and make_error(t, j) gives channel t's error. The check whose
+    make_error is None marks the channels whose null spaces are not at the
+    stack's ranks. Infeasible stream counts fail every channel."""
+    (T, J1, N1, M), (J2, N2) = h[0].shape, h[1].shape[1:3]
+    infeasible = _feasibility_error(M, N1, N2, J1, J2, r1, r2)
+    finite = np.isfinite(h[0]).all(axis=(1, 2, 3)) & np.isfinite(h[1]).all(axis=(1, 2, 3))
+    if not finite.all():  # zeros in their place keep the stacked SVDs finite
+        h = [np.where(finite[:, None, None, None], x, 0.0) for x in h]
+    null2, at2 = null_spaces(h[1].reshape(T, J2 * N2, M), tol)
+    null1, at1 = null_spaces(h[0].reshape(T, J1 * N1, M), tol)
+    v = [null2[..., :r1], null1[..., :r2]]
+    stacked = np.concatenate(v, axis=-1)
+    v0, at0 = null_spaces(stacked.conj().swapaxes(-1, -2), tol)
+    checks = [
+        (np.full(T, infeasible is not None), lambda t, j: infeasible),
+        (~finite, lambda t, j: InvalidInputError("matrix contains non-finite entries")),
+        (~(at0 & at1 & at2), None),
+        *_orthonormality(v[0], "v1"),
+        *_orthonormality(v[1], "v2"),
+        *_user_checks(h, v, 1, tol),
+        *_user_checks(h, v, 2, tol),
+        *_orthonormality(v0, "v0"),
+    ]
+    K = v0.shape[-1]
+    if K:
+        resid = frobenius_norms(v0.conj().swapaxes(-1, -2) @ stacked)
+        checks.append((resid > CERT_RTOL, lambda t, j: ConstructionError(
+            f"v0 is not orthogonal to [v1 v2] (residual {resid[t]:.3e})"
+        )))
+    if stacked.shape[-1]:
+        expected = M - rank_from_singular_values(np.linalg.svd(stacked, compute_uv=False), tol)
+        checks.append((expected != K, lambda t, j: ConstructionError(
+            f"common subspace has {K} columns, expected {expected[t]}"
+        )))
+    return (v0, *v), checks
 
 
-def _unbuilt(T, M, r1, r2):
-    """(v, sure) of T channels none of which passes: zero beam stacks of the
-    generic widths (M - r1 - r2, r1, r2), each capped to 0..M, so that
-    infeasible stream counts reach build_beamformers' FeasibilityError; made
-    only when they are returned."""
-    widths = (min(max(c, 0), M) for c in (M - r1 - r2, r1, r2))
-    return tuple(np.zeros((T, M, c), complex) for c in widths), np.zeros(T, bool)
+def _orthonormality(v, name):
+    """The check ||v^H v - I||_F <= CERT_RTOL of the beam stack v (T, M, c),
+    as a list of _stacked_beamformers' checks; none when c = 0."""
+    if not v.shape[-1]:
+        return []
+    resid = frobenius_norms(v.conj().swapaxes(-1, -2) @ v - np.eye(v.shape[-1]))
+    return [(resid > CERT_RTOL, lambda t, j: ConstructionError(
+        f"{name} is not orthonormal (residual {resid[t]:.3e})"
+    ))]
 
 
-def _surely_full_rank(a, tol):
-    """Whether each stacked a (..., n, m) passes the determinant screen of
-    rank m in its Gram form (see linalg), at tol or the default tolerance."""
-    with np.errstate(all="ignore"):
-        g = a.conj().swapaxes(-1, -2) @ a
-        logdet = np.linalg.slogdet(g)[1]
-    fro2 = np.trace(g, axis1=-2, axis2=-1).real
-    return _screen_passes(0.5 * logdet, fro2, a.shape[-1], max(tol, DEFAULT_TOL, key=rank_screen))
+def _user_checks(h, v, k, tol):
+    """The checks of v_k of _stacked_beamformers: at each state h of the
+    other user, ||h v_k||_F <= CERT_RTOL ||h||_F, then at each of user k's,
+    h v_k of rank r_k (a product with a non-finite entry is
+    InvalidInputError, as numerical_rank raises it); none when r_k = 0."""
+    other, beams = 2 - k, v[k - 1]
+    r = beams.shape[-1]
+    if not r:
+        return []
+    resid = frobenius_norms(h[other] @ beams[:, None])
+    limit = CERT_RTOL * frobenius_norms(h[other])
+    own = h[k - 1] @ beams[:, None]
+    finite = np.isfinite(own).all(axis=(-2, -1))
+    s = np.linalg.svd(np.where(finite[..., None, None], own, 0.0), compute_uv=False)
+    ranks = rank_from_singular_values(s, tol)
 
+    def leak_error(t, j):
+        return ConstructionError(
+            f"v{k} leaks into H_{other + 1}_{j + 1}: residual {resid[t, j]:.3e} "
+            f"exceeds {limit[t, j]:.3e}"
+        )
 
-def _surely_orthonormal(v):
-    """Whether each stacked v's orthonormality residual is below half of CERT_RTOL."""
-    gram = v.conj().swapaxes(-1, -2) @ v
-    return np.linalg.norm(gram - np.eye(v.shape[-1]), axis=(-2, -1)) <= CERT_RTOL / 2
+    def rank_error(t, j):
+        if not finite[t, j]:
+            return InvalidInputError("matrix contains non-finite entries")
+        return ConstructionError(f"H_{k}_{j + 1} @ v{k} has rank {ranks[t, j]}, expected {r}")
+
+    return [(resid > limit, leak_error), (~finite | (ranks != r), rank_error)]
 
 
 @dataclass(frozen=True)
@@ -485,25 +476,23 @@ def _equal_power(ws, grid):
     return rates, _fit_stack(grid, np.moveaxis(rates[..., :3], -1, -2))
 
 
-def _equal_power_stack(h, v, rebuilt, grid):
+def _equal_power_stack(h, v, alone, grid):
     """_equal_power of a chunk at the points of a grid (dB) that
     check_snr_grid accepts: the first T channels of the state stacks h
-    with the beam stacks v (T trials) and the rebuilt sets of
-    build_beamformers_batch. A rebuilt trial, whose K may differ, is
-    evaluated as a one-trial stack of its own, between the runs of the
-    stack before and after it, so that the error raised is the first that
-    trial order meets. A grid point at which a received covariance
-    overflows raises InvalidGridError naming it."""
+    with the beam stacks v (T trials) and the one-trial beam stacks of the
+    channels that build_beamformers_batch built alone. Such a channel,
+    whose K may differ, is evaluated as a one-trial stack of its own,
+    between the runs of the stack before and after it, so that the error
+    raised is the first that trial order meets. A grid point at which a
+    received covariance overflows raises InvalidGridError naming it."""
     T = len(v[0])
-    with np.errstate(all="ignore"):  # the rebuilt trials' rows are not read
+    with np.errstate(all="ignore"):  # the rows of channels built alone are not read
         ws = _beam_products(h, v)
     parts, start = [], 0
-    for t in sorted(rebuilt) + [T]:
+    for t in sorted(alone) + [T]:
         parts.append(_equal_power([[w[start:t] for w in wk] for wk in ws], grid))
         if t < T:
-            bf = rebuilt[t]
-            one = _beam_products([x[t:t + 1] for x in h], [bf.v0[None], bf.v1[None], bf.v2[None]])
-            parts.append(_equal_power(one, grid))
+            parts.append(_equal_power(_beam_products([x[t:t + 1] for x in h], alone[t]), grid))
         start = t + 1
     return tuple(np.concatenate(x) for x in zip(*parts))
 
@@ -534,11 +523,10 @@ def run_trials(dims, r1, r2, snr_db_grid, seeds):
     reference:
 
     * generate_batch draws the chunk, its rank checks decided together;
-    * build_beamformers_batch builds and certifies it as stacks, and
-      rebuilds by build_beamformers, as the only CompoundChannelSet and
-      BeamformerSet objects, each channel that misses a screen;
+    * build_beamformers_batch builds and certifies it as stacks, a channel
+      whose null spaces are not at the chunk's ranks as a one-trial stack;
     * _equal_power_stack evaluates the rates over (trials, grid points,
-      states), a rebuilt channel as a one-trial stack, and fits every
+      states), a channel built alone as a one-trial stack, and fits every
       slope in one sdof._fit_stack call.
 
     The error raised is the first that trial order meets: the trials
@@ -552,14 +540,14 @@ def run_trials(dims, r1, r2, snr_db_grid, seeds):
     chunk = _trials_per_chunk(*dims, r1, r2, np.size(snr_db_grid))
     for start in range(0, len(seeds), chunk):
         h, error = generate_batch(dims, seeds[start:start + chunk])
-        v, rebuilt, build_error = build_beamformers_batch(h, r1, r2)
+        v, alone, build_error = build_beamformers_batch(h, r1, r2)
         if len(v[0]):
             grid = check_snr_grid(snr_db_grid) if grid is None else grid
-            rates, fits = _equal_power_stack(h, v, rebuilt, grid)
+            rates, fits = _equal_power_stack(h, v, alone, grid)
             blocks.append(rates)
             slopes.extend(fits[..., 0].tolist())
         # a construction error belongs to an earlier trial than any generation error
         if build_error or error:
             raise build_error or error
     last = len(v[0]) - 1
-    return np.concatenate(blocks), slopes, rebuilt[last].K if last in rebuilt else v[0].shape[-1]
+    return np.concatenate(blocks), slopes, alone.get(last, v)[0].shape[-1]

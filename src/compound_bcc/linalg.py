@@ -1,9 +1,11 @@
 """Complex linear-algebra kernel: ranks, null spaces, and HPD log-determinants.
 
-All routines operate on 2-D complex numpy arrays (logdet2_hpd also on
-stacks of them) and are deterministic: identical input bits produce
-identical output bits. Rank decisions use a relative singular-value
-threshold so they are invariant under rescaling.
+All routines are deterministic: identical input bits produce identical
+output bits. Rank decisions use a relative singular-value threshold so
+they are invariant under rescaling. null_spaces, frobenius_norms and
+logdet2_hpd take stacks of matrices, and each matrix of a stack gets the
+bits that the one-matrix call gives it: null_space_basis is the
+one-matrix call of null_spaces.
 """
 
 import math
@@ -30,12 +32,7 @@ HERMITIAN_RTOL = 1e-10
 # ||A||_F, and by the AM-GM inequality the m-1 largest singular values have
 # a product of at most (||A||_F^2 / (m-1))^((m-1)/2), so
 #   sigma_min / sigma_max >= prod sigma / (||A||_F (||A||_F^2 / (m-1))^((m-1)/2)).
-# The rank check takes prod sigma = |det A| of square A, the beamformer
-# screens (gaussian) the Gram form: with G = A^H A, prod sigma = sqrt(det G)
-# and ||A||_F^2 = tr G (at m = 1, A passes iff tr G is finite and positive).
-# Rounding G, ~n eps ||A||_F^2 for n rows, moves det G by ~1e-4 relative
-# where the bound is 1e-6 or more but may reach it below: that form screens
-# at 1e-6 at least.
+# The rank check (rankcheck) takes prod sigma = |det A| of square A.
 SCREEN_MARGIN = 1e4
 SCREEN_FLOOR = 1e-8
 
@@ -152,38 +149,45 @@ def null_space_basis(m, tol=DEFAULT_TOL):
     from the SVD right factor and phase-normalized so the first nonzero
     entry of each column is real positive. A full-column-rank input yields
     a cols x 0 array; an input with no rows yields the identity. An SVD
-    too large to allocate raises InvalidInputError naming cols as M.
+    too large to allocate raises InvalidInputError naming cols as M. The
+    one-matrix call of null_spaces.
     """
     a = as_matrix(m)
-    rows, cols = a.shape
-    if cols < 1:
+    if a.shape[1] < 1:
         raise InvalidInputError("null_space_basis requires at least one column")
-    if rows == 0:
-        return np.eye(cols, dtype=complex)
-    try:
-        u, s, vh = np.linalg.svd(a)
-        return _basis_from_vh(vh, int(rank_from_singular_values(s, tol)))
-    except MemoryError:
-        raise _unallocatable_null_spaces(a) from None
+    return null_spaces(a[None], tol)[0][0]
 
 
-def generic_null_spaces(a, tol=DEFAULT_TOL):
-    """null_space_basis of each matrix of a finite stack (T, rows, cols), rows >= 1.
-
-    One stacked SVD serves every matrix, and each basis is taken as if the
-    matrix had the generic rank min(rows, cols); the bases are bit for bit
-    those of null_space_basis for the matrices that have it. Returns
-    (bases, generic): bases (T, cols, cols - min(rows, cols)) and a boolean
-    per matrix saying whether it has that rank. The basis of a matrix that
-    does not is not its null space. An SVD too large to allocate raises
-    InvalidInputError naming cols as M.
+def null_spaces(a, tol=DEFAULT_TOL):
+    """null_space_basis of each matrix of a finite stack (T, rows, cols), at
+    the stack's highest rank r (an empty stack's: min(rows, cols)), from one
+    stacked SVD: (bases, at_rank), bases (T, cols, cols - r) bit for bit
+    null_space_basis's for the matrices of rank r, at_rank whether each
+    has it (a one-matrix stack does). The basis of another matrix is not
+    its null space. With no rows every basis is the identity. An SVD too
+    large to allocate raises InvalidInputError naming cols as M.
     """
-    rank = min(a.shape[-2:])
+    T, rows, cols = a.shape
+    if not rows:
+        return np.repeat(np.eye(cols, dtype=complex)[None], T, axis=0), np.ones(T, dtype=bool)
     try:
         _, s, vh = np.linalg.svd(a)
-        return _basis_from_vh(vh, rank), rank_from_singular_values(s, tol) == rank
+        ranks = rank_from_singular_values(s, tol)
+        rank = ranks.max() if T else min(rows, cols)
+        return _basis_from_vh(vh, rank), ranks == rank
     except MemoryError:
         raise _unallocatable_null_spaces(a) from None
+
+
+def frobenius_norms(x):
+    """np.linalg.norm of each matrix of a complex stack (..., n, m), bit for
+    bit the 2-D call on the matrix in C order: the square root of re . re +
+    im . im over its entries in row-major order, each dot product one numpy
+    dot of a strided vector, as a 1 x nm by nm x 1 matmul
+    (np.linalg.norm(x, axis=(-2, -1)) sums another way, to other bits)."""
+    flat = np.ascontiguousarray(x).reshape(*x.shape[:-2], 1, x.shape[-2] * x.shape[-1])
+    re, im = flat.real, flat.imag
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
 
 
 def _unallocatable_null_spaces(a):

@@ -6,6 +6,10 @@ must equal bit for bit:
 
 * per_state_draw and generate_per_attempt: channel generation, attempt by
   attempt, against channel.generate_batch;
+* build_beamformers_per_trial and certify_beamformers: the construction
+  of one channel's beamformers, one 2-D null space, norm and rank at a
+  time, against gaussian.build_beamformers_batch and its one-trial call
+  build_beamformers;
 * rate_common, rate_confidential and rate_leakage: the rates of one state,
   against gaussian.worst_case_rates and the stacked evaluation of a chunk
   (gaussian._equal_power_stack);
@@ -13,8 +17,10 @@ must equal bit for bit:
 * tx_rate and leakage: the ergodic rates of one common state at one power
   pair, against ergodic.block_secrecy_rates and the stacked evaluation of
   ergodic.simulate_blocks and ergodic_slope_estimates;
-* svd_rank_screen: the singular-value rank screen that the Gram-form
-  screens of gaussian.build_beamformers_batch replaced;
+* zero_forcing_state: the zero forcing of one common state, one 2-D null
+  space and one dot product per candidate beam at a time, against
+  ergodic._zero_forcing_stack and its one-state call zero_forcing (the
+  stack decides on the gains it reports, whose last bits may differ);
 * ergodic_sdof_region and policy_slope_targets: the region branch by
   branch on J vs M and each policy's own slope pair, against theory's
   time-share of the policies' pairs.
@@ -25,11 +31,18 @@ from fractions import Fraction
 import numpy as np
 
 from compound_bcc.channel import CompoundChannelSet, attempt_seed, verify_rank_condition
-from compound_bcc.errors import GenerationError, check_count
-from compound_bcc.gaussian import _gram, _logdet_i_plus
-from compound_bcc.linalg import DEFAULT_TOL, rank_screen
+from compound_bcc.ergodic import DIRECT_GAIN_MIN, NULLED_GAIN_MAX
+from compound_bcc.errors import (
+    ConstructionError,
+    DegenerateBlockError,
+    FeasibilityError,
+    GenerationError,
+    check_count,
+)
+from compound_bcc.gaussian import CERT_RTOL, BeamformerSet, _gram, _logdet_i_plus
+from compound_bcc.linalg import DEFAULT_TOL, null_space_basis, numerical_rank
 from compound_bcc.regions import time_share
-from compound_bcc.theory import symmetric_point_margin
+from compound_bcc.theory import confidential_stream_bounds, symmetric_point_margin
 
 
 def per_state_draw(spec, attempt):
@@ -62,6 +75,106 @@ def generate_per_attempt(spec, tol=DEFAULT_TOL):
         f"rank condition still failing after {spec.max_resamples} attempts "
         f"(seed {spec.seed}); the requested dimensions are degenerate for this tolerance"
     )
+
+
+def build_beamformers_per_trial(ch, r1, r2, tol=DEFAULT_TOL):
+    """The beamformers of gaussian.build_beamformers, built from one channel
+    set: v_k the first r_k columns of null_space_basis of the other user's
+    stacked states, v0 that of [v1 v2]^H; then certify_beamformers."""
+    b1, b2 = confidential_stream_bounds(ch.M, ch.N1, ch.N2, ch.J1, ch.J2)
+    for name, r, b, nk, js in (
+        ("r1", r1, b1, ch.N1, ch.J2 * ch.N2),
+        ("r2", r2, b2, ch.N2, ch.J1 * ch.N1),
+    ):
+        if r < 0:
+            raise FeasibilityError(f"{name} must be nonnegative, got {r}")
+        if r > b:
+            raise FeasibilityError(
+                f"{name} = {r} violates {name} <= min(N_k, M - sum of the other "
+                f"user's stacked rows) = min({nk}, {ch.M} - {js}) = {b}"
+            )
+    v1 = null_space_basis(np.vstack(ch.h2), tol)[:, :r1]
+    v2 = null_space_basis(np.vstack(ch.h1), tol)[:, :r2]
+    bf = BeamformerSet(v1=v1, v2=v2, v0=null_space_basis(np.hstack([v1, v2]).conj().T, tol))
+    certify_beamformers(ch, bf, tol)
+    return bf
+
+
+def _check_orthonormal(v, what):
+    if v.shape[1] == 0:
+        return
+    gram = v.conj().T @ v
+    resid = np.linalg.norm(gram - np.eye(v.shape[1]))
+    if resid > CERT_RTOL:
+        raise ConstructionError(f"{what} is not orthonormal (residual {resid:.3e})")
+
+
+def certify_beamformers(ch, bf, tol=DEFAULT_TOL):
+    """The certificates of gaussian.build_beamformers, in its order, each a
+    ConstructionError when it fails."""
+    _check_orthonormal(bf.v1, "v1")
+    _check_orthonormal(bf.v2, "v2")
+    for k, v, r in ((1, bf.v1, bf.r1), (2, bf.v2, bf.r2)):
+        if r == 0:
+            continue
+        other = 3 - k
+        for j, h in enumerate(ch.states(other), start=1):
+            resid = np.linalg.norm(h @ v)
+            limit = CERT_RTOL * np.linalg.norm(h)
+            if resid > limit:
+                raise ConstructionError(
+                    f"v{k} leaks into H_{other}_{j}: residual {resid:.3e} "
+                    f"exceeds {limit:.3e}"
+                )
+        for j, h in enumerate(ch.states(k), start=1):
+            got = numerical_rank(h @ v, tol)
+            if got != r:
+                raise ConstructionError(
+                    f"H_{k}_{j} @ v{k} has rank {got}, expected {r}"
+                )
+    _check_orthonormal(bf.v0, "v0")
+    stacked = np.hstack([bf.v1, bf.v2])
+    if bf.K:
+        resid = np.linalg.norm(bf.v0.conj().T @ stacked)
+        if resid > CERT_RTOL:
+            raise ConstructionError(
+                f"v0 is not orthogonal to [v1 v2] (residual {resid:.3e})"
+            )
+    expected_k = ch.M - numerical_rank(stacked, tol)
+    if bf.K != expected_k:
+        raise ConstructionError(f"common subspace has {bf.K} columns, expected {expected_k}")
+
+
+def zero_forcing_state(h1, h2, n1, n2, tol=DEFAULT_TOL):
+    """Beams (M, 2) and gains (J1, 2), (J2, 2) of one channel set, given as
+    state stacks h1 (J1, 1, M) and h2 (J2, 1, M) of which the first n1 and
+    n2 are nulled, as ergodic.zero_forcing states them."""
+
+    def pick_beam(nulled, own_states):
+        # at most M-1 nulled rows, so the basis has at least one column
+        basis = null_space_basis(nulled[:, 0], tol)
+        candidates = [basis[:, 0]]
+        if basis.shape[1] >= 2:
+            mixed = basis.sum(axis=1)
+            candidates.append(mixed / np.linalg.norm(mixed))
+        for v in candidates:
+            gains = np.array([h[0] @ v for h in own_states])
+            if np.all(np.abs(gains) > DIRECT_GAIN_MIN):
+                return v
+        raise DegenerateBlockError(
+            f"a direct gain stays below {DIRECT_GAIN_MIN:g} "
+            "after the deterministic null-space rotation"
+        )
+
+    vs = np.column_stack([pick_beam(h2[:n2], h1), pick_beam(h1[:n1], h2)])
+    phi1, phi2 = ((h @ vs)[:, 0] for h in (h1, h2))
+    for phi, nulled, k, i in ((phi1, n1, 1, 2), (phi2, n2, 2, 1)):
+        bad = np.abs(phi[:nulled, i - 1])
+        if bad.size and bad.max() > NULLED_GAIN_MAX:
+            raise ConstructionError(
+                f"stream {i} not nulled at user {k} (gain {bad.max():.3e})"
+            )
+    return vs, phi1, phi2
 
 
 def swap_users(ch):
@@ -140,13 +253,6 @@ def leakage(gains, k, powers):
         return 0.0
     cross = np.abs(phi[nulled:, k - 1]) ** 2
     return float(np.sum(np.log2(1.0 + pk * cross)) / total)
-
-
-def svd_rank_screen(a, tol=DEFAULT_TOL):
-    """Whether each stacked a (..., n, m) has sigma_min above rank_screen(tol)
-    * sigma_max, from its singular values."""
-    s = np.linalg.svd(a, compute_uv=False)
-    return s[..., -1] > rank_screen(tol) * s[..., 0]
 
 
 def _check_counts(M, J1, J2):

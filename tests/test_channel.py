@@ -167,6 +167,25 @@ class TestGeneration:
         with pytest.raises(InvalidInputError):
             CompoundChannelSet(3, 2, 1, 2, 3, good.h1, good.h1)  # wrong count
 
+    @pytest.mark.parametrize("method, args, message", [
+        ("state", (1, 0), "state index j must be an integer in 1..2, got 0"),
+        ("state", (2, -1), "state index j must be an integer in 1..2, got -1"),
+        ("state", (1, 3), "state index j must be an integer in 1..2, got 3"),
+        ("state", (1, 1.0), "state index j must be an integer in 1..2, got 1.0"),
+        ("state", (1, True), "state index j must be an integer in 1..2, got True"),
+        ("row_label", (-1,), "stacked row index i must be an integer in 0..3, got -1"),
+        ("row_label", (99,), "stacked row index i must be an integer in 0..3, got 99"),
+        ("row_label", (False,), "stacked row index i must be an integer in 0..3, got False"),
+    ], ids=lambda x: repr(x) if isinstance(x, tuple) else None)
+    def test_bad_state_and_row_indices_rejected(self, method, args, message):
+        ch = generate_compound(ChannelGenSpec(3, 1, 1, 2, 2, seed=0))
+        with pytest.raises(InvalidInputError) as exc:
+            getattr(ch, method)(*args)
+        assert str(exc.value) == message
+        # numpy integers in range are indices too
+        assert ch.state(2, np.int64(2)) is ch.h2[1]
+        assert ch.row_label(np.int64(3)) == "H_2_2[0]"
+
     def test_swap_users(self):
         ch = random_channel(9)
         sw = swap_users(ch)

@@ -1,7 +1,11 @@
 """The CI workflow runs its process checks through tools/ci.py, step by step."""
 
+import glob
 import importlib.util
+import json
 import os
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -19,3 +23,19 @@ def test_workflow_calls_every_step_and_holds_no_heredoc():
     for step in load_runner().STEPS:
         assert f"python tools/ci.py {step}" in workflow, step
     assert "<<'EOF'" not in workflow and "<<EOF" not in workflow
+
+
+def test_demos_print_their_pinned_output(capsys):
+    load_runner().demos()
+    demos = glob.glob(os.path.join(ROOT, "demos", "*.py"))
+    assert capsys.readouterr().out.count(": exit 0, peak RSS") == len(demos) == 4
+
+
+def test_a_changed_demo_output_fails_the_step(tmp_path):
+    runner = load_runner()
+    with open(runner.DEMO_PINS) as fh:
+        pins = json.load(fh)
+    pins["fading_policies.py"] = pins["fading_policies.py"].replace("t=2:", "t=3:")
+    (tmp_path / "pins.json").write_text(json.dumps(pins))
+    with pytest.raises(SystemExit, match=r"demos/fading_policies.py printed other output(.|\n)*\+  t=2:"):
+        runner.demos(str(tmp_path / "pins.json"))

@@ -65,7 +65,6 @@ def count_objects(monkeypatch):
         return real(h)
 
     monkeypatch.setattr(channel, "stacked_sets", sets)
-    monkeypatch.setattr(gaussian, "stacked_sets", sets)
     return made
 
 
@@ -154,8 +153,8 @@ class TestGaussianCommand:
         rng = np.random.default_rng(3)
         made = []
 
-        def crafted(h, v, rebuilt, grid):
-            rates, fits = real(h, v, rebuilt, grid)
+        def crafted(h, v, alone, grid):
+            rates, fits = real(h, v, alone, grid)
             rates = rng.standard_normal(rates.shape) * 10.0 ** rng.integers(-300, 300, rates.shape)
             rates[..., 3] = 0.0 if zero else np.abs(rates[..., 3])
             made.append(rates)
@@ -180,30 +179,32 @@ class TestGaussianCommand:
         assert len(lines) == 9 and all(line.endswith(",0") for line in lines)
 
     def test_rebuilt_trials_in_a_chunk_leave_outputs_unchanged(self, tmp_path, monkeypatch):
-        # every other trial of a chunk is dropped from its stack, so that it
-        # is rebuilt by build_beamformers and keeps its per-trial products
+        # every other trial of a chunk is reported off the chunk's null-space
+        # ranks, so that it is built alone, as a one-trial stack, and keeps
+        # its per-trial products
         args = ["gaussian", "--trials", 9, "--seed", 5, "--M", 5, "--N1", 2, "--r1", 2]
         set_chunk(monkeypatch, 1)
         assert run(args + ["--out", tmp_path / "one"]) == 0
-        real = gaussian._stacked_beamformers
+        real = gaussian.null_spaces
 
-        def dropping(h, r1, r2, tol):
-            v, sure = real(h, r1, r2, tol)
-            sure[1::2] = False
-            return v, sure
+        def dropping(a, tol):
+            bases, at_rank = real(a, tol)
+            if len(a) > 1:
+                at_rank[1::2] = False
+            return bases, at_rank
 
-        rebuilt = []
+        stacks = []
         set_chunk(monkeypatch, 64)
-        monkeypatch.setattr(gaussian, "_stacked_beamformers", dropping)
+        monkeypatch.setattr(gaussian, "null_spaces", dropping)
         monkeypatch.setattr(
-            gaussian, "build_beamformers",
-            lambda *a, real=gaussian.build_beamformers: rebuilt.append(a) or real(*a),
+            gaussian, "build_beamformers_batch",
+            lambda h, *a, real=gaussian.build_beamformers_batch: stacks.append(len(h[0])) or real(h, *a),
         )
         made = count_objects(monkeypatch)
         assert run(args + ["--out", tmp_path / "mixed"]) == 0
-        assert len(rebuilt) == 4
-        # only the rebuilt trials construct a channel set and a beamformer set
-        assert sorted(made) == ["BeamformerSet"] * 4 + ["CompoundChannelSet"] * 4
+        assert stacks == [9, 1, 1, 1, 1]
+        # no trial constructs a channel set or a beamformer set
+        assert made == []
         for name in ("rates.csv", "region.json", "summary.json"):
             assert (tmp_path / "one" / name).read_bytes() == (
                 tmp_path / "mixed" / name
@@ -253,12 +254,12 @@ class TestGaussianCommand:
             return h, error
 
         def build(h, r1, r2):
-            v, rebuilt, error = build_beamformers_batch(h, r1, r2)
+            v, alone, error = build_beamformers_batch(h, r1, r2)
             for i, ch in enumerate(stacked_sets(h)):
                 if ch.stacked_rows().tobytes() == failing.stacked_rows().tobytes():
                     error = ConstructionError(f"build {failing_trial} failed")
-                    return tuple(x[:i] for x in v), rebuilt, error
-            return v, rebuilt, error
+                    return tuple(x[:i] for x in v), alone, error
+            return v, alone, error
 
         set_chunk(monkeypatch, chunk)
         monkeypatch.setattr(gaussian, "generate_batch", generate)
@@ -556,8 +557,8 @@ class TestConfigHandling:
     @pytest.mark.parametrize("field", ["r1", "r2"])
     @pytest.mark.parametrize("value", [10**30, 2**63])
     def test_oversized_stream_count_is_a_typed_error(self, tmp_path, capsys, field, value):
-        # no beam stack is as wide as the stream count: the per-trial rebuild
-        # reaches the feasibility check
+        # no beam stack is as wide as the stream count: the feasibility check
+        # is the first of the stacked build
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")

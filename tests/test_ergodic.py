@@ -26,13 +26,12 @@ from compound_bcc.ergodic import (
     _philox_words,
     _states_from_words,
     _zero_forcing_stack,
-    _zero_forcing_state,
 )
 from compound_bcc.errors import ConstructionError, DegenerateBlockError, InvalidInputError
 from compound_bcc.linalg import DEFAULT_TOL, null_space_basis
 from compound_bcc.sdof import estimate_sdof_series, snr_db_to_power
 from compound_bcc.theory import ergodic_sdof_region, policy_slope_targets, symmetric_point_margin
-from reference import leakage, tx_rate
+from reference import leakage, tx_rate, zero_forcing_state
 
 
 @pytest.fixture(scope="module")
@@ -92,14 +91,16 @@ def state_stacks(rng, S, j1, j2, M, scales=(1.0,)):
 
 
 def one_state_zero_forcing(h1, h2, name_states=False):
-    """The oracle of _zero_forcing_stack: _zero_forcing_state per state, in
-    order, with the first failure's error and message."""
+    """The oracle of _zero_forcing_stack: reference.zero_forcing_state per
+    state, in order, with the first failure's error and message. Their
+    direct-gain decisions differ only for a gain within rounding of
+    DIRECT_GAIN_MIN, which these states do not have."""
     M = h1.shape[-1]
     n1, n2 = min(h1.shape[1], M - 1), min(h2.shape[1], M - 1)
     out = []
     for s in range(len(h1)):
         try:
-            out.append(_zero_forcing_state(h1[s], h2[s], n1, n2, DEFAULT_TOL))
+            out.append(zero_forcing_state(h1[s], h2[s], n1, n2, DEFAULT_TOL))
         except (ConstructionError, DegenerateBlockError) as e:
             prefix = f"common state {s + 1}: " if name_states else ""
             return type(e), f"{prefix}{e}"
@@ -146,6 +147,18 @@ class TestSampleBlock:
         for bad in (0, 20_001, -3, 1.5, True):
             with pytest.raises(InvalidInputError):
                 sample_block(fp_small, bad)
+
+    def test_numpy_integer_indices_accepted(self, fp_small):
+        # a block index and a horizon take the same integers
+        assert sample_block(fp_small, np.int64(3)) == sample_block(fp_small, 3)
+        assert sample_block(fp_small, np.uint16(20_000)) == sample_block(fp_small, 20_000)
+        policy = PowerPolicy("equal", 1.0)
+        assert simulate_blocks(fp_small, policy, np.int64(5)) == simulate_blocks(fp_small, policy, 5)
+        for call, name in ((lambda t: sample_block(fp_small, t), "block index"),
+                           (lambda m: simulate_blocks(fp_small, policy, m), "block horizon")):
+            for bad in (np.int64(0), np.int64(20_001), np.bool_(True), np.float64(2.0)):
+                with pytest.raises(InvalidInputError, match=f"^{name} must be an integer in 1..20000, got "):
+                    call(bad)
 
     def test_uniform_marginals(self, fp_small):
         n = fp_small.block_count
@@ -377,12 +390,10 @@ class TestZeroForcing:
 
     def test_process_errors_name_the_common_state(self, monkeypatch):
         fp = FadingProcess(3, 2, 2, common_state_count=2, block_count=10, seed=0)
-        # a "basis" that nulls nothing: the nulled-gain screen refers every
-        # state to the one-state path, whose nulling certificate catches it
+        # a "basis" that nulls nothing: the nulling certificate catches it
         nothing = np.eye(3, 1, dtype=complex)
-        monkeypatch.setattr(ergodic, "null_space_basis", lambda rows, tol: nothing)
         monkeypatch.setattr(
-            ergodic, "generic_null_spaces",
+            ergodic, "null_spaces",
             lambda rows, tol: (np.repeat(nothing[None], len(rows), 0), np.ones(len(rows), bool)),
         )
         with pytest.raises(ConstructionError, match="^stream 2 not nulled at user 1 "):
@@ -515,23 +526,34 @@ class TestStackedBitExact:
         for est, rates in zip(ests, series):
             assert est == estimate_sdof_series(grid, rates)
 
-    def test_mixed_beam_state_in_a_stack(self, monkeypatch):
+    def test_mixed_beam_state_in_a_stack(self):
         # state 2 takes the normalized column sum, as in test_rotation_retry_recovers:
         # with b = the basis that nulls user 2, user 1's state is b1^* + 1e-12 b0^*,
         # so stream 1's first candidate b0 has a direct gain of 1e-12, nonzero
-        # but too small, and its stream 2 beam passes the screen
+        # but too small, and its stream 2 beam keeps its first candidate
         h1, h2 = state_stacks(np.random.default_rng(5), 4, 1, 1, 3)
         h2[1, 0, 0] = [0.3, -0.5, 0.8]
         b = null_space_basis(h2[1, 0])
         h1[1, 0, 0] = b[:, 1].conj() + 1e-12 * b[:, 0].conj()
-        calls = []
-        real = ergodic._zero_forcing_state
-        monkeypatch.setattr(
-            ergodic, "_zero_forcing_state", lambda *a: calls.append(a[0]) or real(*a)
-        )
-        _, phi1, _ = assert_stack_matches_oracle(h1, h2)
-        assert len(calls) == 1 and np.array_equal(calls[0], h1[1])  # only state 2 is redone
+        vs, phi1, _ = assert_stack_matches_oracle(h1, h2)
+        # only state 2's stream 1 leaves the first basis column
+        firsts = [[null_space_basis(h[s, :, 0])[:, 0] for h in (h2, h1)] for s in range(4)]
+        taken = [[vs[s, :, i].tobytes() == firsts[s][i].tobytes() for i in (0, 1)] for s in range(4)]
+        assert taken == [[True, True], [False, True], [True, True], [True, True]]
         assert abs(phi1[1, 0, 0]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+
+    def test_rank_deficient_state_is_zero_forced_alone(self, monkeypatch):
+        # state 2's nulled rows of user 2 are one row twice: its null space
+        # is wider than the stack's, so it is zero-forced as a one-state stack
+        h1, h2 = state_stacks(np.random.default_rng(8), 3, 2, 2, 3)
+        h2[1, 1] = h2[1, 0]
+        stacks = []
+        real = ergodic._zero_forcing_stack
+        monkeypatch.setattr(
+            ergodic, "_zero_forcing_stack", lambda *a: stacks.append(len(a[0])) or real(*a)
+        )
+        assert assert_stack_matches_oracle(h1, h2) is not None
+        assert stacks == [1]
 
     def test_degenerate_state_named(self):
         h1, h2 = state_stacks(np.random.default_rng(6), 4, 1, 1, 3)

@@ -31,13 +31,11 @@ from compound_bcc.gaussian import (
     RateTriple,
     build_beamformers,
     build_beamformers_batch,
-    certify_confidential,
     equal_power,
     equal_power_slopes,
     run_trials,
     worst_case_rates,
 )
-from compound_bcc.linalg import DEFAULT_TOL, RankTolerance, numerical_rank
 from compound_bcc.regions import nontrivial_vertices
 from compound_bcc.sdof import SdofEstimate, estimate_sdof_series, snr_db_to_power
 from compound_bcc.theory import (
@@ -46,7 +44,14 @@ from compound_bcc.theory import (
     gaussian_confidential_region,
     gaussian_sdof_region,
 )
-from reference import rate_common, rate_confidential, rate_leakage, svd_rank_screen, swap_users
+from reference import (
+    build_beamformers_per_trial,
+    certify_beamformers,
+    rate_common,
+    rate_confidential,
+    rate_leakage,
+    swap_users,
+)
 
 
 def make_channel(M, N1, N2, J1, J2, seed=0):
@@ -62,7 +67,7 @@ def axis_channel():
     )
 
 
-@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("k", [0, 3, True, 1.0])
 def test_user_index_outside_one_two_rejected(k):
     ch = axis_channel()
     bf = build_beamformers(ch, 1, 1)
@@ -142,7 +147,7 @@ class TestBeamformerConstruction:
         bf = build_beamformers(ch, 1, 1)
         bad = BeamformerSet(v1=bf.v2, v2=bf.v2, v0=bf.v0)  # v1 now lies in user 2's space
         with pytest.raises(ConstructionError):
-            certify_confidential(ch, bad)
+            certify_beamformers(ch, bad)
 
 
 class TestPowerAllocation:
@@ -384,16 +389,22 @@ def as_objects(rates, fits):
 def evaluate_chunk(pairs, grid):
     """_equal_power_stack of the chunk of (channel, beams) pairs, as objects:
     the beams that build_beamformers_batch builds from the chunk's stacks
-    come from the stacks, any others (leaky ones) as rebuilt sets."""
+    come from the stacks, any others (leaky ones) as one-trial stacks of
+    channels built alone."""
     h = stack_of([ch for ch, _ in pairs])
     bf = pairs[0][1]
-    v, rebuilt, error = build_beamformers_batch(h, bf.r1, bf.r2)
+    v, alone, error = build_beamformers_batch(h, bf.r1, bf.r2)
     assert error is None
     for t, (_, bf) in enumerate(pairs):
         beams = (bf.v0, bf.v1, bf.v2)
-        if t in rebuilt or any(a.tobytes() != b[t].tobytes() for a, b in zip(beams, v)):
-            rebuilt[t] = bf
-    return as_objects(*gaussian._equal_power_stack(h, v, rebuilt, grid))
+        if t in alone or any(a.tobytes() != b[t].tobytes() for a, b in zip(beams, v)):
+            alone[t] = one_trial(bf)
+    return as_objects(*gaussian._equal_power_stack(h, v, alone, grid))
+
+
+def one_trial(bf):
+    """The beams of a BeamformerSet as one-trial stacks (v0, v1, v2)."""
+    return bf.v0[None], bf.v1[None], bf.v2[None]
 
 
 class TestStackedEvaluator:
@@ -519,12 +530,13 @@ class TestStackedEvaluator:
 
 
 def per_trial_builds(chs, r1, r2, tol=gaussian.DEFAULT_TOL):
-    """build_beamformers channel by channel, stopping at the first error:
-    the prefix of sets built and that error's (type, message)."""
+    """The one-trial oracle build_beamformers_per_trial channel by channel,
+    stopping at the first error: the prefix of sets built and that error's
+    (type, message)."""
     bfs = []
     for ch in chs:
         try:
-            bfs.append(build_beamformers(ch, r1, r2, tol))
+            bfs.append(build_beamformers_per_trial(ch, r1, r2, tol))
         except CompoundBccError as e:
             return bfs, (type(e), str(e))
     return bfs, None
@@ -535,17 +547,21 @@ def stack_of(chs):
     return tuple(np.array([ch.states(k) for ch in chs]) for k in (1, 2))
 
 
-def sets_of(v, rebuilt):
+def sets_of(v, alone):
     """The beamformer set of each trial of build_beamformers_batch's result:
-    its rebuilt set, or views of the beam stacks v."""
-    return [rebuilt[t] if t in rebuilt else BeamformerSet(v1=v[1][t], v2=v[2][t], v0=v[0][t])
-            for t in range(len(v[0]))]
+    views of its one-trial stacks if it was built alone, else of the beam
+    stacks v."""
+    sets = []
+    for t in range(len(v[0])):
+        v0, v1, v2 = (x[0] for x in alone[t]) if t in alone else (x[t] for x in v)
+        sets.append(BeamformerSet(v1=v1, v2=v2, v0=v0))
+    return sets
 
 
 def batch_builds(chs, r1, r2):
     """build_beamformers_batch of the chunk of chs: (bfs, error)."""
-    v, rebuilt, error = build_beamformers_batch(stack_of(chs), r1, r2)
-    return sets_of(v, rebuilt), error
+    v, alone, error = build_beamformers_batch(stack_of(chs), r1, r2)
+    return sets_of(v, alone), error
 
 
 def assert_same_builds(got, want):
@@ -575,123 +591,18 @@ def crafted_channel(kind, seed=0):
 
 
 def dropping(where):
-    """_stacked_beamformers with the trials ``where`` failing its screens."""
-    real = gaussian._stacked_beamformers
+    """linalg.null_spaces, as gaussian calls it, with the trials ``where`` of
+    a stack of more than one reported off the stack's rank: they are built
+    alone."""
+    real = gaussian.null_spaces
 
-    def stacked(h, r1, r2, tol):
-        v, sure = real(h, r1, r2, tol)
-        sure[where] = False
-        return v, sure
+    def null_spaces(a, tol):
+        bases, at_rank = real(a, tol)
+        if len(a) > 1:
+            at_rank[where] = False
+        return bases, at_rank
 
-    return stacked
-
-
-class TestChunkedBuild:
-    """build_beamformers_batch against per-trial build_beamformers."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(scenario=scenarios(), trials=st.integers(1, 5))
-    @example(scenario=((2, 1, 1, 1, 1, 1, 1), 0, False), trials=3)  # K = 0
-    @example(scenario=((4, 1, 1, 2, 2, 0, 0), 0, False), trials=3)  # r = 0
-    @example(scenario=((9, 3, 3, 2, 2, 3, 3), 0, False), trials=2)
-    @example(scenario=((8, 1, 1, 1, 1, 1, 1), 0, False), trials=2)
-    def test_generic_channels_match_per_trial_build(self, scenario, trials):
-        (M, N1, N2, J1, J2, r1, r2), seed, _ = scenario
-        chs = [make_channel(M, N1, N2, J1, J2, seed=seed + t) for t in range(trials)]
-        # generic channels pass every screen: no one-trial rebuild
-        with mock.patch.object(gaussian, "build_beamformers", side_effect=AssertionError):
-            bfs, error = batch_builds(chs, r1, r2)
-        assert error is None
-        assert_same_builds(bfs, per_trial_builds(chs, r1, r2)[0])
-
-    @pytest.mark.parametrize("kind, message", [
-        ("rank", "H_1_1 @ v1 has rank 1, expected 2"),
-        ("leak", "v1 leaks into H_2_2"),
-        ("nan", "non-finite"),
-        ("duplicate", None),
-    ])
-    @pytest.mark.parametrize("where", [0, 2])
-    def test_crafted_channel_is_the_per_trial_error(self, kind, message, where):
-        chs = [make_channel(5, 2, 1, 2, 2, seed=s) for s in range(4)]
-        chs.insert(where, crafted_channel(kind, seed=9))
-        bfs, error = batch_builds(chs, 2, 1)
-        want, want_error = per_trial_builds(chs, 2, 1)
-        assert_same_builds(bfs, want)
-        if message is None:
-            assert error is None and len(bfs) == 5
-        else:
-            assert len(bfs) == where and message in want_error[1]
-            assert (type(error), str(error)) == want_error
-
-    @pytest.mark.parametrize("call", [0, 1, 2])  # user 2's, user 1's, the common part's
-    @pytest.mark.parametrize("perturb", ["rotate", "scale"])
-    def test_each_certificate_screen_catches_a_bad_stacked_basis(self, call, perturb):
-        # one trial's stacked basis is replaced by a leaky orthonormal one or
-        # by a slightly non-orthonormal one; the screens must send that trial
-        # to build_beamformers, which builds it correctly
-        real = gaussian.generic_null_spaces
-        calls = []
-
-        def tampered(a, tol):
-            bases, generic = real(a, tol)
-            if len(calls) == call:
-                m, c = bases.shape[1:]
-                rng = np.random.default_rng(call)
-                q = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
-                bases = bases.copy()
-                bases[1] = q[:, :c] if perturb == "rotate" else bases[1] * (1 + 1e-8)
-            calls.append(a)
-            return bases, generic
-
-        chs = [make_channel(5, 2, 1, 2, 2, seed=s) for s in range(3)]
-        with mock.patch.object(gaussian, "generic_null_spaces", tampered):
-            bfs, error = batch_builds(chs, 2, 1)
-        assert len(calls) == 3 and error is None
-        assert_same_builds(bfs, per_trial_builds(chs, 2, 1)[0])
-
-    @pytest.mark.parametrize("r1, r2", [(2, 1), (-1, 0)])
-    def test_infeasible_streams_fail_at_the_first_channel(self, r1, r2):
-        chs = [make_channel(4, 1, 1, 2, 2, seed=s) for s in range(3)]
-        bfs, error = batch_builds(chs, r1, r2)
-        assert bfs == [] and isinstance(error, FeasibilityError)
-        assert (type(error), str(error)) == per_trial_builds(chs, r1, r2)[1]
-
-    def test_empty_chunk(self):
-        # a chunk holds channels of one set of dimensions (generate_batch
-        # rejects mixed specs)
-        h = (np.zeros((0, 2, 1, 4), complex),) * 2
-        v, rebuilt, error = build_beamformers_batch(h, 1, 1)
-        assert [x.shape for x in v] == [(0, 4, 2), (0, 4, 1), (0, 4, 1)]
-        assert rebuilt == {} and error is None
-        rates, fits = gaussian._equal_power_stack(h, v, rebuilt, (60.0, 80.0, 100.0))
-        assert rates.shape == (0, 3, 4) and fits.shape == (0, 3, 3)
-
-
-@st.composite
-def degenerate_stacks(draw):
-    """Stacks (T, n, m), n >= m, of random complex matrices, some columns
-    made degenerate: scaled (to zero, by 1e-12 to 1e-4, or by 1e+-160 so
-    that their Gram entries overflow or underflow), set near a multiple of
-    the next column, or given a non-finite entry; and a tolerance."""
-    m = draw(st.integers(1, 4))
-    n, T = draw(st.integers(m, 6)), draw(st.integers(1, 4))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    a = rng.standard_normal((T, n, m, 2)) @ np.array([1.0, 1j])
-    edits = st.tuples(
-        st.integers(0, 3), st.integers(0, 3), st.sampled_from(["scale", "parallel", "nan", "inf"]),
-        st.sampled_from([0.0, 1e-160, 1e-12, 1e-8, 1e-4, 1e160]),
-    )
-    for t, col, kind, eps in draw(st.lists(edits, max_size=4)):
-        t, col = t % T, col % m
-        noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        with np.errstate(all="ignore"):  # an earlier edit may have left inf
-            if kind == "scale":
-                a[t, :, col] *= eps
-            elif kind == "parallel":
-                a[t, :, col] = (0.5 - 2j) * a[t, :, (col + 1) % m] + eps * noise
-            else:
-                a[t, col % n, col] = np.nan if kind == "nan" else np.inf
-    return a, RankTolerance(draw(st.sampled_from([1e-15, 1e-12, 1e-10, 1e-6])))
+    return null_spaces
 
 
 @st.composite
@@ -731,32 +642,128 @@ def degenerate_chunks(draw):
     return (h1, h2), r1, r2
 
 
-class TestGramScreens:
-    """The Gram-form rank screens of build_beamformers_batch against the
-    singular values, and the builds they decide against build_beamformers."""
+class TestChunkedBuild:
+    """build_beamformers_batch against the one-trial oracle."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(stack=degenerate_stacks())
-    def test_screen_passes_only_full_rank(self, stack):
-        a, tol = stack
-        for x, passed in zip(a, gaussian._surely_full_rank(a, tol)):
-            if passed:
-                assert np.isfinite(x).all() and numerical_rank(x, tol) == x.shape[-1]
-                # never looser than the singular-value screen it replaced
-                assert svd_rank_screen(x, RankTolerance(tol.relative_threshold / 2))
+    @settings(max_examples=60, deadline=None)
+    @given(scenario=scenarios(), trials=st.integers(1, 5))
+    @example(scenario=((2, 1, 1, 1, 1, 1, 1), 0, False), trials=3)  # K = 0
+    @example(scenario=((4, 1, 1, 2, 2, 0, 0), 0, False), trials=3)  # r = 0
+    @example(scenario=((9, 3, 3, 2, 2, 3, 3), 0, False), trials=2)
+    @example(scenario=((8, 1, 1, 1, 1, 1, 1), 0, False), trials=2)
+    def test_generic_channels_match_per_trial_build(self, scenario, trials):
+        (M, N1, N2, J1, J2, r1, r2), seed, _ = scenario
+        chs = [make_channel(M, N1, N2, J1, J2, seed=seed + t) for t in range(trials)]
+        # generic channels are at the stack's ranks: none is built alone
+        v, alone, error = build_beamformers_batch(stack_of(chs), r1, r2)
+        assert error is None and alone == {}
+        bfs = sets_of(v, alone)
+        assert_same_builds(bfs, per_trial_builds(chs, r1, r2)[0])
+        assert_same_builds([build_beamformers(ch, r1, r2) for ch in chs], bfs)
 
-    def test_screen_at_one_column_is_a_finite_positive_norm(self):
-        a = np.array([[[3.0 + 4j]], [[0.0]], [[1e-170]], [[1e170]], [[np.nan]]])
-        assert gaussian._surely_full_rank(a, DEFAULT_TOL).tolist() == [True] + [False] * 4
+    @pytest.mark.parametrize("kind, message", [
+        ("rank", "H_1_1 @ v1 has rank 1, expected 2"),
+        ("leak", "v1 leaks into H_2_2"),
+        ("nan", "non-finite"),
+        ("duplicate", None),
+    ])
+    @pytest.mark.parametrize("where", [0, 2])
+    def test_crafted_channel_is_the_per_trial_error(self, kind, message, where):
+        chs = [make_channel(5, 2, 1, 2, 2, seed=s) for s in range(4)]
+        chs.insert(where, crafted_channel(kind, seed=9))
+        bfs, error = batch_builds(chs, 2, 1)
+        want, want_error = per_trial_builds(chs, 2, 1)
+        assert_same_builds(bfs, want)
+        if message is None:
+            assert error is None and len(bfs) == 5
+        else:
+            assert len(bfs) == where and message in want_error[1]
+            assert (type(error), str(error)) == want_error
+
+    @pytest.mark.parametrize("call", [0, 1, 2])  # user 2's, user 1's, the common part's
+    @pytest.mark.parametrize("perturb", ["rotate", "scale"])
+    def test_each_certificate_screen_catches_a_bad_stacked_basis(self, call, perturb):
+        # one trial's stacked basis is replaced by a leaky orthonormal one or
+        # by a slightly non-orthonormal one: that trial fails with the error
+        # the oracle's certificates give its beams, after the trial before it
+        message = {
+            "rotate": ("v1 leaks into H_2_1", "v2 leaks into H_1_1", "v0 is not orthogonal"),
+            "scale": ("v1 is not orthonormal", "v2 is not orthonormal", "v0 is not orthonormal"),
+        }[perturb][call]
+        real = gaussian.null_spaces
+        calls = []
+
+        def tampered(a, tol):
+            bases, at_rank = real(a, tol)
+            if len(calls) == call:
+                m, c = bases.shape[1:]
+                rng = np.random.default_rng(call)
+                q = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+                bases = bases.copy()
+                bases[1] = q[:, :c] if perturb == "rotate" else bases[1] * (1 + 1e-8)
+            calls.append(bases)
+            return bases, at_rank
+
+        chs = [make_channel(5, 2, 1, 2, 2, seed=s) for s in range(3)]
+        with mock.patch.object(gaussian, "null_spaces", tampered):
+            bfs, error = batch_builds(chs, 2, 1)
+        assert len(calls) == 3
+        assert_same_builds(bfs, per_trial_builds(chs[:1], 2, 1)[0])
+        null2, null1, v0 = (b[1] for b in calls)
+        bad = BeamformerSet(v1=null2[:, :2], v2=null1[:, :1], v0=v0)
+        with pytest.raises(ConstructionError) as want:
+            certify_beamformers(chs[1], bad)
+        assert (type(error), str(error)) == (ConstructionError, str(want.value))
+        assert str(error).startswith(message)
 
     @settings(max_examples=120, deadline=None)
     @given(chunk=degenerate_chunks())
     def test_builds_are_the_per_trial_builds(self, chunk):
         h, r1, r2 = chunk
-        v, rebuilt, error = build_beamformers_batch(h, r1, r2)
+        v, alone, error = build_beamformers_batch(h, r1, r2)
         want, want_error = per_trial_builds(stacked_sets(h), r1, r2)
-        assert_same_builds(sets_of(v, rebuilt), want)
+        assert_same_builds(sets_of(v, alone), want)
         assert (error and (type(error), str(error))) == want_error
+
+    @pytest.mark.parametrize("crafted", [None, 2])
+    def test_stack_whose_svd_fails_is_built_channel_by_channel(self, crafted):
+        # a stacked SVD that does not converge sends every channel of the
+        # stack to its own one-trial build, in trial order
+        def null_spaces(a, tol, real=gaussian.null_spaces):
+            if len(a) > 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(a, tol)
+
+        chs = [make_channel(5, 2, 1, 2, 2, seed=s) for s in range(4)]
+        if crafted is not None:
+            chs[crafted] = crafted_channel("leak", seed=9)
+        h = stack_of(chs)
+        with mock.patch.object(gaussian, "null_spaces", null_spaces):
+            v, alone, error = build_beamformers_batch(h, 2, 1)
+        want, want_error = per_trial_builds(chs, 2, 1)
+        assert sorted(alone) == list(range(len(want))) == list(range(len(v[0])))
+        assert_same_builds(sets_of(v, alone), want)
+        assert (error and (type(error), str(error))) == want_error
+        grid = (60.0, 80.0, 100.0)
+        got = as_objects(*gaussian._equal_power_stack(h, v, alone, grid))
+        assert got == [equal_power_slopes(ch, bf, grid) for ch, bf in zip(chs, want)]
+
+    @pytest.mark.parametrize("r1, r2", [(2, 1), (-1, 0)])
+    def test_infeasible_streams_fail_at_the_first_channel(self, r1, r2):
+        chs = [make_channel(4, 1, 1, 2, 2, seed=s) for s in range(3)]
+        bfs, error = batch_builds(chs, r1, r2)
+        assert bfs == [] and isinstance(error, FeasibilityError)
+        assert (type(error), str(error)) == per_trial_builds(chs, r1, r2)[1]
+
+    def test_empty_chunk(self):
+        # a chunk holds channels of one set of dimensions (generate_batch
+        # rejects mixed specs)
+        h = (np.zeros((0, 2, 1, 4), complex),) * 2
+        v, alone, error = build_beamformers_batch(h, 1, 1)
+        assert [x.shape for x in v] == [(0, 4, 2), (0, 4, 1), (0, 4, 1)]
+        assert alone == {} and error is None
+        rates, fits = gaussian._equal_power_stack(h, v, alone, (60.0, 80.0, 100.0))
+        assert rates.shape == (0, 3, 4) and fits.shape == (0, 3, 3)
 
 
 class TestChunkRule:
@@ -788,7 +795,7 @@ class TestChunkRule:
 
 class TestStackedProducts:
     """h v of a chunk's stacks against the per-trial products, bit for bit,
-    and chunks whose rebuilt trials take their own."""
+    and chunks whose trials built alone take their own."""
 
     @settings(max_examples=60, deadline=None)
     @given(scenario=scenarios(), trials=st.integers(1, 4))
@@ -799,10 +806,10 @@ class TestStackedProducts:
     def test_stacked_products_equal_per_trial_products(self, scenario, trials):
         (M, N1, N2, J1, J2, r1, r2), seed, _ = scenario
         h, _ = generate_batch((M, N1, N2, J1, J2), range(seed, seed + trials))
-        v, rebuilt, error = build_beamformers_batch(h, r1, r2)
-        assert error is None and rebuilt == {}
+        v, alone, error = build_beamformers_batch(h, r1, r2)
+        assert error is None and alone == {}
         got = gaussian._beam_products(h, v)
-        pairs = list(zip(stacked_sets(h), sets_of(v, rebuilt)))
+        pairs = list(zip(stacked_sets(h), sets_of(v, alone)))
         for t, (ch, bf) in enumerate(pairs):
             for k, b in itertools.product((1, 2), range(3)):  # the 2-D products themselves
                 v_b = (bf.v0, bf.v1, bf.v2)[b]
@@ -811,18 +818,18 @@ class TestStackedProducts:
 
     @pytest.mark.parametrize("where", [[1], [0, 3], [0, 1, 2, 3]])
     def test_chunk_mixing_stacked_and_rebuilt_trials(self, where):
-        # the "duplicate" channel is rebuilt by build_beamformers; the others
-        # are dropped from the stack by hand, so their one-trial rebuild and
-        # per-trial products stand in
+        # the "duplicate" channel's user 2 rows lack the stack's rank, so it
+        # is built alone; the others are dropped from the stack by hand, so
+        # their one-trial builds and per-trial products stand in
         chs = [make_channel(5, 2, 1, 2, 2, seed=s) for s in range(4)]
         chs[where[0]] = crafted_channel("duplicate", seed=9)
         h = stack_of(chs)
-        with mock.patch.object(gaussian, "_stacked_beamformers", dropping(where)):
-            v, rebuilt, error = build_beamformers_batch(h, 2, 1)
-        assert error is None and sorted(rebuilt) == where
+        with mock.patch.object(gaussian, "null_spaces", dropping(where)):
+            v, alone, error = build_beamformers_batch(h, 2, 1)
+        assert error is None and sorted(alone) == where
         bfs = per_trial_builds(chs, 2, 1)[0]
-        assert_same_builds(sets_of(v, rebuilt), bfs)
-        got = as_objects(*gaussian._equal_power_stack(h, v, rebuilt, (60.0, 80.0, 100.0)))
+        assert_same_builds(sets_of(v, alone), bfs)
+        got = as_objects(*gaussian._equal_power_stack(h, v, alone, (60.0, 80.0, 100.0)))
         assert got == [equal_power_slopes(ch, bf, (60.0, 80.0, 100.0)) for ch, bf in zip(chs, bfs)]
 
     @pytest.mark.parametrize("odd, top", [
@@ -835,18 +842,17 @@ class TestStackedProducts:
         (0, 3026.0),
     ])
     def test_rebuilt_trial_with_another_k_is_evaluated_alone(self, odd, top):
-        # a forced rebuild of trial ``odd`` returns an orthonormal v0 with one
+        # trial ``odd``, as if built alone, has an orthonormal v0 with one
         # column fewer: that trial gets exactly its one-trial rates and fits,
-        # the others their unforced ones, and the error raised is the first
+        # the others those of the stack, and the error raised is the first
         # that trial order meets
         chs = [make_channel(5, 2, 1, 2, 2, seed=s) for s in range(4)]
         bfs = [build_beamformers(ch, 2, 1) for ch in chs]
         bfs[odd] = BeamformerSet(v1=bfs[odd].v1, v2=bfs[odd].v2, v0=bfs[odd].v0[:, :-1])
         h = stack_of(chs)
-        with mock.patch.object(gaussian, "_stacked_beamformers", dropping([odd])), \
-                mock.patch.object(gaussian, "build_beamformers", lambda *a: bfs[odd]):
-            v, rebuilt, error = build_beamformers_batch(h, 2, 1)
-        assert error is None and rebuilt == {odd: bfs[odd]} and v[0].shape[-1] == 2
+        v, alone, error = build_beamformers_batch(h, 2, 1)
+        assert error is None and alone == {} and v[0].shape[-1] == 2
+        alone[odd] = one_trial(bfs[odd])
         grid = (60.0, top - 20.0, top)
 
         def per_trial():
@@ -856,10 +862,10 @@ class TestStackedProducts:
             try:
                 want = per_trial()
             except InvalidGridError:
-                got = raised(lambda: gaussian._equal_power_stack(h, v, rebuilt, grid))
+                got = raised(lambda: gaussian._equal_power_stack(h, v, alone, grid))
                 assert got == raised(per_trial)
             else:
-                assert as_objects(*gaussian._equal_power_stack(h, v, rebuilt, grid)) == want
+                assert as_objects(*gaussian._equal_power_stack(h, v, alone, grid)) == want
 
 
 class TestRunTrials:
@@ -889,13 +895,17 @@ class TestRunTrials:
         assert K == bf.K
 
     def test_rebuilt_last_trial_gives_its_k(self):
-        # the last trial is rebuilt with one common beam fewer
+        # the last trial is built alone, with one common beam fewer
         dims, seeds = (5, 2, 1, 2, 2), range(2, 5)
         chs = [generate_compound(ChannelGenSpec(*dims, seed=s)) for s in seeds]
         bf = build_beamformers(chs[-1], 2, 1)
         narrow = BeamformerSet(v1=bf.v1, v2=bf.v2, v0=bf.v0[:, :-1])
-        with mock.patch.object(gaussian, "_stacked_beamformers", dropping([2])), \
-                mock.patch.object(gaussian, "build_beamformers", lambda *a: narrow):
+
+        def build(h, r1, r2, real=gaussian.build_beamformers_batch):
+            v, alone, error = real(h, r1, r2)
+            return v, {**alone, 2: one_trial(narrow)}, error
+
+        with mock.patch.object(gaussian, "build_beamformers_batch", build):
             rates, slopes, K = run_trials(dims, 2, 1, (60.0, 80.0, 100.0), seeds)
         assert K == 1 and bf.K == 2
         triples, estimates = equal_power_slopes(chs[-1], narrow, (60.0, 80.0, 100.0))

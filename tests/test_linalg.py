@@ -21,9 +21,9 @@ from compound_bcc.errors import (
 from compound_bcc.linalg import (
     RankTolerance,
     _normalize_phases,
-    generic_null_spaces,
     logdet2_hpd,
     null_space_basis,
+    null_spaces,
     numerical_rank,
     rank_from_singular_values,
     singular_values,
@@ -214,7 +214,7 @@ class TestStackedNullSpaces:
 
         monkeypatch.setattr(np.linalg, "svd", svd)
         for call, a, count in ((null_space_basis, np.ones((2, 3)), 1),
-                               (generic_null_spaces, np.ones((5, 1, 3)), 5)):
+                               (null_spaces, np.ones((5, 1, 3)), 5)):
             with pytest.raises(InvalidInputError) as exc:
                 call(a)
             assert str(exc.value) == (
@@ -253,20 +253,23 @@ class TestStackedNullSpaces:
         deficient=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_generic_null_spaces_match_null_space_basis(self, rows, cols, batch, deficient, seed):
+    def test_null_spaces_match_per_matrix_bases(self, rows, cols, batch, deficient, seed):
         rng = np.random.default_rng(seed)
         shape = (batch, rows, cols)
         m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         if deficient and rows > 1:
             m[0, -1] = m[0, 0]  # the first matrix loses its generic rank
-        bases, generic = generic_null_spaces(m)
-        assert bases.shape == (batch, cols, cols - min(rows, cols))
+        bases, at_rank = null_spaces(m)
+        ranks = [numerical_rank(x) for x in m]
+        assert bases.shape == (batch, cols, cols - max(ranks))
         for t in range(batch):
-            want = null_space_basis(m[t])
-            assert generic[t] == (want.shape[1] == bases.shape[2])
-            if generic[t]:
-                assert bases[t].strides == want.strides
-                assert bases[t].tobytes() == want.tobytes()
+            # one 2-D SVD, the basis at the matrix's own rank, phases column by column
+            vh = np.linalg.svd(m[t])[2]
+            want = per_column_phases(vh[ranks[t]:].conj().T)
+            assert at_rank[t] == (ranks[t] == max(ranks))
+            for got in [null_space_basis(m[t]), null_spaces(m[t:t + 1])[0][0]] + [bases[t]] * int(at_rank[t]):
+                assert got.strides == want.strides
+                assert got.tobytes() == want.tobytes()
 
 
 class TestLogdet2Hpd:

@@ -5,7 +5,8 @@
 
 Each step runs its children one after another and prints one line per child:
 the command, its exit code and its peak RSS against its cap. A census child
-also prints its subset count and whether the census was exhaustive. The first
+also prints its subset count and whether the census was exhaustive; a demo's
+output is compared with its pin in tests/data/demo_output.json. The first
 check that fails ends the run with exit code 1.
 
 Peak RSS is the child's own, from ``os.wait4``: the ``ru_maxrss`` of a child
@@ -15,6 +16,7 @@ from ``src`` of this checkout, with numpy RuntimeWarnings as errors.
 """
 
 import argparse
+import difflib
 import filecmp
 import glob
 import json
@@ -28,16 +30,18 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHECKOUT_ENV = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
 CLI = [sys.executable, "-W", "error::RuntimeWarning", "-m", "compound_bcc"]
+DEMO_PINS = os.path.join(ROOT, "tests", "data", "demo_output.json")
 
 
 def fail(message):
     sys.exit(f"FAILED: {message}")
 
 
-def child(cmd, cap=math.inf, cwd=ROOT, env=CHECKOUT_ENV):
-    """Run ``cmd`` to its end and print its line; fail unless it exits 0 with
-    a peak RSS below ``cap`` MB."""
-    proc = subprocess.Popen(cmd, cwd=cwd, env=env)
+def child(cmd, cap=math.inf, cwd=ROOT, env=CHECKOUT_ENV, stdout=None):
+    """Run ``cmd`` to its end, its standard output to ``stdout`` (a file, or
+    this process's), and print its line; fail unless it exits 0 with a peak
+    RSS below ``cap`` MB."""
+    proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=stdout)
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     rss_mb = usage.ru_maxrss / 1024  # kB on Linux
@@ -92,10 +96,28 @@ def constant():
             child([*CLI, "gaussian", *args.split(), "--out", out], cap)
 
 
-def demos():
-    """Every demo, a numpy RuntimeWarning an error as in the tests."""
-    for demo in sorted(glob.glob(os.path.join(ROOT, "demos", "*.py"))):
-        child([sys.executable, "-W", "error::RuntimeWarning", demo])
+def demos(pins=DEMO_PINS):
+    """Every demo, a numpy RuntimeWarning an error as in the tests, prints
+    what ``pins`` (a JSON object: demo file name -> standard output) holds
+    for it. The demos call the one-trial API (build_beamformers,
+    zero_forcing, block_secrecy_rates, sample_block, equal_power_slopes)
+    and print certificate residuals, so a change in any of their bits
+    shows here."""
+    with open(pins, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    names = sorted(os.path.basename(p) for p in glob.glob(os.path.join(ROOT, "demos", "*.py")))
+    if names != sorted(pinned):
+        fail(f"demos {names} differ from the pinned {sorted(pinned)}")
+    for name in names:
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as out:
+            child([sys.executable, "-W", "error::RuntimeWarning", os.path.join("demos", name)],
+                  env={**CHECKOUT_ENV, "PYTHONIOENCODING": "utf-8"}, stdout=out)
+            out.seek(0)
+            printed = out.read()
+        if printed != pinned[name]:
+            diff = difflib.unified_diff(pinned[name].splitlines(True), printed.splitlines(True),
+                                        "pinned", name)
+            fail(f"demos/{name} printed other output than its pin:\n{''.join(diff)}")
 
 
 def selfcheck():
