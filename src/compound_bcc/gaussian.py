@@ -30,6 +30,8 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    SCREEN_MARGIN,
+    _screen_passes,
     frobenius_norms,
     logdet2_hpd,
     null_spaces,
@@ -51,6 +53,8 @@ __all__ = [
 ]
 
 CERT_RTOL = 1e-9
+# moduli within which a vector's rank is decided by its nonzero entries
+VECTOR_MIN, VECTOR_MAX = 2.0 ** -500, 2.0 ** 500
 
 # A constant-model chunk takes as many trials as hold CHUNK_ENTRIES complex
 # entries, at least CHUNK_MIN_TRIALS. A trial holds points * J_k * N_k *
@@ -149,8 +153,12 @@ def build_beamformers_batch(h, r1, r2, tol=DEFAULT_TOL):
     converge. Every certificate is decided exactly: stacked SVDs, and
     matmuls of views with the one-trial strides, give each matrix the bits
     of its one-trial call, and the norms are the 2-D ones
-    (linalg.frobenius_norms). The error is the first failing channel's
-    first failing check, in build_beamformers' order.
+    (linalg.frobenius_norms). Each rank is numerical_rank's, mostly
+    without an SVD (_ranks): h v_k of one column has rank 1 iff it is
+    nonzero, where its entries' moduli lie in [VECTOR_MIN, VECTOR_MAX], and
+    h v_k or [v1 v2] of c > 1 columns has rank c where the rank screen
+    passes on its Gram. The error is the first failing channel's first
+    failing check, in build_beamformers' order.
     """
     T = len(h[0])
     try:
@@ -220,11 +228,41 @@ def _stacked_beamformers(h, r1, r2, tol):
             f"v0 is not orthogonal to [v1 v2] (residual {resid[t]:.3e})"
         )))
     if stacked.shape[-1]:
-        expected = M - rank_from_singular_values(np.linalg.svd(stacked, compute_uv=False), tol)
+        expected = M - _ranks(stacked, tol)
         checks.append((expected != K, lambda t, j: ConstructionError(
             f"common subspace has {K} columns, expected {expected[t]}"
         )))
     return (v0, *v), checks
+
+
+def _ranks(a, tol):
+    """numerical_rank of each finite matrix of a stack (..., n, c), the rank
+    of a non-finite one unspecified, without an SVD where a rule decides
+    it. A column (c = 1) whose nonzero entries have moduli in [VECTOR_MIN,
+    VECTOR_MAX] has rank 1 iff it has a nonzero entry: its singular value
+    is then 0 or a normal float s, and s > t s at every threshold t in
+    (0, 1). A wider matrix has rank c where linalg._screen_passes passes on
+    its Gram a^H a, whose determinant is prod sigma^2 and whose trace is
+    ||a||_F^2, with a floor of SCREEN_MARGIN sqrt((n + c) eps) on the bound
+    sigma_min / sigma_max, far above the Gram's rounding of about
+    (n + c) eps ||a||_F^2. Singular values decide the rest."""
+    n, c = a.shape[-2:]
+    with np.errstate(all="ignore"):
+        if c == 1:
+            modulus = np.abs(a[..., 0])
+            ranks = (modulus != 0.0).any(axis=-1).astype(int)
+            sure = (modulus == 0.0) | ((modulus >= VECTOR_MIN) & (modulus <= VECTOR_MAX))
+            sure = sure.all(axis=-1)
+        else:
+            gram = a.conj().swapaxes(-1, -2) @ a
+            logdet = 0.5 * np.linalg.slogdet(gram)[1]
+            floor = SCREEN_MARGIN * np.sqrt((n + c) * np.finfo(float).eps)
+            sure = _screen_passes(logdet, np.trace(gram, axis1=-2, axis2=-1).real, c, tol, floor)
+            ranks = np.full(a.shape[:-2], c)
+    unsure = ~sure & np.isfinite(a).all(axis=(-2, -1))
+    if unsure.any():
+        ranks[unsure] = rank_from_singular_values(np.linalg.svd(a[unsure], compute_uv=False), tol)
+    return ranks
 
 
 def _orthonormality(v, name):
@@ -242,7 +280,11 @@ def _user_checks(h, v, k, tol):
     """The checks of v_k of _stacked_beamformers: at each state h of the
     other user, ||h v_k||_F <= CERT_RTOL ||h||_F, then at each of user k's,
     h v_k of rank r_k (a product with a non-finite entry is
-    InvalidInputError, as numerical_rank raises it); none when r_k = 0."""
+    InvalidInputError, as numerical_rank raises it); none when r_k = 0.
+    The ranks are _ranks': a one-column product (r_k = 1) whose nonzero
+    entries have moduli in [VECTOR_MIN, VECTOR_MAX] has rank 1 iff it has
+    a nonzero entry, a wider one rank r_k where its Gram passes the rank
+    screen, and singular values decide the rest."""
     other, beams = 2 - k, v[k - 1]
     r = beams.shape[-1]
     if not r:
@@ -251,8 +293,7 @@ def _user_checks(h, v, k, tol):
     limit = CERT_RTOL * frobenius_norms(h[other])
     own = h[k - 1] @ beams[:, None]
     finite = np.isfinite(own).all(axis=(-2, -1))
-    s = np.linalg.svd(np.where(finite[..., None, None], own, 0.0), compute_uv=False)
-    ranks = rank_from_singular_values(s, tol)
+    ranks = _ranks(own, tol)
 
     def leak_error(t, j):
         return ConstructionError(

@@ -98,14 +98,14 @@ def rank_screen(tol=DEFAULT_TOL):
     return max(SCREEN_MARGIN * tol.relative_threshold, SCREEN_FLOOR)
 
 
-def _screen_passes(logdet, fro2, m, tol):
+def _screen_passes(logdet, fro2, m, tol, floor=SCREEN_FLOOR):
     """Whether the bound prod sigma / (||A||_F * (||A||_F^2 / (m-1))^((m-1)/2))
     on sigma_min / sigma_max of matrices A of m columns, from log prod sigma
     in ``logdet`` and ||A||_F^2 in ``fro2``, is finite and above
-    rank_screen(tol)."""
+    rank_screen(tol) and ``floor``."""
     with np.errstate(all="ignore"):
         log_bound = logdet - 0.5 * m * np.log(fro2) + 0.5 * (m - 1) * math.log(max(m - 1, 1))
-    return np.isfinite(log_bound) & (log_bound > math.log(rank_screen(tol)))
+    return np.isfinite(log_bound) & (log_bound > math.log(max(rank_screen(tol), floor)))
 
 
 def numerical_rank(m, tol=DEFAULT_TOL):
@@ -210,12 +210,14 @@ def logdet2_hpd(m):
     (NotHermitianError otherwise); the rule is applied to every matrix that
     differs from its conjugate transpose at all. One numpy.linalg.cholesky
     call factors the lower triangles of the whole stack, and each log-det is
-    twice the sum of log2 of its factor's diagonal. A stack raises the error
-    of its first failing matrix in C order, the error the 2-D call on that
-    matrix raises: InvalidInputError for non-finite entries,
-    NotHermitianError, or NotPositiveDefiniteError carrying the 1-based
-    index of the first leading minor that fails to factor. The empty 0x0
-    matrix has log-det 0.
+    twice the sum of log2 of its factor's diagonal. A 1 x 1 matrix a is
+    factored without LAPACK, as potf2's one step does it: its log-det is
+    2 log2(sqrt(re a)), and re a <= 0 fails the minor of order 1. A stack
+    raises the error of its first failing matrix in C order, the error the
+    2-D call on that matrix raises: InvalidInputError for non-finite
+    entries, NotHermitianError, or NotPositiveDefiniteError carrying the
+    1-based index of the first leading minor that fails to factor. The
+    empty 0x0 matrix has log-det 0.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -230,15 +232,21 @@ def logdet2_hpd(m):
     for i in np.flatnonzero(finite & ~good):
         good[i] = _hermitian_error(stack[i]) is None
     bad = len(stack) if good.all() else int(np.argmin(good))
-    try:
-        c = np.linalg.cholesky(stack[:bad])
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(_first_failing_minor(stack[:bad])) from None
+    if n == 1:
+        d = stack[:bad, 0].real
+        if not (d > 0.0).all():
+            raise NotPositiveDefiniteError(1)
+        d = np.sqrt(d)
+    else:
+        try:
+            c = np.linalg.cholesky(stack[:bad])
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefiniteError(_first_failing_minor(stack[:bad])) from None
+        d = np.diagonal(c, axis1=1, axis2=2).real
     if bad < len(stack):
         if not finite[bad]:
             raise InvalidInputError("matrix contains non-finite entries")
         raise _hermitian_error(stack[bad])
-    d = np.diagonal(c, axis1=1, axis2=2).real
     logdets = 2.0 * np.sum(np.log2(d), axis=-1)
     return float(logdets[0]) if a.ndim == 2 else logdets.reshape(a.shape[:-2])
 

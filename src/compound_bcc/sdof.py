@@ -13,7 +13,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import InvalidGridError
 
@@ -114,8 +113,11 @@ def _fit_stack(grid, rates):
     ``np.polyval``: polyfit's column scaling is replayed, and one call to
     the gufunc behind ``np.linalg.lstsq`` solves every series with the
     signature and floating-point error handling that lstsq uses, one LAPACK
-    gelsd call per series.
+    gelsd call per series. That gufunc's module is private to numpy, so it
+    is imported here, and no other path depends on its name.
     """
+    from numpy.linalg import _umath_linalg
+
     # C order, so that each residual's mean reduces its series as a 1-D mean
     y = np.ascontiguousarray(rates, dtype=float)
     x = np.log2(snr_db_to_power(grid))

@@ -14,6 +14,8 @@ must equal bit for bit:
   against gaussian.worst_case_rates and the stacked evaluation of a chunk
   (gaussian._equal_power_stack);
 * swap_users: the same channel with the users' roles exchanged;
+* logdet2_hpd_cholesky: the HPD log-dets of a stack, every order through
+  numpy.linalg.cholesky, against linalg.logdet2_hpd's 1 x 1 rule;
 * tx_rate and leakage: the ergodic rates of one common state at one power
   pair, against ergodic.block_secrecy_rates and the stacked evaluation of
   ergodic.simulate_blocks and ergodic_slope_estimates;
@@ -40,7 +42,14 @@ from compound_bcc.errors import (
     check_count,
 )
 from compound_bcc.gaussian import CERT_RTOL, BeamformerSet, _gram, _logdet_i_plus
-from compound_bcc.linalg import DEFAULT_TOL, null_space_basis, numerical_rank
+from compound_bcc.errors import InvalidInputError, NotPositiveDefiniteError
+from compound_bcc.linalg import (
+    DEFAULT_TOL,
+    _first_failing_minor,
+    _hermitian_error,
+    null_space_basis,
+    numerical_rank,
+)
 from compound_bcc.regions import time_share
 from compound_bcc.theory import confidential_stream_bounds, symmetric_point_margin
 
@@ -175,6 +184,30 @@ def zero_forcing_state(h1, h2, n1, n2, tol=DEFAULT_TOL):
                 f"stream {i} not nulled at user {k} (gain {bad.max():.3e})"
             )
     return vs, phi1, phi2
+
+
+def logdet2_hpd_cholesky(m):
+    """linalg.logdet2_hpd with every matrix order, 1 x 1 included, factored
+    by one numpy.linalg.cholesky call over the stack."""
+    a = np.asarray(m, dtype=complex)
+    n = a.shape[-1]
+    stack = a[None] if a.ndim == 2 else a.reshape(-1, n, n)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    good = finite & ~(stack != stack.conj().swapaxes(1, 2)).any(axis=(1, 2))
+    for i in np.flatnonzero(finite & ~good):
+        good[i] = _hermitian_error(stack[i]) is None
+    bad = len(stack) if good.all() else int(np.argmin(good))
+    try:
+        c = np.linalg.cholesky(stack[:bad])
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(_first_failing_minor(stack[:bad])) from None
+    if bad < len(stack):
+        if not finite[bad]:
+            raise InvalidInputError("matrix contains non-finite entries")
+        raise _hermitian_error(stack[bad])
+    d = np.diagonal(c, axis1=1, axis2=2).real
+    logdets = 2.0 * np.sum(np.log2(d), axis=-1)
+    return float(logdets[0]) if a.ndim == 2 else logdets.reshape(a.shape[:-2])
 
 
 def swap_users(ch):

@@ -109,6 +109,30 @@ def test_cli_run_loads_exactly(argv, modules, tmp_path):
     assert loaded == {"compound_bcc", *(f"compound_bcc.{m}" for m in BASE + modules)}
 
 
+# numpy.linalg._umath_linalg made unimportable, as a numpy that renamed it
+HIDE_LSTSQ_MODULE = (
+    "import numpy.linalg\n"
+    "del numpy.linalg._umath_linalg\n"
+    "sys.modules['numpy.linalg._umath_linalg'] = None\n"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--M", "7", "--J1", "8", "--J2", "8"],
+    ["region"],
+    ["verify-channel", "--M", "3", "--J1", "4", "--J2", "4"],
+])
+def test_commands_without_a_slope_fit_run_without_the_private_lstsq(argv, tmp_path):
+    # only sdof._fit_stack imports that private name
+    assert "compound_bcc.sdof" in loaded_modules(HIDE_LSTSQ_MODULE + cli_run(argv, tmp_path))
+
+
+def test_a_slope_fit_needs_the_private_lstsq(tmp_path):
+    with pytest.raises(subprocess.CalledProcessError) as exc:
+        loaded_modules(HIDE_LSTSQ_MODULE + cli_run(["gaussian", "--trials", "2"], tmp_path))
+    assert "import of numpy.linalg._umath_linalg halted" in exc.value.stderr
+
+
 NUMPY_FREE = ("theory", "regions", "errors")
 
 

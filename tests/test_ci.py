@@ -4,6 +4,7 @@ import glob
 import importlib.util
 import json
 import os
+import re
 
 import pytest
 
@@ -20,9 +21,17 @@ def load_runner():
 def test_workflow_calls_every_step_and_holds_no_heredoc():
     with open(os.path.join(ROOT, ".github", "workflows", "tests.yml")) as fh:
         workflow = fh.read()
-    for step in load_runner().STEPS:
-        assert f"python tools/ci.py {step}" in workflow, step
+    steps = load_runner().STEPS
+    called = re.findall(r"^ *(?:run: )?python tools/ci\.py (\w+)", workflow, re.M)
+    assert sorted(set(called)) == sorted(steps) and len(called) == len(steps)
     assert "<<'EOF'" not in workflow and "<<EOF" not in workflow
+
+
+def test_haswell_step_names_existing_test_classes():
+    for node in load_runner().EXACT_RULE_ORACLES:
+        path, name = node.split("::")
+        with open(os.path.join(ROOT, path)) as fh:
+            assert f"\nclass {name}:" in fh.read(), node
 
 
 def test_demos_print_their_pinned_output(capsys):

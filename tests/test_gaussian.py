@@ -1,6 +1,7 @@
 """Beamformer certificates, closed-form rate oracles, and slope laws."""
 
 import itertools
+import math
 from fractions import Fraction as F
 from unittest import mock
 
@@ -36,6 +37,7 @@ from compound_bcc.gaussian import (
     run_trials,
     worst_case_rates,
 )
+from compound_bcc.linalg import DEFAULT_TOL, RankTolerance, _screen_passes, numerical_rank
 from compound_bcc.regions import nontrivial_vertices
 from compound_bcc.sdof import SdofEstimate, estimate_sdof_series, snr_db_to_power
 from compound_bcc.theory import (
@@ -928,6 +930,99 @@ class TestRunTrials:
     def test_bad_input_rejected_before_the_chunk_rule(self, dims, seeds, message):
         with pytest.raises(InvalidInputError, match=message):
             run_trials(dims, 1, 1, (60.0, 80.0, 100.0), seeds)
+
+
+def test_benchmark_run_takes_no_rank_or_log_det_svd(monkeypatch):
+    # constant-trials' dims, seeds and grid: the exact rules decide every
+    # vector rank, every [v1 v2] rank and every 1 x 1 log-det, so LAPACK
+    # runs only the three null-space SVDs and the slogdets of the rank
+    # check and the Gram screen
+    calls = []
+    for name in ("svd", "cholesky", "slogdet"):
+        def wrapped(a, *args, real=getattr(np.linalg, name), name=name, **kwargs):
+            calls.append((name, np.shape(a)))
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, wrapped)
+    run_trials((4, 1, 1, 2, 2), 1, 1, (60.0, 80.0, 100.0), range(150))
+    assert [c for c in calls if c[0] != "slogdet"] == [("svd", (150, 2, 4))] * 3
+    assert ("slogdet", (150, 2, 2)) in calls
+
+
+def tolerances():
+    return st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(RankTolerance)
+
+
+@st.composite
+def moduli_stacks(draw):
+    """Stacks of columns or rows whose entries are 0 or have exponents from
+    subnormal to near overflow, the edges of [2^-500, 2^500] among them."""
+    count, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    exponents = st.one_of(
+        st.sampled_from([-1074, -1022, -600, -501, -500, -499, 0, 499, 500, 501, 1000, 1024]),
+        st.integers(-1074, 1024),
+    )
+    mantissas = st.floats(0.5, 1.0, exclude_max=True) | st.floats(-1.0, -0.5, exclude_min=True)
+    parts = st.just(0.0) | st.builds(math.ldexp, mantissas, exponents)
+    entries = draw(st.lists(st.builds(complex, parts, parts), min_size=count * n, max_size=count * n))
+    shape = (count, n, 1) if draw(st.booleans()) else (count, 1, n)
+    return np.array(entries).reshape(shape)
+
+
+class TestExactRanks:
+    """The rank rules of the constant model's certificates, each against
+    numerical_rank's singular values."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(a=moduli_stacks(), tol=tolerances())
+    def test_vector_rule_is_numerical_rank(self, a, tol):
+        assert gaussian._ranks(a, tol).tolist() == [numerical_rank(m, tol) for m in a]
+
+    def test_vector_rule_leaves_the_svd_to_products_outside_its_range(self, monkeypatch):
+        svds = []
+
+        def svd(a, real=np.linalg.svd, **kwargs):
+            svds.append(a.shape)
+            return real(a, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        a = np.array([[1.0], [0.0], [2.0 ** -500], [2.0 ** 500]]).reshape(4, 1, 1)
+        assert gaussian._ranks(a, DEFAULT_TOL).tolist() == [1, 0, 1, 1] and not svds
+        a[1, 0, 0] = 2.0 ** -501
+        assert gaussian._ranks(a, DEFAULT_TOL).tolist() == [1, 1, 1, 1] and svds == [(1, 1, 1)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        M=st.integers(1, 8),
+        c=st.integers(1, 4),
+        trials=st.integers(1, 4),
+        gap=st.floats(-20.0, 0.0),
+        scales=st.lists(st.integers(-600, 600), min_size=4, max_size=4),
+        tol=st.floats(-17.0, -0.1).map(lambda e: RankTolerance(10.0 ** e)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gram_screen_is_numerical_rank(self, M, c, trials, gap, scales, tol, seed):
+        # columns 10^gap apart from the first, each scaled by a power of two
+        rng = np.random.default_rng(seed)
+        shape = (trials, M, c)
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a = noise[..., :1] * (1.0 + rng.standard_normal(c)) + 10.0 ** gap * noise
+        a *= np.ldexp(1.0, scales[:c])
+        assert gaussian._ranks(a, tol).tolist() == [numerical_rank(m, tol) for m in a]
+
+    def test_gram_screen_needs_its_floor(self):
+        # near-parallel pairs at small thresholds: the Gram's rounding alone
+        # lifts some bounds above the package's floor of 1e-8
+        rng = np.random.default_rng(0)
+        tol = RankTolerance(1e-14)
+        u = rng.standard_normal((2000, 3, 1)) + 1j * rng.standard_normal((2000, 3, 1))
+        w = rng.standard_normal((2000, 3, 1)) + 1j * rng.standard_normal((2000, 3, 1))
+        a = np.concatenate([u, (1 + 0.3j) * u + 3e-15 * w], axis=-1)
+        want = [numerical_rank(m, tol) for m in a]
+        assert gaussian._ranks(a, tol).tolist() == want
+        gram = a.conj().swapaxes(-1, -2) @ a
+        logdet = 0.5 * np.linalg.slogdet(gram)[1]
+        loose = _screen_passes(logdet, np.trace(gram, axis1=-2, axis2=-1).real, 2, tol)
+        assert (loose & (np.array(want) < 2)).any()
 
 
 # (M, N1, N2, J1, J2, r1, r2) across all region shapes with feasible streams

@@ -28,6 +28,7 @@ from compound_bcc.linalg import (
     rank_from_singular_values,
     singular_values,
 )
+from reference import logdet2_hpd_cholesky
 
 
 def unitary_2x2(theta, phase):
@@ -428,6 +429,51 @@ class TestStackedLogdet:
         for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((4, 2, 3))):
             with pytest.raises(InvalidInputError, match="square"):
                 logdet2_hpd(bad)
+
+
+def outcome(call):
+    """The bits of a log-det call's result, or what it raised."""
+    try:
+        got = call()
+    except Exception as e:
+        return type(e), str(e), getattr(e, "minor", None)
+    return type(got), np.asarray(got).tobytes()
+
+
+REALS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 1.0, -1.0, 1e308,
+                     1.7976931348623157e308, -1e308, np.nan, np.inf]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-2.3e-308, 2.3e-308),
+)
+# imaginary parts relative to the real part: the residual rule admits
+# |im| <= 5e-11 |re| (||a - a^H||_F = 2 |im| against 1e-10 |a|)
+IMAG_SHARES = st.sampled_from([0.0, -0.0, 1e-300, 1e-12, 4.9e-11, 5e-11, 5.1e-11, -5e-11, 1e-3])
+
+
+class TestOneByOneLogdet:
+    """logdet2_hpd's rule for 1 x 1 matrices against the Cholesky path."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        entries=st.lists(st.tuples(REALS, IMAG_SHARES), min_size=1, max_size=6),
+        shape=st.sampled_from(["2-D", "stack", "nested"]),
+    )
+    def test_rule_is_the_cholesky_path(self, entries, shape):
+        a = np.array([complex(re, re * share) for re, share in entries]).reshape(-1, 1, 1)
+        a = {"2-D": a[0], "stack": a, "nested": a[None]}[shape]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert outcome(lambda: logdet2_hpd(a)) == outcome(lambda: logdet2_hpd_cholesky(a))
+
+    def test_edges(self):
+        assert logdet2_hpd(np.array([[4.0 + 1e-11j]])) == 2.0
+        assert logdet2_hpd(np.full((2, 1, 1), 5e-324)).tolist() == [-1074.0] * 2
+        for bad in (0.0, -0.0, -1.0):
+            with pytest.raises(NotPositiveDefiniteError) as exc:
+                logdet2_hpd(np.array([[[1.0]], [[bad]], [[np.nan]]]))
+            assert exc.value.minor == 1
+        with pytest.raises(NotHermitianError):
+            logdet2_hpd(np.array([[[1.0]], [[4.0 + 1e-9j]], [[-1.0]]]))
 
 
 def test_package_import_leaves_scipy_out():

@@ -1,6 +1,6 @@
 """The process checks of CI, one step at a time, from any directory:
 
-    python tools/ci.py census|horizon|constant|demos|selfcheck|console|all
+    python tools/ci.py census|horizon|constant|demos|haswell|selfcheck|console|all
     python tools/ci.py console compound-bcc   # against an installed console script
 
 Each step runs its children one after another and prints one line per child:
@@ -31,6 +31,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHECKOUT_ENV = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
 CLI = [sys.executable, "-W", "error::RuntimeWarning", "-m", "compound_bcc"]
 DEMO_PINS = os.path.join(ROOT, "tests", "data", "demo_output.json")
+# the oracle tests of the rules that decide without LAPACK what LAPACK would
+EXACT_RULE_ORACLES = (
+    "tests/test_linalg.py::TestOneByOneLogdet",
+    "tests/test_gaussian.py::TestExactRanks",
+)
 
 
 def fail(message):
@@ -120,6 +125,14 @@ def demos(pins=DEMO_PINS):
             fail(f"demos/{name} printed other output than its pin:\n{''.join(diff)}")
 
 
+def haswell():
+    """The exact rules (1 x 1 log-dets, vector ranks, the Gram rank screen)
+    hold their oracles on OpenBLAS's Haswell (AVX2) kernels too, the class
+    that an AVX2-only machine runs, whatever this machine's own kernels."""
+    child([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *EXACT_RULE_ORACLES],
+          env={**CHECKOUT_ENV, "OPENBLAS_CORETYPE": "Haswell"})
+
+
 def selfcheck():
     """The benchmark's self-check, as a checkout runs it."""
     child([sys.executable, os.path.join("bench", "selfcheck.py")], env=os.environ)
@@ -151,7 +164,7 @@ def console(installed=None):
                 fail(f"{args}: {differ + missing} differ from the checkout's")
 
 
-STEPS = {f.__name__: f for f in (census, horizon, constant, demos, selfcheck, console)}
+STEPS = {f.__name__: f for f in (census, horizon, constant, demos, haswell, selfcheck, console)}
 
 
 def main():
