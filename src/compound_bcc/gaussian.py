@@ -245,7 +245,10 @@ def _ranks(a, tol):
     its Gram a^H a, whose determinant is prod sigma^2 and whose trace is
     ||a||_F^2, with a floor of SCREEN_MARGIN sqrt((n + c) eps) on the bound
     sigma_min / sigma_max, far above the Gram's rounding of about
-    (n + c) eps ||a||_F^2. Singular values decide the rest."""
+    (n + c) eps ||a||_F^2, and where the determinant's sign is positive and
+    ||a||_F^2 >= VECTOR_MIN^2: below that, the underflow of the Gram's
+    products (2^-1075 each) is no longer small against its rounding.
+    Singular values decide the rest."""
     n, c = a.shape[-2:]
     with np.errstate(all="ignore"):
         if c == 1:
@@ -255,9 +258,11 @@ def _ranks(a, tol):
             sure = sure.all(axis=-1)
         else:
             gram = a.conj().swapaxes(-1, -2) @ a
-            logdet = 0.5 * np.linalg.slogdet(gram)[1]
+            sign, logdet = np.linalg.slogdet(gram)
+            fro2 = np.trace(gram, axis1=-2, axis2=-1).real
             floor = SCREEN_MARGIN * np.sqrt((n + c) * np.finfo(float).eps)
-            sure = _screen_passes(logdet, np.trace(gram, axis1=-2, axis2=-1).real, c, tol, floor)
+            sure = _screen_passes(0.5 * logdet, fro2, c, tol, floor)
+            sure &= (sign.real > 0.0) & (fro2 >= VECTOR_MIN ** 2)
             ranks = np.full(a.shape[:-2], c)
     unsure = ~sure & np.isfinite(a).all(axis=(-2, -1))
     if unsure.any():

@@ -39,10 +39,11 @@ from compound_bcc.errors import (
     DegenerateBlockError,
     FeasibilityError,
     GenerationError,
+    InvalidInputError,
+    NotPositiveDefiniteError,
     check_count,
 )
 from compound_bcc.gaussian import CERT_RTOL, BeamformerSet, _gram, _logdet_i_plus
-from compound_bcc.errors import InvalidInputError, NotPositiveDefiniteError
 from compound_bcc.linalg import (
     DEFAULT_TOL,
     _first_failing_minor,

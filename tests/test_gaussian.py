@@ -995,19 +995,41 @@ class TestExactRanks:
         M=st.integers(1, 8),
         c=st.integers(1, 4),
         trials=st.integers(1, 4),
-        gap=st.floats(-20.0, 0.0),
-        scales=st.lists(st.integers(-600, 600), min_size=4, max_size=4),
+        gap=st.none() | st.floats(-20.0, 0.0),
+        scales=st.lists(st.integers(-600, 600), min_size=4, max_size=4)
+        | (st.integers(-540, -505) | st.integers(505, 540)).map(lambda e: [e] * 4),
         tol=st.floats(-17.0, -0.1).map(lambda e: RankTolerance(10.0 ** e)),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_gram_screen_is_numerical_rank(self, M, c, trials, gap, scales, tol, seed):
-        # columns 10^gap apart from the first, each scaled by a power of two
+        # columns parallel to the first (gap None) or 10^gap apart from it,
+        # each scaled by a power of two, or all by one near underflow or
+        # overflow
         rng = np.random.default_rng(seed)
         shape = (trials, M, c)
         noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        a = noise[..., :1] * (1.0 + rng.standard_normal(c)) + 10.0 ** gap * noise
+        a = noise[..., :1] * (1.0 + rng.standard_normal(c))
+        if gap is not None:
+            a = a + 10.0 ** gap * noise
         a *= np.ldexp(1.0, scales[:c])
         assert gaussian._ranks(a, tol).tolist() == [numerical_rank(m, tol) for m in a]
+
+    def test_gram_screen_leaves_matrices_near_underflow_to_the_svd(self):
+        # rank 1, but the rounding of its subnormal Gram entries alone gives
+        # the Gram a determinant that passes the screen
+        a = 2.0 ** -530 * np.array([[[1.0, 0.3], [1.0, 0.3]]], dtype=complex)
+        assert gaussian._ranks(a, DEFAULT_TOL).tolist() == [numerical_rank(a[0])] == [1]
+        # the same through a channel: H_1_1 of rank 1 scaled by 1e-160
+        g = make_channel(5, 2, 1, 2, 2, seed=9)
+        rng = np.random.default_rng(1)
+        u = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
+        w = rng.standard_normal((1, 5)) + 1j * rng.standard_normal((1, 5))
+        ch = CompoundChannelSet(5, 2, 1, 2, 2, (1e-160 * (u @ w), g.h1[1]), g.h2)
+        _, want = per_trial_builds([ch], 2, 1)
+        assert want == (ConstructionError, "H_1_1 @ v1 has rank 1, expected 2")
+        with pytest.raises(ConstructionError) as e:
+            build_beamformers(ch, 2, 1)
+        assert (type(e.value), str(e.value)) == want
 
     def test_gram_screen_needs_its_floor(self):
         # near-parallel pairs at small thresholds: the Gram's rounding alone
