@@ -364,13 +364,15 @@ def rank_report(ch, failures=()):
     checked and exhaustive follow from the stacked row count
     (rankcheck.subset_count).
     """
-    checked, exhaustive = subset_count(ch.J1 * ch.N1 + ch.J2 * ch.N2, ch.M)
+    rows = ch.J1 * ch.N1 + ch.J2 * ch.N2
+    checked, exhaustive = subset_count(rows, ch.M)
+    labels = [ch.row_label(i) for i in range(rows)] if failures else []
     return RankConditionReport(
         passed=not failures,
         checked=checked,
         exhaustive=exhaustive,
         failures=failures,
-        failure_labels=tuple(tuple(ch.row_label(i) for i in s) for s in failures),
+        failure_labels=tuple(tuple(labels[i] for i in s) for s in failures),
     )
 
 

@@ -137,47 +137,50 @@ def build_beamformers(ch, r1, r2, tol=DEFAULT_TOL):
 
 
 def build_beamformers_batch(h, r1, r2, tol=DEFAULT_TOL):
-    """build_beamformers of each channel of a chunk, built and certified as stacks.
+    """build_beamformers of the leading run of a chunk's channels, built and
+    certified as stacks.
 
     h = (h1, h2) holds the chunk's states, (T, J1, N1, M) and
-    (T, J2, N2, M), as channel.generate_batch returns them. Returns
-    (v, alone, error): the beam stacks v = (v0, v1, v2), (n, M, c) each,
-    of the n channels before the first whose construction fails; the
-    one-trial stacks (v0, v1, v2) of the channels t built alone, whose K
-    may differ; and that channel's error (None, n = T, when all pass).
+    (T, J2, N2, M), as channel.generate_batch returns them. A run is a
+    stretch of consecutive channels whose null spaces of h1, h2 and
+    [v1 v2]^H have the same ranks. Returns (v, ws, error): the beam stacks
+    v = (v0, v1, v2), (n, M, c) each, of the run's n channels; their
+    products h v, as _beam_products gives them; and the error of the
+    channel that ends the run (None when it is off the run's ranks, or
+    n = T). The caller builds the channels after the run by calling again
+    with their states.
 
     The null spaces are taken at the stack's highest ranks
-    (linalg.null_spaces); a channel whose null spaces of h1, h2 or
-    [v1 v2]^H have other ranks is built alone, by this function as a
-    one-trial stack, as is each channel of a stack whose SVD fails to
-    converge. Every certificate is decided exactly: stacked SVDs, and
-    matmuls of views with the one-trial strides, give each matrix the bits
-    of its one-trial call, and the norms are the 2-D ones
-    (linalg.frobenius_norms). Each rank is numerical_rank's, mostly
-    without an SVD (_ranks): h v_k of one column has rank 1 iff it is
-    nonzero, where its entries' moduli lie in [VECTOR_MIN, VECTOR_MAX], and
-    h v_k or [v1 v2] of c > 1 columns has rank c where the rank screen
-    passes on its Gram. The error is the first failing channel's first
-    failing check, in build_beamformers' order.
+    (linalg.null_spaces). A first channel off them, or the first channel of
+    a stack whose SVD fails to converge, is built by this function as a
+    one-trial stack, a run of its own. The trade-off: a channel off the
+    ranks at position t > 0 ends the run there, and the stacks of the
+    channels after it are built again by the next call. Every certificate
+    is decided exactly: stacked SVDs, and matmuls of views with the
+    one-trial strides, give each matrix the bits of its one-trial call,
+    and the norms are the 2-D ones (linalg.frobenius_norms). Each rank is
+    numerical_rank's, mostly without an SVD (_ranks): h v_k of one column
+    has rank 1 iff it is nonzero, where its entries' moduli lie in
+    [VECTOR_MIN, VECTOR_MAX], and h v_k or [v1 v2] of c > 1 columns has
+    rank c where the rank screen passes on its Gram. The error is the
+    failing channel's first failing check, in build_beamformers' order.
     """
-    T = len(h[0])
     try:
-        v, checks = _stacked_beamformers(h, r1, r2, tol)
-    except np.linalg.LinAlgError:  # every channel alone
-        if T == 1:
+        v, ws, checks = _stacked_beamformers(h, r1, r2, tol)
+    except np.linalg.LinAlgError:
+        if len(h[0]) == 1:
             raise
-        v, checks = (np.zeros((T, h[0].shape[-1], 0), complex),) * 3, [(np.ones(T, bool), None)]
+        return build_beamformers_batch(tuple(x[:1] for x in h), r1, r2, tol)
     failing = np.logical_or.reduce([bad.any(axis=tuple(range(1, bad.ndim))) for bad, _ in checks])
-    alone = {}
-    for t in np.flatnonzero(failing).tolist():
-        bad, make_error = next(check for check in checks if check[0][t].any())
+    n = int(np.argmax(failing)) if failing.any() else len(failing)
+    error = None
+    if n < len(failing):
+        bad, make_error = next(check for check in checks if check[0][n].any())
         if make_error:
-            return tuple(x[:t] for x in v), alone, make_error(t, int(np.argmax(bad[t])))
-        one, _, error = build_beamformers_batch(tuple(x[t:t + 1] for x in h), r1, r2, tol)
-        if error:
-            return tuple(x[:t] for x in v), alone, error
-        alone[t] = one
-    return v, alone, None
+            error = make_error(n, int(np.argmax(bad[n])))
+        elif not n:  # the first channel is off the stack's ranks
+            return build_beamformers_batch(tuple(x[:1] for x in h), r1, r2, tol)
+    return tuple(x[:n] for x in v), [[w[:n] for w in wk] for wk in ws], error
 
 
 def _feasibility_error(M, N1, N2, J1, J2, r1, r2):
@@ -195,8 +198,9 @@ def _feasibility_error(M, N1, N2, J1, J2, r1, r2):
 
 
 def _stacked_beamformers(h, r1, r2, tol):
-    """(v, checks) of a chunk of channels: the beam stacks v = (v0, v1, v2),
-    (T, M, c) each, and the checks of build_beamformers in its order, each
+    """(v, ws, checks) of a chunk of channels: the beam stacks v = (v0, v1,
+    v2), (T, M, c) each, their products ws = _beam_products(h, v), each
+    computed once, and the checks of build_beamformers in its order, each
     (bad, make_error): bad, (T,) or (T, J) per state j, marks the failures,
     and make_error(t, j) gives channel t's error. The check whose
     make_error is None marks the channels whose null spaces are not at the
@@ -211,14 +215,15 @@ def _stacked_beamformers(h, r1, r2, tol):
     v = [null2[..., :r1], null1[..., :r2]]
     stacked = np.concatenate(v, axis=-1)
     v0, at0 = null_spaces(stacked.conj().swapaxes(-1, -2), tol)
+    ws = _beam_products(h, (v0, *v))
     checks = [
         (np.full(T, infeasible is not None), lambda t, j: infeasible),
         (~finite, lambda t, j: InvalidInputError("matrix contains non-finite entries")),
         (~(at0 & at1 & at2), None),
         *_orthonormality(v[0], "v1"),
         *_orthonormality(v[1], "v2"),
-        *_user_checks(h, v, 1, tol),
-        *_user_checks(h, v, 2, tol),
+        *_user_checks(h, ws, 1, tol),
+        *_user_checks(h, ws, 2, tol),
         *_orthonormality(v0, "v0"),
     ]
     K = v0.shape[-1]
@@ -232,7 +237,7 @@ def _stacked_beamformers(h, r1, r2, tol):
         checks.append((expected != K, lambda t, j: ConstructionError(
             f"common subspace has {K} columns, expected {expected[t]}"
         )))
-    return (v0, *v), checks
+    return (v0, *v), ws, checks
 
 
 def _ranks(a, tol):
@@ -281,22 +286,22 @@ def _orthonormality(v, name):
     ))]
 
 
-def _user_checks(h, v, k, tol):
-    """The checks of v_k of _stacked_beamformers: at each state h of the
-    other user, ||h v_k||_F <= CERT_RTOL ||h||_F, then at each of user k's,
-    h v_k of rank r_k (a product with a non-finite entry is
-    InvalidInputError, as numerical_rank raises it); none when r_k = 0.
-    The ranks are _ranks': a one-column product (r_k = 1) whose nonzero
-    entries have moduli in [VECTOR_MIN, VECTOR_MAX] has rank 1 iff it has
-    a nonzero entry, a wider one rank r_k where its Gram passes the rank
-    screen, and singular values decide the rest."""
-    other, beams = 2 - k, v[k - 1]
-    r = beams.shape[-1]
+def _user_checks(h, ws, k, tol):
+    """The checks of v_k of _stacked_beamformers, read from the products ws
+    of _beam_products: at each state h of the other user, ||h v_k||_F <=
+    CERT_RTOL ||h||_F, then at each of user k's, h v_k of rank r_k (a
+    product with a non-finite entry is InvalidInputError, as
+    numerical_rank raises it); none when r_k = 0. The ranks are _ranks':
+    a one-column product (r_k = 1) whose nonzero entries have moduli in
+    [VECTOR_MIN, VECTOR_MAX] has rank 1 iff it has a nonzero entry, a
+    wider one rank r_k where its Gram passes the rank screen, and singular
+    values decide the rest."""
+    other, own = 2 - k, ws[k - 1][k]
+    r = own.shape[-1]
     if not r:
         return []
-    resid = frobenius_norms(h[other] @ beams[:, None])
+    resid = frobenius_norms(ws[other][k])
     limit = CERT_RTOL * frobenius_norms(h[other])
-    own = h[k - 1] @ beams[:, None]
     finite = np.isfinite(own).all(axis=(-2, -1))
     ranks = _ranks(own, tol)
 
@@ -390,7 +395,7 @@ def _beam_products(h, v):
     """h v for every receiving user, beam, trial and state.
 
     ws[k][b] has shape (T, J, N, c) for receiving user k + 1 and beam b (0
-    common, 1 and 2 confidential), T the trials of the beam stacks v. The
+    common, 1 and 2 confidential), T the trials of the stacks h and v. The
     channel is applied before the powers, so that a beam lying in the null
     space of h keeps its ~1e-16 projection residual; scaling a covariance
     by a large power first would bury that cancellation under rounding
@@ -400,8 +405,7 @@ def _beam_products(h, v):
     matmul of views with the one-trial strides (see
     build_beamformers_batch), so that each product is the 2-D one.
     """
-    T = len(v[0])
-    return [[h[k][:T] @ b[:, None] for b in v] for k in (0, 1)]
+    return [[h[k] @ b[:, None] for b in v] for k in (0, 1)]
 
 
 def _grams(w, p):
@@ -522,27 +526,6 @@ def _equal_power(ws, grid):
     return rates, _fit_stack(grid, np.moveaxis(rates[..., :3], -1, -2))
 
 
-def _equal_power_stack(h, v, alone, grid):
-    """_equal_power of a chunk at the points of a grid (dB) that
-    check_snr_grid accepts: the first T channels of the state stacks h
-    with the beam stacks v (T trials) and the one-trial beam stacks of the
-    channels that build_beamformers_batch built alone. Such a channel,
-    whose K may differ, is evaluated as a one-trial stack of its own,
-    between the runs of the stack before and after it, so that the error
-    raised is the first that trial order meets. A grid point at which a
-    received covariance overflows raises InvalidGridError naming it."""
-    T = len(v[0])
-    with np.errstate(all="ignore"):  # the rows of channels built alone are not read
-        ws = _beam_products(h, v)
-    parts, start = [], 0
-    for t in sorted(alone) + [T]:
-        parts.append(_equal_power([[w[start:t] for w in wk] for wk in ws], grid))
-        if t < T:
-            parts.append(_equal_power(_beam_products([x[t:t + 1] for x in h], alone[t]), grid))
-        start = t + 1
-    return tuple(np.concatenate(x) for x in zip(*parts))
-
-
 def equal_power_slopes(ch, bf, snr_db_grid=DEFAULT_SNR_GRID_DB):
     """Slope estimates of the three worst-case rates under equal power.
 
@@ -569,11 +552,12 @@ def run_trials(dims, r1, r2, snr_db_grid, seeds):
     reference:
 
     * generate_batch draws the chunk, its rank checks decided together;
-    * build_beamformers_batch builds and certifies it as stacks, a channel
-      whose null spaces are not at the chunk's ranks as a one-trial stack;
-    * _equal_power_stack evaluates the rates over (trials, grid points,
-      states), a channel built alone as a one-trial stack, and fits every
-      slope in one sdof._fit_stack call.
+    * build_beamformers_batch builds and certifies the chunk's leading
+      run, the channels at the same null-space ranks (most often the whole
+      chunk), with its products h v;
+    * _equal_power evaluates the run's rates over (trials, grid points,
+      states) and fits every slope in one sdof._fit_stack call; then the
+      next run of the chunk is built and evaluated.
 
     The error raised is the first that trial order meets: the trials
     before a failing one are evaluated first, and the grid is checked
@@ -586,14 +570,17 @@ def run_trials(dims, r1, r2, snr_db_grid, seeds):
     chunk = _trials_per_chunk(*dims, r1, r2, np.size(snr_db_grid))
     for start in range(0, len(seeds), chunk):
         h, error = generate_batch(dims, seeds[start:start + chunk])
-        v, alone, build_error = build_beamformers_batch(h, r1, r2)
-        if len(v[0]):
-            grid = check_snr_grid(snr_db_grid) if grid is None else grid
-            rates, fits = _equal_power_stack(h, v, alone, grid)
-            blocks.append(rates)
-            slopes.extend(fits[..., 0].tolist())
+        build_error = None
+        while len(h[0]) and not build_error:
+            v, ws, build_error = build_beamformers_batch(h, r1, r2)
+            if len(v[0]):
+                grid = check_snr_grid(snr_db_grid) if grid is None else grid
+                rates, fits = _equal_power(ws, grid)
+                blocks.append(rates)
+                slopes.extend(fits[..., 0].tolist())
+                K = v[0].shape[-1]
+            h = tuple(x[len(v[0]):] for x in h)
         # a construction error belongs to an earlier trial than any generation error
         if build_error or error:
             raise build_error or error
-    last = len(v[0]) - 1
-    return np.concatenate(blocks), slopes, alone.get(last, v)[0].shape[-1]
+    return np.concatenate(blocks), slopes, K

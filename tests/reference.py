@@ -11,8 +11,8 @@ must equal bit for bit:
   time, against gaussian.build_beamformers_batch and its one-trial call
   build_beamformers;
 * rate_common, rate_confidential and rate_leakage: the rates of one state,
-  against gaussian.worst_case_rates and the stacked evaluation of a chunk
-  (gaussian._equal_power_stack);
+  against gaussian.worst_case_rates and the stacked evaluation of a run of
+  a chunk (gaussian._equal_power);
 * swap_users: the same channel with the users' roles exchanged;
 * logdet2_hpd_cholesky: the HPD log-dets of a stack, every order through
   numpy.linalg.cholesky, against linalg.logdet2_hpd's 1 x 1 rule;

@@ -28,7 +28,8 @@ def test_workflow_calls_every_step_and_holds_no_heredoc():
 
 
 def test_haswell_step_names_existing_test_classes():
-    for node in load_runner().EXACT_RULE_ORACLES:
+    runner = load_runner()
+    for node in runner.EXACT_RULE_ORACLES + runner.STACKED_BIT_EXACT:
         path, name = node.split("::")
         with open(os.path.join(ROOT, path)) as fh:
             assert f"\nclass {name}:" in fh.read(), node

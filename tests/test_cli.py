@@ -121,12 +121,22 @@ class TestGaussianCommand:
     def test_constant_trials_run_as_one_chunk(self, tmp_path, monkeypatch):
         # the benchmark's constant-trials workload: 150 trials of M = 4,
         # N = 1, J = 2 at 3 grid points, drawn by one generate_batch call
-        calls = []
+        # and one run, built by one build_beamformers_batch call and
+        # evaluated by one _equal_power call
+        calls, builds, evaluations = [], [], []
         monkeypatch.setattr(gaussian, "generate_batch", lambda dims, seeds: (
             calls.append(len(seeds)) or generate_batch(dims, seeds)
         ))
+        monkeypatch.setattr(
+            gaussian, "build_beamformers_batch",
+            lambda h, *a, real=gaussian.build_beamformers_batch: builds.append(len(h[0])) or real(h, *a),
+        )
+        monkeypatch.setattr(
+            gaussian, "_equal_power",
+            lambda ws, grid, real=gaussian._equal_power: evaluations.append(len(ws[0][0])) or real(ws, grid),
+        )
         assert run(["gaussian", "--out", tmp_path, "--trials", 150]) == 0
-        assert calls == [150]
+        assert calls == builds == evaluations == [150]
 
     def test_screened_trials_construct_no_objects(self, tmp_path, monkeypatch):
         # every trial of constant-trials passes the screens: the run holds
@@ -149,19 +159,19 @@ class TestGaussianCommand:
         # chunks of 4 trials evaluate to crafted rates of every magnitude:
         # rates.csv holds each row's floats as formatted one by one, and
         # max_leakage is Python's max over the leakages, 0.0 when all are
-        real = gaussian._equal_power_stack
+        real = gaussian._equal_power
         rng = np.random.default_rng(3)
         made = []
 
-        def crafted(h, v, alone, grid):
-            rates, fits = real(h, v, alone, grid)
+        def crafted(ws, grid):
+            rates, fits = real(ws, grid)
             rates = rng.standard_normal(rates.shape) * 10.0 ** rng.integers(-300, 300, rates.shape)
             rates[..., 3] = 0.0 if zero else np.abs(rates[..., 3])
             made.append(rates)
             return rates, fits
 
         set_chunk(monkeypatch, 4)
-        monkeypatch.setattr(gaussian, "_equal_power_stack", crafted)
+        monkeypatch.setattr(gaussian, "_equal_power", crafted)
         assert run(["gaussian", "--out", tmp_path, "--trials", 10]) == 0
         assert [len(r) for r in made] == [4, 4, 2]
         rows = [(snr, *r) for rates in made for trial in rates.tolist() for snr, r in zip(DEFAULT_SNR_GRID_DB, trial)]
@@ -179,9 +189,11 @@ class TestGaussianCommand:
         assert len(lines) == 9 and all(line.endswith(",0") for line in lines)
 
     def test_rebuilt_trials_in_a_chunk_leave_outputs_unchanged(self, tmp_path, monkeypatch):
-        # every other trial of a chunk is reported off the chunk's null-space
-        # ranks, so that it is built alone, as a one-trial stack, and keeps
-        # its per-trial products
+        # trials 3 and 6 of the chunk of 9 are reported off the null-space
+        # ranks of every stack of more than one: each ends a run, then is
+        # built as a one-trial stack at the head of the next call, and the
+        # trials after it are built again; every trial keeps its per-trial
+        # products. A stack of n holds the chunk's last n trials.
         args = ["gaussian", "--trials", 9, "--seed", 5, "--M", 5, "--N1", 2, "--r1", 2]
         set_chunk(monkeypatch, 1)
         assert run(args + ["--out", tmp_path / "one"]) == 0
@@ -190,7 +202,7 @@ class TestGaussianCommand:
         def dropping(a, tol):
             bases, at_rank = real(a, tol)
             if len(a) > 1:
-                at_rank[1::2] = False
+                at_rank[[t - 9 + len(a) for t in (3, 6) if t >= 9 - len(a)]] = False
             return bases, at_rank
 
         stacks = []
@@ -202,7 +214,7 @@ class TestGaussianCommand:
         )
         made = count_objects(monkeypatch)
         assert run(args + ["--out", tmp_path / "mixed"]) == 0
-        assert stacks == [9, 1, 1, 1, 1]
+        assert stacks == [9, 6, 1, 5, 3, 1, 2]
         # no trial constructs a channel set or a beamformer set
         assert made == []
         for name in ("rates.csv", "region.json", "summary.json"):
@@ -254,12 +266,12 @@ class TestGaussianCommand:
             return h, error
 
         def build(h, r1, r2):
-            v, alone, error = build_beamformers_batch(h, r1, r2)
+            v, ws, error = build_beamformers_batch(h, r1, r2)
             for i, ch in enumerate(stacked_sets(h)):
                 if ch.stacked_rows().tobytes() == failing.stacked_rows().tobytes():
                     error = ConstructionError(f"build {failing_trial} failed")
-                    return tuple(x[:i] for x in v), alone, error
-            return v, alone, error
+                    return tuple(x[:i] for x in v), [[w[:i] for w in wk] for wk in ws], error
+            return v, ws, error
 
         set_chunk(monkeypatch, chunk)
         monkeypatch.setattr(gaussian, "generate_batch", generate)

@@ -383,25 +383,37 @@ def raised(call):
 
 def as_objects(rates, fits):
     """The (triples, estimates) of each trial, as equal_power_slopes gives them,
-    from the arrays of _equal_power_stack."""
+    from the arrays of _equal_power."""
     return [([RateTriple(*r) for r in trial], tuple(SdofEstimate(*f) for f in fit))
             for trial, fit in zip(rates.tolist(), fits.tolist())]
 
 
+def evaluate_runs(products, grid):
+    """_equal_power of each run's products, in order, as objects: the first
+    error raised is the one that trial order meets, as in run_trials."""
+    return [obj for ws in products for obj in as_objects(*gaussian._equal_power(ws, grid))]
+
+
 def evaluate_chunk(pairs, grid):
-    """_equal_power_stack of the chunk of (channel, beams) pairs, as objects:
-    the beams that build_beamformers_batch builds from the chunk's stacks
-    come from the stacks, any others (leaky ones) as one-trial stacks of
-    channels built alone."""
+    """The chunk of (channel, beams) pairs evaluated run by run, as objects:
+    the trials whose beams build_beamformers_batch builds from the chunk's
+    stacks take its products, any others (leaky or narrowed ones) are runs
+    of their own, with their one-trial products."""
     h = stack_of([ch for ch, _ in pairs])
     bf = pairs[0][1]
-    v, alone, error = build_beamformers_batch(h, bf.r1, bf.r2)
-    assert error is None
+    v, ws, error = build_beamformers_batch(h, bf.r1, bf.r2)
+    assert error is None and len(v[0]) == len(pairs)
+    products, start = [], 0
     for t, (_, bf) in enumerate(pairs):
-        beams = (bf.v0, bf.v1, bf.v2)
-        if t in alone or any(a.tobytes() != b[t].tobytes() for a, b in zip(beams, v)):
-            alone[t] = one_trial(bf)
-    return as_objects(*gaussian._equal_power_stack(h, v, alone, grid))
+        if any(a.tobytes() != b[t].tobytes() for a, b in zip((bf.v0, bf.v1, bf.v2), v)):
+            products += [cut(ws, start, t), gaussian._beam_products([x[t:t + 1] for x in h], one_trial(bf))]
+            start = t + 1
+    return evaluate_runs(products + [cut(ws, start, len(pairs))], grid)
+
+
+def cut(ws, start, stop):
+    """The products ws of trials start..stop - 1."""
+    return [[w[start:stop] for w in wk] for wk in ws]
 
 
 def one_trial(bf):
@@ -549,21 +561,27 @@ def stack_of(chs):
     return tuple(np.array([ch.states(k) for ch in chs]) for k in (1, 2))
 
 
-def sets_of(v, alone):
-    """The beamformer set of each trial of build_beamformers_batch's result:
-    views of its one-trial stacks if it was built alone, else of the beam
-    stacks v."""
-    sets = []
-    for t in range(len(v[0])):
-        v0, v1, v2 = (x[0] for x in alone[t]) if t in alone else (x[t] for x in v)
-        sets.append(BeamformerSet(v1=v1, v2=v2, v0=v0))
-    return sets
+def build_runs(h, r1, r2):
+    """build_beamformers_batch over a chunk of state stacks h, run by run as
+    run_trials calls it: (runs, error), runs the (v, ws) of each call."""
+    runs, error = [], None
+    while len(h[0]) and not error:
+        v, ws, error = build_beamformers_batch(h, r1, r2)
+        runs.append((v, ws))
+        h = tuple(x[len(v[0]):] for x in h)
+    return runs, error
+
+
+def sets_of(runs):
+    """The beamformer set of each trial of build_runs' runs: views of the
+    beam stacks v of its run."""
+    return [BeamformerSet(v1=v1, v2=v2, v0=v0) for v, _ in runs for v0, v1, v2 in zip(*v)]
 
 
 def batch_builds(chs, r1, r2):
-    """build_beamformers_batch of the chunk of chs: (bfs, error)."""
-    v, alone, error = build_beamformers_batch(stack_of(chs), r1, r2)
-    return sets_of(v, alone), error
+    """build_runs of the chunk of chs: (bfs, error)."""
+    runs, error = build_runs(stack_of(chs), r1, r2)
+    return sets_of(runs), error
 
 
 def assert_same_builds(got, want):
@@ -592,16 +610,18 @@ def crafted_channel(kind, seed=0):
     return ch
 
 
-def dropping(where):
+def dropping(where, trials):
     """linalg.null_spaces, as gaussian calls it, with the trials ``where`` of
-    a stack of more than one reported off the stack's rank: they are built
-    alone."""
+    a chunk of ``trials`` reported off the rank of every stack of more than
+    one that holds them: each ends a run, and at the head of a stack is
+    built as a one-trial stack. A stack of n holds the chunk's last n
+    trials (see build_runs)."""
     real = gaussian.null_spaces
 
     def null_spaces(a, tol):
         bases, at_rank = real(a, tol)
         if len(a) > 1:
-            at_rank[where] = False
+            at_rank[[t - trials + len(a) for t in where if t >= trials - len(a)]] = False
         return bases, at_rank
 
     return null_spaces
@@ -656,10 +676,10 @@ class TestChunkedBuild:
     def test_generic_channels_match_per_trial_build(self, scenario, trials):
         (M, N1, N2, J1, J2, r1, r2), seed, _ = scenario
         chs = [make_channel(M, N1, N2, J1, J2, seed=seed + t) for t in range(trials)]
-        # generic channels are at the stack's ranks: none is built alone
-        v, alone, error = build_beamformers_batch(stack_of(chs), r1, r2)
-        assert error is None and alone == {}
-        bfs = sets_of(v, alone)
+        # generic channels are at the stack's ranks: one run
+        v, ws, error = build_beamformers_batch(stack_of(chs), r1, r2)
+        assert error is None and len(v[0]) == trials
+        bfs = sets_of([(v, ws)])
         assert_same_builds(bfs, per_trial_builds(chs, r1, r2)[0])
         assert_same_builds([build_beamformers(ch, r1, r2) for ch in chs], bfs)
 
@@ -722,15 +742,15 @@ class TestChunkedBuild:
     @given(chunk=degenerate_chunks())
     def test_builds_are_the_per_trial_builds(self, chunk):
         h, r1, r2 = chunk
-        v, alone, error = build_beamformers_batch(h, r1, r2)
+        runs, error = build_runs(h, r1, r2)
         want, want_error = per_trial_builds(stacked_sets(h), r1, r2)
-        assert_same_builds(sets_of(v, alone), want)
+        assert_same_builds(sets_of(runs), want)
         assert (error and (type(error), str(error))) == want_error
 
     @pytest.mark.parametrize("crafted", [None, 2])
     def test_stack_whose_svd_fails_is_built_channel_by_channel(self, crafted):
-        # a stacked SVD that does not converge sends every channel of the
-        # stack to its own one-trial build, in trial order
+        # a stacked SVD that does not converge sends the stack's first
+        # channel to its own one-trial build, a run of one, in trial order
         def null_spaces(a, tol, real=gaussian.null_spaces):
             if len(a) > 1:
                 raise np.linalg.LinAlgError("SVD did not converge")
@@ -739,15 +759,14 @@ class TestChunkedBuild:
         chs = [make_channel(5, 2, 1, 2, 2, seed=s) for s in range(4)]
         if crafted is not None:
             chs[crafted] = crafted_channel("leak", seed=9)
-        h = stack_of(chs)
         with mock.patch.object(gaussian, "null_spaces", null_spaces):
-            v, alone, error = build_beamformers_batch(h, 2, 1)
+            runs, error = build_runs(stack_of(chs), 2, 1)
         want, want_error = per_trial_builds(chs, 2, 1)
-        assert sorted(alone) == list(range(len(want))) == list(range(len(v[0])))
-        assert_same_builds(sets_of(v, alone), want)
+        assert [len(v[0]) for v, _ in runs] == [1] * len(want) + [0] * bool(want_error)
+        assert_same_builds(sets_of(runs), want)
         assert (error and (type(error), str(error))) == want_error
         grid = (60.0, 80.0, 100.0)
-        got = as_objects(*gaussian._equal_power_stack(h, v, alone, grid))
+        got = evaluate_runs([ws for _, ws in runs], grid)
         assert got == [equal_power_slopes(ch, bf, grid) for ch, bf in zip(chs, want)]
 
     @pytest.mark.parametrize("r1, r2", [(2, 1), (-1, 0)])
@@ -761,10 +780,11 @@ class TestChunkedBuild:
         # a chunk holds channels of one set of dimensions (generate_batch
         # rejects mixed specs)
         h = (np.zeros((0, 2, 1, 4), complex),) * 2
-        v, alone, error = build_beamformers_batch(h, 1, 1)
+        v, ws, error = build_beamformers_batch(h, 1, 1)
         assert [x.shape for x in v] == [(0, 4, 2), (0, 4, 1), (0, 4, 1)]
-        assert alone == {} and error is None
-        rates, fits = gaussian._equal_power_stack(h, v, alone, (60.0, 80.0, 100.0))
+        assert [[w.shape for w in wk] for wk in ws] == [[(0, 2, 1, 2), (0, 2, 1, 1), (0, 2, 1, 1)]] * 2
+        assert error is None
+        rates, fits = gaussian._equal_power(ws, (60.0, 80.0, 100.0))
         assert rates.shape == (0, 3, 4) and fits.shape == (0, 3, 3)
 
 
@@ -796,8 +816,8 @@ class TestChunkRule:
 
 
 class TestStackedProducts:
-    """h v of a chunk's stacks against the per-trial products, bit for bit,
-    and chunks whose trials built alone take their own."""
+    """h v of a chunk's runs against the per-trial products, bit for bit,
+    and runs of one trial that take their own."""
 
     @settings(max_examples=60, deadline=None)
     @given(scenario=scenarios(), trials=st.integers(1, 4))
@@ -808,10 +828,9 @@ class TestStackedProducts:
     def test_stacked_products_equal_per_trial_products(self, scenario, trials):
         (M, N1, N2, J1, J2, r1, r2), seed, _ = scenario
         h, _ = generate_batch((M, N1, N2, J1, J2), range(seed, seed + trials))
-        v, alone, error = build_beamformers_batch(h, r1, r2)
-        assert error is None and alone == {}
-        got = gaussian._beam_products(h, v)
-        pairs = list(zip(stacked_sets(h), sets_of(v, alone)))
+        v, got, error = build_beamformers_batch(h, r1, r2)
+        assert error is None and len(v[0]) == trials
+        pairs = list(zip(stacked_sets(h), sets_of([(v, got)])))
         for t, (ch, bf) in enumerate(pairs):
             for k, b in itertools.product((1, 2), range(3)):  # the 2-D products themselves
                 v_b = (bf.v0, bf.v1, bf.v2)[b]
@@ -821,17 +840,18 @@ class TestStackedProducts:
     @pytest.mark.parametrize("where", [[1], [0, 3], [0, 1, 2, 3]])
     def test_chunk_mixing_stacked_and_rebuilt_trials(self, where):
         # the "duplicate" channel's user 2 rows lack the stack's rank, so it
-        # is built alone; the others are dropped from the stack by hand, so
-        # their one-trial builds and per-trial products stand in
+        # ends a run and is built as a one-trial stack; the others are
+        # dropped from the stacks by hand, so their one-trial builds and
+        # per-trial products stand in
         chs = [make_channel(5, 2, 1, 2, 2, seed=s) for s in range(4)]
         chs[where[0]] = crafted_channel("duplicate", seed=9)
-        h = stack_of(chs)
-        with mock.patch.object(gaussian, "null_spaces", dropping(where)):
-            v, alone, error = build_beamformers_batch(h, 2, 1)
-        assert error is None and sorted(alone) == where
+        with mock.patch.object(gaussian, "null_spaces", dropping(where, 4)):
+            got, error = build_runs(stack_of(chs), 2, 1)
+        runs = {(1,): [1, 1, 2], (0, 3): [1, 2, 1], (0, 1, 2, 3): [1, 1, 1, 1]}[tuple(where)]
+        assert error is None and [len(v[0]) for v, _ in got] == runs
         bfs = per_trial_builds(chs, 2, 1)[0]
-        assert_same_builds(sets_of(v, alone), bfs)
-        got = as_objects(*gaussian._equal_power_stack(h, v, alone, (60.0, 80.0, 100.0)))
+        assert_same_builds(sets_of(got), bfs)
+        got = evaluate_runs([ws for _, ws in got], (60.0, 80.0, 100.0))
         assert got == [equal_power_slopes(ch, bf, (60.0, 80.0, 100.0)) for ch, bf in zip(chs, bfs)]
 
     @pytest.mark.parametrize("odd, top", [
@@ -844,30 +864,27 @@ class TestStackedProducts:
         (0, 3026.0),
     ])
     def test_rebuilt_trial_with_another_k_is_evaluated_alone(self, odd, top):
-        # trial ``odd``, as if built alone, has an orthonormal v0 with one
-        # column fewer: that trial gets exactly its one-trial rates and fits,
-        # the others those of the stack, and the error raised is the first
-        # that trial order meets
+        # trial ``odd``, as if built as a one-trial stack, has an orthonormal
+        # v0 with one column fewer: that trial, a run of its own, gets
+        # exactly its one-trial rates and fits, the others those of the
+        # stack, and the error raised is the first that trial order meets
         chs = [make_channel(5, 2, 1, 2, 2, seed=s) for s in range(4)]
         bfs = [build_beamformers(ch, 2, 1) for ch in chs]
+        assert all(bf.K == 2 for bf in bfs)
         bfs[odd] = BeamformerSet(v1=bfs[odd].v1, v2=bfs[odd].v2, v0=bfs[odd].v0[:, :-1])
-        h = stack_of(chs)
-        v, alone, error = build_beamformers_batch(h, 2, 1)
-        assert error is None and alone == {} and v[0].shape[-1] == 2
-        alone[odd] = one_trial(bfs[odd])
+        pairs = list(zip(chs, bfs))
         grid = (60.0, top - 20.0, top)
 
         def per_trial():
-            return [equal_power_slopes(ch, bf, grid) for ch, bf in zip(chs, bfs)]
+            return [equal_power_slopes(ch, bf, grid) for ch, bf in pairs]
 
         with np.errstate(all="ignore"):
             try:
                 want = per_trial()
             except InvalidGridError:
-                got = raised(lambda: gaussian._equal_power_stack(h, v, alone, grid))
-                assert got == raised(per_trial)
+                assert raised(lambda: evaluate_chunk(pairs, grid)) == raised(per_trial)
             else:
-                assert as_objects(*gaussian._equal_power_stack(h, v, alone, grid)) == want
+                assert evaluate_chunk(pairs, grid) == want
 
 
 class TestRunTrials:
@@ -897,15 +914,17 @@ class TestRunTrials:
         assert K == bf.K
 
     def test_rebuilt_last_trial_gives_its_k(self):
-        # the last trial is built alone, with one common beam fewer
+        # the last trial is a run of its own, with one common beam fewer
         dims, seeds = (5, 2, 1, 2, 2), range(2, 5)
         chs = [generate_compound(ChannelGenSpec(*dims, seed=s)) for s in seeds]
         bf = build_beamformers(chs[-1], 2, 1)
         narrow = BeamformerSet(v1=bf.v1, v2=bf.v2, v0=bf.v0[:, :-1])
 
         def build(h, r1, r2, real=gaussian.build_beamformers_batch):
-            v, alone, error = real(h, r1, r2)
-            return v, {**alone, 2: one_trial(narrow)}, error
+            if len(h[0]) == 1:
+                return one_trial(narrow), gaussian._beam_products(h, one_trial(narrow)), None
+            v, ws, error = real(h, r1, r2)
+            return tuple(x[:-1] for x in v), cut(ws, 0, -1), error
 
         with mock.patch.object(gaussian, "build_beamformers_batch", build):
             rates, slopes, K = run_trials(dims, 2, 1, (60.0, 80.0, 100.0), seeds)

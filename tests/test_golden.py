@@ -11,8 +11,10 @@ import importlib.util
 import json
 import os
 
+import numpy as np
 import pytest
 
+from compound_bcc.channel import CompoundChannelSet, save_channel
 from compound_bcc.cli import main
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -147,6 +149,33 @@ def test_outputs_match_pinned_digests(case, tmp_path):
     argv, code = CASES[case]
     assert main(argv + ["--out", str(tmp_path)]) == code
     assert digests(tmp_path) == GOLDEN[case]
+
+
+def degenerate_channel():
+    """24 rows of M = 4, J1 = J2 = 12, N = 1, with every kind of failure: a
+    zero row, a multiple of a row and a combination of the two, and rows
+    near underflow and overflow."""
+    rng = np.random.default_rng(5)
+    rows = (rng.standard_normal((24, 4)) + 1j * rng.standard_normal((24, 4))) / np.sqrt(2.0)
+    rows[15] = 2.0 * rows[3]
+    rows[22] = rows[3] + 1j * rows[15]
+    rows[7] = 0.0
+    rows[10] *= 1e-160
+    rows[20] *= 1e160
+    return CompoundChannelSet(4, 1, 1, 12, 12, tuple(rows[:12, None]), tuple(rows[12:, None]))
+
+
+def test_degenerate_channel_summary_matches_pinned_digest(tmp_path):
+    # 5,118 of the 10,626 subsets fail: pins their order and labels
+    path = tmp_path / "channel.json"
+    save_channel(degenerate_channel(), path)
+    out = tmp_path / "out"
+    assert main(["verify-channel", "--channel", str(path), "--out", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["subsets_checked"], len(summary["failures"])) == (10_626, 5_118)
+    assert digests(out) == {
+        "summary.json": "74d294a71f6221f5a11b40f91f43fd9d154f676e62a769b1da22ffc065c31516",
+    }
 
 
 def load_bench():

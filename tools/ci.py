@@ -36,6 +36,12 @@ EXACT_RULE_ORACLES = (
     "tests/test_linalg.py::TestOneByOneLogdet",
     "tests/test_gaussian.py::TestExactRanks",
 )
+# the tests that hold stacked builds and products to their one-trial bits
+STACKED_BIT_EXACT = (
+    "tests/test_gaussian.py::TestChunkedBuild",
+    "tests/test_gaussian.py::TestStackedProducts",
+    "tests/test_ergodic.py::TestStackedBitExact",
+)
 
 
 def fail(message):
@@ -128,8 +134,12 @@ def demos(pins=DEMO_PINS):
 def haswell():
     """The exact rules (1 x 1 log-dets, vector ranks, the Gram rank screen)
     hold their oracles on OpenBLAS's Haswell (AVX2) kernels too, the class
-    that an AVX2-only machine runs, whatever this machine's own kernels."""
-    child([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *EXACT_RULE_ORACLES],
+    that an AVX2-only machine runs, whatever this machine's own kernels; and
+    so do the stacked builds and products, whose views get one-trial bits
+    only as far as the BLAS kernel gives every matrix of a stack the bits
+    of its 2-D call."""
+    child([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+           *EXACT_RULE_ORACLES, *STACKED_BIT_EXACT],
           env={**CHECKOUT_ENV, "OPENBLAS_CORETYPE": "Haswell"})
 
 
