@@ -33,7 +33,7 @@ from .errors import (
     read_json,
     user_index,
 )
-from .linalg import DEFAULT_TOL, as_matrix
+from .linalg import as_matrix
 from .rankcheck import rank_chunks, subset_count
 
 __all__ = [
@@ -121,8 +121,8 @@ def stacked_sets(h):
 
 @dataclass(frozen=True)
 class ChannelGenSpec:
-    """Parameters for seeded channel generation. seed and max_resamples are
-    checked here, the dimensions by the generator."""
+    """Parameters for seeded channel generation. seed is checked here, the
+    dimensions by the generator."""
 
     M: int
     N1: int
@@ -130,11 +130,9 @@ class ChannelGenSpec:
     J1: int
     J2: int
     seed: int
-    max_resamples: int = 8
 
     def __post_init__(self):
         check_count(self.seed, "seed", minimum=0)
-        check_count(self.max_resamples, "max_resamples")
 
 
 @dataclass(frozen=True)
@@ -172,20 +170,22 @@ def attempt_seed(seed, attempt):
 # us, 150 draws 1.95-2.04 against 0.64 ms. rank-census draws 1 per
 # attempt and fading-blocks 4, which stay per draw; constant-trials 150.
 REPLAY_MIN = 12
+# Attempts per seed before generation gives up with a GenerationError.
+MAX_RESAMPLES = 8
 
 
-def generate_compound(spec, tol=DEFAULT_TOL):
+def generate_compound(spec):
     """Draw a compound channel set with i.i.d. CN(0,1) entries.
 
     Entries are circularly symmetric complex Gaussian with unit variance.
     The generic rank condition (every selection of M stacked rows has rank
     M) is verified on each draw; failing draws are resampled with a fresh
-    sub-seed derived from (seed, attempt). After max_resamples failed
+    sub-seed derived from (seed, attempt). After MAX_RESAMPLES failed
     attempts a GenerationError is raised. Identical specs produce
     bit-identical channel sets. This is generate_batch of the one seed.
     """
     dims = spec.M, spec.N1, spec.N2, spec.J1, spec.J2
-    h, error = generate_batch(dims, [spec.seed], tol, spec.max_resamples)
+    h, error = generate_batch(dims, [spec.seed])
     if error is not None:
         raise error
     return stacked_sets(h)[0]
@@ -216,12 +216,12 @@ def _draw(z, seeds, attempt):
         np.random.default_rng(attempt_seed(seeds[i], attempt)).standard_normal(out=z[i])
 
 
-def generate_batch(dims, seeds, tol=DEFAULT_TOL, max_resamples=8):
+def generate_batch(dims, seeds):
     """The channel set of each seed, in order, drawn and checked as one chunk.
 
     dims = (M, N1, N2, J1, J2) are checked once, as CompoundChannelSet
-    checks them; seeds are non-negative ints and max_resamples a positive
-    one, as ChannelGenSpec checks them. Returns (h, error): h = (h1, h2)
+    checks them; seeds are non-negative ints, as ChannelGenSpec checks
+    them. Returns (h, error): h = (h1, h2)
     holds the states of the seeds before the first whose generation fails,
     as stacks (T, J1, N1, M) and (T, J2, N2, M) (see stacked_sets), and
     error is that seed's GenerationError (None when every seed passes).
@@ -229,7 +229,7 @@ def generate_batch(dims, seeds, tol=DEFAULT_TOL, max_resamples=8):
     the generator of attempt_seed(seed, attempt) (see _draw) and laid out
     as _states reads it; the rank conditions of all draws of one attempt
     are decided together (see _rank_conditions_hold), and only the draws
-    that fail are resampled, up to max_resamples attempts per seed.
+    that fail are resampled, up to MAX_RESAMPLES attempts per seed.
     """
     M, N1, N2, J1, J2 = dims
     check_counts(M=M, N1=N1, N2=N2, J1=J1, J2=J2)
@@ -244,7 +244,7 @@ def generate_batch(dims, seeds, tol=DEFAULT_TOL, max_resamples=8):
             f"allocate {nbytes} bytes to draw {len(seeds)} channel sets"
         ) from None
     pending = np.arange(len(seeds))
-    for attempt in range(max_resamples):
+    for attempt in range(MAX_RESAMPLES):
         if not pending.size:
             break
         draws = z[:pending.size]
@@ -252,7 +252,7 @@ def generate_batch(dims, seeds, tol=DEFAULT_TOL, max_resamples=8):
         if not np.isfinite(draws).all():
             raise InvalidInputError("drawn channel entries must be finite")
         drawn = np.concatenate([h.reshape(pending.size, -1, M) for h in _states(draws, *dims)], 1)
-        held = _rank_conditions_hold(drawn, tol)
+        held = _rank_conditions_hold(drawn)
         rows[pending[held]] = drawn[held]
         pending = pending[~held]
     n = int(pending[0]) if pending.size else len(seeds)
@@ -260,13 +260,13 @@ def generate_batch(dims, seeds, tol=DEFAULT_TOL, max_resamples=8):
     if n == len(seeds):
         return h, None
     return h, GenerationError(
-        f"rank condition still failing after {max_resamples} attempts (seed {seeds[n]}); "
+        f"rank condition still failing after {MAX_RESAMPLES} attempts (seed {seeds[n]}); "
         "the requested dimensions are degenerate for this tolerance"
     )
 
 
-def _rank_conditions_hold(rows, tol=DEFAULT_TOL):
-    """verify_rank_condition(ch, tol).passed for the channel of each stack of
+def _rank_conditions_hold(rows):
+    """verify_rank_condition(ch).passed for the channel of each stack of
     stacked rows in ``rows`` (T, rows, M), T >= 1, whose entries must be
     finite (generated draws are; verify_rank_condition checks).
 
@@ -278,14 +278,14 @@ def _rank_conditions_hold(rows, tol=DEFAULT_TOL):
     total, m = rows.shape[1:]
     if total < m:
         return held
-    for _, full in rank_chunks(rows, held, tol):
+    for _, full in rank_chunks(rows, held):
         held[held] = full.all(axis=1)
         if not held.any():
             break
     return held
 
 
-def verify_rank_condition(ch, tol=DEFAULT_TOL):
+def verify_rank_condition(ch):
     """Check that every selection of M stacked rows has numerical rank M.
 
     With at most EXHAUSTIVE_ROW_LIMIT stacked rows all C(rows, M) subsets
@@ -296,7 +296,8 @@ def verify_rank_condition(ch, tol=DEFAULT_TOL):
     vacuously.
 
     A subset A (M x M) has rank M iff sigma_min(A) > t * sigma_max(A), with
-    t = tol.relative_threshold (the rule of linalg.rank_from_singular_values).
+    t = linalg.RANK_RTOL = 1e-10 (the rule of
+    linalg.rank_from_singular_values).
     Each subset is first screened by its determinant. With sigma_1 >= ... >=
     sigma_M the singular values of A, |det A| = sigma_1 ... sigma_M and
     sigma_1 <= ||A||_F; by the AM-GM inequality, sigma_1 ... sigma_{M-1} <=
@@ -333,10 +334,10 @@ def verify_rank_condition(ch, tol=DEFAULT_TOL):
     subsets, too few for the sharing to pay.
 
     A subset passes on the screen only when the bound is finite and exceeds
-    linalg.rank_screen(tol) = max(1e4 * t, 1e-8). The margin absorbs the
-    rounding of the computed determinant and of the SVD: on unit rows a
-    pass needs |det(R N)| >= |det A| > rank_screen(tol) >= 1e-8, so those
-    tens of ulps move it by 1e-6 relative at most, and a subset that clears the
+    linalg.rank_screen() = 1e4 * t = 1e-6. The margin absorbs the rounding
+    of the computed determinant and of the SVD: on unit rows a pass needs
+    |det(R N)| >= |det A| > rank_screen() = 1e-6, so those tens of ulps
+    move it by 1e-8 relative at most, and a subset that clears the
     margin has a true ratio far above t and above machine precision; its
     SVD decision would be rank M as well. Every other subset (a singular
     or badly scaled one, one with a rank-deficient or ill-conditioned
@@ -350,7 +351,7 @@ def verify_rank_condition(ch, tol=DEFAULT_TOL):
         return rank_report(ch)
     rows = as_matrix(rows, "stacked rows")
     failures = []
-    for subsets, full in rank_chunks(rows[None], np.ones(1, dtype=bool), tol):
+    for subsets, full in rank_chunks(rows[None], np.ones(1, dtype=bool)):
         if not full.all():
             failures.extend(tuple(s) for s in subsets(np.flatnonzero(~full[0])).tolist())
     return rank_report(ch, tuple(failures))

@@ -40,7 +40,7 @@ from .errors import (
     check_real,
     user_index,
 )
-from .linalg import DEFAULT_TOL, frobenius_norms, null_spaces
+from .linalg import frobenius_norms, null_spaces
 from .sdof import check_snr_grid, fit_sdof_stack, snr_db_to_power
 
 __all__ = [
@@ -93,8 +93,7 @@ class FadingProcess:
     cannot be allocated raise InvalidInputError before any state is drawn.
     """
 
-    def __init__(self, M, J1, J2, common_state_count=4, block_count=10_000, seed=0,
-                 tol=DEFAULT_TOL):
+    def __init__(self, M, J1, J2, common_state_count=4, block_count=10_000, seed=0):
         check_counts(M=M, J1=J1, J2=J2, common_state_count=common_state_count,
                      block_count=block_count)
         check_count(seed, "seed", minimum=0)
@@ -117,9 +116,8 @@ class FadingProcess:
         self.common_state_count = common_state_count
         self.block_count = block_count
         self.seed = seed
-        self.tol = tol
         seeds = [self._state_seed(s) for s in range(1, common_state_count + 1)]
-        h, error = generate_batch((M, 1, 1, J1, J2), seeds, tol)
+        h, error = generate_batch((M, 1, 1, J1, J2), seeds)
         if error is not None:
             raise error
         self._h = h
@@ -322,7 +320,7 @@ class _PairwiseSums:
         return np.add.reduce(self._window[:, a - self._start : a + n - self._start], axis=-1)
 
 
-def zero_forcing(ch, tol=DEFAULT_TOL):
+def zero_forcing(ch):
     """ZfBlockGains of a single-antenna channel set (N1 = N2 = 1).
 
     Stream k's beam lies in the null space of the other user's first
@@ -337,14 +335,14 @@ def zero_forcing(ch, tol=DEFAULT_TOL):
         raise InvalidInputError(
             f"zero forcing needs single-antenna users, got N1={ch.N1}, N2={ch.N2}"
         )
-    vs, phi1, phi2 = _zero_forcing_stack(np.stack(ch.h1)[None], np.stack(ch.h2)[None], tol)
+    vs, phi1, phi2 = _zero_forcing_stack(np.stack(ch.h1)[None], np.stack(ch.h2)[None])
     return ZfBlockGains(
         phi1=phi1[0], phi2=phi2[0], nulled1=min(ch.J1, ch.M - 1),
         nulled2=min(ch.J2, ch.M - 1), v1=vs[0, :, 0], v2=vs[0, :, 1],
     )
 
 
-def _zero_forcing_stack(h1, h2, tol, name_states=False):
+def _zero_forcing_stack(h1, h2, name_states=False):
     """zero_forcing of S channel sets, given as state stacks h1 (S, J1, 1, M)
     and h2 (S, J2, 1, M): beams vs (S, M, 2) and gains phi1 (S, J1, 2) and
     phi2 (S, J2, 2).
@@ -369,7 +367,7 @@ def _zero_forcing_stack(h1, h2, tol, name_states=False):
     alone = np.zeros(S, dtype=bool)
     retry = []  # each stream's second candidate: the column sum, or the only column again
     for i, nulled in enumerate((h2[:, :n2, 0], h1[:, :n1, 0])):
-        basis, at_rank = null_spaces(nulled, tol)
+        basis, at_rank = null_spaces(nulled)
         alone |= ~at_rank
         vs[..., i] = basis[..., 0]
         total = basis.sum(axis=-1)
@@ -389,7 +387,7 @@ def _zero_forcing_stack(h1, h2, tol, name_states=False):
     for s in np.flatnonzero(failing).tolist():
         try:
             if alone[s]:
-                one = _zero_forcing_stack(h1[s:s + 1], h2[s:s + 1], tol)
+                one = _zero_forcing_stack(h1[s:s + 1], h2[s:s + 1])
                 vs[s], phi1[s], phi2[s] = (x[0] for x in one)
             elif weak[s].any():
                 raise DegenerateBlockError(
@@ -542,7 +540,7 @@ def _simulate(fp, powers, m):
     """
     m = check_index(fp.block_count if m is None else m, "block horizon", fp.block_count)
     if fp._gains is None:
-        fp._gains = _zero_forcing_stack(*fp._h, fp.tol, name_states=True)[1:]
+        fp._gains = _zero_forcing_stack(*fp._h, name_states=True)[1:]
     n1, n2 = min(fp.J1, fp.M - 1), min(fp.J2, fp.M - 1)
     tx, leak, secrecy = _block_rates(*fp._gains, n1, n2, powers)
     counts = np.zeros(fp.common_state_count, dtype=np.intp)

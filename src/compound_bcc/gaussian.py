@@ -29,7 +29,6 @@ from .errors import (
     user_index,
 )
 from .linalg import (
-    DEFAULT_TOL,
     SCREEN_MARGIN,
     _screen_passes,
     frobenius_norms,
@@ -112,7 +111,7 @@ class BeamformerSet:
         return (self.v1, self.v2)[user_index(k)]
 
 
-def build_beamformers(ch, r1, r2, tol=DEFAULT_TOL):
+def build_beamformers(ch, r1, r2):
     """Certified confidential and common beamformers: the one-trial call of
     build_beamformers_batch.
 
@@ -130,13 +129,13 @@ def build_beamformers(ch, r1, r2, tol=DEFAULT_TOL):
     CERT_RTOL; and K is M minus the numerical rank of [v1 v2].
     """
     h = (np.stack(ch.h1)[None], np.stack(ch.h2)[None])
-    v, _, error = build_beamformers_batch(h, r1, r2, tol)
+    v, _, error = build_beamformers_batch(h, r1, r2)
     if error:
         raise error
     return BeamformerSet(v1=v[1][0], v2=v[2][0], v0=v[0][0])
 
 
-def build_beamformers_batch(h, r1, r2, tol=DEFAULT_TOL):
+def build_beamformers_batch(h, r1, r2):
     """build_beamformers of the leading run of a chunk's channels, built and
     certified as stacks.
 
@@ -166,11 +165,11 @@ def build_beamformers_batch(h, r1, r2, tol=DEFAULT_TOL):
     failing channel's first failing check, in build_beamformers' order.
     """
     try:
-        v, ws, checks = _stacked_beamformers(h, r1, r2, tol)
+        v, ws, checks = _stacked_beamformers(h, r1, r2)
     except np.linalg.LinAlgError:
         if len(h[0]) == 1:
             raise
-        return build_beamformers_batch(tuple(x[:1] for x in h), r1, r2, tol)
+        return build_beamformers_batch(tuple(x[:1] for x in h), r1, r2)
     failing = np.logical_or.reduce([bad.any(axis=tuple(range(1, bad.ndim))) for bad, _ in checks])
     n = int(np.argmax(failing)) if failing.any() else len(failing)
     error = None
@@ -179,7 +178,7 @@ def build_beamformers_batch(h, r1, r2, tol=DEFAULT_TOL):
         if make_error:
             error = make_error(n, int(np.argmax(bad[n])))
         elif not n:  # the first channel is off the stack's ranks
-            return build_beamformers_batch(tuple(x[:1] for x in h), r1, r2, tol)
+            return build_beamformers_batch(tuple(x[:1] for x in h), r1, r2)
     return tuple(x[:n] for x in v), [[w[:n] for w in wk] for wk in ws], error
 
 
@@ -197,7 +196,7 @@ def _feasibility_error(M, N1, N2, J1, J2, r1, r2):
     return None
 
 
-def _stacked_beamformers(h, r1, r2, tol):
+def _stacked_beamformers(h, r1, r2):
     """(v, ws, checks) of a chunk of channels: the beam stacks v = (v0, v1,
     v2), (T, M, c) each, their products ws = _beam_products(h, v), each
     computed once, and the checks of build_beamformers in its order, each
@@ -210,11 +209,11 @@ def _stacked_beamformers(h, r1, r2, tol):
     finite = np.isfinite(h[0]).all(axis=(1, 2, 3)) & np.isfinite(h[1]).all(axis=(1, 2, 3))
     if not finite.all():  # zeros in their place keep the stacked SVDs finite
         h = [np.where(finite[:, None, None, None], x, 0.0) for x in h]
-    null2, at2 = null_spaces(h[1].reshape(T, J2 * N2, M), tol)
-    null1, at1 = null_spaces(h[0].reshape(T, J1 * N1, M), tol)
+    null2, at2 = null_spaces(h[1].reshape(T, J2 * N2, M))
+    null1, at1 = null_spaces(h[0].reshape(T, J1 * N1, M))
     v = [null2[..., :r1], null1[..., :r2]]
     stacked = np.concatenate(v, axis=-1)
-    v0, at0 = null_spaces(stacked.conj().swapaxes(-1, -2), tol)
+    v0, at0 = null_spaces(stacked.conj().swapaxes(-1, -2))
     ws = _beam_products(h, (v0, *v))
     checks = [
         (np.full(T, infeasible is not None), lambda t, j: infeasible),
@@ -222,8 +221,8 @@ def _stacked_beamformers(h, r1, r2, tol):
         (~(at0 & at1 & at2), None),
         *_orthonormality(v[0], "v1"),
         *_orthonormality(v[1], "v2"),
-        *_user_checks(h, ws, 1, tol),
-        *_user_checks(h, ws, 2, tol),
+        *_user_checks(h, ws, 1),
+        *_user_checks(h, ws, 2),
         *_orthonormality(v0, "v0"),
     ]
     K = v0.shape[-1]
@@ -233,23 +232,24 @@ def _stacked_beamformers(h, r1, r2, tol):
             f"v0 is not orthogonal to [v1 v2] (residual {resid[t]:.3e})"
         )))
     if stacked.shape[-1]:
-        expected = M - _ranks(stacked, tol)
+        expected = M - _ranks(stacked)
         checks.append((expected != K, lambda t, j: ConstructionError(
             f"common subspace has {K} columns, expected {expected[t]}"
         )))
     return (v0, *v), ws, checks
 
 
-def _ranks(a, tol):
+def _ranks(a):
     """numerical_rank of each finite matrix of a stack (..., n, c), the rank
     of a non-finite one unspecified, without an SVD where a rule decides
     it. A column (c = 1) whose nonzero entries have moduli in [VECTOR_MIN,
     VECTOR_MAX] has rank 1 iff it has a nonzero entry: its singular value
-    is then 0 or a normal float s, and s > t s at every threshold t in
-    (0, 1). A wider matrix has rank c where linalg._screen_passes passes on
-    its Gram a^H a, whose determinant is prod sigma^2 and whose trace is
-    ||a||_F^2, with a floor of SCREEN_MARGIN sqrt((n + c) eps) on the bound
-    sigma_min / sigma_max, far above the Gram's rounding of about
+    is then 0 or a normal float s, and s > t s for the rank threshold t =
+    linalg.RANK_RTOL < 1. A wider matrix has rank c where
+    linalg._screen_passes passes on its Gram a^H a, whose determinant is
+    prod sigma^2 and whose trace is ||a||_F^2, with a floor of SCREEN_MARGIN
+    sqrt((n + c) eps) >= 2.5e-4 on the bound sigma_min / sigma_max, above
+    linalg.rank_screen() = 1e-6 and far above the Gram's rounding of about
     (n + c) eps ||a||_F^2, and where the determinant's sign is positive and
     ||a||_F^2 >= VECTOR_MIN^2: below that, the underflow of the Gram's
     products (2^-1075 each) is no longer small against its rounding.
@@ -266,12 +266,12 @@ def _ranks(a, tol):
             sign, logdet = np.linalg.slogdet(gram)
             fro2 = np.trace(gram, axis1=-2, axis2=-1).real
             floor = SCREEN_MARGIN * np.sqrt((n + c) * np.finfo(float).eps)
-            sure = _screen_passes(0.5 * logdet, fro2, c, tol, floor)
+            sure = _screen_passes(0.5 * logdet, fro2, c, floor)
             sure &= (sign.real > 0.0) & (fro2 >= VECTOR_MIN ** 2)
             ranks = np.full(a.shape[:-2], c)
     unsure = ~sure & np.isfinite(a).all(axis=(-2, -1))
     if unsure.any():
-        ranks[unsure] = rank_from_singular_values(np.linalg.svd(a[unsure], compute_uv=False), tol)
+        ranks[unsure] = rank_from_singular_values(np.linalg.svd(a[unsure], compute_uv=False))
     return ranks
 
 
@@ -286,7 +286,7 @@ def _orthonormality(v, name):
     ))]
 
 
-def _user_checks(h, ws, k, tol):
+def _user_checks(h, ws, k):
     """The checks of v_k of _stacked_beamformers, read from the products ws
     of _beam_products: at each state h of the other user, ||h v_k||_F <=
     CERT_RTOL ||h||_F, then at each of user k's, h v_k of rank r_k (a
@@ -294,8 +294,8 @@ def _user_checks(h, ws, k, tol):
     numerical_rank raises it); none when r_k = 0. The ranks are _ranks':
     a one-column product (r_k = 1) whose nonzero entries have moduli in
     [VECTOR_MIN, VECTOR_MAX] has rank 1 iff it has a nonzero entry, a
-    wider one rank r_k where its Gram passes the rank screen, and singular
-    values decide the rest."""
+    wider one rank r_k where its Gram passes the rank screen with _ranks'
+    floor of at least 2.5e-4, and singular values decide the rest."""
     other, own = 2 - k, ws[k - 1][k]
     r = own.shape[-1]
     if not r:
@@ -303,7 +303,7 @@ def _user_checks(h, ws, k, tol):
     resid = frobenius_norms(ws[other][k])
     limit = CERT_RTOL * frobenius_norms(h[other])
     finite = np.isfinite(own).all(axis=(-2, -1))
-    ranks = _ranks(own, tol)
+    ranks = _ranks(own)
 
     def leak_error(t, j):
         return ConstructionError(

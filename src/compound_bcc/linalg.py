@@ -9,14 +9,12 @@ one-matrix call of null_spaces.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, NotHermitianError, NotPositiveDefiniteError
 
 __all__ = [
-    "RankTolerance",
     "singular_values",
     "numerical_rank",
     "null_space_basis",
@@ -24,38 +22,20 @@ __all__ = [
 ]
 
 HERMITIAN_RTOL = 1e-10
+# The rank rule of the package: a singular value counts toward the rank iff
+# it exceeds RANK_RTOL * sigma_max. Every rank decision reads it at call
+# time, through rank_from_singular_values or rank_screen.
+RANK_RTOL = 1e-10
 # A fast path may take a matrix as full rank, without its exact singular
 # values, when a computed bound on sigma_min / sigma_max exceeds
-# rank_screen(tol) = max(SCREEN_MARGIN * threshold, SCREEN_FLOOR): so far
-# above the threshold and machine precision that the bound's rounding cannot
-# change the decision. _screen_passes bounds A of m columns: sigma_max <=
+# rank_screen() = SCREEN_MARGIN * RANK_RTOL = 1e-6: so far above the
+# threshold and machine precision that the bound's rounding cannot change
+# the decision. _screen_passes bounds A of m columns: sigma_max <=
 # ||A||_F, and by the AM-GM inequality the m-1 largest singular values have
 # a product of at most (||A||_F^2 / (m-1))^((m-1)/2), so
 #   sigma_min / sigma_max >= prod sigma / (||A||_F (||A||_F^2 / (m-1))^((m-1)/2)).
 # The rank check (rankcheck) takes prod sigma = |det A| of square A.
 SCREEN_MARGIN = 1e4
-SCREEN_FLOOR = 1e-8
-
-
-@dataclass(frozen=True)
-class RankTolerance:
-    """Relative singular-value threshold for rank decisions.
-
-    A singular value counts toward the rank iff it exceeds
-    ``relative_threshold * sigma_max``.
-    """
-
-    relative_threshold: float = 1e-10
-
-    def __post_init__(self):
-        if not (0.0 < self.relative_threshold < 1.0):
-            raise InvalidInputError(
-                "relative_threshold must lie strictly between 0 and 1, got "
-                f"{self.relative_threshold}"
-            )
-
-
-DEFAULT_TOL = RankTolerance()
 
 
 def as_matrix(m, name="matrix"):
@@ -79,42 +59,42 @@ def singular_values(m):
     return np.linalg.svd(a, compute_uv=False)
 
 
-def rank_from_singular_values(s, tol=DEFAULT_TOL):
+def rank_from_singular_values(s):
     """Ranks from singular values ``s[..., :]`` in non-increasing order.
 
     The rank rule of the package: the number of singular values strictly
-    above ``tol.relative_threshold * sigma_max``. A zero matrix (all
+    above ``RANK_RTOL * sigma_max``. A zero matrix (all
     singular values 0) therefore has rank 0, as has an empty one. ``s``
     holds one matrix's values (1-D) or a stack of them (one row each).
     """
     if s.shape[-1] == 0:
         return np.zeros(s.shape[:-1], dtype=int)
-    above = s > tol.relative_threshold * s[..., :1]
+    above = s > RANK_RTOL * s[..., :1]
     return np.count_nonzero(above) if s.ndim == 1 else above.sum(axis=-1)
 
 
-def rank_screen(tol=DEFAULT_TOL):
+def rank_screen():
     """Ratio sigma_min / sigma_max above which a fast path may decide full rank."""
-    return max(SCREEN_MARGIN * tol.relative_threshold, SCREEN_FLOOR)
+    return SCREEN_MARGIN * RANK_RTOL
 
 
-def _screen_passes(logdet, fro2, m, tol, floor=SCREEN_FLOOR):
+def _screen_passes(logdet, fro2, m, floor=0.0):
     """Whether the bound prod sigma / (||A||_F * (||A||_F^2 / (m-1))^((m-1)/2))
     on sigma_min / sigma_max of matrices A of m columns, from log prod sigma
     in ``logdet`` and ||A||_F^2 in ``fro2``, is finite and above
-    rank_screen(tol) and ``floor``."""
+    rank_screen() and ``floor``."""
     with np.errstate(all="ignore"):
         log_bound = logdet - 0.5 * m * np.log(fro2) + 0.5 * (m - 1) * math.log(max(m - 1, 1))
-    return np.isfinite(log_bound) & (log_bound > math.log(max(rank_screen(tol), floor)))
+    return np.isfinite(log_bound) & (log_bound > math.log(max(rank_screen(), floor)))
 
 
-def numerical_rank(m, tol=DEFAULT_TOL):
-    """Number of singular values above ``tol.relative_threshold * sigma_max``.
+def numerical_rank(m):
+    """Number of singular values above ``RANK_RTOL * sigma_max``.
 
     The zero matrix (and any empty matrix) has rank 0; see
     rank_from_singular_values.
     """
-    return int(rank_from_singular_values(singular_values(m), tol))
+    return int(rank_from_singular_values(singular_values(m)))
 
 
 def _normalize_phases(b):
@@ -141,7 +121,7 @@ def _basis_from_vh(vh, rank):
     return _normalize_phases(vh[..., rank:, :].conj().swapaxes(-1, -2))
 
 
-def null_space_basis(m, tol=DEFAULT_TOL):
+def null_space_basis(m):
     """Orthonormal basis of the right null space of ``m``.
 
     Returns a cols x (cols - rank) array B with m @ B ~ 0 and B^H B = I.
@@ -155,10 +135,10 @@ def null_space_basis(m, tol=DEFAULT_TOL):
     a = as_matrix(m)
     if a.shape[1] < 1:
         raise InvalidInputError("null_space_basis requires at least one column")
-    return null_spaces(a[None], tol)[0][0]
+    return null_spaces(a[None])[0][0]
 
 
-def null_spaces(a, tol=DEFAULT_TOL):
+def null_spaces(a):
     """null_space_basis of each matrix of a finite stack (T, rows, cols), at
     the stack's highest rank r (an empty stack's: min(rows, cols)), from one
     stacked SVD: (bases, at_rank), bases (T, cols, cols - r) bit for bit
@@ -172,7 +152,7 @@ def null_spaces(a, tol=DEFAULT_TOL):
         return np.repeat(np.eye(cols, dtype=complex)[None], T, axis=0), np.ones(T, dtype=bool)
     try:
         _, s, vh = np.linalg.svd(a)
-        ranks = rank_from_singular_values(s, tol)
+        ranks = rank_from_singular_values(s)
         rank = ranks.max() if T else min(rows, cols)
         return _basis_from_vh(vh, rank), ranks == rank
     except MemoryError:

@@ -65,7 +65,7 @@ def subset_count(rows, m):
     return SAMPLED_SUBSET_COUNT, False
 
 
-def rank_chunks(rows, live, tol):
+def rank_chunks(rows, live):
     """The rank decisions of the row subsets of the channels of ``rows``
     (T, rows, M), rows >= M, chunk by chunk: (subsets, full) per chunk, in
     check order. full (L, k) says whether each of the chunk's k subsets has
@@ -74,33 +74,35 @@ def rank_chunks(rows, live, tol):
     at positions i of the chunk. The caller may clear ``live`` between
     chunks.
 
-    A determinant screen passes the subsets it proves full rank: the
-    prefix-shared _exhaustive_screen for more than PREFIX_SCREEN_MIN
-    subsets up to EXHAUSTIVE_ROW_LIMIT rows, else _slogdet_screen over all
-    subsets or the sample. Batched SVDs of at most RANK_CHUNK // (T M^2)
-    subsets each decide the rest.
+    A determinant screen passes the subsets whose bound on sigma_min /
+    sigma_max exceeds linalg.rank_screen() = 1e-6: the prefix-shared
+    _exhaustive_screen for more than PREFIX_SCREEN_MIN subsets up to
+    EXHAUSTIVE_ROW_LIMIT rows, else _slogdet_screen over all subsets or the
+    sample. Batched SVDs of at most RANK_CHUNK // (T M^2) subsets each
+    decide the rest, rank M iff sigma_min > linalg.RANK_RTOL sigma_max =
+    1e-10 sigma_max.
     """
     T, total, m = rows.shape
     size = max(1, RANK_CHUNK // (T * m * m))
     count, exhaustive = subset_count(total, m)
     if not exhaustive:
-        screen = _slogdet_screen(rows, live, tol, _sampled_chunks(total, m, size))
+        screen = _slogdet_screen(rows, live, _sampled_chunks(total, m, size))
     elif count <= PREFIX_SCREEN_MIN:
         table = _subsets(total, m)
         chunks = (table[a:a + size] for a in range(0, len(table), size))
-        screen = _slogdet_screen(rows, live, tol, chunks)
+        screen = _slogdet_screen(rows, live, chunks)
     else:
-        screen = _exhaustive_screen(rows, live, tol)
+        screen = _exhaustive_screen(rows, live)
     for subsets, full in screen:
         ch, pos = np.nonzero(~full)
         for a in range(0, ch.size, size):
             c, p = ch[a:a + size], pos[a:a + size]
             stack = rows[np.flatnonzero(live)[c][:, None], subsets(p)]
-            full[c, p] = rank_from_singular_values(np.linalg.svd(stack, compute_uv=False), tol) == m
+            full[c, p] = rank_from_singular_values(np.linalg.svd(stack, compute_uv=False)) == m
         yield subsets, full
 
 
-def _slogdet_screen(rows, live, tol, chunks):
+def _slogdet_screen(rows, live, chunks):
     """(subsets, passed) per index chunk (k, M) of ``chunks``, for the
     channels of ``rows`` (T, rows, M) that ``live`` marks, as rank_chunks
     takes them: each subset's determinant bound from one batched slogdet."""
@@ -111,10 +113,10 @@ def _slogdet_screen(rows, live, tol, chunks):
         fro2 = norms2[sel][:, idx].sum(axis=-1)
         with np.errstate(all="ignore"):
             logdet = np.linalg.slogdet(rows[sel][:, idx])[1]
-        yield idx.__getitem__, _screen_passes(logdet, fro2, m, tol)
+        yield idx.__getitem__, _screen_passes(logdet, fro2, m)
 
 
-def _exhaustive_screen(rows, live, tol):
+def _exhaustive_screen(rows, live):
     """(subsets, passed) per block of all row subsets of the channels of
     ``rows`` (T, rows, M), for those ``live`` marks, in lexicographic order
     and as rank_chunks takes them: each subset's determinant bound with
@@ -138,7 +140,7 @@ def _exhaustive_screen(rows, live, tol):
         norms = np.sqrt(norms2)
         lognorm = np.where(scaled, np.log(norms), -np.inf)
         unit = np.where(scaled[..., None], rows / norms[..., None], 0.0)
-    log_screen = math.log(rank_screen(tol))
+    log_screen = math.log(rank_screen())
 
     def extend(state, owner, row):
         sel, g, logvol = state
@@ -176,7 +178,7 @@ def _exhaustive_screen(rows, live, tol):
                 with np.errstate(divide="ignore"):
                     logdet = np.log(np.abs(det))
                 logdet += batch_logvol + tail[:, None, 0]
-                passes = _screen_passes(logdet, batch_fro2 + tail[:, None, 1], m, tol)
+                passes = _screen_passes(logdet, batch_fro2 + tail[:, None, 1], m)
                 passed[:, at[:, None] + pos] = passes
         yield functools.partial(_subset_rows, total, m, done), passed[live[sel]]
         done += count
@@ -192,8 +194,9 @@ def _reflect(g, logvol, row, log_screen):
     (x_1 / |x_1|) ||x|| e_1, maps x onto a multiple of e_1, so its last e - 1
     columns H span the null space of v, and G H = G[:, 1:] - (G u) v[1:] *
     2 / (u^H u), with u^H u = 2 ||x|| (||x|| + |x_1|). A prefix whose vol
-    falls to rank_screen or below gets log vol -inf and G = 0: its vol
-    bounds the screen's bound of each subset it starts, so none could pass.
+    falls to exp(log_screen) = linalg.rank_screen() = 1e-6 or below gets
+    log vol -inf and G = 0: its vol bounds the screen's bound of each
+    subset it starts, so none could pass.
     """
     v = g[:, np.arange(g.shape[1]), row]
     with np.errstate(all="ignore"):

@@ -26,12 +26,16 @@ must equal bit for bit:
 * ergodic_sdof_region and policy_slope_targets: the region branch by
   branch on J vs M and each policy's own slope pair, against theory's
   time-share of the policies' pairs.
+
+rank_threshold sets the rank threshold that both sides read.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 
+from compound_bcc import channel, linalg
 from compound_bcc.channel import CompoundChannelSet, attempt_seed, verify_rank_condition
 from compound_bcc.ergodic import DIRECT_GAIN_MIN, NULLED_GAIN_MAX
 from compound_bcc.errors import (
@@ -45,7 +49,6 @@ from compound_bcc.errors import (
 )
 from compound_bcc.gaussian import CERT_RTOL, BeamformerSet, _gram, _logdet_i_plus
 from compound_bcc.linalg import (
-    DEFAULT_TOL,
     _first_failing_minor,
     _hermitian_error,
     null_space_basis,
@@ -69,25 +72,31 @@ def per_state_draw(spec, attempt):
     return h1 + h2
 
 
-def generate_per_attempt(spec, tol=DEFAULT_TOL):
+def rank_threshold(t):
+    """A patch of linalg.RANK_RTOL to t, the threshold of every rank
+    decision, the package's and these references' alike."""
+    return mock.patch.object(linalg, "RANK_RTOL", t)
+
+
+def generate_per_attempt(spec):
     """The channel set of ``spec``: the draw of the first attempt whose
     CompoundChannelSet passes verify_rank_condition, or a GenerationError
-    after max_resamples failed attempts."""
+    after channel.MAX_RESAMPLES failed attempts."""
     for name in ("M", "N1", "N2", "J1", "J2"):
         check_count(getattr(spec, name), name)
     dims = (spec.M, spec.N1, spec.N2, spec.J1, spec.J2)
-    for attempt in range(spec.max_resamples):
+    for attempt in range(channel.MAX_RESAMPLES):
         states = per_state_draw(spec, attempt)
         ch = CompoundChannelSet(*dims, states[:spec.J1], states[spec.J1:])
-        if verify_rank_condition(ch, tol).passed:
+        if verify_rank_condition(ch).passed:
             return ch
     raise GenerationError(
-        f"rank condition still failing after {spec.max_resamples} attempts "
+        f"rank condition still failing after {channel.MAX_RESAMPLES} attempts "
         f"(seed {spec.seed}); the requested dimensions are degenerate for this tolerance"
     )
 
 
-def build_beamformers_per_trial(ch, r1, r2, tol=DEFAULT_TOL):
+def build_beamformers_per_trial(ch, r1, r2):
     """The beamformers of gaussian.build_beamformers, built from one channel
     set: v_k the first r_k columns of null_space_basis of the other user's
     stacked states, v0 that of [v1 v2]^H; then certify_beamformers."""
@@ -103,10 +112,10 @@ def build_beamformers_per_trial(ch, r1, r2, tol=DEFAULT_TOL):
                 f"{name} = {r} violates {name} <= min(N_k, M - sum of the other "
                 f"user's stacked rows) = min({nk}, {ch.M} - {js}) = {b}"
             )
-    v1 = null_space_basis(np.vstack(ch.h2), tol)[:, :r1]
-    v2 = null_space_basis(np.vstack(ch.h1), tol)[:, :r2]
-    bf = BeamformerSet(v1=v1, v2=v2, v0=null_space_basis(np.hstack([v1, v2]).conj().T, tol))
-    certify_beamformers(ch, bf, tol)
+    v1 = null_space_basis(np.vstack(ch.h2))[:, :r1]
+    v2 = null_space_basis(np.vstack(ch.h1))[:, :r2]
+    bf = BeamformerSet(v1=v1, v2=v2, v0=null_space_basis(np.hstack([v1, v2]).conj().T))
+    certify_beamformers(ch, bf)
     return bf
 
 
@@ -119,7 +128,7 @@ def _check_orthonormal(v, what):
         raise ConstructionError(f"{what} is not orthonormal (residual {resid:.3e})")
 
 
-def certify_beamformers(ch, bf, tol=DEFAULT_TOL):
+def certify_beamformers(ch, bf):
     """The certificates of gaussian.build_beamformers, in its order, each a
     ConstructionError when it fails."""
     _check_orthonormal(bf.v1, "v1")
@@ -137,7 +146,7 @@ def certify_beamformers(ch, bf, tol=DEFAULT_TOL):
                     f"exceeds {limit:.3e}"
                 )
         for j, h in enumerate(ch.states(k), start=1):
-            got = numerical_rank(h @ v, tol)
+            got = numerical_rank(h @ v)
             if got != r:
                 raise ConstructionError(
                     f"H_{k}_{j} @ v{k} has rank {got}, expected {r}"
@@ -150,19 +159,19 @@ def certify_beamformers(ch, bf, tol=DEFAULT_TOL):
             raise ConstructionError(
                 f"v0 is not orthogonal to [v1 v2] (residual {resid:.3e})"
             )
-    expected_k = ch.M - numerical_rank(stacked, tol)
+    expected_k = ch.M - numerical_rank(stacked)
     if bf.K != expected_k:
         raise ConstructionError(f"common subspace has {bf.K} columns, expected {expected_k}")
 
 
-def zero_forcing_state(h1, h2, n1, n2, tol=DEFAULT_TOL):
+def zero_forcing_state(h1, h2, n1, n2):
     """Beams (M, 2) and gains (J1, 2), (J2, 2) of one channel set, given as
     state stacks h1 (J1, 1, M) and h2 (J2, 1, M) of which the first n1 and
     n2 are nulled, as ergodic.zero_forcing states them."""
 
     def pick_beam(nulled, own_states):
         # at most M-1 nulled rows, so the basis has at least one column
-        basis = null_space_basis(nulled[:, 0], tol)
+        basis = null_space_basis(nulled[:, 0])
         candidates = [basis[:, 0]]
         if basis.shape[1] >= 2:
             mixed = basis.sum(axis=1)

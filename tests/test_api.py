@@ -2,15 +2,20 @@
 which modules an import or a CLI run loads."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
+import numpy as np
 import pytest
 
 import compound_bcc
+from compound_bcc import linalg
 
 MODULES = ("errors", "linalg", "sdof", "regions", "theory", "channel", "gaussian", "ergodic")
 
@@ -172,3 +177,58 @@ def test_cli_imports_no_private_package_name():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_no_export_takes_a_rank_threshold_or_resample_budget():
+    # the rank threshold is linalg.RANK_RTOL and the budget
+    # channel.MAX_RESAMPLES: module constants, not options
+    for name in dir(compound_bcc):
+        obj = getattr(compound_bcc, name)
+        if not callable(obj) or isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        names = set(inspect.signature(obj).parameters)
+        if dataclasses.is_dataclass(obj):
+            names |= {f.name for f in dataclasses.fields(obj)}
+        assert not names & {"tol", "max_resamples"}, name
+    assert not hasattr(linalg, "RankTolerance") and not hasattr(linalg, "DEFAULT_TOL")
+
+
+def near_dependent_nulled_rows():
+    """A single-antenna set (M = 3, J = 2) whose user 2 states, both nulled
+    for stream 1, have rank 1 at RANK_RTOL = 1e-10 and rank 2 at 1e-12:
+    their singular values are about 5e-12 apart."""
+    h1 = (np.array([[1.0, 2.0, 3.0j]]), np.array([[2.0j, 1.0, 1.0]]))
+    h2 = (np.array([[1e4, 0.0, 0.0]]), np.array([[1e4, 1e-7, 0.0]]))
+    return compound_bcc.CompoundChannelSet(3, 1, 1, 2, 2, h1, h2)
+
+
+def sampled_census_channel():
+    """26 stacked rows of M = 2, drawn without a rank check: more than the
+    census enumerates, so it samples its subsets."""
+    rng = np.random.default_rng(0)
+    rows = rng.standard_normal((26, 1, 2)) + 1j * rng.standard_normal((26, 1, 2))
+    return compound_bcc.CompoundChannelSet(2, 1, 1, 13, 13, tuple(rows[:13]), tuple(rows[13:]))
+
+
+def outcome(call):
+    """call()'s result, or its exception's type."""
+    try:
+        return call()
+    except compound_bcc.CompoundBccError as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("threshold, call", [
+    (1e-12, lambda: compound_bcc.verify_rank_condition(near_dependent_nulled_rows()).passed),
+    (0.5, lambda: compound_bcc.verify_rank_condition(sampled_census_channel()).passed),
+    (0.5, lambda: compound_bcc.channel.generate_batch((3, 1, 1, 2, 2), [0])[1] is None),
+    (1e-6, lambda: linalg.null_spaces(np.diag([1.0, 1e-8, 0.0])[None].astype(complex))[0].shape),
+    (1e-2, lambda: compound_bcc.gaussian._ranks(np.array([[[1.0, 0.0], [0.0, 1e-3]]])).tolist()),
+    (1e-12, lambda: compound_bcc.zero_forcing(near_dependent_nulled_rows()).nulled1),
+], ids=["verify_rank_condition", "sampled_census", "generate_batch", "null_spaces", "_ranks", "zero_forcing"])
+def test_one_constant_decides_every_rank(threshold, call):
+    # the census, generation, null spaces, the certificates' ranks and zero
+    # forcing all decide at linalg.RANK_RTOL, read at call time
+    default = outcome(call)
+    with mock.patch.object(linalg, "RANK_RTOL", threshold):
+        assert outcome(call) != default

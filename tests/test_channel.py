@@ -33,10 +33,10 @@ from compound_bcc.errors import (
     GenerationError,
     InvalidInputError,
 )
-from compound_bcc.linalg import RankTolerance, numerical_rank
+from compound_bcc.linalg import numerical_rank
 from compound_bcc.rankcheck import EXHAUSTIVE_ROW_LIMIT, SAMPLE_SEED, SAMPLED_SUBSET_COUNT
 import reference
-from reference import generate_per_attempt, per_state_draw, swap_users
+from reference import generate_per_attempt, per_state_draw, rank_threshold, swap_users
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_PATH = os.path.join(DATA_DIR, "channel_seed1.json")
@@ -47,7 +47,7 @@ def random_channel(seed, M=3, N1=2, N2=1, J1=2, J2=3):
     return generate_compound(ChannelGenSpec(M, N1, N2, J1, J2, seed=seed))
 
 
-def per_subset_report(ch, tol=RankTolerance()):
+def per_subset_report(ch):
     """Reference rank check: one numerical_rank call per row subset."""
     rows = ch.stacked_rows()
     total = rows.shape[0]
@@ -62,7 +62,7 @@ def per_subset_report(ch, tol=RankTolerance()):
             tuple(sorted(rng.choice(total, size=ch.M, replace=False)))
             for _ in range(SAMPLED_SUBSET_COUNT)
         ]
-    failures = tuple(s for s in subsets if numerical_rank(rows[list(s)], tol) != ch.M)
+    failures = tuple(s for s in subsets if numerical_rank(rows[list(s)]) != ch.M)
     return RankConditionReport(
         passed=not failures,
         checked=len(subsets),
@@ -84,7 +84,7 @@ EDITS = st.lists(
     ),
     max_size=4,
 )
-TOLERANCES = st.sampled_from([1e-15, 1e-10, 1 - 1e-12])
+TOLERANCES = st.sampled_from([1e-12, 1e-10, 1 - 1e-12])
 
 
 def edited_channel(M, N1, N2, J1, J2, seed, edits):
@@ -137,10 +137,11 @@ class TestGeneration:
     def test_generation_failure_with_absurd_tolerance(self):
         # a threshold near 1 declares every matrix rank-deficient, so every
         # draw fails verification and the resampling budget runs out
-        spec = ChannelGenSpec(2, 1, 1, 2, 2, seed=0, max_resamples=3)
-        with pytest.raises(GenerationError) as exc:
-            generate_compound(spec, RankTolerance(1 - 1e-12))
-        assert "3" in str(exc.value)
+        spec = ChannelGenSpec(2, 1, 1, 2, 2, seed=0)
+        with rank_threshold(1 - 1e-12), mock.patch.object(channel, "MAX_RESAMPLES", 3):
+            with pytest.raises(GenerationError) as exc:
+                generate_compound(spec)
+        assert "after 3 attempts" in str(exc.value)
 
     def test_attempt_seed_injective(self):
         states = set()
@@ -247,12 +248,12 @@ class TestBatchedRankCheck:
         # up to 24 rows, a minimum of 0 subsets takes every channel through
         # the prefix-shared screen, and the default takes small ones through
         # the slogdet screen
-        tol = RankTolerance(rel)
-        want = per_subset_report(ch, tol)
-        for least in (0, rankcheck.PREFIX_SCREEN_MIN):
-            with mock.patch.multiple(rankcheck, RANK_CHUNK=self.CHUNK, PREFIX_SCREEN_MIN=least):
-                got = verify_rank_condition(ch, tol)
-            assert got == want
+        with rank_threshold(rel):
+            want = per_subset_report(ch)
+            for least in (0, rankcheck.PREFIX_SCREEN_MIN):
+                with mock.patch.multiple(rankcheck, RANK_CHUNK=self.CHUNK, PREFIX_SCREEN_MIN=least):
+                    got = verify_rank_condition(ch)
+                assert got == want
         return got
 
     @settings(max_examples=60, deadline=None)
@@ -408,21 +409,21 @@ def near_dependent_rows(m, n, seed, links, scales):
     return rows * 10.0 ** exponents[:, None]
 
 
-def slogdet_screen(stack, tol):
+def slogdet_screen(stack):
     """The slogdet screen, of the sampled path and of channels of few
     subsets, of each m x m matrix of ``stack``."""
     fro2 = rankcheck._squared_row_norms(stack).sum(axis=-1)
     with np.errstate(all="ignore"):
         logdet = np.linalg.slogdet(stack)[1]
-    return rankcheck._screen_passes(logdet, fro2, stack.shape[-1], tol)
+    return rankcheck._screen_passes(logdet, fro2, stack.shape[-1])
 
 
-def exhaustive_decisions(rows, tol, screen=rankcheck._exhaustive_screen):
+def exhaustive_decisions(rows, screen=rankcheck._exhaustive_screen):
     """{subset: verdict} over every m-subset of ``rows`` (total, m), in
     check order: the prefix-shared screen's pass, or with
     screen=rankcheck.rank_chunks the rank decision."""
     got = {}
-    for subsets, verdict in screen(rows[None], np.ones(1, dtype=bool), tol):
+    for subsets, verdict in screen(rows[None], np.ones(1, dtype=bool)):
         got.update(zip(map(tuple, subsets(np.arange(verdict.shape[1])).tolist()), verdict[0]))
     return got
 
@@ -479,23 +480,23 @@ class TestDeterminantScreen:
         scales=st.lists(
             st.tuples(st.integers(0, 8), st.sampled_from([-150, 150])), max_size=3
         ),
-        rel=st.sampled_from([1e-15, 1e-12, 1e-10, 1e-6]),
+        rel=st.sampled_from([1e-12, 1e-10, 1e-6]),
     )
     def test_screen_passes_only_full_rank(self, m, seed, combos, links, scales, rel):
-        tol = RankTolerance(rel)
-        # the slogdet screen, on m x m matrices
-        stack = near_singular_stack(m, seed, combos, scales)
-        for a in stack[slogdet_screen(stack, tol)]:
-            assert numerical_rank(a, tol) == m
-        # the exhaustive path's prefix-shared screen, on every m-subset of
-        # m + 3 rows: a link may fall in one subset's prefix (m >= 6 has
-        # prefixes of two rows or more, m = 9 of five), across its boundary
-        # with the tail, or in its tail, and a scaled row's squared norm may
-        # overflow
-        rows = near_dependent_rows(m, m + 3, seed, links, scales)
-        for subset, passed in exhaustive_decisions(rows, tol).items():
-            if passed:
-                assert numerical_rank(rows[list(subset)], tol) == m
+        with rank_threshold(rel):
+            # the slogdet screen, on m x m matrices
+            stack = near_singular_stack(m, seed, combos, scales)
+            for a in stack[slogdet_screen(stack)]:
+                assert numerical_rank(a) == m
+            # the exhaustive path's prefix-shared screen, on every m-subset
+            # of m + 3 rows: a link may fall in one subset's prefix (m >= 6
+            # has prefixes of two rows or more, m = 9 of five), across its
+            # boundary with the tail, or in its tail, and a scaled row's
+            # squared norm may overflow
+            rows = near_dependent_rows(m, m + 3, seed, links, scales)
+            for subset, passed in exhaustive_decisions(rows).items():
+                if passed:
+                    assert numerical_rank(rows[list(subset)]) == m
 
     def test_prefix_screen_refers_dependent_prefixes_and_tails(self):
         # at m = 7 a prefix holds three rows. Row 1 is a multiple of row 0,
@@ -503,7 +504,7 @@ class TestDeterminantScreen:
         # multiple of row 2, and a subset with both holds 2 in its prefix and
         # 9 in its tail. The screen passes every other subset.
         rows = near_dependent_rows(7, 10, 3, [(1, 0, 0, 0.0), (9, 2, 2, 0.0)], [])
-        got = exhaustive_decisions(rows, RankTolerance())
+        got = exhaustive_decisions(rows)
         assert list(got) == list(itertools.combinations(range(10), 7))
         assert [s for s, passed in got.items() if not passed] == [
             s for s in got if {0, 1} <= set(s) or {2, 9} <= set(s)
@@ -535,16 +536,15 @@ class TestDeterminantScreen:
         assert np.abs(got - np.linalg.det(w[tails])).max() <= 32 * np.finfo(float).eps
 
     def test_screen_decides_well_conditioned_and_refers_dependent(self):
-        tol = RankTolerance()
         stack = near_singular_stack(4, 3, [(1, 1e-12), (2, 1e-8)], [])
-        assert slogdet_screen(stack, tol).tolist() == [False, False, True]
+        assert slogdet_screen(stack).tolist() == [False, False, True]
         # an overflowing norm makes the bound infinite: the SVD decides
         huge = stack * 1e160
         assert np.isinf(rankcheck._squared_row_norms(huge)).all()
-        assert not slogdet_screen(huge, tol).any()
+        assert not slogdet_screen(huge).any()
         rows = huge.reshape(-1, 4)  # the three matrices are subsets of these rows
-        assert not any(exhaustive_decisions(rows, tol).values())
-        full = exhaustive_decisions(rows, tol, rankcheck.rank_chunks)
+        assert not any(exhaustive_decisions(rows).values())
+        full = exhaustive_decisions(rows, rankcheck.rank_chunks)
         assert [full[s] for s in [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)]] == [False, True, True]
 
     @pytest.mark.parametrize("total, m", [
@@ -600,13 +600,13 @@ class TestDeterminantScreen:
         assert [tuple(s) for c in chunks for s in c.tolist()] == want
 
 
-def per_spec_generation(specs, tol):
+def per_spec_generation(specs):
     """The per-attempt reference spec by spec, stopping at the first error:
     the channels generated and that error's (type, message)."""
     chs = []
     for spec in specs:
         try:
-            chs.append(generate_per_attempt(spec, tol))
+            chs.append(generate_per_attempt(spec))
         except (GenerationError, InvalidInputError) as e:
             return chs, (type(e), str(e))
     return chs, None
@@ -621,12 +621,12 @@ def same_channels(a, b):
     )
 
 
-def batch_generation(specs, tol=RankTolerance()):
-    """generate_batch of the seeds of specs that share their dimensions and
-    budget, as (channel sets, (error type, message) or None)."""
+def batch_generation(specs):
+    """generate_batch of the seeds of specs that share their dimensions, as
+    (channel sets, (error type, message) or None)."""
     s = specs[0]
     dims = s.M, s.N1, s.N2, s.J1, s.J2
-    h, error = generate_batch(dims, [x.seed for x in specs], tol, s.max_resamples)
+    h, error = generate_batch(dims, [x.seed for x in specs])
     return stacked_sets(h), (None if error is None else (type(error), str(error)))
 
 
@@ -645,7 +645,7 @@ class TestBatchedGeneration:
         spec = ChannelGenSpec(*dims, seed=seed)
         verdicts = iter([False] * attempt + [True])
 
-        def hold(rows, tol):
+        def hold(rows):
             return np.full(len(rows), next(verdicts))
 
         with mock.patch.object(channel, "_rank_conditions_hold", hold):
@@ -658,13 +658,13 @@ class TestBatchedGeneration:
 
     @pytest.mark.parametrize("chunk", [1, 5, 512])
     def test_resamples_land_on_the_same_attempts(self, chunk):
-        # at this tolerance seeds 3, 4 and 8 pass on attempt 1, seed 7 on
+        # at this threshold seeds 3, 4 and 8 pass on attempt 1, seed 7 on
         # attempt 2, and seed 9 fails all three
-        tol = RankTolerance(0.15)
-        specs = [ChannelGenSpec(2, 1, 1, 2, 2, seed=s, max_resamples=3) for s in range(1, 25)]
-        with mock.patch.object(rankcheck, "RANK_CHUNK", chunk):
-            chs, error = batch_generation(specs, tol)
-        want, want_error = per_spec_generation(specs, tol)
+        specs = [ChannelGenSpec(2, 1, 1, 2, 2, seed=s) for s in range(1, 25)]
+        with rank_threshold(0.15), mock.patch.object(channel, "MAX_RESAMPLES", 3):
+            with mock.patch.object(rankcheck, "RANK_CHUNK", chunk):
+                chs, error = batch_generation(specs)
+            want, want_error = per_spec_generation(specs)
         assert same_channels(chs, want)
         assert error == want_error
         assert len(chs) < len(specs)  # a spec exhausted its attempts
@@ -684,14 +684,7 @@ class TestBatchedGeneration:
         specs = [ChannelGenSpec(*dims, seed=s) for s in range(3)]
         chs, error = batch_generation(specs)
         assert error is None
-        assert same_channels(chs, per_spec_generation(specs, RankTolerance())[0])
-
-    @pytest.mark.parametrize("budget", [0, -1, 2.5, True, "3", None])
-    def test_bad_resample_budget_is_a_construction_error(self, budget):
-        # no spec reaches generation without at least one attempt
-        with pytest.raises(InvalidInputError) as exc:
-            ChannelGenSpec(3, 1, 1, 2, 2, seed=0, max_resamples=budget)
-        assert str(exc.value) == f"max_resamples must be a positive integer, got {budget!r}"
+        assert same_channels(chs, per_spec_generation(specs)[0])
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -703,13 +696,13 @@ class TestBatchedGeneration:
     )
     def test_chunk_wide_check_matches_verify(self, M, dims, seeds, edits, rel):
         N1, N2, J1, J2 = dims
-        tol = RankTolerance(rel)
         chs = [edited_channel(M, N1, N2, J1, J2, seed, edits) for seed in seeds]
         rows = np.array([ch.stacked_rows() for ch in chs])
-        want = [verify_rank_condition(ch, tol).passed for ch in chs]
-        for least in (0, rankcheck.PREFIX_SCREEN_MIN):
-            with mock.patch.multiple(rankcheck, RANK_CHUNK=64, PREFIX_SCREEN_MIN=least):
-                assert channel._rank_conditions_hold(rows, tol).tolist() == want
+        with rank_threshold(rel):
+            want = [verify_rank_condition(ch).passed for ch in chs]
+            for least in (0, rankcheck.PREFIX_SCREEN_MIN):
+                with mock.patch.multiple(rankcheck, RANK_CHUNK=64, PREFIX_SCREEN_MIN=least):
+                    assert channel._rank_conditions_hold(rows).tolist() == want
 
     @pytest.mark.parametrize("least", [0, rankcheck.PREFIX_SCREEN_MIN])
     @pytest.mark.parametrize("chunk", [64, 4096])
@@ -724,7 +717,7 @@ class TestBatchedGeneration:
         chs = [edited_channel(5, 1, 1, 5, 5, seed, e) for seed, e in enumerate(edits)]
         rows = np.array([ch.stacked_rows() for ch in chs])
         with mock.patch.multiple(rankcheck, RANK_CHUNK=chunk, PREFIX_SCREEN_MIN=least):
-            held = channel._rank_conditions_hold(rows, RankTolerance())
+            held = channel._rank_conditions_hold(rows)
         assert held.tolist() == [False, True, False, True, False]
         assert held.tolist() == [verify_rank_condition(ch).passed for ch in chs]
 
@@ -736,12 +729,12 @@ class TestBatchedGeneration:
         rel=st.sampled_from([1e-10, 0.05, 0.2, 0.5]),
     )
     def test_stacked_draws_equal_per_spec_draws(self, dims, seeds, budget, rel):
-        # large tolerances fail many draws, so later attempts are drawn for
+        # large thresholds fail many draws, so later attempts are drawn for
         # a changing subset of the specs
-        specs = [ChannelGenSpec(*dims, seed=s, max_resamples=budget) for s in seeds]
-        tol = RankTolerance(rel)
-        chs, error = batch_generation(specs, tol)
-        want, want_error = per_spec_generation(specs, tol)
+        specs = [ChannelGenSpec(*dims, seed=s) for s in seeds]
+        with rank_threshold(rel), mock.patch.object(channel, "MAX_RESAMPLES", budget):
+            chs, error = batch_generation(specs)
+            want, want_error = per_spec_generation(specs)
         assert same_channels(chs, want)
         assert error == want_error
 
@@ -814,7 +807,7 @@ class TestReplayedSeeding:
         specs = [ChannelGenSpec(4, 1, 1, 2, 2, seed=s) for s in straddling_seeds(n)]
         attempts = {
             np.vstack(per_state_draw(spec, a)).tobytes(): (spec.seed, a)
-            for spec in specs for a in range(spec.max_resamples)
+            for spec in specs for a in range(channel.MAX_RESAMPLES)
         }
 
         def passes(rows):
@@ -822,17 +815,17 @@ class TestReplayedSeeding:
             return a >= seed % 9
 
         drawn, own = [], []
-        monkeypatch.setattr(channel, "_rank_conditions_hold", lambda rows, tol: np.array([
+        monkeypatch.setattr(channel, "_rank_conditions_hold", lambda rows: np.array([
             drawn.append(attempts[r.tobytes()]) or passes(r) for r in rows
         ]))
-        monkeypatch.setattr(reference, "verify_rank_condition", lambda ch, tol: mock.Mock(
+        monkeypatch.setattr(reference, "verify_rank_condition", lambda ch: mock.Mock(
             passed=passes(ch.stacked_rows())
         ))
         monkeypatch.setattr(channel, "attempt_seed", lambda s, a, real=attempt_seed: (
             own.append((s, a)) or real(s, a)
         ))
         chs, error = batch_generation(specs)
-        want, want_error = per_spec_generation(specs, RankTolerance())
+        want, want_error = per_spec_generation(specs)
         assert same_channels(chs, want)
         assert error == want_error
         assert any(s % 9 == 8 for s in straddling_seeds(n)) == (error is not None)

@@ -199,8 +199,8 @@ class TestGaussianCommand:
         assert run(args + ["--out", tmp_path / "one"]) == 0
         real = gaussian.null_spaces
 
-        def dropping(a, tol):
-            bases, at_rank = real(a, tol)
+        def dropping(a):
+            bases, at_rank = real(a)
             if len(a) > 1:
                 at_rank[[t - 9 + len(a) for t in (3, 6) if t >= 9 - len(a)]] = False
             return bases, at_rank

@@ -28,7 +28,7 @@ from compound_bcc.ergodic import (
     _zero_forcing_stack,
 )
 from compound_bcc.errors import ConstructionError, DegenerateBlockError, InvalidInputError
-from compound_bcc.linalg import DEFAULT_TOL, null_space_basis
+from compound_bcc.linalg import null_space_basis
 from compound_bcc.sdof import estimate_sdof_series, snr_db_to_power
 from compound_bcc.theory import ergodic_sdof_region, policy_slope_targets, symmetric_point_margin
 from reference import leakage, tx_rate, zero_forcing_state
@@ -100,7 +100,7 @@ def one_state_zero_forcing(h1, h2, name_states=False):
     out = []
     for s in range(len(h1)):
         try:
-            out.append(zero_forcing_state(h1[s], h2[s], n1, n2, DEFAULT_TOL))
+            out.append(zero_forcing_state(h1[s], h2[s], n1, n2))
         except (ConstructionError, DegenerateBlockError) as e:
             prefix = f"common state {s + 1}: " if name_states else ""
             return type(e), f"{prefix}{e}"
@@ -113,10 +113,10 @@ def assert_stack_matches_oracle(h1, h2, name_states=False):
     want = one_state_zero_forcing(h1, h2, name_states)
     if isinstance(want, tuple):
         with pytest.raises(want[0]) as info:
-            _zero_forcing_stack(h1, h2, DEFAULT_TOL, name_states)
+            _zero_forcing_stack(h1, h2, name_states)
         assert str(info.value) == want[1]
         return None
-    vs, phi1, phi2 = _zero_forcing_stack(h1, h2, DEFAULT_TOL, name_states)
+    vs, phi1, phi2 = _zero_forcing_stack(h1, h2, name_states)
     for s, state in enumerate(want):
         assert bits((vs[s], phi1[s], phi2[s])) == bits(state)
     return vs, phi1, phi2
@@ -383,7 +383,7 @@ class TestZeroForcing:
         assert calls[0][0] is fp._h[0] and calls[0][1] is fp._h[1]
         # the cached gains are zero_forcing's of each state, bit for bit
         for s, (ch, rec) in enumerate(zip(fp.states, stats.state_records)):
-            g = zero_forcing(ch, fp.tol)
+            g = zero_forcing(ch)
             assert bits(fp._gains[0][s]) == bits(g.phi1)
             assert bits(fp._gains[1][s]) == bits(g.phi2)
             assert bits(rec) == bits(block_secrecy_rates(g, 5e5, 5e5))
@@ -394,7 +394,7 @@ class TestZeroForcing:
         nothing = np.eye(3, 1, dtype=complex)
         monkeypatch.setattr(
             ergodic, "null_spaces",
-            lambda rows, tol: (np.repeat(nothing[None], len(rows), 0), np.ones(len(rows), bool)),
+            lambda rows: (np.repeat(nothing[None], len(rows), 0), np.ones(len(rows), bool)),
         )
         with pytest.raises(ConstructionError, match="^stream 2 not nulled at user 1 "):
             zero_forcing(fp.states[0])
@@ -561,7 +561,7 @@ class TestStackedBitExact:
         for named in (False, True):
             assert assert_stack_matches_oracle(h1, h2, named) is None
         with pytest.raises(DegenerateBlockError, match="^common state 3: a direct gain"):
-            _zero_forcing_stack(h1, h2, DEFAULT_TOL, name_states=True)
+            _zero_forcing_stack(h1, h2, name_states=True)
 
     def test_unnulled_state_named(self):
         # user 2's nulled rows are dependent below the rank threshold, so the
@@ -571,7 +571,7 @@ class TestStackedBitExact:
         for named in (False, True):
             assert assert_stack_matches_oracle(h1, h2, named) is None
         with pytest.raises(ConstructionError, match="^common state 2: stream 1 not nulled at user 2"):
-            _zero_forcing_stack(h1, h2, DEFAULT_TOL, name_states=True)
+            _zero_forcing_stack(h1, h2, name_states=True)
 
 
 class TestRateAccounting:

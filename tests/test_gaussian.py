@@ -37,7 +37,7 @@ from compound_bcc.gaussian import (
     run_trials,
     worst_case_rates,
 )
-from compound_bcc.linalg import DEFAULT_TOL, RankTolerance, _screen_passes, numerical_rank
+from compound_bcc.linalg import _screen_passes, numerical_rank
 from compound_bcc.regions import nontrivial_vertices
 from compound_bcc.sdof import SdofEstimate, estimate_sdof_series, snr_db_to_power
 from compound_bcc.theory import (
@@ -52,6 +52,7 @@ from reference import (
     rate_common,
     rate_confidential,
     rate_leakage,
+    rank_threshold,
     swap_users,
 )
 
@@ -543,14 +544,14 @@ class TestStackedEvaluator:
                     assert (rt.r0, rt.r1, rt.r2, rt.leakage) == want
 
 
-def per_trial_builds(chs, r1, r2, tol=gaussian.DEFAULT_TOL):
+def per_trial_builds(chs, r1, r2):
     """The one-trial oracle build_beamformers_per_trial channel by channel,
     stopping at the first error: the prefix of sets built and that error's
     (type, message)."""
     bfs = []
     for ch in chs:
         try:
-            bfs.append(build_beamformers_per_trial(ch, r1, r2, tol))
+            bfs.append(build_beamformers_per_trial(ch, r1, r2))
         except CompoundBccError as e:
             return bfs, (type(e), str(e))
     return bfs, None
@@ -618,8 +619,8 @@ def dropping(where, trials):
     trials (see build_runs)."""
     real = gaussian.null_spaces
 
-    def null_spaces(a, tol):
-        bases, at_rank = real(a, tol)
+    def null_spaces(a):
+        bases, at_rank = real(a)
         if len(a) > 1:
             at_rank[[t - trials + len(a) for t in where if t >= trials - len(a)]] = False
         return bases, at_rank
@@ -715,8 +716,8 @@ class TestChunkedBuild:
         real = gaussian.null_spaces
         calls = []
 
-        def tampered(a, tol):
-            bases, at_rank = real(a, tol)
+        def tampered(a):
+            bases, at_rank = real(a)
             if len(calls) == call:
                 m, c = bases.shape[1:]
                 rng = np.random.default_rng(call)
@@ -751,10 +752,10 @@ class TestChunkedBuild:
     def test_stack_whose_svd_fails_is_built_channel_by_channel(self, crafted):
         # a stacked SVD that does not converge sends the stack's first
         # channel to its own one-trial build, a run of one, in trial order
-        def null_spaces(a, tol, real=gaussian.null_spaces):
+        def null_spaces(a, real=gaussian.null_spaces):
             if len(a) > 1:
                 raise np.linalg.LinAlgError("SVD did not converge")
-            return real(a, tol)
+            return real(a)
 
         chs = [make_channel(5, 2, 1, 2, 2, seed=s) for s in range(4)]
         if crafted is not None:
@@ -967,8 +968,8 @@ def test_benchmark_run_takes_no_rank_or_log_det_svd(monkeypatch):
     assert ("slogdet", (150, 2, 2)) in calls
 
 
-def tolerances():
-    return st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(RankTolerance)
+def thresholds():
+    return st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
 @st.composite
@@ -992,9 +993,10 @@ class TestExactRanks:
     numerical_rank's singular values."""
 
     @settings(max_examples=400, deadline=None)
-    @given(a=moduli_stacks(), tol=tolerances())
-    def test_vector_rule_is_numerical_rank(self, a, tol):
-        assert gaussian._ranks(a, tol).tolist() == [numerical_rank(m, tol) for m in a]
+    @given(a=moduli_stacks(), rel=thresholds())
+    def test_vector_rule_is_numerical_rank(self, a, rel):
+        with rank_threshold(rel):
+            assert gaussian._ranks(a).tolist() == [numerical_rank(m) for m in a]
 
     def test_vector_rule_leaves_the_svd_to_products_outside_its_range(self, monkeypatch):
         svds = []
@@ -1005,9 +1007,9 @@ class TestExactRanks:
 
         monkeypatch.setattr(np.linalg, "svd", svd)
         a = np.array([[1.0], [0.0], [2.0 ** -500], [2.0 ** 500]]).reshape(4, 1, 1)
-        assert gaussian._ranks(a, DEFAULT_TOL).tolist() == [1, 0, 1, 1] and not svds
+        assert gaussian._ranks(a).tolist() == [1, 0, 1, 1] and not svds
         a[1, 0, 0] = 2.0 ** -501
-        assert gaussian._ranks(a, DEFAULT_TOL).tolist() == [1, 1, 1, 1] and svds == [(1, 1, 1)]
+        assert gaussian._ranks(a).tolist() == [1, 1, 1, 1] and svds == [(1, 1, 1)]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1017,10 +1019,10 @@ class TestExactRanks:
         gap=st.none() | st.floats(-20.0, 0.0),
         scales=st.lists(st.integers(-600, 600), min_size=4, max_size=4)
         | (st.integers(-540, -505) | st.integers(505, 540)).map(lambda e: [e] * 4),
-        tol=st.floats(-17.0, -0.1).map(lambda e: RankTolerance(10.0 ** e)),
+        rel=st.floats(-17.0, -0.1).map(lambda e: 10.0 ** e),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_gram_screen_is_numerical_rank(self, M, c, trials, gap, scales, tol, seed):
+    def test_gram_screen_is_numerical_rank(self, M, c, trials, gap, scales, rel, seed):
         # columns parallel to the first (gap None) or 10^gap apart from it,
         # each scaled by a power of two, or all by one near underflow or
         # overflow
@@ -1031,13 +1033,14 @@ class TestExactRanks:
         if gap is not None:
             a = a + 10.0 ** gap * noise
         a *= np.ldexp(1.0, scales[:c])
-        assert gaussian._ranks(a, tol).tolist() == [numerical_rank(m, tol) for m in a]
+        with rank_threshold(rel):
+            assert gaussian._ranks(a).tolist() == [numerical_rank(m) for m in a]
 
     def test_gram_screen_leaves_matrices_near_underflow_to_the_svd(self):
         # rank 1, but the rounding of its subnormal Gram entries alone gives
         # the Gram a determinant that passes the screen
         a = 2.0 ** -530 * np.array([[[1.0, 0.3], [1.0, 0.3]]], dtype=complex)
-        assert gaussian._ranks(a, DEFAULT_TOL).tolist() == [numerical_rank(a[0])] == [1]
+        assert gaussian._ranks(a).tolist() == [numerical_rank(a[0])] == [1]
         # the same through a channel: H_1_1 of rank 1 scaled by 1e-160
         g = make_channel(5, 2, 1, 2, 2, seed=9)
         rng = np.random.default_rng(1)
@@ -1051,18 +1054,18 @@ class TestExactRanks:
         assert (type(e.value), str(e.value)) == want
 
     def test_gram_screen_needs_its_floor(self):
-        # near-parallel pairs at small thresholds: the Gram's rounding alone
-        # lifts some bounds above the package's floor of 1e-8
+        # near-parallel pairs at a small threshold: the Gram's rounding alone
+        # lifts some bounds above the census screen of 1e4 * 1e-12 = 1e-8
         rng = np.random.default_rng(0)
-        tol = RankTolerance(1e-14)
         u = rng.standard_normal((2000, 3, 1)) + 1j * rng.standard_normal((2000, 3, 1))
         w = rng.standard_normal((2000, 3, 1)) + 1j * rng.standard_normal((2000, 3, 1))
         a = np.concatenate([u, (1 + 0.3j) * u + 3e-15 * w], axis=-1)
-        want = [numerical_rank(m, tol) for m in a]
-        assert gaussian._ranks(a, tol).tolist() == want
-        gram = a.conj().swapaxes(-1, -2) @ a
-        logdet = 0.5 * np.linalg.slogdet(gram)[1]
-        loose = _screen_passes(logdet, np.trace(gram, axis1=-2, axis2=-1).real, 2, tol)
+        with rank_threshold(1e-12):
+            want = [numerical_rank(m) for m in a]
+            assert gaussian._ranks(a).tolist() == want
+            gram = a.conj().swapaxes(-1, -2) @ a
+            logdet = 0.5 * np.linalg.slogdet(gram)[1]
+            loose = _screen_passes(logdet, np.trace(gram, axis1=-2, axis2=-1).real, 2)
         assert (loose & (np.array(want) < 2)).any()
 
 

@@ -19,7 +19,7 @@ from compound_bcc.errors import (
     NotPositiveDefiniteError,
 )
 from compound_bcc.linalg import (
-    RankTolerance,
+    RANK_RTOL,
     _normalize_phases,
     logdet2_hpd,
     null_space_basis,
@@ -28,7 +28,7 @@ from compound_bcc.linalg import (
     rank_from_singular_values,
     singular_values,
 )
-from reference import logdet2_hpd_cholesky
+from reference import logdet2_hpd_cholesky, rank_threshold
 
 
 def unitary_2x2(theta, phase):
@@ -98,19 +98,11 @@ class TestNumericalRank:
         stack = np.array([np.zeros((3, 3)), a, 1e-300 * a, np.eye(3), np.diag([1, 1e-11, 0])])
         s = np.linalg.svd(stack, compute_uv=False)
         for rel in (1e-15, 1e-10, 1 - 1e-12):
-            tol = RankTolerance(rel)
-            want = [numerical_rank(m, tol) for m in stack]
-            assert rank_from_singular_values(s, tol).tolist() == want
+            with rank_threshold(rel):
+                want = [numerical_rank(m) for m in stack]
+                assert rank_from_singular_values(s).tolist() == want
         assert rank_from_singular_values(s).tolist() == [0, 1, 1, 3, 1]
         assert rank_from_singular_values(np.zeros((2, 0))).tolist() == [0, 0]
-
-    def test_tolerance_validation(self):
-        with pytest.raises(InvalidInputError):
-            RankTolerance(0.0)
-        with pytest.raises(InvalidInputError):
-            RankTolerance(1.0)
-        with pytest.raises(InvalidInputError):
-            RankTolerance(-1e-3)
 
 
 class TestNullSpaceBasis:
@@ -122,7 +114,6 @@ class TestNullSpaceBasis:
             assert numerical_rank(m) + b.shape[1] == cols
 
     def test_residual_and_orthonormality_sweep(self):
-        tol = RankTolerance()
         rng = np.random.default_rng(5)
         for _ in range(100):
             rows = int(rng.integers(1, 6))
@@ -131,7 +122,7 @@ class TestNullSpaceBasis:
             b = null_space_basis(m)
             assert b.shape == (cols, cols - rows)
             sigma_max = singular_values(m)[0]
-            bound = 10 * tol.relative_threshold * sigma_max * np.sqrt(cols)
+            bound = 10 * RANK_RTOL * sigma_max * np.sqrt(cols)
             assert np.linalg.norm(m @ b) <= bound
             gram = b.conj().T @ b
             assert np.linalg.norm(gram - np.eye(b.shape[1])) <= 1e-10

@@ -31,10 +31,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHECKOUT_ENV = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
 CLI = [sys.executable, "-W", "error::RuntimeWarning", "-m", "compound_bcc"]
 DEMO_PINS = os.path.join(ROOT, "tests", "data", "demo_output.json")
-# the oracle tests of the rules that decide without LAPACK what LAPACK would
+# the oracle tests of the rules that decide without LAPACK what LAPACK would,
+# the rank census's determinant screens among them: their products of pair
+# minors run through OpenBLAS zgemm
 EXACT_RULE_ORACLES = (
     "tests/test_linalg.py::TestOneByOneLogdet",
     "tests/test_gaussian.py::TestExactRanks",
+    "tests/test_channel.py::TestDeterminantScreen",
+    "tests/test_channel.py::TestBatchedRankCheck",
 )
 # the tests that hold stacked builds and products to their one-trial bits
 STACKED_BIT_EXACT = (
@@ -132,8 +136,9 @@ def demos(pins=DEMO_PINS):
 
 
 def haswell():
-    """The exact rules (1 x 1 log-dets, vector ranks, the Gram rank screen)
-    hold their oracles on OpenBLAS's Haswell (AVX2) kernels too, the class
+    """The exact rules (1 x 1 log-dets, vector ranks, the Gram rank screen,
+    the census's determinant screens and the chunked census they feed) hold
+    their oracles on OpenBLAS's Haswell (AVX2) kernels too, the class
     that an AVX2-only machine runs, whatever this machine's own kernels; and
     so do the stacked builds and products, whose views get one-trial bits
     only as far as the BLAS kernel gives every matrix of a stack the bits
