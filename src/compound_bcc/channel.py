@@ -207,7 +207,7 @@ def _draw(z, seeds, attempt):
     when there are at least REPLAY_MIN rows, each from its own generator
     otherwise and where the replay does not reach."""
     rest = range(len(seeds))
-    if len(seeds) >= REPLAY_MIN and not attempt >> 32:
+    if len(seeds) >= REPLAY_MIN:
         from .seeding import replay_draws
 
         replay_draws(z, seeds, attempt)

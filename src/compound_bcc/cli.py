@@ -216,7 +216,7 @@ def run_ergodic(cfg, out_dir):
     fp = FadingProcess(cfg.M, cfg.J1, cfg.J2, cfg.common_state_count, cfg.blocks, cfg.seed)
     frac = cfg.p1_frac if cfg.power_policy == "split" else None
     stats, (est1, est2) = ergodic_slope_estimates(
-        fp, cfg.power_policy, cfg.snr_db_grid, m=cfg.blocks, p1_frac=frac
+        fp, cfg.power_policy, cfg.snr_db_grid, p1_frac=frac
     )
     rows = [
         (snr_db, cfg.power_policy, st.r1_mean, st.r2_mean, st.leak_violation_freq)

@@ -41,7 +41,7 @@ from .errors import (
     user_index,
 )
 from .linalg import frobenius_norms, null_spaces
-from .sdof import check_snr_grid, fit_sdof_stack, snr_db_to_power
+from .sdof import SdofEstimate, _fit_stack, check_snr_grid, snr_db_to_power
 
 __all__ = [
     "FadingProcess",
@@ -444,27 +444,22 @@ def _block_rates(phi1, phi2, n1, n2, powers):
     return tx, leak, np.where(d > 0, d, 0.0)
 
 
-def _records(tx, leak, secrecy):
-    """The BlockRateRecords of _block_rates' rates, as records[g][s]."""
-    return [tuple(BlockRateRecord(*map(tuple, r)) for r in zip(*(x.T.tolist() for x in point)))
-            for point in zip(tx, leak, secrecy)]
-
-
 def block_secrecy_rates(gains, p1, p2):
     """Per-block secrecy rates [tx - leakage]+ for both users: the one-state,
     one-power call of _block_rates."""
     rates = _block_rates(
         gains.phi1[None], gains.phi2[None], gains.nulled1, gains.nulled2, [(p1, p2)]
     )
-    return _records(*rates)[0][0]
+    return BlockRateRecord(*(tuple(x[0, :, 0].tolist()) for x in rates))
 
 
 @dataclass(frozen=True)
 class PowerPolicy:
     """Constant per-block power split; p1 + p2 equals the total budget.
 
-    kind is one of 'full1', 'full2', 'equal', 'split'; split uses p1_frac.
-    total and p1_frac are ints or floats, not bools (see check_real).
+    kind is one of 'full1', 'full2', 'equal', 'split'; split uses p1_frac,
+    and no other kind takes one. total and p1_frac are ints or floats, not
+    bools (see check_real).
     """
 
     kind: str
@@ -478,9 +473,13 @@ class PowerPolicy:
             raise InvalidInputError(f"unknown power policy kind {self.kind!r}")
         if check_real(self.total, "total power") < 0:
             raise InvalidInputError(f"total power must be nonnegative, got {self.total!r}")
-        if self.kind == "split" or self.p1_frac is not None:
-            if not 0.0 <= check_real(self.p1_frac, "p1_frac") <= 1.0:
-                raise InvalidInputError(f"p1_frac must be in [0, 1], got {self.p1_frac!r}")
+        if self.kind != "split" and self.p1_frac is not None:
+            raise InvalidInputError(
+                f"p1_frac is for the split policy only; got p1_frac={self.p1_frac!r} "
+                f"with kind {self.kind!r}"
+            )
+        if self.kind == "split" and not 0.0 <= check_real(self.p1_frac, "p1_frac") <= 1.0:
+            raise InvalidInputError(f"p1_frac must be in [0, 1], got {self.p1_frac!r}")
 
     def powers(self):
         frac = self._FRACS.get(self.kind, self.p1_frac)
@@ -489,29 +488,31 @@ class PowerPolicy:
 
 @dataclass(frozen=True)
 class ErgodicRunStats:
-    """Averaged secrecy rates plus the per-state detail.
+    """Averaged secrecy rates of a run over blocks 1..m, m the process's
+    block_count.
 
-    A block's rates are those of its common state s, state_records[s - 1].
-    r1_mean and r2_mean are np.mean of blocks 1..m's rates, sampled and
-    summed pass by pass by the run, which keeps no block. leak_violation_freq
-    is the fraction of blocks where pre-clamp leakage exceeded the
-    transmission rate for at least one user, an exact count over m; it is
-    reported, never asserted away. analytic_r1/r2 are the exact uniform
-    averages over the finite common-state alphabet under the same powers.
+    r1_mean and r2_mean are np.mean of the m blocks' rates, sampled and
+    summed pass by pass by the run, which keeps no block. A block's rates
+    are those of its common state s, block_secrecy_rates of
+    zero_forcing(fp.states[s - 1]) under the same powers.
+    leak_violation_freq is the fraction of blocks where pre-clamp leakage
+    exceeded the transmission rate for at least one user, an exact count
+    over m; it is reported, never asserted away. analytic_r1/r2 are the
+    exact uniform averages over the finite common-state alphabet under the
+    same powers.
     """
 
     m: int
     r1_mean: float
     r2_mean: float
     leak_violation_freq: float
-    state_records: tuple
     analytic_r1: float
     analytic_r2: float
 
 
-def simulate_blocks(fp, policy, m=None):
-    """Sample m blocks in index order and average their secrecy rates: the
-    one-power call of _simulate.
+def simulate_blocks(fp, policy):
+    """Sample the process's block_count blocks in index order and average
+    their secrecy rates: the one-power call of _simulate.
 
     A block's rates depend on its common state only (the accounting already
     averages over each user's state uncertainty), so they are computed per
@@ -521,12 +522,13 @@ def simulate_blocks(fp, policy, m=None):
     """
     if not isinstance(policy, PowerPolicy):
         raise InvalidInputError(f"policy must be a PowerPolicy, got {policy!r}")
-    return _simulate(fp, [policy.powers()], m)[0]
+    return _simulate(fp, [policy.powers()])[0][0]
 
 
-def _simulate(fp, powers, m):
-    """ErgodicRunStats of blocks 1..m (all if m is None) at each power pair
-    (p1, p2) of powers.
+def _simulate(fp, powers):
+    """ErgodicRunStats of blocks 1..m, m = fp.block_count, at each power pair
+    (p1, p2) of powers, and whether each pair's per-state transmission and
+    leakage rates are all finite.
 
     The common states are zero-forced once per process, errors naming the
     state, and their rates at all pairs are one _block_rates call. The
@@ -538,7 +540,7 @@ def _simulate(fp, powers, m):
     an exact count over m: how often each common state occurs, dotted with
     the states whose leakage exceeds a transmission rate.
     """
-    m = check_index(fp.block_count if m is None else m, "block horizon", fp.block_count)
+    m = fp.block_count
     if fp._gains is None:
         fp._gains = _zero_forcing_stack(*fp._h, name_states=True)[1:]
     n1, n2 = min(fp.J1, fp.M - 1), min(fp.J2, fp.M - 1)
@@ -547,18 +549,19 @@ def _simulate(fp, powers, m):
     passes = _rate_passes(fp, m, secrecy.reshape(-1, fp.common_state_count), counts)
     means = (_PairwiseSums(passes).sum(0, m) / m).reshape(-1, 2).tolist()
     violations = ((leak > tx).any(axis=1) @ counts / m).tolist()
-    return [
-        ErgodicRunStats(m, r1, r2, v, recs, float(np.mean(s[0])), float(np.mean(s[1])))
-        for (r1, r2), v, recs, s in zip(means, violations, _records(tx, leak, secrecy), secrecy)
+    stats = [
+        ErgodicRunStats(m, r1, r2, v, float(np.mean(s[0])), float(np.mean(s[1])))
+        for (r1, r2), v, s in zip(means, violations, secrecy)
     ]
+    return stats, (np.isfinite(tx) & np.isfinite(leak)).all(axis=(1, 2))
 
 
-def ergodic_slope_estimates(fp, policy_kind, snr_db_grid, m=None, p1_frac=None):
+def ergodic_slope_estimates(fp, policy_kind, snr_db_grid, p1_frac=None):
     """Simulated rates over the SNR grid and their slope fits.
 
     Returns (stats_list, (est1, est2)). All grid points are evaluated by one
-    _simulate call, which samples the block sequence once for all of them,
-    so the fit sees a smooth function of power; one fit_sdof_stack
+    _simulate call, which samples the process's block sequence once for all
+    of them, so the fit sees a smooth function of power; one sdof._fit_stack
     call fits both users' series. Powers are finite (check_snr_grid), but
     near the float limit p |phi|^2 may not be: a grid point at which a
     per-state transmission or leakage rate overflows raises InvalidGridError
@@ -567,11 +570,10 @@ def ergodic_slope_estimates(fp, policy_kind, snr_db_grid, m=None, p1_frac=None):
     grid = check_snr_grid(snr_db_grid)
     powers = [PowerPolicy(policy_kind, float(p), p1_frac).powers() for p in snr_db_to_power(grid)]
     with np.errstate(over="ignore", invalid="ignore"):
-        stats = _simulate(fp, powers, m)
-    for snr_db, st in zip(grid, stats):
-        if not np.isfinite([r.tx + r.leak for r in st.state_records]).all():
-            raise InvalidGridError(
-                f"snr_db_grid point {snr_db:g} dB: the block rates overflow a float"
-            )
+        stats, finite = _simulate(fp, powers)
+    if not finite.all():
+        raise InvalidGridError(
+            f"snr_db_grid point {grid[np.argmin(finite)]:g} dB: the block rates overflow a float"
+        )
     rates = [[st.r1_mean for st in stats], [st.r2_mean for st in stats]]
-    return stats, tuple(fit_sdof_stack(grid, rates))
+    return stats, tuple(SdofEstimate(*f) for f in _fit_stack(grid, rates).tolist())

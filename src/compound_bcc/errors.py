@@ -47,14 +47,11 @@ class NotPositiveDefiniteError(CompoundBccError, ValueError):
         1-based index of the first leading minor that is not positive.
     """
 
-    def __init__(self, minor, message=None):
+    def __init__(self, minor):
         self.minor = int(minor)
-        if message is None:
-            message = (
-                "matrix is not positive definite: leading minor of order "
-                f"{self.minor} is not positive"
-            )
-        super().__init__(message)
+        super().__init__(
+            f"matrix is not positive definite: leading minor of order {self.minor} is not positive"
+        )
 
 
 class FeasibilityError(CompoundBccError, ValueError):

@@ -151,7 +151,8 @@ def null_spaces(a):
     if not rows:
         return np.repeat(np.eye(cols, dtype=complex)[None], T, axis=0), np.ones(T, dtype=bool)
     try:
-        _, s, vh = np.linalg.svd(a)
+        # a tall matrix's reduced right factor is already cols x cols
+        _, s, vh = np.linalg.svd(a, full_matrices=rows < cols)
         ranks = rank_from_singular_values(s)
         rank = ranks.max() if T else min(rows, cols)
         return _basis_from_vh(vh, rank), ranks == rank
@@ -172,7 +173,7 @@ def frobenius_norms(x):
 
 def _unallocatable_null_spaces(a):
     """The InvalidInputError of null spaces of ``a`` (..., rows, M) whose
-    full SVD cannot be allocated: its right factors alone hold M^2 complex
+    SVD cannot be allocated: its right factors alone hold M^2 complex
     entries per matrix."""
     count, M = math.prod(a.shape[:-2]), a.shape[-1]
     return InvalidInputError(

@@ -57,16 +57,11 @@ class RateRegion:
     dimension: int
     vertices: tuple
     inequalities: tuple
-    downward_closed: bool = True
 
     def __post_init__(self):
         dim = self.dimension
         if isinstance(dim, bool) or not isinstance(dim, int) or dim not in (2, 3):
             raise InvalidInputError(f"dimension must be the int 2 or 3, got {dim!r}")
-        if not isinstance(self.downward_closed, bool):
-            raise InvalidInputError(
-                f"downward_closed must be a bool, got {self.downward_closed!r}"
-            )
         verts = tuple(
             tuple(_frac(c) for c in v) for v in self.vertices
         )
@@ -265,7 +260,7 @@ def region_to_dict(region):
             {"normal": [frac_pair(c) for c in n], "offset": frac_pair(o)}
             for n, o in region.inequalities
         ],
-        "downward_closed": region.downward_closed,
+        "downward_closed": True,
     }
 
 
@@ -290,6 +285,9 @@ def region_from_dict(data):
             raise InvalidInputError(
                 f"region field {name!r} is missing or malformed ({type(e).__name__}: {e})"
             ) from None
+    closed = fields.pop("downward_closed")
+    if closed is not True:
+        raise InvalidInputError(f"region field 'downward_closed' must be true, got {closed!r}")
     return RateRegion(**fields)
 
 

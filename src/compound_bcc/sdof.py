@@ -2,7 +2,7 @@
 
 The degrees-of-freedom of a rate curve is its asymptotic slope against
 log2(P). We estimate it by least squares over a grid of SNR points that is
-wide and high enough for the pre-log to dominate the fit. fit_sdof_stack
+wide and high enough for the pre-log to dominate the fit. _fit_stack
 fits a whole stack of series on one checked grid in one LAPACK-backed call,
 bit for bit as np.polyfit fits each series; estimate_sdof_series is its
 one-series form.
@@ -92,17 +92,11 @@ def estimate_sdof_series(snr_db_grid, rates):
         raise InvalidGridError(
             f"got {y.size} rates for a grid of {grid.size} points"
         )
-    return fit_sdof_stack(grid, y[None])[0]
+    return SdofEstimate(*_fit_stack(grid, y).tolist())
 
 
 def _raise_lstsq_error(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-
-def fit_sdof_stack(grid, rates):
-    """Slope fits of a stack of rate series on one checked grid: the
-    SdofEstimate of each series of _fit_stack, in C order."""
-    return [SdofEstimate(*fit) for fit in _fit_stack(grid, rates).reshape(-1, 3).tolist()]
 
 
 def _fit_stack(grid, rates):

@@ -19,8 +19,10 @@ from compound_bcc.cli import main
 from compound_bcc.ergodic import (
     FadingProcess,
     PowerPolicy,
+    block_secrecy_rates,
     ergodic_slope_estimates,
     simulate_blocks,
+    zero_forcing,
     _philox_words,
     _states_from_words,
 )
@@ -31,6 +33,7 @@ from compound_bcc.regions import (
     nontrivial_vertices,
     region_from_inequalities,
 )
+from compound_bcc.sdof import snr_db_to_power
 from compound_bcc.theory import ergodic_sdof_region, gaussian_sdof_region, symmetric_point_margin
 
 SLOPE_TOL = 0.05
@@ -123,26 +126,27 @@ def test_leakage_free_fading_slopes():
     with verdict("leakage-free-fading-slopes"):
         start = time.perf_counter()
         fp = FadingProcess(3, 2, 2, block_count=10_000, seed=0)
-        stats, (e1, e2) = ergodic_slope_estimates(fp, "equal", (60.0, 80.0, 100.0))
+        grid = (60.0, 80.0, 100.0)
+        stats, (e1, e2) = ergodic_slope_estimates(fp, "equal", grid)
         elapsed = time.perf_counter() - start
         assert abs(e1.slope - 1.0) <= SLOPE_TOL
         assert abs(e2.slope - 1.0) <= SLOPE_TOL
-        for st in stats:
+        gains = [zero_forcing(ch) for ch in fp.states]
+        for st, power in zip(stats, snr_db_to_power(grid)):
             assert st.leak_violation_freq == 0.0
             # per-block rates depend on the realized state only, so zero
             # leakage in every state is zero leakage in every block
-            assert all(rec.leak == (0.0, 0.0) for rec in st.state_records)
+            p = PowerPolicy("equal", float(power)).powers()
+            assert all(block_secrecy_rates(g, *p).leak == (0.0, 0.0) for g in gains)
         assert elapsed < 60.0, f"fading reproduction took {elapsed:.1f} s"
 
 
 def test_one_sided_region_and_policies():
     with verdict("one-sided-region-and-policies"):
-        fp = FadingProcess(3, 2, 4, block_count=10_000, seed=0)
+        fp = FadingProcess(3, 2, 4, block_count=4000, seed=0)
         targets = {"full1": (0.5, 0.0), "full2": (0.0, 1.0), "equal": (0.5, 0.5)}
         for kind, (t1, t2) in targets.items():
-            _, (e1, e2) = ergodic_slope_estimates(
-                fp, kind, (60.0, 80.0, 100.0), m=4000
-            )
+            _, (e1, e2) = ergodic_slope_estimates(fp, kind, (60.0, 80.0, 100.0))
             assert abs(e1.slope - t1) <= SLOPE_TOL, kind
             assert abs(e2.slope - t2) <= SLOPE_TOL, kind
         region = ergodic_sdof_region(3, 2, 4)
@@ -164,8 +168,8 @@ def test_symmetric_point_advantage(tmp_path):
     with verdict("symmetric-point-advantage"):
         margin, advantage = symmetric_point_margin(7, 8, 8)
         assert margin == F(1, 8) and advantage
-        fp = FadingProcess(7, 8, 8, block_count=10_000, seed=0)
-        _, (e1, e2) = ergodic_slope_estimates(fp, "equal", (60.0, 80.0, 100.0), m=4000)
+        fp = FadingProcess(7, 8, 8, block_count=4000, seed=0)
+        _, (e1, e2) = ergodic_slope_estimates(fp, "equal", (60.0, 80.0, 100.0))
         assert abs(e1.slope - 0.5) <= SLOPE_TOL
         assert abs(e2.slope - 0.5) <= SLOPE_TOL
         region = ergodic_sdof_region(7, 8, 8)
@@ -203,7 +207,8 @@ def test_monte_carlo_matches_analytic():
             # a block's rates are its common state's
             t = np.arange(1, m + 1, dtype=np.uint64)
             idx = _states_from_words(fp, t, _philox_words(fp._block_key, t))[0]
-            secrecy = np.array([r.secrecy for r in stats.state_records])
+            gains = [zero_forcing(ch) for ch in fp.states]
+            secrecy = np.array([block_secrecy_rates(g, *policy.powers()).secrecy for g in gains])
             for mean, analytic, blocks in (
                 (stats.r1_mean, stats.analytic_r1, secrecy[idx, 0]),
                 (stats.r2_mean, stats.analytic_r2, secrecy[idx, 1]),

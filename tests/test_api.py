@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import compound_bcc
-from compound_bcc import linalg
+from compound_bcc import ergodic, linalg, sdof
 
 MODULES = ("errors", "linalg", "sdof", "regions", "theory", "channel", "gaussian", "ergodic")
 
@@ -191,6 +191,22 @@ def test_no_export_takes_a_rank_threshold_or_resample_budget():
             names |= {f.name for f in dataclasses.fields(obj)}
         assert not names & {"tol", "max_resamples"}, name
     assert not hasattr(linalg, "RankTolerance") and not hasattr(linalg, "DEFAULT_TOL")
+
+
+def test_no_export_takes_a_horizon_or_keeps_an_unread_field():
+    # a run's one horizon is its process's block_count; linalg's functions
+    # name their matrix argument m, which is no horizon
+    for name in ergodic.__all__:
+        obj = getattr(ergodic, name)
+        if inspect.isfunction(obj):
+            assert "m" not in inspect.signature(obj).parameters, name
+    assert "m" not in inspect.signature(ergodic._simulate).parameters
+    fields = {cls: {f.name for f in dataclasses.fields(getattr(compound_bcc, cls))}
+              for cls in ("ErgodicRunStats", "RateRegion")}
+    assert "state_records" not in fields["ErgodicRunStats"]
+    assert "downward_closed" not in fields["RateRegion"]
+    assert not hasattr(sdof, "fit_sdof_stack")
+    assert list(inspect.signature(compound_bcc.NotPositiveDefiniteError).parameters) == ["minor"]
 
 
 def near_dependent_nulled_rows():

@@ -46,6 +46,12 @@ def fp_large():
     return FadingProcess(7, 8, 8, common_state_count=4, block_count=10_000, seed=0)
 
 
+@pytest.fixture(scope="module")
+def fp_leaky():
+    # fp_large's states and first 2,000 blocks
+    return FadingProcess(7, 8, 8, common_state_count=4, block_count=2000, seed=0)
+
+
 def row(vec):
     return np.asarray([vec], dtype=complex)
 
@@ -149,16 +155,11 @@ class TestSampleBlock:
                 sample_block(fp_small, bad)
 
     def test_numpy_integer_indices_accepted(self, fp_small):
-        # a block index and a horizon take the same integers
         assert sample_block(fp_small, np.int64(3)) == sample_block(fp_small, 3)
         assert sample_block(fp_small, np.uint16(20_000)) == sample_block(fp_small, 20_000)
-        policy = PowerPolicy("equal", 1.0)
-        assert simulate_blocks(fp_small, policy, np.int64(5)) == simulate_blocks(fp_small, policy, 5)
-        for call, name in ((lambda t: sample_block(fp_small, t), "block index"),
-                           (lambda m: simulate_blocks(fp_small, policy, m), "block horizon")):
-            for bad in (np.int64(0), np.int64(20_001), np.bool_(True), np.float64(2.0)):
-                with pytest.raises(InvalidInputError, match=f"^{name} must be an integer in 1..20000, got "):
-                    call(bad)
+        for bad in (np.int64(0), np.int64(20_001), np.bool_(True), np.float64(2.0)):
+            with pytest.raises(InvalidInputError, match="^block index must be an integer in 1..20000, got "):
+                sample_block(fp_small, bad)
 
     def test_uniform_marginals(self, fp_small):
         n = fp_small.block_count
@@ -239,9 +240,7 @@ class TestVectorizedSampler:
     def test_run_samples_each_block_once(self, seed, states, j1, j2, m):
         # one run samples blocks 1..m once, in ceil(m / SAMPLE_CHUNK) passes,
         # and each pass's states are sample_block's
-        fp = FadingProcess(
-            2, j1, j2, common_state_count=states, block_count=3 * self.CHUNK, seed=seed
-        )
+        fp = FadingProcess(2, j1, j2, common_state_count=states, block_count=m, seed=seed)
         passes = []
         real = ergodic._states_from_words
 
@@ -252,7 +251,7 @@ class TestVectorizedSampler:
 
         with mock.patch.object(ergodic, "SAMPLE_CHUNK", self.CHUNK), \
                 mock.patch.object(ergodic, "_states_from_words", spy):
-            simulate_blocks(fp, PowerPolicy("equal", 1.0), m=m)
+            simulate_blocks(fp, PowerPolicy("equal", 1.0))
         assert len(passes) == -(-m // self.CHUNK)
         assert [x for t, _ in passes for x in t] == list(range(1, m + 1))
         assert [s + 1 for _, idx in passes for s in idx] == [
@@ -281,18 +280,20 @@ class TestVectorizedSampler:
             ergodic, "_philox_words", lambda key, t: calls.append(len(t)) or philox(key, t)
         )
         fp = FadingProcess(4, 2, 2, common_state_count=4, block_count=10_000, seed=3)
-        ergodic_slope_estimates(fp, "equal", (60.0, 80.0, 100.0), m=10_000)
-        simulate_blocks(fp, PowerPolicy("equal", 1.0), m=500)
+        ergodic_slope_estimates(fp, "equal", (60.0, 80.0, 100.0))
+        fp = FadingProcess(4, 2, 2, common_state_count=4, block_count=500, seed=3)
+        simulate_blocks(fp, PowerPolicy("equal", 1.0))
         assert calls == [8192, 1808, 500]
 
-    def test_no_cycle_holds_a_pass(self, fp_large, monkeypatch):
+    def test_no_cycle_holds_a_pass(self, monkeypatch):
         monkeypatch.setattr(ergodic, "SAMPLE_CHUNK", 64)
+        fp = FadingProcess(7, 8, 8, common_state_count=4, block_count=1000, seed=0)
         policy = PowerPolicy("equal", 100.0)
-        simulate_blocks(fp_large, policy, m=1000)  # zero-forces the states
+        simulate_blocks(fp, policy)  # zero-forces the states
         gc.collect()
         gc.disable()
         try:
-            simulate_blocks(fp_large, policy, m=1000)
+            simulate_blocks(fp, policy)
             found = gc.collect()
         finally:
             gc.enable()
@@ -327,13 +328,16 @@ class TestPairwiseSums:
     def test_means_equal_np_mean_of_block_rates(self, seed, states, chunk, m):
         # each mean is np.mean of the m block rates and the violation
         # frequency that of the m bools, across passes of SAMPLE_CHUNK blocks
-        fp = FadingProcess(3, 4, 3, common_state_count=states, block_count=1500, seed=seed)
+        fp = FadingProcess(3, 4, 3, common_state_count=states, block_count=m, seed=seed)
+        powers = [(10.0, 30.0), (1e4, 2e3)]
         with mock.patch.object(ergodic, "SAMPLE_CHUNK", chunk):
-            stats = ergodic._simulate(fp, [(10.0, 30.0), (1e4, 2e3)], m)
+            stats, finite = ergodic._simulate(fp, powers)
+        assert finite.tolist() == [True, True]
         t = np.arange(1, m + 1, dtype=np.uint64)
         idx = _states_from_words(fp, t, _philox_words(fp._block_key, t))[0]
-        for st_ in stats:
-            recs = st_.state_records
+        gains = [zero_forcing(ch) for ch in fp.states]
+        for st_, p in zip(stats, powers):
+            recs = [block_secrecy_rates(g, *p) for g in gains]
             secrecy = np.array([r.secrecy for r in recs])
             violated = np.array([r.leak[0] > r.tx[0] or r.leak[1] > r.tx[1] for r in recs])
             want = [np.mean(secrecy[idx, 0]), np.mean(secrecy[idx, 1]), np.mean(violated[idx])]
@@ -381,12 +385,17 @@ class TestZeroForcing:
         ergodic_slope_estimates(fp, "equal", (60.0, 80.0, 100.0))
         assert len(calls) == 1
         assert calls[0][0] is fp._h[0] and calls[0][1] is fp._h[1]
-        # the cached gains are zero_forcing's of each state, bit for bit
-        for s, (ch, rec) in enumerate(zip(fp.states, stats.state_records)):
+        # the cached gains are zero_forcing's of each state, bit for bit, and
+        # the run's per-state rates from them are block_secrecy_rates'
+        rates = _block_rates(*fp._gains, 2, 2, [(5e5, 5e5)])
+        for s, ch in enumerate(fp.states):
             g = zero_forcing(ch)
             assert bits(fp._gains[0][s]) == bits(g.phi1)
             assert bits(fp._gains[1][s]) == bits(g.phi2)
-            assert bits(rec) == bits(block_secrecy_rates(g, 5e5, 5e5))
+            run = [x[0, :, s].tolist() for x in rates]
+            assert bits(run) == bits(block_secrecy_rates(g, 5e5, 5e5))
+        analytic = [np.mean(rates[2][0, k]) for k in (0, 1)]
+        assert bits([stats.analytic_r1, stats.analytic_r2]) == bits(analytic)
 
     def test_process_errors_name_the_common_state(self, monkeypatch):
         fp = FadingProcess(3, 2, 2, common_state_count=2, block_count=10, seed=0)
@@ -489,9 +498,9 @@ class TestStackedBitExact:
     @example(M=3, j1=2, j2=4, S=255, seed=1, m=200, kind="equal", frac=0.5, grid=(60.0, 80.0, 100.0))
     @example(M=4, j1=5, j2=3, S=256, seed=2, m=200, kind="split", frac=0.3, grid=(60.0, 80.0, 100.0))
     def test_process_rates_match_oracles(self, M, j1, j2, S, seed, m, kind, frac, grid):
-        fp = FadingProcess(M, j1, j2, common_state_count=S, block_count=200, seed=seed)
+        fp = FadingProcess(M, j1, j2, common_state_count=S, block_count=m, seed=seed)
         frac = frac if kind == "split" else None
-        stats, ests = ergodic_slope_estimates(fp, kind, grid, m=m, p1_frac=frac)
+        stats, ests = ergodic_slope_estimates(fp, kind, grid, p1_frac=frac)
         gains = [zero_forcing(ch) for ch in fp.states]
         blocks = [sample_block(fp, t)[0] - 1 for t in range(1, m + 1)]
         for snr_db, st_ in zip(grid, stats):
@@ -509,18 +518,17 @@ class TestStackedBitExact:
                 [float(np.mean(np.array([sec[s, k] for s in blocks]))) for k in (0, 1)],
                 float(np.mean(np.array([bad[s] for s in blocks]))),
                 [float(np.mean(sec[:, k].copy())) for k in (0, 1)],
-                recs,
             )
             got = (
                 [st_.r1_mean, st_.r2_mean], st_.leak_violation_freq,
-                [st_.analytic_r1, st_.analytic_r2], st_.state_records,
+                [st_.analytic_r1, st_.analytic_r2],
             )
             assert bits(got) == bits(want)
             # the stacked run's grid point is the one-power call's
-            one = simulate_blocks(fp, policy, m)
-            assert one.m == st_.m and bits((
+            one = simulate_blocks(fp, policy)
+            assert one.m == st_.m == m and bits((
                 [one.r1_mean, one.r2_mean], one.leak_violation_freq,
-                [one.analytic_r1, one.analytic_r2], one.state_records,
+                [one.analytic_r1, one.analytic_r2],
             )) == bits(got)
         series = ([st_.r1_mean for st_ in stats], [st_.r2_mean for st_ in stats])
         for est, rates in zip(ests, series):
@@ -633,6 +641,14 @@ class TestPowerPolicy:
         with pytest.raises(InvalidInputError, match="p1_frac"):
             PowerPolicy("split", 10.0)
 
+    @pytest.mark.parametrize("kind", ["full1", "full2", "equal"])
+    def test_fraction_only_for_split(self, fp_small, kind):
+        message = f"^p1_frac is for the split policy only; got p1_frac=0.2 with kind '{kind}'$"
+        with pytest.raises(InvalidInputError, match=message):
+            PowerPolicy(kind, 10.0, 0.2)
+        with pytest.raises(InvalidInputError, match=message):
+            ergodic_slope_estimates(fp_small, kind, (60.0, 80.0, 100.0), p1_frac=0.2)
+
     def test_unknown_kind(self):
         with pytest.raises(InvalidInputError, match="unknown power policy"):
             PowerPolicy("water", 10.0)
@@ -670,7 +686,8 @@ class TestPowerPolicy:
 class TestSimulation:
     def test_mc_tracks_analytic(self, fp_small):
         stats = simulate_blocks(fp_small, PowerPolicy("equal", 100.0))
-        spread = np.std([r.secrecy[0] for r in stats.state_records])
+        spread = np.std([block_secrecy_rates(zero_forcing(ch), 50.0, 50.0).secrecy[0]
+                         for ch in fp_small.states])
         slack = 4 * spread / math.sqrt(stats.m) + 1e-12
         assert abs(stats.r1_mean - stats.analytic_r1) < slack
         assert abs(stats.r2_mean - stats.analytic_r2) < slack
@@ -679,48 +696,40 @@ class TestSimulation:
         stats = simulate_blocks(fp_small, PowerPolicy("equal", 1e6))
         assert stats.leak_violation_freq == 0.0
 
-    def test_violation_freq_matches_state_records(self, fp_large):
-        stats = simulate_blocks(fp_large, PowerPolicy("equal", 100.0), m=2000)
+    def test_violation_freq_matches_state_rates(self, fp_leaky):
+        stats = simulate_blocks(fp_leaky, PowerPolicy("equal", 100.0))
+        recs = [block_secrecy_rates(zero_forcing(ch), 50.0, 50.0) for ch in fp_leaky.states]
         bad_states = {
             s + 1
-            for s, r in enumerate(stats.state_records)
+            for s, r in enumerate(recs)
             if r.leak[0] > r.tx[0] or r.leak[1] > r.tx[1]
         }
         want = np.mean(
-            [sample_block(fp_large, t)[0] in bad_states for t in range(1, 2001)]
+            [sample_block(fp_leaky, t)[0] in bad_states for t in range(1, 2001)]
         )
         assert stats.leak_violation_freq == pytest.approx(float(want), abs=1e-15)
 
-    def test_reruns_bit_identical(self, fp_small):
-        a = simulate_blocks(fp_small, PowerPolicy("equal", 123.0), m=500)
-        b = simulate_blocks(fp_small, PowerPolicy("equal", 123.0), m=500)
+    def test_reruns_bit_identical(self):
+        fp = FadingProcess(4, 2, 2, common_state_count=4, block_count=500, seed=0)
+        a = simulate_blocks(fp, PowerPolicy("equal", 123.0))
+        b = simulate_blocks(fp, PowerPolicy("equal", 123.0))
         assert a.r1_mean == b.r1_mean
         assert a.r2_mean == b.r2_mean
 
-    def test_horizon_validation(self, fp_small):
-        with pytest.raises(InvalidInputError):
-            simulate_blocks(fp_small, PowerPolicy("equal", 1.0), m=0)
-        with pytest.raises(InvalidInputError):
-            simulate_blocks(fp_small, PowerPolicy("equal", 1.0), m=fp_small.block_count + 1)
-
-    @pytest.mark.parametrize("m", [2.5, True, "3"])
-    def test_horizon_must_be_an_integer(self, fp_small, m):
-        with pytest.raises(InvalidInputError, match="integer"):
-            simulate_blocks(fp_small, PowerPolicy("equal", 1.0), m=m)
-
 
 class TestSlopes:
-    def test_leakage_free_regime(self, fp_small):
-        _, (e1, e2) = ergodic_slope_estimates(fp_small, "equal", (60.0, 80.0, 100.0), m=2000)
+    def test_leakage_free_regime(self):
+        fp = FadingProcess(4, 2, 2, common_state_count=4, block_count=2000, seed=0)
+        _, (e1, e2) = ergodic_slope_estimates(fp, "equal", (60.0, 80.0, 100.0))
         t1, t2 = policy_slope_targets(4, 2, 2, "equal")
         assert e1.slope == pytest.approx(float(t1), abs=0.05)
         assert e2.slope == pytest.approx(float(t2), abs=0.05)
         assert float(t1) == 1.0 and float(t2) == 1.0
 
     @pytest.mark.parametrize("kind", ["full1", "full2", "equal"])
-    def test_leaky_regime_policies(self, fp_large, kind):
+    def test_leaky_regime_policies(self, fp_leaky, kind):
         targets = policy_slope_targets(7, 8, 8, kind)
-        _, ests = ergodic_slope_estimates(fp_large, kind, (60.0, 80.0, 100.0), m=2000)
+        _, ests = ergodic_slope_estimates(fp_leaky, kind, (60.0, 80.0, 100.0))
         for est, tgt in zip(ests, targets):
             assert est.slope == pytest.approx(float(tgt), abs=0.05)
 

@@ -201,7 +201,7 @@ class TestStackedNullSpaces:
     def test_unallocatable_svd_is_a_typed_error(self, monkeypatch):
         # as numpy fails to allocate a huge SVD; the message counts the
         # bytes of the right factors, one M x M block per matrix
-        def svd(a):
+        def svd(a, full_matrices=True):
             raise MemoryError("Unable to allocate")
 
         monkeypatch.setattr(np.linalg, "svd", svd)

@@ -1,6 +1,7 @@
 """Exact polytope machinery: time sharing, containment, dominance, JSON."""
 
 import itertools
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -170,7 +171,7 @@ class TestSerialization:
         assert back.dimension == r.dimension
         assert back.vertices == r.vertices
         assert back.inequalities == r.inequalities
-        assert back.downward_closed == r.downward_closed
+        assert json.loads(p.read_text())["downward_closed"] is True
 
     def test_schema_fields(self):
         d = region_to_dict(simplex())
@@ -217,8 +218,13 @@ class TestSerialization:
          "(ValueError: too many values to unpack (expected 2))"),
         ("{" + VALID.replace('"dimension": 2', '"dimension": 2.0') + "}",
          "dimension must be the int 2 or 3, got 2.0"),
+        # every region is downward closed: the field holds true alone
         ("{" + VALID.replace("true", '"no"') + "}",
-         "downward_closed must be a bool, got 'no'"),
+         "region field 'downward_closed' must be true, got 'no'"),
+        ("{" + VALID.replace("true", "1") + "}",
+         "region field 'downward_closed' must be true, got 1"),
+        ("{" + VALID.replace("true", "false") + "}",
+         "region field 'downward_closed' must be true, got False"),
     ])
     def test_malformed_file_names_the_field(self, tmp_path, text, message):
         p = tmp_path / "region.json"
@@ -237,8 +243,6 @@ class TestValidation:
         ({"dimension": 2.0}, "dimension must be the int 2 or 3, got 2.0"),
         ({"dimension": True}, "dimension must be the int 2 or 3, got True"),
         ({"dimension": "2"}, "dimension must be the int 2 or 3, got '2'"),
-        ({"downward_closed": "no"}, "downward_closed must be a bool, got 'no'"),
-        ({"downward_closed": 1}, "downward_closed must be a bool, got 1"),
     ])
     def test_field_types_checked(self, fields, message):
         with pytest.raises(InvalidInputError) as excinfo:

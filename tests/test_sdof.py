@@ -14,8 +14,8 @@ from compound_bcc.sdof import (
     SdofEstimate,
     check_snr_grid,
     estimate_sdof_series,
-    fit_sdof_stack,
     snr_db_to_power,
+    _fit_stack,
 )
 
 
@@ -135,7 +135,8 @@ def grids(draw):
 
 
 class TestStackedFit:
-    """fit_sdof_stack against per-series np.polyfit, bit for bit."""
+    """_fit_stack against per-series np.polyfit, bit for bit: each row of
+    its (..., 3) array is a series' slope, intercept and residual."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -155,28 +156,29 @@ class TestStackedFit:
             np.full((1, grid.size), scale * 2.5),  # constant series
             np.zeros((1, grid.size)),
         ])
-        got = fit_sdof_stack(grid, rates)
-        assert len(got) == len(rates)
-        for y, est in zip(rates, got):
-            assert bits(est) == bits(polyfit_estimate(grid, y))
+        got = _fit_stack(grid, rates)
+        assert got.shape == (len(rates), 3)
+        for y, fit in zip(rates, got):
+            assert fit.tobytes() == bits(polyfit_estimate(grid, y))
 
     @pytest.mark.parametrize("points", [4, 9, 12])
     def test_stack_shape_is_c_order(self, points):
         grid = check_snr_grid(40.0 + 10.0 * np.arange(points))
         rates = np.random.default_rng(3).standard_normal((2, 3, points))
-        got = fit_sdof_stack(grid, rates)
+        got = _fit_stack(grid, rates)
         want = [polyfit_estimate(grid, y) for y in rates.reshape(-1, points)]
-        assert [bits(e) for e in got] == [bits(e) for e in want]
+        assert [f.tobytes() for f in got.reshape(-1, 3)] == [bits(e) for e in want]
         # series read from a strided view, as the evaluator passes them
         # (from 8 points on, a mean over a strided axis may round differently)
         rates = np.random.default_rng(4).standard_normal((2, points, 4))
         strided = np.moveaxis(rates[..., :3], -1, -2)
-        got = fit_sdof_stack(grid, strided)
+        got = _fit_stack(grid, strided)
         want = [polyfit_estimate(grid, y) for y in strided.reshape(-1, points)]
-        assert [bits(e) for e in got] == [bits(e) for e in want]
+        assert [f.tobytes() for f in got.reshape(-1, 3)] == [bits(e) for e in want]
 
     def test_series_fit_is_a_one_series_stack(self):
         grid = (60.0, 80.0, 100.0)
         y = [1.0, 8.0, 12.5]
-        assert estimate_sdof_series(grid, y) == fit_sdof_stack(check_snr_grid(grid), [y])[0]
+        stack = _fit_stack(check_snr_grid(grid), [y])
+        assert estimate_sdof_series(grid, y) == SdofEstimate(*stack[0].tolist())
         assert bits(estimate_sdof_series(grid, y)) == bits(polyfit_estimate(grid, np.array(y)))

@@ -45,6 +45,7 @@ STACKED_BIT_EXACT = (
     "tests/test_gaussian.py::TestChunkedBuild",
     "tests/test_gaussian.py::TestStackedProducts",
     "tests/test_ergodic.py::TestStackedBitExact",
+    "tests/test_linalg.py::TestStackedNullSpaces",
 )
 
 
@@ -98,14 +99,17 @@ def horizon():
 def constant():
     """The constant model at scale: 1000 light trials, 300 rank-heavy ones
     (chunks of 64, all C(24, 4) subsets per trial), two runs of 300 whose
-    chunks mix seeds of one and two, then two and three uint32 words, and 64
-    trials of M = 300, one per chunk for their 300 x 300 null-space factors."""
+    chunks mix seeds of one and two, then two and three uint32 words, 64
+    trials of M = 300, one per chunk for their 300 x 300 null-space factors,
+    and 64 trials of 600 x 4 nulled rows, whose SVDs take no 600 x 600 left
+    factors."""
     for cap, args in (
         (48, "--trials 1000"),
         (56, "--M 4 --J1 12 --J2 12 --r1 0 --r2 0 --trials 300"),
         (48, "--trials 300 --seed 4294967200"),
         (48, "--trials 300 --seed 18446744073709551500"),
         (80, "--M 300 --J1 1 --J2 1 --trials 64"),
+        (80, "--M 4 --J1 600 --J2 1 --r1 0 --r2 0 --trials 64"),
     ):
         with tempfile.TemporaryDirectory() as out:
             child([*CLI, "gaussian", *args.split(), "--out", out], cap)
