@@ -22,6 +22,12 @@ from compound_bcc import (
 M, N1, N2, J1, J2 = 5, 2, 1, 2, 2
 
 
+def bound(residual, limit=1e-15):
+    """A residual at rounding level as the bound it meets, since its digits
+    follow the BLAS kernels' rounding; any larger one as its value."""
+    return f"< {limit:.0e}" if residual < limit else f"= {residual:.2e}"
+
+
 def main():
     ch = generate_compound(ChannelGenSpec(M, N1, N2, J1, J2, seed=7))
     report = verify_rank_condition(ch)
@@ -40,10 +46,10 @@ def main():
     print("\ncertificates")
     for k, v in ((1, bf.v1), (2, bf.v2)):
         gram = np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1]))
-        print(f"  ||V{k}^H V{k} - I|| = {gram:.2e}")
+        print(f"  ||V{k}^H V{k} - I|| {bound(gram)}")
         for j, h in enumerate(ch.states(3 - k), start=1):
             rel = np.linalg.norm(h @ v) / np.linalg.norm(h)
-            print(f"  ||H_{3 - k}_{j} V{k}|| / ||H_{3 - k}_{j}|| = {rel:.2e}  (nulled)")
+            print(f"  ||H_{3 - k}_{j} V{k}|| / ||H_{3 - k}_{j}|| {bound(rel)}  (nulled)")
         for j, h in enumerate(ch.states(k), start=1):
             rank = np.linalg.matrix_rank(h @ v, tol=1e-9)
             print(f"  rank(H_{k}_{j} V{k}) = {rank} (want {v.shape[1]})")

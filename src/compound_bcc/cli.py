@@ -13,8 +13,10 @@ region          emit an analytic region without simulating
 All outputs are deterministic: rerunning with the same configuration and
 seed reproduces every file byte for byte. Exit code 0 means pass, 2 means
 a tolerance check failed, 1 means an error. The CLI only orchestrates
-library calls and serializes their results. Each subcommand imports the
-modules it calls when it runs, so a process loads only those.
+library calls and serializes their results. Each subcommand takes the
+flags and config file fields that its runner reads (COMMANDS) and rejects
+any other, and it imports the modules it calls when it runs, so a process
+loads only those.
 """
 
 import argparse
@@ -32,11 +34,15 @@ from .sdof import DEFAULT_SNR_GRID_DB
 __all__ = ["ExperimentConfig", "main"]
 
 SLOPE_TOL = 0.05
+POLICIES = ("full1", "full2", "equal", "split")
+MODELS = ("gaussian", "ergodic")
 
 
 @dataclass
 class ExperimentConfig:
-    """Parameters of one experiment; JSON fields and flags share these names."""
+    """Parameters of one experiment. A subcommand sets only the fields that
+    its row of COMMANDS names, by flags and config file fields of the same
+    names; the others keep these defaults, and to_dict writes every field."""
 
     M: int = 4
     N1: int = 1
@@ -59,6 +65,8 @@ class ExperimentConfig:
                      common_state_count=self.common_state_count, trials=self.trials,
                      blocks=self.blocks)
         check_counts(ConfigError, 0, r1=self.r1, r2=self.r2, seed=self.seed)
+        if not isinstance(self.snr_db_grid, (list, tuple)):
+            raise ConfigError("snr_db_grid must be a list of dB values")
         grid = tuple(check_real(x, "snr_db_grid entry", ConfigError) for x in self.snr_db_grid)
         if not grid:
             raise ConfigError("snr_db_grid must not be empty")
@@ -67,13 +75,13 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("snr_db_grid must be strictly increasing")
         self.snr_db_grid = grid
-        if self.power_policy not in ("full1", "full2", "equal", "split"):
+        if self.power_policy not in POLICIES:
             raise ConfigError(f"unknown power_policy {self.power_policy!r}")
         frac = check_real(self.p1_frac, "p1_frac", ConfigError)
         if not (0.0 <= frac <= 1.0):
             raise ConfigError(f"p1_frac must be in [0, 1], got {self.p1_frac!r}")
         self.p1_frac = frac  # a float, as the flag gives it, so both write the same bytes
-        if self.model not in ("gaussian", "ergodic"):
+        if self.model not in MODELS:
             raise ConfigError(f"model must be 'gaussian' or 'ergodic', got {self.model!r}")
         return self
 
@@ -83,30 +91,42 @@ class ExperimentConfig:
         return d
 
 
-def load_config(path):
+# each subcommand's help and the ExperimentConfig fields its runner reads:
+# it takes a flag and a config file field for each of these, and no other
+COMMANDS = {
+    "gaussian": ("constant-model superposition scheme",
+                 "M N1 N2 J1 J2 r1 r2 trials seed snr_db_grid"),
+    "ergodic": ("block-fading zero-forcing scheme",
+                "M J1 J2 blocks common_state_count seed snr_db_grid power_policy p1_frac"),
+    "compare": ("dominance report between the two models' regions", "M J1 J2"),
+    "verify-channel": ("check the generic rank condition", "M N1 N2 J1 J2 seed"),
+    "region": ("emit an analytic region without simulating", "M N1 N2 J1 J2 model"),
+}
+
+
+def load_config(path, command):
+    """The fields of a config file, each one that ``command`` reads."""
     data = read_json(path, ConfigError, "config file")
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(data) - known
+    unknown = set(data) - set(COMMANDS[command][1].split())
     if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    if "snr_db_grid" in data:
-        if not isinstance(data["snr_db_grid"], list):
-            raise ConfigError("snr_db_grid must be a list of dB values")
-        data["snr_db_grid"] = tuple(data["snr_db_grid"])
+        raise ConfigError(f"unknown config fields for {command}: {sorted(unknown)}")
     return data
 
 
 def build_config(args):
-    """Defaults, overridden by --config file fields, overridden by flags."""
-    data = {}
-    if getattr(args, "config", None):
-        data.update(load_config(args.config))
-    for f in dataclasses.fields(ExperimentConfig):
-        v = getattr(args, f.name, None)
-        if v is not None:
-            data[f.name] = v
-    cfg = ExperimentConfig(**data)
-    return cfg.validate()
+    """Defaults, overridden by --config file fields, overridden by flags.
+    p1_frac is for the split policy only, and a channel file sets every
+    field that verify-channel reads."""
+    data = load_config(args.config, args.command) if args.config else {}
+    flags = {k: getattr(args, k) for k in COMMANDS[args.command][1].split()}
+    data.update({k: v for k, v in flags.items() if v is not None})
+    if getattr(args, "channel", None) and data:
+        raise ConfigError(f"verify-channel --channel takes no dimension or seed: the file "
+                          f"fixes the channel; got {', '.join(sorted(data))}")
+    cfg = ExperimentConfig(**data).validate()
+    if "p1_frac" in data and cfg.power_policy != "split":
+        raise ConfigError(f"p1_frac is for power_policy 'split' only; got {cfg.power_policy!r}")
+    return cfg
 
 
 def _parse_grid(text):
@@ -196,23 +216,12 @@ def run_gaussian(cfg, out_dir):
     return passed
 
 
-def _single_antenna(cfg, command):
-    """ConfigError unless both receivers have one antenna, as ``command``
-    (whose fading model or region has no N1 or N2) requires."""
-    if cfg.N1 != 1 or cfg.N2 != 1:
-        raise ConfigError(
-            f"{command} requires single-antenna receivers (N1 = N2 = 1); got "
-            f"N1={cfg.N1}, N2={cfg.N2}"
-        )
-
-
 def run_ergodic(cfg, out_dir):
     """Block-fading run: simulated averages, slope fits, analytic region."""
     from .ergodic import FadingProcess, ergodic_slope_estimates
     from .regions import save_region
     from .theory import ergodic_sdof_region, policy_slope_targets
 
-    _single_antenna(cfg, "ergodic")
     fp = FadingProcess(cfg.M, cfg.J1, cfg.J2, cfg.common_state_count, cfg.blocks, cfg.seed)
     frac = cfg.p1_frac if cfg.power_policy == "split" else None
     stats, (est1, est2) = ergodic_slope_estimates(
@@ -222,18 +231,16 @@ def run_ergodic(cfg, out_dir):
         (snr_db, cfg.power_policy, st.r1_mean, st.r2_mean, st.leak_violation_freq)
         for snr_db, st in zip(cfg.snr_db_grid, stats)
     ]
-    targets = policy_slope_targets(cfg.M, cfg.J1, cfg.J2, cfg.power_policy)
-    target_list = None if targets is None else [float(t) for t in targets]
-    passed = target_list is None or all(
-        abs(est.slope - t) <= SLOPE_TOL for est, t in zip((est1, est2), target_list)
-    )
+    targets = policy_slope_targets(cfg.M, cfg.J1, cfg.J2, cfg.power_policy, frac)
+    targets = [float(t) for t in targets]
+    passed = all(abs(est.slope - t) <= SLOPE_TOL for est, t in zip((est1, est2), targets))
     region = ergodic_sdof_region(cfg.M, cfg.J1, cfg.J2)
     summary = {
         "command": "ergodic",
         "config": cfg.to_dict(),
         "slopes": {
             "estimated": [est1.slope, est2.slope],
-            "targets": target_list,
+            "targets": targets,
             "tolerance": SLOPE_TOL,
         },
         "leak_violation_freq": [st.leak_violation_freq for st in stats],
@@ -261,9 +268,8 @@ def run_compare(cfg, out_dir):
     )
     from .theory import ergodic_sdof_region, gaussian_confidential_region
 
-    _single_antenna(cfg, "compare")
     erg = ergodic_sdof_region(cfg.M, cfg.J1, cfg.J2)
-    gau = gaussian_confidential_region(cfg.M, cfg.N1, cfg.N2, cfg.J1, cfg.J2)
+    gau = gaussian_confidential_region(cfg.M, 1, 1, cfg.J1, cfg.J2)  # single-antenna, as ergodic
     erg_covers = dominates(erg, gau)
     gau_covers = dominates(gau, erg)
     witnesses = [v for v in nontrivial_vertices(erg) if not contains(gau, v)]
@@ -326,9 +332,13 @@ def run_region(cfg, out_dir):
 
     if cfg.model == "gaussian":
         region = gaussian_sdof_region(cfg.M, cfg.N1, cfg.N2, cfg.J1, cfg.J2)
-    else:
-        _single_antenna(cfg, "region --model ergodic")
+    elif cfg.N1 == cfg.N2 == 1:
         region = ergodic_sdof_region(cfg.M, cfg.J1, cfg.J2)
+    else:
+        raise ConfigError(
+            "region --model ergodic requires single-antenna receivers (N1 = N2 = 1); "
+            f"got N1={cfg.N1}, N2={cfg.N2}"
+        )
     summary = {
         "command": "region",
         "config": cfg.to_dict(),
@@ -347,20 +357,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _common_flags():
-    """A parent parser of the flags every subcommand takes."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with ExperimentConfig fields")
-    common.add_argument("--out", default=".", help="output directory (default: .)")
-    common.add_argument("--seed", type=int)
-    for name in ("M", "N1", "N2", "J1", "J2", "r1", "r2",
-                 "trials", "blocks", "common_state_count"):
-        common.add_argument(f"--{name}", type=int)
-    common.add_argument("--snr_db_grid", type=_parse_grid,
-                        help="comma-separated dB values, e.g. 60,80,100")
-    common.add_argument("--power_policy", choices=("full1", "full2", "equal", "split"))
-    common.add_argument("--p1_frac", type=float)
-    return common
+# argparse options of the flags that are not integers
+_FLAG_OPTIONS = {
+    "snr_db_grid": {"type": _parse_grid, "help": "comma-separated dB values, e.g. 60,80,100"},
+    "power_policy": {"choices": POLICIES},
+    "p1_frac": {"type": float, "help": "user 1's share of the power (split only)"},
+    "model": {"choices": MODELS},
+}
 
 
 @functools.cache
@@ -370,20 +373,15 @@ def make_parser():
         prog="compound-bcc",
         description="Secrecy-rate laboratory for compound broadcast channels",
     )
-    common = _common_flags()
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("gaussian", "constant-model superposition scheme"),
-        ("ergodic", "block-fading zero-forcing scheme"),
-        ("compare", "dominance report between the two models' regions"),
-        ("verify-channel", "check the generic rank condition"),
-        ("region", "emit an analytic region without simulating"),
-    ):
-        sp = sub.add_parser(name, help=help_text, parents=[common])
+    for name, (help_text, fields) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--config", help="JSON file with fields named like these flags")
+        sp.add_argument("--out", default=".", help="output directory (default: .)")
+        for field in fields.split():
+            sp.add_argument(f"--{field}", **_FLAG_OPTIONS.get(field, {"type": int}))
         if name == "verify-channel":
-            sp.add_argument("--channel", help="channel JSON file to verify")
-        if name == "region":
-            sp.add_argument("--model", choices=("gaussian", "ergodic"))
+            sp.add_argument("--channel", help="channel JSON file; it sets the dimensions")
     return parser
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "region_from_inequalities",
     "contains",
     "dominates",
-    "equivalent",
     "nontrivial_vertices",
     "save_region",
     "load_region",
@@ -229,11 +228,6 @@ def dominates(a, b):
             f"cannot compare regions of dimension {a.dimension} and {b.dimension}"
         )
     return all(contains(a, v) for v in b.vertices)
-
-
-def equivalent(a, b):
-    """Set equality of two regions via mutual containment."""
-    return dominates(a, b) and dominates(b, a)
 
 
 def nontrivial_vertices(region):

@@ -21,8 +21,9 @@ states is missed by the other beam. The policies' slope pairs are
 full1 = (1 - lost2, 0), user 1 leaking where user 2 is missed;
 full2 = (0, 1 - lost1); equal = (t, t), t = max(0, 1 - lost1 - lost2),
 each stream losing its interfered and its leaking states
-(policy_slope_targets). The region is their time-share
-(ergodic_sdof_region): the unit square when both J_k < M; with both
+(policy_slope_targets); split at 0 < p1_frac < 1 has equal's pair, as a
+constant power fraction does not change a pre-log. The region is their
+time-share (ergodic_sdof_region): the unit square when both J_k < M; with both
 J_k >= M the corners (M-1)/J2 and (M-1)/J1, joined through (t, t) iff
 its margin t - (M-1)/(J1+J2) over their segment is positive
 (symmetric_point_margin).
@@ -35,7 +36,7 @@ with M = 1, the origin.
 
 from fractions import Fraction
 
-from .errors import InvalidInputError, check_counts
+from .errors import InvalidInputError, check_counts, check_real
 from .regions import region_from_inequalities, time_share
 
 __all__ = [
@@ -110,11 +111,17 @@ def _policy_targets(M, J1, J2):
     return {"full1": (1 - lost2, zero), "full2": (zero, 1 - lost1), "equal": (t, t)}
 
 
-def policy_slope_targets(M, J1, J2, policy_kind):
-    """Analytic high-SNR slope pair for a named policy; None for 'split'."""
+def policy_slope_targets(M, J1, J2, policy_kind, p1_frac=None):
+    """Analytic high-SNR slope pair for a named policy. A constant power
+    fraction does not change a pre-log, so 'split' has full2's pair at
+    p1_frac = 0, full1's at p1_frac = 1 and equal's in between."""
     check_counts(M=M, J1=J1, J2=J2)
     if policy_kind == "split":
-        return None
+        if not 0 <= check_real(p1_frac, "p1_frac") <= 1:
+            raise InvalidInputError(f"p1_frac must be in [0, 1], got {p1_frac!r}")
+        policy_kind = {0: "full2", 1: "full1"}.get(p1_frac, "equal")
+    elif p1_frac is not None:
+        raise InvalidInputError(f"p1_frac is for the split policy only; got kind {policy_kind!r}")
     targets = _policy_targets(M, J1, J2)
     if policy_kind not in targets:
         raise InvalidInputError(f"unknown power policy {policy_kind!r}")

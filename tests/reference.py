@@ -25,7 +25,8 @@ must equal bit for bit:
   stack decides on the gains it reports, whose last bits may differ);
 * ergodic_sdof_region and policy_slope_targets: the region branch by
   branch on J vs M and each policy's own slope pair, against theory's
-  time-share of the policies' pairs.
+  time-share of the policies' pairs;
+* equivalent: set equality of two regions, by mutual dominance.
 
 rank_threshold sets the rank threshold that both sides read.
 """
@@ -54,7 +55,7 @@ from compound_bcc.linalg import (
     null_space_basis,
     numerical_rank,
 )
-from compound_bcc.regions import time_share
+from compound_bcc.regions import dominates, time_share
 from compound_bcc.theory import confidential_stream_bounds, symmetric_point_margin
 
 
@@ -303,6 +304,11 @@ def _check_counts(M, J1, J2):
         check_count(v, name)
 
 
+def equivalent(a, b):
+    """Set equality of two regions via mutual containment."""
+    return dominates(a, b) and dominates(b, a)
+
+
 def ergodic_sdof_region(M, J1, J2):
     """The (d1, d2) region of the block-fading scheme, case by case: the
     unit square with both state counts below M, the constrained user's
@@ -330,12 +336,13 @@ def ergodic_sdof_region(M, J1, J2):
     return time_share(points)
 
 
-def policy_slope_targets(M, J1, J2, policy_kind):
+def policy_slope_targets(M, J1, J2, policy_kind, p1_frac=None):
     """A named policy's slope pair from each user's leakage and interfered
-    states; None for 'split'."""
+    states; a split gives user k no slope without power, and otherwise the
+    slope of the policy that powers the same users."""
     _check_counts(M, J1, J2)
     if policy_kind == "split":
-        return None
+        policy_kind = "full2" if p1_frac == 0 else "full1" if p1_frac == 1 else "equal"
     leak1 = Fraction(max(J2 - (M - 1), 0), J2)  # slope lost by user 1 to leakage
     leak2 = Fraction(max(J1 - (M - 1), 0), J1)
     interf1 = Fraction(max(J1 - (M - 1), 0), J1)  # user 1's interfered states

@@ -29,12 +29,12 @@ from compound_bcc.ergodic import (
 from compound_bcc.errors import FeasibilityError
 from compound_bcc.gaussian import build_beamformers, equal_power_slopes
 from compound_bcc.regions import (
-    equivalent,
     nontrivial_vertices,
     region_from_inequalities,
 )
 from compound_bcc.sdof import snr_db_to_power
 from compound_bcc.theory import ergodic_sdof_region, gaussian_sdof_region, symmetric_point_margin
+from reference import equivalent
 
 SLOPE_TOL = 0.05
 

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: exit codes, file outputs, byte determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compound_bcc import channel, cli, ergodic, gaussian
+from compound_bcc import channel, cli, ergodic, gaussian, theory
 from compound_bcc.channel import (
     ChannelGenSpec,
     CompoundChannelSet,
@@ -31,8 +32,8 @@ from compound_bcc.sdof import DEFAULT_SNR_GRID_DB
 
 GOLDEN = "tests/data/channel_seed1.json"
 # --help of the program and of each subcommand at 80 columns, and the
-# messages of some usage errors, as the parser printed them before its
-# common flags moved to a shared parent parser
+# messages of some usage errors; each subcommand lists only the flags of
+# the fields its runner reads
 with open(os.path.join(os.path.dirname(__file__), "data", "cli_help.json")) as fh:
     PINNED_PARSER = json.load(fh)
 
@@ -332,15 +333,24 @@ class TestErgodicCommand:
         }
         assert summary["slopes"]["targets"] == [0.5, 0.5]
 
-    def test_split_policy_has_no_gate(self, tmp_path):
+    @pytest.mark.parametrize("p1_frac, targets", [(0.25, [1.0, 1.0]), (0, [0.0, 1.0])])
+    def test_split_policy_is_gated(self, tmp_path, p1_frac, targets):
+        # equal's pair inside (0, 1), full2's at 0 and full1's at 1
         code = run([
             "ergodic", "--out", tmp_path, "--blocks", 500,
-            "--power_policy", "split", "--p1_frac", 0.25,
+            "--power_policy", "split", "--p1_frac", p1_frac,
         ])
         assert code == 0
         summary = read_json(tmp_path / "summary.json")
-        assert summary["slopes"]["targets"] is None
+        assert summary["slopes"]["targets"] == targets
         assert summary["passed"] is True
+
+    def test_split_policy_off_its_targets_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(theory, "policy_slope_targets", lambda *args: (0, 0))
+        code = run(["ergodic", "--out", tmp_path, "--blocks", 500,
+                    "--power_policy", "split", "--p1_frac", 0.25])
+        assert code == 2
+        assert read_json(tmp_path / "summary.json")["passed"] is False
 
     @pytest.mark.parametrize("message, line", [
         ("Unable to allocate 386. KiB for an array with shape (6, 8240) and data type float64",
@@ -375,25 +385,6 @@ class TestCompareCommand:
         summary = read_json(tmp_path / "summary.json")
         assert summary["ergodic_strictly_larger"] is False
         assert summary["witness_points"] == []
-
-    def test_requires_single_antenna(self, tmp_path):
-        assert run(["compare", "--out", tmp_path, "--N1", 2]) == 1
-
-    @pytest.mark.parametrize("command", [
-        ["compare"], ["ergodic"], ["region", "--model", "ergodic"],
-    ])
-    @pytest.mark.parametrize("field", ["N1", "N2"])
-    def test_fading_commands_reject_antenna_counts(self, tmp_path, capsys, command, field):
-        # the block-fading model and region have single-antenna receivers:
-        # any other N1 or N2 is an error naming it, with no output written
-        out = tmp_path / "out"
-        assert run([*command, f"--{field}", 2, "--out", out]) == 1
-        got = {"N1": 1, "N2": 1, field: 2}
-        assert capsys.readouterr().err == (
-            f"error: {' '.join(command)} requires single-antenna receivers "
-            f"(N1 = N2 = 1); got N1={got['N1']}, N2={got['N2']}\n"
-        )
-        assert os.listdir(out) == []
 
 
 class TestVerifyChannelCommand:
@@ -451,17 +442,141 @@ class TestRegionCommand:
         assert got == {((0, 1), (0, 1)), ((1, 4), (0, 1)), ((0, 1), (1, 4))}
 
 
-class TestConfigHandling:
-    @pytest.mark.parametrize("command, extra", [
-        ("ergodic", ["--blocks", 300]),
-        ("region", ["--model", "ergodic"]),
+    @pytest.mark.parametrize("field", ["N1", "N2"])
+    def test_ergodic_region_requires_single_antenna(self, tmp_path, capsys, field):
+        out = tmp_path / "out"
+        assert run(["region", "--model", "ergodic", f"--{field}", 2, "--out", out]) == 1
+        got = {"N1": 1, "N2": 1, field: 2}
+        assert capsys.readouterr().err == (
+            "error: region --model ergodic requires single-antenna receivers "
+            f"(N1 = N2 = 1); got N1={got['N1']}, N2={got['N2']}\n"
+        )
+        assert os.listdir(out) == []
+
+
+# The config fields each subcommand's runner reads. A subcommand takes a flag
+# and a config file field for each of them, besides --config and --out (and
+# verify-channel's --channel), and rejects every other.
+TAKES = {
+    "gaussian": "M N1 N2 J1 J2 r1 r2 trials seed snr_db_grid",
+    "ergodic": "M J1 J2 blocks common_state_count seed snr_db_grid power_policy p1_frac",
+    "compare": "M J1 J2",
+    "verify-channel": "M N1 N2 J1 J2 seed",
+    "region": "M N1 N2 J1 J2 model",
+}
+# a valid value of every field, as a config file gives it
+VALUES = {
+    "M": 3, "N1": 1, "N2": 1, "J1": 2, "J2": 1, "r1": 0, "r2": 1, "trials": 2, "seed": 5,
+    "snr_db_grid": [60, 80, 100], "blocks": 300, "common_state_count": 2,
+    "power_policy": "split", "p1_frac": 0.5, "model": "ergodic",
+}
+FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]
+
+
+def flag_args(fields):
+    """The flags that set ``fields`` to their VALUES."""
+    return [arg for name in fields for arg in (
+        f"--{name}", ",".join(map(str, VALUES[name])) if name == "snr_db_grid" else VALUES[name]
+    )]
+
+
+class TestFlagsPerCommand:
+    def test_each_parser_takes_its_row(self):
+        sub = next(a for a in cli.make_parser()._actions if a.dest == "command")
+        assert list(sub.choices) == list(TAKES)
+        flags = {}
+        for command, parser in sub.choices.items():
+            flags[command] = [o for a in parser._actions for o in a.option_strings
+                               if o not in ("-h", "--help")]
+            extra = ["--channel"] if command == "verify-channel" else []
+            assert sorted(flags[command]) == sorted(
+                ["--config", "--out", *(f"--{f}" for f in TAKES[command].split()), *extra]
+            )
+        assert sum(map(len, flags.values())) == 45
+        assert sum(len(row.split()) for row in TAKES.values()) == 34
+
+    @pytest.mark.parametrize("command", TAKES)
+    def test_row_is_taken_by_flags_and_by_file_alike(self, tmp_path, command):
+        fields = TAKES[command].split()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: VALUES[name] for name in fields}))
+        assert run([command, "--out", tmp_path / "flag", *flag_args(fields)]) == 0
+        assert run([command, "--out", tmp_path / "file", "--config", cfg]) == 0
+        names = sorted(os.listdir(tmp_path / "flag"))
+        assert names == sorted(os.listdir(tmp_path / "file"))
+        for name in names:
+            assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+        summary = read_json(tmp_path / "flag" / "summary.json")
+        if command == "verify-channel":
+            assert summary["source"]["seed"] == VALUES["seed"]
+        else:
+            # every field is still written, the ones not taken at their defaults
+            assert list(summary["config"]) == sorted(FIELDS)
+            assert {k: summary["config"][k] for k in fields} == {k: VALUES[k] for k in fields}
+
+    @pytest.mark.parametrize("command, field", [
+        (command, field) for command, row in TAKES.items() for field in FIELDS
+        if field not in row.split()
     ])
-    def test_integer_p1_frac_from_file_writes_the_flag_bytes(self, tmp_path, command, extra):
+    def test_every_other_field_is_rejected(self, tmp_path, capsys, command, field):
+        out = tmp_path / "out"
+        assert run([command, "--out", out, *flag_args([field])]) == 1
+        value = flag_args([field])[1]
+        assert capsys.readouterr().err == f"error: unrecognized arguments: --{field} {value}\n"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: VALUES[field]}))
+        assert run([command, "--out", out, "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            f"error: unknown config fields for {command}: [{field!r}]\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        ("gaussian --blocks 7 --power_policy full1 --p1_frac 0.1 --common_state_count 9",
+         "unrecognized arguments: --blocks 7 --power_policy full1 --p1_frac 0.1 "
+         "--common_state_count 9"),
+        ("ergodic --trials 999 --r1 3 --r2 3", "unrecognized arguments: --trials 999 --r1 3 --r2 3"),
+        ("ergodic --power_policy equal --p1_frac 0.1",
+         "p1_frac is for power_policy 'split' only; got 'equal'"),
+        ("ergodic --p1_frac 0.1", "p1_frac is for power_policy 'split' only; got 'equal'"),
+        ("verify-channel --trials 5 --snr_db_grid 1,2,3 --power_policy split",
+         "unrecognized arguments: --trials 5 --snr_db_grid 1,2,3 --power_policy split"),
+        ("compare --trials 3 --seed 9 --blocks 4",
+         "unrecognized arguments: --trials 3 --seed 9 --blocks 4"),
+        ("region --model ergodic --r1 9", "unrecognized arguments: --r1 9"),
+        (f"verify-channel --channel {GOLDEN} --M 9 --J1 40 --seed 4",
+         "verify-channel --channel takes no dimension or seed: the file fixes the channel; "
+         "got J1, M, seed"),
+    ])
+    def test_flags_that_were_ignored_are_errors(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert run([*argv.split(), "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, fields", [
+        ("ergodic", {"p1_frac": 0.5}),
+        ("ergodic", {"p1_frac": 0.5, "power_policy": "full2"}),
+        ("verify-channel", {"seed": 1}),
+    ])
+    def test_file_fields_that_were_ignored_are_errors(self, tmp_path, capsys, command, fields):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        extra = ["--channel", GOLDEN] if command == "verify-channel" else []
+        assert run([command, "--out", tmp_path, "--config", cfg, *extra]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: verify-channel --channel takes no dimension" if extra
+            else "error: p1_frac is for power_policy 'split' only"
+        )
+
+
+class TestConfigHandling:
+    def test_integer_p1_frac_from_file_writes_the_flag_bytes(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"p1_frac": 1, "power_policy": "split"}')
-        assert run([command, "--out", tmp_path / "file", "--config", cfg] + extra) == 0
-        assert run([command, "--out", tmp_path / "flag", "--p1_frac", 1,
-                    "--power_policy", "split"] + extra) == 0
+        assert run(["ergodic", "--out", tmp_path / "file", "--config", cfg, "--blocks", 300]) == 0
+        assert run(["ergodic", "--out", tmp_path / "flag", "--p1_frac", 1,
+                    "--power_policy", "split", "--blocks", 300]) == 0
         names = sorted(p.name for p in (tmp_path / "flag").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "file").iterdir())
         for name in names:
@@ -510,8 +625,8 @@ class TestConfigHandling:
         # 10^(4000/10) overflows a float: a grid error, without a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = run([command, "--out", tmp_path, "--blocks", 100,
-                        "--snr_db_grid", "60,80,4000"])
+            code = run([command, "--out", tmp_path, "--snr_db_grid", "60,80,4000"]
+                       + (["--blocks", 100] if command == "ergodic" else []))
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: snr_db_grid point 4000 dB")
@@ -585,20 +700,17 @@ class TestConfigHandling:
         (command, field)
         for command in ("gaussian", "ergodic", "verify-channel")
         for field in ("M", "J1", "J2", "N1", "N2")
+        if command != "ergodic" or field not in ("N1", "N2")
     ])
     def test_oversized_dimension_is_a_typed_error(self, tmp_path, capsys, command, field):
-        # no array has a dimension of 10^30: the draws' allocation fails at
-        # once, or, for an ergodic antenna count, the receivers' check
+        # no array has a dimension of 10^30: the draws' allocation fails at once
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run([command, f"--{field}", 10**30, "--out", out])
         assert code == 1
         err = capsys.readouterr().err
-        if command == "ergodic" and field in ("N1", "N2"):
-            assert err.startswith("error: ergodic requires single-antenna receivers")
-        else:
-            assert err.startswith("error: channel dimensions M=") and "cannot allocate" in err
+        assert err.startswith("error: channel dimensions M=") and "cannot allocate" in err
         assert f"{field}={10**30}" in err and "Traceback" not in err
         assert os.listdir(out) == []
 

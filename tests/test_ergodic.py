@@ -733,8 +733,18 @@ class TestSlopes:
         for est, tgt in zip(ests, targets):
             assert est.slope == pytest.approx(float(tgt), abs=0.05)
 
-    def test_split_has_no_targets(self):
-        assert policy_slope_targets(7, 8, 8, "split") is None
+    @pytest.mark.parametrize("p1_frac, targets", [
+        (0, (F(0), F(1, 2))),  # full2's pair
+        (0.3, (F(0), F(0))),  # equal's pair
+        (1, (F(2, 5), F(0))),  # full1's pair
+    ])
+    def test_split_targets_and_fits(self, p1_frac, targets):
+        # a constant power fraction does not change a pre-log
+        assert policy_slope_targets(3, 4, 5, "split", p1_frac) == targets
+        fp = FadingProcess(3, 4, 5, block_count=2000, seed=0)
+        _, ests = ergodic_slope_estimates(fp, "split", (60.0, 80.0, 100.0), p1_frac=p1_frac)
+        for est, tgt in zip(ests, targets):
+            assert est.slope == pytest.approx(float(tgt), abs=0.05)
 
     def test_target_values(self):
         assert policy_slope_targets(7, 8, 8, "full1") == (F(3, 4), F(0))

@@ -94,7 +94,9 @@ GOLDEN = {
     "ergodic-split": {
         "rates.csv": "4c03a4f8bae3ba309b1b545e2306f3dffc44d664ce1c4eabe0654a86ab78be2e",
         "region.json": "3a20ac3a11fb494c2e0f1873557776c50d0ed240b6b02b8ca3f6e8fc247f4ce2",
-        "summary.json": "1483c78e1b3b277aec356540b8a840f1a6de71c0b78230b7c25cd95754fce2ea",
+        # split is gated against equal's pair (1/6, 1/6), which its targets
+        # now record in place of null (was 1483c78e...)
+        "summary.json": "dc02240ad55f0ec0d3f8815721fcc8755dc4474872093d8adb4eb68bcac464a0",
     },
     "gaussian": {
         "rates.csv": "65e1f909a8722c1d23267a12b0dc31fc5e5000d07b9b1692b0f3e9f1809978f3",

@@ -18,7 +18,8 @@ from compound_bcc.regions import load_region
 
 # kind: (the reader, its error, the CLI flags that read such a file, or None)
 READERS = {
-    "config file": (cli.load_config, ConfigError, ["gaussian", "--config"]),
+    "config file": (lambda path: cli.load_config(path, "gaussian"), ConfigError,
+                    ["gaussian", "--config"]),
     "channel file": (load_channel, ChannelFormatError, ["verify-channel", "--channel"]),
     "region file": (load_region, InvalidInputError, None),
 }

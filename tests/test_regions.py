@@ -13,7 +13,6 @@ from compound_bcc.regions import (
     RateRegion,
     contains,
     dominates,
-    equivalent,
     load_region,
     nontrivial_vertices,
     region_from_dict,
@@ -22,6 +21,7 @@ from compound_bcc.regions import (
     save_region,
     time_share,
 )
+from reference import equivalent
 
 
 def simplex():

@@ -15,7 +15,8 @@ from compound_bcc.theory import (
 )
 
 STATE_COUNTS = range(1, 22)
-POLICIES = ("full1", "full2", "equal", "split")
+POLICIES = (("full1", None), ("full2", None), ("equal", None),
+            ("split", 0), ("split", 0.3), ("split", 1.0))
 
 
 @pytest.mark.parametrize("M", range(1, 14))
@@ -24,16 +25,20 @@ def test_region_and_targets_equal_the_oracle(M):
         for J2 in STATE_COUNTS:
             got = ergodic_sdof_region(M, J1, J2)
             assert region_to_dict(got) == region_to_dict(reference.ergodic_sdof_region(M, J1, J2))
-            for kind in POLICIES:
-                want = reference.policy_slope_targets(M, J1, J2, kind)
-                assert policy_slope_targets(M, J1, J2, kind) == want
-                assert want is None or contains(got, want)
+            for kind, p1_frac in POLICIES:
+                want = reference.policy_slope_targets(M, J1, J2, kind, p1_frac)
+                assert policy_slope_targets(M, J1, J2, kind, p1_frac) == want
+                assert contains(got, want)
 
 
 @pytest.mark.parametrize("args, match", [
     ((0, 2, 2, "equal"), "M"),
     ((4, 2, True, "split"), "J2"),  # counts are checked before the policy
     ((4, 2, 2, "bogus"), "unknown power policy 'bogus'"),
+    ((4, 2, 2, "split"), "p1_frac must be a finite number, got None"),
+    ((4, 2, 2, "split", 1.5), r"p1_frac must be in \[0, 1\], got 1.5"),
+    ((4, 2, 2, "split", True), "p1_frac must be a finite number, got True"),
+    ((4, 2, 2, "equal", 0.5), "p1_frac is for the split policy only; got kind 'equal'"),
 ])
 def test_targets_reject_bad_arguments(args, match):
     with pytest.raises(InvalidInputError, match=match):

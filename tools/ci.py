@@ -115,13 +115,13 @@ def constant():
             child([*CLI, "gaussian", *args.split(), "--out", out], cap)
 
 
-def demos(pins=DEMO_PINS):
-    """Every demo, a numpy RuntimeWarning an error as in the tests, prints
-    what ``pins`` (a JSON object: demo file name -> standard output) holds
-    for it. The demos call the one-trial API (build_beamformers,
-    zero_forcing, block_secrecy_rates, sample_block, equal_power_slopes)
-    and print certificate residuals, so a change in any of their bits
-    shows here."""
+def demos(pins=DEMO_PINS, env=CHECKOUT_ENV):
+    """Every demo, run with ``env`` and a numpy RuntimeWarning an error as
+    in the tests, prints what ``pins`` (a JSON object: demo file name ->
+    standard output) holds for it. The demos call the one-trial API
+    (build_beamformers, zero_forcing, block_secrecy_rates, sample_block,
+    equal_power_slopes) and print rates, slopes and certificate bounds, so
+    a change in their results shows here."""
     with open(pins, encoding="utf-8") as fh:
         pinned = json.load(fh)
     names = sorted(os.path.basename(p) for p in glob.glob(os.path.join(ROOT, "demos", "*.py")))
@@ -130,7 +130,7 @@ def demos(pins=DEMO_PINS):
     for name in names:
         with tempfile.TemporaryFile("w+", encoding="utf-8") as out:
             child([sys.executable, "-W", "error::RuntimeWarning", os.path.join("demos", name)],
-                  env={**CHECKOUT_ENV, "PYTHONIOENCODING": "utf-8"}, stdout=out)
+                  env={**env, "PYTHONIOENCODING": "utf-8"}, stdout=out)
             out.seek(0)
             printed = out.read()
         if printed != pinned[name]:
@@ -146,10 +146,11 @@ def haswell():
     that an AVX2-only machine runs, whatever this machine's own kernels; and
     so do the stacked builds and products, whose views get one-trial bits
     only as far as the BLAS kernel gives every matrix of a stack the bits
-    of its 2-D call."""
+    of its 2-D call. The demos print their pins on these kernels too."""
+    env = {**CHECKOUT_ENV, "OPENBLAS_CORETYPE": "Haswell"}
     child([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-           *EXACT_RULE_ORACLES, *STACKED_BIT_EXACT],
-          env={**CHECKOUT_ENV, "OPENBLAS_CORETYPE": "Haswell"})
+           *EXACT_RULE_ORACLES, *STACKED_BIT_EXACT], env=env)
+    demos(env=env)
 
 
 def selfcheck():
