@@ -3,7 +3,10 @@ and the one reader of input files.
 
 Every failure mode that callers are expected to distinguish gets its own
 class; plain ValueError is reserved for malformed arguments that indicate
-a programming error at the call site.
+a programming error at the call site. A rate that overflows a float at a
+point of an SNR grid is an InvalidGridError naming the point; the constant
+model's worst_case_rates, which takes no grid, raises InvalidInputError.
+No log-det can fail to factor: each is a sum over singular values.
 """
 
 import math
@@ -13,8 +16,6 @@ import sys
 __all__ = [
     "CompoundBccError",
     "InvalidInputError",
-    "NotHermitianError",
-    "NotPositiveDefiniteError",
     "FeasibilityError",
     "ConstructionError",
     "GenerationError",
@@ -32,26 +33,6 @@ class CompoundBccError(Exception):
 
 class InvalidInputError(CompoundBccError, ValueError):
     """Raised when a numerical routine receives non-finite or malformed input."""
-
-
-class NotHermitianError(CompoundBccError, ValueError):
-    """Raised when a matrix fails the Hermitian residual check."""
-
-
-class NotPositiveDefiniteError(CompoundBccError, ValueError):
-    """Raised when a Cholesky factorization fails.
-
-    Attributes
-    ----------
-    minor : int
-        1-based index of the first leading minor that is not positive.
-    """
-
-    def __init__(self, minor):
-        self.minor = int(minor)
-        super().__init__(
-            f"matrix is not positive definite: leading minor of order {self.minor} is not positive"
-        )
 
 
 class FeasibilityError(CompoundBccError, ValueError):

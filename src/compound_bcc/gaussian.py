@@ -12,19 +12,16 @@ rate: build_beamformers, worst_case_rates and equal_power_slopes are their
 one-trial calls.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import generate_batch
 from .errors import (
-    CompoundBccError,
     ConstructionError,
     FeasibilityError,
     InvalidGridError,
     InvalidInputError,
-    NotPositiveDefiniteError,
     check_counts,
     user_index,
 )
@@ -32,7 +29,6 @@ from .linalg import (
     SCREEN_MARGIN,
     _screen_passes,
     frobenius_norms,
-    logdet2_hpd,
     null_spaces,
     rank_from_singular_values,
 )
@@ -56,18 +52,19 @@ CERT_RTOL = 1e-9
 VECTOR_MIN, VECTOR_MAX = 2.0 ** -500, 2.0 ** 500
 
 # A constant-model chunk takes as many trials as hold CHUNK_ENTRIES complex
-# entries, at least CHUNK_MIN_TRIALS. A trial holds points * J_k * N_k *
-# max(N_k, c) evaluation entries per user (c the widest beam's streams) and
-# the M x M subsets its rank check takes (rankcheck.subset_count, which
-# computes no binomial of a huge row count). 150 trials of M = 4, N = 1,
-# J = 2 at 3 points (40 entries each) are one chunk. Heavy trials stay at
-# 64: fewer let a chunk's fixed costs show (2-vCPU Xeon: --M 4 --J1 12
-# --J2 12 --r1 0 --r2 0 --trials 300 took 1.43 s at 1 per chunk, 0.97 s at
-# 64), more raise memory (--M 26 --N1 4 --N2 4 --J1 2 --J2 2 --r1 4 --r2 4
-# --trials 1024 peaked at 46 MB RSS at 64 per chunk, 69 MB at 303). But a
-# chunk's null-space SVDs, three M x M right factors per trial, hold at most
-# CHUNK_MIN_TRIALS * CHUNK_ENTRIES entries, or one trial's (--M 300 --J1 1
-# --J2 1 --trials 64 peaked at 572 MB RSS in one chunk, 55 MB at one trial).
+# entries, at least CHUNK_MIN_TRIALS. A trial holds points * J_k * N_k * c
+# entries of scaled products h v diag(sqrt(p)) per user (c the widest
+# beam's streams; see _logdets) and the M x M subsets its rank check takes
+# (rankcheck.subset_count, which computes no binomial of a huge row
+# count). 150 trials of M = 4, N = 1, J = 2 at 3 points (40 entries each)
+# are one chunk. Heavy trials stay at 64: fewer let a chunk's fixed costs
+# show (2-vCPU Xeon: --M 4 --J1 12 --J2 12 --r1 0 --r2 0 --trials 300 took
+# 1.43 s at 1 per chunk, 0.97 s at 64), more raise memory (--M 26 --N1 4
+# --N2 4 --J1 2 --J2 2 --r1 4 --r2 4 --trials 1024 peaked at 46 MB RSS at
+# 64 per chunk, 69 MB at 303). But a chunk's null-space SVDs, three M x M
+# right factors per trial, hold at most CHUNK_MIN_TRIALS * CHUNK_ENTRIES
+# entries, or one trial's (--M 300 --J1 1 --J2 1 --trials 64 peaked at
+# 572 MB RSS in one chunk, 55 MB at one trial).
 CHUNK_ENTRIES = 1 << 13
 CHUNK_MIN_TRIALS = 64
 
@@ -76,7 +73,7 @@ def _trials_per_chunk(M, N1, N2, J1, J2, r1, r2, points):
     """Trials per chunk of a constant-model run with these dimensions, stream
     counts and grid points (see CHUNK_ENTRIES)."""
     c = max(M - r1 - r2, r1, r2)
-    held = sum(points * J * N * max(N, c) for J, N in ((J1, N1), (J2, N2)))
+    held = sum(points * J * N * c for J, N in ((J1, N1), (J2, N2)))
     held += subset_count(J1 * N1 + J2 * N2, M)[0] * M * M
     cap = max(1, CHUNK_MIN_TRIALS * CHUNK_ENTRIES // (3 * M * M))
     return min(max(CHUNK_MIN_TRIALS, CHUNK_ENTRIES // held), cap)
@@ -357,14 +354,19 @@ class PowerAllocation:
 
 def equal_power(bf, total):
     """Split the budget uniformly over all K + r1 + r2 streams."""
-    n = bf.K + bf.r1 + bf.r2
-    share = total / n if n else 0.0
+    share = _share(total, bf.K + bf.r1 + bf.r2)
     return PowerAllocation(
         total=total,
         p0=np.full(bf.K, share),
         p1=np.full(bf.r1, share),
         p2=np.full(bf.r2, share),
     )
+
+
+def _share(total, streams):
+    """Each stream's power when the power ``total`` (a float or an array of
+    them) is split uniformly over ``streams`` streams; 0.0 without streams."""
+    return total / streams if streams else 0.0 * total
 
 
 @dataclass(frozen=True)
@@ -381,38 +383,49 @@ class RateTriple:
         return (self.r0, self.r1, self.r2)
 
 
-def _gram(w, p):
-    """w diag(p) w^H over the last two axes, explicitly Hermitian."""
-    g = (w * p) @ w.conj().swapaxes(-1, -2)
-    return (g + g.conj().swapaxes(-1, -2)) / 2.0
-
-
-def _logdet_i_plus(gram):
-    return logdet2_hpd(np.eye(gram.shape[-1]) + gram)
-
-
 def _beam_products(h, v):
     """h v for every receiving user, beam, trial and state.
 
     ws[k][b] has shape (T, J, N, c) for receiving user k + 1 and beam b (0
     common, 1 and 2 confidential), T the trials of the stacks h and v. The
     channel is applied before the powers, so that a beam lying in the null
-    space of h keeps its ~1e-16 projection residual; scaling a covariance
-    by a large power first would bury that cancellation under rounding
-    proportional to the power. Each product takes the state and the
-    beamformer as stored: the bits of a product depend on its operands'
-    strides, through the kernel numpy picks. h[k] v[b] is one stacked
-    matmul of views with the one-trial strides (see
-    build_beamformers_batch), so that each product is the 2-D one.
+    space of h keeps its ~1e-16 projection residual; scaling by a large
+    power first would bury that cancellation under rounding proportional
+    to the power. Each product takes the state and the beamformer as
+    stored: the bits of a product depend on its operands' strides, through
+    the kernel numpy picks. h[k] v[b] is one stacked matmul of views with
+    the one-trial strides (see build_beamformers_batch), so that each
+    product is the 2-D one.
     """
     return [[h[k] @ b[:, None] for b in v] for k in (0, 1)]
 
 
-def _grams(w, p):
-    """(h v) diag(p) (h v)^H at every grid point, explicitly Hermitian: w
-    (T, J, N, c) the products h v of _beam_products, p (T, G, c) the stream
-    powers; (T, G, J, N, N)."""
-    return _gram(w[:, None], p[:, :, None, None, :])
+def _logdets(ws, ps):
+    """log2 det(I + sum_b W_b diag(p_b) W_b^H) at every trial, grid point and
+    state, (T, G, J): ws the products W_b = h v_b of _beam_products, (T, J,
+    N, c_b) each, ps their streams' powers p_b, (T, G, c_b) each.
+
+    By Sylvester's determinant identity the log-det is sum_i log2(1 +
+    s_i^2), s_i the singular values of [W_b diag(sqrt(p_b))]_b, the scaled
+    products side by side: one values-only SVD of them when N > 1. When N =
+    1, s^2 is the sum over the beams, in order, of re((W_b * p_b) W_b^H),
+    and the log-det 2 log2(sqrt(1 + s^2)), the one step of a 1 x 1 Cholesky
+    factor of 1 + s^2. No Gram is formed for N > 1, so no rounding of a
+    power-sized Gram can swamp its identity part. Finite products and
+    powers give a non-finite log-det only where s^2 overflows, and a scaled
+    product that overflows gives an infinite one.
+    """
+    ws = [w[:, None] for w in ws]
+    ps = [p[:, :, None, None, :] for p in ps]
+    if ws[0].shape[-2] == 1:
+        s2 = sum(((w * p) @ w.conj().swapaxes(-1, -2))[..., 0, 0].real for w, p in zip(ws, ps))
+        return 2.0 * np.log2(np.sqrt(1.0 + s2))
+    scaled = np.concatenate([w * np.sqrt(p) for w, p in zip(ws, ps)], axis=-1)
+    finite = np.isfinite(scaled).all(axis=(-2, -1))
+    if not finite.all():  # LAPACK's scaling rejects an infinite entry
+        scaled = np.where(finite[..., None, None], scaled, 0.0)
+    s = np.linalg.svd(scaled, compute_uv=False)
+    return np.where(finite, np.log2(1.0 + s * s).sum(axis=-1), np.inf)
 
 
 def _clamp(x):
@@ -420,76 +433,48 @@ def _clamp(x):
     return np.where(x > 0.0, x, 0.0)
 
 
-def _stacked_rates(ws, ps):
+def _stacked_rates(ws, ps, grid=None):
     """worst_case_rates of T trials at G power allocations each.
 
     ws are the products h v of _beam_products and ps[b] (T, G, c) the powers
     of beam b's streams. Returns a (T, G, 4) array of r0, r1, r2 and
-    leakage. Per receiving user, one logdet2_hpd call takes the common-rate
-    numerators with the intended-state confidential log-dets, which are
-    also the common rate's denominators, and one more the leakages.
+    leakage. With G_b as in worst_case_rates, _logdets gives, per
+    receiving user k, log2 det(I + G_k) at its own states (the
+    confidential rate and the common rate's denominator) and at the other
+    user's states (the leakage); and, when there are common beams and
+    power, log2 det(I + G_0 + G_k) at its own states (the common rate's
+    numerator).
+
+    Channels, beams and powers are finite, so a log-det that is not is an
+    overflow. Every log-det is checked before any is clamped or compared,
+    since [x]+ would take NaN to 0: the first trial and point, in C order,
+    with a non-finite one raises InvalidGridError naming the point of the
+    grid (dB), or InvalidInputError without a grid.
     """
-    shape = ps[0].shape[:2]
-    own = [_grams(ws[k][k + 1], ps[k + 1]) for k in (0, 1)]
-    conf = [None, None]
-    r0 = np.zeros(shape)
-    # as worst_case_rates, no common rate without common beams or power
-    if ws[0][0].shape[-1] and ps[0].any():
-        worst = []
-        for k in (0, 1):
-            common = _grams(ws[k][0], ps[0]) + own[k]
-            # numerator then denominator for each state
-            num, conf[k] = np.moveaxis(_logdet_i_plus(np.stack([common, own[k]], -3)), -1, 0)
-            worst.append(_clamp(num - conf[k]).min(axis=-1))
-        r0 = np.where(ps[0].sum(axis=-1) == 0.0, 0.0, np.minimum(*worst))
-    rates = [np.zeros(shape), np.zeros(shape)]
-    leakage = np.zeros(shape)
-    for k in (0, 1):
-        if ws[k][k + 1].shape[-1] == 0:
-            continue
-        if conf[k] is None:
-            conf[k] = _logdet_i_plus(own[k])
-        leak = _logdet_i_plus(_grams(ws[1 - k][k + 1], ps[k + 1])).max(axis=-1)
-        leakage = np.where(leak > leakage, leak, leakage)
-        rates[k] = _clamp(conf[k].min(axis=-1) - leak)
-    return np.stack([r0, *rates, leakage], axis=-1)
-
-
-def _worst_case_stack(ws, ps, grid=None):
-    """_stacked_rates; when it fails, each trial and grid point is evaluated
-    on its own, in order, so that the error raised is the one the first
-    failing point meets when each state's matrices are taken in order: the
-    common rate's numerator then denominator, then the confidential rate,
-    then the leakage. Channels, beams and powers are finite, and every
-    received covariance I + sum p G is positive definite
-    in exact arithmetic, so a non-finite covariance is an overflow and one
-    that fails to factor has lost its identity part to rounding at a huge
-    power: given the grid (dB) of the points, either raises InvalidGridError
-    naming the point."""
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            return _stacked_rates(ws, ps)
-        except CompoundBccError:
-            trials, points = ps[0].shape[:2]
-            for t, g in itertools.product(range(trials), range(points)):
-                try:
-                    _stacked_rates(
-                        [[w[t:t + 1] for w in wk] for wk in ws],
-                        [p[t:t + 1, g:g + 1] for p in ps],
-                    )
-                except (InvalidInputError, NotPositiveDefiniteError) as e:
-                    if grid is None:
-                        raise
-                    failure = (
-                        "overflow a float" if isinstance(e, InvalidInputError)
-                        else "lose positive definiteness to rounding "
-                        f"(leading minor of order {e.minor})"
-                    )
-                    raise InvalidGridError(
-                        f"snr_db_grid point {grid[g]:g} dB: the received "
-                        f"covariances {failure}"
-                    ) from None
-            raise
+        conf = [_logdets([ws[k][k + 1]], [ps[k + 1]]) for k in (0, 1)]
+        leaks = [_logdets([ws[1 - k][k + 1]], [ps[k + 1]]) for k in (0, 1)]
+        # as worst_case_rates, no common rate without common beams or power
+        common = ws[0][0].shape[-1] and ps[0].any()
+        num = [_logdets([ws[k][0], ws[k][k + 1]], [ps[0], ps[k + 1]]) for k in (0, 1) if common]
+    finite = np.logical_and.reduce([np.isfinite(x).all(axis=-1) for x in conf + leaks + num])
+    if not finite.all():
+        _, g = np.unravel_index(np.argmin(finite), finite.shape)
+        if grid is None:
+            raise InvalidInputError("the received covariances overflow a float")
+        raise InvalidGridError(
+            f"snr_db_grid point {grid[g]:g} dB: the received covariances overflow a float"
+        )
+    r0 = np.zeros(finite.shape)
+    if num:
+        worst = np.minimum(*[_clamp(n - d).min(axis=-1) for n, d in zip(num, conf)])
+        r0 = np.where(ps[0].sum(axis=-1) == 0.0, 0.0, worst)
+    worst_leaks = [x.max(axis=-1) for x in leaks]
+    leakage = np.zeros(finite.shape)
+    for x in worst_leaks:
+        leakage = np.where(x > leakage, x, leakage)
+    rates = [_clamp(c.min(axis=-1) - x) for c, x in zip(conf, worst_leaks)]
+    return np.stack([r0, *rates, leakage], axis=-1)
 
 
 def worst_case_rates(ch, bf, pa):
@@ -504,12 +489,15 @@ def worst_case_rates(ch, bf, pa):
     states; each confidential rate is the worst intended-state rate minus
     the worst-case leakage, clamped at zero. The larger of the two
     worst-case leakages (0.0 without confidential streams) is returned as
-    leakage. Evaluated as a stack of one trial and one point.
+    leakage. Each log-det is sum log2(1 + s^2) over the singular values s
+    of the scaled products [h v_b diag(sqrt(p_b))]_b, by Sylvester's
+    determinant identity (_logdets). Evaluated as a stack of one trial and
+    one point; a log-det that overflows a float raises InvalidInputError.
     """
     h = [np.stack(ch.h1)[None], np.stack(ch.h2)[None]]
     ws = _beam_products(h, [bf.v0[None], bf.v1[None], bf.v2[None]])
     ps = [p[None, None] for p in (pa.p0, pa.p1, pa.p2)]
-    return RateTriple(*_worst_case_stack(ws, ps)[0, 0].tolist())
+    return RateTriple(*_stacked_rates(ws, ps)[0, 0].tolist())
 
 
 def _equal_power(ws, grid):
@@ -519,9 +507,9 @@ def _equal_power(ws, grid):
     residual per trial and component."""
     widths = [w.shape[-1] for w in ws[0]]
     powers = snr_db_to_power(grid)
-    share = powers / sum(widths) if sum(widths) else np.zeros_like(powers)
+    share = _share(powers, sum(widths))
     ps = [np.broadcast_to(share[:, None], (len(ws[0][0]), len(grid), c)) for c in widths]
-    rates = _worst_case_stack(ws, ps, grid)
+    rates = _stacked_rates(ws, ps, grid)
     # one series per trial and component
     return rates, _fit_stack(grid, np.moveaxis(rates[..., :3], -1, -2))
 

@@ -1,27 +1,25 @@
-"""Complex linear-algebra kernel: ranks, null spaces, and HPD log-determinants.
+"""Complex linear-algebra kernel: ranks, null spaces and Frobenius norms.
 
 All routines are deterministic: identical input bits produce identical
 output bits. Rank decisions use a relative singular-value threshold so
-they are invariant under rescaling. null_spaces, frobenius_norms and
-logdet2_hpd take stacks of matrices, and each matrix of a stack gets the
-bits that the one-matrix call gives it: null_space_basis is the
-one-matrix call of null_spaces.
+they are invariant under rescaling. null_spaces and frobenius_norms take
+stacks of matrices, and each matrix of a stack gets the bits that the
+one-matrix call gives it: null_space_basis is the one-matrix call of
+null_spaces.
 """
 
 import math
 
 import numpy as np
 
-from .errors import InvalidInputError, NotHermitianError, NotPositiveDefiniteError
+from .errors import InvalidInputError
 
 __all__ = [
     "singular_values",
     "numerical_rank",
     "null_space_basis",
-    "logdet2_hpd",
 ]
 
-HERMITIAN_RTOL = 1e-10
 # The rank rule of the package: a singular value counts toward the rank iff
 # it exceeds RANK_RTOL * sigma_max. Every rank decision reads it at call
 # time, through rank_from_singular_values or rank_screen.
@@ -180,83 +178,3 @@ def _unallocatable_null_spaces(a):
         f"null space of M={M} columns: cannot allocate {16 * count * M * M} "
         f"bytes of SVD right factors ({count} x {M} x {M})"
     )
-
-
-def logdet2_hpd(m):
-    """log2 det of Hermitian positive definite matrices, via Cholesky.
-
-    ``m`` is one n x n matrix, for which a float is returned, or a stack
-    (..., n, n), for which an array of the stack's shape is returned. Each
-    matrix must be Hermitian up to a relative Frobenius residual of 1e-10
-    (NotHermitianError otherwise); the rule is applied to every matrix that
-    differs from its conjugate transpose at all. One numpy.linalg.cholesky
-    call factors the lower triangles of the whole stack, and each log-det is
-    twice the sum of log2 of its factor's diagonal. A 1 x 1 matrix a is
-    factored without LAPACK, as potf2's one step does it: its log-det is
-    2 log2(sqrt(re a)), and re a <= 0 fails the minor of order 1. A stack
-    raises the error of its first failing matrix in C order, the error the
-    2-D call on that matrix raises: InvalidInputError for non-finite
-    entries, NotHermitianError, or NotPositiveDefiniteError carrying the
-    1-based index of the first leading minor that fails to factor. The
-    empty 0x0 matrix has log-det 0.
-    """
-    a = np.asarray(m, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise InvalidInputError(
-            f"logdet2_hpd requires a square matrix or a stack of them, got shape {a.shape}"
-        )
-    n = a.shape[-1]
-    # a 2-D input keeps its own layout, so the residual rule sees the same bits
-    stack = a[None] if a.ndim == 2 else a.reshape(math.prod(a.shape[:-2]), n, n)
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    good = finite & ~(stack != stack.conj().swapaxes(1, 2)).any(axis=(1, 2))
-    for i in np.flatnonzero(finite & ~good):
-        good[i] = _hermitian_error(stack[i]) is None
-    bad = len(stack) if good.all() else int(np.argmin(good))
-    if n == 1:
-        d = stack[:bad, 0].real
-        if not (d > 0.0).all():
-            raise NotPositiveDefiniteError(1)
-        d = np.sqrt(d)
-    else:
-        try:
-            c = np.linalg.cholesky(stack[:bad])
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefiniteError(_first_failing_minor(stack[:bad])) from None
-        d = np.diagonal(c, axis1=1, axis2=2).real
-    if bad < len(stack):
-        if not finite[bad]:
-            raise InvalidInputError("matrix contains non-finite entries")
-        raise _hermitian_error(stack[bad])
-    logdets = 2.0 * np.sum(np.log2(d), axis=-1)
-    return float(logdets[0]) if a.ndim == 2 else logdets.reshape(a.shape[:-2])
-
-
-def _hermitian_error(a):
-    """NotHermitianError for a finite square ``a`` whose residual ||a - a^H||_F
-    exceeds 1e-10 * ||a||_F, else None."""
-    norm = np.linalg.norm(a)
-    resid = np.linalg.norm(a - a.conj().T)
-    if resid > HERMITIAN_RTOL * max(norm, 1e-300):
-        return NotHermitianError(
-            f"matrix is not Hermitian: residual {resid:.3e} exceeds "
-            f"{HERMITIAN_RTOL:.0e} * ||m||_F = {HERMITIAN_RTOL * norm:.3e}"
-        )
-    return None
-
-
-def _first_failing_minor(stack):
-    """1-based order of the first leading minor that fails to factor, in the
-    first matrix of ``stack`` (C order) whose factorization fails; the
-    matrix's own order when all smaller minors factor."""
-    for a in stack:
-        try:
-            np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:
-            break
-    for i in range(1, len(a)):
-        try:
-            np.linalg.cholesky(a[:i, :i])
-        except np.linalg.LinAlgError:
-            return i
-    return len(a)

@@ -263,6 +263,8 @@ def region_from_dict(data):
 
     def unpair(p):
         num, den = p
+        if isinstance(num, bool) or isinstance(den, bool):  # Fraction takes them as ints
+            raise TypeError(f"a fraction pair holds two integers, got {[num, den]!r}")
         return Fraction(num, den)
 
     item_parsers = {

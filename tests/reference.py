@@ -11,11 +11,15 @@ must equal bit for bit:
   time, against gaussian.build_beamformers_batch and its one-trial call
   build_beamformers;
 * rate_common, rate_confidential and rate_leakage: the rates of one state,
-  against gaussian.worst_case_rates and the stacked evaluation of a run of
-  a chunk (gaussian._equal_power);
+  each log-det from one 2-D product (logdet_i_plus), against
+  gaussian.worst_case_rates and the stacked evaluation of a run of a chunk
+  (gaussian._equal_power);
 * swap_users: the same channel with the users' roles exchanged;
-* logdet2_hpd_cholesky: the HPD log-dets of a stack, every order through
-  numpy.linalg.cholesky, against linalg.logdet2_hpd's 1 x 1 rule;
+* logdet2_cholesky and hermitian_gram: the log-dets of I plus the
+  explicitly Hermitian Grams, through numpy.linalg.cholesky, against
+  gaussian._logdets' rule for one receive antenna;
+* logdet2_exact: a log-det from the exact value of its float inputs, in
+  Fraction arithmetic, against gaussian._logdets within stated ulps;
 * tx_rate and leakage: the ergodic rates of one common state at one power
   pair, against ergodic.block_secrecy_rates and the stacked evaluation of
   ergodic.simulate_blocks and ergodic_slope_estimates;
@@ -31,6 +35,7 @@ must equal bit for bit:
 rank_threshold sets the rank threshold that both sides read.
 """
 
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -45,16 +50,10 @@ from compound_bcc.errors import (
     FeasibilityError,
     GenerationError,
     InvalidInputError,
-    NotPositiveDefiniteError,
     check_count,
 )
-from compound_bcc.gaussian import CERT_RTOL, BeamformerSet, _gram, _logdet_i_plus
-from compound_bcc.linalg import (
-    _first_failing_minor,
-    _hermitian_error,
-    null_space_basis,
-    numerical_rank,
-)
+from compound_bcc.gaussian import CERT_RTOL, BeamformerSet
+from compound_bcc.linalg import null_space_basis, numerical_rank
 from compound_bcc.regions import dominates, time_share
 from compound_bcc.theory import confidential_stream_bounds, symmetric_point_margin
 
@@ -197,39 +196,87 @@ def zero_forcing_state(h1, h2, n1, n2):
     return vs, phi1, phi2
 
 
-def logdet2_hpd_cholesky(m):
-    """linalg.logdet2_hpd with every matrix order, 1 x 1 included, factored
-    by one numpy.linalg.cholesky call over the stack."""
-    a = np.asarray(m, dtype=complex)
-    n = a.shape[-1]
-    stack = a[None] if a.ndim == 2 else a.reshape(-1, n, n)
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    good = finite & ~(stack != stack.conj().swapaxes(1, 2)).any(axis=(1, 2))
-    for i in np.flatnonzero(finite & ~good):
-        good[i] = _hermitian_error(stack[i]) is None
-    bad = len(stack) if good.all() else int(np.argmin(good))
-    try:
-        c = np.linalg.cholesky(stack[:bad])
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(_first_failing_minor(stack[:bad])) from None
-    if bad < len(stack):
-        if not finite[bad]:
-            raise InvalidInputError("matrix contains non-finite entries")
-        raise _hermitian_error(stack[bad])
-    d = np.diagonal(c, axis1=1, axis2=2).real
-    logdets = 2.0 * np.sum(np.log2(d), axis=-1)
-    return float(logdets[0]) if a.ndim == 2 else logdets.reshape(a.shape[:-2])
+def hermitian_gram(w, p):
+    """w diag(p) w^H over the last two axes, explicitly Hermitian: (g +
+    g^H) / 2 of the matmul g = (w * p) w^H."""
+    g = (w * p) @ w.conj().swapaxes(-1, -2)
+    return (g + g.conj().swapaxes(-1, -2)) / 2.0
+
+
+def logdet2_cholesky(m):
+    """log2 det of Hermitian positive definite matrices m (..., n, n), the
+    Cholesky way: twice the sum of log2 of the diagonal of the factor that
+    one numpy.linalg.cholesky call gives the stack."""
+    c = np.linalg.cholesky(m)
+    return 2.0 * np.sum(np.log2(np.diagonal(c, axis1=-2, axis2=-1).real), axis=-1)
+
+
+def _log2_positive(x):
+    """log2 of a positive Fraction, to about an ulp: the exponent e that
+    takes x / 2^e into [1/2, 2], plus log2 of that quotient rounded once."""
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    return e + math.log2(x / Fraction(2) ** e)
+
+
+def _det(a):
+    """Determinant of a symmetric positive definite matrix of Fractions, by
+    Gaussian elimination without pivoting (every leading minor is positive)."""
+    a = [row[:] for row in a]
+    det = Fraction(1)
+    for i in range(len(a)):
+        det *= a[i][i]
+        for r in range(i + 1, len(a)):
+            f = a[r][i] / a[i][i]
+            for col in range(i + 1, len(a)):
+                a[r][col] -= f * a[i][col]
+    return det
+
+
+def logdet2_exact(beams):
+    """log2 det(I + sum_b w_b diag(p_b) w_b^H) of one state, beams the pairs
+    (w_b, p_b) of an N x c_b complex array and its c_b powers, from the
+    exact value of those floats. The Hermitian matrix X + iY is formed in
+    Fraction arithmetic; its real 2N x 2N embedding [[X, -Y], [Y, X]] is
+    symmetric positive definite with determinant det^2, so the result is
+    log2(det^2) / 2, within about an ulp of the exact log-det."""
+    n = beams[0][0].shape[0]
+    x = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    y = [[Fraction(0)] * n for _ in range(n)]
+    for w, p in beams:
+        for col, power in zip(np.asarray(w).T, p):
+            re = [Fraction(float(z.real)) for z in col]
+            im = [Fraction(float(z.imag)) for z in col]
+            power = Fraction(float(power))
+            for i in range(n):
+                for j in range(n):  # w_i p conj(w_j)
+                    x[i][j] += power * (re[i] * re[j] + im[i] * im[j])
+                    y[i][j] += power * (im[i] * re[j] - re[i] * im[j])
+    embedding = [xr + [-v for v in yr] for xr, yr in zip(x, y)] + [yr + xr for xr, yr in zip(x, y)]
+    return _log2_positive(_det(embedding)) / 2.0
+
+
+def logdet_i_plus(beams):
+    """log2 det(I + sum_b w_b diag(p_b) w_b^H) of one state from the pairs
+    (w_b, p_b) of its beams' 2-D products h v_b and stream powers, as
+    gaussian._logdets states it: sum log2(1 + s^2) over the singular values
+    s of one 2-D SVD of [w_b sqrt(p_b)]_b, or, with one receive antenna,
+    2 log2(sqrt(1 + s^2)) with s^2 the sum of re((w_b * p_b) w_b^H) over
+    the beams in order. A log-det that is not finite raises
+    InvalidInputError, as the stacked evaluation raises it without a grid."""
+    if beams[0][0].shape[0] == 1:
+        s2 = sum(((w * p) @ w.conj().T)[0, 0].real for w, p in beams)
+        logdet = float(2.0 * np.log2(np.sqrt(1.0 + s2)))
+    else:
+        s = np.linalg.svd(np.hstack([w * np.sqrt(p) for w, p in beams]), compute_uv=False)
+        logdet = float(np.sum(np.log2(1.0 + s * s)))
+    if not math.isfinite(logdet):
+        raise InvalidInputError("the received covariances overflow a float")
+    return logdet
 
 
 def swap_users(ch):
     """The same channel set with the two users' roles exchanged."""
     return CompoundChannelSet(ch.M, ch.N2, ch.N1, ch.J2, ch.J1, ch.h2, ch.h1)
-
-
-def _received_gram(h, v, p):
-    """(h v) diag(p) (h v)^H, explicitly Hermitian, the channel applied
-    before the powers."""
-    return _gram(h @ v, p)
 
 
 def rate_common(ch, bf, pa, k, j):
@@ -238,17 +285,16 @@ def rate_common(ch, bf, pa, k, j):
     Zero when there is no common subspace or no common power.
     """
     h = ch.state(k, j)
-    g0 = _received_gram(h, bf.v0, pa.p0)
-    gk = _received_gram(h, bf.confidential(k), pa.confidential(k))
-    num = _logdet_i_plus(g0 + gk)
-    den = _logdet_i_plus(gk)
+    own = (h @ bf.confidential(k), pa.confidential(k))
+    num = logdet_i_plus([(h @ bf.v0, pa.p0), own])
+    den = logdet_i_plus([own])
     return max(0.0, num - den)
 
 
 def rate_confidential(ch, bf, pa, k, j):
     """Confidential-stream rate at the intended user k in state j."""
     h = ch.state(k, j)
-    return _logdet_i_plus(_received_gram(h, bf.confidential(k), pa.confidential(k)))
+    return logdet_i_plus([(h @ bf.confidential(k), pa.confidential(k))])
 
 
 def rate_leakage(ch, bf, pa, k, l):
@@ -257,7 +303,7 @@ def rate_leakage(ch, bf, pa, k, l):
     Vanishes (below 1e-8 at any sane power) for certified beamformers.
     """
     h = ch.state(3 - k, l)
-    return _logdet_i_plus(_received_gram(h, bf.confidential(k), pa.confidential(k)))
+    return logdet_i_plus([(h @ bf.confidential(k), pa.confidential(k))])
 
 
 def tx_rate(gains, k, powers):

@@ -206,7 +206,18 @@ def test_no_export_takes_a_horizon_or_keeps_an_unread_field():
     assert "state_records" not in fields["ErgodicRunStats"]
     assert "downward_closed" not in fields["RateRegion"]
     assert not hasattr(sdof, "fit_sdof_stack")
-    assert list(inspect.signature(compound_bcc.NotPositiveDefiniteError).parameters) == ["minor"]
+
+
+def test_no_cholesky_log_det_or_its_errors_are_exported():
+    # the constant model's log-dets are sums over singular values, which
+    # neither need a Hermitian input nor fail to factor
+    for name in ("logdet2_hpd", "NotHermitianError", "NotPositiveDefiniteError"):
+        assert not hasattr(compound_bcc, name), name
+        assert name not in compound_bcc.__all__
+    for name in ("logdet2_hpd", "_hermitian_error", "_first_failing_minor", "HERMITIAN_RTOL"):
+        assert not hasattr(linalg, name), name
+    for name in ("_gram", "_grams", "_logdet_i_plus", "_worst_case_stack"):
+        assert not hasattr(compound_bcc.gaussian, name), name
 
 
 def near_dependent_nulled_rows():

@@ -103,6 +103,19 @@ class TestGaussianCommand:
         summary = read_json(tmp_path / "summary.json")
         assert summary["slopes"]["targets"] == [1.0, 1.0, 0.0]
 
+    def test_multiantenna_slopes_at_high_snr(self, tmp_path):
+        # two receive antennas up to 180 dB: the Gram of such a power lost
+        # its identity part to rounding; singular values keep every slope
+        code = run([
+            "gaussian", "--out", tmp_path,
+            "--M", 5, "--N1", 2, "--N2", 2, "--J1", 1, "--J2", 1,
+            "--r1", 1, "--r2", 1, "--trials", 40, "--snr_db_grid", "140,160,180",
+        ])
+        assert code == 0
+        slopes = read_json(tmp_path / "summary.json")["slopes"]
+        assert slopes["targets"] == [1.0, 1.0, 1.0]
+        assert np.abs(np.array(slopes["per_trial"]) - 1.0).max() < 1e-12
+
     def test_infeasible_streams_exit_1(self, tmp_path, capsys):
         code = run(["gaussian", "--out", tmp_path, "--r1", 3])
         assert code == 1
@@ -632,7 +645,8 @@ class TestConfigHandling:
         assert err.startswith("error: snr_db_grid point 4000 dB")
 
     def test_overflowing_covariances_name_the_grid_point(self, tmp_path, capsys):
-        # 10^308 is a finite power, but the equal-power grams overflow there
+        # 10^308 is a finite power, but s^2 = p ||h v||^2 of some of the 150
+        # trials' one-antenna log-dets overflows there
         code = run(["gaussian", "--out", tmp_path, "--M", 4, "--J1", 2, "--J2", 2,
                     "--trials", 150, "--snr_db_grid", "600,1200,3080"])
         assert code == 1
@@ -640,21 +654,33 @@ class TestConfigHandling:
             "error: snr_db_grid point 3080 dB: the received covariances overflow a float\n"
         )
 
+    @pytest.mark.parametrize("trials, top", [(3, "3080"), (1, "3082")])
+    def test_covariances_below_the_float_limit_are_evaluated(self, tmp_path, capsys, trials, top):
+        # every s^2 is finite, though some exceed half the float limit, where
+        # the doubling in an explicitly Hermitian Gram (g + g^H) / 2
+        # overflowed: the run is evaluated, and this grid fails the gate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["gaussian", "--out", tmp_path, "--M", 4, "--J1", 2, "--J2", 2,
+                        "--trials", trials, "--snr_db_grid", f"600,1200,{top}"])
+        assert code == 2
+        assert capsys.readouterr().err == "tolerance check failed; see summary.json\n"
+        assert sorted(os.listdir(tmp_path)) == ["rates.csv", "region.json", "summary.json"]
+
     @pytest.mark.parametrize("argv, message", [
         # 10^308 is a finite power, but p |phi|^2 overflows in the block rates
         (["ergodic", "--M", 7, "--J1", 8, "--J2", 8, "--blocks", 100,
           "--snr_db_grid", "60,3000,3082"],
          "snr_db_grid point 3082 dB: the block rates overflow a float"),
-        # the grams lose definiteness to rounding before they overflow; the
-        # first trial meets it at 3000 dB
+        # multi-antenna log-dets from singular values: finite at 3000 dB,
+        # where a Cholesky factor of the Gram lost its identity part to
+        # rounding, and overflowing only where s^2 does
         (["gaussian", "--M", 5, "--N1", 3, "--N2", 1, "--J1", 1, "--J2", 2,
           "--r1", 1, "--r2", 1, "--trials", 3, "--snr_db_grid", "60,3000,3082"],
-         "snr_db_grid point 3000 dB: the received covariances lose positive "
-         "definiteness to rounding (leading minor of order 2)"),
+         "snr_db_grid point 3082 dB: the received covariances overflow a float"),
         (["gaussian", "--M", 6, "--N1", 3, "--N2", 2, "--J1", 1, "--J2", 1,
           "--r1", 1, "--r2", 1, "--trials", 3, "--snr_db_grid", "60,3000,3080.5"],
-         "snr_db_grid point 3000 dB: the received covariances lose positive "
-         "definiteness to rounding (leading minor of order 3)"),
+         "snr_db_grid point 3080.5 dB: the received covariances overflow a float"),
     ])
     def test_rates_failing_near_the_float_limit_name_the_grid_point(
         self, tmp_path, capsys, argv, message

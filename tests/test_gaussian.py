@@ -24,7 +24,6 @@ from compound_bcc.errors import (
     FeasibilityError,
     InvalidGridError,
     InvalidInputError,
-    NotPositiveDefiniteError,
 )
 from compound_bcc.gaussian import (
     BeamformerSet,
@@ -49,6 +48,9 @@ from compound_bcc.theory import (
 from reference import (
     build_beamformers_per_trial,
     certify_beamformers,
+    hermitian_gram,
+    logdet2_cholesky,
+    logdet2_exact,
     rate_common,
     rate_confidential,
     rate_leakage,
@@ -231,7 +233,7 @@ def naive_rate(h, blocks):
 
 
 class TestRateOracle:
-    """Cholesky pipeline vs an independent slogdet evaluation at P = 100."""
+    """The singular-value log-dets vs an independent slogdet evaluation at P = 100."""
 
     def setup_method(self):
         self.ch = make_channel(4, 2, 1, 1, 2, seed=3)
@@ -470,24 +472,17 @@ class TestStackedEvaluator:
     @staticmethod
     def check_reference_error(pairs, grid):
         """The batch fails as the per-trial, per-point scalar evaluation does:
-        same error type and message, or both pass. A non-finite covariance
-        at a grid point is reported as that point's overflow, and one that
-        fails to factor as its loss of definiteness."""
+        same error type and message, or both pass. A non-finite log-det at a
+        grid point is reported as that point's overflow."""
         def reference():
             for ch, bf in pairs:
                 for db, p in zip(grid, snr_db_to_power(grid)):
                     try:
                         reference_rates(ch, bf, equal_power(bf, float(p)))
                     except InvalidInputError as e:
-                        assert str(e) == "matrix contains non-finite entries"
+                        assert str(e) == "the received covariances overflow a float"
                         raise InvalidGridError(
                             f"snr_db_grid point {db:g} dB: the received covariances overflow a float"
-                        ) from None
-                    except NotPositiveDefiniteError as e:
-                        raise InvalidGridError(
-                            f"snr_db_grid point {db:g} dB: the received covariances "
-                            f"lose positive definiteness to rounding (leading minor "
-                            f"of order {e.minor})"
                         ) from None
 
         with np.errstate(all="ignore"):
@@ -499,36 +494,54 @@ class TestStackedEvaluator:
                 evaluate_chunk(pairs, grid)
 
     @settings(max_examples=15, deadline=None)
-    @given(scenario=scenarios(), trials=st.integers(1, 3), top=st.floats(2900.0, 3082.0))
+    @given(scenario=scenarios(), trials=st.integers(1, 3), top=st.floats(3070.0, 3082.5))
     def test_failure_near_the_float_limit_is_the_reference_error(self, scenario, trials, top):
-        # near the float limit the grams overflow or lose definiteness
+        # near the float limit some log-dets overflow, and others do not
         dims, seed, leaky = scenario
         pairs = [built(dims, seed + t, leaky) for t in range(trials)]
         self.check_reference_error(pairs, [60.0, top - 20.0, top])
 
-    @pytest.mark.parametrize("dims, leaky, top", [
-        # a later trial fails in an earlier log-det kind than the first
-        # failing trial does
-        ((4, 2, 2, 1, 1, 1, 1), True, 3082.0),
-        ((5, 3, 1, 1, 2, 1, 1), False, 3044.5),
-        ((7, 3, 3, 1, 1, 1, 1), True, 3052.0),
-        # a common-rate numerator overflows before its denominator, which
-        # is indefinite, is reached
-        ((5, 3, 1, 1, 2, 1, 1), False, 3082.0),
-        ((6, 3, 2, 1, 1, 1, 1), True, 3080.5),
-        # both
-        ((6, 2, 2, 1, 2, 1, 1), False, 3080.5),
+    @pytest.mark.parametrize("dims, leaky, grid", [
+        # trial 0 overflows at the last point only, trial 1 at the middle
+        # one already: the error names the last point
+        ((4, 2, 2, 1, 1, 1, 1), False, [60.0, 3080.0, 3081.5]),
+        ((6, 3, 2, 1, 1, 1, 1), True, [60.0, 3080.6, 3080.7]),
+        # one receive antenna: trial 0 passes, trial 1 fails first
+        ((4, 1, 1, 2, 2, 1, 1), False, [60.0, 3081.0, 3082.3]),
+        # every trial passes just below its overflow
+        ((5, 3, 1, 1, 2, 1, 1), False, [60.0, 3000.0, 3079.0]),
+        # every trial fails at the last point
+        ((5, 3, 1, 1, 2, 1, 1), False, [60.0, 80.0, 3082.0]),
     ])
-    def test_failure_order_across_trials_and_kinds(self, dims, leaky, top):
+    def test_failure_order_across_trials_and_points(self, dims, leaky, grid):
         pairs = [built(dims, seed, leaky) for seed in range(3)]
-        self.check_reference_error(pairs, [60.0, 80.0, top])
+        self.check_reference_error(pairs, grid)
+
+    def test_overflow_hidden_by_the_clamp_is_raised(self):
+        # one trial, N = 1, one stream per beam, J1 = 2 and J2 = 1, at powers
+        # 1 and 1e300. At 1e300 user 1's first state overflows in its own
+        # and common log-dets, so its common rate is [inf - inf]+ = [nan]+ =
+        # 0 and its worst own rate is the second state's: every rate is
+        # finite, and the overflow shows in the log-dets alone
+        def states(*xs):
+            return np.array(xs, dtype=complex).reshape(1, len(xs), 1, 1)
+
+        ws = [[states(1e10, 1.0), states(1e10, 1.0), states(1e-8, 1e-8)],
+              [states(1.0), states(1e-8), states(1.0)]]
+        ps = [np.array([1.0, 1e300]).reshape(1, 2, 1)] * 3
+        with pytest.raises(InvalidGridError, match="^snr_db_grid point 3000 dB: the received covariances overflow a float$"):
+            gaussian._stacked_rates(ws, ps, (0.0, 3000.0))
+        with pytest.raises(InvalidInputError, match="^the received covariances overflow a float$"):
+            gaussian._stacked_rates(ws, ps)
+        assert np.isfinite(gaussian._stacked_rates(ws, [p[:, :1] for p in ps])).all()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_failure_without_common_power_is_the_reference_error(self, seed):
-        # with p0 = 0 the common rate is skipped, so the leakage of stream 1
-        # is met before user 2's confidential log-det
+        # with p0 = 0 no common-rate numerator is evaluated; without a grid
+        # an overflowing log-det is an InvalidInputError (seeds 0, 1 and 3
+        # overflow at 3082 dB, seed 3 at 3080 dB already)
         ch, bf = built((6, 1, 3, 1, 1, 1, 2), seed, True)
-        for db in (2000.0, 3000.0, 3080.0):
+        for db in (2000.0, 3000.0, 3080.0, 3082.0):
             total = 10.0 ** (db / 10.0)
             p = np.full(3, total / 3.0)
             pa = PowerAllocation(total, np.zeros(bf.K), p[:1], p[1:])
@@ -809,6 +822,12 @@ class TestChunkRule:
         sizes = [gaussian._trials_per_chunk(4, 1, 1, 2, 2, 1, 1, g) for g in (3, 9, 30, 300)]
         assert sizes == sorted(sizes, reverse=True) and sizes[-1] == 64
 
+    def test_scaled_products_not_grams_are_counted(self):
+        # N = 3 receive antennas and c = 2 streams: 3 x 2 scaled products
+        # per state and point (no 3 x 3 Grams), and one 6 x 6 rank subset
+        held = 2 * 3 * 3 * 2 + 6 * 6
+        assert gaussian._trials_per_chunk(6, 3, 3, 1, 1, 2, 2, 3) == gaussian.CHUNK_ENTRIES // held == 113
+
     @pytest.mark.parametrize("M, trials", [(100, 17), (300, 1), (2000, 1)])
     def test_null_spaces_cap_wide_chunks(self, M, trials):
         # three M x M SVD right factors per trial: at most 64 * 8192 of
@@ -855,16 +874,18 @@ class TestStackedProducts:
         got = evaluate_runs([ws for _, ws in got], (60.0, 80.0, 100.0))
         assert got == [equal_power_slopes(ch, bf, (60.0, 80.0, 100.0)) for ch, bf in zip(chs, bfs)]
 
-    @pytest.mark.parametrize("odd, top", [
-        (2, 100.0),
-        (0, 100.0),
-        (3, 100.0),
-        # trial 0 fails at 2982 dB, before the narrow trial 3 at 3002 dB
-        (3, 3002.0),
-        # the narrow trial 0 fails at 3026 dB, before trial 1 at 3006 dB
-        (0, 3026.0),
+    @pytest.mark.parametrize("odd, grid", [
+        (2, (60.0, 80.0, 100.0)),
+        (0, (60.0, 80.0, 100.0)),
+        (3, (60.0, 80.0, 100.0)),
+        # trial 0 overflows at 3081 dB, before the narrow trial 3, which
+        # overflows at 3079.5 dB already
+        (3, (60.0, 3079.5, 3081.0)),
+        # the narrow trial 0 overflows at 3081.5 dB, before trial 1, which
+        # overflows at 3080 dB already
+        (0, (60.0, 3080.0, 3081.5)),
     ])
-    def test_rebuilt_trial_with_another_k_is_evaluated_alone(self, odd, top):
+    def test_rebuilt_trial_with_another_k_is_evaluated_alone(self, odd, grid):
         # trial ``odd``, as if built as a one-trial stack, has an orthonormal
         # v0 with one column fewer: that trial, a run of its own, gets
         # exactly its one-trial rates and fits, the others those of the
@@ -874,7 +895,6 @@ class TestStackedProducts:
         assert all(bf.K == 2 for bf in bfs)
         bfs[odd] = BeamformerSet(v1=bfs[odd].v1, v2=bfs[odd].v2, v0=bfs[odd].v0[:, :-1])
         pairs = list(zip(chs, bfs))
-        grid = (60.0, top - 20.0, top)
 
         def per_trial():
             return [equal_power_slopes(ch, bf, grid) for ch, bf in pairs]
@@ -1067,6 +1087,147 @@ class TestExactRanks:
             logdet = 0.5 * np.linalg.slogdet(gram)[1]
             loose = _screen_passes(logdet, np.trace(gram, axis1=-2, axis2=-1).real, 2)
         assert (loose & (np.array(want) < 2)).any()
+
+
+EPS = np.finfo(float).eps
+# the error of a log-det of _logdets, in ulps: of the largest singular
+# value for each singular value, and of max(1, |log-det|) for the roundings
+# that follow; at most 4 were needed over 8,000 random states
+LOGDET_ULPS = 16
+
+
+def capped(beams):
+    """The beams [[w_b, p_b]] with every power lowered by one power of two,
+    where needed, so that sum_b max(p_b) ||w_b||_F^2 < 2^1021: no s^2, and
+    no doubled 1 x 1 Gram, overflows."""
+    load = max([math.log2(float(p.max())) + math.log2(float(np.sum(np.abs(w) ** 2))) + 1
+                for w, p in beams if np.any(w) and np.any(p)] or [0.0])
+    if load > 1020.0:
+        for beam in beams:
+            beam[1] = beam[1] * 2.0 ** (1020 - math.ceil(load))
+    return beams
+
+
+POWER_EXPONENTS = st.sampled_from([-1074, -1022, 0, 1000, 1023]) | st.integers(-1074, 1023)
+
+
+@st.composite
+def logdet_beams(draw):
+    """One state's beams [[w_b, p_b]]: N of 1-4 receive antennas, one beam
+    or two (as a common-rate numerator takes them), each w_b of 0-5 columns
+    and rank r of 1 to min(N, c_b), the product of complex Gaussian N x r
+    and r x c_b factors (rank 1, and rank below N, among them), sometimes
+    with a column zeroed, scaled by a power of two; stream powers from
+    subnormal to the float limit, then capped."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    beams = []
+    for _ in range(draw(st.integers(1, 2))):
+        c = draw(st.integers(0, 5))
+        r = draw(st.integers(1, min(n, c))) if c else 0
+        a = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+        b = rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+        w = (a @ b) * 2.0 ** draw(st.integers(-40, 40))
+        if c and draw(st.booleans()):
+            w[:, draw(st.integers(0, c - 1))] = 0.0
+        beams.append([w, rng.uniform(1.0, 2.0, c) * 2.0 ** draw(POWER_EXPONENTS)])
+    return capped(beams)
+
+
+@st.composite
+def one_antenna_stacks(draw):
+    """Products (T, J, 1, c_b) and powers (T, G, c_b) of one beam or two, as
+    _stacked_rates passes them to _logdets, the powers capped per trial."""
+    T, J, G = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    widths = draw(st.lists(st.integers(0, 4), min_size=1, max_size=2))
+    ws = [(rng.standard_normal((T, J, 1, c)) + 1j * rng.standard_normal((T, J, 1, c)))
+          * 2.0 ** draw(st.integers(-40, 40)) for c in widths]
+    ps = [rng.uniform(1.0, 2.0, (T, G, c)) * 2.0 ** draw(POWER_EXPONENTS) for c in widths]
+    for t in range(T):
+        beams = capped([[w[t], p[t]] for w, p in zip(ws, ps)])
+        for p, (_, capped_p) in zip(ps, beams):
+            p[t] = capped_p
+    return ws, ps
+
+
+class TestLogdetRule:
+    """gaussian._logdets, the one log-det rule of the constant model, against
+    the exact log-det of its float inputs and, with one receive antenna,
+    bit for bit against the Cholesky factor of the explicitly Hermitian
+    Gram that it replaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(beams=logdet_beams())
+    @example(beams=[[np.zeros((3, 0), dtype=complex), np.zeros(0)]])
+    @example(beams=[[np.ones((1, 1), dtype=complex), np.array([2.0 ** 1020])]])
+    def test_rule_is_the_exact_log_det(self, beams):
+        # a backward stable SVD gives each singular value within a few ulps
+        # of the largest (Weyl): the log-det lies within the log-dets of
+        # singular values LOGDET_ULPS ulps of s_max from the computed ones,
+        # and LOGDET_ULPS ulps of max(1, |log-det|) more
+        got = gaussian._logdets([w[None, None] for w, _ in beams], [p[None, None] for _, p in beams])
+        exact = logdet2_exact(beams)
+        s = np.linalg.svd(np.hstack([w * np.sqrt(p) for w, p in beams]), compute_uv=False)
+        d = LOGDET_ULPS * EPS * s.max(initial=0.0)
+        width = np.sum(np.log2(1.0 + (s + d) ** 2) - np.log2(1.0 + np.maximum(s - d, 0.0) ** 2))
+        assert got.shape == (1, 1, 1)
+        assert abs(got[0, 0, 0] - exact) <= width + LOGDET_ULPS * EPS * max(1.0, abs(exact))
+
+    @settings(max_examples=300, deadline=None)
+    @given(stacks=one_antenna_stacks())
+    def test_one_antenna_rule_is_the_cholesky_path(self, stacks):
+        ws, ps = stacks
+        got = gaussian._logdets(ws, ps)
+        grams = [hermitian_gram(w[:, None], p[:, :, None, None, :]) for w, p in zip(ws, ps)]
+        want = logdet2_cholesky(np.eye(1) + sum(grams))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        widths=st.lists(st.integers(0, 4), min_size=1, max_size=2),
+        shape=st.sampled_from([(1, 1, 1), (2, 3, 1), (3, 1, 2), (2, 2, 3)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_is_its_one_matrix_calls(self, n, widths, shape, seed):
+        # each trial, point and state of a stack gets the bits of its own call
+        rng = np.random.default_rng(seed)
+        T, G, J = shape
+        ws = [rng.standard_normal((T, J, n, c)) + 1j * rng.standard_normal((T, J, n, c)) for c in widths]
+        ps = [10.0 ** rng.uniform(-2.0, 12.0, (T, G, c)) for c in widths]
+        got = gaussian._logdets(ws, ps)
+        assert got.shape == shape
+        for t, g, j in np.ndindex(*shape):
+            one = gaussian._logdets([w[t:t + 1, j:j + 1] for w in ws], [p[t:t + 1, g:g + 1] for p in ps])
+            assert one.tobytes() == got[t, g, j].tobytes()
+
+    def test_closed_forms(self):
+        # det(I + a a^H) = 1 + ||a||^2; no columns give log2 det I = 0
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 4):
+            a = rng.standard_normal((1, 1, n, 1)) + 1j * rng.standard_normal((1, 1, n, 1))
+            got = gaussian._logdets([a], [np.ones((1, 1, 1))])
+            assert got[0, 0, 0] == pytest.approx(np.log2(1.0 + np.sum(np.abs(a) ** 2)), rel=1e-14)
+            empty = gaussian._logdets([a[..., :0]], [np.ones((1, 2, 0))])
+            assert empty.tolist() == [[[0.0], [0.0]]]
+
+    def test_only_an_overflowing_s2_is_infinite(self):
+        # 1.5e308 doubles past the float limit in (g + g^H) / 2, which the
+        # rule no longer forms
+        p, one = np.full((1, 1, 1), 1.5e308), np.ones((1, 1, 1, 1), dtype=complex)
+        assert gaussian._logdets([one], [p]).tolist() == [[[2.0 * np.log2(np.sqrt(1.5e308))]]]
+        eye, big = np.eye(2, dtype=complex)[None, None], np.full((1, 1, 2, 2), 1e200 + 0j)
+        assert np.isfinite(gaussian._logdets([eye], [np.full((1, 1, 2), 1.5e308)])).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert logdet2_cholesky(np.eye(1) + hermitian_gram(one[:, None], p[:, :, None, None, :])).tolist() == [[[np.inf]]]
+            # s^2 overflows: with one antenna, and with two
+            assert gaussian._logdets([one, one], [p, p]).tolist() == [[[np.inf]]]
+            assert gaussian._logdets([2.0 * eye], [np.full((1, 1, 2), 1.5e308)]).tolist() == [[[np.inf]]]
+            # a scaled product overflows, next to one that does not
+            stack = np.concatenate([big, eye], axis=1)
+            assert gaussian._logdets([stack], [np.full((1, 1, 2), 1e300)]).tolist()[0][0][0] == np.inf
+            assert np.isfinite(gaussian._logdets([stack], [np.full((1, 1, 2), 1e300)])[0, 0, 1])
 
 
 # (M, N1, N2, J1, J2, r1, r2) across all region shapes with feasible streams

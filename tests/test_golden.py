@@ -111,7 +111,10 @@ GOLDEN = {
     "gaussian-multiantenna": {
         "rates.csv": "94cd5754aaf834805f46e33f45381e8d8832213d09f59cf76c446c9a695cba7f",
         "region.json": "f84d497d39d78daa22bc18376195e577c157da8a7d5aa4c1edbba86de919977a",
-        "summary.json": "1a4c3536895da2d4145440d971797919f38e4e6c55924084b206b292127477aa",
+        # two-antenna log-dets are sums over singular values, not Cholesky
+        # factors of Grams: the slopes and fit values moved in their last
+        # bits; rates.csv (%.12g) is unchanged (was 1a4c3536...)
+        "summary.json": "79dbae3d6053e81551ba4b981c7e359cedfbde0a278ad072df96be2620a464e2",
     },
     "gaussian-no-common": {
         "rates.csv": "4276054c2db5f1f6e8c9bd178b180ea0d7389663deaa5815d40c3c63782a404d",

@@ -1,4 +1,4 @@
-"""Kernel tests: singular values, rank, null spaces, HPD log-det.
+"""Kernel tests: singular values, rank, null spaces and Frobenius norms.
 
 Expected values are frozen from independent constructions (explicit
 unitaries, closed-form identities), not from the code under test.
@@ -13,22 +13,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import compound_bcc
-from compound_bcc.errors import (
-    InvalidInputError,
-    NotHermitianError,
-    NotPositiveDefiniteError,
-)
+from compound_bcc.errors import InvalidInputError
 from compound_bcc.linalg import (
     RANK_RTOL,
     _normalize_phases,
-    logdet2_hpd,
     null_space_basis,
     null_spaces,
     numerical_rank,
     rank_from_singular_values,
     singular_values,
 )
-from reference import logdet2_hpd_cholesky, rank_threshold
+from reference import rank_threshold
 
 
 def unitary_2x2(theta, phase):
@@ -262,209 +257,6 @@ class TestStackedNullSpaces:
             for got in [null_space_basis(m[t]), null_spaces(m[t:t + 1])[0][0]] + [bases[t]] * int(at_rank[t]):
                 assert got.strides == want.strides
                 assert got.tobytes() == want.tobytes()
-
-
-class TestLogdet2Hpd:
-    def test_identity_is_zero(self):
-        assert logdet2_hpd(np.eye(4)) == 0.0
-
-    def test_rank_one_update(self):
-        # det(I + a a^H) = 1 + ||a||^2
-        rng = np.random.default_rng(9)
-        for _ in range(25):
-            a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            m = np.eye(4) + np.outer(a, a.conj())
-            expected = np.log2(1 + np.linalg.norm(a) ** 2)
-            assert abs(logdet2_hpd(m) - expected) < 1e-10
-
-    def test_singular_value_identity(self):
-        # log2 det(A A^H + I) = sum log2(1 + s_i^2)
-        rng = np.random.default_rng(10)
-        for _ in range(40):
-            n = int(rng.integers(1, 9))
-            k = int(rng.integers(1, 9))
-            a = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-            m = a @ a.conj().T + np.eye(n)
-            s = singular_values(a)
-            expected = float(np.sum(np.log2(1 + s**2)))
-            assert abs(logdet2_hpd(m) - expected) < 1e-9
-
-    def test_empty_matrix(self):
-        assert logdet2_hpd(np.zeros((0, 0))) == 0.0
-
-    def test_non_hermitian_rejected(self):
-        m = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with pytest.raises(NotHermitianError):
-            logdet2_hpd(m)
-
-    @pytest.mark.parametrize("minor", [1, 2, 3, 4])
-    def test_indefinite_names_failing_minor(self, minor):
-        # m = L D L^H with L unit lower triangular: its leading minor of
-        # order i is L_i D_i L_i^H, positive definite iff D_i is, so the
-        # first minor that fails is the first negative entry of D
-        rng = np.random.default_rng(minor)
-        low = np.tril(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)), -1)
-        low = np.eye(4) + 0.5 * low
-        d = np.array([4.0, 9.0, 2.0, 5.0])
-        d[minor - 1] = -1.0
-        m = (low * d) @ low.conj().T
-        with pytest.raises(NotPositiveDefiniteError) as exc:
-            logdet2_hpd((m + m.conj().T) / 2)
-        assert exc.value.minor == minor
-        assert str(minor) in str(exc.value)
-
-    def test_first_minor_failure(self):
-        with pytest.raises(NotPositiveDefiniteError) as exc:
-            logdet2_hpd(np.diag([-2.0, 1.0]))
-        assert exc.value.minor == 1
-
-
-def hpd_stack(rng, batch, n, scale):
-    """I + scale * A A^H / n for a stack of random A, explicitly Hermitian."""
-    a = rng.standard_normal((*batch, n, n)) + 1j * rng.standard_normal((*batch, n, n))
-    g = scale * (a @ a.conj().swapaxes(-1, -2)) / n
-    return np.eye(n) + (g + g.conj().swapaxes(-1, -2)) / 2
-
-
-def indefinite(rng, n, minor):
-    """L D L^H whose first leading minor to fail is ``minor`` (see above)."""
-    low = np.tril(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), -1)
-    low = np.eye(n) + 0.5 * low
-    d = rng.uniform(1.0, 9.0, n)
-    d[minor - 1] = -1.0
-    m = (low * d) @ low.conj().T
-    return (m + m.conj().T) / 2
-
-
-def raised(call):
-    with pytest.raises(Exception) as exc:
-        call()
-    return type(exc.value), str(exc.value), getattr(exc.value, "minor", None)
-
-
-BATCHES = st.sampled_from([(1,), (3,), (2, 3), (4, 1, 2), (0,)])
-
-
-class TestStackedLogdet:
-    @settings(max_examples=80, deadline=None)
-    @given(
-        n=st.integers(1, 12),
-        batch=BATCHES,
-        scale=st.floats(1e-3, 1e10),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_matches_per_matrix_calls(self, n, batch, scale, seed):
-        stack = hpd_stack(np.random.default_rng(seed), batch, n, scale)
-        got = logdet2_hpd(stack)
-        assert got.shape == batch
-        for idx in np.ndindex(*batch):
-            one = logdet2_hpd(stack[idx])
-            assert type(one) is float
-            assert got[idx] == one
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.integers(1, 6),
-        batch=BATCHES.filter(lambda b: 0 not in b),
-        kind=st.sampled_from(["skew", "indefinite", "nan"]),
-        data=st.data(),
-    )
-    def test_bad_matrix_raises_its_own_error(self, n, batch, kind, data):
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        stack = hpd_stack(rng, batch, n, 1e4)
-        idx = data.draw(st.sampled_from(list(np.ndindex(*batch))))
-        if kind == "skew":
-            stack[idx][0, -1] += 1.0 + 1.0j
-        elif kind == "indefinite":
-            stack[idx] = indefinite(rng, n, data.draw(st.integers(1, n)))
-        else:
-            stack[idx][-1, 0] = np.nan
-        assert raised(lambda: logdet2_hpd(stack)) == raised(lambda: logdet2_hpd(stack[idx]))
-
-    def test_first_failing_matrix_in_c_order_wins(self):
-        rng = np.random.default_rng(0)
-        stack = hpd_stack(rng, (2, 2), 4, 1.0)
-        stack[0, 1] = indefinite(rng, 4, 3)
-        stack[1, 0][1, 2] = np.inf
-        assert raised(lambda: logdet2_hpd(stack)) == (NotPositiveDefiniteError, str(NotPositiveDefiniteError(3)), 3)
-        stack[0, 0][0, 1] += 1.0
-        assert raised(lambda: logdet2_hpd(stack))[0] is NotHermitianError
-        stack[0, 0] = np.nan
-        assert raised(lambda: logdet2_hpd(stack))[:2] == (
-            InvalidInputError, "matrix contains non-finite entries"
-        )
-
-    def test_residual_rule_is_per_matrix(self):
-        # a residual just inside the tolerance of a large matrix passes next
-        # to a small matrix that would fail with the same residual
-        rng = np.random.default_rng(1)
-        big = hpd_stack(rng, (), 3, 1e6)
-        big[0, 1] += 1e-6
-        small = hpd_stack(rng, (), 3, 1.0)
-        assert logdet2_hpd(np.stack([big, small]))[0] == logdet2_hpd(big)
-        small[0, 1] += 1e-6
-        with pytest.raises(NotHermitianError):
-            logdet2_hpd(np.stack([big, small]))
-
-    def test_overflowing_norm_passes_as_in_two_d(self):
-        # at ~3000 dB the Frobenius norms overflow to inf and the residual
-        # test inf > 1e-10 * inf is false: the matrix is factored anyway
-        m = np.array([[1e300, 1e300], [0.0, 1e300]], dtype=complex)
-        with np.errstate(over="ignore"):
-            one = logdet2_hpd(m)
-            assert logdet2_hpd(np.stack([m, np.eye(2) * 1e300])).tolist()[0] == one
-        assert one == pytest.approx(2.0 * np.log2(1e300))
-
-    def test_shapes(self):
-        assert logdet2_hpd(np.zeros((2, 3, 0, 0))).tolist() == [[0.0] * 3] * 2
-        for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((4, 2, 3))):
-            with pytest.raises(InvalidInputError, match="square"):
-                logdet2_hpd(bad)
-
-
-def outcome(call):
-    """The bits of a log-det call's result, or what it raised."""
-    try:
-        got = call()
-    except Exception as e:
-        return type(e), str(e), getattr(e, "minor", None)
-    return type(got), np.asarray(got).tobytes()
-
-
-REALS = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 1.0, -1.0, 1e308,
-                     1.7976931348623157e308, -1e308, np.nan, np.inf]),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.floats(-2.3e-308, 2.3e-308),
-)
-# imaginary parts relative to the real part: the residual rule admits
-# |im| <= 5e-11 |re| (||a - a^H||_F = 2 |im| against 1e-10 |a|)
-IMAG_SHARES = st.sampled_from([0.0, -0.0, 1e-300, 1e-12, 4.9e-11, 5e-11, 5.1e-11, -5e-11, 1e-3])
-
-
-class TestOneByOneLogdet:
-    """logdet2_hpd's rule for 1 x 1 matrices against the Cholesky path."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(
-        entries=st.lists(st.tuples(REALS, IMAG_SHARES), min_size=1, max_size=6),
-        shape=st.sampled_from(["2-D", "stack", "nested"]),
-    )
-    def test_rule_is_the_cholesky_path(self, entries, shape):
-        a = np.array([complex(re, re * share) for re, share in entries]).reshape(-1, 1, 1)
-        a = {"2-D": a[0], "stack": a, "nested": a[None]}[shape]
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert outcome(lambda: logdet2_hpd(a)) == outcome(lambda: logdet2_hpd_cholesky(a))
-
-    def test_edges(self):
-        assert logdet2_hpd(np.array([[4.0 + 1e-11j]])) == 2.0
-        assert logdet2_hpd(np.full((2, 1, 1), 5e-324)).tolist() == [-1074.0] * 2
-        for bad in (0.0, -0.0, -1.0):
-            with pytest.raises(NotPositiveDefiniteError) as exc:
-                logdet2_hpd(np.array([[[1.0]], [[bad]], [[np.nan]]]))
-            assert exc.value.minor == 1
-        with pytest.raises(NotHermitianError):
-            logdet2_hpd(np.array([[[1.0]], [[4.0 + 1e-9j]], [[-1.0]]]))
 
 
 def test_package_import_leaves_scipy_out():

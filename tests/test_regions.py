@@ -216,6 +216,13 @@ class TestSerialization:
         ("{" + VALID.replace('"offset": [1, 1]', '"offset": [1, 2, 3]') + "}",
          "region field 'inequalities' is missing or malformed "
          "(ValueError: too many values to unpack (expected 2))"),
+        # a boolean is no numerator or denominator, though Fraction takes it
+        ("{" + VALID.replace("[[[0, 1], [0, 1]]]", "[[[true, 1], [0, 1]]]") + "}",
+         "region field 'vertices' is missing or malformed "
+         "(TypeError: a fraction pair holds two integers, got [True, 1])"),
+        ("{" + VALID.replace('"offset": [1, 1]', '"offset": [1, false]') + "}",
+         "region field 'inequalities' is missing or malformed "
+         "(TypeError: a fraction pair holds two integers, got [1, False])"),
         ("{" + VALID.replace('"dimension": 2', '"dimension": 2.0') + "}",
          "dimension must be the int 2 or 3, got 2.0"),
         # every region is downward closed: the field holds true alone

@@ -32,10 +32,10 @@ CHECKOUT_ENV = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
 CLI = [sys.executable, "-W", "error::RuntimeWarning", "-m", "compound_bcc"]
 DEMO_PINS = os.path.join(ROOT, "tests", "data", "demo_output.json")
 # the oracle tests of the rules that decide without LAPACK what LAPACK would,
-# the rank census's determinant screens among them: their products of pair
-# minors run through OpenBLAS zgemm
+# the rank census's determinant screens among them (their products of pair
+# minors run through OpenBLAS zgemm), and of the one log-det rule
 EXACT_RULE_ORACLES = (
-    "tests/test_linalg.py::TestOneByOneLogdet",
+    "tests/test_gaussian.py::TestLogdetRule",
     "tests/test_gaussian.py::TestExactRanks",
     "tests/test_channel.py::TestDeterminantScreen",
     "tests/test_channel.py::TestBatchedRankCheck",
@@ -101,8 +101,9 @@ def constant():
     (chunks of 64, all C(24, 4) subsets per trial), two runs of 300 whose
     chunks mix seeds of one and two, then two and three uint32 words, 64
     trials of M = 300, one per chunk for their 300 x 300 null-space factors,
-    and 64 trials of 600 x 4 nulled rows, whose SVDs take no 600 x 600 left
-    factors."""
+    64 trials of 600 x 4 nulled rows, whose SVDs take no 600 x 600 left
+    factors, and 40 trials of two receive antennas up to 180 dB, whose
+    log-dets come from singular values, not from Grams."""
     for cap, args in (
         (48, "--trials 1000"),
         (56, "--M 4 --J1 12 --J2 12 --r1 0 --r2 0 --trials 300"),
@@ -110,6 +111,8 @@ def constant():
         (48, "--trials 300 --seed 18446744073709551500"),
         (80, "--M 300 --J1 1 --J2 1 --trials 64"),
         (80, "--M 4 --J1 600 --J2 1 --r1 0 --r2 0 --trials 64"),
+        (48, "--M 5 --N1 2 --N2 2 --J1 1 --J2 1 --r1 1 --r2 1 --trials 40 "
+             "--snr_db_grid 140,160,180"),
     ):
         with tempfile.TemporaryDirectory() as out:
             child([*CLI, "gaussian", *args.split(), "--out", out], cap)
@@ -140,7 +143,7 @@ def demos(pins=DEMO_PINS, env=CHECKOUT_ENV):
 
 
 def haswell():
-    """The exact rules (1 x 1 log-dets, vector ranks, the Gram rank screen,
+    """The exact rules (the log-det rule, vector ranks, the Gram rank screen,
     the census's determinant screens and the chunked census they feed) hold
     their oracles on OpenBLAS's Haswell (AVX2) kernels too, the class
     that an AVX2-only machine runs, whatever this machine's own kernels; and
