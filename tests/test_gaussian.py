@@ -1229,6 +1229,82 @@ class TestLogdetRule:
             assert gaussian._logdets([stack], [np.full((1, 1, 2), 1e300)]).tolist()[0][0][0] == np.inf
             assert np.isfinite(gaussian._logdets([stack], [np.full((1, 1, 2), 1e300)])[0, 0, 1])
 
+    @staticmethod
+    def products(rng, T, J, n, c):
+        return rng.standard_normal((T, J, n, c)) + 1j * rng.standard_normal((T, J, n, c))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_zero_power_is_exactly_zero(self, n):
+        # log2 det I = 0, bit for bit, whatever the products
+        rng = np.random.default_rng(n)
+        ws = [self.products(rng, 2, 3, n, c) for c in (2, 1)]
+        got = gaussian._logdets(ws, [np.zeros((2, 4, c)) for c in (2, 1)])
+        assert got.shape == (2, 4, 3) and (got == 0.0).all()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_empty_stacks_keep_their_shape(self, n):
+        # no trials, or no states, give an empty (T, G, J) array
+        for T, J in ((0, 2), (2, 0)):
+            w = np.zeros((T, J, n, 2), dtype=complex)
+            assert gaussian._logdets([w], [np.ones((T, 4, 2))]).shape == (T, 4, J)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_matches_slogdet_of_the_gram(self, n):
+        # an independent oracle: LU of I + sum_b W_b diag(p_b) W_b^H, at
+        # powers small enough that the Gram keeps its identity part
+        rng = np.random.default_rng(10 + n)
+        for _ in range(30):
+            widths = rng.integers(1, 5, size=int(rng.integers(1, 3)))
+            ws = [self.products(rng, 1, 1, n, c) for c in widths]
+            ps = [10.0 ** rng.uniform(-2.0, 6.0, (1, 1, c)) for c in widths]
+            m = np.eye(n) + sum((w[0, 0] * p[0, 0]) @ w[0, 0].conj().T for w, p in zip(ws, ps))
+            sign, logabs = np.linalg.slogdet(m)
+            assert sign.real == pytest.approx(1.0)
+            got = gaussian._logdets(ws, ps)[0, 0, 0]
+            assert got == pytest.approx(logabs / np.log(2.0), rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, c, r, db",
+        [(1, 2, 1, 100), (3, 2, 2, 100), (4, 4, 1, 100), (4, 3, 2, 100), (3, 4, 3, 1500), (2, 5, 2, 3000)],
+    )
+    def test_high_snr_slope_is_the_rank(self, n, c, r, db):
+        # the s.d.o.f. of a term is the rank r of its product W = A B: per
+        # decade of power the log-det gains r log2(10). A rank-deficient
+        # product's computed null singular values are ~eps |W|, so its
+        # slope is read below 1e20; full-rank ones hold to the float limit
+        rng = np.random.default_rng(n * 100 + c * 10 + r)
+        w = self.products(rng, 1, 1, n, r) @ self.products(rng, 1, 1, r, c)
+        power = 10.0 ** (db / 10.0)
+        lo, hi = (gaussian._logdets([w], [np.full((1, 1, c), p)])[0, 0, 0] for p in (power, 10.0 * power))
+        assert (hi - lo) / np.log2(10.0) == pytest.approx(r, abs=1e-3)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_receive_rotation_and_beam_order_leave_it(self, n):
+        # the singular values of [U W_0 sqrt(p_0), U W_1 sqrt(p_1)] are those
+        # of [W_1 sqrt(p_1), W_0 sqrt(p_0)] for unitary U
+        rng = np.random.default_rng(20 + n)
+        for _ in range(20):
+            u, _ = np.linalg.qr(self.products(rng, 1, 1, n, n)[0, 0])
+            ws = [self.products(rng, 1, 2, n, c) for c in (2, 3)]
+            ps = [10.0 ** rng.uniform(-2.0, 6.0, (1, 3, c)) for c in (2, 3)]
+            base = gaussian._logdets(ws, ps)
+            rotated = gaussian._logdets([u @ w for w in ws], ps)
+            swapped = gaussian._logdets(ws[::-1], ps[::-1])
+            np.testing.assert_allclose(rotated, base, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(swapped, base, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_numerator_is_at_least_the_denominator(self, n):
+        # a common beam adds a PSD term: log2 det(I + G_0 + G_k) is at least
+        # log2 det(I + G_k), the common rate's two log-dets, up to rounding
+        rng = np.random.default_rng(30 + n)
+        for _ in range(20):
+            w0, wk = (self.products(rng, 2, 2, n, c) for c in (1, 2))
+            p0, pk = (10.0 ** rng.uniform(-2.0, 4.0, (2, 3, c)) for c in (1, 2))
+            num = gaussian._logdets([w0, wk], [p0, pk])
+            den = gaussian._logdets([wk], [pk])
+            assert (num >= den - 1e-9 * np.maximum(1.0, den)).all()
+
 
 # (M, N1, N2, J1, J2, r1, r2) across all region shapes with feasible streams
 SLOPE_CONFIGS = [
