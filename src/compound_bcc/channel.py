@@ -141,7 +141,8 @@ class RankConditionReport:
 
     failures lists the offending row subsets (tuples of stacked-row indices)
     together with their labels; exhaustive says whether every M-subset was
-    checked or a fixed-seed sample of SAMPLED_SUBSET_COUNT subsets was used.
+    checked or a fixed-seed sample of rankcheck.SAMPLED_SUBSET_COUNT subsets
+    was used.
     """
 
     passed: bool
@@ -288,12 +289,13 @@ def _rank_conditions_hold(rows):
 def verify_rank_condition(ch):
     """Check that every selection of M stacked rows has numerical rank M.
 
-    With at most EXHAUSTIVE_ROW_LIMIT stacked rows all C(rows, M) subsets
-    are enumerated; otherwise a deterministic sample of SAMPLED_SUBSET_COUNT
+    All C(rows, M) subsets are enumerated, in lexicographic order, with at
+    most EXHAUSTIVE_ROW_LIMIT stacked rows or at most SAMPLED_SUBSET_COUNT
+    subsets; otherwise a deterministic sample of SAMPLED_SUBSET_COUNT
     subsets is drawn with a fixed-seed generator (seed
-    rankcheck.SAMPLE_SEED), so the report is reproducible. Fewer than M
-    stacked rows means there is nothing to check and the condition holds
-    vacuously.
+    rankcheck.SAMPLE_SEED), so the report is reproducible
+    (rankcheck.subset_count). Fewer than M stacked rows means there is
+    nothing to check and the condition holds vacuously.
 
     A subset A (M x M) has rank M iff sigma_min(A) > t * sigma_max(A), with
     t = linalg.RANK_RTOL = 1e-10 (the rule of
@@ -330,11 +332,12 @@ def verify_rank_condition(ch):
     by Cauchy-Schwarz, the sum of the terms' moduli are at most 1, and the
     computed det(R N) is off by tens of ulps absolute. The sampled path
     takes one batched slogdet per chunk instead, as its subsets share no
-    prefixes, and so does a channel of at most rankcheck.PREFIX_SCREEN_MIN
-    subsets, too few for the sharing to pay.
+    prefixes, and so do a channel of more than EXHAUSTIVE_ROW_LIMIT rows
+    whose subsets are all checked and one of at most
+    rankcheck.PREFIX_SCREEN_MIN subsets, too few for the sharing to pay.
 
     A subset passes on the screen only when the bound is finite and exceeds
-    linalg.rank_screen() = 1e4 * t = 1e-6. The margin absorbs the rounding
+    rankcheck.rank_screen() = 1e4 * t = 1e-6. The margin absorbs the rounding
     of the computed determinant and of the SVD: on unit rows a pass needs
     |det(R N)| >= |det A| > rank_screen() = 1e-6, so those tens of ulps
     move it by 1e-8 relative at most, and a subset that clears the

@@ -25,13 +25,7 @@ from .errors import (
     check_counts,
     user_index,
 )
-from .linalg import (
-    SCREEN_MARGIN,
-    _screen_passes,
-    frobenius_norms,
-    null_spaces,
-    rank_from_singular_values,
-)
+from .linalg import frobenius_norms, null_spaces, rank_from_singular_values
 from .rankcheck import subset_count
 from .sdof import DEFAULT_SNR_GRID_DB, SdofEstimate, _fit_stack, check_snr_grid, snr_db_to_power
 from .theory import confidential_stream_bounds
@@ -114,16 +108,17 @@ def build_beamformers(ch, r1, r2):
 
     v_k is the first r_k columns of the deterministic null-space basis of
     the other user's stacked states, and v0 the deterministic orthonormal
-    basis of the orthogonal complement of [v1 v2], so K = M minus the rank
-    of [v1 v2]; with no confidential streams v0 is the M x M identity
-    basis. Infeasible stream counts raise FeasibilityError quoting the
-    violated bound, and non-finite entries InvalidInputError. Then the
+    basis of the orthogonal complement of [v1 v2]: the null space of [v1
+    v2]^H, so K = M minus the numerical rank of [v1 v2], decided once by
+    that null space's SVD; with no confidential streams v0 is the M x M
+    identity basis. Infeasible stream counts raise FeasibilityError quoting
+    the violated bound, and non-finite entries InvalidInputError. Then the
     certificates, in order, each a ConstructionError when it fails: v1 and
     v2 are orthonormal, ||v^H v - I||_F <= CERT_RTOL; for k = 1 then 2,
     v_k leaks into no state h of the other user, ||h v_k||_F <= CERT_RTOL
-    ||h||_F, and h v_k has rank r_k at each of user k's states; v0 is
+    ||h||_F, and h v_k has rank r_k at each of user k's states; and v0 is
     orthonormal and orthogonal to [v1 v2], ||v0^H [v1 v2]||_F <=
-    CERT_RTOL; and K is M minus the numerical rank of [v1 v2].
+    CERT_RTOL.
     """
     h = (np.stack(ch.h1)[None], np.stack(ch.h2)[None])
     v, _, error = build_beamformers_batch(h, r1, r2)
@@ -155,11 +150,11 @@ def build_beamformers_batch(h, r1, r2):
     is decided exactly: stacked SVDs, and matmuls of views with the
     one-trial strides, give each matrix the bits of its one-trial call,
     and the norms are the 2-D ones (linalg.frobenius_norms). Each rank is
-    numerical_rank's, mostly without an SVD (_ranks): h v_k of one column
-    has rank 1 iff it is nonzero, where its entries' moduli lie in
-    [VECTOR_MIN, VECTOR_MAX], and h v_k or [v1 v2] of c > 1 columns has
-    rank c where the rank screen passes on its Gram. The error is the
-    failing channel's first failing check, in build_beamformers' order.
+    numerical_rank's: the ranks of the null spaces, and so K, are those of
+    their SVDs, and the rank of h v_k is decided by _ranks, without an SVD
+    where h v_k has one column whose entries' moduli lie in [VECTOR_MIN,
+    VECTOR_MAX] (rank 1 iff it is nonzero). The error is the failing
+    channel's first failing check, in build_beamformers' order.
     """
     try:
         v, ws, checks = _stacked_beamformers(h, r1, r2)
@@ -200,7 +195,9 @@ def _stacked_beamformers(h, r1, r2):
     (bad, make_error): bad, (T,) or (T, J) per state j, marks the failures,
     and make_error(t, j) gives channel t's error. The check whose
     make_error is None marks the channels whose null spaces are not at the
-    stack's ranks. Infeasible stream counts fail every channel."""
+    stack's ranks; every other channel has K = M - rank [v1 v2], the rank
+    that null_spaces takes of [v1 v2]^H. Infeasible stream counts fail
+    every channel."""
     (T, J1, N1, M), (J2, N2) = h[0].shape, h[1].shape[1:3]
     infeasible = _feasibility_error(M, N1, N2, J1, J2, r1, r2)
     finite = np.isfinite(h[0]).all(axis=(1, 2, 3)) & np.isfinite(h[1]).all(axis=(1, 2, 3))
@@ -222,50 +219,30 @@ def _stacked_beamformers(h, r1, r2):
         *_user_checks(h, ws, 2),
         *_orthonormality(v0, "v0"),
     ]
-    K = v0.shape[-1]
-    if K:
+    if v0.shape[-1]:
         resid = frobenius_norms(v0.conj().swapaxes(-1, -2) @ stacked)
         checks.append((resid > CERT_RTOL, lambda t, j: ConstructionError(
             f"v0 is not orthogonal to [v1 v2] (residual {resid[t]:.3e})"
-        )))
-    if stacked.shape[-1]:
-        expected = M - _ranks(stacked)
-        checks.append((expected != K, lambda t, j: ConstructionError(
-            f"common subspace has {K} columns, expected {expected[t]}"
         )))
     return (v0, *v), ws, checks
 
 
 def _ranks(a):
     """numerical_rank of each finite matrix of a stack (..., n, c), the rank
-    of a non-finite one unspecified, without an SVD where a rule decides
-    it. A column (c = 1) whose nonzero entries have moduli in [VECTOR_MIN,
-    VECTOR_MAX] has rank 1 iff it has a nonzero entry: its singular value
-    is then 0 or a normal float s, and s > t s for the rank threshold t =
-    linalg.RANK_RTOL < 1. A wider matrix has rank c where
-    linalg._screen_passes passes on its Gram a^H a, whose determinant is
-    prod sigma^2 and whose trace is ||a||_F^2, with a floor of SCREEN_MARGIN
-    sqrt((n + c) eps) >= 2.5e-4 on the bound sigma_min / sigma_max, above
-    linalg.rank_screen() = 1e-6 and far above the Gram's rounding of about
-    (n + c) eps ||a||_F^2, and where the determinant's sign is positive and
-    ||a||_F^2 >= VECTOR_MIN^2: below that, the underflow of the Gram's
-    products (2^-1075 each) is no longer small against its rounding.
-    Singular values decide the rest."""
-    n, c = a.shape[-2:]
-    with np.errstate(all="ignore"):
-        if c == 1:
+    of a non-finite one unspecified. A column (c = 1) whose nonzero entries
+    have moduli in [VECTOR_MIN, VECTOR_MAX] has rank 1 iff it has a nonzero
+    entry: its singular value is then 0 or a normal float s, and s > t s
+    for the rank threshold t = linalg.RANK_RTOL < 1. Stacked singular
+    values decide the rest, wider matrices among them."""
+    if a.shape[-1] == 1:
+        with np.errstate(all="ignore"):
             modulus = np.abs(a[..., 0])
-            ranks = (modulus != 0.0).any(axis=-1).astype(int)
-            sure = (modulus == 0.0) | ((modulus >= VECTOR_MIN) & (modulus <= VECTOR_MAX))
-            sure = sure.all(axis=-1)
-        else:
-            gram = a.conj().swapaxes(-1, -2) @ a
-            sign, logdet = np.linalg.slogdet(gram)
-            fro2 = np.trace(gram, axis1=-2, axis2=-1).real
-            floor = SCREEN_MARGIN * np.sqrt((n + c) * np.finfo(float).eps)
-            sure = _screen_passes(0.5 * logdet, fro2, c, floor)
-            sure &= (sign.real > 0.0) & (fro2 >= VECTOR_MIN ** 2)
-            ranks = np.full(a.shape[:-2], c)
+        ranks = (modulus != 0.0).any(axis=-1).astype(int)
+        sure = (modulus == 0.0) | ((modulus >= VECTOR_MIN) & (modulus <= VECTOR_MAX))
+        sure = sure.all(axis=-1)
+    else:
+        ranks = np.zeros(a.shape[:-2], dtype=int)
+        sure = np.zeros(a.shape[:-2], dtype=bool)
     unsure = ~sure & np.isfinite(a).all(axis=(-2, -1))
     if unsure.any():
         ranks[unsure] = rank_from_singular_values(np.linalg.svd(a[unsure], compute_uv=False))
@@ -290,9 +267,8 @@ def _user_checks(h, ws, k):
     product with a non-finite entry is InvalidInputError, as
     numerical_rank raises it); none when r_k = 0. The ranks are _ranks':
     a one-column product (r_k = 1) whose nonzero entries have moduli in
-    [VECTOR_MIN, VECTOR_MAX] has rank 1 iff it has a nonzero entry, a
-    wider one rank r_k where its Gram passes the rank screen with _ranks'
-    floor of at least 2.5e-4, and singular values decide the rest."""
+    [VECTOR_MIN, VECTOR_MAX] has rank 1 iff it has a nonzero entry, and
+    singular values decide the rest."""
     other, own = 2 - k, ws[k - 1][k]
     r = own.shape[-1]
     if not r:

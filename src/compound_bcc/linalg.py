@@ -22,18 +22,8 @@ __all__ = [
 
 # The rank rule of the package: a singular value counts toward the rank iff
 # it exceeds RANK_RTOL * sigma_max. Every rank decision reads it at call
-# time, through rank_from_singular_values or rank_screen.
+# time, through rank_from_singular_values or rankcheck.rank_screen.
 RANK_RTOL = 1e-10
-# A fast path may take a matrix as full rank, without its exact singular
-# values, when a computed bound on sigma_min / sigma_max exceeds
-# rank_screen() = SCREEN_MARGIN * RANK_RTOL = 1e-6: so far above the
-# threshold and machine precision that the bound's rounding cannot change
-# the decision. _screen_passes bounds A of m columns: sigma_max <=
-# ||A||_F, and by the AM-GM inequality the m-1 largest singular values have
-# a product of at most (||A||_F^2 / (m-1))^((m-1)/2), so
-#   sigma_min / sigma_max >= prod sigma / (||A||_F (||A||_F^2 / (m-1))^((m-1)/2)).
-# The rank check (rankcheck) takes prod sigma = |det A| of square A.
-SCREEN_MARGIN = 1e4
 
 
 def as_matrix(m, name="matrix"):
@@ -69,21 +59,6 @@ def rank_from_singular_values(s):
         return np.zeros(s.shape[:-1], dtype=int)
     above = s > RANK_RTOL * s[..., :1]
     return np.count_nonzero(above) if s.ndim == 1 else above.sum(axis=-1)
-
-
-def rank_screen():
-    """Ratio sigma_min / sigma_max above which a fast path may decide full rank."""
-    return SCREEN_MARGIN * RANK_RTOL
-
-
-def _screen_passes(logdet, fro2, m, floor=0.0):
-    """Whether the bound prod sigma / (||A||_F * (||A||_F^2 / (m-1))^((m-1)/2))
-    on sigma_min / sigma_max of matrices A of m columns, from log prod sigma
-    in ``logdet`` and ||A||_F^2 in ``fro2``, is finite and above
-    rank_screen() and ``floor``."""
-    with np.errstate(all="ignore"):
-        log_bound = logdet - 0.5 * m * np.log(fro2) + 0.5 * (m - 1) * math.log(max(m - 1, 1))
-    return np.isfinite(log_bound) & (log_bound > math.log(max(rank_screen(), floor)))
 
 
 def numerical_rank(m):

@@ -7,9 +7,11 @@ stacked rows every subset is checked, in lexicographic order. A subset's
 determinant factors over its prefix, whose QR factorization it shares with
 every subset that starts with it, and its last four rows (its tail): the
 tail determinants of the prefixes that end at the same row are entries of
-one product of 2 x 2 minors (the Laplace expansion). Above that limit a
-fixed-seed sample is checked, each subset by its own slogdet, as are the
-subsets of a channel that has too few of them for the sharing to pay.
+one product of 2 x 2 minors (the Laplace expansion). Above that limit
+every subset is checked too where there are at most SAMPLED_SUBSET_COUNT,
+and a fixed-seed sample of that many otherwise, each subset by its own
+slogdet, as are the subsets of a channel that has too few of them for the
+sharing to pay.
 """
 
 import functools
@@ -18,10 +20,12 @@ import math
 
 import numpy as np
 
-from .linalg import _screen_passes, rank_from_singular_values, rank_screen
+from . import linalg
+from .linalg import rank_from_singular_values
 
-# Above this many stacked rows, rank verification samples subsets instead of
-# enumerating them all.
+# Up to this many stacked rows, rank verification enumerates every subset;
+# above it, only where there are at most SAMPLED_SUBSET_COUNT of them, and it
+# samples that many otherwise.
 EXHAUSTIVE_ROW_LIMIT = 24
 SAMPLED_SUBSET_COUNT = 10_000
 # Fixed seed for the sampled verification path, so reports are reproducible.
@@ -50,19 +54,52 @@ SCREEN_TAIL = 4
 # subset, as constant-trials' chunk holds: 205 against 627 us; 4 of C(6, 3)
 # = 20, as fading-blocks checks: 111 against 338 us.
 PREFIX_SCREEN_MIN = 256
+# A fast path may take a matrix as full rank, without its exact singular
+# values, when a computed bound on sigma_min / sigma_max exceeds
+# rank_screen() = SCREEN_MARGIN * linalg.RANK_RTOL = 1e-6: so far above the
+# threshold and machine precision that the bound's rounding cannot change
+# the decision. _screen_passes bounds A of m columns: sigma_max <=
+# ||A||_F, and by the AM-GM inequality the m-1 largest singular values have
+# a product of at most (||A||_F^2 / (m-1))^((m-1)/2), so
+#   sigma_min / sigma_max >= prod sigma / (||A||_F (||A||_F^2 / (m-1))^((m-1)/2)),
+# with prod sigma = |det A| of the square subsets A.
+SCREEN_MARGIN = 1e4
+
+
+def rank_screen():
+    """Ratio sigma_min / sigma_max above which a fast path may decide full rank."""
+    return SCREEN_MARGIN * linalg.RANK_RTOL
+
+
+def _screen_passes(logdet, fro2, m):
+    """Whether the bound prod sigma / (||A||_F * (||A||_F^2 / (m-1))^((m-1)/2))
+    on sigma_min / sigma_max of matrices A of m columns, from log prod sigma
+    in ``logdet`` and ||A||_F^2 in ``fro2``, is finite and above
+    rank_screen()."""
+    with np.errstate(all="ignore"):
+        log_bound = logdet - 0.5 * m * np.log(fro2) + 0.5 * (m - 1) * math.log(max(m - 1, 1))
+    return np.isfinite(log_bound) & (log_bound > math.log(rank_screen()))
 
 
 def subset_count(rows, m):
     """(count, exhaustive): how many m x m subsets the rank check of
     ``rows`` stacked rows takes, and whether they are all of them. None
-    below m rows (the condition holds vacuously), all C(rows, m) up to
-    EXHAUSTIVE_ROW_LIMIT rows, SAMPLED_SUBSET_COUNT sampled ones above, so
-    no binomial of a huge row count is computed."""
+    below m rows (the condition holds vacuously); all C(rows, m) up to
+    EXHAUSTIVE_ROW_LIMIT rows or SAMPLED_SUBSET_COUNT subsets; else that
+    many sampled. Above the row limit C(rows, 1), C(rows, 2), ..., which
+    grow up to C(rows, min(m, rows - m)) = C(rows, m), are built one
+    factor at a time until one passes the sample, so no binomial of a huge
+    row count is computed."""
     if rows < m:
         return 0, True
     if rows <= EXHAUSTIVE_ROW_LIMIT:
         return math.comb(rows, m), True
-    return SAMPLED_SUBSET_COUNT, False
+    count = 1
+    for i in range(min(m, rows - m)):
+        count = count * (rows - i) // (i + 1)
+        if count > SAMPLED_SUBSET_COUNT:
+            return SAMPLED_SUBSET_COUNT, False
+    return count, True
 
 
 def rank_chunks(rows, live):
@@ -75,24 +112,20 @@ def rank_chunks(rows, live):
     chunks.
 
     A determinant screen passes the subsets whose bound on sigma_min /
-    sigma_max exceeds linalg.rank_screen() = 1e-6: the prefix-shared
+    sigma_max exceeds rank_screen() = 1e-6: the prefix-shared
     _exhaustive_screen for more than PREFIX_SCREEN_MIN subsets up to
     EXHAUSTIVE_ROW_LIMIT rows, else _slogdet_screen over all subsets or the
-    sample. Batched SVDs of at most RANK_CHUNK // (T M^2) subsets each
-    decide the rest, rank M iff sigma_min > linalg.RANK_RTOL sigma_max =
-    1e-10 sigma_max.
+    sample (_listed_chunks). Batched SVDs of at most RANK_CHUNK // (T M^2)
+    subsets each decide the rest, rank M iff sigma_min > linalg.RANK_RTOL
+    sigma_max = 1e-10 sigma_max.
     """
     T, total, m = rows.shape
     size = max(1, RANK_CHUNK // (T * m * m))
     count, exhaustive = subset_count(total, m)
-    if not exhaustive:
-        screen = _slogdet_screen(rows, live, _sampled_chunks(total, m, size))
-    elif count <= PREFIX_SCREEN_MIN:
-        table = _subsets(total, m)
-        chunks = (table[a:a + size] for a in range(0, len(table), size))
-        screen = _slogdet_screen(rows, live, chunks)
-    else:
+    if total <= EXHAUSTIVE_ROW_LIMIT and count > PREFIX_SCREEN_MIN:
         screen = _exhaustive_screen(rows, live)
+    else:
+        screen = _slogdet_screen(rows, live, _listed_chunks(total, m, size, exhaustive))
     for subsets, full in screen:
         ch, pos = np.nonzero(~full)
         for a in range(0, ch.size, size):
@@ -194,7 +227,7 @@ def _reflect(g, logvol, row, log_screen):
     (x_1 / |x_1|) ||x|| e_1, maps x onto a multiple of e_1, so its last e - 1
     columns H span the null space of v, and G H = G[:, 1:] - (G u) v[1:] *
     2 / (u^H u), with u^H u = 2 ||x|| (||x|| + |x_1|). A prefix whose vol
-    falls to exp(log_screen) = linalg.rank_screen() = 1e-6 or below gets
+    falls to exp(log_screen) = rank_screen() = 1e-6 or below gets
     log vol -inf and G = 0: its vol bounds the screen's bound of each
     subset it starts, so none could pass.
     """
@@ -379,8 +412,7 @@ def _subset_rows(total, m, first, i):
 def _subsets(total, k):
     """All k-subsets of range(total) in lexicographic order, one per row,
     as a read-only (C(total, k), k) intp array. The rank check asks for
-    k <= 2, for column subsets of at most SCREEN_TAIL columns, and for at
-    most PREFIX_SCREEN_MIN rows."""
+    k <= 2, and for column subsets of at most SCREEN_TAIL columns."""
     table = np.array(list(itertools.combinations(range(total), k)), dtype=np.intp)
     table = table.reshape(math.comb(total, k), k)
     table.flags.writeable = False
@@ -397,16 +429,20 @@ def _children(counts, size):
         yield owner, pos - ends.take(owner) + counts.take(owner)
 
 
-def _sampled_chunks(total, m, size):
-    """The SAMPLED_SUBSET_COUNT row subsets of the sampled rank check, as
-    (k, m) intp arrays of at most ``size`` subsets each, one row per subset:
-    each one rng.choice(total, m, replace=False) of a generator seeded with
-    SAMPLE_SEED, sorted."""
-    rng = np.random.default_rng(SAMPLE_SEED)
-    subsets = (
-        np.sort(rng.choice(total, size=m, replace=False))
-        for _ in range(SAMPLED_SUBSET_COUNT)
-    )
+def _listed_chunks(total, m, size, exhaustive):
+    """The row subsets of the slogdet screen, as (k, m) intp arrays of at
+    most ``size`` subsets each, one row per subset: every m-subset of
+    range(total) in lexicographic order when ``exhaustive``, else the
+    SAMPLED_SUBSET_COUNT sampled ones, each one rng.choice(total, m,
+    replace=False) of a generator seeded with SAMPLE_SEED, sorted."""
+    if exhaustive:
+        subsets = itertools.combinations(range(total), m)
+    else:
+        rng = np.random.default_rng(SAMPLE_SEED)
+        subsets = (
+            np.sort(rng.choice(total, size=m, replace=False))
+            for _ in range(SAMPLED_SUBSET_COUNT)
+        )
     flat = itertools.chain.from_iterable(subsets)
     while (chunk := np.fromiter(itertools.islice(flat, size * m), np.intp)).size:
         yield chunk.reshape(-1, m)

@@ -2,8 +2,9 @@
 
 Exact rational arithmetic (fractions.Fraction) on the dimensions: M
 transmit antennas, and N_k receive antennas and J_k states for user k (k'
-is the other user). The simulations fit slopes against these targets;
-compare and region need nothing else.
+is the other user), positive ints, and stream counts, nonnegative ints;
+InvalidInputError names one that is not. The simulations fit slopes
+against these targets; compare and region need nothing else.
 
 Constant compound channel (gaussian). User k's confidential streams lie
 in the null space of the other user's J_k' N_k' stacked state rows and
@@ -57,6 +58,7 @@ def confidential_stream_bounds(M, N1, N2, J1, J2):
     null space of the other user's stacked states (M - J_k' * N_k'); a
     non-positive null-space dimension forces zero streams.
     """
+    check_counts(M=M, N1=N1, N2=N2, J1=J1, J2=J2)
     b1 = max(0, min(N1, M - J2 * N2))
     b2 = max(0, min(N2, M - J1 * N1))
     return b1, b2
@@ -69,6 +71,8 @@ def common_slope_target(N1, N2, r1, r2, K):
     which r_k are spent on the confidential stream, so its rate grows like
     min(N_k, K + r_k) - r_k; the worst case takes the smaller user.
     """
+    check_counts(N1=N1, N2=N2)
+    check_counts(minimum=0, r1=r1, r2=r2, K=K)
     return min(min(N1, K + r1) - r1, min(N2, K + r2) - r2)
 
 
@@ -79,7 +83,6 @@ def gaussian_sdof_region(M, N1, N2, J1, J2):
     null space (J_k * N_k < M). When neither does, only the common message
     survives, with d0 up to min(M, N1, N2).
     """
-    check_counts(M=M, N1=N1, N2=N2, J1=J1, J2=J2)
     nonneg = [((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0)]
     b1, b2 = confidential_stream_bounds(M, N1, N2, J1, J2)
     room1 = J1 * N1 < M

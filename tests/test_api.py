@@ -230,11 +230,12 @@ def near_dependent_nulled_rows():
 
 
 def sampled_census_channel():
-    """26 stacked rows of M = 2, drawn without a rank check: more than the
-    census enumerates, so it samples its subsets."""
+    """26 stacked rows of M = 4, drawn without a rank check: more rows and
+    more subsets (C(26, 4) = 14,950) than the census enumerates, so it
+    samples its subsets."""
     rng = np.random.default_rng(0)
-    rows = rng.standard_normal((26, 1, 2)) + 1j * rng.standard_normal((26, 1, 2))
-    return compound_bcc.CompoundChannelSet(2, 1, 1, 13, 13, tuple(rows[:13]), tuple(rows[13:]))
+    rows = rng.standard_normal((26, 1, 4)) + 1j * rng.standard_normal((26, 1, 4))
+    return compound_bcc.CompoundChannelSet(4, 1, 1, 13, 13, tuple(rows[:13]), tuple(rows[13:]))
 
 
 def outcome(call):

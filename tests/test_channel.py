@@ -53,7 +53,7 @@ def per_subset_report(ch):
     total = rows.shape[0]
     if total < ch.M:
         return RankConditionReport(passed=True, checked=0, exhaustive=True)
-    exhaustive = total <= EXHAUSTIVE_ROW_LIMIT
+    exhaustive = total <= EXHAUSTIVE_ROW_LIMIT or math.comb(total, ch.M) <= SAMPLED_SUBSET_COUNT
     if exhaustive:
         subsets = list(itertools.combinations(range(total), ch.M))
     else:
@@ -228,12 +228,50 @@ class TestRankCondition:
         assert report.passed and report.checked == 0
 
     def test_sampled_path_is_deterministic(self):
-        ch = random_channel(7, M=3, N1=1, N2=1, J1=13, J2=13)  # 26 rows > 24
+        # 26 rows > 24 at M = 4: C(26, 4) = 14,950 subsets, so 10,000 sampled
+        ch = random_channel(7, M=4, N1=1, N2=1, J1=13, J2=13)
         r1 = verify_rank_condition(ch)
         r2 = verify_rank_condition(ch)
         assert not r1.exhaustive
         assert r1.checked == 10_000
         assert r1.passed and r1.failures == r2.failures
+
+    def test_dependent_rows_the_sample_misses_fail_above_the_row_limit(self, tmp_path):
+        # 26 rows at M = 3, row 14 = row 0 + 2 row 4: the 10,000 sampled
+        # subsets miss (0, 4, 14), but C(26, 3) = 2,600 are all checked
+        rng = np.random.default_rng(1)
+        rows = rng.standard_normal((26, 3)) + 1j * rng.standard_normal((26, 3))
+        rows[14] = rows[0] + 2 * rows[4]
+        ch = CompoundChannelSet(3, 1, 1, 13, 13, tuple(rows[:13, None]), tuple(rows[13:, None]))
+        sample = rankcheck._listed_chunks(26, 3, SAMPLED_SUBSET_COUNT, False)
+        assert [0, 4, 14] not in np.concatenate(list(sample)).tolist()
+        path = tmp_path / "channel.json"
+        save_channel(ch, path)
+        assert cli.main(["verify-channel", "--channel", str(path), "--out", str(tmp_path / "out")]) == 2
+        with open(tmp_path / "out" / "summary.json") as fh:
+            summary = json.load(fh)
+        assert (summary["passed"], summary["subsets_checked"], summary["exhaustive"]) == (
+            False, 2600, True
+        )
+        assert summary["failures"] == [["H_1_1[0]", "H_1_5[0]", "H_2_2[0]"]]
+        assert verify_rank_condition(ch) == per_subset_report(ch)
+
+    @pytest.mark.parametrize("rows, m, want", [
+        (24, 12, (math.comb(24, 12), True)),  # every subset up to 24 rows
+        (26, 3, (2600, True)),
+        (26, 4, (10_000, False)),  # C(26, 4) = 14,950
+        (25, 4, (10_000, False)),  # C(25, 4) = 12,650
+        (141, 2, (9870, True)),
+        (142, 2, (10_000, False)),  # C(142, 2) = 10,011
+        (10_000, 1, (10_000, True)),
+        (10_001, 1, (10_000, False)),
+        (30, 27, (4060, True)),  # C(30, 27) = C(30, 3)
+        (30, 30, (1, True)),
+        (25, 26, (0, True)),  # fewer rows than M: nothing to check
+        (2 * 10**8, 10**8, (10_000, False)),  # no huge binomial is computed
+    ])
+    def test_subset_count(self, rows, m, want):
+        assert rankcheck.subset_count(rows, m) == want
 
 
 class TestBatchedRankCheck:
@@ -270,15 +308,27 @@ class TestBatchedRankCheck:
 
     @settings(max_examples=6, deadline=None)
     @given(
+        J2=st.integers(13, 16),  # 13 + J2 rows at M = 4: more than 10,000 subsets
+        seed=st.integers(0, 2**32 - 1),
+        edits=EDITS,
+        rel=TOLERANCES,
+    )
+    def test_sampled_matches_per_subset(self, J2, seed, edits, rel):
+        got = self.check(edited_channel(4, 1, 1, 13, J2, seed, edits), rel)
+        assert not got.exhaustive
+
+    @settings(max_examples=6, deadline=None)
+    @given(
         M=st.integers(1, 3),
         J2=st.integers(12, 16),  # 13 + J2 rows, above EXHAUSTIVE_ROW_LIMIT
         seed=st.integers(0, 2**32 - 1),
         edits=EDITS,
         rel=TOLERANCES,
     )
-    def test_sampled_matches_per_subset(self, M, J2, seed, edits, rel):
+    def test_all_subsets_above_the_row_limit_match_per_subset(self, M, J2, seed, edits, rel):
+        # at most C(29, 3) = 3,654 subsets: all checked, by slogdet
         got = self.check(edited_channel(M, 1, 1, 13, J2, seed, edits), rel)
-        assert not got.exhaustive
+        assert got.exhaustive
 
     def test_duplicated_rows_fail_in_order(self):
         ch = edited_channel(3, 2, 1, 2, 3, 5, [("copy", 0, 6, 1.0, 0.0), ("zero", 0, 3, 1.0, 0.0)])
@@ -339,8 +389,8 @@ class TestBatchedRankCheck:
     @pytest.mark.parametrize("dims", [
         (4, 1, 1, 12, 12),  # 24 rows: every subset
         (3, 2, 1, 2, 3),
-        (2, 1, 1, 13, 13),  # 26 rows: sampled subsets
-        (3, 1, 1, 13, 13),
+        (3, 1, 1, 13, 13),  # 26 rows: all C(26, 3) = 2,600 subsets
+        (4, 1, 1, 13, 13),  # 26 rows: 10,000 sampled subsets of C(26, 4)
         (4, 1, 1, 1, 1),  # fewer rows than M: nothing to check
         (30, 1, 1, 13, 13),  # and so above EXHAUSTIVE_ROW_LIMIT rows
     ])
@@ -559,10 +609,15 @@ class TestDeterminantScreen:
         # of as many as ``size`` entries allow
         for block in (1, size * total * m):
             assert enumerated(total, m, block) == want
-        # the table the slogdet screen takes at most PREFIX_SCREEN_MIN subsets from
+        # the lexicographic table of _subsets, and the chunks the slogdet
+        # screen takes when it checks every subset
         table = rankcheck._subsets(total, m)
         assert table.dtype == np.intp and not table.flags.writeable
         assert [tuple(s) for s in table.reshape(-1, m).tolist()] == want
+        chunks = list(rankcheck._listed_chunks(total, m, size, True))
+        assert all(c.dtype == np.intp and c.shape[1:] == (m,) for c in chunks)
+        assert all(len(c) == size for c in chunks[:-1])
+        assert [tuple(s) for c in chunks for s in c.tolist()] == want
 
     def test_exhaustive_chunks_count_and_order_at_c_24_12(self):
         # all C(24, 12) subsets: the blocks count them, each block's tails
@@ -586,15 +641,16 @@ class TestDeterminantScreen:
             count += size
         assert count == math.comb(n, k)
 
-    @pytest.mark.parametrize("total, m", [(25, 3), (30, 1), (26, 12)])
+    @pytest.mark.parametrize("total, m", [(26, 4), (142, 2), (26, 12)])
     @pytest.mark.parametrize("size", [7, 512])
     def test_sampled_chunks_follow_the_choice_stream(self, total, m, size):
+        assert not rankcheck.subset_count(total, m)[1]  # the census samples these
         rng = np.random.default_rng(SAMPLE_SEED)
         want = [
             tuple(sorted(rng.choice(total, size=m, replace=False)))
             for _ in range(SAMPLED_SUBSET_COUNT)
         ]
-        chunks = list(rankcheck._sampled_chunks(total, m, size))
+        chunks = list(rankcheck._listed_chunks(total, m, size, False))
         assert all(c.dtype == np.intp and c.shape[1:] == (m,) for c in chunks)
         assert all(len(c) == size for c in chunks[:-1])
         assert [tuple(s) for c in chunks for s in c.tolist()] == want

@@ -36,7 +36,7 @@ from compound_bcc.gaussian import (
     run_trials,
     worst_case_rates,
 )
-from compound_bcc.linalg import _screen_passes, numerical_rank
+from compound_bcc.linalg import numerical_rank
 from compound_bcc.regions import nontrivial_vertices
 from compound_bcc.sdof import SdofEstimate, estimate_sdof_series, snr_db_to_power
 from compound_bcc.theory import (
@@ -678,8 +678,22 @@ def degenerate_chunks(draw):
     return (h1, h2), r1, r2
 
 
+def generic_chunk(scenario):
+    """Three generated channels of a scenario as a chunk ((h1, h2), r1, r2)."""
+    (M, N1, N2, J1, J2, r1, r2), seed, _ = scenario
+    return stack_of([make_channel(M, N1, N2, J1, J2, seed=seed + t) for t in range(3)]), r1, r2
+
+
 class TestChunkedBuild:
     """build_beamformers_batch against the one-trial oracle."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(chunk=degenerate_chunks() | scenarios().map(generic_chunk))
+    def test_built_channels_have_k_of_the_rank_of_v1_v2(self, chunk):
+        # K = M - rank [v1 v2], decided once, by the null space of [v1 v2]^H
+        runs, _ = build_runs(*chunk)
+        for bf in sets_of(runs):
+            assert bf.K == bf.v0.shape[0] - numerical_rank(np.hstack([bf.v1, bf.v2]))
 
     @settings(max_examples=60, deadline=None)
     @given(scenario=scenarios(), trials=st.integers(1, 5))
@@ -973,10 +987,10 @@ class TestRunTrials:
 
 
 def test_benchmark_run_takes_no_rank_or_log_det_svd(monkeypatch):
-    # constant-trials' dims, seeds and grid: the exact rules decide every
-    # vector rank, every [v1 v2] rank and every 1 x 1 log-det, so LAPACK
-    # runs only the three null-space SVDs and the slogdets of the rank
-    # check and the Gram screen
+    # constant-trials' dims, seeds and grid: the vector rule decides every
+    # h v_k rank, the null space of [v1 v2]^H its rank, and the exact rule
+    # every 1 x 1 log-det, so LAPACK runs only the three null-space SVDs
+    # and the 4 x 4 slogdets of the rank check, with no 2 x 2 Gram's
     calls = []
     for name in ("svd", "cholesky", "slogdet"):
         def wrapped(a, *args, real=getattr(np.linalg, name), name=name, **kwargs):
@@ -985,7 +999,9 @@ def test_benchmark_run_takes_no_rank_or_log_det_svd(monkeypatch):
         monkeypatch.setattr(np.linalg, name, wrapped)
     run_trials((4, 1, 1, 2, 2), 1, 1, (60.0, 80.0, 100.0), range(150))
     assert [c for c in calls if c[0] != "slogdet"] == [("svd", (150, 2, 4))] * 3
-    assert ("slogdet", (150, 2, 2)) in calls
+    slogdets = [shape for name, shape in calls if name == "slogdet"]
+    assert slogdets and all(shape[-2:] == (4, 4) for shape in slogdets)
+    assert (150, 2, 2) not in slogdets
 
 
 def thresholds():
@@ -1009,8 +1025,8 @@ def moduli_stacks(draw):
 
 
 class TestExactRanks:
-    """The rank rules of the constant model's certificates, each against
-    numerical_rank's singular values."""
+    """The vector rank rule of the constant model's certificates against
+    numerical_rank's singular values, which decide every other rank."""
 
     @settings(max_examples=400, deadline=None)
     @given(a=moduli_stacks(), rel=thresholds())
@@ -1031,37 +1047,9 @@ class TestExactRanks:
         a[1, 0, 0] = 2.0 ** -501
         assert gaussian._ranks(a).tolist() == [1, 1, 1, 1] and svds == [(1, 1, 1)]
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        M=st.integers(1, 8),
-        c=st.integers(1, 4),
-        trials=st.integers(1, 4),
-        gap=st.none() | st.floats(-20.0, 0.0),
-        scales=st.lists(st.integers(-600, 600), min_size=4, max_size=4)
-        | (st.integers(-540, -505) | st.integers(505, 540)).map(lambda e: [e] * 4),
-        rel=st.floats(-17.0, -0.1).map(lambda e: 10.0 ** e),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_gram_screen_is_numerical_rank(self, M, c, trials, gap, scales, rel, seed):
-        # columns parallel to the first (gap None) or 10^gap apart from it,
-        # each scaled by a power of two, or all by one near underflow or
-        # overflow
-        rng = np.random.default_rng(seed)
-        shape = (trials, M, c)
-        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        a = noise[..., :1] * (1.0 + rng.standard_normal(c))
-        if gap is not None:
-            a = a + 10.0 ** gap * noise
-        a *= np.ldexp(1.0, scales[:c])
-        with rank_threshold(rel):
-            assert gaussian._ranks(a).tolist() == [numerical_rank(m) for m in a]
-
-    def test_gram_screen_leaves_matrices_near_underflow_to_the_svd(self):
-        # rank 1, but the rounding of its subnormal Gram entries alone gives
-        # the Gram a determinant that passes the screen
-        a = 2.0 ** -530 * np.array([[[1.0, 0.3], [1.0, 0.3]]], dtype=complex)
-        assert gaussian._ranks(a).tolist() == [numerical_rank(a[0])] == [1]
-        # the same through a channel: H_1_1 of rank 1 scaled by 1e-160
+    def test_rank_one_product_near_underflow_fails_its_certificate(self):
+        # H_1_1 of rank 1 scaled by 1e-160: the entries of its Gram would
+        # underflow, and its two-column product's rank is its singular values'
         g = make_channel(5, 2, 1, 2, 2, seed=9)
         rng = np.random.default_rng(1)
         u = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
@@ -1072,21 +1060,6 @@ class TestExactRanks:
         with pytest.raises(ConstructionError) as e:
             build_beamformers(ch, 2, 1)
         assert (type(e.value), str(e.value)) == want
-
-    def test_gram_screen_needs_its_floor(self):
-        # near-parallel pairs at a small threshold: the Gram's rounding alone
-        # lifts some bounds above the census screen of 1e4 * 1e-12 = 1e-8
-        rng = np.random.default_rng(0)
-        u = rng.standard_normal((2000, 3, 1)) + 1j * rng.standard_normal((2000, 3, 1))
-        w = rng.standard_normal((2000, 3, 1)) + 1j * rng.standard_normal((2000, 3, 1))
-        a = np.concatenate([u, (1 + 0.3j) * u + 3e-15 * w], axis=-1)
-        with rank_threshold(1e-12):
-            want = [numerical_rank(m) for m in a]
-            assert gaussian._ranks(a).tolist() == want
-            gram = a.conj().swapaxes(-1, -2) @ a
-            logdet = 0.5 * np.linalg.slogdet(gram)[1]
-            loose = _screen_passes(logdet, np.trace(gram, axis1=-2, axis2=-1).real, 2)
-        assert (loose & (np.array(want) < 2)).any()
 
 
 EPS = np.finfo(float).eps

@@ -43,9 +43,10 @@ CASES = {
         ["verify-channel", "--M", "3", "--J1", "5", "--J2", "5", "--seed", "3"],
         0,
     ),
-    # 26 stacked rows: above EXHAUSTIVE_ROW_LIMIT, so the sampled path runs
+    # 26 stacked rows at M = 4: above EXHAUSTIVE_ROW_LIMIT and C(26, 4) =
+    # 14,950 above SAMPLED_SUBSET_COUNT, so the sampled path runs
     "verify-sampled": (
-        ["verify-channel", "--M", "3", "--J1", "13", "--J2", "13", "--seed", "7"],
+        ["verify-channel", "--M", "4", "--J1", "13", "--J2", "13", "--seed", "7"],
         0,
     ),
     # H_2_3 repeats row 0 of H_1_1: pins the failures, their order and labels
@@ -137,7 +138,9 @@ GOLDEN = {
         "summary.json": "37b68ac67ff25c16268856584412fc7ceaf587f3e3ffab9705e6baa338a94e30",
     },
     "verify-sampled": {
-        "summary.json": "8ee1d949f1c810f578043cc54fc5065ccf8a09a433d1aed8949fddb1488042f2",
+        # --M 4 in place of --M 3, whose 2,600 subsets are now all checked
+        # (was 8ee1d949... at --M 3)
+        "summary.json": "b0edd6a84d5cc0ec0baa211c9d4a0bd5cb1509994170e727872058e79b634406",
     },
 }
 

@@ -9,6 +9,8 @@ import reference
 from compound_bcc.errors import InvalidInputError
 from compound_bcc.regions import contains, dominates, region_to_dict
 from compound_bcc.theory import (
+    common_slope_target,
+    confidential_stream_bounds,
     ergodic_sdof_region,
     gaussian_confidential_region,
     policy_slope_targets,
@@ -31,18 +33,29 @@ def test_region_and_targets_equal_the_oracle(M):
                 assert contains(got, want)
 
 
-@pytest.mark.parametrize("args, match", [
-    ((0, 2, 2, "equal"), "M"),
-    ((4, 2, True, "split"), "J2"),  # counts are checked before the policy
-    ((4, 2, 2, "bogus"), "unknown power policy 'bogus'"),
-    ((4, 2, 2, "split"), "p1_frac must be a finite number, got None"),
-    ((4, 2, 2, "split", 1.5), r"p1_frac must be in \[0, 1\], got 1.5"),
-    ((4, 2, 2, "split", True), "p1_frac must be a finite number, got True"),
-    ((4, 2, 2, "equal", 0.5), "p1_frac is for the split policy only; got kind 'equal'"),
+@pytest.mark.parametrize("call, args, match", [
+    (policy_slope_targets, (0, 2, 2, "equal"), "M"),
+    (policy_slope_targets, (4, 2, True, "split"), "J2"),  # counts are checked before the policy
+    (policy_slope_targets, (4, 2, 2, "bogus"), "unknown power policy 'bogus'"),
+    (policy_slope_targets, (4, 2, 2, "split"), "p1_frac must be a finite number, got None"),
+    (policy_slope_targets, (4, 2, 2, "split", 1.5), r"p1_frac must be in \[0, 1\], got 1.5"),
+    (policy_slope_targets, (4, 2, 2, "split", True), "p1_frac must be a finite number, got True"),
+    (policy_slope_targets, (4, 2, 2, "equal", 0.5),
+     "p1_frac is for the split policy only; got kind 'equal'"),
+    # the constant model's bounds take the dimensions and stream counts
+    (gaussian_confidential_region, (0, 1, 1, 3, 3), "M must be a positive integer, got 0"),
+    (gaussian_confidential_region, (4, -2, 1, 1, 1), "N1 must be a positive integer, got -2"),
+    (gaussian_confidential_region, (4, 1, 1, 1, 2.0), "J2 must be a positive integer"),
+    (confidential_stream_bounds, (4, 1.5, True, 1, 1), "N1 must be a positive integer, got 1.5"),
+    (confidential_stream_bounds, (4, 1, True, 1, 1), "N2 must be a positive integer, got True"),
+    (common_slope_target, (0, 1, 1, 1, 2), "N1 must be a positive integer"),
+    (common_slope_target, (1, 1, -1, 0, 2), "r1 must be an integer >= 0, got -1"),
+    (common_slope_target, (1, 1, 0, 0.0, 2), "r2 must be an integer >= 0"),
+    (common_slope_target, (1, 1, 0, 0, True), "K must be an integer >= 0, got True"),
 ])
-def test_targets_reject_bad_arguments(args, match):
+def test_targets_reject_bad_arguments(call, args, match):
     with pytest.raises(InvalidInputError, match=match):
-        policy_slope_targets(*args)
+        call(*args)
 
 
 @settings(max_examples=200, deadline=None)

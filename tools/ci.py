@@ -71,14 +71,16 @@ def child(cmd, cap=math.inf, cwd=ROOT, env=CHECKOUT_ENV, stdout=None):
 def census():
     """The rank check at scale: all C(24, 4) = 10,626 subsets (one product of
     pair minors), C(24, 5) = 42,504 (one-row prefixes), C(24, 6) = 134,596
-    and C(24, 8) = 735,471 (four-row prefixes), then 10,000 sampled subsets
-    of 26 rows."""
+    and C(24, 8) = 735,471 (four-row prefixes), then all C(26, 3) = 2,600
+    subsets of 26 rows, above the row limit but within the sample's count,
+    and 10,000 sampled ones of the C(26, 4) = 14,950."""
     for cap, exhaustive, count, args in (
         (math.inf, True, 10_626, "--M 4 --J1 12 --J2 12"),
         (math.inf, True, 42_504, "--M 5 --J1 12 --J2 12"),
         (math.inf, True, 134_596, "--M 6 --J1 12 --J2 12"),
         (48, True, 735_471, "--M 8 --J1 12 --J2 12"),
-        (math.inf, False, 10_000, "--M 3 --J1 13 --J2 13"),
+        (math.inf, True, 2_600, "--M 3 --J1 13 --J2 13"),
+        (math.inf, False, 10_000, "--M 4 --J1 13 --J2 13"),
     ):
         with tempfile.TemporaryDirectory() as out:
             child([*CLI, "verify-channel", *args.split(), "--out", out], cap)
@@ -143,8 +145,8 @@ def demos(pins=DEMO_PINS, env=CHECKOUT_ENV):
 
 
 def haswell():
-    """The exact rules (the log-det rule, vector ranks, the Gram rank screen,
-    the census's determinant screens and the chunked census they feed) hold
+    """The exact rules (the log-det rule, vector ranks, the census's
+    determinant screens and the chunked census they feed) hold
     their oracles on OpenBLAS's Haswell (AVX2) kernels too, the class
     that an AVX2-only machine runs, whatever this machine's own kernels; and
     so do the stacked builds and products, whose views get one-trial bits
